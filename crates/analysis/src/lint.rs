@@ -29,17 +29,6 @@
 //!   reason. The only legitimate uses are values that never guard other
 //!   memory — statistical counters and unique-token generators — and
 //!   each one must be audited into the allowlist.
-//! * **`phase-construction`** — a typestate phase type
-//!   ([`PHASE_TYPES`]) constructed outside `crates/core`: a struct
-//!   literal (`FastVoting { … }`) or an associated-function call
-//!   (`RecoveryGt::new(…)`). The typestate redesign makes illegal
-//!   transitions unrepresentable *only* if phase values are born inside
-//!   the core crate's constructors; a phase literal elsewhere would
-//!   reopen every bypassed invariant (the red line, the forced `1A`
-//!   broadcast, the decision effect). Variant *uses* spelled
-//!   `Path::RecoveryGt` / `PhaseKind::Decided` (preceded by `::`) and
-//!   enum/struct declarations are out of scope. This rule is applied to
-//!   every scanned crate except `crates/core` itself.
 //!
 //! `#[cfg(test)]` modules are skipped entirely. Findings can be waived
 //! through an allowlist file ([`Allowlist`]) whose entries document an
@@ -54,26 +43,12 @@ use std::path::{Path, PathBuf};
 use crate::lexer::{blank_comments_and_strings, line_of, word_positions};
 
 /// Rule identifiers, as used in findings and allowlist entries.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "wildcard-arm",
     "unwrap-expect",
     "unchecked-quorum-arith",
     "debug-assert",
     "relaxed-atomic",
-    "phase-construction",
-];
-
-/// The typestate phase types of `crates/core` (voter phases, leader
-/// phases, and the recovery-case types) whose construction the
-/// `phase-construction` rule confines to the core crate.
-pub const PHASE_TYPES: [&str; 7] = [
-    "FastVoting",
-    "SlowBallot",
-    "Decided",
-    "Collecting",
-    "Proposing",
-    "RecoveryGt",
-    "RecoveryEq",
 ];
 
 /// One lint hit.
@@ -350,52 +325,6 @@ pub fn lint_file(file: &SourceFile, enums: &BTreeSet<String>) -> Vec<Finding> {
         start = idx + "Ordering::Relaxed".len();
     }
 
-    // phase-construction.
-    let enum_bodies = enum_body_ranges(&blanked);
-    let in_enum_body = |idx: usize| enum_bodies.iter().any(|(a, b)| (*a..*b).contains(&idx));
-    for name in PHASE_TYPES {
-        for idx in word_positions(&blanked, name) {
-            // `Path::Decided`, `PhaseKind::Decided { .. }` etc. are
-            // variant *uses*, not phase-struct constructions.
-            if blanked[..idx].trim_end().ends_with("::") {
-                continue;
-            }
-            // A variant named like a phase type inside some other
-            // enum's declaration (e.g. `TraceEvent::Decided { .. }`).
-            if in_enum_body(idx) {
-                continue;
-            }
-            // Declarations of a same-named item are not constructions,
-            // and neither is `impl X for Decided { … }`.
-            if matches!(
-                previous_word(&blanked, idx).as_str(),
-                "struct" | "enum" | "impl" | "trait" | "union" | "for"
-            ) {
-                continue;
-            }
-            // `fn f() -> Decided { … }`: a return type followed by the
-            // body brace. `->` always precedes a type, never an
-            // expression, so this cannot be a struct literal.
-            if blanked[..idx].trim_end().ends_with("->") {
-                continue;
-            }
-            let after = blanked[idx + name.len()..].trim_start();
-            let is_struct_literal = after.starts_with('{');
-            let is_assoc_call = after.strip_prefix("::").is_some_and(|rest| {
-                let rest = rest.trim_start();
-                let ident: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                ident.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                    && rest[ident.len()..].trim_start().starts_with('(')
-            });
-            if is_struct_literal || is_assoc_call {
-                push(idx, "phase-construction");
-            }
-        }
-    }
-
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
@@ -428,34 +357,6 @@ fn has_bare_plus_minus(line: &str) -> bool {
         }
     }
     false
-}
-
-/// Byte ranges of `enum` declaration bodies (open brace through the
-/// matching close brace), used to exempt same-named variants of other
-/// enums from the `phase-construction` rule.
-fn enum_body_ranges(blanked: &str) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    for idx in word_positions(blanked, "enum") {
-        let Some(open) = blanked[idx..].find('{').map(|o| idx + o) else {
-            continue;
-        };
-        if let Some(end) = matching_brace(blanked, open) {
-            ranges.push((open, end));
-        }
-    }
-    ranges
-}
-
-/// The identifier-or-keyword word immediately before byte `idx`
-/// (empty if the preceding non-space text is not a word).
-fn previous_word(blanked: &str, idx: usize) -> String {
-    let rev: String = blanked[..idx]
-        .trim_end()
-        .chars()
-        .rev()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    rev.chars().rev().collect()
 }
 
 /// Byte ranges of `#[cfg(test)]`-gated items (attribute through the
@@ -727,47 +628,6 @@ mod tests {
         let only_relaxed = lint_file_rules(&f, &enums, &["relaxed-atomic"]);
         assert_eq!(only_relaxed.len(), 1, "{only_relaxed:?}");
         assert_eq!(only_relaxed[0].rule, "relaxed-atomic");
-    }
-
-    #[test]
-    fn phase_struct_literal_and_assoc_call_are_flagged() {
-        let src = "fn f() -> D { let d = Decided { value: 1, path: P };\n\
-                   let g = RecoveryGt::new(7);\n\
-                   (d, g) }";
-        let hits = lint(src);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "phase-construction"));
-        assert_eq!(hits[0].line, 1);
-        assert_eq!(hits[1].line, 2);
-    }
-
-    #[test]
-    fn phase_variant_uses_and_declarations_are_not_flagged() {
-        let src = "enum TraceEvent { Decided { time: u64 }, Collecting }\n\
-                   struct Decided;\n\
-                   impl Decided { fn kind(&self) -> K { K::Decided } }\n\
-                   fn f(e: &TraceEvent) -> bool {\n\
-                     matches!(e, TraceEvent::Decided { .. })\n\
-                   }\n\
-                   fn g() -> TraceEvent { TraceEvent::Decided { time: 0 } }\n\
-                   fn h(k: K) -> bool { k == PhaseKind::Decided }";
-        assert_eq!(lint(src), vec![]);
-    }
-
-    #[test]
-    fn phase_type_in_signature_or_generics_is_not_flagged() {
-        let src = "fn f(d: &Decided) -> Option<Decided> { None }\n\
-                   fn g() -> Vec<RecoveryGt> { Vec::new() }\n\
-                   fn k() -> Decided { core_make() }\n\
-                   impl View for Decided { }\n\
-                   fn h(x: Decided) -> u64 { Decided::value(&x) }";
-        // `Decided::value(&x)` is an assoc call with a lowercase ident —
-        // flagged: reading accessors through UFCS outside core is as
-        // suspicious as construction is rare; call via method syntax.
-        let hits = lint(src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "phase-construction");
-        assert_eq!(hits[0].line, 5);
     }
 
     #[test]

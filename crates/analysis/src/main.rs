@@ -233,14 +233,15 @@ fn run_bounds(opts: &Options) -> Result<bool, String> {
 
 fn run_lint(opts: &Options) -> Result<bool, String> {
     let root = &opts.root;
-    // crates/core is the one place where constructing the typestate
-    // phase types is legal, so it gets every rule *except*
-    // phase-construction.
-    let core_dirs: Vec<PathBuf> = vec![root.join("crates/core/src")];
-    let lint_dirs: Vec<PathBuf> = ["crates/baselines/src", "crates/smr/src", "crates/byz/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
+    let lint_dirs: Vec<PathBuf> = [
+        "crates/core/src",
+        "crates/baselines/src",
+        "crates/smr/src",
+        "crates/byz/src",
+    ]
+    .iter()
+    .map(|d| root.join(d))
+    .collect();
     // The runtime and telemetry crates are not protocol handlers, so
     // the handler-shape rules (wildcard arms, quorum arithmetic, …)
     // don't apply — but their atomics still get the relaxed-ordering
@@ -249,18 +250,7 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
         .iter()
         .map(|d| root.join(d))
         .collect();
-    // The harness crates drive the protocol purely through its public
-    // seam; only the phase-construction boundary applies to them.
-    let phase_only_dirs: Vec<PathBuf> = ["crates/sim/src", "crates/verify/src", "crates/fuzz/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
-    for d in core_dirs
-        .iter()
-        .chain(&lint_dirs)
-        .chain(&relaxed_only_dirs)
-        .chain(&phase_only_dirs)
-    {
+    for d in lint_dirs.iter().chain(&relaxed_only_dirs) {
         if !d.is_dir() {
             return Err(format!(
                 "lint: {} is not a directory (set --root to the workspace root)",
@@ -268,16 +258,13 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
             ));
         }
     }
-    let core_files = lint::collect_sources(&core_dirs).map_err(|e| format!("lint: {e}"))?;
     let files = lint::collect_sources(&lint_dirs).map_err(|e| format!("lint: {e}"))?;
     let relaxed_files =
         lint::collect_sources(&relaxed_only_dirs).map_err(|e| format!("lint: {e}"))?;
-    let phase_files = lint::collect_sources(&phase_only_dirs).map_err(|e| format!("lint: {e}"))?;
     // Protocol enums may be *declared* in twostep-types but matched in
     // the protocol crates, so the enum universe includes both.
     let enum_files = {
-        let mut dirs = core_dirs.clone();
-        dirs.extend(lint_dirs.clone());
+        let mut dirs = lint_dirs.clone();
         dirs.push(root.join("crates/types/src"));
         lint::collect_sources(&dirs).map_err(|e| format!("lint: {e}"))?
     };
@@ -293,29 +280,18 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
         Allowlist::default()
     };
 
-    let non_phase_rules: Vec<&str> = lint::RULES
-        .iter()
-        .copied()
-        .filter(|r| *r != "phase-construction")
-        .collect();
     let mut raw = Vec::new();
-    for file in &core_files {
-        raw.extend(lint::lint_file_rules(file, &enums, &non_phase_rules));
-    }
     for file in &files {
         raw.extend(lint::lint_file(file, &enums));
     }
     for file in &relaxed_files {
         raw.extend(lint::lint_file_rules(file, &enums, &["relaxed-atomic"]));
     }
-    for file in &phase_files {
-        raw.extend(lint::lint_file_rules(file, &enums, &["phase-construction"]));
-    }
     let findings: Vec<_> = raw.iter().filter(|f| !allow.allows(f)).collect();
     let stale = allow.stale_entries(&raw);
     println!(
         "lint: {} files, {} protocol enums, {} allowlist entries ({} stale), {} findings",
-        core_files.len() + files.len() + relaxed_files.len() + phase_files.len(),
+        files.len() + relaxed_files.len(),
         enums.len(),
         allow.len(),
         stale.len(),

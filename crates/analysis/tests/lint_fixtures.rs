@@ -65,20 +65,6 @@ fn debug_assert_fixture_trips_exactly_its_rule() {
 }
 
 #[test]
-fn phase_construction_fixture_trips_exactly_its_rule() {
-    let findings = lint_fixture("phase_construction.rs");
-    assert_eq!(
-        rules(&findings),
-        ["phase-construction", "phase-construction"],
-        "{findings:?}"
-    );
-    assert!(findings.iter().any(|f| f.excerpt.contains("Decided {")));
-    assert!(findings
-        .iter()
-        .any(|f| f.excerpt.contains("RecoveryGt::new")));
-}
-
-#[test]
 fn clean_fixture_produces_no_findings() {
     let findings = lint_fixture("clean.rs");
     assert_eq!(findings, [], "clean fixture must lint clean");
@@ -93,21 +79,22 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Mirrors the binary's scan set (`run_lint` in `src/main.rs`): the
-/// protocol crates get every rule (core without `phase-construction`,
-/// since core is where phase construction is legal), the
-/// runtime/telemetry crates only the relaxed-atomic audit, and the
-/// harness crates (sim/verify/fuzz) only the phase-construction
-/// boundary.
+/// protocol crates get every rule, the runtime/telemetry crates only
+/// the relaxed-atomic audit.
 fn workspace_findings() -> (Vec<Finding>, Allowlist) {
     let root = workspace_root();
-    let core_files = collect_sources(&[root.join("crates/core/src")]).unwrap();
-    let lint_dirs: Vec<PathBuf> = ["crates/baselines/src", "crates/smr/src", "crates/byz/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
+    let lint_dirs: Vec<PathBuf> = [
+        "crates/core/src",
+        "crates/baselines/src",
+        "crates/smr/src",
+        "crates/byz/src",
+    ]
+    .iter()
+    .map(|d| root.join(d))
+    .collect();
     let files = collect_sources(&lint_dirs).unwrap();
     assert!(
-        !core_files.is_empty() && !files.is_empty(),
+        !files.is_empty(),
         "protocol crates not found under {root:?}"
     );
     let relaxed_files = collect_sources(&[
@@ -115,16 +102,8 @@ fn workspace_findings() -> (Vec<Finding>, Allowlist) {
         root.join("crates/telemetry/src"),
     ])
     .unwrap();
-    let phase_files = collect_sources(&[
-        root.join("crates/sim/src"),
-        root.join("crates/verify/src"),
-        root.join("crates/fuzz/src"),
-    ])
-    .unwrap();
-    assert!(!phase_files.is_empty(), "harness crates not found");
     let enum_files = {
         let mut dirs = lint_dirs;
-        dirs.push(root.join("crates/core/src"));
         dirs.push(root.join("crates/types/src"));
         collect_sources(&dirs).unwrap()
     };
@@ -133,25 +112,14 @@ fn workspace_findings() -> (Vec<Finding>, Allowlist) {
         enums.len() >= 8,
         "expected the protocol enum universe, got {enums:?}"
     );
-    let non_phase_rules: Vec<&str> = twostep_analysis::lint::RULES
-        .iter()
-        .copied()
-        .filter(|r| *r != "phase-construction")
-        .collect();
     let allow = Allowlist::load(&root.join("crates/analysis/lint-allow.txt")).unwrap();
-    let findings = core_files
+    let findings = files
         .iter()
-        .flat_map(|f| lint_file_rules(f, &enums, &non_phase_rules))
-        .chain(files.iter().flat_map(|f| lint_file(f, &enums)))
+        .flat_map(|f| lint_file(f, &enums))
         .chain(
             relaxed_files
                 .iter()
                 .flat_map(|f| lint_file_rules(f, &enums, &["relaxed-atomic"])),
-        )
-        .chain(
-            phase_files
-                .iter()
-                .flat_map(|f| lint_file_rules(f, &enums, &["phase-construction"])),
         )
         .collect::<Vec<_>>();
     (findings, allow)

@@ -5,9 +5,8 @@ use std::fmt;
 
 use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::Protocol;
-use twostep_types::{Corruptible, ProcessId, Value};
+use twostep_types::{Corruptible, ProcessId, SplitMix64, Value};
 
-use crate::rng::SplitMix64;
 use crate::wrapper::ByzProtocol;
 
 /// What a wrapped process does to its outgoing traffic.

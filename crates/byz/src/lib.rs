@@ -12,7 +12,8 @@
 //! * **ballot lying** — embedded ballot numbers are mutated;
 //! * **selective silence** — individual sends are dropped.
 //!
-//! All perturbation is driven by a seeded [`SplitMix64`] stream, so a
+//! All perturbation is driven by a seeded
+//! [`SplitMix64`](twostep_types::SplitMix64) stream, so a
 //! Byzantine schedule is exactly as replayable as a crash schedule: the
 //! pair `(seed, process)` fully determines every corruption. A
 //! [`ByzPlan`] assigns behaviors across a cluster and derives the
@@ -30,9 +31,7 @@
 #![warn(missing_docs)]
 
 mod behavior;
-mod rng;
 mod wrapper;
 
 pub use behavior::{ByzBehavior, ByzPlan};
-pub use rng::SplitMix64;
 pub use wrapper::ByzProtocol;

@@ -4,10 +4,9 @@ use std::marker::PhantomData;
 
 use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Corruptible, ProcessId, Value};
+use twostep_types::{Corruptible, ProcessId, SplitMix64, Value};
 
 use crate::behavior::ByzBehavior;
-use crate::rng::SplitMix64;
 
 /// A [`Protocol`] adaptor that makes one process Byzantine.
 ///

@@ -40,6 +40,26 @@
 //! — so the paper's max-value tie-break (line 58) only exists where the
 //! paper applies it: on the exact-threshold case.
 //!
+//! # Phases are born only in this crate
+//!
+//! The phase structs are `pub` (read-only views name them), but their
+//! fields are private and their constructors `pub(crate)`, so the
+//! compiler — not a text-matching lint — keeps every other crate from
+//! minting a phase value and bypassing the transitions above. A struct
+//! literal from outside the crate is rejected:
+//!
+//! ```compile_fail
+//! use twostep_core::phase::FastVoting;
+//! let _ = FastVoting::<u64> { val: None, proposer: None, red_line: false };
+//! ```
+//!
+//! and so is a constructor call:
+//!
+//! ```compile_fail
+//! use twostep_core::phase::FastVoting;
+//! let _ = FastVoting::<u64>::object();
+//! ```
+//!
 //! [`TwoStep`]: crate::TwoStep
 //! [`Effects`]: twostep_types::protocol::Effects
 

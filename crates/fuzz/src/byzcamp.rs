@@ -34,10 +34,9 @@ use twostep_baselines::FastBft;
 use twostep_byz::{ByzBehavior, ByzPlan, ByzProtocol};
 use twostep_sim::ManualExecutor;
 use twostep_telemetry::ObserverHandle;
-use twostep_types::{ByzConfig, ProcessId, SystemConfig};
+use twostep_types::{ByzConfig, ProcessId, SplitMix64, SystemConfig};
 
 use crate::oracle::Verdict;
-use crate::rng::SplitMix64;
 
 /// Every process's protocol in a Byzantine campaign: the real FastBft
 /// under the injection wrapper (honest processes pass through).

@@ -22,10 +22,9 @@
 //! arbitrary action list.
 
 use twostep_core::Ablations;
-use twostep_types::{ProcessId, SystemConfig};
+use twostep_types::{ProcessId, SplitMix64, SystemConfig};
 
 use crate::case::{FuzzCase, FuzzProtocol};
-use crate::rng::SplitMix64;
 use crate::schedule::Action;
 
 /// Derives the fully determined case for one fuzzing iteration from its

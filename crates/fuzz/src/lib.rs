@@ -18,7 +18,8 @@
 //!
 //! The pipeline, module by module:
 //!
-//! 1. [`rng`] — a self-contained SplitMix64 with per-iteration streams.
+//! 1. [`twostep_types::SplitMix64`] — the workspace's seeded PRNG, with
+//!    per-iteration streams.
 //! 2. [`gen`] — phase-structured schedule generation, biased towards
 //!    the fast-decide / vote-split / crash / recover shape of the
 //!    paper's §B.1 adversary.
@@ -42,7 +43,6 @@ pub mod byzcamp;
 pub mod case;
 pub mod gen;
 pub mod oracle;
-pub mod rng;
 pub mod runner;
 pub mod schedule;
 pub mod shard;
@@ -56,7 +56,6 @@ pub use byzcamp::{
 pub use case::{run_case, run_case_observed, FuzzCase, FuzzProtocol, RunReport};
 pub use gen::gen_case;
 pub use oracle::{check_liveness, check_safety, Verdict};
-pub use rng::SplitMix64;
 pub use runner::{fuzz, fuzz_with_progress, Failure, FuzzConfig, FuzzOutcome};
 pub use schedule::{Action, ParseError, Schedule};
 pub use shard::{

@@ -9,12 +9,11 @@
 
 use twostep_core::Ablations;
 use twostep_telemetry::ObserverHandle;
-use twostep_types::SystemConfig;
+use twostep_types::{SplitMix64, SystemConfig};
 
 use crate::case::{run_case_observed, FuzzCase, FuzzProtocol};
 use crate::gen::gen_case;
 use crate::oracle::{check_liveness, check_safety, Verdict};
-use crate::rng::SplitMix64;
 use crate::schedule::Schedule;
 use crate::shrink::shrink;
 

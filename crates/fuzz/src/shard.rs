@@ -22,11 +22,10 @@
 
 use twostep_core::{OmegaMode, TwoStepBuilder};
 use twostep_sim::ManualExecutor;
-use twostep_types::{ProcessId, SystemConfig};
+use twostep_types::{ProcessId, SplitMix64, SystemConfig};
 
 use crate::case::{FuzzProtocol, RunReport};
 use crate::oracle::{check_safety, Verdict};
-use crate::rng::SplitMix64;
 
 /// Shard `s` proposes values in `[s * STRIDE, (s+1) * STRIDE)`, so a
 /// decided value names its owning shard — the leakage oracle's handle.

@@ -1,8 +1,7 @@
 //! Fluent construction of whole clusters.
 
-use std::time::Duration as WallDuration;
-
 use std::sync::Arc;
+use std::time::Duration as WallDuration;
 
 use twostep_smr::{Routable, SmrReplicaBuilder, StateMachine};
 use twostep_telemetry::ObserverHandle;
@@ -10,40 +9,25 @@ use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
 use crate::cluster::Cluster;
+use crate::node::{spawn_sharded_node, NodeOptions};
+use crate::proxy::RouteFn;
 use crate::shard::{ShardRouter, ShardedCluster};
-use crate::transport::SocketBackend;
+use crate::transport::TransportKind;
 use crate::RuntimeError;
 
-/// Which transport a [`ClusterBuilder`] deploys over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TransportKind {
-    InMemory,
-    Tcp,
-    Reactor,
-}
-
-impl TransportKind {
-    /// The socket backend this kind maps to, if it is a socket kind.
-    fn socket_backend(self) -> Option<SocketBackend> {
-        match self {
-            TransportKind::InMemory => None,
-            TransportKind::Tcp => Some(SocketBackend::Blocking),
-            TransportKind::Reactor => Some(SocketBackend::Reactor),
-        }
-    }
-}
-
-/// Builder for [`Cluster`] — the one construction path for every
-/// deployment shape.
+/// Builder for [`Cluster`] and [`ShardedCluster`] — the one
+/// construction path for every deployment shape.
 ///
-/// Replaces the constructor matrix (`in_memory`/`in_memory_observed`/
-/// `tcp`/`tcp_observed` × `spawn`/`spawn_observed` ×
-/// `TcpTransport::new`/`new_observed`) with one fluent chain: config up
-/// front, then transport choice, observer and batching/pipeline knobs,
-/// then either [`ClusterBuilder::build`] with a protocol factory or
-/// [`ClusterBuilder::build_smr`] for the batteries-included SMR
-/// deployment. Client handles come from
-/// [`Cluster::proxy_client`].
+/// One fluent chain: config up front, then transport choice, observer
+/// and batching/pipeline knobs, then [`ClusterBuilder::build`] with a
+/// protocol factory, [`ClusterBuilder::build_smr`] for the
+/// batteries-included SMR deployment, or
+/// [`ClusterBuilder::build_sharded_smr`] for `k` SMR groups. All three
+/// run the same assembly routine — endpoints from the transport choice,
+/// one link-delay line when [`ClusterBuilder::link_delay`] is set, one
+/// node thread per process hosting every group — and the unsharded two
+/// return its one-shard view. Client handles come from
+/// [`Cluster::proxy_client`] / [`ShardedCluster::client`].
 ///
 /// ```rust
 /// use std::time::Duration;
@@ -102,14 +86,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Emulates a one-way link latency: every payload is held for
-    /// `delay` before delivery, on every transport. The in-memory
-    /// transport detours through its delay-line thread
-    /// ([`crate::InMemoryTransport::with_delay`]); the socket backends
-    /// hold received payloads on the receive side before the node sees
-    /// them, on top of the real (tiny) localhost latency — so a given
-    /// `link_delay` is comparable across all three backends. Zero (the
-    /// default) adds nothing.
+    /// Emulates a one-way link latency: every send is held for `delay`
+    /// before it goes out, on every transport — one send-time-stamped
+    /// delay-line thread per cluster sits in front of the endpoints.
+    /// The socket backends add their real (tiny) localhost latency on
+    /// top, so a given `link_delay` is comparable across all three
+    /// backends. Zero (the default) adds nothing.
     ///
     /// Use this to measure pipelining/sharding effects: with instant
     /// links a single consensus group is CPU-bound and extra in-flight
@@ -203,37 +185,24 @@ impl ClusterBuilder {
     ///
     /// The batching/pipeline knobs do not apply here — they configure
     /// replicas built by [`ClusterBuilder::build_smr`]; a custom
-    /// protocol factory wires its own knobs. The observer *is* applied
-    /// at the node and transport layers; pass the same handle into
-    /// `make` for protocol-level events.
+    /// protocol factory wires its own knobs — and neither does
+    /// [`ClusterBuilder::shards`]: this is one consensus group. The
+    /// observer *is* applied at the node and transport layers; pass the
+    /// same handle into `make` for protocol-level events.
     ///
     /// # Errors
     ///
     /// Propagates socket setup failures on the TCP transport; the
     /// in-memory build is infallible.
-    pub fn build<V, P, F>(self, make: F) -> Result<Cluster<V>, RuntimeError>
+    pub fn build<V, P, F>(self, mut make: F) -> Result<Cluster<V>, RuntimeError>
     where
         V: Value,
         P: Protocol<V> + 'static,
         F: FnMut(ProcessId) -> P,
     {
-        match self.transport.socket_backend() {
-            None => Ok(Cluster::assemble_in_memory(
-                self.cfg,
-                self.wall_delta,
-                self.link_delay,
-                make,
-                self.obs,
-            )),
-            Some(backend) => Cluster::assemble_sockets(
-                self.cfg,
-                self.wall_delta,
-                self.link_delay,
-                backend,
-                make,
-                self.obs,
-            ),
-        }
+        ClusterBuilder { shards: 1, ..self }
+            .assemble(Arc::new(|_| 0), |p, _, _| make(p))
+            .map(Cluster)
     }
 
     /// Builds a cluster of SMR replicas replicating state machine `S`
@@ -253,14 +222,9 @@ impl ClusterBuilder {
         C: Value + Ord,
         S: StateMachine<C> + 'static,
     {
-        let (cfg, obs, batch, pipeline) = (self.cfg, self.obs.clone(), self.batch, self.pipeline);
-        self.build(move |p| {
-            SmrReplicaBuilder::new(cfg, p)
-                .pipeline(pipeline)
-                .batch(batch)
-                .observed(obs.clone())
-                .build::<C, S>()
-        })
+        ClusterBuilder { shards: 1, ..self }
+            .assemble_smr::<C, S>(Arc::new(|_| 0))
+            .map(Cluster)
     }
 
     /// Builds a sharded cluster: [`ClusterBuilder::shards`] independent
@@ -270,8 +234,9 @@ impl ClusterBuilder {
     /// capacity scales with the shard count.
     ///
     /// Commands pick their group via [`Routable::route_key`] hashed by
-    /// the cluster's [`ShardRouter`]. A one-shard build is wire- and
-    /// semantics-compatible with [`ClusterBuilder::build_smr`].
+    /// the cluster's [`ShardRouter`]. A one-shard build is
+    /// [`ClusterBuilder::build_smr`]'s deployment under its sharded
+    /// interface.
     ///
     /// # Errors
     ///
@@ -283,37 +248,71 @@ impl ClusterBuilder {
         S: StateMachine<C> + 'static,
     {
         let router = ShardRouter::new(self.shards);
-        let route = Arc::new(move |c: &C| router.route(c.route_key().as_ref()));
-        let (cfg, obs, batch, pipeline) = (self.cfg, self.obs.clone(), self.batch, self.pipeline);
-        let shard_obs = self.shard_obs.clone();
-        let make = move |p: ProcessId, s: u32| {
-            let obs = shard_obs
-                .get(s as usize)
-                .cloned()
-                .unwrap_or_else(|| obs.clone());
+        self.assemble_smr::<C, S>(Arc::new(move |c: &C| router.route(c.route_key().as_ref())))
+    }
+
+    /// [`ClusterBuilder::assemble`] with SMR replicas at every
+    /// `(process, shard)`: group `s` rotates its leader preference to
+    /// node `s mod n` and reports to shard `s`'s observer.
+    fn assemble_smr<C, S>(self, route: RouteFn<C>) -> Result<ShardedCluster<C>, RuntimeError>
+    where
+        C: Value + Ord,
+        S: StateMachine<C> + 'static,
+    {
+        let (cfg, batch, pipeline) = (self.cfg, self.batch, self.pipeline);
+        self.assemble(route, move |p, s, obs| {
             SmrReplicaBuilder::new(cfg, p)
                 .pipeline(pipeline)
                 .batch(batch)
                 .leader_rotation(s)
                 .observed(obs)
                 .build::<C, S>()
-        };
-        let timing = crate::shard::Timing {
-            wall_delta: self.wall_delta,
-            link_delay: self.link_delay,
-        };
-        let observers = crate::shard::Observers {
-            cluster: self.obs,
-            shards: self.shard_obs,
-        };
-        match self.transport.socket_backend() {
-            None => Ok(ShardedCluster::assemble_in_memory(
-                self.cfg, router, timing, make, route, observers,
-            )),
-            Some(backend) => ShardedCluster::assemble_sockets(
-                self.cfg, router, timing, backend, make, route, observers,
-            ),
+        })
+    }
+
+    /// The one assembly routine behind every `build*`: makes the `n`
+    /// endpoints the transport choice calls for (behind the link-delay
+    /// line, if any), then spawns one node per endpoint hosting
+    /// `make(p, s, shard s's observer)` for every shard `s`, all
+    /// reporting decisions to the cluster's router.
+    fn assemble<V, P, F>(
+        self,
+        route: RouteFn<V>,
+        mut make: F,
+    ) -> Result<ShardedCluster<V>, RuntimeError>
+    where
+        V: Value,
+        P: Protocol<V> + 'static,
+        F: FnMut(ProcessId, u32, ObserverHandle) -> P,
+    {
+        let router = ShardRouter::new(self.shards);
+        let endpoints = self
+            .transport
+            .endpoints(self.cfg.n(), self.link_delay, &self.obs)?;
+        let (dtx, drx) = crossbeam::channel::unbounded();
+        let opts = NodeOptions::new(dtx)
+            .wall_delta(self.wall_delta)
+            .observed(self.obs.clone())
+            .shard_observed(self.shard_obs);
+        let mut nodes = Vec::with_capacity(endpoints.len());
+        for (i, (inbox, transport)) in endpoints.into_iter().enumerate() {
+            let p = ProcessId::new(i as u32);
+            let instances = (0..router.shards())
+                .map(|s| make(p, s as u32, opts.observer_of(s)))
+                .collect();
+            nodes.push(spawn_sharded_node(
+                instances,
+                inbox,
+                transport,
+                opts.clone(),
+            ));
         }
+        // The nodes hold the only senders from here on, so the router
+        // thread ends with the last of them.
+        drop(opts);
+        Ok(ShardedCluster::new(
+            self.cfg, router, nodes, drx, route, self.obs,
+        ))
     }
 }
 
@@ -322,6 +321,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use twostep_smr::{KvCommand, KvStore};
+    use twostep_types::protocol::{Effects, TimerId};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -428,6 +428,88 @@ mod tests {
             );
         }
         assert!(cluster.agreement());
+    }
+
+    #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+    enum Hop {
+        Fwd(u64),
+        Ack(u64),
+    }
+
+    /// Two link delays per command, and nothing unless in order: a
+    /// proposal of `v` is forwarded to the sequencer `p0`, which acks
+    /// only the value it expects next; the proposer decides `v` only on
+    /// the ack it expects next. One reordered hop in either direction
+    /// and every later value stays undecided.
+    #[derive(Debug)]
+    struct InOrder {
+        me: ProcessId,
+        next_fwd: u64,
+        next_ack: u64,
+    }
+
+    impl Protocol<u64> for InOrder {
+        type Message = Hop;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Hop>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Hop>) {
+            eff.send(p(0), Hop::Fwd(v));
+        }
+        fn on_message(&mut self, from: ProcessId, m: Hop, eff: &mut Effects<u64, Hop>) {
+            match m {
+                Hop::Fwd(v) if v == self.next_fwd => {
+                    self.next_fwd += 1;
+                    eff.send(from, Hop::Ack(v));
+                }
+                Hop::Ack(v) if v == self.next_ack => {
+                    self.next_ack += 1;
+                    eff.decide(v);
+                }
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Hop>) {}
+        fn decision(&self) -> Option<u64> {
+            self.next_ack.checked_sub(1)
+        }
+    }
+
+    #[test]
+    fn link_delay_costs_two_hops_and_keeps_link_order_on_every_backend() {
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        let delay = Duration::from_millis(20);
+        type Backend = fn(ClusterBuilder) -> ClusterBuilder;
+        let backends: [(&str, Backend); 3] = [
+            ("in_memory", ClusterBuilder::in_memory),
+            ("tcp", ClusterBuilder::tcp),
+            ("reactor", ClusterBuilder::reactor),
+        ];
+        for (name, backend) in backends {
+            let cluster = backend(ClusterBuilder::new(cfg).link_delay(delay))
+                .build(|me| InOrder {
+                    me,
+                    next_fwd: 0,
+                    next_ack: 0,
+                })
+                .unwrap();
+            // A non-leader proxy: its commands cross the p1 -> p0 link
+            // and their acks the p0 -> p1 link.
+            let client = cluster.proxy_client(p(1));
+            // A burst of single sends in flight at once on both links:
+            // the last commits only if none overtook another.
+            for v in 0..31 {
+                client.propose(v);
+            }
+            let latency = client
+                .submit_and_wait(31, Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("{name}: a hop was reordered or lost"));
+            assert!(
+                latency >= 2 * delay,
+                "{name}: committed in {latency:?}, under two {delay:?} link delays"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A whole deployment: `n` nodes, a transport, and client-side helpers.
+//! The decision state every deployment shares with its clients, and the
+//! unsharded view of a deployment.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,16 +9,10 @@ use std::time::{Duration as WallDuration, Instant};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use twostep_telemetry::ObserverHandle;
-use twostep_types::protocol::Protocol;
-#[cfg(test)]
-use twostep_types::ProtocolKind;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::node::{spawn_node, NodeHandle, NodeOptions};
 use crate::proxy::ProxyClient;
-use crate::transport::{delayed_inbox, InMemoryTransport, SocketBackend, TcpTransport};
-use crate::RuntimeError;
+use crate::shard::ShardedCluster;
 
 /// One registered value-waiter (see [`ClusterShared::register_waiter`]).
 struct Waiter {
@@ -174,236 +169,50 @@ impl<V: Value> ClusterShared<V> {
     }
 }
 
-/// A running cluster of protocol instances.
+/// A running cluster of protocol instances: the client's view of one
+/// consensus group — `propose` at a proxy, await decisions, observe
+/// latency, crash nodes.
 ///
-/// Construct with [`ClusterBuilder`](crate::ClusterBuilder) (or the
-/// [`Cluster::in_memory`] / [`Cluster::tcp`] conveniences it subsumes).
+/// This is the shard-0 view of a one-shard [`ShardedCluster`] and holds
+/// nothing else: every unsharded method delegates to its sharded
+/// counterpart. Construct with
+/// [`ClusterBuilder::build`](crate::ClusterBuilder::build) or
+/// [`ClusterBuilder::build_smr`](crate::ClusterBuilder::build_smr).
 ///
 /// # Example
 ///
 /// ```rust,no_run
 /// use std::time::Duration;
 /// use twostep_core::ObjectConsensus;
-/// use twostep_runtime::Cluster;
+/// use twostep_runtime::ClusterBuilder;
 /// use twostep_types::{ProcessId, SystemConfig};
 ///
 /// let cfg = SystemConfig::minimal_object(1, 1)?;
-/// let cluster = Cluster::in_memory(cfg, Duration::from_millis(20), |p| {
-///     ObjectConsensus::<u64>::new(cfg, p)
-/// });
+/// let cluster = ClusterBuilder::new(cfg)
+///     .wall_delta(Duration::from_millis(20))
+///     .build(|p| ObjectConsensus::<u64>::new(cfg, p))
+///     .expect("in-memory build cannot fail");
 /// cluster.propose(ProcessId::new(0), 7);
 /// let decided = cluster.await_decision(ProcessId::new(0), Duration::from_secs(5));
 /// assert_eq!(decided, Some(7));
 /// # Ok::<(), twostep_types::ConfigError>(())
 /// ```
-pub struct Cluster<V: Value> {
-    cfg: SystemConfig,
-    nodes: Vec<NodeHandle<V>>,
-    shared: Arc<ClusterShared<V>>,
-    obs: ObserverHandle,
-    started: Instant,
-}
+pub struct Cluster<V: Value>(pub(crate) ShardedCluster<V>);
 
 impl<V: Value> Cluster<V> {
-    /// Wires up the shared decision state and router thread around
-    /// freshly spawned nodes.
-    fn assemble(
-        cfg: SystemConfig,
-        nodes: Vec<NodeHandle<V>>,
-        decisions: Receiver<(ProcessId, u32, V, Instant)>,
-        obs: ObserverHandle,
-    ) -> Self {
-        let shared = ClusterShared::new(1, cfg.n());
-        shared.spawn_router(decisions);
-        Cluster {
-            cfg,
-            nodes,
-            shared,
-            obs,
-            started: Instant::now(),
-        }
-    }
-
-    /// Spawns a cluster over the in-memory transport (used by
-    /// [`ClusterBuilder`](crate::ClusterBuilder) and the conveniences
-    /// below).
-    pub(crate) fn assemble_in_memory<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        link_delay: WallDuration,
-        mut make: F,
-        obs: ObserverHandle,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        let n = cfg.n();
-        let (transport, inboxes) = InMemoryTransport::with_delay(n, link_delay);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            nodes.push(spawn_node(
-                make(p),
-                inbox,
-                transport.clone(),
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(wall_delta)
-                    .observed(obs.clone()),
-            ));
-        }
-        drop(dtx);
-        Self::assemble(cfg, nodes, drx, obs)
-    }
-
-    /// Spawns a cluster over localhost sockets — the blocking
-    /// [`TcpTransport`] or the event-loop
-    /// [`ReactorTransport`](crate::ReactorTransport), per `backend`
-    /// (used by [`ClusterBuilder`](crate::ClusterBuilder) and the
-    /// conveniences below). A non-zero `link_delay` holds every
-    /// received payload for that duration before the node sees it,
-    /// matching the in-memory transport's emulated link latency.
-    pub(crate) fn assemble_sockets<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        link_delay: WallDuration,
-        backend: SocketBackend,
-        mut make: F,
-        obs: ObserverHandle,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        let n = cfg.n();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (listener, addr) = TcpTransport::bind_ephemeral()?;
-            listeners.push(listener);
-            addrs.push(addr);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let (inbox_tx, inbox_rx) = crossbeam::channel::unbounded();
-            let inbox_tx = delayed_inbox(link_delay, inbox_tx);
-            let transport = backend.spawn(p, addrs.clone(), listener, inbox_tx, obs.clone())?;
-            nodes.push(spawn_node(
-                make(p),
-                inbox_rx,
-                transport,
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(wall_delta)
-                    .observed(obs.clone()),
-            ));
-        }
-        drop(dtx);
-        Ok(Self::assemble(cfg, nodes, drx, obs))
-    }
-
-    /// Spawns the cluster over the in-memory transport.
-    ///
-    /// `wall_delta` is the wall-clock duration of one `Δ`; it bounds the
-    /// protocol's timeouts (fast-path window `2Δ`, ballot retry `5Δ`).
-    pub fn in_memory<P, F>(cfg: SystemConfig, wall_delta: WallDuration, make: F) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_in_memory(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            make,
-            ObserverHandle::none(),
-        )
-    }
-
-    /// Like [`Cluster::in_memory`], with telemetry hooks: every node
-    /// reports per-kind wire bytes and its wall-clock decision latency
-    /// (microseconds) to `obs`; pass the same handle to the protocols'
-    /// `observed` builders inside `make` for protocol-level events.
-    pub fn in_memory_observed<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-        obs: ObserverHandle,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_in_memory(cfg, wall_delta, WallDuration::ZERO, make, obs)
-    }
-
-    /// Spawns the cluster over localhost TCP (real sockets, framing and
-    /// the binary codec on every hop).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup failures.
-    pub fn tcp<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_sockets(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            SocketBackend::Blocking,
-            make,
-            ObserverHandle::none(),
-        )
-    }
-
-    /// Like [`Cluster::tcp`], with telemetry hooks: in addition to the
-    /// node-level reports of [`Cluster::in_memory_observed`], the TCP
-    /// transports report dropped messages and send-path reconnects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup failures.
-    pub fn tcp_observed<P, F>(
-        cfg: SystemConfig,
-        wall_delta: WallDuration,
-        make: F,
-        obs: ObserverHandle,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId) -> P,
-    {
-        Self::assemble_sockets(
-            cfg,
-            wall_delta,
-            WallDuration::ZERO,
-            SocketBackend::Blocking,
-            make,
-            obs,
-        )
-    }
-
     /// The deployed configuration.
     pub fn config(&self) -> SystemConfig {
-        self.cfg
+        self.0.config()
     }
 
     /// When the cluster was spawned.
     pub fn started_at(&self) -> Instant {
-        self.started
+        self.0.started_at()
     }
 
     /// Submits a client proposal at node `p` (the proxy).
     pub fn propose(&self, p: ProcessId, value: V) {
-        self.nodes[p.index()].propose(value);
+        self.0.propose_via(p, value);
     }
 
     /// A client handle bound to the proxy at `p`: it can submit
@@ -411,44 +220,22 @@ impl<V: Value> Cluster<V> {
     /// latency (see [`ProxyClient::submit_and_wait`]). Any number of
     /// clients may share one proxy.
     pub fn proxy_client(&self, p: ProcessId) -> ProxyClient<V> {
-        ProxyClient::single(
-            p,
-            self.nodes[p.index()].control(),
-            Arc::clone(&self.shared),
-            self.obs.clone(),
-        )
+        self.0.proxy_client(p)
     }
 
     /// Crashes node `p`: it stops participating immediately.
     pub fn crash(&mut self, p: ProcessId) {
-        self.nodes[p.index()].crash();
+        self.0.crash(p);
     }
 
     /// The first decision of `p` observed so far, without blocking.
     pub fn decision_of(&self, p: ProcessId) -> Option<V> {
-        self.shared.first_decision(0, p).map(|(v, _)| v)
+        self.0.decision_of(0, p)
     }
 
     /// Waits until `p` decides or `timeout` elapses; returns the value.
     pub fn await_decision(&self, p: ProcessId, timeout: WallDuration) -> Option<V> {
-        // Subscribe before checking the cache so an event landing in
-        // between is seen either way (no lost wakeup).
-        let rx = self.shared.subscribe();
-        if let Some(v) = self.decision_of(p) {
-            return Some(v);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok((q, _, v, _)) if q == p => return Some(v),
-                Ok(_) => {}
-                Err(_) => return None,
-            }
-        }
+        self.0.await_decision(0, p, timeout)
     }
 
     /// Waits until every process in `who` has decided; returns whether
@@ -470,32 +257,27 @@ impl<V: Value> Cluster<V> {
 
     /// The decision latency of `p` relative to cluster start, if decided.
     pub fn decision_latency(&self, p: ProcessId) -> Option<WallDuration> {
-        self.shared
-            .first_decision(0, p)
-            .map(|(_, at)| at.duration_since(self.started))
+        self.0.decision_latency(0, p)
     }
 
     /// All first decisions observed so far, by process.
     pub fn decisions(&self) -> Vec<Option<V>> {
-        self.shared.shard_decisions(0)
+        self.0.shard_decisions(0)
     }
 
     /// Whether all observed decisions agree on a single value.
     pub fn agreement(&self) -> bool {
-        let decisions = self.decisions();
-        let mut iter = decisions.iter().flatten();
-        match iter.next() {
-            None => true,
-            Some(first) => iter.all(|v| v == first),
-        }
+        self.0.agreement()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterBuilder;
     use serde::{Deserialize, Serialize};
-    use twostep_types::protocol::{Effects, TimerId};
+    use twostep_types::protocol::{Effects, Protocol, TimerId};
+    use twostep_types::ProtocolKind;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -537,15 +319,22 @@ mod tests {
         }
     }
 
+    /// A three-`Relay` cluster over `builder`'s transport (Δ stays at
+    /// the builder's 10ms default).
+    fn relays(builder: ClusterBuilder) -> Cluster<u64> {
+        builder
+            .build(|q| Relay {
+                me: q,
+                n: 3,
+                decided: None,
+            })
+            .expect("cluster build")
+    }
+
     #[test]
     fn in_memory_cluster_propagates_decision() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
+        let cluster = relays(ClusterBuilder::new(cfg));
         cluster.propose(p(1), 55);
         assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(5)));
         assert_eq!(cluster.decisions(), vec![Some(55), Some(55), Some(55)]);
@@ -556,12 +345,7 @@ mod tests {
     #[test]
     fn crash_is_silent() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let mut cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
+        let mut cluster = relays(ClusterBuilder::new(cfg));
         cluster.crash(p(0));
         cluster.propose(p(0), 1); // swallowed
         assert_eq!(
@@ -579,12 +363,7 @@ mod tests {
     #[test]
     fn proxy_client_sees_own_proxy_decisions() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let cluster = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        });
+        let cluster = relays(ClusterBuilder::new(cfg));
         let client = cluster.proxy_client(p(1));
         let latency = client.submit_and_wait(61, WallDuration::from_secs(5));
         assert!(latency.is_some(), "client never saw its command commit");
@@ -667,13 +446,7 @@ mod tests {
     #[test]
     fn tcp_cluster_end_to_end() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
-        let n = cfg.n();
-        let cluster = Cluster::tcp(cfg, WallDuration::from_millis(10), |q| Relay {
-            me: q,
-            n,
-            decided: None,
-        })
-        .expect("tcp cluster");
+        let cluster = relays(ClusterBuilder::new(cfg).tcp());
         cluster.propose(p(2), 77);
         assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(10)));
         assert!(cluster.agreement());

@@ -38,6 +38,11 @@ pub enum CodecError {
     InvalidChar(u32),
     /// The type requires a self-describing format.
     NotSelfDescribing,
+    /// A wire frame's length prefix exceeded [`MAX_FRAME_LEN`].
+    FrameTooLarge {
+        /// The announced payload length.
+        len: usize,
+    },
     /// Error bubbled up from a `Serialize`/`Deserialize` impl.
     Custom(String),
 }
@@ -54,6 +59,12 @@ impl fmt::Display for CodecError {
             CodecError::InvalidChar(c) => write!(f, "invalid char scalar {c}"),
             CodecError::NotSelfDescribing => {
                 write!(f, "this format is not self-describing")
+            }
+            CodecError::FrameTooLarge { len } => {
+                write!(
+                    f,
+                    "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte ceiling"
+                )
             }
             CodecError::Custom(msg) => f.write_str(msg),
         }
@@ -289,6 +300,15 @@ impl<'a> Iterator for FrameMessages<'a> {
 
 impl ExactSizeIterator for FrameMessages<'_> {}
 
+/// Ceiling on a wire frame's announced payload length, honoured by both
+/// socket read paths ([`FrameAssembler::next_frame`] for the reactor,
+/// the blocking transport's read loop). The length prefix is input from
+/// outside the program: without a ceiling a garbage `0xFFFF_FFFF` makes
+/// the receiver allocate or buffer 4 GiB on a peer's say-so. 16 MiB is
+/// far above anything this workspace's senders coalesce into one frame
+/// (the conformance suite's largest payload is 300 KB).
+pub const MAX_FRAME_LEN: usize = 16 << 20;
+
 /// Incremental reassembly of `[len: u32 LE][payload]` wire frames from
 /// arbitrarily-split reads, with one reusable buffer.
 ///
@@ -399,17 +419,26 @@ impl FrameAssembler {
 
     /// Consumes and returns the next complete `[len][payload]` frame's
     /// payload, or `None` if only a partial frame is buffered.
-    pub fn next_frame(&mut self) -> Option<&[u8]> {
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::FrameTooLarge`] when the next length prefix exceeds
+    /// [`MAX_FRAME_LEN`]. The stream's framing cannot be trusted past
+    /// that point: the caller must abandon the connection.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CodecError> {
         if self.buffered() < 4 {
             self.rewind_if_empty();
-            return None;
+            return Ok(None);
         }
         let head: [u8; 4] = self.buf[self.start..self.start + 4]
             .try_into()
             .expect("exact length");
         let len = u32::from_le_bytes(head) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(CodecError::FrameTooLarge { len });
+        }
         if self.buffered() - 4 < len {
-            return None;
+            return Ok(None);
         }
         let payload_start = self.start + 4;
         self.start = payload_start + len;
@@ -418,7 +447,7 @@ impl FrameAssembler {
             self.start = 0;
             self.end = 0;
         }
-        Some(&self.buf[payload_start..payload_start + len])
+        Ok(Some(&self.buf[payload_start..payload_start + len]))
     }
 
     fn rewind_if_empty(&mut self) {
@@ -1296,7 +1325,7 @@ mod tests {
             let slot = asm.read_slot(piece.len());
             slot[..piece.len()].copy_from_slice(piece);
             asm.commit(piece.len());
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 out.push(frame.to_vec());
             }
         }
@@ -1362,7 +1391,7 @@ mod tests {
                 }
                 continue;
             }
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 frames.push(frame.to_vec());
             }
         }

@@ -11,26 +11,26 @@
 //!   length-prefixed frames over localhost or the network) and
 //!   [`ReactorTransport`] (one non-blocking event-loop thread owning
 //!   every socket, vectored writes, reusable read buffers).
-//! * [`node`] — one protocol instance per thread: an event loop
-//!   multiplexing network traffic, client proposals and wall-clock
-//!   timers (protocol timer delays are virtual `Δ` units scaled by a
-//!   configurable wall-clock `Δ`).
-//! * [`Cluster`] — spawns `n` nodes, wires the transport, and exposes
-//!   the client's view: `propose` at a proxy, await decisions, observe
-//!   latency, crash nodes.
-//! * [`ClusterBuilder`] — the one fluent construction path (transport
-//!   choice, observer, batching/pipeline knobs), including
-//!   batteries-included SMR deployments via
-//!   [`ClusterBuilder::build_smr`].
-//! * [`ProxyClient`] — a closed-loop client bound to one proxy:
-//!   submit a command, wait for its commit, measure per-command
-//!   (amortized) latency.
-//! * [`ShardedCluster`] — hash-partitioned deployments: `k` independent
-//!   consensus groups multiplexed over the same nodes and transport
-//!   (shard-tagged wire envelopes, round-robin group leaders, a
-//!   `(shard, value)`-keyed waiter registry), built via
-//!   [`ClusterBuilder::shards`] +
+//! * [`node`] — one OS thread per process hosting every consensus
+//!   group's instance: an event loop multiplexing network traffic,
+//!   client proposals and wall-clock timers (protocol timer delays are
+//!   virtual `Δ` units scaled by a configurable wall-clock `Δ`).
+//! * [`ClusterBuilder`] — the one construction path: transport choice,
+//!   emulated link delay (one delay-line thread, whatever the backend),
+//!   observer and batching/pipeline knobs feed a single assembly
+//!   routine behind [`ClusterBuilder::build`],
+//!   [`ClusterBuilder::build_smr`] and
 //!   [`ClusterBuilder::build_sharded_smr`].
+//! * [`ShardedCluster`] — the deployment it builds: `n` nodes × `k`
+//!   hash-partitioned consensus groups over one transport (shard-tagged
+//!   wire envelopes, round-robin group leaders, a `(shard, value)`-keyed
+//!   waiter registry), with the client's view: propose, await
+//!   decisions, observe latency, crash nodes.
+//! * [`Cluster`] — the same deployment with `k = 1`, under unsharded
+//!   signatures (`propose(p, v)`, `decision_of(p)`, …).
+//! * [`ProxyClient`] — a closed-loop client bound to one proxy per
+//!   group: submit a command, wait for its commit, measure per-command
+//!   (amortized) latency.
 //!
 //! Design note: the runtime deliberately contains *no protocol logic* —
 //! crash injection is thread shutdown, timeouts are the protocol's own

@@ -18,11 +18,8 @@ use crate::transport::Transport;
 #[derive(Debug)]
 pub enum Control<V> {
     /// A client proposal submitted at this node (the *proxy* role from
-    /// the paper's introduction). Routed to shard 0 — the only shard on
-    /// an unsharded node.
-    Propose(V),
-    /// A client proposal addressed to a specific consensus group on a
-    /// sharded node. `ProposeAt(0, v)` is equivalent to `Propose(v)`.
+    /// the paper's introduction), addressed to one of the consensus
+    /// groups it hosts; shard 0 is the only one on an unsharded node.
     ProposeAt(u32, V),
     /// Stop the node immediately — models a crash (no clean handover).
     Shutdown,
@@ -42,9 +39,10 @@ impl<V> NodeHandle<V> {
         self.id
     }
 
-    /// Submits a client proposal; silently dropped if the node crashed.
+    /// Submits a client proposal to shard 0 (the only shard of an
+    /// unsharded node); silently dropped if the node crashed.
     pub fn propose(&self, value: V) {
-        let _ = self.control.send(Control::Propose(value));
+        self.propose_at(0, value);
     }
 
     /// Submits a client proposal to a specific shard of a sharded node;
@@ -75,10 +73,7 @@ impl<V> NodeHandle<V> {
 
 impl<V> Drop for NodeHandle<V> {
     fn drop(&mut self) {
-        let _ = self.control.send(Control::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        self.crash();
     }
 }
 
@@ -141,6 +136,17 @@ impl<V> NodeOptions<V> {
     pub fn shard_observed(mut self, shard_observers: Vec<ObserverHandle>) -> Self {
         self.shard_observers = shard_observers;
         self
+    }
+
+    /// The handle shard `shard` reports to: its `shard_observers` entry
+    /// when present, the shared `observer` otherwise. The one statement
+    /// of that fallback — the node loop and the cluster builder (which
+    /// hands the same handle to the shard's replica) both ask here.
+    pub(crate) fn observer_of(&self, shard: usize) -> ObserverHandle {
+        self.shard_observers
+            .get(shard)
+            .unwrap_or(&self.observer)
+            .clone()
     }
 }
 
@@ -208,14 +214,7 @@ where
         .name(format!("twostep-node-{id}"))
         .spawn(move || {
             let started = Instant::now();
-            let obs: Vec<ObserverHandle> = (0..nshards)
-                .map(|s| {
-                    opts.shard_observers
-                        .get(s)
-                        .cloned()
-                        .unwrap_or_else(|| opts.observer.clone())
-                })
-                .collect();
+            let obs: Vec<ObserverHandle> = (0..nshards).map(|s| opts.observer_of(s)).collect();
             let mut node = NodeCtx {
                 id,
                 transport,
@@ -275,11 +274,6 @@ where
                         Err(_) => break, // transport torn down
                     },
                     recv(control_rx) -> ctl => match ctl {
-                        Ok(Control::Propose(v)) => {
-                            let mut eff = Effects::new();
-                            shards[0].on_propose(v, &mut eff);
-                            node.apply(0, eff);
-                        }
                         Ok(Control::ProposeAt(s, v)) => {
                             if let Some(shard) = shards.get_mut(s as usize) {
                                 let mut eff = Effects::new();

@@ -44,25 +44,10 @@ pub struct ProxyClient<V> {
 }
 
 impl<V: Value> ProxyClient<V> {
-    /// A client of an unsharded cluster: everything routes to shard 0
-    /// at `proxy`.
-    pub(crate) fn single(
-        proxy: ProcessId,
-        control: Sender<Control<V>>,
-        shared: Arc<ClusterShared<V>>,
-        obs: ObserverHandle,
-    ) -> Self {
-        ProxyClient {
-            targets: Arc::new(vec![(proxy, control)]),
-            route: Arc::new(|_| 0),
-            shared,
-            obs,
-        }
-    }
-
-    /// A sharded client: command `v` goes to shard `route(v)`, proposed
-    /// at (and awaited on) node `targets[route(v)].0`.
-    pub(crate) fn sharded(
+    /// A client whose command `v` goes to shard `route(v)`, proposed at
+    /// (and awaited on) node `targets[route(v)].0`. An unsharded
+    /// cluster's clients are the one-target case with route `|_| 0`.
+    pub(crate) fn new(
         targets: Arc<Vec<(ProcessId, Sender<Control<V>>)>>,
         route: RouteFn<V>,
         shared: Arc<ClusterShared<V>>,

@@ -67,7 +67,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::ProcessId;
 
 use crate::codec::{self, FrameAssembler};
-use crate::transport::{Transport, MAX_COALESCE, RECONNECT_BACKOFF};
+use crate::transport::{dial, Transport, MAX_COALESCE, RECONNECT_BACKOFF};
 use crate::RuntimeError;
 
 /// Park bound while any connection is open: readiness is discovered by
@@ -535,13 +535,25 @@ impl Reactor {
                 }
             }
             if let Some(from) = conn.from {
-                while let Some(frame) = conn.asm.next_frame() {
-                    // One allocation per *wire frame* (it may carry up
-                    // to MAX_COALESCE messages): the inbox needs owned
-                    // bytes, and the node iterates messages in place.
-                    let payload = Bytes::from(frame.to_vec());
-                    if self.inbox.send((from, payload)).is_err() {
-                        return ReadOutcome::InboxGone;
+                loop {
+                    match conn.asm.next_frame() {
+                        Ok(Some(frame)) => {
+                            // One allocation per *wire frame* (it may
+                            // carry up to MAX_COALESCE messages): the
+                            // inbox needs owned bytes, and the node
+                            // iterates messages in place.
+                            let payload = Bytes::from(frame.to_vec());
+                            if self.inbox.send((from, payload)).is_err() {
+                                return ReadOutcome::InboxGone;
+                            }
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            // Oversize length prefix: a bad peer costs
+                            // its connection, never the node.
+                            self.obs.message_dropped(from, self.me);
+                            return ReadOutcome::Closed;
+                        }
                     }
                 }
             }
@@ -572,7 +584,12 @@ impl Reactor {
                 o.flush = Some(Flush::build(&mut o.queue));
             }
             if o.conn.is_none() {
-                match dial(self.me, self.peers.get(peer)) {
+                let dialed = dial(self.me, self.peers.get(peer)).and_then(|stream| {
+                    stream.set_nonblocking(true)?;
+                    let _ = stream.set_nodelay(true);
+                    Ok(stream)
+                });
+                match dialed {
                     Ok(stream) => o.conn = Some(stream),
                     Err(_) => {
                         self.note_write_failure(peer);
@@ -663,19 +680,6 @@ impl Reactor {
         }
         self.doorbell.sleeping.store(false, Ordering::Release);
     }
-}
-
-/// Dials `addr` and performs the sender-id handshake, returning a
-/// non-blocking stream. The dial itself is blocking — on the localhost
-/// deployments this transport targets it either completes or refuses
-/// immediately.
-fn dial(me: ProcessId, addr: Option<&SocketAddr>) -> io::Result<TcpStream> {
-    let addr = addr.ok_or_else(|| io::Error::from(io::ErrorKind::AddrNotAvailable))?;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&me.as_u32().to_le_bytes())?;
-    stream.set_nonblocking(true)?;
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! A [`ShardedCluster`] hash-partitions the key space across `k`
 //! independent replica groups. Every physical node hosts one replica of
 //! *every* group, multiplexed on one OS thread and one transport
-//! endpoint (see [`spawn_sharded_node`]);
+//! endpoint (see [`spawn_sharded_node`](crate::node::spawn_sharded_node));
 //! wire traffic is demultiplexed by the
 //! [`codec::tag_shard`](crate::codec::tag_shard) envelope.
 //! Each group's Ω scans a rotated preference order so the group leaders
@@ -19,31 +19,11 @@ use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use twostep_telemetry::ObserverHandle;
-use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::cluster::ClusterShared;
-use crate::node::{spawn_sharded_node, NodeHandle, NodeOptions};
+use crate::cluster::{ClusterShared, DecideEvent};
+use crate::node::NodeHandle;
 use crate::proxy::{ProxyClient, RouteFn};
-use crate::transport::{delayed_inbox, InMemoryTransport, SocketBackend, TcpTransport};
-use crate::RuntimeError;
-
-/// Wall-clock knobs of an in-memory deployment: the duration of one
-/// protocol `Δ` and the emulated one-way link latency (zero = instant
-/// links).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Timing {
-    pub wall_delta: WallDuration,
-    pub link_delay: WallDuration,
-}
-
-/// Observer handles of a sharded deployment: one cluster-wide handle
-/// plus one rollup handle per shard.
-#[derive(Clone)]
-pub(crate) struct Observers {
-    pub cluster: ObserverHandle,
-    pub shards: Vec<ObserverHandle>,
-}
 
 /// 64-bit FNV-1a over `bytes` — the router's key hash.
 ///
@@ -94,7 +74,10 @@ impl ShardRouter {
     }
 }
 
-/// A running sharded deployment: `n` nodes × `k` consensus groups.
+/// A running deployment: `n` nodes × `k` consensus groups. The one type
+/// that owns a cluster's nodes, decision state, router thread and route
+/// function — an unsharded [`Cluster`](crate::Cluster) is its `k = 1`
+/// view.
 ///
 /// Construct with
 /// [`ClusterBuilder::shards`](crate::ClusterBuilder::shards) followed by
@@ -127,11 +110,16 @@ pub struct ShardedCluster<V: Value> {
 }
 
 impl<V: Value> ShardedCluster<V> {
-    fn assemble(
+    /// Wraps freshly spawned `nodes` (one per process of `cfg`, each
+    /// hosting `router.shards()` groups and reporting to the sending
+    /// half of `decisions`) in the shared decision state, and starts the
+    /// router thread that feeds it. Called from the one assembly
+    /// routine, `ClusterBuilder::assemble`.
+    pub(crate) fn new(
         cfg: SystemConfig,
         router: ShardRouter,
         nodes: Vec<NodeHandle<V>>,
-        decisions: crossbeam::channel::Receiver<(ProcessId, u32, V, Instant)>,
+        decisions: crossbeam::channel::Receiver<DecideEvent<V>>,
         route: RouteFn<V>,
         obs: ObserverHandle,
     ) -> Self {
@@ -146,102 +134,6 @@ impl<V: Value> ShardedCluster<V> {
             obs,
             started: Instant::now(),
         }
-    }
-
-    /// Spawns a sharded cluster over the in-memory transport: node `p`
-    /// hosts `make(p, s)` for every shard `s`.
-    pub(crate) fn assemble_in_memory<P, F>(
-        cfg: SystemConfig,
-        router: ShardRouter,
-        timing: Timing,
-        mut make: F,
-        route: RouteFn<V>,
-        observers: Observers,
-    ) -> Self
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId, u32) -> P,
-    {
-        let n = cfg.n();
-        let (transport, inboxes) = InMemoryTransport::with_delay(n, timing.link_delay);
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, inbox) in inboxes.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
-            nodes.push(spawn_sharded_node(
-                instances,
-                inbox,
-                transport.clone(),
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(timing.wall_delta)
-                    .observed(observers.cluster.clone())
-                    .shard_observed(observers.shards.clone()),
-            ));
-        }
-        drop(dtx);
-        Self::assemble(cfg, router, nodes, drx, route, observers.cluster)
-    }
-
-    /// Spawns a sharded cluster over localhost sockets — blocking TCP
-    /// or the reactor, per `backend`. A non-zero `timing.link_delay`
-    /// holds every received payload for that duration before the node
-    /// sees it (shard-tag envelopes included), matching the in-memory
-    /// transport's emulated link latency.
-    pub(crate) fn assemble_sockets<P, F>(
-        cfg: SystemConfig,
-        router: ShardRouter,
-        timing: Timing,
-        backend: SocketBackend,
-        mut make: F,
-        route: RouteFn<V>,
-        observers: Observers,
-    ) -> Result<Self, RuntimeError>
-    where
-        P: Protocol<V> + 'static,
-        F: FnMut(ProcessId, u32) -> P,
-    {
-        let n = cfg.n();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (listener, addr) = TcpTransport::bind_ephemeral()?;
-            listeners.push(listener);
-            addrs.push(addr);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let mut nodes = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let p = ProcessId::new(i as u32);
-            let (inbox_tx, inbox_rx) = crossbeam::channel::unbounded();
-            let inbox_tx = delayed_inbox(timing.link_delay, inbox_tx);
-            let transport = backend.spawn(
-                p,
-                addrs.clone(),
-                listener,
-                inbox_tx,
-                observers.cluster.clone(),
-            )?;
-            let instances = (0..router.shards() as u32).map(|s| make(p, s)).collect();
-            nodes.push(spawn_sharded_node(
-                instances,
-                inbox_rx,
-                transport,
-                NodeOptions::new(dtx.clone())
-                    .wall_delta(timing.wall_delta)
-                    .observed(observers.cluster.clone())
-                    .shard_observed(observers.shards.clone()),
-            ));
-        }
-        drop(dtx);
-        Ok(Self::assemble(
-            cfg,
-            router,
-            nodes,
-            drx,
-            route,
-            observers.cluster,
-        ))
     }
 
     /// The deployed configuration (per group — all groups share it).
@@ -274,18 +166,7 @@ impl<V: Value> ShardedCluster<V> {
     /// awaited on) the node leading its shard, so every proposal starts
     /// on the fast path of its group.
     pub fn client(&self) -> ProxyClient<V> {
-        let targets = (0..self.shards() as u32)
-            .map(|s| {
-                let p = self.leader_of(s);
-                (p, self.nodes[p.index()].control())
-            })
-            .collect();
-        ProxyClient::sharded(
-            Arc::new(targets),
-            Arc::clone(&self.route),
-            Arc::clone(&self.shared),
-            self.obs.clone(),
-        )
+        self.client_via(|s| self.leader_of(s))
     }
 
     /// A client pinned to proxy `p` for every shard: commands are
@@ -293,9 +174,18 @@ impl<V: Value> ShardedCluster<V> {
     /// leads the group. Non-leader proposals reach the group leader by
     /// forwarding, trading a hop for locality.
     pub fn proxy_client(&self, p: ProcessId) -> ProxyClient<V> {
-        let control = self.nodes[p.index()].control();
-        let targets = (0..self.shards()).map(|_| (p, control.clone())).collect();
-        ProxyClient::sharded(
+        self.client_via(|_| p)
+    }
+
+    /// A client submitting shard `s`'s commands at node `proxy_of(s)`.
+    fn client_via(&self, proxy_of: impl Fn(u32) -> ProcessId) -> ProxyClient<V> {
+        let targets = (0..self.shards() as u32)
+            .map(|s| {
+                let p = proxy_of(s);
+                (p, self.nodes[p.index()].control())
+            })
+            .collect();
+        ProxyClient::new(
             Arc::new(targets),
             Arc::clone(&self.route),
             Arc::clone(&self.shared),
@@ -309,6 +199,13 @@ impl<V: Value> ShardedCluster<V> {
         self.nodes[self.leader_of(shard).index()].propose_at(shard, value);
     }
 
+    /// Submits `value` to its shard's replica on node `p`, whoever
+    /// leads the group.
+    pub(crate) fn propose_via(&self, p: ProcessId, value: V) {
+        let shard = (self.route)(&value);
+        self.nodes[p.index()].propose_at(shard, value);
+    }
+
     /// Crashes node `p`: every group loses its replica at `p` at once —
     /// the physical-node failure model.
     pub fn crash(&mut self, p: ProcessId) {
@@ -318,6 +215,14 @@ impl<V: Value> ShardedCluster<V> {
     /// The first decision of `(shard, p)` observed so far.
     pub fn decision_of(&self, shard: u32, p: ProcessId) -> Option<V> {
         self.shared.first_decision(shard, p).map(|(v, _)| v)
+    }
+
+    /// The decision latency of `(shard, p)` relative to cluster start,
+    /// if decided.
+    pub fn decision_latency(&self, shard: u32, p: ProcessId) -> Option<WallDuration> {
+        self.shared
+            .first_decision(shard, p)
+            .map(|(_, at)| at.duration_since(self.started))
     }
 
     /// All first decisions of `shard`, by process.

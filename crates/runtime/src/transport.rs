@@ -1,9 +1,10 @@
 //! Byte transports between runtime nodes.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
@@ -48,97 +49,142 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
-/// Which socket transport a cluster deploys over; the in-memory
-/// transport is a separate assembly path (no sockets to choose).
+/// One node's attachment to the message fabric: the inbox its node loop
+/// drains and the transport its sends go out on.
+pub(crate) type Endpoint = (Receiver<(ProcessId, Bytes)>, Box<dyn Transport>);
+
+/// Which transport a cluster deploys over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SocketBackend {
+pub(crate) enum TransportKind {
+    /// [`InMemoryTransport`]: crossbeam channels, no sockets.
+    InMemory,
     /// [`TcpTransport`]: blocking writer thread per destination, read
     /// thread per accepted connection.
-    Blocking,
+    Tcp,
     /// [`crate::ReactorTransport`]: one non-blocking event-loop thread
     /// owning every socket.
     Reactor,
 }
 
-impl SocketBackend {
-    /// Spawns the chosen backend for process `me`, erased behind the
-    /// [`Transport`] trait object so cluster assembly is
-    /// backend-generic.
+impl TransportKind {
+    /// Makes the `n` endpoints of a deployment — the one place where a
+    /// cluster's inboxes and transports come into being, erased behind
+    /// the [`Transport`] trait object so cluster assembly is
+    /// backend-generic. A non-zero `link_delay` routes every endpoint's
+    /// sends through one delay line (see [`delay_links`]).
     ///
     /// # Errors
     ///
-    /// Propagates socket setup failures (the reactor switches the
-    /// listener into non-blocking mode).
-    pub(crate) fn spawn(
+    /// Propagates socket setup failures (binding the listeners; the
+    /// reactor switching its listener into non-blocking mode).
+    pub(crate) fn endpoints(
         self,
-        me: ProcessId,
-        peers: Vec<std::net::SocketAddr>,
-        listener: TcpListener,
-        inbox: Sender<(ProcessId, Bytes)>,
-        obs: ObserverHandle,
-    ) -> Result<Box<dyn Transport>, RuntimeError> {
-        Ok(match self {
-            SocketBackend::Blocking => {
-                Box::new(TcpTransport::spawn(me, peers, listener, inbox, obs))
+        n: usize,
+        link_delay: Duration,
+        obs: &ObserverHandle,
+    ) -> Result<Vec<Endpoint>, RuntimeError> {
+        let endpoints: Vec<Endpoint> = match self {
+            TransportKind::InMemory => {
+                let (transport, inboxes) = InMemoryTransport::new(n);
+                inboxes
+                    .into_iter()
+                    .map(|inbox| (inbox, Box::new(transport.clone()) as Box<dyn Transport>))
+                    .collect()
             }
-            SocketBackend::Reactor => Box::new(crate::ReactorTransport::spawn(
-                me, peers, listener, inbox, obs,
-            )?),
+            TransportKind::Tcp | TransportKind::Reactor => {
+                let mut listeners = Vec::with_capacity(n);
+                let mut addrs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let (listener, addr) = TcpTransport::bind_ephemeral()?;
+                    listeners.push(listener);
+                    addrs.push(addr);
+                }
+                let mut endpoints = Vec::with_capacity(n);
+                for (i, listener) in listeners.into_iter().enumerate() {
+                    let me = ProcessId::new(i as u32);
+                    let (tx, inbox) = crossbeam::channel::unbounded();
+                    let (peers, obs) = (addrs.clone(), obs.clone());
+                    let transport: Box<dyn Transport> = if self == TransportKind::Tcp {
+                        Box::new(TcpTransport::spawn(me, peers, listener, tx, obs))
+                    } else {
+                        Box::new(crate::ReactorTransport::spawn(
+                            me, peers, listener, tx, obs,
+                        )?)
+                    };
+                    endpoints.push((inbox, transport));
+                }
+                endpoints
+            }
+        };
+        Ok(if link_delay.is_zero() {
+            endpoints
+        } else {
+            delay_links(endpoints, link_delay)
         })
     }
 }
 
-/// Wraps `inbox` in an emulated one-way link latency: every payload
-/// sent to the returned sender arrives at `inbox` `delay` later, in
-/// order. A zero delay returns `inbox` unchanged.
+/// A burst held on the delay line:
+/// `(maturity instant, from, to, payloads)`.
+type Delayed = (Instant, ProcessId, ProcessId, Vec<Bytes>);
+
+/// The send side of the emulated link latency: stamps each burst with
+/// its maturity instant and hands it to the delay-line thread.
+#[derive(Clone)]
+struct DelayedTransport {
+    delay: Duration,
+    line: Sender<Delayed>,
+}
+
+impl Transport for DelayedTransport {
+    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
+        self.send_many(from, to, vec![payload]);
+    }
+
+    fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
+        // Stamped at send time, so delays never compound while the line
+        // sleeps. A send failure only means global teardown — drop it,
+        // matching the crash-stop convention.
+        let _ = self
+            .line
+            .send((Instant::now() + self.delay, from, to, payloads));
+    }
+}
+
+/// Puts an emulated one-way link latency in front of `endpoints`, on
+/// every backend alike: each send is held on **one** delay-line thread
+/// until `delay` after it was issued, then goes out on the sender's
+/// real transport. Uniform delay + FIFO line means send order is
+/// release order, so per-link ordering is exactly the underlying
+/// transport's. The socket backends add their real (tiny) localhost
+/// latency on top, which keeps a given `delay` comparable across all
+/// three backends.
 ///
-/// This is the receive-side counterpart of
-/// [`InMemoryTransport::with_delay`], used to give the socket backends
-/// the same `link_delay` semantics: socket payloads already carry real
-/// (tiny) localhost latency, and this adds the configured wall-clock
-/// component on delivery. Two threads keep the emulation honest under
-/// load: a stamper that assigns each payload its maturity instant the
-/// moment it arrives (so delays never compound while the line sleeps),
-/// and the delay line that holds payloads until maturity. Both exit
-/// when the returned sender's clones are dropped.
-pub(crate) fn delayed_inbox(
-    delay: std::time::Duration,
-    inbox: Sender<(ProcessId, Bytes)>,
-) -> Sender<(ProcessId, Bytes)> {
-    if delay.is_zero() {
-        return inbox;
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(ProcessId, Bytes)>();
-    let (line_tx, line_rx) =
-        crossbeam::channel::unbounded::<(std::time::Instant, ProcessId, Bytes)>();
+/// This turns a cluster into a deployment where commit latency is
+/// wall-clock-bound rather than CPU-bound — the regime real WAN
+/// deployments live in, and the one where pipelining and sharding
+/// visibly buy throughput. The thread owns the real transports and
+/// exits, dropping them, once every node has dropped its endpoint.
+fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
+    let (line, held) = crossbeam::channel::unbounded::<Delayed>();
+    let (inboxes, transports): (Vec<_>, Vec<_>) = endpoints.into_iter().unzip();
     thread::Builder::new()
-        .name("twostep-link-stamper".into())
+        .name("twostep-delay-line".into())
         .spawn(move || {
-            while let Ok((from, payload)) = rx.recv() {
-                let _ = line_tx.send((std::time::Instant::now() + delay, from, payload));
-            }
-        })
-        .expect("spawn link-stamper thread");
-    thread::Builder::new()
-        .name("twostep-link-line".into())
-        .spawn(move || {
-            while let Ok((deliver_at, from, payload)) = line_rx.recv() {
-                let now = std::time::Instant::now();
-                if deliver_at > now {
-                    thread::sleep(deliver_at - now);
-                }
-                if inbox.send((from, payload)).is_err() {
-                    return; // destination node gone
+            while let Ok((deliver_at, from, to, payloads)) = held.recv() {
+                thread::sleep(deliver_at.saturating_duration_since(Instant::now()));
+                if let Some(transport) = transports.get(from.index()) {
+                    transport.send_many(from, to, payloads);
                 }
             }
         })
-        .expect("spawn link-line thread");
-    tx
+        .expect("spawn delay-line thread");
+    let delayed = DelayedTransport { delay, line };
+    inboxes
+        .into_iter()
+        .map(|inbox| (inbox, Box::new(delayed.clone()) as Box<dyn Transport>))
+        .collect()
 }
-
-/// A payload queued on the delay line:
-/// `(maturity instant, from, to, payload)`.
-type DelayedPayload = (std::time::Instant, ProcessId, ProcessId, Bytes);
 
 /// In-memory transport: each node's inbox is a crossbeam channel.
 ///
@@ -146,15 +192,6 @@ type DelayedPayload = (std::time::Instant, ProcessId, ProcessId, Bytes);
 /// channel send carrying a packed frame; receivers split it back apart
 /// with [`codec::unpack_frame`] (the runtime node does this for every
 /// inbox payload).
-///
-/// [`InMemoryTransport::with_delay`] adds an emulated one-way link
-/// latency: every payload is held on a single delay-line thread for the
-/// configured duration before reaching its inbox. Because the delay is
-/// uniform and the line is FIFO, per-link ordering is preserved exactly
-/// as in the zero-delay transport. This turns the in-memory cluster
-/// into a deployment where commit latency is wall-clock-bound rather
-/// than CPU-bound — the regime real WAN deployments live in, and the
-/// one where pipelining and sharding visibly buy throughput.
 ///
 /// # Example
 ///
@@ -172,10 +209,6 @@ type DelayedPayload = (std::time::Instant, ProcessId, ProcessId, Bytes);
 #[derive(Clone)]
 pub struct InMemoryTransport {
     inboxes: Arc<Vec<Sender<(ProcessId, Bytes)>>>,
-    /// When set, payloads detour through the delay-line thread instead
-    /// of going straight to the destination inbox; the duration is the
-    /// one-way latency added to every payload.
-    delay_line: Option<(std::time::Duration, Sender<DelayedPayload>)>,
 }
 
 impl InMemoryTransport {
@@ -192,59 +225,14 @@ impl InMemoryTransport {
         (
             InMemoryTransport {
                 inboxes: Arc::new(senders),
-                delay_line: None,
             },
             receivers,
         )
-    }
-
-    /// Like [`InMemoryTransport::new`], but every payload is delivered
-    /// `delay` after it is sent (emulated one-way link latency).
-    ///
-    /// A zero `delay` is the plain instant transport. Otherwise one
-    /// delay-line thread is spawned; it exits when every transport
-    /// clone is dropped. Uniform delay + FIFO line means per-link (and
-    /// in fact global) send order is preserved.
-    pub fn with_delay(
-        n: usize,
-        delay: std::time::Duration,
-    ) -> (Self, Vec<crossbeam::channel::Receiver<(ProcessId, Bytes)>>) {
-        let (mut transport, receivers) = Self::new(n);
-        if delay.is_zero() {
-            return (transport, receivers);
-        }
-        let (dtx, drx) = crossbeam::channel::unbounded::<DelayedPayload>();
-        let inboxes = Arc::clone(&transport.inboxes);
-        thread::Builder::new()
-            .name("twostep-delay-line".into())
-            .spawn(move || {
-                while let Ok((deliver_at, from, to, payload)) = drx.recv() {
-                    let now = std::time::Instant::now();
-                    if deliver_at > now {
-                        thread::sleep(deliver_at - now);
-                    }
-                    if let Some(tx) = inboxes.get(to.index()) {
-                        // A closed inbox means the destination crashed: drop.
-                        let _ = tx.send((from, payload));
-                    }
-                }
-            })
-            .expect("spawn delay-line thread");
-        transport.delay_line = Some((delay, dtx));
-        (transport, receivers)
     }
 }
 
 impl Transport for InMemoryTransport {
     fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
-        if let Some((delay, line)) = &self.delay_line {
-            // Stamp the maturity instant at send time; the delay-line
-            // thread holds the payload until the stamp matures. A send
-            // failure only means global teardown — drop it, matching
-            // the crash-stop convention.
-            let _ = line.send((std::time::Instant::now() + *delay, from, to, payload));
-            return;
-        }
         if let Some(tx) = self.inboxes.get(to.index()) {
             // A closed inbox means the destination crashed: drop.
             let _ = tx.send((from, payload));
@@ -284,9 +272,10 @@ pub struct TcpTransport {
     queues: Mutex<Vec<Option<Sender<Bytes>>>>,
 }
 
-/// State shared with writer threads (deliberately excludes the queues:
-/// writers exit when the queue senders drop, so the transport handle
-/// going away tears the writers down rather than leaking them).
+/// State shared with writer and reader threads (deliberately excludes
+/// the queues: writers exit when the queue senders drop, so the
+/// transport handle going away tears the writers down rather than
+/// leaking them).
 struct TcpInner {
     me: ProcessId,
     peers: Vec<SocketAddr>,
@@ -294,7 +283,7 @@ struct TcpInner {
 }
 
 /// How long a failed flush waits before its single reconnect attempt.
-pub const RECONNECT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
+pub const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Upper bound on messages coalesced into one wire frame.
 pub const MAX_COALESCE: usize = 128;
@@ -333,11 +322,12 @@ impl TcpTransport {
             queues: Mutex::new((0..peers.len()).map(|_| None).collect()),
             inner: Arc::new(TcpInner { me, peers, obs }),
         });
+        let inner = Arc::clone(&transport.inner);
         thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { break };
-                let inbox = inbox.clone();
-                thread::spawn(move || read_loop(stream, inbox));
+                let (inner, inbox) = (Arc::clone(&inner), inbox.clone());
+                thread::spawn(move || read_loop(&inner, stream, inbox));
             }
         });
         transport
@@ -423,16 +413,9 @@ fn write_frame(
     frame: &Bytes,
 ) -> bool {
     if conn.is_none() {
-        let Some(addr) = inner.peers.get(to.index()) else {
+        let Ok(stream) = dial(inner.me, inner.peers.get(to.index())) else {
             return false;
         };
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            return false;
-        };
-        // Handshake: announce who we are.
-        if stream.write_all(&inner.me.as_u32().to_le_bytes()).is_err() {
-            return false;
-        }
         *conn = Some(stream);
     }
     let Some(stream) = conn.as_mut() else {
@@ -446,7 +429,18 @@ fn write_frame(
     true
 }
 
-fn read_loop(mut stream: TcpStream, inbox: Sender<(ProcessId, Bytes)>) {
+/// Dials `addr` and performs the sender-id handshake — the connection
+/// preamble both socket backends share. The dial is blocking: on the
+/// localhost deployments these transports target it either completes or
+/// refuses immediately.
+pub(crate) fn dial(me: ProcessId, addr: Option<&SocketAddr>) -> io::Result<TcpStream> {
+    let addr = addr.ok_or_else(|| io::Error::from(io::ErrorKind::AddrNotAvailable))?;
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(&me.as_u32().to_le_bytes())?;
+    Ok(stream)
+}
+
+fn read_loop(inner: &TcpInner, mut stream: TcpStream, inbox: Sender<(ProcessId, Bytes)>) {
     let mut id_buf = [0u8; 4];
     if stream.read_exact(&mut id_buf).is_err() {
         return;
@@ -458,6 +452,13 @@ fn read_loop(mut stream: TcpStream, inbox: Sender<(ProcessId, Bytes)>) {
             return;
         }
         let len = u32::from_le_bytes(len_buf) as usize;
+        if len > codec::MAX_FRAME_LEN {
+            // The prefix comes straight from the peer: refuse to
+            // allocate for it. A bad peer costs its connection (closed
+            // on return), never the node.
+            inner.obs.message_dropped(from, inner.me);
+            return;
+        }
         let mut payload = vec![0u8; len];
         if stream.read_exact(&mut payload).is_err() {
             return;
@@ -536,61 +537,6 @@ mod tests {
     fn memory_transport_out_of_range_destination_is_dropped() {
         let (t, _inboxes) = InMemoryTransport::new(2);
         t.send(p(0), p(9), Bytes::from_static(b"x"));
-    }
-
-    #[test]
-    fn delayed_memory_transport_holds_payloads_for_the_link_latency() {
-        let (t, inboxes) = InMemoryTransport::with_delay(2, Duration::from_millis(20));
-        let sent = std::time::Instant::now();
-        t.send(p(0), p(1), Bytes::from_static(b"a"));
-        t.send(p(0), p(1), Bytes::from_static(b"b"));
-        let (from, first) = inboxes[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(
-            sent.elapsed() >= Duration::from_millis(20),
-            "payload delivered after {:?}, before the 20ms link latency",
-            sent.elapsed()
-        );
-        assert_eq!((from, &first[..]), (p(0), &b"a"[..]));
-        // Uniform delay + FIFO line: send order is delivery order.
-        let (_, second) = inboxes[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(&second[..], b"b");
-    }
-
-    #[test]
-    fn delayed_inbox_holds_payloads_and_preserves_order() {
-        let (tx, rx) = unbounded();
-        let delayed = delayed_inbox(Duration::from_millis(20), tx);
-        let sent = std::time::Instant::now();
-        delayed.send((p(0), Bytes::from_static(b"a"))).unwrap();
-        delayed.send((p(0), Bytes::from_static(b"b"))).unwrap();
-        let (from, first) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(
-            sent.elapsed() >= Duration::from_millis(20),
-            "payload delivered after {:?}, before the 20ms link latency",
-            sent.elapsed()
-        );
-        assert_eq!((from, &first[..]), (p(0), &b"a"[..]));
-        assert_eq!(
-            &rx.recv_timeout(Duration::from_secs(5)).unwrap().1[..],
-            b"b"
-        );
-    }
-
-    #[test]
-    fn zero_delayed_inbox_is_the_original_sender() {
-        let (tx, rx) = unbounded();
-        let delayed = delayed_inbox(Duration::ZERO, tx);
-        delayed.send((p(1), Bytes::from_static(b"x"))).unwrap();
-        // No detour: the payload is immediately available.
-        assert_eq!(rx.try_recv().unwrap(), (p(1), Bytes::from_static(b"x")));
-    }
-
-    #[test]
-    fn zero_delay_memory_transport_skips_the_delay_line() {
-        let (t, inboxes) = InMemoryTransport::with_delay(1, Duration::ZERO);
-        t.send(p(0), p(0), Bytes::from_static(b"x"));
-        // Delivery is synchronous with the send — no thread detour.
-        assert_eq!(inboxes[0].try_recv().unwrap().1, Bytes::from_static(b"x"));
     }
 
     #[test]

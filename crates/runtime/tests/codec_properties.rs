@@ -278,7 +278,7 @@ proptest! {
             slot[..take].copy_from_slice(&wire[offset..offset + take]);
             asm.commit(take);
             offset += take;
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 for m in frame_messages(frame).expect("reassembled frame must parse") {
                     got.push(m.to_vec());
                 }
@@ -313,7 +313,7 @@ proptest! {
             let slot = asm.read_slot(piece.len());
             slot[..piece.len()].copy_from_slice(piece);
             asm.commit(piece.len());
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 frames.push(frame.to_vec());
             }
         }

@@ -75,7 +75,7 @@ fn steady_state_receive_path_allocates_nothing_per_message() {
             let slot = asm.read_slot(piece.len());
             slot[..piece.len()].copy_from_slice(piece);
             asm.commit(piece.len());
-            while let Some(frame) = asm.next_frame() {
+            while let Some(frame) = asm.next_frame().unwrap() {
                 for m in frame_messages(frame).expect("frame parses") {
                     let (shard, inner) = split_shard_ref(m).expect("envelope parses");
                     *sink += shard as u64 + inner.len() as u64;

@@ -20,6 +20,10 @@
 //! * **Degenerate payloads**: empty and multi-hundred-KiB messages
 //!   survive (the latter exercises the reactor's partial-write
 //!   resumption and read-buffer growth).
+//! * **Frame-length ceiling** (socket backends): a peer announcing a
+//!   frame above [`codec::MAX_FRAME_LEN`] costs its own connection,
+//!   which the receiver closes, and nothing else — the node keeps
+//!   serving every other connection.
 //! * **Retry-once semantics** (socket backends): a send to a dead peer
 //!   records exactly one drop per message after the single reconnect
 //!   attempt; a live peer that tears down established connections is
@@ -62,6 +66,8 @@ struct Deployment {
     /// Concrete reactor handles, for fault injection; empty slots on
     /// other backends.
     reactors: Vec<Option<ReactorTransport>>,
+    /// Listening addresses, for raw peers; empty on the memory backend.
+    addrs: Vec<std::net::SocketAddr>,
 }
 
 impl Deployment {
@@ -104,6 +110,7 @@ fn deploy_observed(backend: Backend, n: usize, obs: &ObserverHandle) -> Deployme
                     .collect(),
                 inboxes,
                 reactors: (0..n).map(|_| None).collect(),
+                addrs: Vec::new(),
             }
         }
         Backend::BlockingTcp | Backend::Reactor => {
@@ -150,6 +157,7 @@ fn deploy_observed(backend: Backend, n: usize, obs: &ObserverHandle) -> Deployme
                 transports,
                 inboxes,
                 reactors,
+                addrs,
             }
         }
     }
@@ -315,6 +323,59 @@ fn conformance_untagged_payloads_route_to_shard_zero() {
 }
 
 #[test]
+fn conformance_oversize_frame_costs_only_its_connection() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    for backend in SOCKET_BACKENDS {
+        let (metrics, obs) = Metrics::shared();
+        let d = deploy_observed(backend, 1, &obs);
+        let addr = d.addrs[0];
+
+        // A raw peer: valid handshake, then a length prefix one past
+        // the ceiling. The receiver must hang up rather than wait for
+        // (or allocate) the announced payload.
+        let mut bad = TcpStream::connect(addr).unwrap();
+        bad.write_all(&7u32.to_le_bytes()).unwrap();
+        bad.write_all(&(codec::MAX_FRAME_LEN as u32 + 1).to_le_bytes())
+            .unwrap();
+        bad.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+        let mut byte = [0u8; 1];
+        match bad.read(&mut byte) {
+            Ok(0) => {} // orderly close
+            Ok(_) => panic!("{backend:?}: receiver wrote to an inbound connection"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "{backend:?}: oversize prefix never cost the connection ({e})"
+            ), // reset: also closed
+        }
+        assert_eq!(
+            metrics.snapshot().dropped,
+            1,
+            "{backend:?}: the refused frame is reported as one drop"
+        );
+
+        // The node survived: a following well-formed connection delivers.
+        let mut good = TcpStream::connect(addr).unwrap();
+        good.write_all(&8u32.to_le_bytes()).unwrap();
+        good.write_all(&5u32.to_le_bytes()).unwrap();
+        good.write_all(b"still").unwrap();
+        assert_eq!(
+            d.inboxes[0].recv_timeout(RECV_TIMEOUT).unwrap(),
+            (p(8), Bytes::from_static(b"still")),
+            "{backend:?}: node stopped serving after a bad peer"
+        );
+        assert!(
+            d.inboxes[0].try_recv().is_err(),
+            "{backend:?}: the bad frame leaked"
+        );
+    }
+}
+
+#[test]
 fn conformance_dead_peer_costs_one_drop_per_message_after_one_retry() {
     for backend in SOCKET_BACKENDS {
         let (metrics, obs) = Metrics::shared();
@@ -389,11 +450,27 @@ fn conformance_reconnect_heals_under_load() {
                 // Inject connection failures mid-stream; every message
                 // must still arrive, in order, with heals recorded.
                 let reactor = d.reactors[0].as_ref().unwrap();
+                let deadline = Instant::now() + RECV_TIMEOUT;
+                let mut faults = 0;
                 for seq in 0..100u32 {
-                    if seq % 25 == 10 {
+                    let inject = seq % 25 == 10;
+                    if inject {
                         reactor.inject_write_failure(p(1));
                     }
                     d.send(0, 1, &seq.to_le_bytes());
+                    // Let each fault heal before injecting the next: a
+                    // second fault on a frame already on its one retry
+                    // is the drop case, not the heal under test.
+                    if inject {
+                        faults += 1;
+                        while metrics.snapshot().reconnects < faults {
+                            assert!(
+                                Instant::now() < deadline,
+                                "reactor: fault {faults} never healed"
+                            );
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
                 }
                 let got = d.recv_messages(1, 100);
                 for (i, (_, msg)) in got.iter().enumerate() {

@@ -156,11 +156,12 @@ fn lost_slot_is_retried_in_fresh_slot() {
 
 #[test]
 fn kv_over_threaded_runtime() {
-    use twostep_runtime::Cluster;
+    use twostep_runtime::{Cluster, ClusterBuilder};
 
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-    let cluster: Cluster<KvCommand> =
-        Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| replica(cfg, q));
+    let cluster: Cluster<KvCommand> = ClusterBuilder::new(cfg)
+        .build(|q| replica(cfg, q))
+        .expect("in-memory cluster");
     cluster.propose(p(0), KvCommand::put("city", "huatulco"));
     // The decide stream reports applied commands.
     let decided = cluster.await_decision(p(0), WallDuration::from_secs(10));

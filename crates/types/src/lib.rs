@@ -18,6 +18,8 @@
 //! * [`Time`] / [`Duration`] — virtual time for the discrete-event
 //!   simulator, with the message-delay bound `Δ` ([`DELTA`]) used to
 //!   define rounds and "two-step" decisions (decided by time `2Δ`).
+//! * [`SplitMix64`] — the one seeded PRNG behind every replayable
+//!   schedule (fuzz campaigns, Byzantine injection plans).
 //! * [`protocol`] — the event-driven state-machine abstraction
 //!   ([`protocol::Protocol`]) that both the simulator and the threaded
 //!   runtime drive, so a single protocol implementation runs unmodified
@@ -51,6 +53,7 @@ mod process;
 pub mod protocol;
 pub mod quorum;
 pub mod relabel;
+mod rng;
 mod time;
 mod value;
 
@@ -59,5 +62,6 @@ pub use byz::{ByzConfig, ByzVariant, Corruptible};
 pub use config::{ProtocolKind, SystemConfig};
 pub use error::ConfigError;
 pub use process::{combinations, ProcessId, ProcessSet};
+pub use rng::SplitMix64;
 pub use time::{Duration, Time, DELTA};
 pub use value::Value;

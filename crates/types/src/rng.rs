@@ -1,12 +1,13 @@
-//! A tiny, fully deterministic PRNG for schedule generation.
+//! The workspace's one deterministic PRNG.
 //!
-//! The fuzzer's only requirement of its randomness source is *stable
-//! reproducibility*: the pair `(seed, iteration)` must map to the same
-//! schedule on every platform and in every future version of the
+//! Fuzz schedules and Byzantine injection plans must replay bit-for-bit
+//! from a seed, on every platform and in every future version of the
 //! standard library. SplitMix64 (Steele, Lea & Flood, OOPSLA'14) is a
 //! 64-bit permutation with good avalanche behaviour and a trivially
-//! portable implementation, so the fuzzer carries its own copy instead
-//! of depending on an external generator whose stream might change.
+//! portable implementation, so the workspace carries its own copy
+//! instead of depending on an external generator whose stream might
+//! change — and carries it once, here, so a fuzz seed and an injection
+//! seed drawn from it stay mutually reproducible.
 
 /// SplitMix64 generator state.
 #[derive(Debug, Clone)]
@@ -20,8 +21,9 @@ impl SplitMix64 {
         SplitMix64(seed)
     }
 
-    /// Derives the seed for an independent stream, used to give every
-    /// fuzzing iteration its own schedule from one root seed.
+    /// Derives the seed for an independent stream: every fuzzing
+    /// iteration gets its own schedule from one root seed, every wrapped
+    /// Byzantine process its own corruption stream from one plan seed.
     pub fn stream(root: u64, index: u64) -> u64 {
         let mut g = SplitMix64(root ^ index.wrapping_mul(GOLDEN));
         g.next_u64()
@@ -36,10 +38,11 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// A value in `0..n` (`n > 0`).
+    /// A value in `0..n`, or 0 when `n` is 0. The degenerate case is
+    /// defined (rather than asserted) because injection code derives
+    /// `n` from message counts that can legitimately be zero.
     pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
+        self.next_u64() % n.max(1)
     }
 
     /// True with probability `num/den`.
@@ -91,6 +94,14 @@ mod tests {
         let mut g = SplitMix64::new(0);
         assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn below_zero_is_zero_and_still_advances_the_stream() {
+        let (mut a, mut b) = (SplitMix64::new(3), SplitMix64::new(3));
+        assert_eq!(a.below(0), 0);
+        b.next_u64();
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::time::Duration as WallDuration;
 
 use twostep::core::{Msg, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep::runtime::Cluster;
+use twostep::runtime::{Cluster, ClusterBuilder};
 use twostep::sim::{ManualExecutor, SyncRunner};
 use twostep::types::protocol::Protocol;
 use twostep::types::{ProcessId, SystemConfig, Time};
@@ -71,9 +71,9 @@ fn simulator_and_threads_agree_on_object_consensus() {
     );
     assert_eq!(sim_outcome.decision_of(proposer), Some(&42));
 
-    let cluster: Cluster<u64> = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-        ObjectConsensus::new(cfg, q)
-    });
+    let cluster: Cluster<u64> = ClusterBuilder::new(cfg)
+        .build(|q| ObjectConsensus::new(cfg, q))
+        .expect("in-memory cluster");
     cluster.propose(proposer, 42);
     assert_eq!(
         cluster.await_decision(proposer, WallDuration::from_secs(5)),
@@ -89,16 +89,11 @@ fn simulator_and_threads_agree_on_object_consensus() {
 fn transports_agree() {
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
     for tcp in [false, true] {
-        let cluster: Cluster<u64> = if tcp {
-            Cluster::tcp(cfg, WallDuration::from_millis(10), |q| {
-                ObjectConsensus::new(cfg, q)
-            })
-            .expect("tcp cluster")
-        } else {
-            Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-                ObjectConsensus::new(cfg, q)
-            })
-        };
+        let builder = ClusterBuilder::new(cfg);
+        let builder = if tcp { builder.tcp() } else { builder };
+        let cluster: Cluster<u64> = builder
+            .build(|q| ObjectConsensus::new(cfg, q))
+            .expect("cluster");
         cluster.propose(p(1), 77);
         assert_eq!(
             cluster.await_decision(p(1), WallDuration::from_secs(10)),
@@ -114,9 +109,9 @@ fn transports_agree() {
 #[test]
 fn threaded_cluster_with_crashes_decides() {
     let cfg = SystemConfig::minimal_object(2, 2).unwrap();
-    let mut cluster: Cluster<u64> = Cluster::in_memory(cfg, WallDuration::from_millis(10), |q| {
-        ObjectConsensus::new(cfg, q)
-    });
+    let mut cluster: Cluster<u64> = ClusterBuilder::new(cfg)
+        .build(|q| ObjectConsensus::new(cfg, q))
+        .expect("in-memory cluster");
     cluster.crash(p(0));
     cluster.crash(p(1));
     cluster.propose(p(4), 9);
