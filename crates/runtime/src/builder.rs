@@ -79,7 +79,10 @@ impl ClusterBuilder {
 
     /// Sets the wall-clock duration of one `Δ`; it bounds the
     /// protocol's timeouts (fast-path window `2Δ`, ballot retry `5Δ`)
-    /// and the SMR pump tick (`2Δ`).
+    /// and the SMR pump tick (`2Δ`): the longest a queued command waits
+    /// for co-travellers, and the interval over which a replica
+    /// relearns its batch threshold. An idle proxy's commit does not
+    /// wait on it.
     #[must_use]
     pub fn wall_delta(mut self, wall_delta: WallDuration) -> Self {
         self.wall_delta = wall_delta;

@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 /// commands: the bounds (Theorems 5–6) govern how fast *one* value is
 /// decided, and are indifferent to how much that value carries. A proxy
 /// therefore accumulates commands into a `Batch` — bounded by a count
-/// knob and flushed by the replica's pump timer — and proposes the
-/// whole batch as a single slot value. Replicas apply batch elements in
+/// knob, released once the queue is as long as its recent batches and
+/// by the replica's pump timer at the latest — and proposes the whole
+/// batch as a single slot value. Replicas apply batch elements in
 /// order, so the committed command stream is the slot-ordered
 /// concatenation of batches.
 ///

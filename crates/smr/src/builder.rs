@@ -63,9 +63,11 @@ impl SmrReplicaBuilder {
         self
     }
 
-    /// Groups up to `size` queued commands into one slot proposal. Full
-    /// batches flush immediately; partial batches wait for the replica's
-    /// pump tick (2Δ), bounding the added latency.
+    /// Groups up to `size` queued commands into one slot proposal. The
+    /// replica proposes a queue once it is as long as the largest batch
+    /// of its previous pump interval (at most `size`, 1 on a fresh or
+    /// idle replica, so a lone command does not wait); a shorter queue
+    /// goes out on the next pump tick, at most 2Δ later.
     #[must_use]
     pub fn batch(mut self, size: usize) -> Self {
         self.batch = size;

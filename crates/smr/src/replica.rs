@@ -64,11 +64,21 @@ fn split_timer(t: TimerId) -> Option<(u64, TimerId)> {
 ///
 /// Roles, following the paper's introduction: clients submit commands to
 /// any replica (their *proxy*); the proxy accumulates commands into a
-/// [`Batch`] (bounded by the batch-size knob, flushed by the pump tick),
-/// assigns the batch a free slot and proposes it there; batches commit
-/// in slot order and their commands are applied, in batch order, to the
-/// deterministic state machine `S`. A batch that loses its slot to a
-/// contending proxy is transparently re-proposed in a fresh slot.
+/// [`Batch`] of at most the batch-size knob, assigns the batch a free
+/// slot and proposes it there; batches commit in slot order and their
+/// commands are applied, in batch order, to the deterministic state
+/// machine `S`. A batch that loses its slot to a contending proxy is
+/// transparently re-proposed in a fresh slot.
+///
+/// How long a command waits for co-travellers is learned from the
+/// proxy's own traffic: a queue is proposed as soon as it holds as many
+/// commands as the largest batch of the previous pump interval (capped
+/// by the knob, starting at 1), and the pump tick proposes whatever is
+/// still queued. A lone command on an idle proxy therefore leaves in
+/// the step that submitted it — the paper's two message delays at the
+/// proxy — while a proxy whose load fills batches keeps sending full
+/// ones, and a waiting command is held for at most one pump interval
+/// (2Δ).
 ///
 /// One replica-level Ω (heartbeats) serves all instances: instances run
 /// with a static leader hint that the replica refreshes on every
@@ -94,6 +104,11 @@ pub struct SmrReplica<C: Ord, S> {
     inflight: BTreeMap<u64, Batch<C>>,
     max_inflight: usize,
     max_batch: usize,
+    /// Queue length at which the event-driven path proposes: the largest
+    /// batch of the previous pump interval, always in `1..=max_batch`.
+    target: usize,
+    /// Largest batch proposed so far in the current pump interval.
+    interval_max: usize,
     next_slot: u64,
     omega: Omega,
     /// Telemetry hooks; detached by default.
@@ -139,6 +154,8 @@ where
             inflight: BTreeMap::new(),
             max_inflight,
             max_batch,
+            target: 1,
+            interval_max: 0,
             next_slot: 0,
             omega: Omega::with_rotation(me, cfg.n(), OmegaMode::Heartbeats, rotation),
             obs,
@@ -254,8 +271,9 @@ where
         if let Some(mine) = self.inflight.remove(&slot) {
             if self.committed.get(&slot) != Some(&mine) {
                 // Lost the slot to a contending proxy: re-queue at the
-                // front, preserving submission order, so the pump
-                // re-proposes the commands in a fresh slot.
+                // front, preserving submission order; the next flush
+                // (this step's, if the queue reaches the threshold, or
+                // else the pump's) re-proposes them in a fresh slot.
                 for c in mine.into_iter().rev() {
                     self.pending.push_front(c);
                 }
@@ -276,21 +294,23 @@ where
         self.obs.queue_depth(self.me, self.pending());
     }
 
-    /// Proposes queued commands while pipeline capacity remains.
+    /// Proposes queued commands, up to `max_batch` per slot, while
+    /// pipeline capacity remains and at least `threshold` (≥ 1) are
+    /// queued.
     ///
-    /// With `full_only` set, only *full* batches (≥ `max_batch` queued
-    /// commands) are proposed — the event-driven path, so a trickle of
-    /// commands is not scattered one-per-slot. The pump tick calls with
-    /// `full_only = false` to flush partial batches, bounding the extra
-    /// latency a queued command can accrue waiting for co-travellers to
-    /// one pump interval (2Δ).
-    fn flush(&mut self, full_only: bool, eff: &mut Effects<C, SmrMsg<C>>) {
-        while self.inflight.len() < self.max_inflight && !self.pending.is_empty() {
-            if full_only && self.pending.len() < self.max_batch {
-                break;
-            }
+    /// The event-driven callers pass `self.target`, so a proxy whose
+    /// recent batches were large is not scattered one command per slot
+    /// and an idle one does not wait at all. The pump tick passes 1 —
+    /// whatever is queued goes — which bounds the wait for co-travellers
+    /// to one pump interval (2Δ).
+    fn flush(&mut self, threshold: usize, eff: &mut Effects<C, SmrMsg<C>>) {
+        while self.inflight.len() < self.max_inflight && self.pending.len() >= threshold {
             let take = self.pending.len().min(self.max_batch);
             let batch = Batch::new(self.pending.drain(..take).collect());
+            self.interval_max = self.interval_max.max(take);
+            // Every event that grows the queue or frees the pipeline
+            // flushes at `target`, so a batch below it waited for the pump.
+            self.obs.batch_proposed(self.me, take, take < self.target);
             let slot = self.next_slot;
             self.next_slot += 1;
             self.inflight.insert(slot, batch.clone());
@@ -323,7 +343,7 @@ where
 
     fn on_propose(&mut self, cmd: C, eff: &mut Effects<C, SmrMsg<C>>) {
         self.pending.push_back(cmd);
-        self.flush(true, eff);
+        self.flush(self.target, eff);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: SmrMsg<C>, eff: &mut Effects<C, SmrMsg<C>>) {
@@ -346,8 +366,9 @@ where
                 inst.on_message(from, m, &mut inner);
                 self.route_inner(slot, inner, eff);
                 // A commit above may have freed pipeline capacity; put
-                // any waiting full batches in flight right away.
-                self.flush(true, eff);
+                // a queue that has reached the threshold in flight right
+                // away.
+                self.flush(self.target, eff);
             }
         }
     }
@@ -371,7 +392,13 @@ where
                 eff.set_timer(SMR_SUSPECT, Duration::from_units(3 * DELTA.units()));
             }
             SMR_PUMP => {
-                self.flush(false, eff);
+                self.flush(1, eff);
+                // The interval that just ended sets the next one's
+                // threshold. Event-released batches are never smaller
+                // than the threshold, so it shrinks only when all this
+                // interval saw were the pump's own partial batches.
+                self.target = self.interval_max.max(1);
+                self.interval_max = 0;
                 eff.set_timer(SMR_PUMP, Duration::from_units(2 * DELTA.units()));
             }
             t => {
@@ -380,7 +407,7 @@ where
                         let mut inner = Effects::new();
                         inst.on_timer(inner_t, &mut inner);
                         self.route_inner(slot, inner, eff);
-                        self.flush(true, eff);
+                        self.flush(self.target, eff);
                     }
                 }
             }
@@ -454,58 +481,170 @@ mod tests {
         assert_eq!(r.pending(), 1);
     }
 
-    #[test]
-    fn partial_batch_waits_for_pump() {
-        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-        let mut r: SmrReplica<KvCommand, KvStore> = SmrReplicaBuilder::new(cfg, ProcessId::new(0))
-            .batch(4)
-            .build();
-        let mut eff = Effects::new();
-        r.on_start(&mut eff);
+    /// A three-replica group at `minimal_object(1, 1)` stepped by hand:
+    /// replica 0 is the proxy under test and every message is delivered
+    /// at once, so a proposed batch commits before `submit` returns.
+    /// Only `on_propose`/`on_message`/`on_timer` touch the replicas.
+    struct Group {
+        replicas: Vec<SmrReplica<KvCommand, KvStore>>,
+        seq: u32,
+    }
 
-        // Three commands: below the batch bound, so the event-driven
-        // flush holds them back.
-        let mut eff = Effects::new();
-        for i in 0..3 {
-            r.on_propose(KvCommand::put(format!("k{i}"), "v"), &mut eff);
+    impl Group {
+        fn new(batch: usize) -> Self {
+            let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+            let mut replicas: Vec<SmrReplica<KvCommand, KvStore>> = (0..cfg.n() as u32)
+                .map(|i| {
+                    SmrReplicaBuilder::new(cfg, ProcessId::new(i))
+                        .pipeline(2)
+                        .batch(batch)
+                        .build()
+                })
+                .collect();
+            for r in &mut replicas {
+                r.on_start(&mut Effects::new());
+            }
+            Group { replicas, seq: 0 }
         }
-        assert!(
-            !eff.sends
-                .iter()
-                .any(|(_, m)| matches!(m, SmrMsg::Slot(_, _))),
-            "partial batch must not be proposed eagerly"
-        );
 
-        // The pump tick flushes the partial batch as one slot proposal.
-        let mut eff = Effects::new();
-        r.on_timer(SMR_PUMP, &mut eff);
-        assert!(eff
-            .sends
-            .iter()
-            .any(|(_, m)| matches!(m, SmrMsg::Slot(0, Msg::Propose(b)) if b.len() == 3)));
+        fn proxy(&self) -> &SmrReplica<KvCommand, KvStore> {
+            &self.replicas[0]
+        }
+
+        /// Submits `k` commands to the proxy without delivering anything
+        /// in between; returns the sizes of the batches it proposed.
+        fn submit(&mut self, k: usize) -> Vec<usize> {
+            let mut eff = Effects::new();
+            for _ in 0..k {
+                self.seq += 1;
+                self.replicas[0]
+                    .on_propose(KvCommand::put(format!("k{}", self.seq), "v"), &mut eff);
+            }
+            self.settle(eff)
+        }
+
+        /// Fires the proxy's pump; returns the sizes it proposed.
+        fn pump(&mut self) -> Vec<usize> {
+            let mut eff = Effects::new();
+            self.replicas[0].on_timer(SMR_PUMP, &mut eff);
+            self.settle(eff)
+        }
+
+        /// Delivers the proxy's effects and everything they cause until
+        /// the group is quiet; returns the sizes of every batch the proxy
+        /// proposed, in slot order.
+        fn settle(&mut self, eff: Effects<KvCommand, SmrMsg<KvCommand>>) -> Vec<usize> {
+            let me = ProcessId::new(0);
+            let mut proposed = BTreeMap::new();
+            let mut queue: VecDeque<_> = eff.sends.into_iter().map(|(to, m)| (me, to, m)).collect();
+            while let Some((from, to, m)) = queue.pop_front() {
+                if let (true, SmrMsg::Slot(slot, Msg::Propose(b))) = (from == me, &m) {
+                    proposed.insert(*slot, b.len());
+                }
+                let mut out = Effects::new();
+                self.replicas[to.index()].on_message(from, m, &mut out);
+                queue.extend(out.sends.into_iter().map(|(next, m)| (to, next, m)));
+            }
+            let target = self.proxy().target;
+            assert!(
+                (1..=self.proxy().max_batch).contains(&target),
+                "target {target}"
+            );
+            proposed.into_values().collect()
+        }
     }
 
     #[test]
-    fn full_batch_flushes_immediately() {
-        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-        let mut r: SmrReplica<KvCommand, KvStore> = SmrReplicaBuilder::new(cfg, ProcessId::new(0))
-            .batch(2)
-            .build();
-        let mut eff = Effects::new();
-        r.on_start(&mut eff);
+    fn lone_command_on_a_fresh_replica_is_proposed_in_the_same_step() {
+        let mut g = Group::new(4);
+        assert_eq!(g.submit(1), vec![1]);
+        assert_eq!(g.proxy().applied(), 1);
+        // Nothing is left for the pump, and an idle interval keeps the
+        // threshold at its floor.
+        assert_eq!(g.pump(), Vec::<usize>::new());
+        assert_eq!(g.proxy().target, 1);
+    }
 
-        let mut eff = Effects::new();
-        r.on_propose(KvCommand::put("a", "1"), &mut eff);
-        assert!(
-            eff.sends.is_empty(),
-            "first command alone is a partial batch"
-        );
-        let mut eff = Effects::new();
-        r.on_propose(KvCommand::put("b", "2"), &mut eff);
-        assert!(eff
-            .sends
-            .iter()
-            .any(|(_, m)| matches!(m, SmrMsg::Slot(0, Msg::Propose(b)) if b.len() == 2)));
+    #[test]
+    fn after_full_batches_a_partial_queue_waits_for_the_pump() {
+        let mut g = Group::new(4);
+        // A burst that outruns the pipeline queues up behind it and
+        // leaves as full batches once slots free up.
+        assert_eq!(g.submit(10), vec![1, 1, 4, 4]);
+        g.pump();
+        assert_eq!(g.proxy().target, 4);
+
+        // An interval of full batches: the fourth command releases each.
+        assert_eq!(g.submit(3), Vec::<usize>::new());
+        assert_eq!(g.submit(1), vec![4]);
+        assert_eq!(g.submit(4), vec![4]);
+        g.pump();
+        assert_eq!(g.proxy().target, 4);
+
+        // Three commands now wait, and the pump sends them as one slot.
+        assert_eq!(g.submit(3), Vec::<usize>::new());
+        assert_eq!(g.proxy().pending(), 3);
+        assert_eq!(g.pump(), vec![3]);
+        assert_eq!(g.proxy().applied(), 21);
+    }
+
+    #[test]
+    fn load_drop_adapts_down_within_two_pump_ticks() {
+        let mut g = Group::new(4);
+        g.submit(8);
+        g.pump();
+        assert_eq!(g.submit(8), vec![4, 4]);
+        assert_eq!(g.proxy().target, 4);
+
+        // One client left. Its command waits for the first tick, which
+        // still closes an interval that saw full batches ...
+        assert_eq!(g.submit(1), Vec::<usize>::new());
+        assert_eq!(g.pump(), vec![1]);
+        assert_eq!(g.proxy().target, 4);
+        // ... and for the second, which closes one that saw only it.
+        assert_eq!(g.submit(1), Vec::<usize>::new());
+        assert_eq!(g.pump(), vec![1]);
+        assert_eq!(g.proxy().target, 1);
+        // From then on nothing waits.
+        assert_eq!(g.submit(1), vec![1]);
+    }
+
+    #[test]
+    fn load_rise_reaches_full_batches_within_one_interval() {
+        let mut g = Group::new(4);
+        for _ in 0..3 {
+            assert_eq!(g.submit(1), vec![1]);
+            g.pump();
+        }
+        assert_eq!(g.proxy().target, 1);
+
+        // Eight commands arrive before anything commits: two fill the
+        // pipeline, the rest leave as full-as-possible batches behind
+        // them, and the tick that ends the interval adopts that size.
+        assert_eq!(g.submit(8), vec![1, 1, 4, 2]);
+        g.pump();
+        assert_eq!(g.proxy().target, 4);
+        assert_eq!(g.submit(8), vec![4, 4]);
+    }
+
+    #[test]
+    fn target_stays_within_one_and_max_batch() {
+        // `settle` asserts the range after every step; drive a seeded mix
+        // of bursts and ticks through batch sizes 1, 3 and 4.
+        for batch in [1, 3, 4] {
+            let mut g = Group::new(batch);
+            let mut rng = twostep_types::SplitMix64::new(batch as u64);
+            for _ in 0..200 {
+                if rng.below(4) == 0 {
+                    g.pump();
+                } else {
+                    g.submit(rng.below(12) as usize);
+                }
+            }
+            g.pump();
+            assert_eq!(g.proxy().pending(), 0);
+            assert_eq!(g.proxy().applied(), u64::from(g.seq));
+        }
     }
 
     #[test]

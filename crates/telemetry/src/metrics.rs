@@ -41,6 +41,8 @@ pub struct Metrics {
     leader_changes: Counter,
     ballot_advances: Counter,
     queue_depth: Histogram,
+    /// Commands proposed, indexed by `by_pump as usize`.
+    proposed: [Counter; 2],
     batch_size: Histogram,
     amortized_latency: Histogram,
     dropped: Counter,
@@ -79,6 +81,8 @@ impl Metrics {
             leader_changes: self.leader_changes.get(),
             ballot_advances: self.ballot_advances.get(),
             queue_depth: self.queue_depth.snapshot(),
+            event_released: self.proposed[0].get(),
+            pump_released: self.proposed[1].get(),
             batch_size: self.batch_size.snapshot(),
             amortized_latency: self.amortized_latency.snapshot(),
             dropped: self.dropped.get(),
@@ -161,6 +165,10 @@ impl ProtocolObserver for Metrics {
         self.queue_depth.record(depth as u64);
     }
 
+    fn batch_proposed(&self, _process: ProcessId, size: usize, by_pump: bool) {
+        self.proposed[usize::from(by_pump)].add(size as u64);
+    }
+
     fn batch_committed(&self, _process: ProcessId, size: usize) {
         self.batch_size.record(size as u64);
     }
@@ -212,6 +220,11 @@ pub struct MetricsSnapshot {
     pub ballot_advances: u64,
     /// Replica pending-command depth distribution.
     pub queue_depth: HistogramSnapshot,
+    /// Commands proposed in the step of the event that queued them or
+    /// freed the pipeline.
+    pub event_released: u64,
+    /// Commands that waited in a proxy's queue until its pump tick.
+    pub pump_released: u64,
     /// Commands per applied batch (one sample per committed slot).
     pub batch_size: HistogramSnapshot,
     /// Client-observed per-command latency through a proxy (engine
@@ -261,6 +274,17 @@ impl MetricsSnapshot {
     /// Total fault injections across all behaviors.
     pub fn total_injections(&self) -> u64 {
         self.injections_by_behavior.values().sum()
+    }
+
+    /// The share of proposed commands that waited for a pump tick
+    /// (0 when nothing was proposed).
+    pub fn pump_released_share(&self) -> f64 {
+        let total = self.event_released + self.pump_released;
+        if total == 0 {
+            0.0
+        } else {
+            self.pump_released as f64 / total as f64
+        }
     }
 
     /// Renders the snapshot in a text/Prometheus-style exposition
@@ -353,6 +377,15 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "twostep_queue_depth{{quantile=\"0.5\"}} {}", q.p50);
             let _ = writeln!(out, "twostep_queue_depth{{quantile=\"0.99\"}} {}", q.p99);
             let _ = writeln!(out, "twostep_queue_depth_max {}", q.max);
+        }
+        if self.event_released + self.pump_released > 0 {
+            out.push_str("# commands proposed, by what released their batch\n");
+            for (release, cmds) in [("event", self.event_released), ("pump", self.pump_released)] {
+                let _ = writeln!(
+                    out,
+                    "twostep_commands_proposed_total{{release=\"{release}\"}} {cmds}"
+                );
+            }
         }
         if self.batch_size.count > 0 {
             out.push_str("# commands per applied batch\n");
@@ -498,7 +531,23 @@ mod tests {
         assert_eq!(s.amortized_latency.max, 2_000);
         let text = s.render_text();
         assert!(text.contains("twostep_batch_size_max 16"));
+        assert!(!text.contains("twostep_commands_proposed_total"));
         assert!(text.contains("twostep_amortized_latency_count 2"));
+    }
+
+    #[test]
+    fn proposed_commands_split_by_release() {
+        let m = Metrics::new();
+        m.batch_proposed(p(0), 4, false);
+        m.batch_proposed(p(1), 4, false);
+        m.batch_proposed(p(0), 2, true);
+        let s = m.snapshot();
+        assert_eq!((s.event_released, s.pump_released), (8, 2));
+        assert_eq!(s.pump_released_share(), 0.2);
+        assert_eq!(MetricsSnapshot::default().pump_released_share(), 0.0);
+        let text = s.render_text();
+        assert!(text.contains("twostep_commands_proposed_total{release=\"event\"} 8"));
+        assert!(text.contains("twostep_commands_proposed_total{release=\"pump\"} 2"));
     }
 
     #[test]

@@ -61,6 +61,15 @@ pub trait ProtocolObserver: fmt::Debug + Send + Sync {
         let _ = (process, depth);
     }
 
+    /// The proxy at `process` proposed a batch of `size` commands in a
+    /// fresh slot. `by_pump` tells what released it: `true` if the
+    /// commands sat in the queue until the periodic pump tick, `false`
+    /// if the event that filled the queue (a submission, or a commit
+    /// freeing the pipeline) proposed it in the same step.
+    fn batch_proposed(&self, process: ProcessId, size: usize, by_pump: bool) {
+        let _ = (process, size, by_pump);
+    }
+
     /// The replica at `process` applied a committed batch of `size`
     /// commands (one consensus slot carried `size` client commands).
     fn batch_committed(&self, process: ProcessId, size: usize) {
@@ -205,6 +214,14 @@ impl ObserverHandle {
         }
     }
 
+    /// See [`ProtocolObserver::batch_proposed`].
+    #[inline]
+    pub fn batch_proposed(&self, process: ProcessId, size: usize, by_pump: bool) {
+        if let Some(o) = &self.0 {
+            o.batch_proposed(process, size, by_pump);
+        }
+    }
+
     /// See [`ProtocolObserver::batch_committed`].
     #[inline]
     pub fn batch_committed(&self, process: ProcessId, size: usize) {
@@ -282,6 +299,7 @@ mod tests {
         h.leader_changed(ProcessId::new(0), ProcessId::new(1));
         h.ballot_advanced(ProcessId::new(0));
         h.queue_depth(ProcessId::new(0), 3);
+        h.batch_proposed(ProcessId::new(0), 16, false);
         h.batch_committed(ProcessId::new(0), 16);
         h.amortized_latency(ProcessId::new(0), 250);
         h.bytes_sent(ProcessId::new(0), "TwoB", 16);

@@ -270,7 +270,9 @@ fn batched_smr_agrees_across_engines() {
             .build::<KvCommand, KvStore>()
     };
 
-    // Simulator: the burst fills one batch, which flushes immediately.
+    // Simulator: the proxy is fresh (threshold 1), so the first command
+    // leaves alone in slot 0; the other three queue behind the depth-1
+    // pipeline and share slot 1 when that commit frees it.
     let mut sim = SimulationBuilder::new(cfg).build(make);
     for c in &cmds {
         sim.schedule_propose(p(0), c.clone(), Time::ZERO);

@@ -104,3 +104,62 @@ fn claim_bound_hierarchy() {
         }
     }
 }
+
+/// §1: the definition exists so that "the proxy a client talks to"
+/// decides in two message delays. The replicated-state-machine layer
+/// must not spend that on a batching timer: on a batch-4 × depth-2
+/// group with one-way delay d < Δ, a lone command commits at its proxy
+/// at submit + 2d — not at the next 2Δ pump tick — and once an interval
+/// has filled batches, a 4-command burst still shares one slot.
+#[test]
+fn claim_two_message_delays_at_the_proxy() {
+    use twostep::sim::{SimulationBuilder, UniformDelay};
+    use twostep::smr::{KvCommand, KvStore, SmrReplicaBuilder};
+    use twostep::types::Duration;
+
+    let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+    let proxy = ProcessId::new(0);
+    let d = Duration::from_units(200); // Δ = 1000, pump ticks at 2000, 4000, …
+    let mut sim = SimulationBuilder::new(cfg)
+        .delay_model(UniformDelay(d))
+        .build(|q| {
+            SmrReplicaBuilder::new(cfg, q)
+                .pipeline(2)
+                .batch(4)
+                .build::<KvCommand, KvStore>()
+        });
+    let put = |k: &str| KvCommand::put(k, "v");
+
+    // First interval: a lone command, well before any tick.
+    let lone_at = Time::from_units(500);
+    sim.schedule_propose(proxy, put("lone"), lone_at);
+    // Second interval: eight at once outrun the pipeline, so batches fill.
+    for i in 0..8 {
+        sim.schedule_propose(proxy, put(&format!("load{i}")), Time::from_units(2_100));
+    }
+    // Third interval: a burst of exactly one batch.
+    let burst_at = Time::from_units(4_100);
+    let burst: Vec<KvCommand> = (0..4).map(|i| put(&format!("burst{i}"))).collect();
+    for c in &burst {
+        sim.schedule_propose(proxy, c.clone(), burst_at);
+    }
+    let outcome = sim.run(Time::from_units(6_000));
+
+    let decisions = outcome.trace.decisions();
+    let committed_at_proxy = |c: &KvCommand| {
+        decisions
+            .iter()
+            .find(|(p, v, _)| *p == proxy && v == c)
+            .map(|(_, _, t)| *t)
+    };
+    assert_eq!(committed_at_proxy(&put("lone")), Some(lone_at + d + d));
+    for c in &burst {
+        assert_eq!(committed_at_proxy(c), Some(burst_at + d + d));
+    }
+    let log = outcome.procs[proxy.index()].log();
+    assert!(
+        log.values().any(|b| b.iter().eq(burst.iter())),
+        "the burst must travel as one slot: {log:?}"
+    );
+    assert_eq!(outcome.procs[proxy.index()].applied(), 13);
+}
