@@ -1,11 +1,11 @@
-//! Exhaustive-interleaving models of the workspace's two lock-free-ish
-//! hot spots, checked with the vendored `loom` scheduler
+//! Exhaustive-interleaving models of the workspace's lock-free-ish hot
+//! spots, checked with the vendored `loom` scheduler
 //! (`cargo test -p twostep-analysis --features loom`).
 //!
 //! These are *extracted models*: the decision structure of the real
 //! code re-expressed over `loom` primitives, because the originals are
-//! welded to `TcpStream` / `parking_lot` which the model scheduler
-//! cannot drive. Each model documents, line by line, which real code
+//! welded to `TcpStream` / `parking_lot` / `std::thread::park` which
+//! the model scheduler cannot drive. Each model documents, line by line, which real code
 //! path it mirrors; if the real code changes shape, change the model.
 #![cfg(feature = "loom")]
 
@@ -336,6 +336,104 @@ fn reactor_doorbell_never_loses_a_wakeup() {
             // a ring) saw the traffic; the pre-park drain got
             // everything that was in by then.
             assert!(drained >= 1, "skipped the park without seeing a command");
+        }
+    });
+}
+
+/// Model of the vendored channel's register-then-park handoff
+/// (`vendor/crossbeam/src/lib.rs`), the one wait under `select!`,
+/// `recv` and `recv_timeout` — and so under the node loop, the cluster
+/// router, `submit_and_wait` and the delay line.
+///
+/// Real shape: a receiver locks the channel state, pops; finding the
+/// queue empty it pushes its `Thread` onto `waiters` *before releasing
+/// the lock* (`Shared::poll`), and only then parks (`__wait`). A sender
+/// locks, pushes its message, drains `waiters`, unlocks, and unparks
+/// every thread it drained (`Shared::wake`). The claimed invariant,
+/// from the stub's header: *a sender either pushed before the receiver
+/// looked, and the receiver sees the message, or locks after it, and
+/// finds the registration.*
+///
+/// The model is one receiver's park decision against two concurrent
+/// senders. As in the doorbell model parking itself is not simulated;
+/// what is checked, over every interleaving, is what makes the park
+/// safe:
+///
+/// * if the receiver commits to parking, its queue was empty and its
+///   registration in place within one critical section, so the first
+///   sender to lock after it drains that registration and owes it an
+///   unpark (`unpark` before `park` is not lost either: the token
+///   makes the park return at once) — a parked receiver with a message
+///   queued and nobody holding its registration is the lost wake-up;
+/// * if it does not park, it popped a message, and registered nowhere.
+///
+/// Flipping the order in the model (unlock after the empty check,
+/// lock again to register) makes loom find it: schedule `check empty →
+/// push, drain nothing → push, drain nothing → register → park` leaves
+/// both messages behind a registration no sender will ever see.
+#[test]
+fn channel_handoff_never_loses_a_wakeup() {
+    /// `State` in the stub: the queue and the registered waiters (one
+    /// receiver here, so a registration is its id, `0`).
+    #[derive(Default)]
+    struct State {
+        queue: Vec<u32>,
+        waiters: Vec<u32>,
+    }
+
+    loom::model(|| {
+        let state = Arc::new(Mutex::new(State::default()));
+
+        // `Shared::poll(Some(me))`, then `__wait`'s decision: a message
+        // ends the wait; `Empty` leaves the registration behind and
+        // parks. Returns `(parked, popped)`.
+        let receiver = {
+            let state = Arc::clone(&state);
+            thread::spawn(move || {
+                let mut s = state.lock().unwrap();
+                if s.queue.is_empty() {
+                    s.waiters.push(0);
+                    (true, 0) // parked
+                } else {
+                    s.queue.remove(0);
+                    (false, 1)
+                }
+            })
+        };
+
+        // Two `Sender::send`s: push and drain the registrations in one
+        // critical section; each returns how many unparks it owes.
+        let senders: Vec<_> = (0..2u32)
+            .map(|i| {
+                let state = Arc::clone(&state);
+                thread::spawn(move || {
+                    let mut s = state.lock().unwrap();
+                    s.queue.push(i);
+                    s.waiters.drain(..).count()
+                })
+            })
+            .collect();
+
+        let (parked, popped) = receiver.join().unwrap();
+        let unparks: usize = senders.into_iter().map(|s| s.join().unwrap()).sum();
+
+        let s = state.lock().unwrap();
+        // No message evaporates: popped, or queued for the next poll.
+        assert_eq!(popped + s.queue.len(), 2, "a message was lost outright");
+        if parked {
+            // Both senders locked after the receiver: the first drained
+            // its registration, exactly once, and nothing stale is left
+            // for a later send to wake a thread that has moved on.
+            assert_eq!(
+                unparks, 1,
+                "parked with 2 messages queued and {unparks} unparks"
+            );
+            assert!(s.waiters.is_empty(), "a drained registration came back");
+        } else {
+            // It saw a message, so it never registered: no sender owes
+            // it anything.
+            assert_eq!(unparks, 0, "an unpark for a receiver that never waited");
+            assert!(s.waiters.is_empty());
         }
     });
 }

@@ -7,7 +7,7 @@ use std::time::{Duration as WallDuration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 
-use twostep_telemetry::ObserverHandle;
+use twostep_telemetry::{msg_kind, ObserverHandle};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{ProcessId, Value, DELTA};
 
@@ -235,26 +235,24 @@ where
             }
 
             loop {
-                // Fire due timers first.
-                let now = Instant::now();
-                let due: Vec<(u32, TimerId)> = node
-                    .timers
-                    .iter()
-                    .filter(|(_, deadline)| **deadline <= now)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for (s, t) in due {
-                    node.timers.remove(&(s, t));
-                    let mut eff = Effects::new();
-                    shards[s as usize].on_timer(t, &mut eff);
-                    node.apply(s, eff);
-                }
-                let wait = node
-                    .timers
-                    .values()
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(WallDuration::from_millis(50));
+                // One pass over the timers per turn: fire what is due,
+                // earliest first, until the earliest one left names the
+                // wait. Every turn past the wait is one event, so this
+                // is the only clock read and the only scan it costs.
+                let wait = loop {
+                    let now = Instant::now();
+                    let earliest = node.timers.iter().min_by_key(|(_, due)| **due);
+                    match earliest.map(|(&key, &due)| (key, due)) {
+                        Some(((s, t), due)) if due <= now => {
+                            node.timers.remove(&(s, t));
+                            let mut eff = Effects::new();
+                            shards[s as usize].on_timer(t, &mut eff);
+                            node.apply(s, eff);
+                        }
+                        Some((_, due)) => break due - now,
+                        None => break WallDuration::from_millis(50),
+                    }
+                };
 
                 crossbeam::channel::select! {
                     recv(inbox) -> msg => match msg {
@@ -386,16 +384,6 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
             self.timers.remove(&(shard, timer));
         }
     }
-}
-
-/// The wire kind of a message: its `Debug` rendering up to the first
-/// payload delimiter (`(`, `{` or space) — e.g. `Vote(…)` → `"Vote"`.
-fn msg_kind<M: std::fmt::Debug>(msg: &M) -> String {
-    let full = format!("{msg:?}");
-    let cut = full
-        .find(['(', '{', ' '])
-        .map(|i| full[..i].trim_end().to_string());
-    cut.unwrap_or(full)
 }
 
 #[cfg(test)]

@@ -6,13 +6,13 @@ use std::collections::{BinaryHeap, HashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use twostep_telemetry::ObserverHandle;
+use twostep_telemetry::{msg_kind, ObserverHandle};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{Duration, ProcessId, ProcessSet, SystemConfig, Time, Value};
 
 use crate::delay::{DelayModel, LinkBehavior};
 use crate::event::{EventKind, QueuedEvent};
-use crate::trace::{msg_kind, Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 
 /// Policy deciding the relative order of messages delivered at the same
 /// virtual time.

@@ -47,4 +47,5 @@ pub use event::EventClass;
 pub use manual::{InFlight, ManualExecutor, MsgId};
 pub use seeds::test_seeds;
 pub use sync::{SyncOutcome, SyncRunner};
-pub use trace::{msg_kind, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};
+pub use twostep_telemetry::msg_kind;

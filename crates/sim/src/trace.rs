@@ -1,20 +1,7 @@
 //! Structured execution traces.
 
-use std::fmt::Debug;
-
 use twostep_types::protocol::TimerId;
 use twostep_types::{ProcessId, Time, Value};
-
-/// Extracts a short message-kind label from a message's `Debug`
-/// rendering (the enum variant name), used to keep traces readable and
-/// non-generic over the message type.
-pub fn msg_kind<M: Debug>(msg: &M) -> String {
-    let full = format!("{msg:?}");
-    full.split(['(', '{', ' '])
-        .next()
-        .unwrap_or("?")
-        .to_string()
-}
 
 /// One observable event in a simulated run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,20 +222,6 @@ mod tests {
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
-    }
-
-    #[test]
-    fn msg_kind_extracts_variant_names() {
-        #[derive(Debug)]
-        #[allow(dead_code)]
-        enum M {
-            Propose(u64),
-            TwoB { bal: u64, val: u64 },
-            Ping,
-        }
-        assert_eq!(msg_kind(&M::Propose(3)), "Propose");
-        assert_eq!(msg_kind(&M::TwoB { bal: 1, val: 2 }), "TwoB");
-        assert_eq!(msg_kind(&M::Ping), "Ping");
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod shard;
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{ByteStats, Metrics, MetricsSnapshot};
-pub use observer::{ObserverHandle, ProtocolObserver};
+pub use observer::{msg_kind, ObserverHandle, ProtocolObserver};
 pub use ring::{Event, EventKind, EventRing};
 pub use shard::ShardedMetrics;
 

@@ -271,6 +271,37 @@ impl ObserverHandle {
     }
 }
 
+/// The wire kind of a message — the `kind` of
+/// [`ProtocolObserver::bytes_sent`] and of the simulator's trace
+/// events: the first word of its `Debug` rendering, i.e. the enum
+/// variant name (`Vote(…)` → `"Vote"`).
+///
+/// Formatting stops at the first payload delimiter (`(`, `{` or space),
+/// so the cost does not grow with what the message carries.
+pub fn msg_kind<M: fmt::Debug>(msg: &M) -> String {
+    struct FirstWord(String);
+
+    impl fmt::Write for FirstWord {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            match s.find(['(', '{', ' ']) {
+                Some(end) => {
+                    self.0.push_str(&s[..end]);
+                    Err(fmt::Error) // the word is complete: stop formatting
+                }
+                None => {
+                    self.0.push_str(s);
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    let mut word = FirstWord(String::new());
+    // An error here is the sink cutting the rendering short, above.
+    let _ = fmt::write(&mut word, format_args!("{msg:?}"));
+    word.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +316,34 @@ mod tests {
         fn decided(&self, _process: ProcessId, _path: Path) {
             self.decisions.inc();
         }
+    }
+
+    #[test]
+    fn msg_kind_extracts_variant_names() {
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        enum M {
+            Propose(u64),
+            TwoB { bal: u64, val: u64 },
+            Ping,
+        }
+        assert_eq!(msg_kind(&M::Propose(3)), "Propose");
+        assert_eq!(msg_kind(&M::TwoB { bal: 1, val: 2 }), "TwoB");
+        assert_eq!(msg_kind(&M::Ping), "Ping");
+    }
+
+    #[test]
+    fn msg_kind_does_not_render_the_payload() {
+        /// Panics if its `Debug` is ever reached.
+        struct Payload;
+        impl fmt::Debug for Payload {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("msg_kind formatted the payload")
+            }
+        }
+        #[derive(Debug)]
+        struct Batch(#[allow(dead_code)] Payload);
+        assert_eq!(msg_kind(&Batch(Payload)), "Batch");
     }
 
     #[test]
