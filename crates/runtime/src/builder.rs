@@ -8,7 +8,7 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterShared};
 use crate::node::{spawn_sharded_node, NodeOptions};
 use crate::proxy::RouteFn;
 use crate::shard::{ShardRouter, ShardedCluster};
@@ -276,8 +276,9 @@ impl ClusterBuilder {
     /// The one assembly routine behind every `build*`: makes the `n`
     /// endpoints the transport choice calls for (behind the link-delay
     /// line, if any), then spawns one node per endpoint hosting
-    /// `make(p, s, shard s's observer)` for every shard `s`, all
-    /// reporting decisions to the cluster's router.
+    /// `make(p, s, shard s's observer)` for every shard `s`, each
+    /// publishing its decisions straight into the cluster's shared
+    /// state.
     fn assemble<V, P, F>(
         self,
         route: RouteFn<V>,
@@ -292,11 +293,13 @@ impl ClusterBuilder {
         let endpoints = self
             .transport
             .endpoints(self.cfg.n(), self.link_delay, &self.obs)?;
-        let (dtx, drx) = crossbeam::channel::unbounded();
-        let opts = NodeOptions::new(dtx)
-            .wall_delta(self.wall_delta)
-            .observed(self.obs.clone())
-            .shard_observed(self.shard_obs);
+        let shared = ClusterShared::new(router.shards(), self.cfg.n());
+        let sink = Arc::clone(&shared);
+        let opts =
+            NodeOptions::reporting_to(Arc::new(move |p, s, v, at| sink.publish(p, s, v, at)))
+                .wall_delta(self.wall_delta)
+                .observed(self.obs.clone())
+                .shard_observed(self.shard_obs);
         let mut nodes = Vec::with_capacity(endpoints.len());
         for (i, (inbox, transport)) in endpoints.into_iter().enumerate() {
             let p = ProcessId::new(i as u32);
@@ -310,11 +313,8 @@ impl ClusterBuilder {
                 opts.clone(),
             ));
         }
-        // The nodes hold the only senders from here on, so the router
-        // thread ends with the last of them.
-        drop(opts);
         Ok(ShardedCluster::new(
-            self.cfg, router, nodes, drx, route, self.obs,
+            self.cfg, router, nodes, shared, route, self.obs,
         ))
     }
 }

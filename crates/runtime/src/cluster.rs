@@ -2,7 +2,6 @@
 //! unsharded view of a deployment.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
@@ -14,158 +13,145 @@ use twostep_types::{ProcessId, SystemConfig, Value};
 use crate::proxy::ProxyClient;
 use crate::shard::ShardedCluster;
 
-/// One registered value-waiter (see [`ClusterShared::register_waiter`]).
+/// One blocked client; `token` names the registration for
+/// [`ClusterShared::deregister_waiter`].
 struct Waiter {
-    proxy: ProcessId,
     token: u64,
-    tx: Sender<Instant>,
+    tx: Sender<()>,
 }
 
-/// One decide event as routed through the cluster:
-/// `(deciding process, shard, value, wall-clock instant)`.
-pub(crate) type DecideEvent<V> = (ProcessId, u32, V, Instant);
+/// Wakes every client of `list`, if there is one.
+fn wake(list: Option<Vec<Waiter>>) {
+    for w in list.into_iter().flatten() {
+        let _ = w.tx.send(());
+    }
+}
 
-/// First decision per shard per process, indexed `[shard][process]`.
-type FirstDecisions<V> = Vec<Vec<Option<(V, Instant)>>>;
+/// What one process has decided in one shard, and who is waiting on it.
+struct Slot<V> {
+    /// The first decision (the agreement-checking cache).
+    first: Option<(V, Instant)>,
+    /// Clients blocked on one value committing here; `None` keys those
+    /// waiting for whatever is decided first. One hash lookup per decide
+    /// event, however many clients wait. A slot per shard keeps groups
+    /// isolated: a value committing in shard `j` can never wake a waiter
+    /// of shard `i ≠ j`, even when the values collide.
+    waiters: HashMap<Option<V>, Vec<Waiter>>,
+}
 
-/// Decision state shared between the cluster handle, its router thread
-/// and any [`ProxyClient`]s. Every index is `(shard, process)`; an
-/// unsharded cluster is the one-shard special case, with all traffic on
-/// shard 0.
+/// One process's slots, indexed by shard.
+struct Row<V> {
+    next_token: u64,
+    slots: Vec<Slot<V>>,
+}
+
+/// Decision state shared between the cluster handle, its nodes and any
+/// [`ProxyClient`]s: one lock per process, so node `p`'s thread
+/// publishing a decide event meets only the clients of proxy `p` on it.
+/// An unsharded cluster is the one-shard special case, with all traffic
+/// on shard 0.
 pub(crate) struct ClusterShared<V> {
-    /// First decision per shard per process (the per-shard
-    /// agreement-checking cache).
-    observed: Mutex<FirstDecisions<V>>,
-    /// Live subscribers receiving **every** decide event.
-    taps: Mutex<Vec<Sender<DecideEvent<V>>>>,
-    /// Clients blocked on one specific value committing at one specific
-    /// proxy, keyed by `(shard, value)`. One hash lookup per decide
-    /// event, however many clients wait — fanning every event to every
-    /// client caps the whole cluster's commit rate once closed-loop
-    /// clients multiply. The shard in the key keeps groups isolated: a
-    /// value committing in shard `j` can never wake a waiter registered
-    /// under shard `i ≠ j`, even when the values collide.
-    waiters: Mutex<HashMap<(u32, V), Vec<Waiter>>>,
-    next_token: AtomicU64,
+    rows: Vec<Mutex<Row<V>>>,
 }
 
 impl<V: Value> ClusterShared<V> {
     /// Fresh shared state for `shards` consensus groups over `n` nodes.
     pub(crate) fn new(shards: usize, n: usize) -> Arc<Self> {
+        let slot = |_| Slot {
+            first: None,
+            waiters: HashMap::new(),
+        };
+        let row = |_| {
+            Mutex::new(Row {
+                next_token: 0,
+                slots: (0..shards).map(slot).collect(),
+            })
+        };
         Arc::new(ClusterShared {
-            observed: Mutex::new(vec![vec![None; n]; shards]),
-            taps: Mutex::new(Vec::new()),
-            waiters: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(0),
+            rows: (0..n).map(row).collect(),
         })
     }
 
-    /// Spawns the router thread draining `rx` into this shared state.
-    pub(crate) fn spawn_router(self: &Arc<Self>, rx: Receiver<DecideEvent<V>>) {
-        let router = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("twostep-cluster-router".into())
-            .spawn(move || router.route(rx))
-            .expect("spawn router thread");
-    }
-
-    /// Routes decide events until every node's sender is gone: caches
-    /// each `(shard, process)`'s first decision, wakes the matching
-    /// `(shard, value)` waiters, then fans the event out to all live
-    /// taps (dead taps are pruned as they are discovered).
-    fn route(self: Arc<Self>, rx: Receiver<DecideEvent<V>>) {
-        while let Ok((p, shard, v, at)) = rx.recv() {
-            {
-                let mut observed = self.observed.lock();
-                if let Some(row) = observed.get_mut(shard as usize) {
-                    let slot = &mut row[p.index()];
-                    if slot.is_none() {
-                        *slot = Some((v.clone(), at));
-                    }
-                }
-            }
-            {
-                let mut waiters = self.waiters.lock();
-                let key = (shard, v.clone());
-                if let Some(list) = waiters.get_mut(&key) {
-                    list.retain(|w| {
-                        if w.proxy == p {
-                            let _ = w.tx.send(at);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    if list.is_empty() {
-                        waiters.remove(&key);
-                    }
-                }
-            }
-            let mut taps = self.taps.lock();
-            taps.retain(|tap| tap.send((p, shard, v.clone(), at)).is_ok());
+    /// Records that `p` decided `v` in `shard` at `at`, on the deciding
+    /// node's own thread: caches the first decision of `(shard, p)` and
+    /// wakes the clients waiting on it and on `v`.
+    pub(crate) fn publish(&self, p: ProcessId, shard: u32, v: V, at: Instant) {
+        let mut row = self.rows[p.index()].lock();
+        let Some(slot) = row.slots.get_mut(shard as usize) else {
+            return; // a group this cluster does not deploy
+        };
+        if slot.first.is_none() {
+            slot.first = Some((v.clone(), at));
+            wake(slot.waiters.remove(&None));
         }
+        wake(slot.waiters.remove(&Some(v)));
     }
 
-    /// Registers interest in `value` committing in `shard` at `proxy`;
-    /// the returned receiver yields the commit's wall-clock instant. The
-    /// token identifies this registration for
+    /// Registers interest in `value` committing in `shard` at `proxy`
+    /// (`None`: in `proxy`'s first decision there); the returned
+    /// receiver yields when a later [`ClusterShared::publish`] brings
+    /// it, and is closed from the start for a shard this cluster does
+    /// not deploy. The token identifies this registration for
     /// [`ClusterShared::deregister_waiter`].
     pub(crate) fn register_waiter(
         &self,
         shard: u32,
-        value: V,
+        value: Option<V>,
         proxy: ProcessId,
-    ) -> (u64, Receiver<Instant>) {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+    ) -> (u64, Receiver<()>) {
         let (tx, rx) = crossbeam::channel::unbounded();
-        self.waiters
-            .lock()
-            .entry((shard, value))
-            .or_default()
-            .push(Waiter { proxy, token, tx });
+        let mut row = self.rows[proxy.index()].lock();
+        let token = row.next_token;
+        row.next_token += 1;
+        if let Some(slot) = row.slots.get_mut(shard as usize) {
+            let list = slot.waiters.entry(value).or_default();
+            list.push(Waiter { token, tx });
+        }
         (token, rx)
     }
 
-    /// Drops a registration that timed out without being woken.
-    pub(crate) fn deregister_waiter(&self, shard: u32, value: &V, token: u64) {
-        let mut waiters = self.waiters.lock();
-        // The key is rebuilt by clone because HashMap's borrowed-key
-        // lookup cannot borrow through a tuple of owned parts.
-        let key = (shard, value.clone());
-        if let Some(list) = waiters.get_mut(&key) {
+    /// Drops a registration that was not woken (a no-op if it was).
+    pub(crate) fn deregister_waiter(
+        &self,
+        shard: u32,
+        value: &Option<V>,
+        proxy: ProcessId,
+        token: u64,
+    ) {
+        let mut row = self.rows[proxy.index()].lock();
+        let Some(slot) = row.slots.get_mut(shard as usize) else {
+            return;
+        };
+        if let Some(list) = slot.waiters.get_mut(value) {
             list.retain(|w| w.token != token);
             if list.is_empty() {
-                waiters.remove(&key);
+                slot.waiters.remove(value);
             }
         }
     }
 
     /// The first decision of `(shard, p)` observed so far.
     pub(crate) fn first_decision(&self, shard: u32, p: ProcessId) -> Option<(V, Instant)> {
-        self.observed
-            .lock()
-            .get(shard as usize)
-            .and_then(|row| row[p.index()].clone())
+        let row = self.rows[p.index()].lock();
+        row.slots.get(shard as usize)?.first.clone()
     }
 
     /// All first decisions of one shard, by process.
     pub(crate) fn shard_decisions(&self, shard: u32) -> Vec<Option<V>> {
-        self.observed
-            .lock()
-            .get(shard as usize)
-            .map(|row| {
-                row.iter()
-                    .map(|slot| slot.as_ref().map(|(v, _)| v.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
+        (0..self.rows.len() as u32)
+            .map(|p| Some(self.first_decision(shard, ProcessId::new(p))?.0))
+            .collect()
     }
 
-    /// Subscribes a tap receiving every decide event from now on.
-    pub(crate) fn subscribe(&self) -> Receiver<(ProcessId, u32, V, Instant)> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.taps.lock().push(tx);
-        rx
+    /// Registrations neither woken nor dropped, over all processes.
+    #[cfg(test)]
+    pub(crate) fn waiting(&self) -> usize {
+        let of_row = |row: &Mutex<Row<V>>| -> usize {
+            let slots = &row.lock().slots;
+            let lists = slots.iter().flat_map(|slot| slot.waiters.values());
+            lists.map(Vec::len).sum()
+        };
+        self.rows.iter().map(of_row).sum()
     }
 }
 
@@ -370,11 +356,12 @@ mod tests {
         assert_eq!(cluster.decision_of(p(1)), Some(61));
     }
 
-    // The (shard, value) waiter key is what keeps groups isolated at the
-    // client layer: colliding values in different shards must never wake
-    // each other's waiters. Driven as a property over shard pairs,
-    // values and proxies because the bug class (keying by value alone)
-    // only shows when values collide across shards.
+    // A slot per shard is what keeps groups isolated at the client
+    // layer: colliding values in different shards must never wake each
+    // other's waiters. Driven as a property over shard pairs, values and
+    // proxies because the bug class (keying by value alone) only shows
+    // when values collide across shards. `publish` wakes on the calling
+    // thread, so every assertion reads a settled state.
     mod waiter_isolation {
         use super::*;
         use proptest::prelude::*;
@@ -391,31 +378,27 @@ mod tests {
             ) {
                 prop_assume!(deciding != bystander);
                 let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
-                let (dtx, drx) = crossbeam::channel::unbounded();
-                shared.spawn_router(drx);
                 let at = p(proxy);
-                let (_tok_b, rx_bystander) = shared.register_waiter(bystander, value, at);
-                let (_tok_d, rx_deciding) = shared.register_waiter(deciding, value, at);
-                dtx.send((at, deciding, value, Instant::now())).unwrap();
-                // The matching waiter wakes...
+                let (_, rx_bystander) = shared.register_waiter(bystander, Some(value), at);
+                let (_, rx_deciding) = shared.register_waiter(deciding, Some(value), at);
+                shared.publish(at, deciding, value, Instant::now());
                 prop_assert!(
-                    rx_deciding.recv_timeout(WallDuration::from_secs(5)).is_ok(),
-                    "waiter on the deciding shard was never woken"
+                    rx_deciding.try_recv().is_ok(),
+                    "waiter on the deciding shard was not woken"
                 );
-                // ...and because the router handles events in order, the
-                // same-valued waiter under the other shard has already
-                // been passed over, not merely not-yet-woken.
                 prop_assert!(
                     rx_bystander.try_recv().is_err(),
                     "a decide in shard {deciding} woke a waiter registered under shard {bystander}"
                 );
                 // The bystander's registration is still live: a decide
                 // in *its* shard reaches it.
-                dtx.send((at, bystander, value, Instant::now())).unwrap();
+                prop_assert_eq!(shared.waiting(), 1);
+                shared.publish(at, bystander, value, Instant::now());
                 prop_assert!(
-                    rx_bystander.recv_timeout(WallDuration::from_secs(5)).is_ok(),
+                    rx_bystander.try_recv().is_ok(),
                     "bystander's registration was lost"
                 );
+                prop_assert_eq!(shared.waiting(), 0);
             }
 
             #[test]
@@ -427,18 +410,16 @@ mod tests {
             ) {
                 prop_assume!(deciding_proxy != other_proxy);
                 let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
-                let (dtx, drx) = crossbeam::channel::unbounded();
-                shared.spawn_router(drx);
-                let (_tok_o, rx_other) =
-                    shared.register_waiter(shard, value, p(other_proxy));
-                let (_tok_d, rx_deciding) =
-                    shared.register_waiter(shard, value, p(deciding_proxy));
-                dtx.send((p(deciding_proxy), shard, value, Instant::now())).unwrap();
-                prop_assert!(rx_deciding.recv_timeout(WallDuration::from_secs(5)).is_ok());
+                let (_, rx_other) = shared.register_waiter(shard, Some(value), p(other_proxy));
+                let (_, rx_deciding) =
+                    shared.register_waiter(shard, Some(value), p(deciding_proxy));
+                shared.publish(p(deciding_proxy), shard, value, Instant::now());
+                prop_assert!(rx_deciding.try_recv().is_ok());
                 prop_assert!(
                     rx_other.try_recv().is_err(),
                     "a decide at proxy {deciding_proxy} woke a waiter bound to proxy {other_proxy}"
                 );
+                prop_assert_eq!(shared.waiting(), 1);
             }
         }
     }

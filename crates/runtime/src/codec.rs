@@ -122,7 +122,7 @@ pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
 /// protocols), and the codec above encodes enums as a little-endian
 /// `u32` *variant index* first. Variant indices are tiny (single
 /// digits), so a legacy single-message payload can never begin with
-/// this 32-bit pattern — which is what lets [`unpack_frame`] dispatch
+/// this 32-bit pattern — which is what lets [`frame_messages`] dispatch
 /// on the first four bytes and keep backward compatibility with peers
 /// that still write one message per transport frame.
 pub const FRAME_MAGIC: u32 = 0xC0A1_E5CE;
@@ -134,7 +134,7 @@ pub const FRAME_MAGIC: u32 = 0xC0A1_E5CE;
 /// [FRAME_MAGIC: u32 LE][count: u32 LE] ([len: u32 LE][payload bytes])*
 /// ```
 ///
-/// The inverse is [`unpack_frame`]. Transports use this so one syscall
+/// The inverse is [`frame_messages`]. Transports use this so one syscall
 /// (or one in-memory channel send) can carry a whole flush of messages.
 ///
 /// # Panics
@@ -155,61 +155,24 @@ pub fn pack_frame(payloads: &[bytes::Bytes]) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Splits a transport payload into its constituent message payloads.
-///
-/// A payload beginning with [`FRAME_MAGIC`] is parsed as a coalesced
-/// frame; anything else is a legacy single-message payload and is
-/// returned as-is in a one-element vector, so old and new senders
-/// interoperate.
+/// Splits a transport payload into its constituent message payloads,
+/// each copied out — the owning form of [`frame_messages`], which does
+/// the parsing and which the receive paths use directly.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::UnexpectedEof`] if a coalesced frame is
-/// truncated mid-header or mid-payload, and
-/// [`CodecError::TrailingBytes`] if bytes remain after the advertised
-/// message count.
+/// Those of [`frame_messages`].
 pub fn unpack_frame(payload: &bytes::Bytes) -> Result<Vec<bytes::Bytes>, CodecError> {
-    let buf: &[u8] = payload;
-    let is_framed = buf.len() >= 4 && buf[..4] == FRAME_MAGIC.to_le_bytes();
-    if !is_framed {
-        return Ok(vec![payload.clone()]);
-    }
-    let mut rest = &buf[4..];
-    let take4 = |rest: &mut &[u8]| -> Result<u32, CodecError> {
-        if rest.len() < 4 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, tail) = rest.split_at(4);
-        *rest = tail;
-        Ok(u32::from_le_bytes(head.try_into().expect("exact length")))
-    };
-    let count = take4(&mut rest)?;
-    let mut msgs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = take4(&mut rest)? as usize;
-        if rest.len() < len {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, tail) = rest.split_at(len);
-        // The vendored `Bytes` has no zero-copy `slice`; copying the
-        // sub-payload out is the supported extraction path.
-        msgs.push(bytes::Bytes::from(head.to_vec()));
-        rest = tail;
-    }
-    if rest.is_empty() {
-        Ok(msgs)
-    } else {
-        Err(CodecError::TrailingBytes {
-            remaining: rest.len(),
-        })
-    }
+    // The vendored `Bytes` has no zero-copy `slice`; copying each
+    // sub-payload out is the supported extraction path.
+    let msgs = frame_messages(payload)?;
+    Ok(msgs.map(|m| bytes::Bytes::from(m.to_vec())).collect())
 }
 
 /// Validates a transport payload and returns a borrowing iterator over
-/// its constituent message payloads — the allocation-free counterpart
-/// of [`unpack_frame`], used on the hot receive path (the runtime node
-/// and the reactor transport dispatch messages straight out of the
-/// buffer they were read into).
+/// its constituent message payloads — the inverse of [`pack_frame`],
+/// used on every receive path (the runtime node dispatches messages
+/// straight out of the buffer they were read into).
 ///
 /// A payload beginning with [`FRAME_MAGIC`] is walked as a coalesced
 /// frame; anything else is a legacy single-message payload yielded
@@ -305,9 +268,18 @@ impl ExactSizeIterator for FrameMessages<'_> {}
 /// the blocking transport's read loop). The length prefix is input from
 /// outside the program: without a ceiling a garbage `0xFFFF_FFFF` makes
 /// the receiver allocate or buffer 4 GiB on a peer's say-so. 16 MiB is
-/// far above anything this workspace's senders coalesce into one frame
-/// (the conformance suite's largest payload is 300 KB).
+/// far above any message this workspace's protocols send. Both socket
+/// senders keep to it too: they stop coalescing where the next payload
+/// would pass it and drop a single payload that is over it, since no
+/// receiver would take the frame.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Whether a coalesced frame ([`pack_frame`]'s layout) whose
+/// `[len][payload]` entries total `body` bytes can take one more
+/// payload of `next` bytes without passing [`MAX_FRAME_LEN`].
+pub(crate) fn frame_has_room(body: usize, next: usize) -> bool {
+    8 + body + 4 + next <= MAX_FRAME_LEN
+}
 
 /// Incremental reassembly of `[len: u32 LE][payload]` wire frames from
 /// arbitrarily-split reads, with one reusable buffer.
@@ -465,7 +437,7 @@ impl FrameAssembler {
 /// Reserved by the same argument as [`FRAME_MAGIC`]: every wire message
 /// is a serde enum whose encoding begins with a tiny little-endian
 /// `u32` variant index, so an untagged payload can never start with
-/// this pattern. [`split_shard`] exploits that to treat untagged
+/// this pattern. [`split_shard_ref`] exploits that to treat untagged
 /// payloads as shard 0 traffic, keeping single-group deployments and
 /// old peers on the zero-overhead legacy wire format.
 pub const SHARD_MAGIC: u32 = 0xC0A1_E5CF;
@@ -476,7 +448,7 @@ pub const SHARD_MAGIC: u32 = 0xC0A1_E5CF;
 /// [SHARD_MAGIC: u32 LE][shard: u32 LE][payload bytes]
 /// ```
 ///
-/// The inverse is [`split_shard`]. Sharded nodes tag each message with
+/// The inverse is [`split_shard_ref`]. Sharded nodes tag each message with
 /// its group before handing it to the transport; the envelope nests
 /// *inside* coalesced frames (tag first, [`pack_frame`] second), so one
 /// transport frame can interleave traffic for many shards.
@@ -488,36 +460,27 @@ pub fn tag_shard(shard: u32, payload: &bytes::Bytes) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Splits a message payload into its shard id and inner payload.
-///
-/// A payload beginning with [`SHARD_MAGIC`] is parsed as a shard
-/// envelope; anything else is a legacy untagged payload and is
-/// attributed to shard 0, so unsharded senders interoperate with
-/// sharded receivers.
+/// Splits a message payload into its shard id and inner payload,
+/// copied out — the owning form of [`split_shard_ref`], which does the
+/// parsing and which the node uses directly.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::UnexpectedEof`] if a tagged payload is
-/// truncated before the shard id completes.
+/// Those of [`split_shard_ref`].
 pub fn split_shard(payload: &bytes::Bytes) -> Result<(u32, bytes::Bytes), CodecError> {
-    let buf: &[u8] = payload;
-    let is_tagged = buf.len() >= 4 && buf[..4] == SHARD_MAGIC.to_le_bytes();
-    if !is_tagged {
-        return Ok((0, payload.clone()));
-    }
-    // The vendored `Bytes` has no zero-copy `slice`; copying the inner
-    // payload out is the supported extraction path.
-    let (shard, inner) = split_shard_ref(buf)?;
+    let (shard, inner) = split_shard_ref(payload)?;
     Ok((shard, bytes::Bytes::from(inner.to_vec())))
 }
 
-/// Borrowing variant of [`split_shard`]: splits a message payload into
-/// its shard id and a slice of the inner payload without copying.
+/// Splits a message payload into its shard id and a slice of the inner
+/// payload, without copying — the inverse of [`tag_shard`].
 ///
-/// This is the hot-path form — the node deserializes the protocol
-/// message straight out of the returned slice, so dispatch of a shard-
-/// tagged message performs no allocation in the codec. Untagged
-/// payloads are attributed to shard 0, exactly as in [`split_shard`].
+/// The node deserializes the protocol message straight out of the
+/// returned slice, so dispatch of a shard-tagged message performs no
+/// allocation in the codec. A payload beginning with [`SHARD_MAGIC`] is
+/// parsed as a shard envelope; anything else is a legacy untagged
+/// payload and is attributed to shard 0, so unsharded senders
+/// interoperate with sharded receivers.
 ///
 /// # Errors
 ///

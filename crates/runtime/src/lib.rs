@@ -23,9 +23,9 @@
 //!   [`ClusterBuilder::build_sharded_smr`].
 //! * [`ShardedCluster`] — the deployment it builds: `n` nodes × `k`
 //!   hash-partitioned consensus groups over one transport (shard-tagged
-//!   wire envelopes, round-robin group leaders, a `(shard, value)`-keyed
-//!   waiter registry), with the client's view: propose, await
-//!   decisions, observe latency, crash nodes.
+//!   wire envelopes, round-robin group leaders, a waiter registry the
+//!   deciding node's own thread publishes into), with the client's
+//!   view: propose, await decisions, observe latency, crash nodes.
 //! * [`Cluster`] — the same deployment with `k = 1`, under unsharded
 //!   signatures (`propose(p, v)`, `decision_of(p)`, …).
 //! * [`ProxyClient`] — a closed-loop client bound to one proxy per

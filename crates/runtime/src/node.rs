@@ -1,6 +1,8 @@
 //! One protocol instance on one OS thread.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as WallDuration, Instant};
 
@@ -83,8 +85,8 @@ impl<V> Drop for NodeHandle<V> {
 ///   delays (expressed in virtual units where `Δ` = [`DELTA`]) are
 ///   scaled by `wall_delta / Δ`. Defaults to 10ms.
 /// * `decisions` — every `decide(v)` event is reported as
-///   `(id, shard, v, wall time)`; unsharded nodes always report
-///   shard 0.
+///   `(id, shard, v, wall time)`, from the node's own thread; unsharded
+///   nodes always report shard 0.
 /// * `observer` — engine telemetry: per-kind encoded sizes
 ///   (`bytes_sent`) and this process's first decision latency in
 ///   wall-clock **microseconds** since node start (`decision_latency`).
@@ -93,21 +95,46 @@ impl<V> Drop for NodeHandle<V> {
 /// * `shard_observers` — optional per-shard engine telemetry; shard `s`
 ///   reports to `shard_observers[s]` when present, falling back to the
 ///   shared `observer` otherwise.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct NodeOptions<V> {
     /// Wall-clock length of one `Δ`.
     pub wall_delta: WallDuration,
     /// Sink for `decide(v)` events, tagged with the deciding shard.
-    pub decisions: Sender<(ProcessId, u32, V, Instant)>,
+    pub(crate) decisions: DecisionSink<V>,
     /// Engine telemetry hooks (detached by default).
     pub observer: ObserverHandle,
     /// Per-shard engine telemetry hooks (empty by default).
     pub shard_observers: Vec<ObserverHandle>,
 }
 
+/// What a node calls, on its own thread, with each decide event:
+/// `(id, shard, v, wall time)`.
+pub(crate) type DecisionSink<V> = Arc<dyn Fn(ProcessId, u32, V, Instant) + Send + Sync>;
+
+impl<V> fmt::Debug for NodeOptions<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeOptions")
+            .field("wall_delta", &self.wall_delta)
+            .field("observer", &self.observer)
+            .field("shard_observers", &self.shard_observers)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<V> NodeOptions<V> {
-    /// Options with the default Δ (10ms) and no observer.
-    pub fn new(decisions: Sender<(ProcessId, u32, V, Instant)>) -> Self {
+    /// Options with the default Δ (10ms) and no observer, sending every
+    /// decide event down `decisions`.
+    pub fn new(decisions: Sender<(ProcessId, u32, V, Instant)>) -> Self
+    where
+        V: Send + 'static,
+    {
+        Self::reporting_to(Arc::new(move |p, shard, v, at| {
+            let _ = decisions.send((p, shard, v, at));
+        }))
+    }
+
+    /// The same, handing every decide event to `decisions` instead.
+    pub(crate) fn reporting_to(decisions: DecisionSink<V>) -> Self {
         NodeOptions {
             wall_delta: WallDuration::from_millis(10),
             decisions,
@@ -182,7 +209,7 @@ where
 /// same physical node). Shard `s`'s outgoing messages are wrapped in a
 /// [`codec::tag_shard`] envelope when the node hosts more than one
 /// shard; a single-shard node stays on the untagged legacy wire format,
-/// which [`codec::split_shard`] reads back as shard 0. Incoming
+/// which [`codec::split_shard_ref`] reads back as shard 0. Incoming
 /// payloads are first split out of coalesced frames, then routed to
 /// their shard's instance; traffic for shards this node does not host
 /// is dropped and reported to the observer.
@@ -301,7 +328,7 @@ struct NodeCtx<V, T> {
     wall_delta: WallDuration,
     tagged: bool,
     timers: HashMap<(u32, TimerId), Instant>,
-    decisions: Sender<(ProcessId, u32, V, Instant)>,
+    decisions: DecisionSink<V>,
     obs: Vec<ObserverHandle>,
     started: Instant,
     decided: Vec<bool>,
@@ -341,7 +368,7 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
                 let us = at.duration_since(self.started).as_micros();
                 self.obs[s].decision_latency(self.id, u64::try_from(us).unwrap_or(u64::MAX));
             }
-            let _ = self.decisions.send((self.id, shard, v, at));
+            (self.decisions)(self.id, shard, v, at);
         }
         // Group the step's sends per destination (preserving each
         // destination's order) so a coalescing transport can flush one

@@ -20,13 +20,14 @@ pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 ///
 /// Obtained from [`Cluster::proxy_client`](crate::Cluster::proxy_client)
 /// or [`ShardedCluster::client`](crate::ShardedCluster::client). Each
-/// in-flight [`ProxyClient::submit_and_wait`] registers a
-/// `(shard, value)`-keyed waiter with the cluster router, so concurrent
-/// clients (even on the same proxy) wait for their own commands
-/// independently — the closed-loop pattern the throughput harness
-/// drives — and the router's per-event cost stays O(1) in the number of
-/// clients. The shard in the waiter key isolates groups: an identical
-/// value committing in a different shard never wakes this client.
+/// in-flight [`ProxyClient::submit_and_wait`] registers a waiter keyed
+/// by `(proxy, shard, value)` in the cluster's decision state, so
+/// concurrent clients (even on the same proxy) wait for their own
+/// commands independently — the closed-loop pattern the throughput
+/// harness drives — and a decide event costs the deciding node one
+/// lookup, however many clients wait. The shard in the key isolates
+/// groups: an identical value committing in a different shard never
+/// wakes this client.
 ///
 /// Clients identify their commands **by value**: submit values that are
 /// unique per client (e.g. a key embedding the client id and a sequence
@@ -95,19 +96,121 @@ impl<V: Value> ProxyClient<V> {
         let (proxy, control) = &self.targets[shard as usize];
         // Register before proposing so the commit event cannot race past
         // an unregistered waiter (no lost wakeup).
-        let (token, rx) = self.shared.register_waiter(shard, value.clone(), *proxy);
+        let (token, rx) = self
+            .shared
+            .register_waiter(shard, Some(value.clone()), *proxy);
         let _ = control.send(Control::ProposeAt(shard, value.clone()));
         match rx.recv_timeout(timeout) {
-            Ok(_at) => {
+            Ok(()) => {
                 let latency = start.elapsed();
                 let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
                 self.obs.amortized_latency(*proxy, us);
                 Some(latency)
             }
             Err(_) => {
-                self.shared.deregister_waiter(shard, &value, token);
+                self.shared
+                    .deregister_waiter(shard, &Some(value), *proxy, token);
                 None
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Cluster, ClusterBuilder};
+    use serde::{Deserialize, Serialize};
+    use std::thread;
+    use twostep_types::protocol::{Effects, Protocol, TimerId};
+    use twostep_types::SystemConfig;
+
+    const PROMPT: WallDuration = WallDuration::from_secs(10);
+
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct Never;
+
+    /// Decides whatever is proposed, at once and locally: every commit
+    /// is the runtime's completion path and nothing else.
+    #[derive(Debug)]
+    struct DecideOnPropose(ProcessId);
+
+    impl Protocol<u64> for DecideOnPropose {
+        type Message = Never;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Never>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Never>) {
+            eff.decide(v);
+        }
+        fn on_message(&mut self, _: ProcessId, _: Never, _: &mut Effects<u64, Never>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Never>) {}
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    fn cluster() -> Cluster<u64> {
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        ClusterBuilder::new(cfg).build(DecideOnPropose).unwrap()
+    }
+
+    #[test]
+    fn a_crashed_proxy_times_out_and_leaves_no_registration() {
+        let mut cluster = cluster();
+        let client = cluster.proxy_client(p(1));
+        cluster.crash(p(1));
+        let timeout = WallDuration::from_millis(50);
+        let start = Instant::now();
+        assert_eq!(client.submit_and_wait(7, timeout), None);
+        assert!(start.elapsed() >= timeout, "gave up before the timeout");
+        assert_eq!(client.shared.waiting(), 0);
+    }
+
+    #[test]
+    fn concurrent_clients_of_one_proxy_all_complete() {
+        let cluster = cluster();
+        thread::scope(|s| {
+            for t in 0..8u64 {
+                let client = cluster.proxy_client(p(0));
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let committed = client.submit_and_wait(t * 1000 + i, PROMPT);
+                        assert!(
+                            committed.is_some(),
+                            "client {t}: command {i} never committed"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(cluster.proxy_client(p(0)).shared.waiting(), 0);
+    }
+
+    #[test]
+    fn await_decision_sees_a_decision_made_before_or_during_the_call() {
+        let cluster = cluster();
+        let client = cluster.proxy_client(p(0));
+        // Before: the commit has been published when the client returns,
+        // and a zero timeout leaves only the cache to answer from.
+        client.submit_and_wait(5, PROMPT).expect("p0 commits");
+        assert_eq!(cluster.await_decision(p(0), WallDuration::ZERO), Some(5));
+        // During: propose only once the call has registered its waiter.
+        thread::scope(|s| {
+            let waiting = s.spawn(|| cluster.await_decision(p(1), PROMPT));
+            let start = Instant::now();
+            while client.shared.waiting() == 0 {
+                assert!(start.elapsed() < PROMPT, "await_decision never registered");
+                thread::yield_now();
+            }
+            cluster.propose(p(1), 6);
+            assert_eq!(waiting.join().unwrap(), Some(6));
+        });
+        assert_eq!(client.shared.waiting(), 0);
     }
 }

@@ -325,18 +325,20 @@ struct Flush {
 }
 
 impl Flush {
-    /// Drains up to [`MAX_COALESCE`] payloads from `queue` into a frame.
+    /// Drains payloads from the non-empty `queue` into a frame: up to
+    /// [`MAX_COALESCE`] of them, as far as [`codec::MAX_FRAME_LEN`]
+    /// allows (each one alone is within it, see [`Reactor::enqueue`]).
     /// A single payload goes out in the legacy (unframed) layout, many
     /// in the [`codec::FRAME_MAGIC`] coalesced layout — matching
     /// [`codec::pack_frame`] byte for byte.
     fn build(queue: &mut VecDeque<Bytes>) -> Flush {
-        let k = queue.len().min(MAX_COALESCE);
+        let (mut k, mut body) = (1, 4 + queue[0].len());
+        while k < queue.len().min(MAX_COALESCE) && codec::frame_has_room(body, queue[k].len()) {
+            body += 4 + queue[k].len();
+            k += 1;
+        }
         let msgs: Vec<Bytes> = queue.drain(..k).collect();
-        let body_len = if msgs.len() == 1 {
-            msgs[0].len()
-        } else {
-            8 + msgs.iter().map(|m| 4 + m.len()).sum::<usize>()
-        };
+        let body_len = if k == 1 { msgs[0].len() } else { 8 + body };
         let mut heads = Vec::with_capacity(12 + 4 * msgs.len());
         heads.extend_from_slice(&(body_len as u32).to_le_bytes());
         if msgs.len() > 1 {
@@ -449,16 +451,8 @@ impl Reactor {
     fn drain_cmds(&mut self) {
         loop {
             match self.cmds.try_recv() {
-                Ok(Cmd::Send { to, payload }) => {
-                    if let Some(o) = self.outbound.get_mut(to.index()) {
-                        o.queue.push_back(payload);
-                    }
-                }
-                Ok(Cmd::Burst { to, payloads }) => {
-                    if let Some(o) = self.outbound.get_mut(to.index()) {
-                        o.queue.extend(payloads);
-                    }
-                }
+                Ok(Cmd::Send { to, payload }) => self.enqueue(to, [payload]),
+                Ok(Cmd::Burst { to, payloads }) => self.enqueue(to, payloads),
                 Ok(Cmd::FailNextWrite { to }) => {
                     if let Some(o) = self.outbound.get_mut(to.index()) {
                         o.fail_next = true;
@@ -469,6 +463,23 @@ impl Reactor {
                     self.disconnected = true;
                     return;
                 }
+            }
+        }
+    }
+
+    /// Queues `payloads` toward `to`, except those over
+    /// [`codec::MAX_FRAME_LEN`]: the receiver would hang up on such a
+    /// frame's length prefix, so they are dropped here, reported, and
+    /// the connection is kept.
+    fn enqueue(&mut self, to: ProcessId, payloads: impl IntoIterator<Item = Bytes>) {
+        let Some(o) = self.outbound.get_mut(to.index()) else {
+            return;
+        };
+        for payload in payloads {
+            if payload.len() > codec::MAX_FRAME_LEN {
+                self.obs.message_dropped(self.me, to);
+            } else {
+                o.queue.push_back(payload);
             }
         }
     }

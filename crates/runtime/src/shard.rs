@@ -21,7 +21,7 @@ use std::time::{Duration as WallDuration, Instant};
 use twostep_telemetry::ObserverHandle;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::cluster::{ClusterShared, DecideEvent};
+use crate::cluster::ClusterShared;
 use crate::node::NodeHandle;
 use crate::proxy::{ProxyClient, RouteFn};
 
@@ -75,9 +75,8 @@ impl ShardRouter {
 }
 
 /// A running deployment: `n` nodes × `k` consensus groups. The one type
-/// that owns a cluster's nodes, decision state, router thread and route
-/// function — an unsharded [`Cluster`](crate::Cluster) is its `k = 1`
-/// view.
+/// that owns a cluster's nodes, decision state and route function — an
+/// unsharded [`Cluster`](crate::Cluster) is its `k = 1` view.
 ///
 /// Construct with
 /// [`ClusterBuilder::shards`](crate::ClusterBuilder::shards) followed by
@@ -111,20 +110,17 @@ pub struct ShardedCluster<V: Value> {
 
 impl<V: Value> ShardedCluster<V> {
     /// Wraps freshly spawned `nodes` (one per process of `cfg`, each
-    /// hosting `router.shards()` groups and reporting to the sending
-    /// half of `decisions`) in the shared decision state, and starts the
-    /// router thread that feeds it. Called from the one assembly
-    /// routine, `ClusterBuilder::assemble`.
+    /// hosting `router.shards()` groups and publishing its decide events
+    /// into `shared`). Called from the one assembly routine,
+    /// `ClusterBuilder::assemble`.
     pub(crate) fn new(
         cfg: SystemConfig,
         router: ShardRouter,
         nodes: Vec<NodeHandle<V>>,
-        decisions: crossbeam::channel::Receiver<DecideEvent<V>>,
+        shared: Arc<ClusterShared<V>>,
         route: RouteFn<V>,
         obs: ObserverHandle,
     ) -> Self {
-        let shared = ClusterShared::new(router.shards(), cfg.n());
-        shared.spawn_router(decisions);
         ShardedCluster {
             cfg,
             router,
@@ -248,24 +244,14 @@ impl<V: Value> ShardedCluster<V> {
 
     /// Waits until `(shard, p)` decides or `timeout` elapses.
     pub fn await_decision(&self, shard: u32, p: ProcessId, timeout: WallDuration) -> Option<V> {
-        // Subscribe before checking the cache so an event landing in
+        // Register before checking the cache so an event landing in
         // between is seen either way (no lost wakeup).
-        let rx = self.shared.subscribe();
-        if let Some(v) = self.decision_of(shard, p) {
-            return Some(v);
+        let (token, rx) = self.shared.register_waiter(shard, None, p);
+        if self.decision_of(shard, p).is_none() {
+            let _ = rx.recv_timeout(timeout);
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok((q, s, v, _)) if q == p && s == shard => return Some(v),
-                Ok(_) => {}
-                Err(_) => return None,
-            }
-        }
+        self.shared.deregister_waiter(shard, &None, p, token);
+        self.decision_of(shard, p)
     }
 }
 

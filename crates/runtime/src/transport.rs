@@ -189,8 +189,8 @@ fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
 /// In-memory transport: each node's inbox is a crossbeam channel.
 ///
 /// A multi-payload [`Transport::send_many`] is coalesced into one
-/// channel send carrying a packed frame; receivers split it back apart
-/// with [`codec::unpack_frame`] (the runtime node does this for every
+/// channel send carrying a packed frame; receivers iterate it in place
+/// with [`codec::frame_messages`] (the runtime node does this for every
 /// inbox payload).
 ///
 /// # Example
@@ -262,11 +262,14 @@ impl Transport for InMemoryTransport {
 ///
 /// Sends are asynchronous: [`Transport::send`] enqueues and returns.
 /// The destination's writer thread drains its queue — everything queued
-/// at flush time (up to [`MAX_COALESCE`]) goes out as **one** frame and
-/// one `write` syscall, which is where batched SMR traffic stops paying
-/// a syscall per message. On a write failure the writer redials once
-/// (after [`RECONNECT_BACKOFF`]) before dropping the flush; drops and
-/// successful reconnects are reported to the attached observer.
+/// at flush time (up to [`MAX_COALESCE`] messages and
+/// [`codec::MAX_FRAME_LEN`] bytes) goes out as **one** frame and one
+/// `write` syscall, which is where batched SMR traffic stops paying a
+/// syscall per message. A single payload over that length is dropped,
+/// as no receiver accepts its frame. On a write failure the writer
+/// redials once (after [`RECONNECT_BACKOFF`]) before dropping the
+/// flush; drops and successful reconnects are reported to the attached
+/// observer.
 pub struct TcpTransport {
     inner: Arc<TcpInner>,
     queues: Mutex<Vec<Option<Sender<Bytes>>>>,
@@ -364,19 +367,34 @@ impl Transport for Arc<TcpTransport> {
 }
 
 /// Drains the send queue toward `to`: each iteration flushes everything
-/// queued (bounded by [`MAX_COALESCE`]) as one wire frame.
+/// queued (bounded by [`MAX_COALESCE`] and [`codec::MAX_FRAME_LEN`]) as
+/// one wire frame.
 fn writer_loop(inner: Arc<TcpInner>, to: ProcessId, rx: Receiver<Bytes>) {
     let mut conn: Option<TcpStream> = None;
+    // The payload the previous frame had no room for; it opens this one.
+    let mut held: Option<Bytes> = None;
     loop {
         // Block for the first payload; the queue senders dropping is the
         // shutdown signal.
-        let Ok(first) = rx.recv() else { return };
+        let Some(first) = held.take().or_else(|| rx.recv().ok()) else {
+            return;
+        };
+        if first.len() > codec::MAX_FRAME_LEN {
+            // The receiver would hang up on the length prefix alone:
+            // drop the payload here and keep the connection.
+            inner.obs.message_dropped(inner.me, to);
+            continue;
+        }
+        let mut body = 4 + first.len();
         let mut flush = vec![first];
         while flush.len() < MAX_COALESCE {
-            match rx.try_recv() {
-                Ok(p) => flush.push(p),
-                Err(_) => break,
+            let Ok(p) = rx.try_recv() else { break };
+            if !codec::frame_has_room(body, p.len()) {
+                held = Some(p);
+                break;
             }
+            body += 4 + p.len();
+            flush.push(p);
         }
         let frame = if flush.len() == 1 {
             // Single message: legacy payload, no frame envelope.

@@ -268,8 +268,7 @@ fn an_idle_cluster_does_not_wake() {
 
     /// Voluntary switches so far of each live `twostep-*` thread, by
     /// `(thread id, name)`. The kernel keeps 15 bytes of a name:
-    /// `twostep-node-p0`, `twostep-cluster` (the router),
-    /// `twostep-delay-l` (the delay line).
+    /// `twostep-node-p0`, `twostep-delay-l` (the delay line).
     fn runtime_threads() -> HashMap<(String, String), u64> {
         let mut found = HashMap::new();
         for task in fs::read_dir("/proc/self/task").expect("procfs").flatten() {
@@ -309,18 +308,26 @@ fn an_idle_cluster_does_not_wake() {
     let spawned = Instant::now();
     let before = loop {
         let threads = runtime_threads();
-        if threads.len() == n + 2 {
+        if threads.len() == n + 1 {
             break threads;
         }
         assert!(spawned.elapsed() < PROMPT, "runtime threads: {threads:?}");
         thread::yield_now();
     };
-    for kind in ["twostep-node-", "twostep-cluster", "twostep-delay-l"] {
+    // The nodes and the delay line, and nothing between a node's decide
+    // and its clients.
+    for kind in ["twostep-node-", "twostep-delay-l"] {
         assert!(
             before.keys().any(|(_, comm)| comm.starts_with(kind)),
             "no {kind} thread among {before:?}"
         );
     }
+    assert!(
+        !before
+            .keys()
+            .any(|(_, comm)| comm.starts_with("twostep-cluster")),
+        "a cluster helper thread among {before:?}"
+    );
 
     thread::sleep(idle);
     let after = runtime_threads();

@@ -24,6 +24,9 @@
 //!   frame above [`codec::MAX_FRAME_LEN`] costs its own connection,
 //!   which the receiver closes, and nothing else — the node keeps
 //!   serving every other connection.
+//! * **Frame-length ceiling, sending side** (socket backends): a burst
+//!   over it goes out as several frames, a single payload over it is
+//!   dropped where it is sent, and neither costs the connection.
 //! * **Retry-once semantics** (socket backends): a send to a dead peer
 //!   records exactly one drop per message after the single reconnect
 //!   attempt; a live peer that tears down established connections is
@@ -525,4 +528,45 @@ fn reactor_seeded_single_drop_loses_no_messages() {
     let snap = metrics.snapshot();
     assert_eq!(snap.dropped, 0, "a single drop must never lose messages");
     assert!(snap.reconnects > 0, "the injected drop was never exercised");
+}
+
+/// The senders keep to the ceiling the receivers enforce: a burst that
+/// is over it as one frame goes out as several, and a payload that is
+/// over it alone is dropped where it is sent — before this, either one
+/// made the receiver hang up, and the redial resent the same frame.
+#[test]
+fn conformance_senders_bound_a_frame_by_the_receivers_ceiling() {
+    for backend in SOCKET_BACKENDS {
+        let (metrics, obs) = Metrics::shared();
+        let d = deploy_observed(backend, 2, &obs);
+
+        // 5 × 4 MiB: over the 16 MiB ceiling as one frame.
+        let burst: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 4 << 20])).collect();
+        d.send_many(0, 1, burst.clone());
+        let (mut frames, mut got) = (0, Vec::new());
+        while got.len() < burst.len() {
+            let (from, frame) = d.inboxes[1]
+                .recv_timeout(RECV_TIMEOUT)
+                .unwrap_or_else(|_| panic!("{backend:?}: {}/5 of the burst arrived", got.len()));
+            assert_eq!(from, p(0), "{backend:?}");
+            assert!(frame.len() <= codec::MAX_FRAME_LEN, "{backend:?}");
+            frames += 1;
+            got.extend(
+                codec::frame_messages(&frame)
+                    .unwrap()
+                    .map(|m| Bytes::from(m.to_vec())),
+            );
+        }
+        assert_eq!(got, burst, "{backend:?}: burst incomplete or reordered");
+        assert!(frames >= 2, "{backend:?}: 20 MiB arrived in {frames} frame");
+
+        // One payload over the ceiling: its loss is reported, and the
+        // next message still arrives, on the connection the burst used.
+        d.send(0, 1, &vec![0xEE; 17 << 20]);
+        d.send(0, 1, b"after");
+        assert_eq!(d.recv_messages(1, 1), vec![(p(0), b"after".to_vec())]);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.dropped, 1, "{backend:?}: one drop for the one payload");
+        assert_eq!(snap.reconnects, 0, "{backend:?}: the connection was lost");
+    }
 }
