@@ -1,28 +1,30 @@
-//! Lint fixture: code that must produce zero findings — exhaustive
-//! matches, guarded arithmetic, and a `#[cfg(test)]` module that uses
-//! every forbidden construct (test code is out of scope).
+//! Lint fixture: code that must produce zero findings — guarded quorum
+//! arithmetic, acquire/release atomics, and a `#[cfg(test)]` module that
+//! uses both forbidden constructs (test code is out of scope).
 
-pub enum CleanMsg {
-    A,
-    B,
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+pub struct Cfg {
+    n: usize,
+    f: usize,
 }
 
-pub fn handle(m: CleanMsg) -> u32 {
-    match m {
-        CleanMsg::A => 1,
-        CleanMsg::B => 2,
+impl Cfg {
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    pub fn f(&self) -> usize {
+        self.f
     }
 }
 
-pub fn named_catchall(m: CleanMsg) -> u32 {
-    match m {
-        CleanMsg::A => 1,
-        other => 10 + handle(other),
-    }
+pub fn margin(cfg: &Cfg) -> usize {
+    cfg.n().saturating_sub(cfg.f())
 }
 
-pub fn margin(n: usize, f: usize) -> usize {
-    n.saturating_sub(f)
+pub fn publish(flag: &AtomicUsize, cfg: &Cfg) {
+    flag.store(margin(cfg), Ordering::Release);
 }
 
 #[cfg(test)]
@@ -31,13 +33,8 @@ mod tests {
 
     #[test]
     fn forbidden_constructs_are_fine_in_tests() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3);
-        debug_assert!(handle(CleanMsg::A) == 1);
-        let x = match CleanMsg::B {
-            CleanMsg::B => 2,
-            _ => 0,
-        };
-        assert_eq!(x, 2);
+        let cfg = Cfg { n: 5, f: 2 };
+        let flag = AtomicUsize::new(cfg.n() - cfg.f());
+        assert_eq!(flag.load(Ordering::Relaxed), margin(&cfg));
     }
 }

@@ -17,9 +17,10 @@
 //!   real `FastBft` baseline — every `n` below a variant's
 //!   fast-liveness bound carries a run with zero fast deciders.
 //! * [`lint`] — a source lint over the protocol crates rejecting
-//!   wildcard arms on protocol enums, `unwrap`/`expect`, unchecked
-//!   quorum arithmetic, `debug_assert!`-only invariants, and relaxed
-//!   atomic orderings, with an audited allowlist.
+//!   unchecked quorum arithmetic and relaxed atomic orderings, with an
+//!   audited allowlist. (Wildcard arms on enums, `unwrap`/`expect` and
+//!   `debug_assert!`-only invariants are clippy lints denied at those
+//!   crates' roots; `fixtures/clippy_red` proves that gate red.)
 //! * [`model_check_gate`] — the exhaustive model checker
 //!   (`twostep_verify::ModelChecker`) swept over the paper's boundary
 //!   `(n, e, f)` configurations, with a seeded-broken fixture CI runs

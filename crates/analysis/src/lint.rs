@@ -1,26 +1,15 @@
 //! Source-level lint for the protocol crates.
 //!
-//! Five rules, each encoding a convention the safety argument depends
-//! on:
+//! Two rules, each encoding a convention the safety argument depends on
+//! and that nothing in rustc or clippy can hold:
 //!
-//! * **`wildcard-arm`** — a `_ =>` arm in a `match` whose patterns
-//!   mention a protocol message/state enum. Protocol handlers must be
-//!   exhaustive: a silent catch-all swallows the next message variant
-//!   someone adds and turns a missing-case bug into a liveness bug.
-//!   Matches that never mention a protocol enum (e.g. on `TimerId`
-//!   constants, which are struct consts with a mandatory catch-all) are
-//!   out of scope.
-//! * **`unwrap-expect`** — `.unwrap()` / `.expect(…)` in non-test
-//!   protocol code. A malformed message or state must degrade, not
-//!   crash a replica.
 //! * **`unchecked-quorum-arith`** — bare `+`/`-` on the same line as
 //!   quorum arithmetic (`fast_quorum()`, `slow_quorum()`,
 //!   `recovery_threshold()`, `.n()`, `.e()`, `.f()`), unless the line
 //!   uses `saturating_*`/`checked_*`/`wrapping_*`. Quorum underflow is
 //!   exactly how a below-bound configuration turns into silent
-//!   agreement loss.
-//! * **`debug-assert`** — `debug_assert!` family in protocol code:
-//!   safety invariants must hold in release builds too.
+//!   agreement loss. (`clippy::arithmetic_side_effects` flags every
+//!   `+` in the crate, not the quorum ones.)
 //! * **`relaxed-atomic`** — `Ordering::Relaxed` in non-test code.
 //!   Relaxed operations provide no happens-before edge, so any use that
 //!   *publishes* state to another thread (a doorbell flag, a
@@ -30,26 +19,24 @@
 //!   memory — statistical counters and unique-token generators — and
 //!   each one must be audited into the allowlist.
 //!
+//! The other three handler conventions — no wildcard arm on an enum, no
+//! `unwrap`/`expect`, no `debug_assert!` — are clippy lints denied at
+//! the root of each protocol crate (`fixtures/clippy_red` is their red
+//! fixture).
+//!
 //! `#[cfg(test)]` modules are skipped entirely. Findings can be waived
 //! through an allowlist file ([`Allowlist`]) whose entries document an
 //! audit, one per line: `path-suffix:rule:line-substring`.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{blank_comments_and_strings, line_of, word_positions};
+use crate::lexer::{blank_comments_and_strings, line_of};
 
 /// Rule identifiers, as used in findings and allowlist entries.
-pub const RULES: [&str; 5] = [
-    "wildcard-arm",
-    "unwrap-expect",
-    "unchecked-quorum-arith",
-    "debug-assert",
-    "relaxed-atomic",
-];
+pub const RULES: [&str; 2] = ["unchecked-quorum-arith", "relaxed-atomic"];
 
 /// One lint hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,30 +196,9 @@ fn walk(dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     Ok(())
 }
 
-/// Collects every `enum` name declared in `files` (on blanked text, so
-/// commented-out declarations do not count).
-pub fn collect_enums(files: &[SourceFile]) -> BTreeSet<String> {
-    let mut enums = BTreeSet::new();
-    for file in files {
-        let blanked = blank_comments_and_strings(&file.source);
-        for idx in word_positions(&blanked, "enum") {
-            let rest = &blanked[idx + "enum".len()..];
-            let name: String = rest
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                enums.insert(name);
-            }
-        }
-    }
-    enums
-}
-
-/// Lints `file` against all rules, given the set of protocol enum
-/// names. Findings inside `#[cfg(test)]` blocks are suppressed.
-pub fn lint_file(file: &SourceFile, enums: &BTreeSet<String>) -> Vec<Finding> {
+/// Lints `file` against all rules. Findings inside `#[cfg(test)]`
+/// blocks are suppressed.
+pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
     let blanked = blank_comments_and_strings(&file.source);
     let test_ranges = cfg_test_ranges(&blanked);
     let in_tests = |idx: usize| test_ranges.iter().any(|(a, b)| (*a..*b).contains(&idx));
@@ -257,37 +223,6 @@ pub fn lint_file(file: &SourceFile, enums: &BTreeSet<String>) -> Vec<Finding> {
         });
     };
 
-    // wildcard-arm.
-    for m in word_positions(&blanked, "match") {
-        let Some((body_start, body_end)) = match_body(&blanked, m + "match".len()) else {
-            continue;
-        };
-        let body = &blanked[body_start..body_end];
-        let patterns = arm_patterns(body);
-        let mentions_protocol_enum = patterns
-            .iter()
-            .any(|(_, p)| enums.iter().any(|e| p.contains(&format!("{e}::"))));
-        if !mentions_protocol_enum {
-            continue;
-        }
-        for (off, pattern) in &patterns {
-            if pattern == "_" {
-                push(body_start + off, "wildcard-arm");
-            }
-        }
-    }
-
-    // unwrap-expect.
-    for word in ["unwrap", "expect"] {
-        for idx in word_positions(&blanked, word) {
-            let before_dot = blanked[..idx].trim_end().ends_with('.');
-            let after = blanked[idx + word.len()..].trim_start();
-            if before_dot && after.starts_with('(') {
-                push(idx, "unwrap-expect");
-            }
-        }
-    }
-
     // unchecked-quorum-arith.
     let mut offset = 0;
     for line in blanked.lines() {
@@ -302,19 +237,6 @@ pub fn lint_file(file: &SourceFile, enums: &BTreeSet<String>) -> Vec<Finding> {
             push(offset, "unchecked-quorum-arith");
         }
         offset += line.len() + 1;
-    }
-
-    // debug-assert.
-    let mut start = 0;
-    while let Some(off) = blanked[start..].find("debug_assert") {
-        let idx = start + off;
-        let boundary = idx == 0
-            || !blanked.as_bytes()[idx - 1].is_ascii_alphanumeric()
-                && blanked.as_bytes()[idx - 1] != b'_';
-        if boundary {
-            push(idx, "debug-assert");
-        }
-        start = idx + "debug_assert".len();
     }
 
     // relaxed-atomic.
@@ -333,12 +255,8 @@ pub fn lint_file(file: &SourceFile, enums: &BTreeSet<String>) -> Vec<Finding> {
 /// directories where only some conventions apply (e.g. the runtime and
 /// telemetry crates are not protocol handlers, but their atomics still
 /// deserve the `relaxed-atomic` audit).
-pub fn lint_file_rules(
-    file: &SourceFile,
-    enums: &BTreeSet<String>,
-    rules: &[&str],
-) -> Vec<Finding> {
-    lint_file(file, enums)
+pub fn lint_file_rules(file: &SourceFile, rules: &[&str]) -> Vec<Finding> {
+    lint_file(file)
         .into_iter()
         .filter(|f| rules.contains(&f.rule))
         .collect()
@@ -397,114 +315,11 @@ fn matching_brace(text: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Finds the `{ … }` body of a `match` whose keyword ends at `after_kw`:
-/// the first `{` at zero paren/bracket depth. Returns `(body_start,
-/// body_end)` excluding the braces.
-fn match_body(blanked: &str, after_kw: usize) -> Option<(usize, usize)> {
-    let bytes = blanked.as_bytes();
-    let mut depth = 0i32;
-    let mut i = after_kw;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'{' if depth == 0 => {
-                let end = matching_brace(blanked, i)?;
-                return Some((i + 1, end - 1));
-            }
-            // A `;` or unbalanced close before any `{`: not a match
-            // expression after all (e.g. `match` used as an ident in a
-            // macro) — bail out.
-            b';' => return None,
-            b'}' if depth == 0 => return None,
-            b'{' => depth += 1,
-            b'}' => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Splits a match body into `(offset, pattern)` pairs, one per arm.
-fn arm_patterns(body: &str) -> Vec<(usize, String)> {
-    let bytes = body.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut seg_start = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b'=' if depth == 0 && bytes.get(i + 1) == Some(&b'>') => {
-                let pattern = body[seg_start..i].trim();
-                out.push((
-                    seg_start + leading_ws(&body[seg_start..i]),
-                    pattern.to_string(),
-                ));
-                i += 2;
-                i = skip_arm_body(body, i);
-                seg_start = i;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-fn leading_ws(s: &str) -> usize {
-    s.len() - s.trim_start().len()
-}
-
-/// Advances past one arm body starting at `i` (after `=>`): a block
-/// plus optional comma, or an expression up to the next top-level
-/// comma.
-fn skip_arm_body(body: &str, mut i: usize) -> usize {
-    let bytes = body.as_bytes();
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i < bytes.len() && bytes[i] == b'{' {
-        i = matching_brace(body, i).unwrap_or(body.len());
-    } else {
-        let mut depth = 0i32;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'(' | b'[' | b'{' => depth += 1,
-                b')' | b']' | b'}' => {
-                    if depth == 0 {
-                        return i;
-                    }
-                    depth -= 1;
-                }
-                b',' if depth == 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i < bytes.len() && bytes[i] == b',' {
-        i += 1;
-    }
-    i
-}
-
 /// Lints all `files`, applying `allow`. Returns surviving findings.
 pub fn lint_sources(files: &[SourceFile], allow: &Allowlist) -> Vec<Finding> {
-    let enums = collect_enums(files);
     let mut findings = Vec::new();
     for file in files {
-        findings.extend(
-            lint_file(file, &enums)
-                .into_iter()
-                .filter(|f| !allow.allows(f)),
-        );
+        findings.extend(lint_file(file).into_iter().filter(|f| !allow.allows(f)));
     }
     findings
 }
@@ -521,52 +336,7 @@ mod tests {
     }
 
     fn lint(src: &str) -> Vec<Finding> {
-        let f = file(src);
-        let enums = collect_enums(std::slice::from_ref(&f));
-        lint_file(&f, &enums)
-    }
-
-    #[test]
-    fn wildcard_on_protocol_enum_is_flagged() {
-        let src = "enum Msg { A, B }\n\
-                   fn f(m: Msg) { match m { Msg::A => {}\n_ => {} } }";
-        let hits = lint(src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "wildcard-arm");
-        assert_eq!(hits[0].line, 3);
-    }
-
-    #[test]
-    fn wildcard_on_non_enum_match_is_not_flagged() {
-        // TimerId-style: struct consts, no enum declared.
-        let src = "fn f(t: u32) { match t { 1 => {}, _ => {} } }";
-        assert_eq!(lint(src), vec![]);
-    }
-
-    #[test]
-    fn named_catchall_and_guarded_wildcard_are_not_flagged() {
-        let src = "enum Msg { A, B }\n\
-                   fn f(m: Msg, c: bool) {\n\
-                     match m { Msg::A => {}, other => drop(other) }\n\
-                     match m { Msg::A if c => {}, Msg::A => {}, Msg::B => {} }\n\
-                   }";
-        assert_eq!(lint(src), vec![]);
-    }
-
-    #[test]
-    fn unwrap_and_expect_are_flagged_outside_tests() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"y\") }\n\
-                   #[cfg(test)]\nmod tests { fn g(x: Option<u32>) { x.unwrap(); } }";
-        let hits = lint(src);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().all(|h| h.rule == "unwrap-expect"));
-        assert!(hits.iter().all(|h| h.line == 1));
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_not_flagged() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_default() }";
-        assert_eq!(lint(src), vec![]);
+        lint_file(&file(src))
     }
 
     #[test]
@@ -590,14 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_assert_is_flagged() {
-        let src = "fn f(q: usize, n: usize) { debug_assert!(q <= n); }";
-        let hits = lint(src);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "debug-assert");
-    }
-
-    #[test]
     fn relaxed_atomic_is_flagged_outside_tests() {
         let src = "fn f(c: &std::sync::atomic::AtomicU64) -> u64 {\n\
                    c.fetch_add(1, Ordering::Relaxed)\n\
@@ -617,43 +379,42 @@ mod tests {
 
     #[test]
     fn rule_filtering_drops_out_of_scope_findings() {
-        let src = "fn f(x: Option<u32>, c: &A) -> u32 {\n\
+        let src = "fn f(cfg: &C, c: &A) -> usize {\n\
                    c.fetch_add(1, Ordering::Relaxed);\n\
-                   x.unwrap()\n\
+                   cfg.fast_quorum() - 1\n\
                    }";
         let f = file(src);
-        let enums = collect_enums(std::slice::from_ref(&f));
-        let all = lint_file(&f, &enums);
+        let all = lint_file(&f);
         assert_eq!(all.len(), 2, "{all:?}");
-        let only_relaxed = lint_file_rules(&f, &enums, &["relaxed-atomic"]);
+        let only_relaxed = lint_file_rules(&f, &["relaxed-atomic"]);
         assert_eq!(only_relaxed.len(), 1, "{only_relaxed:?}");
         assert_eq!(only_relaxed[0].rule, "relaxed-atomic");
     }
 
     #[test]
     fn comments_and_strings_cannot_trip_rules() {
-        let src = "// match m { _ => x.unwrap() } debug_assert!\n\
-                   fn f() -> &'static str { \"_ => .unwrap() debug_assert!(cfg.n() - 1)\" }";
+        let src = "// cfg.n() - 1 with Ordering::Relaxed\n\
+                   fn f() -> &'static str { \"Ordering::Relaxed (cfg.n() - 1)\" }";
         assert_eq!(lint(src), vec![]);
     }
 
     #[test]
     fn allowlist_waives_by_suffix_rule_and_substring() {
         let allow = Allowlist::parse(
-            "# audited: slot inserted two lines above\n\
-             mem/test.rs:unwrap-expect:just inserted\n",
+            "# audited: a statistic, publishes nothing\n\
+             mem/test.rs:relaxed-atomic:hits.fetch_add\n",
         )
         .unwrap();
         assert_eq!(allow.len(), 1);
         let f = Finding {
             file: PathBuf::from("x/mem/test.rs"),
             line: 3,
-            rule: "unwrap-expect",
-            excerpt: ".expect(\"just inserted\")".into(),
+            rule: "relaxed-atomic",
+            excerpt: "self.hits.fetch_add(1, Ordering::Relaxed);".into(),
         };
         assert!(allow.allows(&f));
         let other = Finding {
-            rule: "debug-assert",
+            rule: "unchecked-quorum-arith",
             ..f.clone()
         };
         assert!(!allow.allows(&other));
@@ -662,18 +423,21 @@ mod tests {
     #[test]
     fn stale_allowlist_entries_are_reported() {
         let allow = Allowlist::parse(
-            "mem/test.rs:unwrap-expect:just inserted\n\
-             gone/file.rs:debug-assert:old invariant\n",
+            "mem/test.rs:relaxed-atomic:hits.fetch_add\n\
+             gone/file.rs:unchecked-quorum-arith:old margin\n",
         )
         .unwrap();
         let live = Finding {
             file: PathBuf::from("x/mem/test.rs"),
             line: 3,
-            rule: "unwrap-expect",
-            excerpt: ".expect(\"just inserted\")".into(),
+            rule: "relaxed-atomic",
+            excerpt: "self.hits.fetch_add(1, Ordering::Relaxed);".into(),
         };
         let stale = allow.stale_entries(std::slice::from_ref(&live));
-        assert_eq!(stale, vec!["gone/file.rs:debug-assert:old invariant"]);
+        assert_eq!(
+            stale,
+            vec!["gone/file.rs:unchecked-quorum-arith:old margin"]
+        );
         assert!(
             allow.stale_entries(&[]).len() == 2,
             "no findings: all stale"
@@ -683,15 +447,7 @@ mod tests {
     #[test]
     fn allowlist_rejects_unknown_rules_and_malformed_lines() {
         assert!(Allowlist::parse("a.rs:no-such-rule:x").is_err());
+        assert!(Allowlist::parse("a.rs:unwrap-expect:retired with the rule").is_err());
         assert!(Allowlist::parse("just-one-field").is_err());
-    }
-
-    #[test]
-    fn enum_collection_ignores_comments_and_lowercase() {
-        let f = file("// enum Ghost { }\npub enum Msg { A }\nstruct enum_like;");
-        let enums = collect_enums(std::slice::from_ref(&f));
-        assert!(enums.contains("Msg"));
-        assert!(!enums.contains("Ghost"));
-        assert_eq!(enums.len(), 1);
     }
 }

@@ -243,9 +243,8 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     .map(|d| root.join(d))
     .collect();
     // The runtime and telemetry crates are not protocol handlers, so
-    // the handler-shape rules (wildcard arms, quorum arithmetic, …)
-    // don't apply — but their atomics still get the relaxed-ordering
-    // audit.
+    // the quorum-arithmetic rule doesn't apply — but their atomics
+    // still get the relaxed-ordering audit.
     let relaxed_only_dirs: Vec<PathBuf> = ["crates/runtime/src", "crates/telemetry/src"]
         .iter()
         .map(|d| root.join(d))
@@ -261,14 +260,6 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     let files = lint::collect_sources(&lint_dirs).map_err(|e| format!("lint: {e}"))?;
     let relaxed_files =
         lint::collect_sources(&relaxed_only_dirs).map_err(|e| format!("lint: {e}"))?;
-    // Protocol enums may be *declared* in twostep-types but matched in
-    // the protocol crates, so the enum universe includes both.
-    let enum_files = {
-        let mut dirs = lint_dirs.clone();
-        dirs.push(root.join("crates/types/src"));
-        lint::collect_sources(&dirs).map_err(|e| format!("lint: {e}"))?
-    };
-    let enums = lint::collect_enums(&enum_files);
 
     let allow_path = opts
         .allowlist
@@ -282,17 +273,16 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
 
     let mut raw = Vec::new();
     for file in &files {
-        raw.extend(lint::lint_file(file, &enums));
+        raw.extend(lint::lint_file(file));
     }
     for file in &relaxed_files {
-        raw.extend(lint::lint_file_rules(file, &enums, &["relaxed-atomic"]));
+        raw.extend(lint::lint_file_rules(file, &["relaxed-atomic"]));
     }
     let findings: Vec<_> = raw.iter().filter(|f| !allow.allows(f)).collect();
     let stale = allow.stale_entries(&raw);
     println!(
-        "lint: {} files, {} protocol enums, {} allowlist entries ({} stale), {} findings",
+        "lint: {} files, {} allowlist entries ({} stale), {} findings",
         files.len() + relaxed_files.len(),
-        enums.len(),
         allow.len(),
         stale.len(),
         findings.len()

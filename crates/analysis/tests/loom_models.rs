@@ -4,9 +4,11 @@
 //!
 //! These are *extracted models*: the decision structure of the real
 //! code re-expressed over `loom` primitives, because the originals are
-//! welded to `TcpStream` / `parking_lot` / `std::thread::park` which
-//! the model scheduler cannot drive. Each model documents, line by line, which real code
-//! path it mirrors; if the real code changes shape, change the model.
+//! welded to `parking_lot` / `std::thread::park` / a thread that owns
+//! its state outright, which the model scheduler cannot drive or has
+//! nothing to interleave. Each model documents, line by line, which
+//! real code path it mirrors; if the real code changes shape, change
+//! the model.
 #![cfg(feature = "loom")]
 
 use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -105,21 +107,25 @@ fn observer_registry_swap_is_atomic() {
     });
 }
 
-/// Model of `TcpTransport` flush/redial bookkeeping
-/// (`crates/runtime/src/transport.rs`).
+/// Model of the socket backends' retry-once rule: `Outgoing::flush` in
+/// `crates/runtime/src/wire.rs`, the one copy that `TcpTransport`'s
+/// writer threads and the `ReactorTransport` event loop both run.
 ///
-/// Real shape: each destination has one send queue and one
-/// `writer_loop` thread that *exclusively owns* that destination's
-/// connection — `send` only enqueues, so no two threads ever race on a
-/// `TcpStream`. The writer lazily dials, flushes a coalesced frame,
-/// and on write failure drops the dead connection and redials once
-/// (after a backoff) before declaring the flush dropped.
+/// Real shape: each destination has one `Outgoing` — send queue, frame
+/// in flight, cached connection — *exclusively owned* by one thread (the
+/// blocking backend's writer thread for that destination, or the
+/// reactor thread); `send` only enqueues, so no two threads ever race
+/// on a connection. `flush` lazily dials, writes a coalesced frame, and
+/// on a failure drops the dead connection, returns `Flushed::Backoff`,
+/// and on the next call redials once before declaring the frame
+/// dropped. Who waits between the two calls (`thread::sleep`, or a
+/// timer on the reactor's heap) is the only part the backends own.
 ///
 /// The model: connection ids from a generation counter; generation 0
 /// is the pre-established stale connection whose writes always fail,
 /// every redial yields a working one. Two threads flush concurrently
 /// through one shared slot — deliberately *more* concurrent than the
-/// production single-writer discipline, so the bookkeeping is shown
+/// production single-owner discipline, so the bookkeeping is shown
 /// sound even without the exclusive-ownership guarantee (and stays
 /// sound if a future change reintroduces sharing, the shape this code
 /// originally had).
@@ -134,7 +140,7 @@ fn observer_registry_swap_is_atomic() {
 #[test]
 fn transport_retry_never_drops_and_heals_the_slot() {
     struct Net {
-        /// `connections[to.index()]`: cached connection generation.
+        /// `Outgoing::conn`: cached connection generation.
         slot: Mutex<Option<u32>>,
         /// Dial generation counter; `fetch_add` in `connection_to`.
         next_conn: AtomicU32,
@@ -144,8 +150,9 @@ fn transport_retry_never_drops_and_heals_the_slot() {
     }
 
     impl Net {
-        /// `writer_loop`'s lazy dial: reuse the cached connection or
-        /// dial into the empty slot.
+        /// `flush`'s lazy dial (`if self.conn.is_none() { self.conn =
+        /// dial().ok() }`): reuse the cached connection or dial into
+        /// the empty slot.
         fn connection_to(&self) -> u32 {
             let mut slot = self.slot.lock().unwrap();
             if slot.is_none() {
@@ -154,9 +161,9 @@ fn transport_retry_never_drops_and_heals_the_slot() {
             slot.unwrap()
         }
 
-        /// `writer_loop`'s frame write: generation 0 (the stale
-        /// pre-established stream) fails, and failure clears the slot
-        /// unconditionally.
+        /// One pass of `flush`'s loop, the frame write: generation 0
+        /// (the stale pre-established stream) fails, and failure clears
+        /// the slot unconditionally (`self.conn = None`).
         fn try_send_frame(&self) -> bool {
             let conn = self.connection_to();
             let write_ok = conn != 0;
@@ -166,14 +173,15 @@ fn transport_retry_never_drops_and_heals_the_slot() {
             write_ok
         }
 
-        /// `writer_loop`'s flush: one redial-and-retry after backoff,
-        /// then report reconnected / dropped.
+        /// One frame's life across `flush` calls: a failed attempt, the
+        /// wait `Flushed::Backoff` asks for, one redial-and-retry, then
+        /// `reconnected` or `message_dropped`.
         fn send(&self) {
             if self.try_send_frame() {
                 self.delivered.fetch_add(1, Ordering::SeqCst);
                 return;
             }
-            // (The real code sleeps RECONNECT_BACKOFF here; a model
+            // (The caller waits out RECONNECT_BACKOFF here; a model
             // yield stands in for the scheduling opportunity.)
             thread::yield_now();
             if self.try_send_frame() {

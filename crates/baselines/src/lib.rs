@@ -29,6 +29,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Handler conventions held by clippy, tests exempt: bad input degrades and
+// never panics a replica, a match names every variant so a new one is a
+// compile error, and no invariant is debug-only (this crate's clippy.toml).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::disallowed_macros
+    )
+)]
 
 pub mod epaxos;
 pub mod fab;

@@ -263,15 +263,15 @@ impl<'a> Iterator for FrameMessages<'a> {
 
 impl ExactSizeIterator for FrameMessages<'_> {}
 
-/// Ceiling on a wire frame's announced payload length, honoured by both
-/// socket read paths ([`FrameAssembler::next_frame`] for the reactor,
-/// the blocking transport's read loop). The length prefix is input from
-/// outside the program: without a ceiling a garbage `0xFFFF_FFFF` makes
-/// the receiver allocate or buffer 4 GiB on a peer's say-so. 16 MiB is
-/// far above any message this workspace's protocols send. Both socket
-/// senders keep to it too: they stop coalescing where the next payload
-/// would pass it and drop a single payload that is over it, since no
-/// receiver would take the frame.
+/// Ceiling on a wire frame's announced payload length, checked in one
+/// place — [`FrameAssembler::next_frame`] — which both socket backends
+/// read through. The length prefix is input from outside the program:
+/// without a ceiling a garbage `0xFFFF_FFFF` makes the receiver allocate
+/// or buffer 4 GiB on a peer's say-so. 16 MiB is far above any message
+/// this workspace's protocols send. The sending side (the `wire`
+/// module's frame builder, also shared) keeps to it too: it stops
+/// coalescing where the next payload would pass it and drops a single
+/// payload that is over it, since no receiver would take the frame.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Whether a coalesced frame ([`pack_frame`]'s layout) whose
@@ -295,8 +295,9 @@ pub(crate) fn frame_has_room(body: usize, next: usize) -> bool {
 /// mid-payload — reassemble exactly; the codec proptests drive every
 /// split point.
 ///
-/// The assembler is transport-agnostic: the reactor uses one per
-/// connection, and the conformance/property tests drive it directly.
+/// The assembler is transport-agnostic: both socket backends keep one
+/// per accepted connection (inside the `wire` module's receiving end),
+/// and the property tests drive it directly.
 #[derive(Debug)]
 pub struct FrameAssembler {
     /// The reusable buffer. `buf[start..end]` holds unconsumed bytes;

@@ -7,10 +7,11 @@
 //! * [`codec`] — a compact binary serde format for wire messages (the
 //!   sanctioned dependency set has no serialization-format crate).
 //! * [`Transport`] — pluggable byte transport: [`InMemoryTransport`]
-//!   (crossbeam channels), [`TcpTransport`] (blocking writer threads,
-//!   length-prefixed frames over localhost or the network) and
-//!   [`ReactorTransport`] (one non-blocking event-loop thread owning
-//!   every socket, vectored writes, reusable read buffers).
+//!   (crossbeam channels) and two socket backends that share one wire
+//!   protocol (length-prefixed coalesced frames, vectored writes,
+//!   reusable read buffers) and differ in who waits: [`TcpTransport`]
+//!   (a blocking thread per connection) and [`ReactorTransport`] (one
+//!   non-blocking event-loop thread owning every socket).
 //! * [`node`] — one OS thread per process hosting every consensus
 //!   group's instance: an event loop multiplexing network traffic,
 //!   client proposals and wall-clock timers (protocol timer delays are
@@ -49,6 +50,7 @@ mod proxy;
 mod reactor;
 pub mod shard;
 mod transport;
+mod wire;
 
 pub use builder::ClusterBuilder;
 pub use cluster::Cluster;
@@ -57,4 +59,5 @@ pub use node::{Control, NodeHandle, NodeOptions};
 pub use proxy::ProxyClient;
 pub use reactor::ReactorTransport;
 pub use shard::{fnv1a64, ShardRouter, ShardedCluster};
-pub use transport::{InMemoryTransport, TcpTransport, Transport, MAX_COALESCE, RECONNECT_BACKOFF};
+pub use transport::{InMemoryTransport, TcpTransport, Transport};
+pub use wire::{MAX_COALESCE, RECONNECT_BACKOFF};

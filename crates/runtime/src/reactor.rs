@@ -5,55 +5,31 @@
 //! **one** event-loop thread owns every socket the process touches —
 //! the listener, all inbound connections, and all outbound connections —
 //! instead of the blocking transport's thread-per-connection layout.
-//! The loop multiplexes three event sources, in the `BinaryHeap`-driven
-//! shape of an event-heap simulator main loop:
+//! The loop multiplexes three event sources:
 //!
 //! * **Commands** from [`Transport::send`]/[`Transport::send_many`]
 //!   handles, delivered over a channel and woken by a [`Doorbell`]
 //!   (an atomic sleeping flag + `unpark`, modeled under loom in
 //!   `twostep-analysis`).
-//! * **Timers** — a `BinaryHeap<Reverse<(Instant, peer)>>` of reconnect
-//!   backoff deadlines; the park timeout is clipped to the next due
-//!   timer.
-//! * **Socket readiness** — every stream is `set_nonblocking(true)`;
-//!   reads drain until `WouldBlock` into a per-connection reusable
-//!   [`codec::FrameAssembler`] buffer, and writes go out as **vectored**
-//!   writes ([`std::io::IoSlice`]) of the `[len][FRAME_MAGIC frame]`
-//!   wire layout, so coalesced payloads are never copied into a
-//!   contiguous staging buffer.
+//! * **Retry deadlines** — a failed frame's one retry is due at an
+//!   instant its send state names; the park timeout is clipped to the
+//!   earliest.
+//! * **Socket readiness** — every stream is `set_nonblocking(true)` and
+//!   polled: each pass pumps every inbound connection and flushes every
+//!   outbound one until it would block.
 //!
-//! The wire format is byte-identical to [`crate::TcpTransport`]: a
-//! 4-byte little-endian sender-id handshake, then `[len: u32 LE]
-//! [payload]` frames where a payload is either one legacy message or a
-//! [`codec::pack_frame`]-style coalesced frame (built here as IoSlice
-//! segments rather than via `pack_frame`). The two socket backends
-//! interoperate in both directions.
-//!
-//! ## Allocation discipline
-//!
-//! Steady-state costs are **per flush / per wire frame**, never per
-//! message: a flush allocates its payload list and header block once
-//! for up to [`MAX_COALESCE`] messages, the read side reassembles into
-//! a reused buffer that grows to the high-water frame size and stops,
-//! and one `Bytes` is allocated per *wire frame* handed to the inbox
-//! (the node iterates its messages in place via
-//! [`codec::frame_messages`]).
-//!
-//! ## Failure semantics
-//!
-//! Identical to the blocking backend, checked by the shared conformance
-//! suite: a failed write keeps the whole in-flight frame, waits
-//! [`RECONNECT_BACKOFF`] (as a timer, not a sleeping thread), redials
-//! once and resends the frame from the start — a partial write poisons
-//! the old connection's framing, so it is abandoned wholesale. A second
-//! failure drops the frame and reports `message_dropped` per message;
-//! a successful redial reports `reconnected`. [`ReactorTransport::
-//! inject_write_failure`] poisons the next write to one peer so tests
-//! can exercise this path deterministically.
+//! What is read and written is not decided here. The handshake, the
+//! frame layout, the coalescing bounds, what a receiver refuses and the
+//! retry-once rule are the `wire` module's, shared with
+//! [`crate::TcpTransport`], so the wire format is byte-identical and the
+//! two socket backends interoperate in both directions. This file is
+//! only the scheduler: it polls `wire` where the blocking backend parks
+//! a thread in it, and clips its park to a retry deadline where that
+//! one sleeps until it.
+//! [`ReactorTransport::inject_write_failure`] poisons the next write to
+//! one peer so tests can walk the retry rule deterministically.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
@@ -66,8 +42,8 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use twostep_telemetry::ObserverHandle;
 use twostep_types::ProcessId;
 
-use crate::codec::{self, FrameAssembler};
-use crate::transport::{dial, Transport, MAX_COALESCE, RECONNECT_BACKOFF};
+use crate::transport::Transport;
+use crate::wire::{Flushed, Host, Incoming, Outgoing, Pumped};
 use crate::RuntimeError;
 
 /// Park bound while any connection is open: readiness is discovered by
@@ -80,16 +56,12 @@ const POLL_INTERVAL: Duration = Duration::from_micros(200);
 /// immediately via the doorbell.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
-/// Read size requested per `read` call; the assembler grows past it on
-/// demand for larger frames.
-const READ_CHUNK: usize = 16 * 1024;
-
 /// Commands from transport handles to the reactor thread.
 enum Cmd {
     /// Queue one payload toward `to`.
     Send { to: ProcessId, payload: Bytes },
     /// Queue a burst toward `to`; flushed as one coalesced frame (up to
-    /// [`MAX_COALESCE`] per frame).
+    /// [`crate::MAX_COALESCE`] per frame).
     Burst { to: ProcessId, payloads: Vec<Bytes> },
     /// Test hook: poison the next write toward `to` (see
     /// [`ReactorTransport::inject_write_failure`]).
@@ -205,16 +177,13 @@ impl ReactorTransport {
         let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
         let doorbell = Arc::new(Doorbell::new());
         let reactor = Reactor {
-            me,
-            peers: peers.clone(),
+            outbound: peers.iter().map(|_| Outgoing::new()).collect(),
+            host: Host { me, peers, obs },
             listener,
             inbox,
-            obs,
             cmds: cmd_rx,
             doorbell: Arc::clone(&doorbell),
             inbound: Vec::new(),
-            outbound: (0..peers.len()).map(|_| Outbound::new()).collect(),
-            timers: BinaryHeap::new(),
             disconnected: false,
         };
         let join = thread::Builder::new()
@@ -265,166 +234,16 @@ impl Transport for ReactorTransport {
     }
 }
 
-/// An accepted connection: stream, peeled handshake, and the reusable
-/// frame-reassembly buffer.
-struct Inbound {
-    stream: TcpStream,
-    /// `None` until the 4-byte sender-id handshake completes (it can
-    /// itself arrive split across reads).
-    from: Option<ProcessId>,
-    asm: FrameAssembler,
-}
-
-/// Per-peer outbound state.
-struct Outbound {
-    conn: Option<TcpStream>,
-    /// Payloads queued behind the in-flight flush.
-    queue: VecDeque<Bytes>,
-    /// The wire frame currently being written, if any; survives
-    /// `WouldBlock` (partial write) and the single reconnect.
-    flush: Option<Flush>,
-    /// Set while waiting out [`RECONNECT_BACKOFF`]; cleared by the
-    /// timer.
-    retry_at: Option<Instant>,
-    /// Whether the current flush has used its one redial.
-    retried: bool,
-    /// Test hook: fail the next write attempt (see
-    /// [`ReactorTransport::inject_write_failure`]).
-    fail_next: bool,
-}
-
-impl Outbound {
-    fn new() -> Self {
-        Outbound {
-            conn: None,
-            queue: VecDeque::new(),
-            flush: None,
-            retry_at: None,
-            retried: false,
-            fail_next: false,
-        }
-    }
-
-    /// No queued work, no in-flight frame, no pending retry.
-    fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.flush.is_none() && self.retry_at.is_none()
-    }
-}
-
-/// One wire frame mid-write: up to [`MAX_COALESCE`] payloads plus the
-/// header block (`[outer len][FRAME_MAGIC][count][per-message len]…`)
-/// they share. Payload bytes are written straight from the `Bytes`
-/// handles via `IoSlice` — never copied into a staging buffer.
-struct Flush {
-    msgs: Vec<Bytes>,
-    heads: Vec<u8>,
-    /// Bytes of the logical frame already accepted by the kernel;
-    /// resumption after `WouldBlock` skips this prefix.
-    written: usize,
-    total: usize,
-}
-
-impl Flush {
-    /// Drains payloads from the non-empty `queue` into a frame: up to
-    /// [`MAX_COALESCE`] of them, as far as [`codec::MAX_FRAME_LEN`]
-    /// allows (each one alone is within it, see [`Reactor::enqueue`]).
-    /// A single payload goes out in the legacy (unframed) layout, many
-    /// in the [`codec::FRAME_MAGIC`] coalesced layout — matching
-    /// [`codec::pack_frame`] byte for byte.
-    fn build(queue: &mut VecDeque<Bytes>) -> Flush {
-        let (mut k, mut body) = (1, 4 + queue[0].len());
-        while k < queue.len().min(MAX_COALESCE) && codec::frame_has_room(body, queue[k].len()) {
-            body += 4 + queue[k].len();
-            k += 1;
-        }
-        let msgs: Vec<Bytes> = queue.drain(..k).collect();
-        let body_len = if k == 1 { msgs[0].len() } else { 8 + body };
-        let mut heads = Vec::with_capacity(12 + 4 * msgs.len());
-        heads.extend_from_slice(&(body_len as u32).to_le_bytes());
-        if msgs.len() > 1 {
-            heads.extend_from_slice(&codec::FRAME_MAGIC.to_le_bytes());
-            heads.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-            for m in &msgs {
-                heads.extend_from_slice(&(m.len() as u32).to_le_bytes());
-            }
-        }
-        Flush {
-            written: 0,
-            total: 4 + body_len,
-            msgs,
-            heads,
-        }
-    }
-
-    /// The frame's wire layout as borrowed segments, in order: header
-    /// block first, then (in the coalesced layout) each message's
-    /// length prefix interleaved with its payload.
-    fn segments(&self) -> Vec<&[u8]> {
-        let mut segs = Vec::with_capacity(1 + 2 * self.msgs.len());
-        if self.msgs.len() == 1 {
-            segs.push(&self.heads[0..4]);
-            segs.push(&self.msgs[0][..]);
-        } else {
-            segs.push(&self.heads[0..12]);
-            for (i, m) in self.msgs.iter().enumerate() {
-                segs.push(&self.heads[12 + 4 * i..16 + 4 * i]);
-                segs.push(&m[..]);
-            }
-        }
-        segs
-    }
-
-    /// Pushes frame bytes at the kernel until done or `WouldBlock`.
-    ///
-    /// Returns `Ok(true)` when the whole frame is out, `Ok(false)` on
-    /// `WouldBlock` (state kept for resumption), and `Err` on a real
-    /// write failure.
-    fn write_some(&mut self, stream: &mut TcpStream) -> io::Result<bool> {
-        while self.written < self.total {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(1 + 2 * self.msgs.len());
-            let mut skip = self.written;
-            for seg in self.segments() {
-                if skip >= seg.len() {
-                    skip -= seg.len();
-                    continue;
-                }
-                if !seg[skip..].is_empty() {
-                    slices.push(IoSlice::new(&seg[skip..]));
-                }
-                skip = 0;
-            }
-            match stream.write_vectored(&slices) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.written += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-}
-
-/// What reading one inbound connection concluded.
-enum ReadOutcome {
-    Open,
-    Closed,
-    InboxGone,
-}
-
 /// The event-loop state, owned by the reactor thread.
 struct Reactor {
-    me: ProcessId,
-    peers: Vec<SocketAddr>,
+    host: Host,
     listener: TcpListener,
     inbox: Sender<(ProcessId, Bytes)>,
-    obs: ObserverHandle,
     cmds: Receiver<Cmd>,
     doorbell: Arc<Doorbell>,
-    inbound: Vec<Inbound>,
-    outbound: Vec<Outbound>,
-    /// Reconnect deadlines: min-heap of `(due, peer index)`.
-    timers: BinaryHeap<Reverse<(Instant, usize)>>,
+    inbound: Vec<(TcpStream, Incoming)>,
+    /// Send state toward each peer, by process index.
+    outbound: Vec<Outgoing<TcpStream>>,
     /// All handles dropped; exit once the outbound queues drain.
     disconnected: bool,
 }
@@ -433,31 +252,28 @@ impl Reactor {
     fn run(mut self) {
         loop {
             self.drain_cmds();
-            if self.disconnected && self.outbound.iter().all(Outbound::is_idle) {
+            if self.disconnected && self.outbound.iter().all(Outgoing::is_idle) {
                 return;
             }
-            self.fire_timers();
             self.accept_new();
             if !self.read_all() {
                 return; // node inbox gone: nothing left to deliver to
             }
-            for peer in 0..self.outbound.len() {
-                self.flush_peer(peer);
-            }
-            self.park();
+            let retry_at = (0..self.outbound.len())
+                .filter_map(|peer| self.flush_peer(peer))
+                .min();
+            self.park(retry_at);
         }
     }
 
     fn drain_cmds(&mut self) {
         loop {
             match self.cmds.try_recv() {
-                Ok(Cmd::Send { to, payload }) => self.enqueue(to, [payload]),
-                Ok(Cmd::Burst { to, payloads }) => self.enqueue(to, payloads),
-                Ok(Cmd::FailNextWrite { to }) => {
-                    if let Some(o) = self.outbound.get_mut(to.index()) {
-                        o.fail_next = true;
-                    }
+                Ok(Cmd::Send { to, payload }) => self.toward(to, |out| out.push(payload)),
+                Ok(Cmd::Burst { to, payloads }) => {
+                    self.toward(to, |out| payloads.into_iter().for_each(|p| out.push(p)));
                 }
+                Ok(Cmd::FailNextWrite { to }) => self.toward(to, Outgoing::poison),
                 Err(TryRecvError::Empty) => return,
                 Err(TryRecvError::Disconnected) => {
                     self.disconnected = true;
@@ -467,35 +283,11 @@ impl Reactor {
         }
     }
 
-    /// Queues `payloads` toward `to`, except those over
-    /// [`codec::MAX_FRAME_LEN`]: the receiver would hang up on such a
-    /// frame's length prefix, so they are dropped here, reported, and
-    /// the connection is kept.
-    fn enqueue(&mut self, to: ProcessId, payloads: impl IntoIterator<Item = Bytes>) {
-        let Some(o) = self.outbound.get_mut(to.index()) else {
-            return;
-        };
-        for payload in payloads {
-            if payload.len() > codec::MAX_FRAME_LEN {
-                self.obs.message_dropped(self.me, to);
-            } else {
-                o.queue.push_back(payload);
-            }
-        }
-    }
-
-    fn fire_timers(&mut self) {
-        let now = Instant::now();
-        while let Some(&Reverse((due, peer))) = self.timers.peek() {
-            if due > now {
-                return;
-            }
-            self.timers.pop();
-            let o = &mut self.outbound[peer];
-            if o.retry_at.is_some_and(|at| at <= now) {
-                // Backoff served; flush_peer redials on this pass.
-                o.retry_at = None;
-            }
+    /// Applies `f` to the send state toward `to`; a destination outside
+    /// the peer list is ignored.
+    fn toward(&mut self, to: ProcessId, f: impl FnOnce(&mut Outgoing<TcpStream>)) {
+        if let Some(out) = self.outbound.get_mut(to.index()) {
+            f(out);
         }
     }
 
@@ -506,15 +298,10 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue; // unusable socket: drop it
                     }
-                    let _ = stream.set_nodelay(true);
-                    self.inbound.push(Inbound {
-                        stream,
-                        from: None,
-                        asm: FrameAssembler::with_capacity(READ_CHUNK),
-                    });
+                    self.inbound.push((stream, Incoming::new()));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return, // WouldBlock, or listener torn down
+                Err(_) => return, // WouldBlock, or an error to retry next pass
             }
         }
     }
@@ -522,163 +309,60 @@ impl Reactor {
     /// Drains every readable inbound connection; `false` means the node
     /// inbox is gone and the reactor should exit.
     fn read_all(&mut self) -> bool {
+        let (host, inbox) = (&self.host, &self.inbox);
+        let mut deliver = |from, frame| inbox.send((from, frame)).is_ok();
         let mut i = 0;
         while i < self.inbound.len() {
-            match self.read_conn(i) {
-                ReadOutcome::Open => i += 1,
-                ReadOutcome::Closed => {
+            let (stream, conn) = &mut self.inbound[i];
+            match conn.pump(host, stream, &mut deliver) {
+                Pumped::Open => i += 1,
+                Pumped::Closed => {
                     self.inbound.swap_remove(i);
                 }
-                ReadOutcome::InboxGone => return false,
+                Pumped::InboxGone => return false,
             }
         }
         true
     }
 
-    fn read_conn(&mut self, i: usize) -> ReadOutcome {
-        let conn = &mut self.inbound[i];
-        loop {
-            // Deliver whatever completed on the previous read first.
-            if conn.from.is_none() {
-                if let Some(head) = conn.asm.next_bytes(4) {
-                    let id = u32::from_le_bytes(head.try_into().expect("exact length"));
-                    conn.from = Some(ProcessId::new(id));
-                }
-            }
-            if let Some(from) = conn.from {
-                loop {
-                    match conn.asm.next_frame() {
-                        Ok(Some(frame)) => {
-                            // One allocation per *wire frame* (it may
-                            // carry up to MAX_COALESCE messages): the
-                            // inbox needs owned bytes, and the node
-                            // iterates messages in place.
-                            let payload = Bytes::from(frame.to_vec());
-                            if self.inbox.send((from, payload)).is_err() {
-                                return ReadOutcome::InboxGone;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Oversize length prefix: a bad peer costs
-                            // its connection, never the node.
-                            self.obs.message_dropped(from, self.me);
-                            return ReadOutcome::Closed;
-                        }
-                    }
-                }
-            }
-            let slot = conn.asm.read_slot(READ_CHUNK);
-            match conn.stream.read(slot) {
-                Ok(0) => return ReadOutcome::Closed,
-                Ok(n) => conn.asm.commit(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ReadOutcome::Closed,
-            }
-        }
-    }
-
-    /// Advances one peer's outbound state machine as far as the kernel
-    /// allows: builds flushes from the queue, dials on demand, writes
-    /// until `WouldBlock`, and walks the retry-once path on failure.
-    fn flush_peer(&mut self, peer: usize) {
-        loop {
-            let o = &mut self.outbound[peer];
-            if o.retry_at.is_some() {
-                return; // waiting out the backoff timer
-            }
-            if o.flush.is_none() {
-                if o.queue.is_empty() {
-                    return;
-                }
-                o.flush = Some(Flush::build(&mut o.queue));
-            }
-            if o.conn.is_none() {
-                let dialed = dial(self.me, self.peers.get(peer)).and_then(|stream| {
-                    stream.set_nonblocking(true)?;
-                    let _ = stream.set_nodelay(true);
-                    Ok(stream)
-                });
-                match dialed {
-                    Ok(stream) => o.conn = Some(stream),
-                    Err(_) => {
-                        self.note_write_failure(peer);
-                        continue;
-                    }
-                }
-            }
-            if o.fail_next {
-                // Injected failure: kill the connection and take the
-                // production failure path.
-                o.fail_next = false;
-                o.conn = None;
-                self.note_write_failure(peer);
-                continue;
-            }
-            let flush = o.flush.as_mut().expect("flush ensured above");
-            let stream = o.conn.as_mut().expect("connection ensured above");
-            match flush.write_some(stream) {
-                Ok(true) => {
-                    let total = flush.total;
-                    if o.retried {
-                        o.retried = false;
-                        self.obs.reconnected(self.me);
-                    }
-                    self.outbound[peer].flush = None;
-                    if self.obs.is_attached() {
-                        self.obs.bytes_sent(self.me, "wire", total);
-                    }
-                }
-                Ok(false) => return, // kernel buffer full: resume later
-                Err(_) => {
-                    self.outbound[peer].conn = None;
-                    self.note_write_failure(peer);
-                }
-            }
-        }
-    }
-
-    /// The retry-once state machine, shared by dial and write failures:
-    /// first failure keeps the whole frame and arms the backoff timer;
-    /// second failure drops the frame and reports each message.
-    fn note_write_failure(&mut self, peer: usize) {
-        let me = self.me;
-        let o = &mut self.outbound[peer];
-        let Some(flush) = o.flush.as_mut() else {
-            return;
+    /// Flushes frames toward one peer until the kernel, the queue or
+    /// the retry rule says to wait — the last until the instant returned.
+    fn flush_peer(&mut self, peer: usize) -> Option<Instant> {
+        let (host, to) = (&self.host, ProcessId::new(peer as u32));
+        let dial = || {
+            let stream = host.dial(to)?;
+            stream.set_nonblocking(true)?;
+            Ok(stream)
         };
-        flush.written = 0; // the frame restarts from byte 0 on redial
-        if !o.retried {
-            o.retried = true;
-            let due = Instant::now() + RECONNECT_BACKOFF;
-            o.retry_at = Some(due);
-            self.timers.push(Reverse((due, peer)));
-        } else {
-            let dropped = flush.msgs.len();
-            o.flush = None;
-            o.retried = false;
-            for _ in 0..dropped {
-                self.obs.message_dropped(me, ProcessId::new(peer as u32));
+        loop {
+            match self.outbound[peer].flush(host, to, Instant::now(), dial) {
+                Flushed::Sent(bytes) => {
+                    if host.obs.is_attached() {
+                        host.obs.bytes_sent(host.me, "wire", bytes);
+                    }
+                }
+                Flushed::Drained | Flushed::Full => return None,
+                Flushed::Backoff(until) => return Some(until),
             }
         }
     }
 
     /// Parks until the next event could possibly arrive: a command
-    /// (doorbell wakes immediately), a due timer, or — since readiness
-    /// is polled — the poll interval when any socket is open.
-    fn park(&mut self) {
+    /// (doorbell wakes immediately), the earliest retry (`retry_at`), or
+    /// — since readiness is polled — the poll interval when any socket
+    /// is open.
+    fn park(&mut self, retry_at: Option<Instant>) {
         let has_sockets = !self.inbound.is_empty()
             || self
                 .outbound
                 .iter()
-                .any(|o| !o.is_idle() || o.conn.is_some());
+                .any(|out| !out.is_idle() || out.is_connected());
         let mut timeout = if has_sockets {
             POLL_INTERVAL
         } else {
             IDLE_PARK
         };
-        if let Some(&Reverse((due, _))) = self.timers.peek() {
+        if let Some(due) = retry_at {
             timeout = timeout.min(due.saturating_duration_since(Instant::now()));
         }
         if timeout.is_zero() {
@@ -696,6 +380,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crossbeam::channel::unbounded;
 
     fn p(i: u32) -> ProcessId {

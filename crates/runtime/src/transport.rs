@@ -1,7 +1,8 @@
 //! Byte transports between runtime nodes.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -13,6 +14,7 @@ use parking_lot::Mutex;
 use twostep_telemetry::ObserverHandle;
 use twostep_types::ProcessId;
 
+use crate::wire::{Flushed, Host, Incoming, Outgoing, Pumped};
 use crate::{codec, RuntimeError};
 
 /// A way to move encoded messages between processes.
@@ -255,41 +257,36 @@ impl Transport for InMemoryTransport {
 /// Wire format per connection: a 4-byte little-endian sender id
 /// handshake, then frames of `[len: u32 LE][payload]`. A payload is
 /// either a single encoded message or a coalesced multi-message frame
-/// ([`codec::pack_frame`]); the receive path forwards each payload to
-/// the inbox whole, and consumers iterate coalesced frames in place
-/// with [`codec::frame_messages`] — the same contract as the in-memory
-/// and reactor backends.
+/// (tagged [`codec::FRAME_MAGIC`]); the receive path forwards each
+/// payload to the inbox whole, and consumers iterate coalesced frames in
+/// place with [`codec::frame_messages`] — the same contract as the
+/// in-memory and reactor backends. A receiver hangs up on a peer whose
+/// handshake id is not in the peer list or whose length prefix is over
+/// [`codec::MAX_FRAME_LEN`]. All of this is the `wire` module's, shared
+/// with [`crate::ReactorTransport`]; this backend only decides who
+/// waits: a thread per connection, blocking.
 ///
 /// Sends are asynchronous: [`Transport::send`] enqueues and returns.
 /// The destination's writer thread drains its queue — everything queued
-/// at flush time (up to [`MAX_COALESCE`] messages and
-/// [`codec::MAX_FRAME_LEN`] bytes) goes out as **one** frame and one
-/// `write` syscall, which is where batched SMR traffic stops paying a
-/// syscall per message. A single payload over that length is dropped,
-/// as no receiver accepts its frame. On a write failure the writer
-/// redials once (after [`RECONNECT_BACKOFF`]) before dropping the
-/// flush; drops and successful reconnects are reported to the attached
-/// observer.
+/// at flush time (up to [`crate::MAX_COALESCE`] messages and
+/// [`codec::MAX_FRAME_LEN`] bytes) goes out as **one** frame in one
+/// vectored `write` syscall on a `TCP_NODELAY` connection, which is
+/// where batched SMR traffic stops paying a syscall per message. A
+/// single payload over that length is dropped, as no receiver accepts
+/// its frame. On a write failure the writer redials once (after
+/// [`crate::RECONNECT_BACKOFF`]) before dropping the frame; drops and
+/// successful reconnects are reported to the attached observer.
 pub struct TcpTransport {
-    inner: Arc<TcpInner>,
+    host: Arc<Host>,
+    /// Deliberately outside `host`, which the writer threads share:
+    /// writers exit when the queue senders drop, so the transport handle
+    /// going away tears the writers down rather than leaking them.
     queues: Mutex<Vec<Option<Sender<Bytes>>>>,
 }
 
-/// State shared with writer and reader threads (deliberately excludes
-/// the queues: writers exit when the queue senders drop, so the
-/// transport handle going away tears the writers down rather than
-/// leaking them).
-struct TcpInner {
-    me: ProcessId,
-    peers: Vec<SocketAddr>,
-    obs: ObserverHandle,
-}
-
-/// How long a failed flush waits before its single reconnect attempt.
-pub const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
-
-/// Upper bound on messages coalesced into one wire frame.
-pub const MAX_COALESCE: usize = 128;
+/// How long the accept thread waits after a failed `accept` before
+/// trying again.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 impl TcpTransport {
     /// Binds a listener on an OS-assigned localhost port and returns its
@@ -308,12 +305,11 @@ impl TcpTransport {
     /// Creates the transport for process `me` given everyone's listening
     /// addresses, and spawns the accept loop feeding `inbox`. Pass
     /// [`ObserverHandle::none`] to run unobserved; with an observer
-    /// attached, dropped flushes (`message_dropped`, once per message)
+    /// attached, dropped frames (`message_dropped`, once per message)
     /// and successful redials (`reconnected`) are reported.
     ///
-    /// The accept thread runs until the listener is closed (process
-    /// drop) or the inbox receiver goes away; writer threads exit when
-    /// the transport handle is dropped.
+    /// The accept thread runs for as long as the node has an inbox;
+    /// writer threads exit when the transport handle is dropped.
     pub fn spawn(
         me: ProcessId,
         peers: Vec<SocketAddr>,
@@ -323,14 +319,26 @@ impl TcpTransport {
     ) -> Arc<Self> {
         let transport = Arc::new(TcpTransport {
             queues: Mutex::new((0..peers.len()).map(|_| None).collect()),
-            inner: Arc::new(TcpInner { me, peers, obs }),
+            host: Arc::new(Host { me, peers, obs }),
         });
-        let inner = Arc::clone(&transport.inner);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                let (inner, inbox) = (Arc::clone(&inner), inbox.clone());
-                thread::spawn(move || read_loop(&inner, stream, inbox));
+        let host = Arc::clone(&transport.host);
+        // Set by the first reader whose delivery the inbox refuses.
+        let inbox_gone = Arc::new(AtomicBool::new(false));
+        thread::spawn(move || loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let (host, inbox, gone) = (host.clone(), inbox.clone(), inbox_gone.clone());
+                    thread::spawn(move || read_loop(&host, stream, &inbox, &gone));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // An `accept` error is about one connection or one
+                // moment (`ECONNABORTED`, `EMFILE`), not the listener:
+                // ending the thread on it would leave the node deaf to
+                // every later redial while its writers kept working.
+                // Pause so a persistent error cannot spin, and go on
+                // for as long as there is a node to deliver to.
+                Err(_) if inbox_gone.load(Ordering::Acquire) => return,
+                Err(_) => thread::sleep(ACCEPT_RETRY_PAUSE),
             }
         });
         transport
@@ -342,8 +350,8 @@ impl TcpTransport {
         let slot = queues.get_mut(to.index())?;
         if slot.is_none() {
             let (tx, rx) = crossbeam::channel::unbounded();
-            let inner = Arc::clone(&self.inner);
-            thread::spawn(move || writer_loop(inner, to, rx));
+            let host = Arc::clone(&self.host);
+            thread::spawn(move || writer_loop(&host, to, &rx));
             *slot = Some(tx);
         }
         slot.clone()
@@ -366,130 +374,44 @@ impl Transport for Arc<TcpTransport> {
     }
 }
 
-/// Drains the send queue toward `to`: each iteration flushes everything
-/// queued (bounded by [`MAX_COALESCE`] and [`codec::MAX_FRAME_LEN`]) as
-/// one wire frame.
-fn writer_loop(inner: Arc<TcpInner>, to: ProcessId, rx: Receiver<Bytes>) {
-    let mut conn: Option<TcpStream> = None;
-    // The payload the previous frame had no room for; it opens this one.
-    let mut held: Option<Bytes> = None;
+/// The writer thread toward `to`: blocks wherever [`Outgoing::flush`]
+/// says to wait. Everything queued when a frame is built rides in it.
+fn writer_loop(host: &Host, to: ProcessId, rx: &Receiver<Bytes>) {
+    let mut out = Outgoing::new();
     loop {
-        // Block for the first payload; the queue senders dropping is the
-        // shutdown signal.
-        let Some(first) = held.take().or_else(|| rx.recv().ok()) else {
-            return;
-        };
-        if first.len() > codec::MAX_FRAME_LEN {
-            // The receiver would hang up on the length prefix alone:
-            // drop the payload here and keep the connection.
-            inner.obs.message_dropped(inner.me, to);
-            continue;
+        while let Ok(payload) = rx.try_recv() {
+            out.push(payload);
         }
-        let mut body = 4 + first.len();
-        let mut flush = vec![first];
-        while flush.len() < MAX_COALESCE {
-            let Ok(p) = rx.try_recv() else { break };
-            if !codec::frame_has_room(body, p.len()) {
-                held = Some(p);
-                break;
+        match out.flush(host, to, Instant::now(), || host.dial(to)) {
+            // A blocking socket is never `Full`.
+            Flushed::Sent(_) | Flushed::Full => {}
+            Flushed::Backoff(until) => {
+                thread::sleep(until.saturating_duration_since(Instant::now()));
             }
-            body += 4 + p.len();
-            flush.push(p);
-        }
-        let frame = if flush.len() == 1 {
-            // Single message: legacy payload, no frame envelope.
-            flush[0].clone()
-        } else {
-            codec::pack_frame(&flush)
-        };
-        if write_frame(&inner, &mut conn, to, &frame) {
-            continue;
-        }
-        // Single bounded reconnect: back off briefly, redial once, and
-        // resend the whole frame. If that fails too the peer is treated
-        // as crashed and the flush is dropped (crash-stop semantics).
-        thread::sleep(RECONNECT_BACKOFF);
-        conn = None;
-        if write_frame(&inner, &mut conn, to, &frame) {
-            inner.obs.reconnected(inner.me);
-        } else {
-            for _ in &flush {
-                inner.obs.message_dropped(inner.me, to);
-            }
+            // The queue senders dropping is the shutdown signal.
+            Flushed::Drained => match rx.recv() {
+                Ok(payload) => out.push(payload),
+                Err(_) => return,
+            },
         }
     }
 }
 
-/// One attempt to put a whole `[len][frame]` on the wire, dialing and
-/// handshaking first if no connection is cached. On failure the cached
-/// connection is forgotten — a partially-written frame poisons the
-/// stream's framing, so the connection is dropped, not just the frame.
-fn write_frame(
-    inner: &TcpInner,
-    conn: &mut Option<TcpStream>,
-    to: ProcessId,
-    frame: &Bytes,
-) -> bool {
-    if conn.is_none() {
-        let Ok(stream) = dial(inner.me, inner.peers.get(to.index())) else {
-            return false;
-        };
-        *conn = Some(stream);
-    }
-    let Some(stream) = conn.as_mut() else {
-        return false;
-    };
-    let len = (frame.len() as u32).to_le_bytes();
-    if stream.write_all(&len).is_err() || stream.write_all(frame).is_err() {
-        *conn = None;
-        return false;
-    }
-    true
-}
-
-/// Dials `addr` and performs the sender-id handshake — the connection
-/// preamble both socket backends share. The dial is blocking: on the
-/// localhost deployments these transports target it either completes or
-/// refuses immediately.
-pub(crate) fn dial(me: ProcessId, addr: Option<&SocketAddr>) -> io::Result<TcpStream> {
-    let addr = addr.ok_or_else(|| io::Error::from(io::ErrorKind::AddrNotAvailable))?;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&me.as_u32().to_le_bytes())?;
-    Ok(stream)
-}
-
-fn read_loop(inner: &TcpInner, mut stream: TcpStream, inbox: Sender<(ProcessId, Bytes)>) {
-    let mut id_buf = [0u8; 4];
-    if stream.read_exact(&mut id_buf).is_err() {
-        return;
-    }
-    let from = ProcessId::new(u32::from_le_bytes(id_buf));
+/// The reader thread of one accepted connection: blocks in
+/// [`Incoming::pump`] until the connection ends.
+fn read_loop(
+    host: &Host,
+    mut stream: TcpStream,
+    inbox: &Sender<(ProcessId, Bytes)>,
+    inbox_gone: &AtomicBool,
+) {
+    let mut conn = Incoming::new();
+    let mut deliver = |from, frame| inbox.send((from, frame)).is_ok();
     loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            return;
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > codec::MAX_FRAME_LEN {
-            // The prefix comes straight from the peer: refuse to
-            // allocate for it. A bad peer costs its connection (closed
-            // on return), never the node.
-            inner.obs.message_dropped(from, inner.me);
-            return;
-        }
-        let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
-            return;
-        }
-        // Forward the wire frame whole — consumers iterate coalesced
-        // frames in place with [`codec::frame_messages`], exactly as
-        // they do for the in-memory and reactor backends, so the read
-        // path allocates once per wire frame rather than per message.
-        // (A corrupt coalesced frame is dropped by the consumer; the
-        // outer length prefix was intact, so the connection's framing
-        // still is too.)
-        if inbox.send((from, Bytes::from(payload))).is_err() {
-            return;
+        match conn.pump(host, &mut stream, &mut deliver) {
+            Pumped::Open => {} // not on a blocking socket
+            Pumped::Closed => return,
+            Pumped::InboxGone => return inbox_gone.store(true, Ordering::Release),
         }
     }
 }
@@ -685,72 +607,5 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         panic!("no reconnect recorded after 100 sends to a closing peer");
-    }
-
-    /// Satellite check: length-prefixed frames survive a sender that
-    /// dribbles the handshake and frames onto the wire one byte at a
-    /// time (maximally split writes → maximally partial reads).
-    #[test]
-    fn framing_survives_byte_at_a_time_writes() {
-        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
-        let (tx1, rx1) = unbounded();
-        let _t1 = tcp(p(1), vec![a1], l1, tx1);
-
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&7u32.to_le_bytes()); // handshake: sender id
-        for payload in [b"alpha".as_slice(), b"".as_slice(), b"omega!".as_slice()] {
-            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            wire.extend_from_slice(payload);
-        }
-
-        let mut stream = TcpStream::connect(a1).unwrap();
-        for byte in wire {
-            stream.write_all(&[byte]).unwrap();
-            stream.flush().unwrap();
-        }
-
-        let expect = [
-            (p(7), Bytes::from_static(b"alpha")),
-            (p(7), Bytes::from_static(b"")),
-            (p(7), Bytes::from_static(b"omega!")),
-        ];
-        for want in expect {
-            assert_eq!(rx1.recv_timeout(Duration::from_secs(5)).unwrap(), want);
-        }
-    }
-
-    /// Satellite check: a frame boundary falling mid-write (length
-    /// prefix split from payload, payload split across two writes)
-    /// never merges or truncates frames.
-    #[test]
-    fn framing_survives_frames_split_across_writes() {
-        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
-        let (tx1, rx1) = unbounded();
-        let _t1 = tcp(p(1), vec![a1], l1, tx1);
-
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&3u32.to_le_bytes());
-        for payload in [b"first-frame".as_slice(), b"second".as_slice()] {
-            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            wire.extend_from_slice(payload);
-        }
-
-        // Split the byte stream at deliberately awkward points: inside
-        // the handshake, inside a length prefix, and inside a payload.
-        let mut stream = TcpStream::connect(a1).unwrap();
-        for chunk in [&wire[..2], &wire[2..6], &wire[6..13], &wire[13..]] {
-            stream.write_all(chunk).unwrap();
-            stream.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-
-        assert_eq!(
-            rx1.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (p(3), Bytes::from_static(b"first-frame"))
-        );
-        assert_eq!(
-            rx1.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (p(3), Bytes::from_static(b"second"))
-        );
     }
 }

@@ -27,6 +27,9 @@
 //! * **Frame-length ceiling, sending side** (socket backends): a burst
 //!   over it goes out as several frames, a single payload over it is
 //!   dropped where it is sent, and neither costs the connection.
+//! * **Handshake id** (socket backends): a peer whose handshake names a
+//!   process outside the deployment is hung up on with nothing
+//!   delivered, and the node keeps serving honest peers.
 //! * **Retry-once semantics** (socket backends): a send to a dead peer
 //!   records exactly one drop per message after the single reconnect
 //!   attempt; a live peer that tears down established connections is
@@ -325,36 +328,44 @@ fn conformance_untagged_payloads_route_to_shard_zero() {
     }
 }
 
+/// Blocks until the receiver closes `raw` — which it must, within the
+/// timeout, without having written anything to it.
+fn assert_hung_up_on(raw: &mut std::net::TcpStream, backend: Backend, offence: &str) {
+    use std::io::Read;
+
+    raw.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+    let mut byte = [0u8; 1];
+    match raw.read(&mut byte) {
+        Ok(0) => {} // orderly close
+        Ok(_) => panic!("{backend:?}: receiver wrote to an inbound connection"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{backend:?}: {offence} never cost the connection ({e})"
+        ), // reset: also closed
+    }
+}
+
 #[test]
 fn conformance_oversize_frame_costs_only_its_connection() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::net::TcpStream;
 
     for backend in SOCKET_BACKENDS {
         let (metrics, obs) = Metrics::shared();
-        let d = deploy_observed(backend, 1, &obs);
+        let d = deploy_observed(backend, 3, &obs);
         let addr = d.addrs[0];
 
         // A raw peer: valid handshake, then a length prefix one past
         // the ceiling. The receiver must hang up rather than wait for
         // (or allocate) the announced payload.
         let mut bad = TcpStream::connect(addr).unwrap();
-        bad.write_all(&7u32.to_le_bytes()).unwrap();
+        bad.write_all(&1u32.to_le_bytes()).unwrap();
         bad.write_all(&(codec::MAX_FRAME_LEN as u32 + 1).to_le_bytes())
             .unwrap();
-        bad.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
-        let mut byte = [0u8; 1];
-        match bad.read(&mut byte) {
-            Ok(0) => {} // orderly close
-            Ok(_) => panic!("{backend:?}: receiver wrote to an inbound connection"),
-            Err(e) => assert!(
-                !matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ),
-                "{backend:?}: oversize prefix never cost the connection ({e})"
-            ), // reset: also closed
-        }
+        assert_hung_up_on(&mut bad, backend, "an oversize prefix");
         assert_eq!(
             metrics.snapshot().dropped,
             1,
@@ -363,12 +374,12 @@ fn conformance_oversize_frame_costs_only_its_connection() {
 
         // The node survived: a following well-formed connection delivers.
         let mut good = TcpStream::connect(addr).unwrap();
-        good.write_all(&8u32.to_le_bytes()).unwrap();
+        good.write_all(&2u32.to_le_bytes()).unwrap();
         good.write_all(&5u32.to_le_bytes()).unwrap();
         good.write_all(b"still").unwrap();
         assert_eq!(
             d.inboxes[0].recv_timeout(RECV_TIMEOUT).unwrap(),
-            (p(8), Bytes::from_static(b"still")),
+            (p(2), Bytes::from_static(b"still")),
             "{backend:?}: node stopped serving after a bad peer"
         );
         assert!(
@@ -568,5 +579,48 @@ fn conformance_senders_bound_a_frame_by_the_receivers_ceiling() {
         let snap = metrics.snapshot();
         assert_eq!(snap.dropped, 1, "{backend:?}: one drop for the one payload");
         assert_eq!(snap.reconnects, 0, "{backend:?}: the connection was lost");
+    }
+}
+
+/// A connection is only as good as its handshake: every frame on it is
+/// dispatched as coming from the id it opened with, and the protocols
+/// index vote sets by that id. A peer that names a process outside the
+/// deployment — the first id past the peer list, or one past the 64 a
+/// `ProcessSet` can hold — is hung up on before its (well-formed) frame
+/// is looked at, and costs nobody else anything.
+#[test]
+fn conformance_handshake_outside_the_peer_list_is_refused() {
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    for backend in SOCKET_BACKENDS {
+        let n = 3;
+        let (metrics, obs) = Metrics::shared();
+        let d = deploy_observed(backend, n, &obs);
+
+        for (refused, id) in [n as u32, 65].into_iter().enumerate() {
+            let mut raw = TcpStream::connect(d.addrs[0]).unwrap();
+            raw.write_all(&id.to_le_bytes()).unwrap();
+            raw.write_all(&6u32.to_le_bytes()).unwrap();
+            raw.write_all(b"forged").unwrap_or(()); // may already be reset
+            assert_hung_up_on(&mut raw, backend, &format!("handshaking as p{id}"));
+            assert_eq!(
+                metrics.snapshot().dropped,
+                refused as u64 + 1,
+                "{backend:?}: refusing p{id} is reported as one drop"
+            );
+        }
+
+        // The node survived, and delivered nothing the forgers sent.
+        d.send(1, 0, b"honest");
+        assert_eq!(
+            d.recv_messages(0, 1),
+            vec![(p(1), b"honest".to_vec())],
+            "{backend:?}"
+        );
+        assert!(
+            d.inboxes[0].try_recv().is_err(),
+            "{backend:?}: a forgery leaked"
+        );
     }
 }
