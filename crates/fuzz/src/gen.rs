@@ -20,7 +20,12 @@
 //! the structure only
 //! biases *generation*; shrinking and replay treat the schedule as an
 //! arbitrary action list.
+//!
+//! The sharded ([`gen_sharded`]) and Byzantine (FastBft's [`gen_case`])
+//! shapes are generators of such schedules too, and nothing else: the
+//! one interpreter in [`crate::case`] runs them.
 
+use twostep_byz::{ByzBehavior, ByzPlan};
 use twostep_core::Ablations;
 use twostep_types::{ProcessId, SplitMix64, SystemConfig};
 
@@ -28,13 +33,17 @@ use crate::case::{FuzzCase, FuzzProtocol};
 use crate::schedule::Action;
 
 /// Derives the fully determined case for one fuzzing iteration from its
-/// stream seed (see [`SplitMix64::stream`]).
+/// stream seed (see [`SplitMix64::stream`]): one group, and a victim
+/// coalition exactly when the protocol is FastBft.
 pub fn gen_case(
     protocol: FuzzProtocol,
     cfg: SystemConfig,
     ablations: Ablations,
     seed: u64,
 ) -> FuzzCase {
+    if matches!(protocol, FuzzProtocol::FastBft(_)) {
+        return gen_byzantine(protocol, cfg, seed);
+    }
     let mut rng = SplitMix64::new(seed);
     let n = cfg.n() as u8;
     let f = cfg.f();
@@ -193,12 +202,165 @@ pub fn gen_case(
         leader: ProcessId::new(u32::from(leader)),
         ablations,
         schedule: acts.into(),
+        groups: 1,
+        victims: ByzPlan::honest(0),
+    }
+}
+
+/// Appends `rounds` rounds of "deliver everything to everyone", each in
+/// a seeded process order.
+fn drain(rng: &mut SplitMix64, acts: &mut Vec<Action>, n: u8, rounds: usize) {
+    for _ in 0..rounds {
+        let mut order: Vec<u8> = (0..n).collect();
+        rng.shuffle(&mut order);
+        acts.extend(order.into_iter().map(Action::DeliverAllTo));
+    }
+}
+
+/// The sharded campaign's case: `groups` object-consensus groups on the
+/// same `n` nodes, group `s` led by node `s mod n` as the runtime's
+/// rotation assigns it. The failure model is *correlated* — a node
+/// crash removes one replica from every group at once, and the crashed
+/// node leads at least one of them — which no one-group case can
+/// express. Load goes in first (1–3 proposals per shard, concurrent
+/// proposers being the interesting case), seeded deliveries put commits
+/// in flight, the leader node of a seeded shard crashes — three times in
+/// four taking its undelivered mail with it, the `Decide` a recovery
+/// then has to do without — deliveries and timer fires (retry and
+/// recovery paths) continue while it is down, it restarts with its
+/// state intact and the system drains: everything delivered, every
+/// timer fired once (only a retry replaces lost mail), everything
+/// delivered again.
+///
+/// # Panics
+///
+/// Panics unless `1 <= groups <= 256` (a proposal names its shard in
+/// one byte).
+pub fn gen_sharded(groups: usize, cfg: SystemConfig, ablations: Ablations, seed: u64) -> FuzzCase {
+    assert!((1..=256).contains(&groups), "1..=256 shards, got {groups}");
+    let mut rng = SplitMix64::new(seed);
+    let (n, k) = (cfg.n() as u64, groups as u64);
+    let mut acts: Vec<Action> = Vec::new();
+
+    for s in 0..k {
+        for _ in 0..1 + rng.below(3) {
+            let proposer = rng.below(n) as u8;
+            // A payload the interpreter routes to shard `s`: v ≡ s (mod k).
+            let v = s + k * rng.below((255 - s) / k + 1);
+            acts.push(Action::Propose(proposer, v as u8));
+        }
+    }
+    let deliver = |rng: &mut SplitMix64, acts: &mut Vec<Action>| {
+        acts.push(if rng.chance(1, 2) {
+            Action::DeliverAllTo(rng.below(n) as u8)
+        } else {
+            Action::DeliverIdx(rng.next_u64() as u16)
+        });
+    };
+    for _ in 0..4 + rng.below(10) {
+        deliver(&mut rng, &mut acts);
+    }
+    let down = (rng.below(k) % n) as u8;
+    acts.push(Action::Crash(down));
+    if rng.chance(3, 4) {
+        // Oldest first, group by group: `k + 1` drops per recipient
+        // cover a `Propose` in every group and one message more.
+        for r in (0..n as u8).filter(|r| *r != down) {
+            acts.extend((0..=k).map(|_| Action::DropFromTo(down, r)));
+        }
+    }
+    for _ in 0..4 + rng.below(10) {
+        deliver(&mut rng, &mut acts);
+        if rng.chance(1, 3) {
+            acts.push(Action::FireAllTimers(rng.below(n) as u8));
+        }
+    }
+    acts.push(Action::Restart(down));
+    drain(&mut rng, &mut acts, n as u8, 4);
+    acts.extend((0..n as u8).map(Action::FireAllTimers));
+    drain(&mut rng, &mut acts, n as u8, 6);
+
+    FuzzCase {
+        protocol: FuzzProtocol::Object,
+        cfg,
+        values: vec![0; cfg.n()],
+        leader: ProcessId::new(0),
+        ablations,
+        schedule: acts.into(),
+        groups,
+        victims: ByzPlan::honest(0),
+    }
+}
+
+/// The Byzantine campaign's case. A seeded coalition of 1..=f distinct
+/// victims each draws one of the four [`ByzBehavior::MALICIOUS`]
+/// behaviors; process 0 — the ballot-0 coordinator and first Ω leader —
+/// is never among them: without signatures a Byzantine *coordinator*
+/// can fabricate the fast proposal itself, which no quorum arithmetic
+/// detects (the unsigned-BFT caveat in `twostep-baselines::fab`), so
+/// victims come from the acceptor/recovery roles whose misbehavior the
+/// quorums are sized to absorb. Pending messages are then delivered in
+/// seeded order with seeded timer fires (heartbeats, suspicion, ballot
+/// retries) interleaved, so view changes run with the coalition's
+/// corruption in flight and forged `Promise`s reach real recovery
+/// quorums. Retries regenerate messages forever, so the drain cannot
+/// wait for quiescence: each process in turn fires all its timers
+/// twice — suspecting everyone, it leads a ballot of its own — and the
+/// system delivers everything, which carries every honest process to a
+/// decision.
+fn gen_byzantine(protocol: FuzzProtocol, cfg: SystemConfig, seed: u64) -> FuzzCase {
+    let mut rng = SplitMix64::new(seed);
+    let n = cfg.n();
+
+    let count = 1 + rng.below(cfg.f() as u64) as usize;
+    let mut coalition: Vec<ProcessId> = Vec::new();
+    while coalition.len() < count {
+        let v = ProcessId::new(1 + rng.below(n as u64 - 1) as u32);
+        if !coalition.contains(&v) {
+            coalition.push(v);
+        }
+    }
+    let mut victims = ByzPlan::honest(seed);
+    for v in coalition {
+        let malicious = ByzBehavior::MALICIOUS;
+        victims = victims.with(v, malicious[rng.below(malicious.len() as u64) as usize]);
+    }
+    // Initial values stay far below the forgery bit pattern, so a
+    // decided forgery is both outside the pool and visibly corrupt.
+    let values: Vec<u64> = (0..n).map(|_| 1 + rng.below(999)).collect();
+
+    let mut acts: Vec<Action> = Vec::new();
+    for _ in 0..4 * n * n {
+        acts.push(Action::DeliverIdx(rng.next_u64() as u16));
+        if rng.chance(1, 10) {
+            acts.push(Action::FireTimer(
+                rng.below(n as u64) as u8,
+                rng.next_u64() as u16,
+            ));
+        }
+    }
+    drain(&mut rng, &mut acts, n as u8, 3);
+    for p in (0..n as u8).chain(0..n as u8) {
+        acts.extend([Action::FireAllTimers(p), Action::FireAllTimers(p)]);
+        drain(&mut rng, &mut acts, n as u8, 4);
+    }
+
+    FuzzCase {
+        protocol,
+        cfg,
+        values,
+        leader: ProcessId::new(0),
+        ablations: Ablations::NONE,
+        schedule: acts.into(),
+        groups: 1,
+        victims,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twostep_types::ByzVariant;
 
     #[test]
     fn generation_is_deterministic() {
@@ -227,6 +389,61 @@ mod tests {
             .actions
             .iter()
             .any(|a| matches!(a, Action::Propose(..))));
+    }
+
+    #[test]
+    fn the_sharded_and_byzantine_shapes_are_deterministic() {
+        let sharded = |seed| {
+            let cfg = SystemConfig::new(3, 1, 1).unwrap();
+            gen_sharded(4, cfg, Ablations::NONE, seed)
+        };
+        let byzantine = |seed| {
+            let cfg = SystemConfig::new(6, 1, 1).unwrap();
+            gen_case(
+                FuzzProtocol::FastBft(ByzVariant::Fab),
+                cfg,
+                Ablations::NONE,
+                seed,
+            )
+        };
+        let gens: [&dyn Fn(u64) -> FuzzCase; 2] = [&sharded, &byzantine];
+        for gen in gens {
+            let (a, b) = (gen(11), gen(11));
+            assert_eq!(a.schedule, b.schedule);
+            assert_eq!(a.values, b.values);
+            let victims = |c: &FuzzCase| c.victims.byzantine().collect::<Vec<_>>();
+            assert_eq!(victims(&a), victims(&b));
+            assert_ne!(a.schedule, gen(12).schedule);
+        }
+    }
+
+    #[test]
+    fn sharded_load_reaches_every_shard() {
+        let cfg = SystemConfig::new(3, 1, 1).unwrap();
+        for (groups, seed) in [(2, 1), (4, 2), (7, 3), (256, 4)] {
+            let case = gen_sharded(groups, cfg, Ablations::NONE, seed);
+            let mut hit = vec![false; groups];
+            for a in &case.schedule.actions {
+                if let Action::Propose(_, v) = a {
+                    hit[usize::from(*v) % groups] = true;
+                }
+            }
+            assert!(hit.iter().all(|h| *h), "{groups} shards, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn process_zero_is_never_a_victim() {
+        let cfg = SystemConfig::new(9, 2, 2).unwrap();
+        let tight = FuzzProtocol::FastBft(ByzVariant::Tight);
+        for seed in 0..200 {
+            let victims = gen_case(tight, cfg, Ablations::NONE, seed).victims;
+            assert!((1..=2).contains(&victims.byzantine_count()), "seed {seed}");
+            assert!(
+                victims.behavior_of(ProcessId::new(0)).is_honest(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

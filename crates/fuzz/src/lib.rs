@@ -12,55 +12,50 @@
 //!
 //! Everything is deterministic. An iteration is fully described by
 //! `(root seed, iteration index)`; a counterexample is fully described
-//! by its [`FuzzCase`] (configuration, values, leader, ablations,
-//! schedule), which the `twostep-fuzz` binary prints in a one-line
-//! `--replay` format.
+//! by its [`FuzzCase`] (configuration, values, leader, ablations, group
+//! count, victim plan, schedule), which the `twostep-fuzz` binary prints
+//! in a one-line `--replay` format. A sharded deployment and a
+//! Byzantine coalition are fields of the case, so one pipeline finds,
+//! shrinks and replays all of them.
 //!
 //! The pipeline, module by module:
 //!
 //! 1. [`twostep_types::SplitMix64`] — the workspace's seeded PRNG, with
 //!    per-iteration streams.
-//! 2. [`gen`] — phase-structured schedule generation, biased towards
-//!    the fast-decide / vote-split / crash / recover shape of the
-//!    paper's §B.1 adversary.
+//! 2. [`gen`] — schedule generation, three shapes: the fast-decide /
+//!    vote-split / crash / recover phases of the paper's §B.1
+//!    adversary; `k` groups on shared nodes with a shard-leader node
+//!    crashing and restarting mid-load; a seeded coalition of
+//!    equivocating / forging / ballot-lying / silent victims
+//!    (`twostep-byz`) against the FaB-style fast-BFT baseline.
 //! 3. [`case`] — the total-action interpreter over
-//!    [`twostep_sim::ManualExecutor`], dispatching across the two-step
-//!    protocol (task and object variants) and the Paxos / Fast Paxos /
-//!    EPaxos-lite baselines.
-//! 4. [`oracle`] — safety (and optional termination) verdicts.
+//!    [`twostep_sim::ManualExecutor`]s, one per group, dispatching
+//!    across the two-step protocol (task and object variants), the
+//!    Paxos / Fast Paxos / EPaxos-lite / FastBft baselines and the
+//!    replicated log (`twostep-smr`).
+//! 4. [`oracle`] — safety (and optional termination) verdicts over
+//!    honest processes, per group, plus cross-shard leakage; a log
+//!    oracle for the replicated log.
 //! 5. [`mod@shrink`] — ddmin minimization to a 1-minimal schedule.
 //! 6. [`runner`] — the campaign loop tying it all together.
 //! 7. [`witness`] — the timed two-step-ness check run before each
 //!    campaign (the untimed executor cannot measure `2Δ`).
-//! 8. [`mod@shard`] — sharded campaigns: `k` groups on shared nodes,
-//!    a shard-leader node crash/restart mid-load, and a per-shard
-//!    oracle with a cross-shard leakage check.
-//! 9. [`byzcamp`] — Byzantine campaigns: seeded equivocation/forgery
-//!    coalitions injected into the FaB-style fast-BFT baseline via
-//!    `twostep-byz`, judged by honest-only oracles.
 
-pub mod byzcamp;
 pub mod case;
 pub mod gen;
 pub mod oracle;
 pub mod runner;
 pub mod schedule;
-pub mod shard;
 pub mod shrink;
 pub mod witness;
 
-pub use byzcamp::{
-    check_byzantine, fuzz_byzantine, run_byzantine_iteration, ByzFailure, ByzFuzzConfig,
-    ByzFuzzOutcome, ByzRun,
+pub use case::{
+    run_case, run_case_observed, shard_of_value, shard_value, FuzzCase, FuzzProtocol, RunReport,
+    SHARD_STRIDE,
 };
-pub use case::{run_case, run_case_observed, FuzzCase, FuzzProtocol, RunReport};
-pub use gen::gen_case;
+pub use gen::{gen_case, gen_sharded};
 pub use oracle::{check_liveness, check_safety, Verdict};
-pub use runner::{fuzz, fuzz_with_progress, Failure, FuzzConfig, FuzzOutcome};
+pub use runner::{fuzz, fuzz_cases, Failure, FuzzConfig, FuzzOutcome};
 pub use schedule::{Action, ParseError, Schedule};
-pub use shard::{
-    check_sharded, fuzz_sharded, run_sharded_iteration, shard_of_value, shard_value, ShardFailure,
-    ShardFuzzConfig, ShardFuzzOutcome, SHARD_STRIDE,
-};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use witness::{paxos_is_not_two_step, two_step_witness};

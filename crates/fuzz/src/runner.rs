@@ -1,8 +1,9 @@
 //! The fuzzing loop.
 //!
 //! Each iteration derives an independent stream seed from the root seed
-//! (see [`SplitMix64::stream`]), generates a case, executes it and asks
-//! the oracles for a verdict. The first violation stops the loop; safety
+//! (see [`SplitMix64::stream`]), generates a case — flat, sharded or
+//! Byzantine, the loop does not care — executes it and asks the oracles
+//! for a verdict. The first violation stops the loop; safety
 //! violations are then minimized by [`shrink`]. Everything is replayable
 //! from `(root seed, iteration)` — or, after shrinking, from the printed
 //! schedule alone.
@@ -88,6 +89,10 @@ pub struct Failure {
 pub struct FuzzOutcome {
     /// Iterations actually executed (equals `iters` on a clean run).
     pub iterations_run: u64,
+    /// Decide events the oracles judged (honest processes', all groups')
+    /// across all iterations — a clean pass with zero of them would be
+    /// vacuous, so callers should insist this is positive.
+    pub decisions: u64,
     /// The first violation, if any.
     pub failure: Option<Failure>,
 }
@@ -99,21 +104,33 @@ impl FuzzOutcome {
     }
 }
 
-/// Runs a fuzzing campaign, stopping at the first violation.
+/// Runs a fuzzing campaign over [`gen_case`]'s cases for the configured
+/// protocol, stopping at the first violation.
 pub fn fuzz(fc: &FuzzConfig) -> FuzzOutcome {
-    fuzz_with_progress(fc, |_| {})
+    let gen = |seed| gen_case(fc.protocol, fc.cfg, fc.ablations, seed);
+    fuzz_cases(fc, gen, |_| {})
 }
 
-/// Like [`fuzz`], invoking `progress(iterations_done)` periodically.
-pub fn fuzz_with_progress(fc: &FuzzConfig, mut progress: impl FnMut(u64)) -> FuzzOutcome {
+/// The campaign loop, for any case generator: iteration `i` runs
+/// `gen(stream(seed, i))` — `fc`'s protocol, configuration and
+/// ablations matter only to the generator that reads them — invoking
+/// `progress(iterations_done)` periodically.
+pub fn fuzz_cases(
+    fc: &FuzzConfig,
+    gen: impl Fn(u64) -> FuzzCase,
+    mut progress: impl FnMut(u64),
+) -> FuzzOutcome {
+    let mut decisions = 0;
     for i in 0..fc.iters {
         if i > 0 && i % 1000 == 0 {
             progress(i);
         }
         let stream_seed = SplitMix64::stream(fc.seed, i);
-        let case = gen_case(fc.protocol, fc.cfg, fc.ablations, stream_seed);
+        let case = gen(stream_seed);
         let report = run_case_observed(&case, fc.observer.clone());
-        let verdict = check_safety(fc.protocol, &report).or_else(|| {
+        let judged = |(p, _): &&(_, u64)| report.honest.contains(*p);
+        decisions += report.decide_log.iter().filter(judged).count() as u64;
+        let verdict = check_safety(case.protocol, &report).or_else(|| {
             if fc.liveness {
                 check_liveness(&report, report.alive)
             } else {
@@ -129,6 +146,7 @@ pub fn fuzz_with_progress(fc: &FuzzConfig, mut progress: impl FnMut(u64)) -> Fuz
             };
             return FuzzOutcome {
                 iterations_run: i + 1,
+                decisions,
                 failure: Some(Failure {
                     iteration: i,
                     stream_seed,
@@ -142,6 +160,7 @@ pub fn fuzz_with_progress(fc: &FuzzConfig, mut progress: impl FnMut(u64)) -> Fuz
     }
     FuzzOutcome {
         iterations_run: fc.iters,
+        decisions,
         failure: None,
     }
 }
@@ -149,6 +168,10 @@ pub fn fuzz_with_progress(fc: &FuzzConfig, mut progress: impl FnMut(u64)) -> Fuz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twostep_types::ByzVariant;
+
+    use crate::case::run_case;
+    use crate::gen::gen_sharded;
 
     #[test]
     fn correct_task_protocol_survives_a_small_campaign() {
@@ -157,6 +180,7 @@ mod tests {
         let out = fuzz(&fc);
         assert!(out.is_clean(), "unexpected violation: {:?}", out.failure);
         assert_eq!(out.iterations_run, 50);
+        assert!(out.decisions > 0, "campaign never decided anything");
     }
 
     #[test]
@@ -178,5 +202,65 @@ mod tests {
                 .as_ref()
                 .map(|x| (x.iteration, x.case.schedule.clone())),
         );
+    }
+
+    #[test]
+    fn sharded_and_byzantine_iterations_are_deterministic() {
+        let sharded = gen_sharded(4, SystemConfig::new(3, 1, 1).unwrap(), Ablations::NONE, 11);
+        let fab = FuzzProtocol::FastBft(ByzVariant::Fab);
+        let byzantine = gen_case(
+            fab,
+            SystemConfig::new(6, 1, 1).unwrap(),
+            Ablations::NONE,
+            11,
+        );
+        for case in [sharded, byzantine] {
+            let (a, b) = (run_case(&case), run_case(&case));
+            assert_eq!(a.decide_log, b.decide_log);
+            assert_eq!(a.group_decides, b.group_decides);
+            assert_eq!(a.proposed, b.proposed);
+            assert_eq!(a.alive, b.alive);
+        }
+    }
+
+    #[test]
+    fn small_sharded_campaign_is_clean_and_decides() {
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        let fc = FuzzConfig::new(FuzzProtocol::Object, cfg, 5, 25);
+        let out = fuzz_cases(&fc, |s| gen_sharded(3, cfg, Ablations::NONE, s), |_| {});
+        assert!(out.is_clean(), "unexpected violation: {:?}", out.failure);
+        assert_eq!(out.iterations_run, 25);
+        assert!(out.decisions > 0, "campaign never committed anything");
+    }
+
+    #[test]
+    fn small_byzantine_campaigns_are_clean_and_decide() {
+        // Fab at its fast-live minimum, Tight at f = 2, and both at the
+        // n = 3f+1 = 4 floor: the corner where a promise quorum's
+        // intersection with an accepting quorum holds a single
+        // guaranteed-honest reporter (Fab), and where the Tight quorum
+        // can exclude the coordinator. All stay clean now that slow
+        // reports are certificate-pinned and Tight recovery waits for
+        // the coordinator.
+        for (variant, n, f, seed, iters) in [
+            (ByzVariant::Fab, 6, 1, 9, 15),
+            (ByzVariant::Tight, 9, 2, 13, 8),
+            (ByzVariant::Fab, 4, 1, 21, 15),
+            (ByzVariant::Tight, 4, 1, 21, 15),
+        ] {
+            let cfg = SystemConfig::new(n, f, f).unwrap();
+            let out = fuzz(&FuzzConfig::new(
+                FuzzProtocol::FastBft(variant),
+                cfg,
+                seed,
+                iters,
+            ));
+            assert!(
+                out.is_clean(),
+                "{variant:?} n={n} violation: {:?}",
+                out.failure
+            );
+            assert!(out.decisions > 0, "{variant:?} n={n} campaign was vacuous");
+        }
     }
 }

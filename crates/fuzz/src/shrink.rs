@@ -96,6 +96,7 @@ pub fn shrink(case: &FuzzCase, budget: usize) -> ShrinkOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twostep_byz::ByzPlan;
     use twostep_core::Ablations;
     use twostep_types::{ProcessId, SystemConfig};
 
@@ -118,6 +119,8 @@ mod tests {
             leader: ProcessId::new(0),
             ablations: Ablations::NONE,
             schedule: vec![Action::DeliverAllTo(0), Action::DeliverAllTo(1)].into(),
+            groups: 1,
+            victims: ByzPlan::honest(0),
         };
         let out = shrink(&case, 100);
         assert!(!out.gave_up);
@@ -134,6 +137,8 @@ mod tests {
             leader: ProcessId::new(0),
             ablations: Ablations::NONE,
             schedule: vec![Action::DeliverAllTo(0)].into(),
+            groups: 1,
+            victims: ByzPlan::honest(0),
         };
         let out = shrink(&case, 0);
         assert!(out.gave_up);

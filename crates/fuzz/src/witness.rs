@@ -47,7 +47,9 @@ pub fn two_step_witness(protocol: FuzzProtocol, cfg: SystemConfig) -> Result<(),
     // witness run; the leader never acts before 2Δ anyway.
     let omega = OmegaMode::Static(favored);
     let deciders = match protocol {
-        FuzzProtocol::Paxos => return Ok(()),
+        // FastBft's fast path is e14's to measure and the replicated log's
+        // commit latency the runtime's; neither is an e-two-step claim here.
+        FuzzProtocol::Paxos | FuzzProtocol::FastBft(_) | FuzzProtocol::Smr => return Ok(()),
         FuzzProtocol::Task => {
             // The favored proposer carries the maximum value, so the
             // `v ≥ initial_val` vote precondition never blocks it.

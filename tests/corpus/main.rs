@@ -14,13 +14,13 @@
 //!     --ablate no_max_tiebreak --replay '<schedule>' --values 1,0,0,2,0,0 --leader 2
 //! ```
 
+use twostep_byz::{ByzBehavior, ByzPlan};
 use twostep_core::Ablations;
 use twostep_fuzz::{
-    check_safety, fuzz_byzantine, fuzz_sharded, run_case, ByzFuzzConfig, FuzzCase, FuzzProtocol,
-    Schedule, ShardFuzzConfig,
+    check_safety, fuzz, fuzz_cases, gen_sharded, run_case, FuzzCase, FuzzConfig, FuzzOutcome,
+    FuzzProtocol, Schedule,
 };
-use twostep_telemetry::ObserverHandle;
-use twostep_types::{ByzConfig, ByzVariant, ProcessId, SystemConfig};
+use twostep_types::{ByzVariant, ProcessId, SystemConfig};
 
 /// Builds a corpus case from its replay-line ingredients.
 fn corpus_case(
@@ -39,7 +39,37 @@ fn corpus_case(
         leader: ProcessId::new(leader),
         ablations,
         schedule,
+        groups: 1,
+        victims: ByzPlan::honest(0),
     }
+}
+
+/// The sharded campaign `--shards <groups> --seed <seed> --iters <iters>`.
+fn sharded_campaign(groups: usize, seed: u64, iters: u64) -> FuzzOutcome {
+    let cfg = SystemConfig::minimal_object(1, 1).expect("minimal object configuration");
+    let fc = FuzzConfig::new(FuzzProtocol::Object, cfg, seed, iters);
+    fuzz_cases(
+        &fc,
+        |stream| gen_sharded(groups, cfg, Ablations::NONE, stream),
+        |_| {},
+    )
+}
+
+/// The Byzantine campaign `--byzantine --variant <variant> --n <n> --f <f>
+/// --seed <seed> --iters <iters>`.
+fn byzantine_campaign(
+    variant: ByzVariant,
+    (n, f): (usize, usize),
+    seed: u64,
+    iters: u64,
+) -> FuzzOutcome {
+    let cfg = SystemConfig::new(n, f, f).expect("Byzantine configuration");
+    fuzz(&FuzzConfig::new(
+        FuzzProtocol::FastBft(variant),
+        cfg,
+        seed,
+        iters,
+    ))
 }
 
 /// Asserts the ablated replay violates `property` and the unablated
@@ -110,6 +140,79 @@ fn object_guard_removal_allows_double_fast_decide() {
     assert_blames_ablation(case, "agreement");
 }
 
+/// The same guard, removed inside one shard of a two-shard deployment
+/// (`--shards 2 --e 2 --f 2 --ablate no_object_guard --seed 5`,
+/// iteration 2791; shrunk 98 → 24 actions). Shard 1's proposers p0
+/// (105) and p4 (209) race while shard 0 carries its own proposal from
+/// p3; message and timer operands index across both shards' soups, so
+/// the schedule only means this run under the sharded decode. Shard 1's
+/// leader p1 recovers 105 and p4 still fast-decides 209. The verdict
+/// names the shard, and shard 0 — on the same nodes, through the same
+/// interleaving — decides 170 everywhere.
+#[test]
+fn object_guard_removal_splits_one_shard_of_two() {
+    let case = FuzzCase {
+        groups: 2,
+        ..corpus_case(
+            FuzzProtocol::Object,
+            (5, 2, 2),
+            &[0, 0, 0, 0, 0],
+            0,
+            Ablations {
+                no_object_guard: true,
+                ..Ablations::NONE
+            },
+            "p:3=170 p:0=105 p:4=209 D:2 D:0 i:45403 D:4 x:0>3 D:1 i:39408 i:11097 i:31364 \
+             i:2037 T:1 i:16359 i:58197 D:3 D:1 D:1 D:0 D:3 D:2 D:1 D:4",
+        )
+    };
+    let verdict = check_safety(case.protocol, &run_case(&case)).expect("shard 1 must split");
+    assert!(
+        verdict.detail().starts_with("shard 1: "),
+        "{}",
+        verdict.detail()
+    );
+    assert_blames_ablation(case, "agreement");
+}
+
+/// A coalition outside the model FastBft's quorums are sized for: the
+/// *coordinator* equivocates. Without signatures nothing distinguishes
+/// its forged ballot-0 proposal from a real one (the unsigned-BFT
+/// caveat in `twostep-baselines::fab`), so an honest process decides a
+/// value nobody proposed — the honest-only oracle's Validity, red on a
+/// real run. Campaigns never draw process 0; this plan was put there by
+/// hand (`crates/fuzz/tests/smoke.rs` finds it at seed 42, iteration 4;
+/// shrunk 494 → 13 actions). With the coordinator honest the same
+/// schedule is clean.
+///
+/// ```text
+/// cargo run -p twostep-fuzz -- --byzantine --variant fab --e 1 --f 1 --n 6 \
+///     --replay 'T:0 D:5 D:1 D:3 D:0 D:4 D:0 D:2 D:3 D:5 D:0 D:4 D:1' \
+///     --values 353,16,714,717,30,181 --leader 0 \
+///     --victims 0:equivocate --seed 0x6545d3b48b05c974
+/// ```
+#[test]
+fn byzantine_coordinator_forges_an_honest_decision() {
+    let mut case = corpus_case(
+        FuzzProtocol::FastBft(ByzVariant::Fab),
+        (6, 1, 1),
+        &[353, 16, 714, 717, 30, 181],
+        0,
+        Ablations::NONE,
+        "T:0 D:5 D:1 D:3 D:0 D:4 D:0 D:2 D:3 D:5 D:0 D:4 D:1",
+    );
+    case.victims =
+        ByzPlan::honest(0x6545_d3b4_8b05_c974).with(ProcessId::new(0), ByzBehavior::Equivocate);
+    let verdict = check_safety(case.protocol, &run_case(&case))
+        .expect("the forged proposal must reach an honest decision");
+    assert_eq!(verdict.property(), "validity", "{}", verdict.detail());
+
+    case.victims = ByzPlan::honest(0);
+    let report = run_case(&case);
+    assert_eq!(check_safety(case.protocol, &report), None);
+    assert!(report.decide_log.iter().all(|&(_, v)| v == 353));
+}
+
 /// Clean-pass witness for the sharded campaign: 60 seeded iterations of
 /// 4 object-consensus groups on 3 shared nodes, each iteration crashing
 /// and restarting a shard-leader node mid-load, found no violation —
@@ -126,8 +229,7 @@ fn object_guard_removal_allows_double_fast_decide() {
 /// ```
 #[test]
 fn sharded_leader_crash_restart_campaign_is_clean() {
-    let cfg = SystemConfig::minimal_object(1, 1).expect("minimal object configuration");
-    let out = fuzz_sharded(&ShardFuzzConfig::new(4, cfg, 42, 60));
+    let out = sharded_campaign(4, 42, 60);
     assert!(
         out.is_clean(),
         "sharded campaign found a violation: {:?}",
@@ -135,7 +237,7 @@ fn sharded_leader_crash_restart_campaign_is_clean() {
     );
     assert_eq!(out.iterations_run, 60);
     assert_eq!(
-        out.decisions, 575,
+        out.decisions, 720,
         "campaign coverage drifted: expected the pinned decide-event count"
     );
 }
@@ -145,14 +247,13 @@ fn sharded_leader_crash_restart_campaign_is_clean() {
 /// of the other, so every crash exercises both roles at once.
 #[test]
 fn two_shard_leader_crash_restart_campaign_is_clean() {
-    let cfg = SystemConfig::minimal_object(1, 1).expect("minimal object configuration");
-    let out = fuzz_sharded(&ShardFuzzConfig::new(2, cfg, 7, 60));
+    let out = sharded_campaign(2, 7, 60);
     assert!(
         out.is_clean(),
         "two-shard campaign found a violation: {:?}",
         out.failure
     );
-    assert_eq!(out.decisions, 292, "campaign coverage drifted");
+    assert_eq!(out.decisions, 360, "campaign coverage drifted");
 }
 
 /// Clean-pass witness for the Byzantine campaign: 60 seeded iterations
@@ -172,13 +273,7 @@ fn two_shard_leader_crash_restart_campaign_is_clean() {
 /// ```
 #[test]
 fn byzantine_malicious_coalition_campaign_is_clean() {
-    let byz = ByzConfig::minimal_fast(ByzVariant::Fab, 1).expect("minimal FaB configuration");
-    let fc = ByzFuzzConfig {
-        byz,
-        seed: 42,
-        iters: 60,
-    };
-    let out = fuzz_byzantine(&fc, &ObserverHandle::none());
+    let out = byzantine_campaign(ByzVariant::Fab, (6, 1), 42, 60);
     assert!(
         out.is_clean(),
         "byzantine campaign found a violation: {:?}",
@@ -203,13 +298,7 @@ fn byzantine_malicious_coalition_campaign_is_clean() {
 /// ```
 #[test]
 fn byzantine_tight_variant_campaign_is_clean() {
-    let byz = ByzConfig::minimal_fast(ByzVariant::Tight, 2).expect("minimal Tight configuration");
-    let fc = ByzFuzzConfig {
-        byz,
-        seed: 7,
-        iters: 25,
-    };
-    let out = fuzz_byzantine(&fc, &ObserverHandle::none());
+    let out = byzantine_campaign(ByzVariant::Tight, (9, 2), 7, 25);
     assert!(
         out.is_clean(),
         "tight byzantine campaign found a violation: {:?}",
@@ -236,13 +325,7 @@ fn byzantine_tight_variant_campaign_is_clean() {
 #[test]
 fn byzantine_floor_campaigns_are_clean_for_both_variants() {
     for variant in [ByzVariant::Fab, ByzVariant::Tight] {
-        let byz = ByzConfig::new(4, 1, variant).expect("3f+1 floor configuration");
-        let fc = ByzFuzzConfig {
-            byz,
-            seed: 21,
-            iters: 30,
-        };
-        let out = fuzz_byzantine(&fc, &ObserverHandle::none());
+        let out = byzantine_campaign(variant, (4, 1), 21, 30);
         assert!(
             out.is_clean(),
             "{variant:?} floor campaign found a violation: {:?}",
