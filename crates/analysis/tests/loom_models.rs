@@ -445,3 +445,114 @@ fn channel_handoff_never_loses_a_wakeup() {
         }
     });
 }
+
+/// Model of the decision registry's wake-up
+/// (`ClusterShared::{register_waiter, publish, deregister_waiter}` in
+/// `crates/runtime/src/cluster.rs`) under `ProxyClient::submit_and_wait`.
+///
+/// Real shape: a client locks its proxy's row, pushes a `Waiter` onto
+/// the list keyed by its value, unlocks, and only then sends the
+/// command to the node (register-then-propose). The node's thread, on
+/// deciding that value, locks the row, *removes the whole list from the
+/// map*, unlocks, and then wakes every waiter in the list it now owns.
+/// A client whose wait times out locks the row, removes its own token
+/// if it is still there, and unlocks. Waking outside the lock is what
+/// lets a woken client's next `register_waiter` proceed instead of
+/// running into the lock its waker still holds; the claimed invariant
+/// is that nothing is lost by it: *under the lock a registration is in
+/// exactly one place — the map, where its owner and the next publish
+/// can find it, or a list a publisher has taken and will wake.*
+///
+/// The model is one row and one key. Client A registers token 0,
+/// proposes — which is what causes the publish, so the node's thread
+/// is spawned by it — and then times out at once, so its deregister
+/// races the publish. Client B registers token 1 for the same value
+/// (clients are told apart by value; two may submit the same one) at
+/// any point, and waits. Over every interleaving:
+///
+/// * A's registration is woken exactly once or removed by A, never
+///   both and never neither: the two outcomes `submit_and_wait` can
+///   report, each once;
+/// * B's registration is woken exactly once or still in the map for
+///   the publish of its own command to find — never dropped unwoken,
+///   the lost waiter.
+///
+/// Flipping the order in the model — wake the list while it is still
+/// reachable from the map, remove it in a second critical section,
+/// which is what waking outside the lock *without* taking the list out
+/// would amount to — makes loom find both failures: `lock, wake 0,
+/// unlock → A deregisters token 0 → remove` reports A as timed out and
+/// woken, and `lock, wake 0, unlock → B registers → remove` drops
+/// token 1 from the map with no wake-up.
+#[test]
+fn publish_wakes_after_unlocking_and_loses_no_waiter() {
+    /// `Slot::waiters` for one value: `None` is "no entry in the map".
+    type Entry = Mutex<Option<Vec<usize>>>;
+
+    /// `register_waiter`: one critical section.
+    fn register(entry: &Entry, token: usize) {
+        let mut e = entry.lock().unwrap();
+        e.get_or_insert_with(Vec::new).push(token);
+    }
+
+    loom::model(|| {
+        let entry: Arc<Entry> = Arc::new(Mutex::new(None));
+        let woken = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+
+        let client_a = {
+            let (entry, woken) = (Arc::clone(&entry), Arc::clone(&woken));
+            thread::spawn(move || {
+                register(&entry, 0);
+                // `control.send(ProposeAt(..))`: the node decides and
+                // calls `publish` on its own thread.
+                let node = {
+                    let entry = Arc::clone(&entry);
+                    thread::spawn(move || {
+                        // Take the list out under the lock ...
+                        let taken = entry.lock().unwrap().take();
+                        // ... and wake it after releasing it.
+                        for token in taken.into_iter().flatten() {
+                            woken[token].fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                };
+                // `recv_timeout` gave up: `deregister_waiter`.
+                let removed = {
+                    let mut e = entry.lock().unwrap();
+                    let list = e.take().unwrap_or_default();
+                    let kept: Vec<usize> = list.iter().copied().filter(|&t| t != 0).collect();
+                    let removed = list.len() - kept.len();
+                    *e = Some(kept).filter(|kept| !kept.is_empty());
+                    removed
+                };
+                node.join().unwrap();
+                removed
+            })
+        };
+
+        let client_b = {
+            let entry = Arc::clone(&entry);
+            thread::spawn(move || register(&entry, 1))
+        };
+
+        let removed_by_a = client_a.join().unwrap();
+        client_b.join().unwrap();
+
+        let left = entry.lock().unwrap().clone().unwrap_or_default();
+        let woke = |t: usize| woken[t].load(Ordering::SeqCst);
+        assert_eq!(
+            woke(0) + removed_by_a,
+            1,
+            "token 0 was woken {} times and removed {removed_by_a} times",
+            woke(0)
+        );
+        assert!(!left.contains(&0), "token 0 outlived its owner's call");
+        let waiting = left.iter().filter(|&&t| t == 1).count();
+        assert_eq!(
+            woke(1) + waiting,
+            1,
+            "token 1 was woken {} times and is in the map {waiting} times",
+            woke(1)
+        );
+    });
+}

@@ -75,16 +75,38 @@ impl<V: Value> ClusterShared<V> {
     /// Records that `p` decided `v` in `shard` at `at`, on the deciding
     /// node's own thread: caches the first decision of `(shard, p)` and
     /// wakes the clients waiting on it and on `v`.
+    ///
+    /// The waiters are taken out of the row under its lock and woken
+    /// after it is released: a woken client's next move is
+    /// [`ClusterShared::register_waiter`] on this same row, and a wake
+    /// issued with the lock held sends it straight into the lock. No
+    /// registration is lost by it — one made before the lock was taken
+    /// is in the lists taken out, one made after is in the map for the
+    /// next `publish`, and a timed-out owner that no longer finds its
+    /// token has a wake-up on its way.
     pub(crate) fn publish(&self, p: ProcessId, shard: u32, v: V, at: Instant) {
-        let mut row = self.rows[p.index()].lock();
-        let Some(slot) = row.slots.get_mut(shard as usize) else {
-            return; // a group this cluster does not deploy
+        let (on_first, on_value) = {
+            let mut row = self.rows[p.index()].lock();
+            let Some(slot) = row.slots.get_mut(shard as usize) else {
+                return; // a group this cluster does not deploy
+            };
+            let on_first = if slot.first.is_none() {
+                slot.first = Some((v.clone(), at));
+                slot.waiters.remove(&None)
+            } else {
+                None
+            };
+            // Nobody waits at a follower, and it publishes every command
+            // it applies: do not hash the value to find that out.
+            let on_value = if slot.waiters.is_empty() {
+                None
+            } else {
+                slot.waiters.remove(&Some(v))
+            };
+            (on_first, on_value)
         };
-        if slot.first.is_none() {
-            slot.first = Some((v.clone(), at));
-            wake(slot.waiters.remove(&None));
-        }
-        wake(slot.waiters.remove(&Some(v)));
+        wake(on_first);
+        wake(on_value);
     }
 
     /// Registers interest in `value` committing in `shard` at `proxy`
@@ -110,24 +132,19 @@ impl<V: Value> ClusterShared<V> {
         (token, rx)
     }
 
-    /// Drops a registration that was not woken (a no-op if it was).
-    pub(crate) fn deregister_waiter(
-        &self,
-        shard: u32,
-        value: &Option<V>,
-        proxy: ProcessId,
-        token: u64,
-    ) {
+    /// Drops a registration that was not woken (a no-op if it was). The
+    /// token alone names it: finding it is a scan of the slot's lists,
+    /// paid on the timeout path only, so that the caller need not keep a
+    /// copy of its value for the sake of this call.
+    pub(crate) fn deregister_waiter(&self, shard: u32, proxy: ProcessId, token: u64) {
         let mut row = self.rows[proxy.index()].lock();
         let Some(slot) = row.slots.get_mut(shard as usize) else {
             return;
         };
-        if let Some(list) = slot.waiters.get_mut(value) {
+        slot.waiters.retain(|_, list| {
             list.retain(|w| w.token != token);
-            if list.is_empty() {
-                slot.waiters.remove(value);
-            }
-        }
+            !list.is_empty()
+        });
     }
 
     /// The first decision of `(shard, p)` observed so far.

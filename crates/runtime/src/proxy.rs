@@ -99,7 +99,7 @@ impl<V: Value> ProxyClient<V> {
         let (token, rx) = self
             .shared
             .register_waiter(shard, Some(value.clone()), *proxy);
-        let _ = control.send(Control::ProposeAt(shard, value.clone()));
+        let _ = control.send(Control::ProposeAt(shard, value));
         match rx.recv_timeout(timeout) {
             Ok(()) => {
                 let latency = start.elapsed();
@@ -108,8 +108,7 @@ impl<V: Value> ProxyClient<V> {
                 Some(latency)
             }
             Err(_) => {
-                self.shared
-                    .deregister_waiter(shard, &Some(value), *proxy, token);
+                self.shared.deregister_waiter(shard, *proxy, token);
                 None
             }
         }

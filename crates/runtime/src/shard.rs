@@ -250,7 +250,7 @@ impl<V: Value> ShardedCluster<V> {
         if self.decision_of(shard, p).is_none() {
             let _ = rx.recv_timeout(timeout);
         }
-        self.shared.deregister_waiter(shard, &None, p, token);
+        self.shared.deregister_waiter(shard, p, token);
         self.decision_of(shard, p)
     }
 }

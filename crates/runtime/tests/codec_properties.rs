@@ -322,3 +322,136 @@ proptest! {
         prop_assert_eq!(&frames[1], &second, "stale bytes leaked into the second frame");
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden wire bytes of the SMR layer. Written (and green) before
+// `Batch` changed its representation: whatever a batch holds its
+// commands behind, the bytes on the wire are these.
+// ---------------------------------------------------------------------
+
+/// `Batch[put("k1", "v1"), delete("k2")]`: the length, then per command
+/// its variant index and length-prefixed strings.
+const GOLDEN_BATCH: &[u8] = &[
+    2, 0, 0, 0, 0, 0, 0, 0, // two commands
+    0, 0, 0, 0, // Put
+    2, 0, 0, 0, 0, 0, 0, 0, b'k', b'1', //
+    2, 0, 0, 0, 0, 0, 0, 0, b'v', b'1', //
+    1, 0, 0, 0, // Delete
+    2, 0, 0, 0, 0, 0, 0, 0, b'k', b'2',
+];
+
+/// `SmrMsg::Slot(3, _)`: variant 0, slot 3.
+const GOLDEN_SLOT_3: &[u8] = &[0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0];
+
+fn golden_batch() -> twostep_smr::Batch<twostep_smr::KvCommand> {
+    use twostep_smr::{Batch, KvCommand};
+    Batch::new(vec![KvCommand::put("k1", "v1"), KvCommand::delete("k2")])
+}
+
+/// The five slot messages that carry a batch, each with the bytes that
+/// follow [`GOLDEN_SLOT_3`] given as pieces to concatenate.
+fn golden_messages() -> Vec<(
+    twostep_smr::SmrMsg<twostep_smr::KvCommand>,
+    Vec<&'static [u8]>,
+)> {
+    use twostep_core::Msg;
+    use twostep_smr::SmrMsg;
+    use twostep_types::{Ballot, ProcessId};
+
+    const FIVE: &[u8] = &[5, 0, 0, 0, 0, 0, 0, 0];
+    const ZERO: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 0];
+    let b = golden_batch;
+    vec![
+        (
+            SmrMsg::Slot(3, Msg::Propose(b())),
+            vec![&[0, 0, 0, 0], GOLDEN_BATCH],
+        ),
+        (
+            SmrMsg::Slot(3, Msg::TwoA(Ballot::new(5), b())),
+            vec![&[3, 0, 0, 0], FIVE, GOLDEN_BATCH],
+        ),
+        (
+            SmrMsg::Slot(3, Msg::TwoB(Ballot::FAST, b())),
+            vec![&[4, 0, 0, 0], ZERO, GOLDEN_BATCH],
+        ),
+        (
+            SmrMsg::Slot(3, Msg::Decide(b())),
+            vec![&[5, 0, 0, 0], GOLDEN_BATCH],
+        ),
+        (
+            SmrMsg::Slot(
+                3,
+                Msg::OneB {
+                    bal: Ballot::new(5),
+                    vbal: Ballot::FAST,
+                    val: Some(b()),
+                    proposer: Some(ProcessId::new(1)),
+                    decided: Some(b()),
+                },
+            ),
+            vec![
+                &[2, 0, 0, 0],
+                FIVE,
+                ZERO,
+                &[1], // val: Some
+                GOLDEN_BATCH,
+                &[1, 1, 0, 0, 0], // proposer: Some(p1)
+                &[1],             // decided: Some
+                GOLDEN_BATCH,
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn smr_slot_messages_have_golden_wire_bytes() {
+    for (msg, pieces) in golden_messages() {
+        let want = [vec![GOLDEN_SLOT_3], pieces].concat().concat();
+        assert_eq!(to_bytes(&msg).unwrap(), want, "{msg:?}");
+        let back: twostep_smr::SmrMsg<twostep_smr::KvCommand> = from_bytes(&want).unwrap();
+        assert_eq!(back, msg);
+    }
+}
+
+proptest! {
+    /// Any batch crosses the wire inside any of the messages that carry
+    /// one, and a batch encodes exactly as the `Vec` of its commands.
+    #[test]
+    fn batches_roundtrip_and_encode_as_their_commands(
+        slot in any::<u64>(),
+        bal in 0u64..1000,
+        cmds in proptest::collection::vec(("[a-z]{0,6}", proptest::option::of("[a-z]{0,6}")), 1..6),
+    ) {
+        use twostep_core::Msg;
+        use twostep_smr::{Batch, KvCommand, SmrMsg};
+        use twostep_types::Ballot;
+
+        let cmds: Vec<KvCommand> = cmds
+            .into_iter()
+            .map(|(k, v)| match v {
+                Some(v) => KvCommand::put(k, v),
+                None => KvCommand::delete(k),
+            })
+            .collect();
+        let batch = Batch::new(cmds.clone());
+        prop_assert_eq!(to_bytes(&batch).unwrap(), to_bytes(&cmds).unwrap());
+        let msgs: Vec<SmrMsg<KvCommand>> = vec![
+            SmrMsg::Slot(slot, Msg::Propose(batch.clone())),
+            SmrMsg::Slot(slot, Msg::TwoA(Ballot::new(bal), batch.clone())),
+            SmrMsg::Slot(slot, Msg::TwoB(Ballot::new(bal), batch.clone())),
+            SmrMsg::Slot(slot, Msg::Decide(batch.clone())),
+            SmrMsg::Slot(slot, Msg::OneB {
+                bal: Ballot::new(bal),
+                vbal: Ballot::FAST,
+                val: Some(batch.clone()),
+                proposer: None,
+                decided: Some(batch.clone()),
+            }),
+        ];
+        for m in msgs {
+            let bytes = to_bytes(&m).unwrap();
+            let back: SmrMsg<KvCommand> = from_bytes(&bytes).unwrap();
+            prop_assert_eq!(back, m);
+        }
+    }
+}

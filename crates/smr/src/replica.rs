@@ -88,6 +88,16 @@ fn split_timer(t: TimerId) -> Option<(u64, TimerId)> {
 /// the decision stream of any engine is exactly the committed command
 /// prefix regardless of how commands were grouped into batches.
 ///
+/// A proxy answers its clients from its own decision and lets the
+/// `Decide` it owes each peer ride the next message to that peer — the
+/// next `Propose` under load, a `Beacon` within Δ otherwise, or at once
+/// when it has nothing in flight and nothing queued — so a follower is
+/// woken once per batch and may learn a decision one frame late. Votes,
+/// not `Decide`, carry safety; the follower only applies later. A slot
+/// this replica did not propose is announced at once when it decides it,
+/// and a peer still working on a settled slot is answered with the
+/// outcome (a vote is not such a request and is not answered).
+///
 /// Construct via [`SmrReplicaBuilder`](crate::SmrReplicaBuilder).
 #[derive(Debug)]
 pub struct SmrReplica<C: Ord, S> {
@@ -110,6 +120,9 @@ pub struct SmrReplica<C: Ord, S> {
     /// Largest batch proposed so far in the current pump interval.
     interval_max: usize,
     next_slot: u64,
+    /// `Decide`s owed to peers for own proposals that committed, as
+    /// `(peer, slot)` in commit order; see [`SmrReplica::release`].
+    held: Vec<(ProcessId, u64)>,
     omega: Omega,
     /// Telemetry hooks; detached by default.
     obs: ObserverHandle,
@@ -157,6 +170,7 @@ where
             target: 1,
             interval_max: 0,
             next_slot: 0,
+            held: Vec::new(),
             omega: Omega::with_rotation(me, cfg.n(), OmegaMode::Heartbeats, rotation),
             obs,
         }
@@ -228,14 +242,25 @@ where
 
     /// Translates one instance's effects into SMR-level effects and
     /// handles its decisions.
+    ///
+    /// When what decides is this replica's own in-flight proposal, the
+    /// `Decide`s the instance broadcasts are not sent but noted in
+    /// `held`: the clients are answered from the decision itself, and
+    /// the peers' copy can wait for [`SmrReplica::release`] to put it
+    /// behind a message that is going to them anyway.
     fn route_inner(
         &mut self,
         slot: u64,
         inner: Effects<Batch<C>, Msg<Batch<C>>>,
         eff: &mut Effects<C, SmrMsg<C>>,
     ) {
+        let own = !inner.decisions.is_empty() && self.inflight.contains_key(&slot);
         for (to, m) in inner.sends {
-            eff.send(to, SmrMsg::Slot(slot, m));
+            if own && matches!(m, Msg::Decide(_)) {
+                self.held.push((to, slot));
+            } else {
+                eff.send(to, SmrMsg::Slot(slot, m));
+            }
         }
         for (t, d) in inner.timer_sets {
             eff.set_timer(inner_timer(slot, t), d);
@@ -261,7 +286,8 @@ where
         // grows with the log (fatal under sustained load). Late
         // retransmissions for this slot are answered from `committed`
         // in `on_message`, which keeps the stuck-peer recovery path:
-        // a peer missing the slot retransmits and gets `Decide` back.
+        // a peer missing the slot retransmits its `Propose`, `1A`, `2A`
+        // or `1B` and gets `Decide` back.
         self.instances.remove(&slot);
         for t in 0..INNER_STRIDE {
             eff.cancel_timer(inner_timer(slot, TimerId(t)));
@@ -284,10 +310,10 @@ where
         // command (the decision stream is batch-transparent).
         while let Some(b) = self.committed.get(&self.applied_slots) {
             self.obs.batch_committed(self.me, b.len());
-            for c in b.clone().into_iter() {
-                self.sm.apply(&c);
+            for c in b {
+                self.sm.apply(c);
                 self.applied_cmds += 1;
-                eff.decide(c);
+                eff.decide(c.clone());
             }
             self.applied_slots += 1;
         }
@@ -321,6 +347,36 @@ where
         }
         self.obs.queue_depth(self.me, self.pending());
     }
+
+    /// Ends every handler: sends the held `Decide`s whose time has come,
+    /// each re-read from `committed`.
+    ///
+    /// A held `Decide` leaves in the same step as, and after, the next
+    /// message to its peer — the next `Propose`, a `Beacon`, any reply —
+    /// so the runtime packs it into a frame it was sending anyway and
+    /// the follower is woken once per batch, not twice. With nothing in
+    /// flight and nothing queued no such message is in sight, and
+    /// everything held goes at once. No timer is involved in either
+    /// rule; the heartbeat merely bounds the wait at Δ when the proxy
+    /// stops proposing with a queue still below its threshold. Holding
+    /// is safe because votes, not `Decide`, carry safety: a follower
+    /// that learns late applies late and nothing else.
+    fn release(&mut self, eff: &mut Effects<C, SmrMsg<C>>) {
+        if self.held.is_empty() {
+            return;
+        }
+        let idle = self.inflight.is_empty() && self.pending.is_empty();
+        // A `Decide` appended here counts as a message to its peer, so
+        // once one held entry of a peer goes the later ones follow.
+        for (to, slot) in std::mem::take(&mut self.held) {
+            let due = idle || eff.sends.iter().any(|(dest, _)| *dest == to);
+            if let (true, Some(b)) = (due, self.committed.get(&slot)) {
+                eff.send(to, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
+            } else {
+                self.held.push((to, slot));
+            }
+        }
+    }
 }
 
 impl<C, S> Protocol<C> for SmrReplica<C, S>
@@ -344,23 +400,24 @@ where
     fn on_propose(&mut self, cmd: C, eff: &mut Effects<C, SmrMsg<C>>) {
         self.pending.push_back(cmd);
         self.flush(self.target, eff);
+        self.release(eff);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: SmrMsg<C>, eff: &mut Effects<C, SmrMsg<C>>) {
         self.omega.observe(from);
-        match msg {
-            SmrMsg::Beacon => {}
-            SmrMsg::Slot(slot, m) => {
-                self.next_slot = self.next_slot.max(slot + 1);
-                if let Some(b) = self.committed.get(&slot) {
-                    // The slot is settled here and its instance retired;
-                    // answer anything but gossip with the outcome so a
-                    // peer stuck on this slot converges.
-                    if !matches!(m, Msg::Decide(_)) {
-                        eff.send(from, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
-                    }
-                    return;
+        if let SmrMsg::Slot(slot, m) = msg {
+            self.next_slot = self.next_slot.max(slot + 1);
+            if let Some(b) = self.committed.get(&slot) {
+                // The slot is settled here and its instance retired;
+                // answer a peer still working on it with the outcome so
+                // that it converges. Gossip needs no answer, and neither
+                // does a vote: a vote is not a request, its sender is
+                // sent the `Decide` like everyone else, and one that
+                // lost it asks with `1A`.
+                if !matches!(m, Msg::Decide(_) | Msg::TwoB(..)) {
+                    eff.send(from, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
                 }
+            } else {
                 let inst = self.instance(slot, eff);
                 let mut inner = Effects::new();
                 inst.on_message(from, m, &mut inner);
@@ -371,6 +428,7 @@ where
                 self.flush(self.target, eff);
             }
         }
+        self.release(eff);
     }
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<C, SmrMsg<C>>) {
@@ -412,6 +470,7 @@ where
                 }
             }
         }
+        self.release(eff);
     }
 
     fn decision(&self) -> Option<C> {
@@ -645,6 +704,347 @@ mod tests {
             assert_eq!(g.proxy().pending(), 0);
             assert_eq!(g.proxy().applied(), u64::from(g.seq));
         }
+    }
+
+    type Eff = Effects<KvCommand, SmrMsg<KvCommand>>;
+
+    /// What a step sent, as `(destination, kind, slot)` in order.
+    fn sent(eff: &Eff) -> Vec<(u32, &'static str, u64)> {
+        let kind = |m: &SmrMsg<KvCommand>| match m {
+            SmrMsg::Beacon => ("Beacon", 0),
+            SmrMsg::Slot(s, Msg::Propose(_)) => ("Propose", *s),
+            SmrMsg::Slot(s, Msg::TwoB(..)) => ("TwoB", *s),
+            SmrMsg::Slot(s, Msg::Decide(_)) => ("Decide", *s),
+            SmrMsg::Slot(s, _) => ("other", *s),
+        };
+        let row = |(to, m): &(ProcessId, SmrMsg<KvCommand>)| {
+            let (kind, slot) = kind(m);
+            (to.as_u32(), kind, slot)
+        };
+        eff.sends.iter().map(row).collect()
+    }
+
+    /// Hand-stepping, one handler call at a time, for the tests that
+    /// look at what a single step of the proxy sends.
+    impl Group {
+        /// One command submitted at the proxy; its effects, undelivered.
+        fn propose(&mut self) -> Eff {
+            let mut eff = Effects::new();
+            self.seq += 1;
+            self.replicas[0].on_propose(KvCommand::put(format!("k{}", self.seq), "v"), &mut eff);
+            eff
+        }
+
+        /// Fires `timer` at the proxy; its effects, undelivered.
+        fn fire(&mut self, timer: TimerId) -> Eff {
+            let mut eff = Effects::new();
+            self.replicas[0].on_timer(timer, &mut eff);
+            eff
+        }
+
+        /// Delivers `m` from `from` to `to`; the receiver's effects.
+        fn deliver(&mut self, from: u32, to: u32, m: SmrMsg<KvCommand>) -> Eff {
+            let mut eff = Effects::new();
+            self.replicas[to as usize].on_message(ProcessId::new(from), m, &mut eff);
+            eff
+        }
+
+        /// Replica 1 receives the proxy's `Propose` for `slot` out of
+        /// `proposal` and its fast vote reaches the proxy, which is a
+        /// fast quorum at n = 3: the proxy's effects in the step that
+        /// commits `slot`.
+        fn commit_at_proxy(&mut self, proposal: &Eff, slot: u64) -> Eff {
+            let is_it = |(to, m): &&(ProcessId, SmrMsg<KvCommand>)| {
+                to.as_u32() == 1 && matches!(m, SmrMsg::Slot(s, Msg::Propose(_)) if *s == slot)
+            };
+            let (_, propose) = proposal.sends.iter().find(is_it).expect("a Propose to p1");
+            let vote = self.deliver(0, 1, propose.clone());
+            assert_eq!(sent(&vote), vec![(0, "TwoB", slot)]);
+            let before = self.proxy().applied_slots();
+            let (_, vote) = vote.sends.into_iter().next().unwrap();
+            let eff = self.deliver(1, 0, vote);
+            assert_eq!(self.proxy().applied_slots(), before + 1);
+            eff
+        }
+    }
+
+    #[test]
+    fn a_commit_with_another_batch_in_flight_holds_its_decide_for_the_next_propose() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        let _second = g.propose();
+        assert_eq!(g.proxy().inflight.len(), 2);
+
+        // Slot 0 commits with slot 1 in flight and nothing queued: the
+        // step sends nothing at all.
+        let eff = g.commit_at_proxy(&first, 0);
+        assert_eq!(eff.decisions.len(), 1, "the client is answered at once");
+        assert_eq!(sent(&eff), vec![]);
+        assert_eq!(
+            g.proxy().held,
+            vec![(ProcessId::new(1), 0), (ProcessId::new(2), 0)]
+        );
+
+        // The step that proposes the next batch sends each peer its
+        // `Propose` and, behind it, the `Decide` it was owed.
+        let eff = g.propose();
+        assert_eq!(
+            sent(&eff),
+            vec![
+                (1, "Propose", 2),
+                (2, "Propose", 2),
+                (1, "Decide", 0),
+                (2, "Decide", 0)
+            ]
+        );
+        assert!(g.proxy().held.is_empty());
+    }
+
+    #[test]
+    fn a_commit_that_frees_the_pipeline_for_a_queued_batch_sends_both_in_one_step() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        g.propose();
+        assert_eq!(sent(&g.propose()), vec![], "the pipeline is full");
+        let eff = g.commit_at_proxy(&first, 0);
+        assert_eq!(
+            sent(&eff),
+            vec![
+                (1, "Propose", 2),
+                (2, "Propose", 2),
+                (1, "Decide", 0),
+                (2, "Decide", 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn the_commit_that_empties_the_pipeline_releases_everything_held() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        let second = g.propose();
+        assert_eq!(sent(&g.commit_at_proxy(&first, 0)), vec![]);
+        // Nothing in flight and nothing queued after this one: no later
+        // message is in sight, so both slots' `Decide`s go now.
+        let eff = g.commit_at_proxy(&second, 1);
+        assert_eq!(
+            sent(&eff),
+            vec![
+                (1, "Decide", 0),
+                (2, "Decide", 0),
+                (1, "Decide", 1),
+                (2, "Decide", 1)
+            ]
+        );
+        assert!(g.proxy().held.is_empty());
+        // Delivered, they bring the followers level with no timer fired.
+        g.settle(eff);
+        for r in &g.replicas {
+            assert_eq!(r.applied(), 2);
+        }
+    }
+
+    #[test]
+    fn a_beacon_step_carries_what_is_held() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        g.propose();
+        g.commit_at_proxy(&first, 0);
+        let eff = g.fire(SMR_HEARTBEAT);
+        assert_eq!(
+            sent(&eff),
+            vec![
+                (1, "Beacon", 0),
+                (2, "Beacon", 0),
+                (1, "Decide", 0),
+                (2, "Decide", 0)
+            ]
+        );
+        assert!(g.proxy().held.is_empty());
+    }
+
+    #[test]
+    fn a_reply_to_one_peer_carries_only_that_peers_decide() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        g.propose();
+        g.commit_at_proxy(&first, 0);
+        // p2 retransmits something for the settled slot: its answer and
+        // the `Decide` held for it leave together, p1's stays.
+        let stale = SmrMsg::Slot(0, Msg::OneA(twostep_types::Ballot::new(5)));
+        let eff = g.deliver(2, 0, stale);
+        assert_eq!(sent(&eff), vec![(2, "Decide", 0), (2, "Decide", 0)]);
+        assert_eq!(g.proxy().held, vec![(ProcessId::new(1), 0)]);
+    }
+
+    /// Runs replica 0 as the slow-path leader of slot 0, proposed by
+    /// replica 1, with every fast vote lost; returns each of replica 0's
+    /// steps' sends.
+    fn slow_path_at_the_leader(g: &mut Group) -> Vec<Vec<(u32, &'static str, u64)>> {
+        let mut eff = Effects::new();
+        g.replicas[1].on_propose(KvCommand::put("k", "v"), &mut eff);
+        let mut steps = Vec::new();
+        let mut queue: VecDeque<_> = eff.sends.into_iter().map(|(to, m)| (1, to, m)).collect();
+        let mut fired = false;
+        loop {
+            while let Some((from, to, m)) = queue.pop_front() {
+                if matches!(
+                    m,
+                    SmrMsg::Slot(_, Msg::TwoB(twostep_types::Ballot::FAST, _))
+                ) {
+                    continue;
+                }
+                let out = g.deliver(from, to.as_u32(), m);
+                if to.as_u32() == 0 {
+                    steps.push(sent(&out));
+                }
+                queue.extend(
+                    out.sends
+                        .into_iter()
+                        .map(|(next, m)| (to.as_u32(), next, m)),
+                );
+            }
+            if fired {
+                return steps;
+            }
+            // Quiet and undecided: the leader's ballot timer fires.
+            fired = true;
+            let out = g.fire(inner_timer(0, TimerId::NEW_BALLOT));
+            steps.push(sent(&out));
+            queue.extend(out.sends.into_iter().map(|(next, m)| (0, next, m)));
+        }
+    }
+
+    #[test]
+    fn a_slow_path_decide_of_someone_elses_slot_is_not_held() {
+        let mut g = Group::new(4);
+        let steps = slow_path_at_the_leader(&mut g);
+        // The step in which the leader decides broadcasts the `Decide`.
+        let deciding: Vec<_> = steps
+            .iter()
+            .filter(|step| step.iter().any(|(_, kind, _)| *kind == "Decide"))
+            .collect();
+        assert_eq!(deciding, vec![&vec![(1, "Decide", 0), (2, "Decide", 0)]]);
+        assert!(g.proxy().held.is_empty());
+        for r in &g.replicas {
+            assert_eq!(r.applied(), 1);
+        }
+        assert_eq!(g.replicas[1].pending(), 0);
+    }
+
+    #[test]
+    fn held_never_exceeds_peers_times_depth() {
+        // Messages in transit are delivered in seeded order, mixed with
+        // submissions, pump ticks and heartbeats at the proxy, and the
+        // bound is checked after every step. The last thousand rounds
+        // only deliver and tick, so that every run ends level.
+        for seed in 0..8u64 {
+            let mut g = Group::new(3);
+            let bound = (g.replicas.len() - 1) * g.proxy().max_inflight;
+            let mut rng = twostep_types::SplitMix64::new(seed);
+            let mut transit: Vec<(u32, u32, SmrMsg<KvCommand>)> = Vec::new();
+            let mut peak = 0;
+            for round in 0..3_000 {
+                let (at, eff) = match rng.below(if round < 2_000 { 8 } else { 5 }) {
+                    0..=3 if !transit.is_empty() => {
+                        let i = rng.below(transit.len() as u64) as usize;
+                        let (from, to, m) = transit.swap_remove(i);
+                        (to, g.deliver(from, to, m))
+                    }
+                    0..=4 => (0, g.fire(SMR_PUMP)),
+                    5 => (0, g.fire(SMR_HEARTBEAT)),
+                    _ => (0, g.propose()),
+                };
+                transit.extend(eff.sends.into_iter().map(|(to, m)| (at, to.as_u32(), m)));
+                let held = g.proxy().held.len();
+                assert!(held <= bound, "seed {seed}: {held} held, bound {bound}");
+                peak = peak.max(held);
+            }
+            assert!(peak > 0, "seed {seed}: nothing was ever held");
+            assert!(
+                transit.is_empty() && g.proxy().held.is_empty(),
+                "seed {seed}"
+            );
+            for r in &g.replicas {
+                assert_eq!(r.applied(), u64::from(g.seq), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_queue_waiting_below_the_threshold_holds_up_to_the_bound() {
+        let mut g = Group::new(4);
+        g.submit(8);
+        g.pump();
+        assert_eq!(g.proxy().target, 4);
+        // Two full batches in flight and a ninth command queued behind
+        // them, below the threshold: neither commit proposes anything,
+        // and the second leaves the proxy busy, so both are held.
+        let mut proposals: Vec<Eff> = (0..9).map(|_| g.propose()).collect();
+        let (second, first) = (proposals.swap_remove(7), proposals.swap_remove(3));
+        assert_eq!(sent(&g.commit_at_proxy(&first, 4)), vec![]);
+        assert_eq!(sent(&g.commit_at_proxy(&second, 5)), vec![]);
+        assert_eq!(g.proxy().held.len(), 2 * g.proxy().max_inflight);
+        // The next heartbeat is the latest they leave.
+        let eff = g.fire(SMR_HEARTBEAT);
+        assert_eq!(sent(&eff).len(), 2 + 4);
+        assert!(g.proxy().held.is_empty());
+    }
+
+    /// The seventh message: a fast vote that arrives after its slot
+    /// settled was answered with the whole batch in a `Decide` its sender
+    /// is being sent anyway.
+    #[test]
+    fn a_vote_for_a_settled_slot_is_not_answered() {
+        let mut g = Group::new(4);
+        let proposal = g.propose();
+        let eff = g.commit_at_proxy(&proposal, 0);
+        assert_eq!(sent(&eff), vec![(1, "Decide", 0), (2, "Decide", 0)]);
+        // p2's vote for the same batch arrives late.
+        let SmrMsg::Slot(0, Msg::Propose(b)) = proposal.sends[1].1.clone() else {
+            panic!("a Propose for slot 0");
+        };
+        let fast = twostep_types::Ballot::FAST;
+        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(fast, b.clone())));
+        assert_eq!(sent(&late), vec![]);
+        let slow = twostep_types::Ballot::new(4);
+        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(slow, b)));
+        assert_eq!(sent(&late), vec![]);
+    }
+
+    /// The stuck-peer path the comment at `on_commit` promises: whatever
+    /// a peer still working on a settled slot sends, bar votes and
+    /// gossip, is answered with the outcome.
+    #[test]
+    fn requests_for_a_settled_slot_are_answered_with_decide() {
+        use twostep_types::Ballot;
+        let mut g = Group::new(4);
+        let proposal = g.propose();
+        g.commit_at_proxy(&proposal, 0);
+        let b = g.proxy().log()[&0].clone();
+        let other = Batch::single(KvCommand::put("other", "v"));
+        let stuck = [
+            Msg::Propose(other.clone()),
+            Msg::OneA(Ballot::new(4)),
+            Msg::TwoA(Ballot::new(4), other.clone()),
+            Msg::OneB {
+                bal: Ballot::new(3),
+                vbal: Ballot::FAST,
+                val: Some(other),
+                proposer: Some(ProcessId::new(2)),
+                decided: None,
+            },
+        ];
+        for m in stuck {
+            let eff = g.deliver(2, 0, SmrMsg::Slot(0, m.clone()));
+            assert_eq!(
+                eff.sends,
+                vec![(ProcessId::new(2), SmrMsg::Slot(0, Msg::Decide(b.clone())))],
+                "{m:?}"
+            );
+        }
+        let eff = g.deliver(2, 0, SmrMsg::Slot(0, Msg::Decide(b)));
+        assert_eq!(sent(&eff), vec![], "gossip is not answered");
     }
 
     #[test]

@@ -368,3 +368,81 @@ fn interleaved_batched_proxies_never_reorder_own_commands() {
         }
     }
 }
+
+/// A proxy holds the `Decide` of its own commit for the next message to
+/// each peer, so a follower learns a decision one frame late. In virtual
+/// time: how late that is under load, and when it ends.
+#[test]
+fn followers_trail_a_steady_proxy_by_at_most_the_pipeline_and_catch_up_within_delta() {
+    use twostep_sim::UniformDelay;
+    use twostep_types::DELTA;
+
+    let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+    let (depth, batch) = (2, 4);
+    let d = Duration::from_units(200); // Δ = 1000: beacons at 1000, 2000, …
+    let mut sim = SimulationBuilder::new(cfg)
+        .delay_model(UniformDelay(d))
+        .build(|q| {
+            SmrReplicaBuilder::new(cfg, q)
+                .pipeline(depth)
+                .batch(batch)
+                .build::<KvCommand, KvStore>()
+        });
+    // Six Δ of steady load at five sixths of what the pipeline carries
+    // (depth × batch commands per round trip of 2d), ...
+    let mut total = 0u64;
+    for t in (100..6_000).step_by(60) {
+        let cmd = KvCommand::put(format!("k{total}"), "v");
+        sim.schedule_propose(p(0), cmd, Time::from_units(t));
+        total += 1;
+    }
+    // ... then a burst of one batch and one command more, which is left
+    // below the threshold for the pump while the batch commits.
+    for _ in 0..=batch {
+        let cmd = KvCommand::put(format!("k{total}"), "v");
+        sim.schedule_propose(p(0), cmd, Time::from_units(6_450));
+        total += 1;
+    }
+
+    // When each replica applied each slot.
+    let mut applied_at: Vec<Vec<Time>> = vec![Vec::new(); 3];
+    while sim.now() < Time::from_units(12_000) && sim.step() {
+        for (i, at) in applied_at.iter_mut().enumerate() {
+            let slots = sim.process(p(i as u32)).applied_slots() as usize;
+            at.resize(slots, sim.now());
+        }
+        for follower in 1..3 {
+            let behind = applied_at[0].len() - applied_at[follower].len();
+            assert!(
+                behind <= depth,
+                "p{follower} is {behind} batches behind at {:?}",
+                sim.now()
+            );
+        }
+    }
+
+    let slots = applied_at[0].len();
+    assert_eq!(sim.process(p(0)).applied(), total);
+    assert!(slots as u64 * 2 < total, "the load must fill batches");
+    let bound = DELTA + d; // the next beacon, and its way there
+    for follower in 1..3 {
+        assert_eq!(applied_at[follower].len(), slots, "p{follower} caught up");
+        for (slot, (&here, &there)) in applied_at[follower].iter().zip(&applied_at[0]).enumerate() {
+            assert!(
+                here >= there + d,
+                "slot {slot}: a follower cannot know sooner"
+            );
+            assert!(
+                here <= there + bound,
+                "slot {slot} reached p{follower} at {here:?}, the proxy at {there:?}"
+            );
+        }
+        // The burst's batch commits with the pipeline empty and a command
+        // queued: its `Decide` leaves with the next beacon, on the Δ grid.
+        let (burst, last) = (slots - 2, slots - 1);
+        let beacon = applied_at[0][burst].units().div_ceil(DELTA.units()) * DELTA.units();
+        assert_eq!(applied_at[follower][burst], Time::from_units(beacon) + d);
+        // Quiet at last, the proxy sends what it holds at once.
+        assert_eq!(applied_at[follower][last], applied_at[0][last] + d);
+    }
+}

@@ -15,8 +15,10 @@ use serde::Serialize;
 /// convention that `⊥` is lower than any other value.
 ///
 /// This is a blanket trait: any `Clone + Ord + Hash + Debug + Send +
-/// Serialize + DeserializeOwned + 'static` type is a [`Value`], including
-/// `u64`, `String`, and `Vec<u8>`.
+/// Sync + Serialize + DeserializeOwned + 'static` type is a [`Value`],
+/// including `u64`, `String`, and `Vec<u8>`. (`Sync` because a value is
+/// plain data that layers above may share between threads behind an
+/// `Arc` rather than copy — the SMR layer's batches do.)
 ///
 /// # Example
 ///
@@ -29,12 +31,12 @@ use serde::Serialize;
 /// assert_value::<Vec<u8>>();
 /// ```
 pub trait Value:
-    Clone + Ord + Eq + Hash + Debug + Send + Serialize + DeserializeOwned + 'static
+    Clone + Ord + Eq + Hash + Debug + Send + Sync + Serialize + DeserializeOwned + 'static
 {
 }
 
 impl<T> Value for T where
-    T: Clone + Ord + Eq + Hash + Debug + Send + Serialize + DeserializeOwned + 'static
+    T: Clone + Ord + Eq + Hash + Debug + Send + Sync + Serialize + DeserializeOwned + 'static
 {
 }
 
