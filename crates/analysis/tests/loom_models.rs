@@ -556,3 +556,257 @@ fn publish_wakes_after_unlocking_and_loses_no_waiter() {
         );
     });
 }
+
+/// How the writer thread of [`inline_send_handover`] accounts for a
+/// burst it was sent.
+#[derive(Clone, Copy, PartialEq)]
+enum Lowers {
+    /// `queued` falls once the burst is in the send state, under the
+    /// connection lock: the real order.
+    OncePushed,
+    /// `queued` falls when the burst comes off the channel — what
+    /// gating the inline path on "the channel is empty" amounts to.
+    WhenTaken,
+}
+
+/// The blocking TCP backend's hand-over between a sender that writes
+/// from its own thread and the destination's writer thread
+/// (`TcpTransport::send_many`, `writer_loop` and `LinkState` in
+/// `crates/runtime/src/transport.rs`), as one function so that the real
+/// order and the broken one below run the same code.
+///
+/// Real shape: `LinkState::out` is the send state (`Outgoing`: queue,
+/// frame in flight, connection) behind a mutex that means *who owns the
+/// connection*. A sender `try_lock`s it; holding it, with the send state
+/// idle and `LinkState::queued == 0`, it pushes its burst and flushes on
+/// its own thread. If the socket takes only part (`Flushed::Full`) the
+/// rest stays in the send state, the sender unlocks and sends the writer
+/// `Job::Resume`. A sender that lost the `try_lock`, or found anything
+/// ahead of it, raises `queued` and sends `Job::Burst`. The writer
+/// blocks in `recv` on its job channel; woken, it locks (blocking),
+/// pushes the burst and lowers `queued`, drains `try_recv`, flushes with
+/// a blocking socket until nothing is left, unlocks, and goes back to
+/// `recv`.
+///
+/// The model: the send state is `kept` (pushed, not yet written) and
+/// `wire` (written, in order). The job channel is a mutexed queue plus
+/// the receiver's registration, `parked` — register-then-park, the
+/// handoff `channel_handoff_never_loses_a_wakeup` checks; a `send` that
+/// finds the registration takes it and owes the unpark. As in the models
+/// above parking itself is not simulated: a writer that parks ends its
+/// thread, and once the sender is done the model runs an owed unpark to
+/// the end on its own. To keep the schedule tree small the `try_recv`
+/// drain is one critical section (a job pushed between two pops is a
+/// job pushed before the first), and `queued` is the difference of two
+/// counters, `raised` by senders and `lowered` by the writer: the real
+/// writer lowers only while it holds `out` and senders read only while
+/// they hold it, so `lowered` needs no scheduling point of its own.
+///
+/// One sender sends payloads `0..sends.len()` in order, `sends[i]`
+/// saying what the socket does if payload `i` is written from the
+/// sender's thread (`true`: full, the hand-over). It races a writer
+/// that has just been woken and is about to lock: by a `Job::Resume`
+/// that will find nothing to do, or — `behind_a_burst` — by the burst
+/// of a second sender that lost its `try_lock` and enqueued payload
+/// `OTHER`, received and not yet pushed. So the sender meets a writer
+/// that holds the connection, one that is parked, and one with a burst
+/// in its hands. Over every interleaving:
+///
+/// * a parked writer with a job on its channel or anything kept in the
+///   send state is owed an unpark — it is never left asleep with work
+///   queued;
+/// * every payload is on the wire exactly once, the sender's in the
+///   order it sent them, with `queued` back at 0.
+fn inline_send_handover(lowers: Lowers, behind_a_burst: bool, sends: &'static [bool]) {
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicUsize as Unscheduled;
+
+    const OTHER: usize = 99;
+
+    enum Job {
+        Burst(usize),
+        Resume,
+    }
+
+    /// `Outgoing`, reduced to what is pushed and what is written.
+    #[derive(Default)]
+    struct Out {
+        kept: Vec<usize>,
+        wire: Vec<usize>,
+    }
+
+    #[derive(Default)]
+    struct Chan {
+        jobs: VecDeque<Job>,
+        parked: bool,
+        unparks_owed: usize,
+    }
+
+    struct Link {
+        out: Mutex<Out>,
+        raised: AtomicUsize,
+        lowered: Unscheduled,
+        chan: Mutex<Chan>,
+        lowers: Lowers,
+    }
+
+    impl Link {
+        fn queued(&self) -> usize {
+            self.raised.load(Ordering::SeqCst) - self.lowered.load(Ordering::SeqCst)
+        }
+
+        /// `Sender::send` on the job channel: push, and take the
+        /// writer's registration if it left one.
+        fn enqueue(&self, job: Job) {
+            let mut chan = self.chan.lock().unwrap();
+            chan.jobs.push_back(job);
+            chan.unparks_owed += usize::from(std::mem::take(&mut chan.parked));
+        }
+
+        /// Lowers `queued` by the bursts among `jobs`, if this is when.
+        fn lower(&self, when: Lowers, jobs: &[Job]) {
+            let bursts = jobs.iter().filter(|j| matches!(j, Job::Burst(_))).count();
+            if self.lowers == when {
+                self.lowered.fetch_add(bursts, Ordering::SeqCst);
+            }
+        }
+
+        /// `rx.recv()`, which registers and parks on empty (`None`), or
+        /// the `rx.try_recv()` drain.
+        fn next_jobs(&self, recv: bool) -> Option<Vec<Job>> {
+            let mut chan = self.chan.lock().unwrap();
+            let jobs: Vec<Job> = if recv {
+                chan.jobs.pop_front().into_iter().collect()
+            } else {
+                chan.jobs.drain(..).collect()
+            };
+            chan.parked = recv && jobs.is_empty();
+            self.lower(Lowers::WhenTaken, &jobs);
+            (!chan.parked).then_some(jobs)
+        }
+
+        /// `writer_loop`, entered with `received` just off the channel,
+        /// until it parks.
+        fn writer(&self, mut received: Vec<Job>) {
+            loop {
+                let mut out = self.out.lock().unwrap();
+                // `take`, then the drain: bursts join the send state
+                // and stop counting as on their way there.
+                received.extend(self.next_jobs(false).expect("try_recv never parks"));
+                self.lower(Lowers::OncePushed, &received);
+                for job in received {
+                    if let Job::Burst(payload) = job {
+                        out.kept.push(payload);
+                    }
+                }
+                // A blocking socket takes everything: `Flushed::Drained`.
+                let Out { kept, wire } = &mut *out;
+                wire.append(kept);
+                drop(out);
+                match self.next_jobs(true) {
+                    Some(jobs) => received = jobs,
+                    None => return,
+                }
+            }
+        }
+
+        /// `TcpTransport::send_many` for one payload.
+        fn send(&self, payload: usize, full: bool) {
+            if let Ok(mut out) = self.out.try_lock() {
+                if out.kept.is_empty() && self.queued() == 0 {
+                    if !full {
+                        out.wire.push(payload);
+                        return;
+                    }
+                    // `Flushed::Full`: the rest is kept, the lock let
+                    // go, the writer told.
+                    out.kept.push(payload);
+                    drop(out);
+                    return self.enqueue(Job::Resume);
+                }
+            }
+            self.raised.fetch_add(1, Ordering::SeqCst);
+            self.enqueue(Job::Burst(payload));
+        }
+    }
+
+    loom::model(move || {
+        let link = Arc::new(Link {
+            out: Mutex::new(Out::default()),
+            raised: AtomicUsize::new(usize::from(behind_a_burst)),
+            // The burst in the writer's hands is off the channel.
+            lowered: Unscheduled::new(usize::from(behind_a_burst && lowers == Lowers::WhenTaken)),
+            chan: Mutex::new(Chan::default()),
+            lowers,
+        });
+
+        let writer = {
+            let link = Arc::clone(&link);
+            let woken_by = if behind_a_burst {
+                Job::Burst(OTHER)
+            } else {
+                Job::Resume
+            };
+            thread::spawn(move || link.writer(vec![woken_by]))
+        };
+        for (payload, &full) in sends.iter().enumerate() {
+            link.send(payload, full);
+        }
+        writer.join().unwrap();
+
+        // The writer has parked. Whatever is left is its to do, and it
+        // has to have been woken for it.
+        let (left, owed) = {
+            let chan = link.chan.lock().unwrap();
+            (chan.jobs.len(), chan.unparks_owed)
+        };
+        let kept = link.out.lock().unwrap().kept.len();
+        assert!(
+            owed > 0 || (left == 0 && kept == 0),
+            "asleep with {left} jobs queued and {kept} payloads kept"
+        );
+        if owed > 0 {
+            let woken_by = link.next_jobs(true).expect("an unpark is owed for a job");
+            link.writer(woken_by);
+        }
+
+        let wire = link.out.lock().unwrap().wire.clone();
+        let sent = sends.len() + usize::from(behind_a_burst);
+        assert_eq!(wire.len(), sent, "stranded or written twice: {wire:?}");
+        assert_eq!(wire.contains(&OTHER), behind_a_burst, "{wire:?}");
+        assert!(
+            wire.iter()
+                .filter(|&&w| w != OTHER)
+                .copied()
+                .eq(0..sends.len()),
+            "the sender's payloads are out of order: {wire:?}"
+        );
+        assert_eq!(link.queued(), 0);
+    });
+}
+
+/// The hand-over as `crates/runtime/src/transport.rs` makes it (see
+/// [`inline_send_handover`]): a sender whose first inline write finds
+/// the socket full and whose second must not pass it, against a writer
+/// woken for nothing and against one woken by a second sender's burst;
+/// and a hand-over with no later send to come to its rescue.
+#[test]
+fn inline_send_handover_never_strands_a_payload() {
+    inline_send_handover(Lowers::OncePushed, false, &[true, false]);
+    inline_send_handover(Lowers::OncePushed, true, &[true, false]);
+    inline_send_handover(Lowers::OncePushed, true, &[true]);
+}
+
+/// The broken order, kept running so that the model is known to be able
+/// to fail: lower `queued` when the burst is *taken off the channel*
+/// rather than once it is in the send state. Between the writer's `recv`
+/// and its `lock` the burst is nowhere a sender can see, so the schedule
+/// `payload 0 loses try_lock to the writer and is enqueued → the writer
+/// unlocks, receives it, queued = 0 → payload 1: try_lock, idle,
+/// queued == 0, written → the writer locks and writes payload 0` puts
+/// the sender's second payload ahead of its first.
+#[test]
+#[should_panic(expected = "out of order")]
+fn inline_send_handover_counts_a_burst_until_it_is_pushed() {
+    inline_send_handover(Lowers::WhenTaken, false, &[true, false]);
+}

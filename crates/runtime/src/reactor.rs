@@ -336,11 +336,7 @@ impl Reactor {
         };
         loop {
             match self.outbound[peer].flush(host, to, Instant::now(), dial) {
-                Flushed::Sent(bytes) => {
-                    if host.obs.is_attached() {
-                        host.obs.bytes_sent(host.me, "wire", bytes);
-                    }
-                }
+                Flushed::Sent(_) => {}
                 Flushed::Drained | Flushed::Full => return None,
                 Flushed::Backoff(until) => return Some(until),
             }
@@ -356,7 +352,7 @@ impl Reactor {
             || self
                 .outbound
                 .iter()
-                .any(|out| !out.is_idle() || out.is_connected());
+                .any(|out| !out.is_idle() || out.conn().is_some());
         let mut timeout = if has_sockets {
             POLL_INTERVAL
         } else {

@@ -2,8 +2,8 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,13 @@ use crate::{codec, RuntimeError};
 /// tolerate sends to crashed/closed destinations by dropping the message
 /// (the failure model is crash-stop; a crashed process simply stops
 /// receiving).
+///
+/// `send` and `send_many` never wait on the network or on another
+/// thread: the node loop calls them between two protocol steps, and a
+/// peer that is slow, gone or not reading must not stall it. They may
+/// do work that cannot block (enqueue, or write to a socket that takes
+/// the bytes at once); whatever would have to wait — a dial, a full
+/// buffer, a back-off — is left to a thread of the transport's own.
 pub trait Transport: Send + Sync + 'static {
     /// Delivers `payload` from `from` to `to`'s inbox, best-effort.
     fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes);
@@ -60,8 +67,9 @@ pub(crate) type Endpoint = (Receiver<(ProcessId, Bytes)>, Box<dyn Transport>);
 pub(crate) enum TransportKind {
     /// [`InMemoryTransport`]: crossbeam channels, no sockets.
     InMemory,
-    /// [`TcpTransport`]: blocking writer thread per destination, read
-    /// thread per accepted connection.
+    /// [`TcpTransport`]: senders write inline when that cannot wait, a
+    /// writer thread per destination does the waiting, and a read thread
+    /// per accepted connection.
     Tcp,
     /// [`crate::ReactorTransport`]: one non-blocking event-loop thread
     /// owning every socket.
@@ -251,7 +259,7 @@ impl Transport for InMemoryTransport {
 }
 
 /// TCP transport over localhost (or any reachable addresses): one
-/// listener per process, and one send queue + writer thread per
+/// listener per process, and one connection + writer thread per
 /// destination.
 ///
 /// Wire format per connection: a 4-byte little-endian sender id
@@ -264,24 +272,74 @@ impl Transport for InMemoryTransport {
 /// handshake id is not in the peer list or whose length prefix is over
 /// [`codec::MAX_FRAME_LEN`]. All of this is the `wire` module's, shared
 /// with [`crate::ReactorTransport`]; this backend only decides who
-/// waits: a thread per connection, blocking.
+/// waits.
 ///
-/// Sends are asynchronous: [`Transport::send`] enqueues and returns.
-/// The destination's writer thread drains its queue — everything queued
-/// at flush time (up to [`crate::MAX_COALESCE`] messages and
-/// [`codec::MAX_FRAME_LEN`] bytes) goes out as **one** frame in one
-/// vectored `write` syscall on a `TCP_NODELAY` connection, which is
-/// where batched SMR traffic stops paying a syscall per message. A
-/// single payload over that length is dropped, as no receiver accepts
-/// its frame. On a write failure the writer redials once (after
-/// [`crate::RECONNECT_BACKOFF`]) before dropping the frame; drops and
-/// successful reconnects are reported to the attached observer.
+/// **Who may wait.** The caller of [`Transport::send`] /
+/// [`Transport::send_many`]: never. When the connection to the
+/// destination is up, nothing is queued ahead of the burst and no frame
+/// is half out, the burst is written from the calling thread — one frame
+/// (up to [`crate::MAX_COALESCE`] messages and [`codec::MAX_FRAME_LEN`]
+/// bytes) in one vectored `write` syscall on a non-blocking
+/// `TCP_NODELAY` connection — and a message delay costs one thread
+/// hand-off less. Everything that could wait is the destination's writer
+/// thread's: the first dial, a socket buffer that is full (the part of
+/// the frame it did not take is kept and handed over), the
+/// [`crate::RECONNECT_BACKOFF`] before a failed frame's one redial, and
+/// any burst that arrives while one of those is going on, which queues
+/// behind it so per-destination order holds. The reader thread of each
+/// accepted connection waits in `read`, the accept thread in `accept`.
+///
+/// A single payload over [`codec::MAX_FRAME_LEN`] is dropped, as no
+/// receiver accepts its frame. A frame whose write fails is resent whole
+/// after one redial and dropped if that fails too; drops, successful
+/// reconnects and each frame's wire size (`bytes_sent`, kind `"wire"`)
+/// are reported to the attached observer.
+///
+/// Dropping the transport ends its threads: the writers when their
+/// queues close, the accept thread — and with it the listening port —
+/// on the wake-up connection `Drop` dials to it, the readers (which
+/// from then on discard what they read) when their peers hang up.
 pub struct TcpTransport {
     host: Arc<Host>,
-    /// Deliberately outside `host`, which the writer threads share:
-    /// writers exit when the queue senders drop, so the transport handle
+    /// By destination; a link and its writer thread come into being on
+    /// the first send to it.
+    links: Vec<OnceLock<Link>>,
+    /// Tells the accept thread that the connection it just accepted is
+    /// `Drop`'s wake-up call.
+    closing: Arc<AtomicBool>,
+}
+
+/// The sending side of one destination.
+struct Link {
+    state: Arc<LinkState>,
+    /// Deliberately outside `state`, which the writer thread shares:
+    /// the writer exits when this sender drops, so the transport handle
     /// going away tears the writers down rather than leaking them.
-    queues: Mutex<Vec<Option<Sender<Bytes>>>>,
+    to_writer: Sender<Job>,
+}
+
+/// What a destination's senders and its writer thread share.
+struct LinkState {
+    /// The lock means *who owns the connection right now*. A sender
+    /// only ever `try_lock`s it; the writer thread holds it for as long
+    /// as it has something to wait for, with the stream switched to
+    /// blocking, and hands it back non-blocking.
+    out: Mutex<Outgoing<TcpStream>>,
+    /// Bursts sent to the writer thread that are not in `out` yet.
+    /// Raised before the burst is enqueued and lowered, under the lock,
+    /// once it has been pushed: a sender that holds the lock and reads 0
+    /// knows nothing of its own is still on the way to `out`, which is
+    /// what lets it write ahead of nobody.
+    queued: AtomicUsize,
+}
+
+/// What a sender hands the writer thread.
+enum Job {
+    /// Payloads to queue behind whatever `out` holds.
+    Burst(Vec<Bytes>),
+    /// `out` holds a frame the sender could not finish (socket buffer
+    /// full, or a failed write waiting out its back-off): take over.
+    Resume,
 }
 
 /// How long the accept thread waits after a failed `accept` before
@@ -303,13 +361,15 @@ impl TcpTransport {
     }
 
     /// Creates the transport for process `me` given everyone's listening
-    /// addresses, and spawns the accept loop feeding `inbox`. Pass
-    /// [`ObserverHandle::none`] to run unobserved; with an observer
-    /// attached, dropped frames (`message_dropped`, once per message)
-    /// and successful redials (`reconnected`) are reported.
+    /// addresses (`peers[me]` being `listener`'s own), and spawns the
+    /// accept loop feeding `inbox`. Pass [`ObserverHandle::none`] to run
+    /// unobserved; with an observer attached, dropped frames
+    /// (`message_dropped`, once per message), successful redials
+    /// (`reconnected`) and wire-level frame sizes (`bytes_sent` under
+    /// kind `"wire"`) are reported.
     ///
-    /// The accept thread runs for as long as the node has an inbox;
-    /// writer threads exit when the transport handle is dropped.
+    /// Every thread the transport starts ends once the handle is
+    /// dropped, and the listening port closes with the accept thread.
     pub fn spawn(
         me: ProcessId,
         peers: Vec<SocketAddr>,
@@ -318,17 +378,21 @@ impl TcpTransport {
         obs: ObserverHandle,
     ) -> Arc<Self> {
         let transport = Arc::new(TcpTransport {
-            queues: Mutex::new((0..peers.len()).map(|_| None).collect()),
+            links: (0..peers.len()).map(|_| OnceLock::new()).collect(),
             host: Arc::new(Host { me, peers, obs }),
+            closing: Arc::new(AtomicBool::new(false)),
         });
-        let host = Arc::clone(&transport.host);
+        let (host, closing) = (Arc::clone(&transport.host), Arc::clone(&transport.closing));
         // Set by the first reader whose delivery the inbox refuses.
         let inbox_gone = Arc::new(AtomicBool::new(false));
         thread::spawn(move || loop {
             match listener.accept() {
+                // `Drop`'s wake-up call: leave, closing the listener.
+                Ok(_) if closing.load(Ordering::Acquire) => return,
                 Ok((stream, _)) => {
-                    let (host, inbox, gone) = (host.clone(), inbox.clone(), inbox_gone.clone());
-                    thread::spawn(move || read_loop(&host, stream, &inbox, &gone));
+                    let (host, inbox) = (host.clone(), inbox.clone());
+                    let (gone, closing) = (inbox_gone.clone(), closing.clone());
+                    thread::spawn(move || read_loop(&host, stream, &inbox, &gone, &closing));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // An `accept` error is about one connection or one
@@ -344,69 +408,140 @@ impl TcpTransport {
         transport
     }
 
-    /// The send queue to `to`, lazily spawning its writer thread.
-    fn queue_to(&self, to: ProcessId) -> Option<Sender<Bytes>> {
-        let mut queues = self.queues.lock();
-        let slot = queues.get_mut(to.index())?;
-        if slot.is_none() {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let host = Arc::clone(&self.host);
-            thread::spawn(move || writer_loop(&host, to, &rx));
-            *slot = Some(tx);
+    /// The link to `to`, spawning its writer thread on first use.
+    fn link_to(&self, to: ProcessId) -> Option<&Link> {
+        Some(self.links.get(to.index())?.get_or_init(|| {
+            let (to_writer, jobs) = crossbeam::channel::unbounded();
+            let state = Arc::new(LinkState {
+                out: Mutex::new(Outgoing::new()),
+                queued: AtomicUsize::new(0),
+            });
+            let (host, shared) = (Arc::clone(&self.host), Arc::clone(&state));
+            thread::spawn(move || writer_loop(&host, to, &shared, &jobs));
+            Link { state, to_writer }
+        }))
+    }
+}
+
+impl Drop for TcpTransport {
+    /// The accept thread is blocked in `accept` and nothing else would
+    /// end that: mark the transport closing and dial the listener, so
+    /// the call returns and the thread leaves, closing the port. A dial
+    /// that fails means the listener is already gone.
+    fn drop(&mut self) {
+        self.closing.store(true, Ordering::Release);
+        if let Some(addr) = self.host.peers.get(self.host.me.index()) {
+            let _ = TcpStream::connect(addr);
         }
-        slot.clone()
     }
 }
 
 impl Transport for Arc<TcpTransport> {
-    fn send(&self, _from: ProcessId, to: ProcessId, payload: Bytes) {
-        if let Some(q) = self.queue_to(to) {
-            let _ = q.send(payload);
-        }
+    fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
+        self.send_many(from, to, vec![payload]);
     }
 
     fn send_many(&self, _from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
-        if let Some(q) = self.queue_to(to) {
-            for p in payloads {
-                let _ = q.send(p);
+        if payloads.is_empty() {
+            return;
+        }
+        let Some(link) = self.link_to(to) else {
+            return;
+        };
+        // Inline, when the connection is this thread's for the taking
+        // and writing now is writing in order. A dial is a wait, so the
+        // caller's never succeeds (and, the connection being up, is
+        // never asked for).
+        if let Some(mut out) = link.state.out.try_lock() {
+            let in_order = out.is_idle() && link.state.queued.load(Ordering::SeqCst) == 0;
+            if in_order && out.conn().is_some() {
+                payloads.into_iter().for_each(|p| out.push(p));
+                let no_dial = || Err(io::ErrorKind::NotConnected.into());
+                loop {
+                    match out.flush(&self.host, to, Instant::now(), no_dial) {
+                        Flushed::Sent(_) => {}
+                        Flushed::Drained => return,
+                        // The rest is a wait, and so the writer's.
+                        Flushed::Full | Flushed::Backoff(_) => break,
+                    }
+                }
+                // Let go first, so the writer does not wake into the lock.
+                drop(out);
+                let _ = link.to_writer.send(Job::Resume);
+                return;
             }
         }
+        link.state.queued.fetch_add(1, Ordering::SeqCst);
+        let _ = link.to_writer.send(Job::Burst(payloads));
     }
 }
 
-/// The writer thread toward `to`: blocks wherever [`Outgoing::flush`]
-/// says to wait. Everything queued when a frame is built rides in it.
-fn writer_loop(host: &Host, to: ProcessId, rx: &Receiver<Bytes>) {
-    let mut out = Outgoing::new();
-    loop {
-        while let Ok(payload) = rx.try_recv() {
-            out.push(payload);
+/// Switches the connection `out` holds, if any, between the writer
+/// thread's blocking mode and the senders' non-blocking one. A socket
+/// that refuses is of no use in the mode it is stuck in: the next write
+/// treats it as broken, and the retry rule replaces it.
+fn set_blocking(out: &mut Outgoing<TcpStream>, blocking: bool) {
+    if out
+        .conn()
+        .is_some_and(|conn| conn.set_nonblocking(!blocking).is_err())
+    {
+        out.poison();
+    }
+}
+
+/// The writer thread toward `to`: the one place that waits on the
+/// connection. Woken by a job, it takes the connection over, blocks
+/// wherever [`Outgoing::flush`] says to wait until queue and frame are
+/// drained — everything queued when a frame is built rides in it — and
+/// lets go.
+fn writer_loop(host: &Host, to: ProcessId, link: &LinkState, jobs: &Receiver<Job>) {
+    let take = |out: &mut Outgoing<TcpStream>, job| {
+        if let Job::Burst(payloads) = job {
+            payloads.into_iter().for_each(|p| out.push(p));
+            link.queued.fetch_sub(1, Ordering::SeqCst);
         }
-        match out.flush(host, to, Instant::now(), || host.dial(to)) {
-            // A blocking socket is never `Full`.
-            Flushed::Sent(_) | Flushed::Full => {}
-            Flushed::Backoff(until) => {
-                thread::sleep(until.saturating_duration_since(Instant::now()));
+    };
+    // The job senders dropping is the shutdown signal.
+    while let Ok(job) = jobs.recv() {
+        let mut out = link.out.lock();
+        set_blocking(&mut out, true);
+        take(&mut out, job);
+        loop {
+            while let Ok(job) = jobs.try_recv() {
+                take(&mut out, job);
             }
-            // The queue senders dropping is the shutdown signal.
-            Flushed::Drained => match rx.recv() {
-                Ok(payload) => out.push(payload),
-                Err(_) => return,
-            },
+            match out.flush(host, to, Instant::now(), || host.dial(to)) {
+                // A blocking socket is never `Full`.
+                Flushed::Sent(_) | Flushed::Full => {}
+                Flushed::Backoff(until) => {
+                    thread::sleep(until.saturating_duration_since(Instant::now()));
+                }
+                Flushed::Drained => break,
+            }
         }
+        set_blocking(&mut out, false);
     }
 }
 
 /// The reader thread of one accepted connection: blocks in
 /// [`Incoming::pump`] until the connection ends.
+///
+/// Once the transport is `closing` what arrives is read and discarded
+/// until the peer hangs up: a process that has stopped stops receiving,
+/// it does not reset connections. Hanging up on a live peer makes it
+/// redial, and with the listener gone that reads to it as a peer that
+/// crashed (`message_dropped`) — which a cluster stopping node by node
+/// would report about every node but the last.
 fn read_loop(
     host: &Host,
     mut stream: TcpStream,
     inbox: &Sender<(ProcessId, Bytes)>,
     inbox_gone: &AtomicBool,
+    closing: &AtomicBool,
 ) {
     let mut conn = Incoming::new();
-    let mut deliver = |from, frame| inbox.send((from, frame)).is_ok();
+    let mut deliver =
+        |from, frame| inbox.send((from, frame)).is_ok() || closing.load(Ordering::Acquire);
     loop {
         match conn.pump(host, &mut stream, &mut deliver) {
             Pumped::Open => {} // not on a blocking socket
@@ -582,6 +717,43 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         panic!("no drop recorded after a send to a dead peer");
+    }
+
+    /// Every frame that goes out whole is reported under the kind
+    /// `"wire"` with the bytes the connection took for it: the payload
+    /// plus its framing, whichever thread wrote it.
+    #[test]
+    fn tcp_reports_each_frame_with_its_wire_size() {
+        let (metrics, obs) = twostep_telemetry::Metrics::shared();
+        let (l0, a0) = TcpTransport::bind_ephemeral().unwrap();
+        let (l1, a1) = TcpTransport::bind_ephemeral().unwrap();
+        let (tx0, _rx0) = unbounded();
+        let (tx1, rx1) = unbounded();
+        let t0 = TcpTransport::spawn(p(0), vec![a0, a1], l0, tx0, obs);
+        let _t1 = tcp(p(1), vec![a0, a1], l1, tx1);
+
+        // Through the writer thread, which dials: `[len] hello`. The
+        // handshake is the connection's, not a frame's. Waiting for each
+        // frame to arrive keeps the next from riding in it.
+        t0.send(p(0), p(1), Bytes::from_static(b"hello"));
+        recv_messages(&rx1, 1);
+        // From this thread or that one, one burst is one frame:
+        // `[len][magic][count] [1]a [2]bb`.
+        let burst = vec![Bytes::from_static(b"a"), Bytes::from_static(b"bb")];
+        let packed = codec::pack_frame(&burst).len() as u64;
+        assert_eq!(packed, 8 + (4 + 1) + (4 + 2));
+        t0.send_many(p(0), p(1), burst);
+        recv_messages(&rx1, 2);
+        // A frame is written and reported under the connection's lock,
+        // so once a third has arrived the first two are on record; its
+        // own report may still be on the way.
+        t0.send(p(0), p(1), Bytes::from_static(b"tail"));
+        recv_messages(&rx1, 1);
+
+        let wire = metrics.snapshot().bytes_by_kind["wire"];
+        let tail = wire.messages - 2;
+        assert!(tail <= 1, "{wire:?}");
+        assert_eq!(wire.bytes, (4 + 5) + (4 + packed) + tail * (4 + 4));
     }
 
     #[test]

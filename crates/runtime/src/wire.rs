@@ -11,7 +11,9 @@
 //! All of it runs over `impl Read` / `impl Write`, is told the time, and
 //! never waits: a call returns what its caller has to wait *for*
 //! ([`Flushed`], [`Pumped`]). [`crate::TcpTransport`] gives each
-//! connection a thread that blocks in these calls;
+//! connection a thread that blocks in these calls, and lets a sender
+//! make the same [`Outgoing::flush`] call on its own thread when the
+//! connection can take the frame at once;
 //! [`crate::ReactorTransport`] polls them all from one thread. The
 //! backends differ in who waits and in nothing that reaches the wire,
 //! and the tests below drive the protocol through short reads, short
@@ -206,9 +208,10 @@ impl<C: Write> Outgoing<C> {
         self.queue.is_empty() && self.frame.is_none()
     }
 
-    /// A connection is cached (there is a socket to poll).
-    pub(crate) fn is_connected(&self) -> bool {
-        self.conn.is_some()
+    /// The cached connection, if there is one (a socket to poll, or to
+    /// switch between blocking and non-blocking).
+    pub(crate) fn conn(&self) -> Option<&C> {
+        self.conn.as_ref()
     }
 
     /// Makes the next write attempt fail as a broken connection would,
@@ -227,6 +230,8 @@ impl<C: Write> Outgoing<C> {
     /// and resends it from byte 0, reporting `reconnected` if that
     /// works. If it fails too the peer is treated as crashed: the frame
     /// is dropped and each of its messages reported (`message_dropped`).
+    /// A frame that goes out whole is reported with its wire size
+    /// (`bytes_sent`, kind `"wire"`), here for both backends.
     pub(crate) fn flush(
         &mut self,
         host: &Host,
@@ -262,6 +267,7 @@ impl<C: Write> Outgoing<C> {
                     }
                     let sent = frame.total;
                     self.frame = None;
+                    host.obs.bytes_sent(host.me, "wire", sent);
                     return Flushed::Sent(sent);
                 }
                 Ok(false) => return Flushed::Full,
@@ -488,6 +494,8 @@ mod tests {
         breaks: Vec<Option<usize>>,
         /// What each connection dialled so far has taken.
         wires: Vec<Rc<RefCell<Vec<u8>>>>,
+        /// Dials asked of a thread that may not wait.
+        refused: usize,
     }
 
     impl Sender {
@@ -497,6 +505,7 @@ mod tests {
                 sizes: sizes.to_vec(),
                 breaks: breaks.to_vec(),
                 wires: Vec::new(),
+                refused: 0,
             };
             sender.push(msgs);
             sender
@@ -506,22 +515,32 @@ mod tests {
             msgs.iter().cloned().for_each(|m| self.out.push(m));
         }
 
+        /// One `flush`, as the thread that may wait makes it (`may_dial`)
+        /// or as one that may not, whose dial refuses.
+        fn flush_once(&mut self, host: &Host, now: Instant, may_dial: bool) -> Flushed {
+            let dial = || {
+                if !may_dial {
+                    self.refused += 1;
+                    return Err(io::ErrorKind::NotConnected.into());
+                }
+                let taken = Rc::new(RefCell::new(0u32.to_le_bytes().to_vec()));
+                let breaks_at = self.breaks.get(self.wires.len()).copied().flatten();
+                self.wires.push(Rc::clone(&taken));
+                Ok(Throttled {
+                    taken,
+                    sizes: self.sizes.clone(),
+                    calls: 0,
+                    breaks_at,
+                })
+            };
+            self.out.flush(host, p(1), now, dial)
+        }
+
         /// Flushes until there is something to wait for besides the
         /// connection.
         fn flush(&mut self, host: &Host, now: Instant) -> Flushed {
             loop {
-                let dial = || {
-                    let taken = Rc::new(RefCell::new(0u32.to_le_bytes().to_vec()));
-                    let breaks_at = self.breaks.get(self.wires.len()).copied().flatten();
-                    self.wires.push(Rc::clone(&taken));
-                    Ok(Throttled {
-                        taken,
-                        sizes: self.sizes.clone(),
-                        calls: 0,
-                        breaks_at,
-                    })
-                };
-                match self.out.flush(host, p(1), now, dial) {
+                match self.flush_once(host, now, true) {
                     Flushed::Full => {}
                     other => return other,
                 }
@@ -628,7 +647,95 @@ mod tests {
         })
     }
 
+    /// One step in the life of a send state two threads take turns at.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A burst is queued.
+        Push(Vec<Vec<u8>>),
+        /// One `flush`: by a sender on its own thread if `inline` (and
+        /// the connection is up — the one thing the blocking backend
+        /// checks that matters here), else by the writer thread.
+        Flush { inline: bool },
+        /// This many milliseconds pass.
+        Wait(u64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            proptest::collection::vec(message(), 1..5).prop_map(Step::Push),
+            any::<bool>().prop_map(|inline| Step::Flush { inline }),
+            any::<bool>().prop_map(|inline| Step::Flush { inline }),
+            (0u64..15).prop_map(Step::Wait),
+        ]
+    }
+
+    /// Runs `steps` over one send state whose connections take
+    /// `write_sizes` bytes per call and break where `breaks` says, the
+    /// `inline` flushes made with a dial that refuses if `inline_sends`
+    /// and by the writer otherwise; then lets the writer finish. Returns
+    /// what every connection took, the dropped and reconnected counts,
+    /// and how often the refusing dial was asked.
+    fn take_turns(
+        steps: &[Step],
+        write_sizes: &[usize],
+        breaks: &[Option<usize>],
+        inline_sends: bool,
+    ) -> (Vec<Vec<u8>>, u64, u64, usize) {
+        let (metrics, obs) = Metrics::shared();
+        let host = host(obs);
+        let mut sender = Sender::new(&[], write_sizes, breaks);
+        // Only differences of instants reach the send state.
+        let mut now = Instant::now();
+        for step in steps {
+            match step {
+                Step::Push(msgs) => msgs
+                    .iter()
+                    .for_each(|m| sender.out.push(Bytes::from(m.clone()))),
+                Step::Wait(ms) => now += Duration::from_millis(*ms),
+                Step::Flush { inline } => {
+                    let by_sender = inline_sends && *inline && sender.out.conn().is_some();
+                    sender.flush_once(&host, now, !by_sender);
+                }
+            }
+        }
+        loop {
+            match sender.flush(&host, now) {
+                Flushed::Backoff(due) => now = due,
+                Flushed::Drained => break,
+                Flushed::Sent(_) | Flushed::Full => {}
+            }
+        }
+        let wires = (0..sender.wires.len()).map(|i| sender.wire(i)).collect();
+        let snap = metrics.snapshot();
+        (wires, snap.dropped, snap.reconnects, sender.refused)
+    }
+
     proptest! {
+        /// Who makes a `flush` call does not matter, as long as a thread
+        /// that may not dial only flushes a connection that is up: every
+        /// interleaving of the two yields, connection by connection, the
+        /// bytes the writer thread alone yields for the same pushes, and
+        /// the same drops and reconnects — through short writes,
+        /// `WouldBlock` and connections that break at any byte. That is
+        /// what lets the blocking backend write from the sender's thread
+        /// and keep one retry rule.
+        #[test]
+        fn a_flush_from_the_senders_thread_is_the_writers_flush(
+            steps in proptest::collection::vec(step(), 1..40),
+            write_sizes in call_sizes(),
+            breaks in proptest::collection::vec(proptest::option::of(4usize..600), 0..5),
+        ) {
+            let alone = take_turns(&steps, &write_sizes, &breaks, false);
+            let mixed = take_turns(&steps, &write_sizes, &breaks, true);
+            prop_assert_eq!(&mixed, &alone);
+            let (wires, dropped, reconnects, refused) = mixed;
+            prop_assert_eq!(refused, 0, "a sender's flush asked for a dial");
+            // One dial to begin with, one redial per failed frame, and
+            // one for the frame behind each frame dropped.
+            let dials = wires.len() as u64;
+            prop_assert!(dials <= 1 + reconnects + 2 * dropped, "{} dials", dials);
+        }
+
         /// Whatever the connection takes per write and yields per read,
         /// the wire carries the reference bytes and the receiver gets
         /// the payloads back in order.

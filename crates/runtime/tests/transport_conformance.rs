@@ -30,6 +30,9 @@
 //! * **Handshake id** (socket backends): a peer whose handshake names a
 //!   process outside the deployment is hung up on with nothing
 //!   delivered, and the node keeps serving honest peers.
+//! * **Senders never wait**: a peer that has stopped reading fills its
+//!   connection, and every `send_many` toward it still returns at once;
+//!   what the connection did not take is held, in order, until it does.
 //! * **Retry-once semantics** (socket backends): a send to a dead peer
 //!   records exactly one drop per message after the single reconnect
 //!   attempt; a live peer that tears down established connections is
@@ -622,5 +625,107 @@ fn conformance_handshake_outside_the_peer_list_is_refused() {
             d.inboxes[0].try_recv().is_err(),
             "{backend:?}: a forgery leaked"
         );
+    }
+}
+
+/// A `send_many` returns without waiting on the network or on another
+/// thread, whatever the receiver is doing: the node loop calls it
+/// between two protocol steps, and the blocking backend writes from the
+/// caller's thread whenever it can. A peer that accepts, handshakes,
+/// reads one frame and then stops reading fills the connection; every
+/// call must still return at once, and when the peer reads again
+/// everything sent arrives, in order and byte for byte. (The memory
+/// backend's peer is an inbox nobody drains, which an unbounded channel
+/// does not notice.)
+#[test]
+fn conformance_a_peer_that_stops_reading_never_blocks_its_sender() {
+    use std::io::Read;
+    use std::net::{TcpListener, TcpStream};
+
+    const PAYLOAD: usize = 64 << 10;
+    const BURST: usize = 4;
+    // 32 MiB: several times what a localhost connection buffers.
+    const PAYLOADS: usize = 512;
+    let payload = |seq: usize| {
+        let mut bytes = vec![(seq % 251) as u8; PAYLOAD];
+        bytes[..8].copy_from_slice(&(seq as u64).to_le_bytes());
+        Bytes::from(bytes)
+    };
+
+    for backend in ALL_BACKENDS {
+        let (metrics, obs) = Metrics::shared();
+        // The peer is p1: on the socket backends a bare listener, so
+        // that nothing reads its connection unless the test does.
+        let (sender, inbox, listener): (Box<dyn Transport>, _, _) = match backend {
+            Backend::Memory => {
+                let mut d = deploy(backend, 2);
+                (d.transports.remove(0), Some(d.inboxes.remove(1)), None)
+            }
+            Backend::BlockingTcp | Backend::Reactor => {
+                let (l0, a0) = TcpTransport::bind_ephemeral().unwrap();
+                let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+                let peers = vec![a0, listener.local_addr().unwrap()];
+                let (tx0, _rx0) = unbounded();
+                let sender: Box<dyn Transport> = if backend == Backend::BlockingTcp {
+                    Box::new(TcpTransport::spawn(p(0), peers, l0, tx0, obs.clone()))
+                } else {
+                    Box::new(ReactorTransport::spawn(p(0), peers, l0, tx0, obs.clone()).unwrap())
+                };
+                (sender, None, Some(listener))
+            }
+        };
+        // The next frame p0 sent, read off the inbox or the connection
+        // (accepted, and its handshake checked, on the first call).
+        let mut conn: Option<TcpStream> = None;
+        let mut next_frame = || -> Vec<u8> {
+            let Some(listener) = &listener else {
+                let inbox = inbox.as_ref().expect("one or the other");
+                return inbox.recv_timeout(RECV_TIMEOUT).unwrap().1.to_vec();
+            };
+            let mut word = [0u8; 4];
+            let conn = conn.get_or_insert_with(|| {
+                let (mut conn, _) = listener.accept().unwrap();
+                conn.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+                conn.read_exact(&mut word).unwrap();
+                assert_eq!(u32::from_le_bytes(word), 0, "{backend:?}: handshake");
+                conn
+            });
+            conn.read_exact(&mut word).unwrap();
+            let mut frame = vec![0; u32::from_le_bytes(word) as usize];
+            conn.read_exact(&mut frame).unwrap();
+            frame
+        };
+
+        // The connection comes up and goes idle, and the peer stalls.
+        sender.send(p(0), p(1), payload(0));
+        assert!(
+            next_frame()[..] == payload(0)[..],
+            "{backend:?}: first frame"
+        );
+
+        let mut slowest = Duration::ZERO;
+        for burst in (1..PAYLOADS).step_by(BURST) {
+            let payloads = (burst..PAYLOADS.min(burst + BURST)).map(payload).collect();
+            let called = Instant::now();
+            sender.send_many(p(0), p(1), payloads);
+            slowest = slowest.max(called.elapsed());
+        }
+        assert!(
+            slowest < Duration::from_millis(50),
+            "{backend:?}: a send_many took {slowest:?} with the peer not reading"
+        );
+
+        let mut got = 1;
+        while got < PAYLOADS {
+            let frame = next_frame();
+            for m in codec::frame_messages(&frame).expect("malformed frame on the wire") {
+                assert!(m == &payload(got)[..], "{backend:?}: payload {got} differs");
+                got += 1;
+            }
+        }
+        assert_eq!(got, PAYLOADS, "{backend:?}");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.dropped, 0, "{backend:?}");
+        assert_eq!(snap.reconnects, 0, "{backend:?}");
     }
 }

@@ -179,7 +179,12 @@ impl ProtocolObserver for Metrics {
 
     fn bytes_sent(&self, _process: ProcessId, kind: &str, bytes: usize) {
         let mut map = self.bytes.lock().expect("byte map poisoned");
-        let entry = map.entry(kind.to_string()).or_default();
+        // Looked up by `&str`: this runs once per message sent, and only
+        // a kind's first appearance needs an owned key.
+        if !map.contains_key(kind) {
+            map.insert(kind.to_string(), ByteStats::default());
+        }
+        let entry = map.get_mut(kind).expect("present or just inserted");
         entry.messages += 1;
         entry.bytes += bytes as u64;
     }
