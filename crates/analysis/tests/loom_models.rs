@@ -810,3 +810,171 @@ fn inline_send_handover_never_strands_a_payload() {
 fn inline_send_handover_counts_a_burst_until_it_is_pushed() {
     inline_send_handover(Lowers::WhenTaken, false, &[true, false]);
 }
+
+/// Where [`reader_step`] raises and lowers a link's inbox count.
+#[derive(Clone, Copy, PartialEq)]
+enum Counts {
+    /// Raised before the frame is enqueued, and lowered under the node's
+    /// lock once the node thread has stepped it: the real order.
+    Real,
+    /// Lowered as the node thread pops the frame, before it locks.
+    LowerAtPop,
+    /// Raised after the frame is enqueued.
+    RaiseAfterEnqueue,
+}
+
+/// A blocking-TCP reader that steps its node on its own thread when the
+/// node is free, against the node thread stepping the frames that found
+/// it busy (`Readers::deliver` in `crates/runtime/src/transport.rs`,
+/// `Node::try_step` and the node loop in `crates/runtime/src/node.rs`),
+/// as one function so that the real order and the broken ones below run
+/// the same code.
+///
+/// Real shape: the node's step state is behind a mutex that means *who
+/// steps this node now*. The reader of one link, with a whole frame,
+/// `try_lock`s it; holding it, with the node not stopped and the link's
+/// count `Readers::in_inbox` at 0, it steps the frame. Otherwise it
+/// raises the count and enqueues the frame. The node thread pops a frame
+/// from the inbox, locks (blocking), steps it, lowers the count, and
+/// unlocks.
+///
+/// The model: the steps taken are the mutex's contents, the inbox a
+/// mutexed queue. The reader delivers frames `0..FRAMES` in order; it
+/// starts as the node thread is busy — holding the lock, as for a client
+/// submission — so that its first frame goes to the inbox. The node
+/// thread lets go, then takes `FRAMES` turns, each a pop that may find
+/// nothing; once the reader is done, the node thread's later wake-ups
+/// step whatever is left (the inbox's wake-up is the channel's own,
+/// `channel_handoff_never_loses_a_wakeup`). Over every interleaving:
+///
+/// * the count never goes below zero — every frame the node thread
+///   steps was counted before it could be popped;
+/// * every frame is stepped exactly once and in order, with the count
+///   back at 0.
+fn reader_step(counts: Counts) {
+    use std::collections::VecDeque;
+
+    const FRAMES: usize = 3;
+
+    struct Node {
+        steps: Mutex<Vec<usize>>,
+        in_inbox: AtomicUsize,
+        inbox: Mutex<VecDeque<usize>>,
+        counts: Counts,
+    }
+
+    impl Node {
+        fn lower(&self) {
+            let before = self.in_inbox.fetch_sub(1, Ordering::SeqCst);
+            assert!(before > 0, "a frame was stepped before it was counted");
+        }
+
+        fn raise(&self) {
+            self.in_inbox.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn enqueue(&self, frame: usize) {
+            self.inbox.lock().unwrap().push_back(frame);
+        }
+
+        /// `Readers::deliver` for one frame.
+        fn deliver(&self, frame: usize) {
+            if let Ok(mut steps) = self.steps.try_lock() {
+                if self.in_inbox.load(Ordering::SeqCst) == 0 {
+                    steps.push(frame);
+                    return;
+                }
+            }
+            if self.counts == Counts::RaiseAfterEnqueue {
+                self.enqueue(frame);
+                self.raise();
+            } else {
+                self.raise();
+                self.enqueue(frame);
+            }
+        }
+
+        /// One turn of the node loop: pop, and if there was a frame,
+        /// lock, step it and lower the count.
+        fn turn(&self) {
+            let Some(frame) = self.inbox.lock().unwrap().pop_front() else {
+                return;
+            };
+            if self.counts == Counts::LowerAtPop {
+                self.lower();
+            }
+            let mut steps = self.steps.lock().unwrap();
+            steps.push(frame);
+            if self.counts != Counts::LowerAtPop {
+                self.lower();
+            }
+        }
+    }
+
+    loom::model(move || {
+        let node = Arc::new(Node {
+            steps: Mutex::new(Vec::new()),
+            in_inbox: AtomicUsize::new(0),
+            inbox: Mutex::new(VecDeque::new()),
+            counts,
+        });
+
+        let busy = node.steps.lock().unwrap();
+        let reader = {
+            let node = Arc::clone(&node);
+            thread::spawn(move || (0..FRAMES).for_each(|frame| node.deliver(frame)))
+        };
+        drop(busy);
+        for _ in 0..FRAMES {
+            node.turn();
+        }
+        reader.join().unwrap();
+        while !node.inbox.lock().unwrap().is_empty() {
+            node.turn();
+        }
+
+        let steps = node.steps.lock().unwrap().clone();
+        assert_eq!(steps.len(), FRAMES, "stranded or stepped twice: {steps:?}");
+        assert!(
+            steps.iter().copied().eq(0..FRAMES),
+            "the link's frames were stepped out of order: {steps:?}"
+        );
+        assert_eq!(node.in_inbox.load(Ordering::SeqCst), 0);
+    });
+}
+
+/// The reader-step hand-over as `crates/runtime/src/{transport,node}.rs`
+/// make it (see [`reader_step`]).
+#[test]
+fn reader_step_keeps_link_order() {
+    reader_step(Counts::Real);
+}
+
+/// The first broken order, kept running so that the model is known to be
+/// able to fail: lower the count when the node thread *pops* the frame
+/// rather than once it has stepped it. Between the pop and the lock the
+/// frame is nowhere the reader can see, so the schedule `frame 0 finds
+/// the node busy and is counted and enqueued → the node thread lets go,
+/// pops it and lowers the count to 0 → frame 1: try_lock, count 0,
+/// stepped → the node thread locks and steps frame 0` steps the link's
+/// frames out of order.
+#[test]
+#[should_panic(expected = "out of order")]
+fn reader_step_lowers_the_count_only_once_the_frame_is_stepped() {
+    reader_step(Counts::LowerAtPop);
+}
+
+/// The second broken order: raise the count *after* the enqueue. The
+/// schedule `frame 0 finds the node busy and is enqueued → the node
+/// thread lets go, pops it, steps it and lowers the count` lowers a
+/// count nobody has raised. With one reader per link the late raise puts
+/// the count back before that reader's next check, so it is the count
+/// that breaks, not yet the order — an `AtomicUsize` wraps to
+/// `usize::MAX` meanwhile, which the runtime's `debug_assert` in
+/// `Readers::stepped` reports — but a count that is not a count of what
+/// is in the inbox is what the order rests on.
+#[test]
+#[should_panic(expected = "stepped before it was counted")]
+fn reader_step_counts_a_frame_before_it_is_queued() {
+    reader_step(Counts::RaiseAfterEnqueue);
+}

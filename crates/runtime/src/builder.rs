@@ -9,7 +9,7 @@ use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
 use crate::cluster::{Cluster, ClusterShared};
-use crate::node::{spawn_sharded_node, NodeOptions};
+use crate::node::{spawn_stepped, NodeOptions};
 use crate::proxy::RouteFn;
 use crate::shard::{ShardRouter, ShardedCluster};
 use crate::transport::TransportKind;
@@ -301,16 +301,19 @@ impl ClusterBuilder {
                 .observed(self.obs.clone())
                 .shard_observed(self.shard_obs);
         let mut nodes = Vec::with_capacity(endpoints.len());
-        for (i, (inbox, transport)) in endpoints.into_iter().enumerate() {
+        for (i, endpoint) in endpoints.into_iter().enumerate() {
             let p = ProcessId::new(i as u32);
             let instances = (0..router.shards())
                 .map(|s| make(p, s as u32, opts.observer_of(s)))
                 .collect();
-            nodes.push(spawn_sharded_node(
+            // Over blocking TCP the endpoint's readers come along, and
+            // step the node on their own threads when it is free.
+            nodes.push(spawn_stepped(
                 instances,
-                inbox,
-                transport,
+                endpoint.inbox,
+                endpoint.transport,
                 opts.clone(),
+                endpoint.readers,
             ));
         }
         Ok(ShardedCluster::new(
@@ -439,16 +442,28 @@ mod tests {
         Ack(u64),
     }
 
-    /// Two link delays per command, and nothing unless in order: a
-    /// proposal of `v` is forwarded to the sequencer `p0`, which acks
-    /// only the value it expects next; the proposer decides `v` only on
-    /// the ack it expects next. One reordered hop in either direction
-    /// and every later value stays undecided.
+    /// Two link delays per command, and nothing unless in order: the
+    /// `v`-th proposal at a node is forwarded as `v` to the sequencer
+    /// `p0`, which acks only the number it expects next; the proposer
+    /// decides `v` only on the ack it expects next. One reordered hop in
+    /// either direction and every later number stays undecided.
     #[derive(Debug)]
     struct InOrder {
         me: ProcessId,
+        proposed: u64,
         next_fwd: u64,
         next_ack: u64,
+    }
+
+    impl InOrder {
+        fn new(me: ProcessId) -> Self {
+            InOrder {
+                me,
+                proposed: 0,
+                next_fwd: 0,
+                next_ack: 0,
+            }
+        }
     }
 
     impl Protocol<u64> for InOrder {
@@ -457,8 +472,9 @@ mod tests {
             self.me
         }
         fn on_start(&mut self, _: &mut Effects<u64, Hop>) {}
-        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Hop>) {
-            eff.send(p(0), Hop::Fwd(v));
+        fn on_propose(&mut self, _: u64, eff: &mut Effects<u64, Hop>) {
+            eff.send(p(0), Hop::Fwd(self.proposed));
+            self.proposed += 1;
         }
         fn on_message(&mut self, from: ProcessId, m: Hop, eff: &mut Effects<u64, Hop>) {
             match m {
@@ -479,23 +495,21 @@ mod tests {
         }
     }
 
+    type Backend = fn(ClusterBuilder) -> ClusterBuilder;
+
+    const BACKENDS: [(&str, Backend); 3] = [
+        ("in_memory", ClusterBuilder::in_memory),
+        ("tcp", ClusterBuilder::tcp),
+        ("reactor", ClusterBuilder::reactor),
+    ];
+
     #[test]
     fn link_delay_costs_two_hops_and_keeps_link_order_on_every_backend() {
         let cfg = SystemConfig::minimal_object(1, 1).unwrap();
         let delay = Duration::from_millis(20);
-        type Backend = fn(ClusterBuilder) -> ClusterBuilder;
-        let backends: [(&str, Backend); 3] = [
-            ("in_memory", ClusterBuilder::in_memory),
-            ("tcp", ClusterBuilder::tcp),
-            ("reactor", ClusterBuilder::reactor),
-        ];
-        for (name, backend) in backends {
+        for (name, backend) in BACKENDS {
             let cluster = backend(ClusterBuilder::new(cfg).link_delay(delay))
-                .build(|me| InOrder {
-                    me,
-                    next_fwd: 0,
-                    next_ack: 0,
-                })
+                .build(InOrder::new)
                 .unwrap();
             // A non-leader proxy: its commands cross the p1 -> p0 link
             // and their acks the p0 -> p1 link.
@@ -513,6 +527,100 @@ mod tests {
                 "{name}: committed in {latency:?}, under two {delay:?} link delays"
             );
         }
+    }
+
+    /// The stress twin: instant links, and four clients proposing at p1
+    /// at once, so that p1's node thread is busy with submissions while
+    /// over TCP its readers try to step the acks themselves, and p0's
+    /// readers the forwards. The 8,001st number commits only if none of
+    /// the 16,000 hops before it was reordered.
+    #[test]
+    fn link_order_holds_at_the_node_under_contention_on_every_backend() {
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        for (name, backend) in BACKENDS {
+            let cluster = backend(ClusterBuilder::new(cfg))
+                .build(InOrder::new)
+                .unwrap();
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let client = cluster.proxy_client(p(1));
+                    s.spawn(move || (0..2000).for_each(|v| client.propose(v)));
+                }
+            });
+            cluster
+                .proxy_client(p(1))
+                .submit_and_wait(8000, Duration::from_secs(20))
+                .unwrap_or_else(|| panic!("{name}: a hop was reordered or lost"));
+        }
+    }
+
+    /// Sends a ping to every peer each Δ, and counts the messages it
+    /// steps.
+    #[derive(Debug)]
+    struct Chatter {
+        me: ProcessId,
+        n: u32,
+        stepped: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Protocol<u64> for Chatter {
+        type Message = Hop;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, eff: &mut Effects<u64, Hop>) {
+            eff.set_timer(TimerId(0), twostep_types::Duration::deltas(1));
+        }
+        fn on_propose(&mut self, _: u64, _: &mut Effects<u64, Hop>) {}
+        fn on_message(&mut self, _: ProcessId, _: Hop, _: &mut Effects<u64, Hop>) {
+            self.stepped
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+        fn on_timer(&mut self, t: TimerId, eff: &mut Effects<u64, Hop>) {
+            for q in (0..self.n).map(p).filter(|&q| q != self.me) {
+                eff.send(q, Hop::Fwd(0));
+            }
+            eff.set_timer(t, twostep_types::Duration::deltas(1));
+        }
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// Crash stays strict when readers step: once `crash(p1)` returns,
+    /// nothing steps p1 on any thread, while its peers go on sending to
+    /// it (and stepping each other).
+    #[test]
+    fn a_crashed_node_is_stepped_by_no_thread_over_tcp() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        let counters: Vec<Arc<AtomicU64>> = (0..cfg.n()).map(|_| Arc::default()).collect();
+        let mut cluster = ClusterBuilder::new(cfg)
+            .tcp()
+            .wall_delta(Duration::from_millis(1))
+            .build(|me| Chatter {
+                me,
+                n: cfg.n() as u32,
+                stepped: Arc::clone(&counters[me.index()]),
+            })
+            .unwrap();
+        let stepped = |q: u32| counters[q as usize].load(Ordering::SeqCst);
+        let started = std::time::Instant::now();
+        while stepped(1) < 20 {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "p1 never stepped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        cluster.crash(p(1));
+        let (at_crash, peer_at_crash) = (stepped(1), stepped(0));
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(stepped(1), at_crash, "p1 was stepped after its crash");
+        assert!(
+            stepped(0) > peer_at_crash + 20,
+            "the survivors stopped talking"
+        );
     }
 
     #[test]

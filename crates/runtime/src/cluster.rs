@@ -72,9 +72,9 @@ impl<V: Value> ClusterShared<V> {
         })
     }
 
-    /// Records that `p` decided `v` in `shard` at `at`, on the deciding
-    /// node's own thread: caches the first decision of `(shard, p)` and
-    /// wakes the clients waiting on it and on `v`.
+    /// Records that `p` decided `v` in `shard` at `at`, on the thread
+    /// that stepped the deciding node: caches the first decision of
+    /// `(shard, p)` and wakes the clients waiting on it and on `v`.
     ///
     /// The waiters are taken out of the row under its lock and woken
     /// after it is released: a woken client's next move is

@@ -1,20 +1,33 @@
-//! One protocol instance on one OS thread.
+//! One protocol instance, stepped by one thread at a time.
+//!
+//! A node's protocol instances and the engine state their steps change
+//! sit behind one mutex, which means *who steps this node now*. The node
+//! thread takes it once per event — a timer pass, a client submission,
+//! an inbox frame — and keeps the timers and the control channel. Over
+//! blocking TCP a reader thread that has a whole frame `try_lock`s it
+//! and, when the node is free, runs the same step on its own thread (see
+//! [`crate::TcpTransport`]); it never waits for the lock.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as WallDuration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::{Mutex, MutexGuard};
 
 use twostep_telemetry::{msg_kind, ObserverHandle};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{ProcessId, Value, DELTA};
 
 use crate::codec;
-use crate::transport::Transport;
+use crate::transport::{Readers, StepInline, Transport};
+
+/// How long the node thread waits for an event when no timer is set.
+const IDLE_WAIT: WallDuration = WallDuration::from_millis(50);
 
 /// Control events a node accepts besides network traffic.
 #[derive(Debug)]
@@ -25,6 +38,10 @@ pub enum Control<V> {
     ProposeAt(u32, V),
     /// Stop the node immediately — models a crash (no clean handover).
     Shutdown,
+    /// A step run on another thread set a timer due before the node
+    /// thread's wait ends: wake up and wait for the new deadline. Sent
+    /// by the node's own reader threads, never by clients.
+    Rearm,
 }
 
 /// Handle to a spawned node.
@@ -85,8 +102,9 @@ impl<V> Drop for NodeHandle<V> {
 ///   delays (expressed in virtual units where `Δ` = [`DELTA`]) are
 ///   scaled by `wall_delta / Δ`. Defaults to 10ms.
 /// * `decisions` — every `decide(v)` event is reported as
-///   `(id, shard, v, wall time)`, from the node's own thread; unsharded
-///   nodes always report shard 0.
+///   `(id, shard, v, wall time)`, from the thread that stepped the node
+///   (its own, or over blocking TCP a reader's); unsharded nodes always
+///   report shard 0.
 /// * `observer` — engine telemetry: per-kind encoded sizes
 ///   (`bytes_sent`) and this process's first decision latency in
 ///   wall-clock **microseconds** since node start (`decision_latency`).
@@ -107,7 +125,7 @@ pub struct NodeOptions<V> {
     pub shard_observers: Vec<ObserverHandle>,
 }
 
-/// What a node calls, on its own thread, with each decide event:
+/// What a node calls, on the thread stepping it, with each decide event:
 /// `(id, shard, v, wall time)`.
 pub(crate) type DecisionSink<V> = Arc<dyn Fn(ProcessId, u32, V, Instant) + Send + Sync>;
 
@@ -177,7 +195,9 @@ impl<V> NodeOptions<V> {
     }
 }
 
-/// Spawns `protocol` on its own thread.
+/// Spawns `protocol` on its own thread: one protocol instance, stepped
+/// by one thread at a time — this node thread, which also keeps the
+/// timers and the control channel.
 ///
 /// * `inbox` — encoded messages from the transport's receive side;
 ///   coalesced frames ([`codec::pack_frame`]) are split and dispatched
@@ -186,6 +206,10 @@ impl<V> NodeOptions<V> {
 ///   One protocol step's sends are grouped per destination and handed
 ///   to [`Transport::send_many`] as a burst, so coalescing transports
 ///   move them in one operation.
+///
+/// Every step runs on the node thread here. A cluster built over
+/// blocking TCP ([`crate::ClusterBuilder::tcp`]) also lets the
+/// transport's reader threads step the node when it is free.
 pub fn spawn_node<V, P, T>(
     protocol: P,
     inbox: Receiver<(ProcessId, Bytes)>,
@@ -219,10 +243,29 @@ where
 /// Panics if `shards` is empty or the instances disagree on their
 /// process id.
 pub fn spawn_sharded_node<V, P, T>(
-    mut shards: Vec<P>,
+    shards: Vec<P>,
     inbox: Receiver<(ProcessId, Bytes)>,
     transport: T,
     opts: NodeOptions<V>,
+) -> NodeHandle<V>
+where
+    V: Value,
+    P: Protocol<V> + 'static,
+    T: Transport,
+{
+    spawn_stepped(shards, inbox, transport, opts, None)
+}
+
+/// [`spawn_sharded_node`], with the reader threads of a blocking-TCP
+/// endpoint allowed to step the node: the node installs itself in
+/// `readers` once its instances have started, and lowers a source's
+/// inbox count after each frame from it that it steps.
+pub(crate) fn spawn_stepped<V, P, T>(
+    shards: Vec<P>,
+    inbox: Receiver<(ProcessId, Bytes)>,
+    transport: T,
+    opts: NodeOptions<V>,
+    readers: Option<Arc<Readers>>,
 ) -> NodeHandle<V>
 where
     V: Value,
@@ -237,80 +280,61 @@ where
     );
     let nshards = shards.len();
     let (control_tx, control_rx) = crossbeam::channel::unbounded::<Control<V>>();
+    let wake = control_tx.clone();
     let join = thread::Builder::new()
         .name(format!("twostep-node-{id}"))
         .spawn(move || {
-            let started = Instant::now();
             let obs: Vec<ObserverHandle> = (0..nshards).map(|s| opts.observer_of(s)).collect();
-            let mut node = NodeCtx {
-                id,
-                transport,
-                wall_delta: opts.wall_delta,
-                // Messages are shard-tagged only when there is traffic
-                // from more than one group to tell apart.
-                tagged: nshards > 1,
-                timers: HashMap::new(),
-                decisions: opts.decisions,
-                obs,
-                started,
-                decided: vec![false; nshards],
-            };
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let mut eff = Effects::new();
-                shard.on_start(&mut eff);
-                node.apply(s as u32, eff.drain());
+            let node = Arc::new(Node {
+                steps: Mutex::new(NodeCtx {
+                    id,
+                    shards,
+                    transport,
+                    wall_delta: opts.wall_delta,
+                    // Messages are shard-tagged only when there is traffic
+                    // from more than one group to tell apart.
+                    tagged: nshards > 1,
+                    timers: HashMap::new(),
+                    parked_until: None,
+                    stopped: false,
+                    decisions: opts.decisions,
+                    obs,
+                    started: Instant::now(),
+                    decided: vec![false; nshards],
+                }),
+                wake,
+            });
+            node.enter().start();
+            if let Some(readers) = &readers {
+                let weak = Arc::downgrade(&node);
+                readers.install(weak);
             }
 
             loop {
-                // One pass over the timers per turn: fire what is due,
-                // earliest first, until the earliest one left names the
-                // wait. Every turn past the wait is one event, so this
-                // is the only clock read and the only scan it costs.
-                let wait = loop {
-                    let now = Instant::now();
-                    let earliest = node.timers.iter().min_by_key(|(_, due)| **due);
-                    match earliest.map(|(&key, &due)| (key, due)) {
-                        Some(((s, t), due)) if due <= now => {
-                            node.timers.remove(&(s, t));
-                            let mut eff = Effects::new();
-                            shards[s as usize].on_timer(t, &mut eff);
-                            node.apply(s, eff);
-                        }
-                        Some((_, due)) => break due - now,
-                        None => break WallDuration::from_millis(50),
-                    }
-                };
-
+                let wait = node.enter().fire_due_timers();
                 crossbeam::channel::select! {
                     recv(inbox) -> msg => match msg {
-                        Ok((from, payload)) => {
-                            // A transport payload may be a coalesced
-                            // frame carrying many messages; a malformed
-                            // envelope drops the whole frame, a
-                            // malformed sub-payload only itself. The
-                            // messages are iterated in place — no
-                            // per-message allocation on the hot path.
-                            if let Ok(msgs) = codec::frame_messages(&payload) {
-                                for m in msgs {
-                                    node.dispatch(&mut shards, from, m);
-                                }
+                        Ok((from, frame)) => {
+                            let mut ctx = node.enter();
+                            ctx.step_frame(from, &frame);
+                            if let Some(readers) = &readers {
+                                readers.stepped(from);
                             }
                         }
                         Err(_) => break, // transport torn down
                     },
                     recv(control_rx) -> ctl => match ctl {
-                        Ok(Control::ProposeAt(s, v)) => {
-                            if let Some(shard) = shards.get_mut(s as usize) {
-                                let mut eff = Effects::new();
-                                shard.on_propose(v, &mut eff);
-                                node.apply(s, eff);
-                            }
-                        }
+                        Ok(Control::ProposeAt(s, v)) => node.enter().propose(s, v),
+                        // The next timer pass reads the new deadline.
+                        Ok(Control::Rearm) => {}
                         Ok(Control::Shutdown) | Err(_) => break,
                     },
                     default(wait) => {}
                 }
             }
+            // Under the lock, so that no step runs on any thread once
+            // `crash` has joined this one.
+            node.enter().stopped = true;
         })
         .expect("spawn node thread");
 
@@ -321,31 +345,129 @@ where
     }
 }
 
-/// The per-thread engine state shared by every effect application.
-struct NodeCtx<V, T> {
+/// A running node: its step state behind the lock that says who steps it
+/// now, and the way to wake its thread.
+struct Node<V, P, T> {
+    steps: Mutex<NodeCtx<V, P, T>>,
+    /// The node's own control channel, for [`Control::Rearm`].
+    wake: Sender<Control<V>>,
+}
+
+impl<V: Value, P: Protocol<V>, T: Transport> Node<V, P, T> {
+    /// The node thread's way in: it waits for the lock, and while it
+    /// holds it the thread is waiting on no deadline.
+    fn enter(&self) -> MutexGuard<'_, NodeCtx<V, P, T>> {
+        let mut ctx = self.steps.lock();
+        ctx.parked_until = None;
+        ctx
+    }
+}
+
+impl<V: Value, P: Protocol<V> + 'static, T: Transport> StepInline for Node<V, P, T> {
+    fn try_step(&self, from: ProcessId, frame: &[u8], in_inbox: &AtomicUsize) -> bool {
+        let Some(mut ctx) = self.steps.try_lock() else {
+            return false;
+        };
+        if ctx.stopped || in_inbox.load(Ordering::SeqCst) != 0 {
+            return false;
+        }
+        let parked_until = ctx.parked_until;
+        ctx.step_frame(from, frame);
+        // `apply` moves the deadline up when the step set an earlier
+        // timer; the parked node thread has to be told.
+        let rearm = ctx.parked_until != parked_until;
+        drop(ctx);
+        if rearm {
+            let _ = self.wake.send(Control::Rearm);
+        }
+        true
+    }
+}
+
+/// The engine state shared by every effect application: what the node's
+/// lock guards.
+struct NodeCtx<V, P, T> {
     id: ProcessId,
+    shards: Vec<P>,
     transport: T,
     wall_delta: WallDuration,
     tagged: bool,
     timers: HashMap<(u32, TimerId), Instant>,
+    /// The deadline the node thread is waiting on, while it waits.
+    parked_until: Option<Instant>,
+    /// Set by the node thread as it exits: nothing steps the node after.
+    stopped: bool,
     decisions: DecisionSink<V>,
     obs: Vec<ObserverHandle>,
     started: Instant,
     decided: Vec<bool>,
 }
 
-impl<V: Value, T: Transport> NodeCtx<V, T> {
+impl<V: Value, P: Protocol<V>, T: Transport> NodeCtx<V, P, T> {
+    fn start(&mut self) {
+        for s in 0..self.shards.len() {
+            let mut eff = Effects::new();
+            self.shards[s].on_start(&mut eff);
+            self.apply(s as u32, eff.drain());
+        }
+    }
+
+    /// One pass over the timers: fire what is due, earliest first, until
+    /// the earliest one left names the wait, which it returns. Every turn
+    /// of the node loop is one such pass, so this is the only clock read
+    /// and the only scan a turn costs.
+    fn fire_due_timers(&mut self) -> WallDuration {
+        loop {
+            let now = Instant::now();
+            let earliest = self.timers.iter().min_by_key(|(_, due)| **due);
+            let due = match earliest.map(|(&key, &due)| (key, due)) {
+                Some(((s, t), due)) if due <= now => {
+                    self.timers.remove(&(s, t));
+                    let mut eff = Effects::new();
+                    self.shards[s as usize].on_timer(t, &mut eff);
+                    self.apply(s, eff);
+                    continue;
+                }
+                Some((_, due)) => due,
+                None => now + IDLE_WAIT,
+            };
+            self.parked_until = Some(due);
+            return due - now;
+        }
+    }
+
+    fn propose(&mut self, shard: u32, v: V) {
+        if let Some(instance) = self.shards.get_mut(shard as usize) {
+            let mut eff = Effects::new();
+            instance.on_propose(v, &mut eff);
+            self.apply(shard, eff);
+        }
+    }
+
+    /// Steps one transport frame — the one routine for the node thread
+    /// and a reader alike. A payload may be a coalesced frame carrying
+    /// many messages; a malformed envelope drops the whole frame, a
+    /// malformed sub-payload only itself. The messages are iterated in
+    /// place — no per-message allocation on the hot path.
+    fn step_frame(&mut self, from: ProcessId, frame: &[u8]) {
+        if let Ok(msgs) = codec::frame_messages(frame) {
+            for m in msgs {
+                self.dispatch(from, m);
+            }
+        }
+    }
+
     /// Routes one decoded-off-the-wire payload to its shard's instance.
     ///
     /// The payload is a borrowed slice into the transport frame: shard
     /// untagging ([`codec::split_shard_ref`]) and message decoding both
     /// read it in place, so dispatch allocates nothing beyond what the
     /// decoded message itself owns.
-    fn dispatch<P: Protocol<V>>(&mut self, shards: &mut [P], from: ProcessId, payload: &[u8]) {
+    fn dispatch(&mut self, from: ProcessId, payload: &[u8]) {
         let Ok((shard, inner)) = codec::split_shard_ref(payload) else {
             return; // truncated shard envelope: drop the message
         };
-        let Some(instance) = shards.get_mut(shard as usize) else {
+        let Some(instance) = self.shards.get_mut(shard as usize) else {
             // Traffic for a group this node does not host — a peer with
             // a different shard map. Observable, not fatal.
             self.obs[0].message_dropped(self.id, from);
@@ -405,7 +527,12 @@ impl<V: Value, T: Transport> NodeCtx<V, T> {
             let wall = self
                 .wall_delta
                 .mul_f64(delay.units() as f64 / DELTA.units() as f64);
-            self.timers.insert((shard, timer), Instant::now() + wall);
+            let due = Instant::now() + wall;
+            self.timers.insert((shard, timer), due);
+            // Set off the node thread, before the deadline it waits on.
+            if self.parked_until.is_some_and(|until| due < until) {
+                self.parked_until = Some(due);
+            }
         }
         for timer in eff.timer_cancels {
             self.timers.remove(&(shard, timer));
@@ -678,5 +805,184 @@ mod tests {
         _node.propose(7);
         let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 7);
+    }
+
+    /// A node whose reader is the test thread: [`Readers::deliver`] is
+    /// what a blocking-TCP reader calls with each frame it has read. Its
+    /// sends go nowhere.
+    fn spawn_read_by_test<P: Protocol<u64> + 'static>(
+        protocol: P,
+        wall_delta: WallDuration,
+        dtx: Sender<(ProcessId, u32, u64, Instant)>,
+    ) -> (NodeHandle<u64>, Arc<Readers>, Sender<(ProcessId, Bytes)>) {
+        let (transport, _) = InMemoryTransport::new(2);
+        let (inbox_tx, inbox) = crossbeam::channel::unbounded();
+        let readers = Arc::new(Readers::new(2));
+        let opts = NodeOptions::new(dtx).wall_delta(wall_delta);
+        let node = spawn_stepped(
+            vec![protocol],
+            inbox,
+            transport,
+            opts,
+            Some(Arc::clone(&readers)),
+        );
+        (node, readers, inbox_tx)
+    }
+
+    fn frame(k: u64) -> Vec<u8> {
+        codec::to_bytes(&Echo(k)).unwrap()
+    }
+
+    /// Busy inside `on_propose` — the node's lock held — until let go;
+    /// reports each message it steps and whether the test thread (its
+    /// reader) stepped it.
+    #[derive(Debug)]
+    struct Gated {
+        entered: Sender<()>,
+        gate: Receiver<()>,
+        reader: thread::ThreadId,
+        steps: Sender<(u64, bool)>,
+    }
+
+    impl Protocol<u64> for Gated {
+        type Message = Echo;
+        fn id(&self) -> ProcessId {
+            p(0)
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Echo>) {}
+        fn on_propose(&mut self, _: u64, _: &mut Effects<u64, Echo>) {
+            let _ = self.entered.send(());
+            let _ = self.gate.recv_timeout(WallDuration::from_secs(5));
+        }
+        fn on_message(&mut self, _: ProcessId, m: Echo, _: &mut Effects<u64, Echo>) {
+            let by_reader = thread::current().id() == self.reader;
+            let _ = self.steps.send((m.0, by_reader));
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Echo>) {}
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// The counter rule: a frame that found the node busy goes to the
+    /// inbox, and the same peer's next frame — delivered a little later
+    /// each round after the node thread is let go, so that it races the
+    /// node thread from its unlock to its step of the queued frame — is
+    /// stepped after it, whichever thread steps it.
+    #[test]
+    fn a_frame_queued_while_the_node_is_busy_goes_before_its_peers_next() {
+        let (entered_tx, entered) = crossbeam::channel::unbounded();
+        let (gate_tx, gate) = crossbeam::channel::unbounded();
+        let (steps_tx, steps) = crossbeam::channel::unbounded();
+        let (dtx, _drx) = crossbeam::channel::unbounded();
+        let gated = Gated {
+            entered: entered_tx,
+            gate,
+            reader: thread::current().id(),
+            steps: steps_tx,
+        };
+        let (node, readers, inbox) = spawn_read_by_test(gated, WallDuration::from_millis(10), dtx);
+        let deliver = |k| assert!(readers.deliver(p(1), &frame(k), &inbox));
+        let next_step = || steps.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        let mut inline = 0;
+        for i in 0..2000 {
+            node.propose(0);
+            entered.recv_timeout(WallDuration::from_secs(5)).unwrap();
+            deliver(2 * i);
+            gate_tx.send(()).unwrap();
+            for _ in 0..(i % 100) * 40 {
+                std::hint::spin_loop();
+            }
+            deliver(2 * i + 1);
+            assert_eq!(
+                next_step(),
+                (2 * i, false),
+                "the node thread steps the queued frame"
+            );
+            let (k, by_reader) = next_step();
+            assert_eq!(k, 2 * i + 1, "overtaken by {k}");
+            inline += usize::from(by_reader);
+        }
+        // An idle node is stepped by whoever delivers to it.
+        for k in 4000..5000 {
+            if inline > 0 {
+                return;
+            }
+            deliver(k);
+            let (got, by_reader) = next_step();
+            assert_eq!(got, k);
+            inline += usize::from(by_reader);
+        }
+        panic!("no frame was stepped by its reader");
+    }
+
+    /// Arms a one-Δ timer per message; decides what is proposed, and
+    /// `1000 + k` when message `k`'s timer fires.
+    #[derive(Debug)]
+    struct Alarm {
+        reader: thread::ThreadId,
+        steps: Sender<bool>,
+    }
+
+    impl Protocol<u64> for Alarm {
+        type Message = Echo;
+        fn id(&self) -> ProcessId {
+            p(0)
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Echo>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Echo>) {
+            eff.decide(v);
+        }
+        fn on_message(&mut self, _: ProcessId, m: Echo, eff: &mut Effects<u64, Echo>) {
+            let _ = self.steps.send(thread::current().id() == self.reader);
+            eff.set_timer(TimerId(m.0), twostep_types::Duration::deltas(1));
+        }
+        fn on_timer(&mut self, t: TimerId, eff: &mut Effects<u64, Echo>) {
+            eff.decide(1000 + t.0);
+        }
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// A step on a reader thread that sets a 2 ms timer while the node
+    /// thread waits out its 50 ms idle wait wakes that thread, and the
+    /// timer fires on time.
+    #[test]
+    fn a_timer_set_on_a_reader_thread_fires_on_time() {
+        let (dtx, drx) = crossbeam::channel::unbounded();
+        let (steps_tx, steps) = crossbeam::channel::unbounded();
+        let alarm = Alarm {
+            reader: thread::current().id(),
+            steps: steps_tx,
+        };
+        let (node, readers, inbox) = spawn_read_by_test(alarm, WallDuration::from_millis(2), dtx);
+        let decided = |want| {
+            let (_, _, v, at) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
+            assert_eq!(v, want);
+            at
+        };
+        let mut on_time = 0;
+        for k in 0..200 {
+            // Decided on the node thread, which then has no timer left
+            // and waits 50 ms.
+            node.propose(k);
+            decided(k);
+            let sent = Instant::now();
+            assert!(readers.deliver(p(1), &frame(k), &inbox));
+            let by_reader = steps.recv_timeout(WallDuration::from_secs(5)).unwrap();
+            let fired = decided(1000 + k).duration_since(sent);
+            if by_reader {
+                assert!(
+                    fired < WallDuration::from_millis(20),
+                    "the timer waited for the idle wake-up: {fired:?}"
+                );
+                on_time += 1;
+                if on_time == 3 {
+                    return;
+                }
+            }
+        }
+        panic!("no frame was stepped by its reader");
     }
 }

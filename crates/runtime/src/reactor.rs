@@ -310,7 +310,10 @@ impl Reactor {
     /// inbox is gone and the reactor should exit.
     fn read_all(&mut self) -> bool {
         let (host, inbox) = (&self.host, &self.inbox);
-        let mut deliver = |from, frame| inbox.send((from, frame)).is_ok();
+        let mut deliver = |from, frame: &[u8]| {
+            // The inbox needs owned bytes: one copy per wire frame.
+            inbox.send((from, Bytes::from(frame.to_vec()))).is_ok()
+        };
         let mut i = 0;
         while i < self.inbound.len() {
             let (stream, conn) = &mut self.inbound[i];

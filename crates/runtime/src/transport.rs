@@ -3,7 +3,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -59,8 +59,87 @@ impl Transport for Box<dyn Transport> {
 }
 
 /// One node's attachment to the message fabric: the inbox its node loop
-/// drains and the transport its sends go out on.
-pub(crate) type Endpoint = (Receiver<(ProcessId, Bytes)>, Box<dyn Transport>);
+/// drains, the transport its sends go out on and, over blocking TCP, the
+/// reader threads that may step the node themselves.
+pub(crate) struct Endpoint {
+    pub(crate) inbox: Receiver<(ProcessId, Bytes)>,
+    pub(crate) transport: Box<dyn Transport>,
+    pub(crate) readers: Option<Arc<Readers>>,
+}
+
+/// A node as its transport's reader threads see it.
+pub(crate) trait StepInline: Send + Sync {
+    /// Steps `frame`, from `from`, on the calling thread if the node is
+    /// free right now: nobody holds its lock, it has not stopped, and
+    /// `in_inbox` — `from`'s frames that are in its inbox and not yet
+    /// stepped — reads 0 under the lock. Never waits; returns whether
+    /// the frame was stepped.
+    fn try_step(&self, from: ProcessId, frame: &[u8], in_inbox: &AtomicUsize) -> bool;
+}
+
+/// What a [`TcpTransport`]'s reader threads share with the node they
+/// deliver to: a way to step it, once the node has installed one, and
+/// the count of each source's frames that went to the inbox instead.
+///
+/// The counts are the transport's, not the node's, so that a frame that
+/// arrives before the node exists is counted like any other. A count is
+/// raised before *every* inbox send and lowered by the node thread,
+/// under the node's lock, only once the frame has been stepped: a reader
+/// that holds the lock and reads 0 knows that no earlier frame of its
+/// link is still waiting, whether in the inbox or popped and not yet
+/// stepped, which is what lets it step ahead of nobody. Lowering at the
+/// pop would let the next frame pass one the node thread holds, which
+/// the loom model `reader_step_keeps_link_order` keeps as a test that
+/// must fail.
+pub(crate) struct Readers {
+    /// By source.
+    in_inbox: Vec<AtomicUsize>,
+    /// Weak: the node owns the transport that owns this, and a strong
+    /// reference would keep all three alive for good.
+    node: OnceLock<Weak<dyn StepInline>>,
+}
+
+impl Readers {
+    /// For a deployment of `n` processes.
+    pub(crate) fn new(n: usize) -> Self {
+        Readers {
+            in_inbox: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            node: OnceLock::new(),
+        }
+    }
+
+    /// Lets the readers step `node` from now on.
+    pub(crate) fn install(&self, node: Weak<dyn StepInline>) {
+        let _ = self.node.set(node);
+    }
+
+    /// The node thread has stepped a frame from `from` that came through
+    /// the inbox. Called under the node's lock, after the step.
+    pub(crate) fn stepped(&self, from: ProcessId) {
+        let before = self.in_inbox[from.index()].fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before > 0, "a frame from {from} was stepped uncounted");
+    }
+
+    /// A reader's delivery of one whole frame: stepped on this thread if
+    /// the node is free, else counted and copied into the inbox. False if
+    /// the inbox is gone. `from` is one of the peers (the handshake check
+    /// saw to that).
+    pub(crate) fn deliver(
+        &self,
+        from: ProcessId,
+        frame: &[u8],
+        inbox: &Sender<(ProcessId, Bytes)>,
+    ) -> bool {
+        let in_inbox = &self.in_inbox[from.index()];
+        if let Some(node) = self.node.get().and_then(Weak::upgrade) {
+            if node.try_step(from, frame, in_inbox) {
+                return true;
+            }
+        }
+        in_inbox.fetch_add(1, Ordering::SeqCst);
+        inbox.send((from, Bytes::from(frame.to_vec()))).is_ok()
+    }
+}
 
 /// Which transport a cluster deploys over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +148,7 @@ pub(crate) enum TransportKind {
     InMemory,
     /// [`TcpTransport`]: senders write inline when that cannot wait, a
     /// writer thread per destination does the waiting, and a read thread
-    /// per accepted connection.
+    /// per accepted connection steps its node when the node is free.
     Tcp,
     /// [`crate::ReactorTransport`]: one non-blocking event-loop thread
     /// owning every socket.
@@ -98,7 +177,11 @@ impl TransportKind {
                 let (transport, inboxes) = InMemoryTransport::new(n);
                 inboxes
                     .into_iter()
-                    .map(|inbox| (inbox, Box::new(transport.clone()) as Box<dyn Transport>))
+                    .map(|inbox| Endpoint {
+                        inbox,
+                        transport: Box::new(transport.clone()),
+                        readers: None,
+                    })
                     .collect()
             }
             TransportKind::Tcp | TransportKind::Reactor => {
@@ -114,14 +197,21 @@ impl TransportKind {
                     let me = ProcessId::new(i as u32);
                     let (tx, inbox) = crossbeam::channel::unbounded();
                     let (peers, obs) = (addrs.clone(), obs.clone());
-                    let transport: Box<dyn Transport> = if self == TransportKind::Tcp {
-                        Box::new(TcpTransport::spawn(me, peers, listener, tx, obs))
+                    let (transport, readers): (Box<dyn Transport>, _) = if self
+                        == TransportKind::Tcp
+                    {
+                        let tcp = TcpTransport::spawn(me, peers, listener, tx, obs);
+                        let readers = Some(Arc::clone(&tcp.readers));
+                        (Box::new(tcp), readers)
                     } else {
-                        Box::new(crate::ReactorTransport::spawn(
-                            me, peers, listener, tx, obs,
-                        )?)
+                        let reactor = crate::ReactorTransport::spawn(me, peers, listener, tx, obs)?;
+                        (Box::new(reactor), None)
                     };
-                    endpoints.push((inbox, transport));
+                    endpoints.push(Endpoint {
+                        inbox,
+                        transport,
+                        readers,
+                    });
                 }
                 endpoints
             }
@@ -177,7 +267,10 @@ impl Transport for DelayedTransport {
 /// exits, dropping them, once every node has dropped its endpoint.
 fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
     let (line, held) = crossbeam::channel::unbounded::<Delayed>();
-    let (inboxes, transports): (Vec<_>, Vec<_>) = endpoints.into_iter().unzip();
+    let (transports, receiving): (Vec<_>, Vec<_>) = endpoints
+        .into_iter()
+        .map(|e| (e.transport, (e.inbox, e.readers)))
+        .unzip();
     thread::Builder::new()
         .name("twostep-delay-line".into())
         .spawn(move || {
@@ -190,9 +283,13 @@ fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
         })
         .expect("spawn delay-line thread");
     let delayed = DelayedTransport { delay, line };
-    inboxes
+    receiving
         .into_iter()
-        .map(|inbox| (inbox, Box::new(delayed.clone()) as Box<dyn Transport>))
+        .map(|(inbox, readers)| Endpoint {
+            inbox,
+            transport: Box::new(delayed.clone()),
+            readers,
+        })
         .collect()
 }
 
@@ -289,6 +386,16 @@ impl Transport for InMemoryTransport {
 /// behind it so per-destination order holds. The reader thread of each
 /// accepted connection waits in `read`, the accept thread in `accept`.
 ///
+/// **What a reader does with a frame.** In a cluster built by
+/// [`crate::ClusterBuilder::tcp`] the reader steps its node when the node
+/// is free, and never waits for it: it `try_lock`s the node and, if it
+/// gets it, the node has not stopped and no earlier frame from the same
+/// peer is still in the inbox, it runs the step the node thread would
+/// have run, on its own thread — so a message delay costs one hand-off
+/// (node → kernel → reader, which steps), as in memory. Otherwise, and
+/// always for a transport made with [`TcpTransport::spawn`] alone, it
+/// copies the frame into the inbox and the node thread steps it.
+///
 /// A single payload over [`codec::MAX_FRAME_LEN`] is dropped, as no
 /// receiver accepts its frame. A frame whose write fails is resent whole
 /// after one redial and dropped if that fails too; drops, successful
@@ -307,6 +414,8 @@ pub struct TcpTransport {
     /// Tells the accept thread that the connection it just accepted is
     /// `Drop`'s wake-up call.
     closing: Arc<AtomicBool>,
+    /// Shared with every reader thread.
+    readers: Arc<Readers>,
 }
 
 /// The sending side of one destination.
@@ -379,10 +488,12 @@ impl TcpTransport {
     ) -> Arc<Self> {
         let transport = Arc::new(TcpTransport {
             links: (0..peers.len()).map(|_| OnceLock::new()).collect(),
+            readers: Arc::new(Readers::new(peers.len())),
             host: Arc::new(Host { me, peers, obs }),
             closing: Arc::new(AtomicBool::new(false)),
         });
         let (host, closing) = (Arc::clone(&transport.host), Arc::clone(&transport.closing));
+        let readers = Arc::clone(&transport.readers);
         // Set by the first reader whose delivery the inbox refuses.
         let inbox_gone = Arc::new(AtomicBool::new(false));
         thread::spawn(move || loop {
@@ -390,9 +501,11 @@ impl TcpTransport {
                 // `Drop`'s wake-up call: leave, closing the listener.
                 Ok(_) if closing.load(Ordering::Acquire) => return,
                 Ok((stream, _)) => {
-                    let (host, inbox) = (host.clone(), inbox.clone());
+                    let (host, inbox, readers) = (host.clone(), inbox.clone(), readers.clone());
                     let (gone, closing) = (inbox_gone.clone(), closing.clone());
-                    thread::spawn(move || read_loop(&host, stream, &inbox, &gone, &closing));
+                    thread::spawn(move || {
+                        read_loop(&host, stream, &inbox, &readers, &gone, &closing);
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // An `accept` error is about one connection or one
@@ -524,7 +637,9 @@ fn writer_loop(host: &Host, to: ProcessId, link: &LinkState, jobs: &Receiver<Job
 }
 
 /// The reader thread of one accepted connection: blocks in
-/// [`Incoming::pump`] until the connection ends.
+/// [`Incoming::pump`] until the connection ends, and hands each frame to
+/// [`Readers::deliver`] — which steps the node on this thread when it is
+/// free, and never waits for it.
 ///
 /// Once the transport is `closing` what arrives is read and discarded
 /// until the peer hangs up: a process that has stopped stops receiving,
@@ -536,12 +651,13 @@ fn read_loop(
     host: &Host,
     mut stream: TcpStream,
     inbox: &Sender<(ProcessId, Bytes)>,
+    readers: &Readers,
     inbox_gone: &AtomicBool,
     closing: &AtomicBool,
 ) {
     let mut conn = Incoming::new();
     let mut deliver =
-        |from, frame| inbox.send((from, frame)).is_ok() || closing.load(Ordering::Acquire);
+        |from, frame: &[u8]| readers.deliver(from, frame, inbox) || closing.load(Ordering::Acquire);
     loop {
         match conn.pump(host, &mut stream, &mut deliver) {
             Pumped::Open => {} // not on a blocking socket

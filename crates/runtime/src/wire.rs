@@ -11,9 +11,10 @@
 //! All of it runs over `impl Read` / `impl Write`, is told the time, and
 //! never waits: a call returns what its caller has to wait *for*
 //! ([`Flushed`], [`Pumped`]). [`crate::TcpTransport`] gives each
-//! connection a thread that blocks in these calls, and lets a sender
-//! make the same [`Outgoing::flush`] call on its own thread when the
-//! connection can take the frame at once;
+//! connection a thread that blocks in these calls, lets a sender make
+//! the same [`Outgoing::flush`] call on its own thread when the
+//! connection can take the frame at once, and lets a reader step its
+//! node with the frame [`Incoming::pump`] lends it when the node is free;
 //! [`crate::ReactorTransport`] polls them all from one thread. The
 //! backends differ in who waits and in nothing that reaches the wire,
 //! and the tests below drive the protocol through short reads, short
@@ -318,7 +319,9 @@ impl Incoming {
     }
 
     /// Reads `stream` until it would block or ends, handing each whole
-    /// wire frame to `deliver` with the sender the handshake named.
+    /// wire frame to `deliver` with the sender the handshake named. The
+    /// frame is lent from the reassembly buffer: a `deliver` that steps
+    /// it in place copies nothing, one that queues it makes the one copy.
     ///
     /// The bytes come from outside the program, and a bad peer costs its
     /// connection, never the node: a handshake id that is not one of
@@ -331,7 +334,7 @@ impl Incoming {
         &mut self,
         host: &Host,
         stream: &mut impl Read,
-        mut deliver: impl FnMut(ProcessId, Bytes) -> bool,
+        mut deliver: impl FnMut(ProcessId, &[u8]) -> bool,
     ) -> Pumped {
         loop {
             // Deliver whatever completed on the previous read first.
@@ -352,12 +355,8 @@ impl Incoming {
             if let Some(from) = self.from {
                 loop {
                     match self.asm.next_frame() {
-                        // One allocation per *wire frame* (it may carry
-                        // up to MAX_COALESCE messages): the inbox needs
-                        // owned bytes, and the node iterates messages in
-                        // place with `codec::frame_messages`.
                         Ok(Some(frame)) => {
-                            if !deliver(from, Bytes::from(frame.to_vec())) {
+                            if !deliver(from, frame) {
                                 return Pumped::InboxGone;
                             }
                         }
@@ -467,17 +466,24 @@ mod tests {
         }
     }
 
+    /// The frames `msgs` travel in when all of them are queued before the
+    /// first flush: `codec::pack_frame(chunk)` per [`MAX_COALESCE`]
+    /// messages, a lone message as itself.
+    fn reference_frames(msgs: &[Bytes]) -> Vec<Bytes> {
+        let frame = |chunk: &[Bytes]| match chunk {
+            [lone] => lone.clone(),
+            many => codec::pack_frame(many),
+        };
+        msgs.chunks(MAX_COALESCE).map(frame).collect()
+    }
+
     /// What `msgs` must look like on a connection from `p0` when all of
     /// them are queued before the first flush: the handshake, then the
     /// reference layout — `[len] ++ codec::pack_frame(chunk)` per
     /// [`MAX_COALESCE`] messages, `[len] ++ msg` for a lone one.
     fn reference_wire(msgs: &[Bytes]) -> Vec<u8> {
         let mut wire = 0u32.to_le_bytes().to_vec();
-        for chunk in msgs.chunks(MAX_COALESCE) {
-            let payload = match chunk {
-                [lone] => lone.clone(),
-                many => codec::pack_frame(many),
-            };
+        for payload in reference_frames(msgs) {
             wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             wire.extend_from_slice(&payload);
         }
@@ -553,12 +559,14 @@ mod tests {
     }
 
     /// Reads `wire` at `p1` through `read_sizes`, to the end of the
-    /// stream: every message delivered, with its sender, and how the
-    /// connection ended.
-    fn receive(
+    /// stream or the first delivery refused — `deliver` takes `accepted`
+    /// frames and refuses the next, as a gone inbox does: every frame
+    /// taken, with its sender, and how the connection ended.
+    fn receive_frames(
         host: &Host,
         wire: &[u8],
         read_sizes: &[usize],
+        accepted: usize,
     ) -> (Vec<(ProcessId, Vec<u8>)>, Pumped) {
         let mut stream = Trickled {
             wire,
@@ -568,14 +576,30 @@ mod tests {
         let (mut conn, mut got) = (Incoming::new(), Vec::new());
         loop {
             let ended = conn.pump(host, &mut stream, |from, frame| {
-                let msgs = codec::frame_messages(&frame).expect("well-formed frame");
-                got.extend(msgs.map(|m| (from, m.to_vec())));
-                true
+                let take = got.len() < accepted;
+                if take {
+                    got.push((from, frame.to_vec()));
+                }
+                take
             });
             if ended != Pumped::Open {
                 return (got, ended);
             }
         }
+    }
+
+    /// [`receive_frames`], taking every frame, split into its messages.
+    fn receive(
+        host: &Host,
+        wire: &[u8],
+        read_sizes: &[usize],
+    ) -> (Vec<(ProcessId, Vec<u8>)>, Pumped) {
+        let (frames, ended) = receive_frames(host, wire, read_sizes, usize::MAX);
+        let messages = frames.iter().flat_map(|(from, frame)| {
+            let msgs = codec::frame_messages(frame).expect("well-formed frame");
+            msgs.map(move |m| (*from, m.to_vec()))
+        });
+        (messages.collect(), ended)
     }
 
     /// The round trip under test: `msgs` queued at `p0`, flushed through
@@ -623,6 +647,25 @@ mod tests {
         prop_assert_eq!(ended, Pumped::Closed);
         let want: Vec<_> = msgs.iter().map(|m| (p(0), m.to_vec())).collect();
         prop_assert_eq!(got, want);
+
+        // What `deliver` is lent: the reference frames, whole and in
+        // order — the bytes the inbox was handed when each was copied
+        // before the call. A refused delivery ends the pump there.
+        let frames: Vec<_> = reference_frames(&msgs)
+            .iter()
+            .map(|f| (p(0), f.to_vec()))
+            .collect();
+        for accepted in 0..=frames.len() {
+            let (taken, ended) = receive_frames(&host, &wire, read_sizes, accepted);
+            let refused = accepted < frames.len();
+            prop_assert_eq!(&taken[..], &frames[..accepted]);
+            let want = if refused {
+                Pumped::InboxGone
+            } else {
+                Pumped::Closed
+            };
+            prop_assert_eq!(ended, want);
+        }
         Ok(())
     }
 
