@@ -978,3 +978,196 @@ fn reader_step_lowers_the_count_only_once_the_frame_is_stepped() {
 fn reader_step_counts_a_frame_before_it_is_queued() {
     reader_step(Counts::RaiseAfterEnqueue);
 }
+
+/// How a thread delivering a frame in [`senders_step`] takes the
+/// destination node's lock.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    /// `try_lock`, which neither blocks nor re-enters: the real rule.
+    TryLock,
+    /// A blocking `lock`.
+    Lock,
+}
+
+/// In-memory senders that step their destinations, on their own threads,
+/// inside steps of their own (`InMemoryTransport::send` →
+/// `Readers::deliver` → `Node::try_step` in
+/// `crates/runtime/src/{transport,node}.rs`), as one function so that
+/// the real rule and the broken one below run the same code.
+///
+/// Real shape: a node's step state is behind a mutex that means *who
+/// steps this node now*. A step's sends are deliveries: the delivering
+/// thread — the sender's node thread, whatever thread is stepping the
+/// sender, or an outside deliverer such as the delay line — `try_lock`s
+/// the destination and, holding it, with the destination not stopped and
+/// the link's count `Readers::in_inbox` at 0, runs the destination's step
+/// right there, nested inside its own; otherwise it raises the count and
+/// enqueues the frame. A node thread pops a frame from its inbox, locks
+/// its node (blocking: the one place anything waits for a node, and it
+/// holds no other), steps the frame — delivering by the same rule — then
+/// lowers the count and unlocks. A link's frames are sent one at a time,
+/// under the sending node's lock, whichever thread holds it.
+///
+/// The model: two nodes, each a mutex over what it has stepped and the
+/// numbers of its links, an inbox and a count per source, and a thread
+/// that takes one turn of its node loop. A frame carries hops: stepping
+/// one with hops left sends one with a hop less to the other node. It
+/// starts in the racy state: p1's frame 0 to p0 found p0 busy and is
+/// queued and counted. Then the main thread, as the outside deliverer,
+/// hands p1 a frame that goes p1 → p0 → p1 — so p1's step sends p0 frame
+/// 1, which must wait for frame 0, and when it is stepped nested inside
+/// p1's step, p0's reply finds p1 held by that same thread. Once the node
+/// threads are done, their later wake-ups step what is left. Over every
+/// interleaving:
+///
+/// * nobody deadlocks (the vendored scheduler reports a state where no
+///   thread can run);
+/// * every frame is stepped exactly once, each link's in order, with the
+///   counts back at 0.
+fn senders_step(takes: Takes) {
+    use std::collections::VecDeque;
+
+    /// The outside deliverer, as a source.
+    const OUTSIDE: usize = 2;
+
+    /// `(from, seq, hops left)`.
+    #[derive(Clone, Copy)]
+    struct Frame(usize, usize, usize);
+
+    #[derive(Default)]
+    struct State {
+        /// `(from, seq)` of every frame stepped, in step order.
+        stepped: Vec<(usize, usize)>,
+        /// Next number, by destination.
+        sent: [usize; 2],
+    }
+
+    struct Node {
+        state: Mutex<State>,
+        /// By source: the two nodes and the outside deliverer.
+        in_inbox: Vec<AtomicUsize>,
+        inbox: Mutex<VecDeque<Frame>>,
+    }
+
+    struct Pair {
+        nodes: [Node; 2],
+        takes: Takes,
+    }
+
+    impl Pair {
+        /// `NodeCtx::step_frame` at node `me`, under its lock.
+        fn step(&self, me: usize, state: &mut State, frame: Frame) {
+            let Frame(from, seq, hops) = frame;
+            state.stepped.push((from, seq));
+            if hops > 0 {
+                let to = 1 - me;
+                let seq = state.sent[to];
+                state.sent[to] += 1;
+                self.deliver(to, Frame(me, seq, hops - 1));
+            }
+        }
+
+        /// `Readers::deliver` of `frame` to node `to`.
+        fn deliver(&self, to: usize, frame: Frame) {
+            let node = &self.nodes[to];
+            let held = match self.takes {
+                Takes::TryLock => node.state.try_lock().ok(),
+                Takes::Lock => node.state.lock().ok(),
+            };
+            if let Some(mut state) = held {
+                if node.in_inbox[frame.0].load(Ordering::SeqCst) == 0 {
+                    return self.step(to, &mut state, frame);
+                }
+            }
+            node.in_inbox[frame.0].fetch_add(1, Ordering::SeqCst);
+            node.inbox.lock().unwrap().push_back(frame);
+        }
+
+        /// One turn of node `me`'s loop.
+        fn turn(&self, me: usize) {
+            let node = &self.nodes[me];
+            let Some(frame) = node.inbox.lock().unwrap().pop_front() else {
+                return;
+            };
+            let mut state = node.state.lock().unwrap();
+            self.step(me, &mut state, frame);
+            let before = node.in_inbox[frame.0].fetch_sub(1, Ordering::SeqCst);
+            assert!(before > 0, "a frame was stepped before it was counted");
+        }
+    }
+
+    /// A node with `queued` in its inbox, counted, and `sent` frames
+    /// numbered to each node.
+    fn node(queued: &[Frame], sent: [usize; 2]) -> Node {
+        let mut in_inbox = [0; 3];
+        queued.iter().for_each(|f| in_inbox[f.0] += 1);
+        Node {
+            state: Mutex::new(State {
+                stepped: Vec::new(),
+                sent,
+            }),
+            in_inbox: in_inbox.map(AtomicUsize::new).into(),
+            inbox: Mutex::new(queued.iter().copied().collect()),
+        }
+    }
+
+    loom::model(move || {
+        // p1's frame 0 to p0 found p0 busy.
+        let pair = Arc::new(Pair {
+            nodes: [node(&[Frame(1, 0, 0)], [0, 0]), node(&[], [1, 0])],
+            takes,
+        });
+        let node_threads: Vec<_> = (0..2)
+            .map(|me| {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || pair.turn(me))
+            })
+            .collect();
+        pair.deliver(1, Frame(OUTSIDE, 0, 2));
+        for t in node_threads {
+            t.join().unwrap();
+        }
+        while pair
+            .nodes
+            .iter()
+            .any(|n| !n.inbox.lock().unwrap().is_empty())
+        {
+            (0..2).for_each(|me| pair.turn(me));
+        }
+
+        let wanted = [vec![(1, 0), (1, 1)], vec![(0, 0), (OUTSIDE, 0)]];
+        for (node, want) in pair.nodes.iter().zip(wanted) {
+            let stepped = node.state.lock().unwrap().stepped.clone();
+            let mut once = stepped.clone();
+            once.sort_unstable();
+            assert_eq!(once, want, "stranded or stepped twice: {stepped:?}");
+            assert!(
+                stepped
+                    .windows(2)
+                    .all(|w| w[0].0 != w[1].0 || w[0].1 < w[1].1),
+                "a link's frames were stepped out of order: {stepped:?}"
+            );
+            for count in &node.in_inbox {
+                assert_eq!(count.load(Ordering::SeqCst), 0);
+            }
+        }
+    });
+}
+
+/// Senders stepping each other as `crates/runtime/src/{transport,node}.rs`
+/// make them do (see [`senders_step`]).
+#[test]
+fn senders_step_each_other_and_never_deadlock() {
+    senders_step(Takes::TryLock);
+}
+
+/// The broken rule, kept running so that the model is known to be able
+/// to fail: a delivering thread that *waits* for its destination. The
+/// schedule `p0's thread steps frame 0 and lowers the count → the outside
+/// deliverer locks p1 and steps it → p1's step locks p0 and steps frame 1
+/// → p0's reply locks p1`, which this same thread holds, waits forever.
+#[test]
+#[should_panic(expected = "deadlock")]
+fn senders_step_each_other_only_when_free() {
+    senders_step(Takes::Lock);
+}

@@ -94,7 +94,10 @@ impl ClusterBuilder {
     /// delay-line thread per cluster sits in front of the endpoints.
     /// The socket backends add their real (tiny) localhost latency on
     /// top, so a given `link_delay` is comparable across all three
-    /// backends. Zero (the default) adds nothing.
+    /// backends. Zero (the default) adds nothing. In memory the line
+    /// delivers each burst by stepping the destination node itself when
+    /// the node is free, so a burst can be released late by the length
+    /// of the steps released before it.
     ///
     /// Use this to measure pipelining/sharding effects: with instant
     /// links a single consensus group is CPU-bound and extra in-flight
@@ -306,8 +309,9 @@ impl ClusterBuilder {
             let instances = (0..router.shards())
                 .map(|s| make(p, s as u32, opts.observer_of(s)))
                 .collect();
-            // Over blocking TCP the endpoint's readers come along, and
-            // step the node on their own threads when it is free.
+            // In memory and over blocking TCP the endpoint's hook comes
+            // along: whichever thread delivers a frame steps the node on
+            // its own when the node is free.
             nodes.push(spawn_stepped(
                 instances,
                 endpoint.inbox,
@@ -325,6 +329,7 @@ impl ClusterBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
     use twostep_smr::{KvCommand, KvStore};
     use twostep_types::protocol::{Effects, TimerId};
@@ -554,13 +559,44 @@ mod tests {
         }
     }
 
+    /// Batching learns from the proxy's queue even where the proxy's
+    /// peers answer inside its own step, as in memory: bursts of eight
+    /// commands at batch 4 × depth 2 share slots. A node loop that
+    /// stepped its inbox before admitting submissions had an in-memory
+    /// proxy commit each command before it looked at the next, one
+    /// command a slot for good.
+    #[test]
+    fn bursts_share_slots_on_every_backend() {
+        let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+        for (name, backend) in BACKENDS {
+            let (metrics, obs) = twostep_telemetry::Metrics::shared();
+            let cluster = backend(ClusterBuilder::new(cfg))
+                .observed(obs)
+                .batch(4)
+                .pipeline(2)
+                .build_smr::<KvCommand, KvStore>()
+                .unwrap();
+            let client = cluster.proxy_client(p(1));
+            for burst in 0..50 {
+                let put = |i| KvCommand::put(format!("{burst}-{i}"), "v");
+                (0..7).for_each(|i| client.propose(put(i)));
+                client
+                    .submit_and_wait(put(7), Duration::from_secs(5))
+                    .unwrap_or_else(|| panic!("{name}: burst {burst} never committed"));
+            }
+            let batches = metrics.snapshot().batch_size;
+            assert!(batches.mean > 1.5, "{name}: commands per slot {batches:?}");
+        }
+    }
+
     /// Sends a ping to every peer each Δ, and counts the messages it
-    /// steps.
+    /// steps; panics on the `panic_at`-th, if it has one.
     #[derive(Debug)]
     struct Chatter {
         me: ProcessId,
         n: u32,
-        stepped: Arc<std::sync::atomic::AtomicU64>,
+        stepped: Arc<AtomicU64>,
+        panic_at: Option<u64>,
     }
 
     impl Protocol<u64> for Chatter {
@@ -573,8 +609,8 @@ mod tests {
         }
         fn on_propose(&mut self, _: u64, _: &mut Effects<u64, Hop>) {}
         fn on_message(&mut self, _: ProcessId, _: Hop, _: &mut Effects<u64, Hop>) {
-            self.stepped
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let k = self.stepped.fetch_add(1, Ordering::SeqCst) + 1;
+            assert_ne!(self.panic_at, Some(k), "{} panics on message {k}", self.me);
         }
         fn on_timer(&mut self, t: TimerId, eff: &mut Effects<u64, Hop>) {
             for q in (0..self.n).map(p).filter(|&q| q != self.me) {
@@ -587,40 +623,96 @@ mod tests {
         }
     }
 
-    /// Crash stays strict when readers step: once `crash(p1)` returns,
-    /// nothing steps p1 on any thread, while its peers go on sending to
-    /// it (and stepping each other).
-    #[test]
-    fn a_crashed_node_is_stepped_by_no_thread_over_tcp() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    /// Instant links, and 2 ms ones, where the delay line delivers.
+    const DELAYS: [Duration; 2] = [Duration::ZERO, Duration::from_millis(2)];
+
+    /// A three-node [`Chatter`] cluster (Δ = 1 ms), and a reader of each
+    /// node's step count. With `panics` = `(q, k)`, node `q` panics on
+    /// its `k`-th message.
+    fn chatter(
+        backend: Backend,
+        delay: Duration,
+        panics: Option<(u32, u64)>,
+    ) -> (Cluster<u64>, impl Fn(u32) -> u64) {
         let cfg = SystemConfig::minimal_object(1, 1).unwrap();
         let counters: Vec<Arc<AtomicU64>> = (0..cfg.n()).map(|_| Arc::default()).collect();
-        let mut cluster = ClusterBuilder::new(cfg)
-            .tcp()
+        let cluster = backend(ClusterBuilder::new(cfg))
             .wall_delta(Duration::from_millis(1))
+            .link_delay(delay)
             .build(|me| Chatter {
                 me,
                 n: cfg.n() as u32,
                 stepped: Arc::clone(&counters[me.index()]),
+                panic_at: panics.filter(|&(q, _)| p(q) == me).map(|(_, k)| k),
             })
             .unwrap();
-        let stepped = |q: u32| counters[q as usize].load(Ordering::SeqCst);
+        (cluster, move |q| {
+            counters[q as usize].load(Ordering::SeqCst)
+        })
+    }
+
+    /// Waits until node `q` has stepped `k` messages.
+    fn await_steps(stepped: &impl Fn(u32) -> u64, q: u32, k: u64, name: &str) {
         let started = std::time::Instant::now();
-        while stepped(1) < 20 {
+        while stepped(q) < k {
             assert!(
                 started.elapsed() < Duration::from_secs(10),
-                "p1 never stepped"
+                "{name}: p{q} never stepped {k} messages"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        cluster.crash(p(1));
-        let (at_crash, peer_at_crash) = (stepped(1), stepped(0));
+    }
+
+    /// Once `victim` has stopped, no thread steps it for 200 ms, while
+    /// the other two go on stepping each other — through the delay line,
+    /// where there is one.
+    fn assert_only_it_stopped(stepped: &impl Fn(u32) -> u64, victim: u32, name: &str) {
+        let at_stop: Vec<u64> = (0..3).map(stepped).collect();
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(stepped(1), at_crash, "p1 was stepped after its crash");
-        assert!(
-            stepped(0) > peer_at_crash + 20,
-            "the survivors stopped talking"
+        assert_eq!(
+            stepped(victim),
+            at_stop[victim as usize],
+            "{name}: p{victim} was stepped after it stopped"
         );
+        for q in (0..3).filter(|&q| q != victim) {
+            assert!(
+                stepped(q) > at_stop[q as usize] + 20,
+                "{name}: p{q} stopped stepping with p{victim}"
+            );
+        }
+    }
+
+    /// Crash stays strict whoever steps: once `crash(p1)` returns,
+    /// nothing steps p1 on any thread — its own, a reader, a peer's
+    /// sending thread or the delay line — while its peers go on sending
+    /// to it (and stepping each other).
+    #[test]
+    fn a_crashed_node_is_stepped_by_no_thread_on_every_backend() {
+        for (name, backend) in BACKENDS {
+            for delay in DELAYS {
+                let name = format!("{name}, {delay:?} links");
+                let (mut cluster, stepped) = chatter(backend, delay, None);
+                await_steps(&stepped, 1, 20, &name);
+                cluster.crash(p(1));
+                assert_only_it_stopped(&stepped, 1, &name);
+            }
+        }
+    }
+
+    /// A step that panics stops its node and only it, whichever thread
+    /// ran it: p0's twentieth message is stepped by its own thread, a
+    /// TCP reader, a peer's node thread or the delay line, and that
+    /// thread carries on delivering to the others.
+    #[test]
+    fn a_panicking_step_stops_only_its_node_on_every_backend() {
+        for (name, backend) in BACKENDS {
+            for delay in DELAYS {
+                let name = format!("{name}, {delay:?} links");
+                let (_cluster, stepped) = chatter(backend, delay, Some((0, 20)));
+                await_steps(&stepped, 0, 20, &name);
+                assert_only_it_stopped(&stepped, 0, &name);
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,36 @@
-//! One protocol instance, stepped by one thread at a time.
+//! One protocol instance, stepped by one thread at a time: its own, a
+//! TCP reader, an in-memory sender or the delay line.
 //!
 //! A node's protocol instances and the engine state their steps change
 //! sit behind one mutex, which means *who steps this node now*. The node
 //! thread takes it once per event — a timer pass, a client submission,
-//! an inbox frame — and keeps the timers and the control channel. Over
-//! blocking TCP a reader thread that has a whole frame `try_lock`s it
-//! and, when the node is free, runs the same step on its own thread (see
-//! [`crate::TcpTransport`]); it never waits for the lock.
+//! an inbox frame — and keeps the timers and the control channel. In a
+//! cluster, every thread that delivers a frame to the node — a blocking
+//! TCP reader that has read it, an in-memory sender that has produced
+//! it, the delay line releasing it — `try_lock`s the mutex and, when the
+//! node is free, runs the same step on its own thread (see
+//! [`crate::TcpTransport`] and [`crate::InMemoryTransport`]); it never
+//! waits for the lock.
+//!
+//! **Nothing waits on a node but its own thread.** The one blocking
+//! acquisition of a node's mutex is the node thread's, at the top of
+//! each event, holding no other node. Steps therefore nest without
+//! deadlock: in p1's step, p1's thread may step p0, whose vote back to
+//! p1 finds p1 held — by this very thread — and goes to p1's inbox, as
+//! `try_lock` neither blocks nor re-enters. That holds for
+//! `std::sync::Mutex` (POSIX `trylock` and the futex fast path both
+//! refuse a mutex the caller holds) and for `parking_lot`, whose `Mutex`
+//! is not reentrant and whose `try_lock` is one compare-and-swap. A
+//! thread holds each node's mutex at most once, so nesting is at most
+//! `n` deep.
+//!
+//! A step that panics stops its node and only it: the node is marked
+//! stopped, its thread told to shut down, and the thread that ran the
+//! step — perhaps a peer's node thread or the delay line — carries on.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -37,10 +58,11 @@ pub enum Control<V> {
     /// groups it hosts; shard 0 is the only one on an unsharded node.
     ProposeAt(u32, V),
     /// Stop the node immediately — models a crash (no clean handover).
+    /// Also what a step that panicked, on any thread, tells the node.
     Shutdown,
     /// A step run on another thread set a timer due before the node
     /// thread's wait ends: wake up and wait for the new deadline. Sent
-    /// by the node's own reader threads, never by clients.
+    /// by the threads that deliver to the node, never by clients.
     Rearm,
 }
 
@@ -103,8 +125,8 @@ impl<V> Drop for NodeHandle<V> {
 ///   scaled by `wall_delta / Δ`. Defaults to 10ms.
 /// * `decisions` — every `decide(v)` event is reported as
 ///   `(id, shard, v, wall time)`, from the thread that stepped the node
-///   (its own, or over blocking TCP a reader's); unsharded nodes always
-///   report shard 0.
+///   (its own, or in a cluster whichever delivered the frame);
+///   unsharded nodes always report shard 0.
 /// * `observer` — engine telemetry: per-kind encoded sizes
 ///   (`bytes_sent`) and this process's first decision latency in
 ///   wall-clock **microseconds** since node start (`decision_latency`).
@@ -207,9 +229,10 @@ impl<V> NodeOptions<V> {
 ///   to [`Transport::send_many`] as a burst, so coalescing transports
 ///   move them in one operation.
 ///
-/// Every step runs on the node thread here. A cluster built over
-/// blocking TCP ([`crate::ClusterBuilder::tcp`]) also lets the
-/// transport's reader threads step the node when it is free.
+/// Every step runs on the node thread here. In a cluster
+/// ([`crate::ClusterBuilder`]) the node is stepped by one thread at a
+/// time: its own, a TCP reader, an in-memory sender or the delay line —
+/// whichever delivers a frame while the node is free.
 pub fn spawn_node<V, P, T>(
     protocol: P,
     inbox: Receiver<(ProcessId, Bytes)>,
@@ -256,10 +279,11 @@ where
     spawn_stepped(shards, inbox, transport, opts, None)
 }
 
-/// [`spawn_sharded_node`], with the reader threads of a blocking-TCP
-/// endpoint allowed to step the node: the node installs itself in
-/// `readers` once its instances have started, and lowers a source's
-/// inbox count after each frame from it that it steps.
+/// [`spawn_sharded_node`], with the threads that deliver to a cluster
+/// endpoint (TCP readers, in-memory senders, the delay line) allowed to
+/// step the node: the node installs itself in `readers` once its
+/// instances have started, and lowers a source's inbox count after each
+/// frame from it that it steps.
 pub(crate) fn spawn_stepped<V, P, T>(
     shards: Vec<P>,
     inbox: Receiver<(ProcessId, Bytes)>,
@@ -304,30 +328,38 @@ where
                 }),
                 wake,
             });
-            node.enter().start();
+            node.run(NodeCtx::start);
             if let Some(readers) = &readers {
                 let weak = Arc::downgrade(&node);
                 readers.install(weak);
             }
 
-            loop {
-                let wait = node.enter().fire_due_timers();
+            // Until the node stops: `Shutdown`, or a step that panicked.
+            while let Some(wait) = node.run(NodeCtx::fire_due_timers) {
+                // Submissions before frames (`select!` tries its arms in
+                // order). The votes a proxy's step draws from peers it
+                // steps itself are in its inbox when the step ends; taken
+                // first, they would commit each command before the next
+                // was admitted, and batching would never see a queue.
                 crossbeam::channel::select! {
-                    recv(inbox) -> msg => match msg {
-                        Ok((from, frame)) => {
-                            let mut ctx = node.enter();
-                            ctx.step_frame(from, &frame);
-                            if let Some(readers) = &readers {
-                                readers.stepped(from);
-                            }
-                        }
-                        Err(_) => break, // transport torn down
-                    },
                     recv(control_rx) -> ctl => match ctl {
-                        Ok(Control::ProposeAt(s, v)) => node.enter().propose(s, v),
+                        Ok(Control::ProposeAt(s, v)) => {
+                            node.run(|ctx| ctx.propose(s, v));
+                        }
                         // The next timer pass reads the new deadline.
                         Ok(Control::Rearm) => {}
                         Ok(Control::Shutdown) | Err(_) => break,
+                    },
+                    recv(inbox) -> msg => match msg {
+                        Ok((from, frame)) => {
+                            node.run(|ctx| {
+                                ctx.step_frame(from, &frame);
+                                if let Some(readers) = &readers {
+                                    readers.stepped(from);
+                                }
+                            });
+                        }
+                        Err(_) => break, // transport torn down
                     },
                     default(wait) => {}
                 }
@@ -349,17 +381,46 @@ where
 /// now, and the way to wake its thread.
 struct Node<V, P, T> {
     steps: Mutex<NodeCtx<V, P, T>>,
-    /// The node's own control channel, for [`Control::Rearm`].
+    /// The node's own control channel, for [`Control::Rearm`] and a
+    /// panicked step's [`Control::Shutdown`].
     wake: Sender<Control<V>>,
 }
 
 impl<V: Value, P: Protocol<V>, T: Transport> Node<V, P, T> {
-    /// The node thread's way in: it waits for the lock, and while it
+    /// The node thread's way in, and the only blocking acquisition of
+    /// the lock: it waits for it holding no other node, and while it
     /// holds it the thread is waiting on no deadline.
     fn enter(&self) -> MutexGuard<'_, NodeCtx<V, P, T>> {
         let mut ctx = self.steps.lock();
         ctx.parked_until = None;
         ctx
+    }
+
+    /// One event of the node thread: `step` under the lock, or `None`
+    /// once the node has stopped, this step's panic included.
+    fn run<R>(&self, step: impl FnOnce(&mut NodeCtx<V, P, T>) -> R) -> Option<R> {
+        let mut ctx = self.enter();
+        if ctx.stopped {
+            return None;
+        }
+        self.guarded(&mut ctx, step)
+    }
+
+    /// Runs `step` on whichever thread holds `ctx`. A step that panics
+    /// stops this node and only it: the node is marked stopped under its
+    /// lock, so that no thread steps it again, its thread is told to shut
+    /// down, and the calling thread gets `None` and carries on.
+    fn guarded<R>(
+        &self,
+        ctx: &mut NodeCtx<V, P, T>,
+        step: impl FnOnce(&mut NodeCtx<V, P, T>) -> R,
+    ) -> Option<R> {
+        let stepped = panic::catch_unwind(AssertUnwindSafe(|| step(ctx)));
+        if stepped.is_err() {
+            ctx.stopped = true;
+            let _ = self.wake.send(Control::Shutdown);
+        }
+        stepped.ok()
     }
 }
 
@@ -372,7 +433,7 @@ impl<V: Value, P: Protocol<V> + 'static, T: Transport> StepInline for Node<V, P,
             return false;
         }
         let parked_until = ctx.parked_until;
-        ctx.step_frame(from, frame);
+        self.guarded(&mut ctx, |ctx| ctx.step_frame(from, frame));
         // `apply` moves the deadline up when the step set an earlier
         // timer; the parked node thread has to be told.
         let rearm = ctx.parked_until != parked_until;
@@ -395,7 +456,8 @@ struct NodeCtx<V, P, T> {
     timers: HashMap<(u32, TimerId), Instant>,
     /// The deadline the node thread is waiting on, while it waits.
     parked_until: Option<Instant>,
-    /// Set by the node thread as it exits: nothing steps the node after.
+    /// Set by the node thread as it exits, or by a step that panicked:
+    /// nothing steps the node after.
     stopped: bool,
     decisions: DecisionSink<V>,
     obs: Vec<ObserverHandle>,
@@ -445,7 +507,7 @@ impl<V: Value, P: Protocol<V>, T: Transport> NodeCtx<V, P, T> {
     }
 
     /// Steps one transport frame — the one routine for the node thread
-    /// and a reader alike. A payload may be a coalesced frame carrying
+    /// and a deliverer alike. A payload may be a coalesced frame carrying
     /// many messages; a malformed envelope drops the whole frame, a
     /// malformed sub-payload only itself. The messages are iterated in
     /// place — no per-message allocation on the hot path.
@@ -882,7 +944,7 @@ mod tests {
             steps: steps_tx,
         };
         let (node, readers, inbox) = spawn_read_by_test(gated, WallDuration::from_millis(10), dtx);
-        let deliver = |k| assert!(readers.deliver(p(1), &frame(k), &inbox));
+        let deliver = |k| assert!(readers.deliver(p(1), frame(k).as_slice(), &inbox));
         let next_step = || steps.recv_timeout(WallDuration::from_secs(5)).unwrap();
         let mut inline = 0;
         for i in 0..2000 {
@@ -969,7 +1031,7 @@ mod tests {
             node.propose(k);
             decided(k);
             let sent = Instant::now();
-            assert!(readers.deliver(p(1), &frame(k), &inbox));
+            assert!(readers.deliver(p(1), frame(k).as_slice(), &inbox));
             let by_reader = steps.recv_timeout(WallDuration::from_secs(5)).unwrap();
             let fired = decided(1000 + k).duration_since(sent);
             if by_reader {
@@ -984,5 +1046,192 @@ mod tests {
             }
         }
         panic!("no frame was stepped by its reader");
+    }
+
+    /// A message of [`Flood`], numbered on its link.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct Numbered {
+        seq: u64,
+        hop: Flooded,
+    }
+
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    enum Flooded {
+        /// `origin`'s proposal `v`, to be forwarded `ttl` more times.
+        Fwd { origin: u32, v: u64, ttl: u32 },
+        /// A copy of `v` that has used up its hops.
+        Ack(u64),
+    }
+
+    /// How many hops a [`Flood`] proposal is forwarded.
+    const FLOOD_HOPS: u32 = 1;
+
+    thread_local! {
+        /// The sends in progress on this thread. A send that steps its
+        /// destination lasts that step, so a step runs this many steps
+        /// deep, plus one.
+        static SENDS_ON_STACK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A node's transport, counting its sends on [`SENDS_ON_STACK`].
+    struct Gauged(Box<dyn Transport>);
+
+    impl Transport for Gauged {
+        fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
+            self.send_many(from, to, vec![payload]);
+        }
+
+        fn send_many(&self, from: ProcessId, to: ProcessId, payloads: Vec<Bytes>) {
+            SENDS_ON_STACK.with(|d| d.set(d.get() + 1));
+            self.0.send_many(from, to, payloads);
+            SENDS_ON_STACK.with(|d| d.set(d.get() - 1));
+        }
+    }
+
+    /// Sends each proposal to every peer, each of which forwards it to
+    /// every peer of its own until [`FLOOD_HOPS`] are used up; each last
+    /// copy is acked to the proposer, which decides once all are. Counts
+    /// the messages that arrive out of their link's order, and records
+    /// the deepest nesting of steps it has run in.
+    #[derive(Debug)]
+    struct Flood {
+        me: ProcessId,
+        n: u32,
+        /// Next number, by destination.
+        sent: Vec<u64>,
+        /// Next number expected, by source.
+        received: Vec<u64>,
+        acks: HashMap<u64, u64>,
+        disorder: Arc<std::sync::atomic::AtomicU64>,
+        deepest: Arc<AtomicUsize>,
+    }
+
+    impl Flood {
+        fn send(&mut self, to: u32, hop: Flooded, eff: &mut Effects<u64, Numbered>) {
+            let seq = self.sent[to as usize];
+            self.sent[to as usize] += 1;
+            eff.send(p(to), Numbered { seq, hop });
+        }
+
+        fn send_to_peers(&mut self, hop: &Flooded, eff: &mut Effects<u64, Numbered>) {
+            let me = self.me.as_u32();
+            for q in (0..self.n).filter(|&q| q != me) {
+                self.send(q, hop.clone(), eff);
+            }
+        }
+    }
+
+    impl Protocol<u64> for Flood {
+        type Message = Numbered;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Numbered>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Numbered>) {
+            let origin = self.me.as_u32();
+            self.send_to_peers(
+                &Flooded::Fwd {
+                    origin,
+                    v,
+                    ttl: FLOOD_HOPS,
+                },
+                eff,
+            );
+        }
+        fn on_message(&mut self, from: ProcessId, m: Numbered, eff: &mut Effects<u64, Numbered>) {
+            let depth = SENDS_ON_STACK.with(std::cell::Cell::get) + 1;
+            self.deepest.fetch_max(depth, Ordering::SeqCst);
+            if m.seq != self.received[from.index()] {
+                self.disorder.fetch_add(1, Ordering::SeqCst);
+            }
+            self.received[from.index()] = m.seq + 1;
+            match m.hop {
+                Flooded::Fwd { origin, v, ttl: 0 } => self.send(origin, Flooded::Ack(v), eff),
+                Flooded::Fwd { origin, v, ttl } => {
+                    self.send_to_peers(
+                        &Flooded::Fwd {
+                            origin,
+                            v,
+                            ttl: ttl - 1,
+                        },
+                        eff,
+                    );
+                }
+                Flooded::Ack(v) => {
+                    let acks = self.acks.entry(v).or_default();
+                    *acks += 1;
+                    if *acks == u64::from(self.n - 1).pow(FLOOD_HOPS + 1) {
+                        eff.decide(v);
+                    }
+                }
+            }
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Numbered>) {}
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// Steps nest without deadlock and without reordering a link. Seven
+    /// nodes in memory flood each proposal two hops deep, so a step run by
+    /// a sender sends on, steps a third node in turn, and sends back to
+    /// nodes its own thread holds further up; four threads propose at
+    /// four proxies at once. Every proposal must commit, every link's
+    /// numbers arrive in order, and steps must have nested — at most as
+    /// deep as there are nodes.
+    #[test]
+    fn nested_steps_neither_deadlock_nor_reorder() {
+        const N: u32 = 7;
+        const PROXIES: u64 = 4;
+        const PER_PROXY: u64 = 300;
+        let disorder = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let deepest = Arc::new(AtomicUsize::new(0));
+        let (dtx, decided) = crossbeam::channel::unbounded();
+        let endpoints = crate::transport::TransportKind::InMemory
+            .endpoints(N as usize, WallDuration::ZERO, &ObserverHandle::none())
+            .unwrap();
+        let nodes: Vec<NodeHandle<u64>> = (0..N)
+            .zip(endpoints)
+            .map(|(i, endpoint)| {
+                let flood = Flood {
+                    me: p(i),
+                    n: N,
+                    sent: vec![0; N as usize],
+                    received: vec![0; N as usize],
+                    acks: HashMap::new(),
+                    disorder: Arc::clone(&disorder),
+                    deepest: Arc::clone(&deepest),
+                };
+                let (inbox, transport) = (endpoint.inbox, Gauged(endpoint.transport));
+                let opts = NodeOptions::new(dtx.clone());
+                spawn_stepped(vec![flood], inbox, transport, opts, endpoint.readers)
+            })
+            .collect();
+        thread::scope(|s| {
+            for (proxy, node) in (0..PROXIES).zip(&nodes) {
+                let control = node.control();
+                s.spawn(move || {
+                    for k in 0..PER_PROXY {
+                        let _ = control.send(Control::ProposeAt(0, proxy * 1000 + k));
+                    }
+                });
+            }
+        });
+        let deadline = Instant::now() + WallDuration::from_secs(20);
+        let mut committed = std::collections::HashSet::new();
+        while committed.len() < (PROXIES * PER_PROXY) as usize {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok((at, _, v, _)) = decided.recv_timeout(left) else {
+                panic!("{} proposals committed in 20 s", committed.len());
+            };
+            assert_eq!(at.index() as u64, v / 1000, "{v} decided at {at}");
+            assert!(committed.insert(v), "{v} decided twice");
+        }
+        assert_eq!(disorder.load(Ordering::SeqCst), 0, "a link was reordered");
+        let deepest = deepest.load(Ordering::SeqCst);
+        assert!(
+            (2..=N as usize).contains(&deepest),
+            "steps were nested {deepest} deep"
+        );
     }
 }

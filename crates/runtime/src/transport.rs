@@ -59,38 +59,67 @@ impl Transport for Box<dyn Transport> {
 }
 
 /// One node's attachment to the message fabric: the inbox its node loop
-/// drains, the transport its sends go out on and, over blocking TCP, the
-/// reader threads that may step the node themselves.
+/// drains, the transport its sends go out on and, in memory and over
+/// blocking TCP, the hook through which the threads that deliver to the
+/// node may step it themselves.
 pub(crate) struct Endpoint {
     pub(crate) inbox: Receiver<(ProcessId, Bytes)>,
     pub(crate) transport: Box<dyn Transport>,
     pub(crate) readers: Option<Arc<Readers>>,
 }
 
-/// A node as its transport's reader threads see it.
+/// A node as the threads that deliver to it see it.
 pub(crate) trait StepInline: Send + Sync {
     /// Steps `frame`, from `from`, on the calling thread if the node is
     /// free right now: nobody holds its lock, it has not stopped, and
     /// `in_inbox` — `from`'s frames that are in its inbox and not yet
     /// stepped — reads 0 under the lock. Never waits; returns whether
-    /// the frame was stepped.
+    /// the frame was taken (stepped, or stopped the node by panicking).
     fn try_step(&self, from: ProcessId, frame: &[u8], in_inbox: &AtomicUsize) -> bool;
 }
 
-/// What a [`TcpTransport`]'s reader threads share with the node they
-/// deliver to: a way to step it, once the node has installed one, and
-/// the count of each source's frames that went to the inbox instead.
+/// A frame in the hands of the thread delivering it: lent, from a TCP
+/// reader's reassembly buffer, or owned, as an in-memory sender's
+/// payload is. Only a frame bound for the inbox is made owned, so a
+/// lent frame is copied then and an owned one never.
+pub(crate) trait HeldFrame: AsRef<[u8]> {
+    /// The frame as the inbox takes it.
+    fn into_owned(self) -> Bytes;
+}
+
+impl HeldFrame for &[u8] {
+    fn into_owned(self) -> Bytes {
+        Bytes::from(self.to_vec())
+    }
+}
+
+impl HeldFrame for Bytes {
+    fn into_owned(self) -> Bytes {
+        self
+    }
+}
+
+/// What the threads that deliver frames to one node share with it: a
+/// way to step it, once the node has installed one, and the count of
+/// each source's frames that went to the inbox instead. Three kinds of
+/// thread call [`Readers::deliver`], by one rule: a [`TcpTransport`]'s
+/// reader with a frame it has read, an in-memory sender with a frame it
+/// has produced (a peer's node thread, or a thread stepping that peer),
+/// and the delay line releasing a burst onto the in-memory transport.
 ///
 /// The counts are the transport's, not the node's, so that a frame that
 /// arrives before the node exists is counted like any other. A count is
 /// raised before *every* inbox send and lowered by the node thread,
-/// under the node's lock, only once the frame has been stepped: a reader
-/// that holds the lock and reads 0 knows that no earlier frame of its
-/// link is still waiting, whether in the inbox or popped and not yet
-/// stepped, which is what lets it step ahead of nobody. Lowering at the
-/// pop would let the next frame pass one the node thread holds, which
-/// the loom model `reader_step_keeps_link_order` keeps as a test that
-/// must fail.
+/// under the node's lock, only once the frame has been stepped: a
+/// deliverer that holds the lock and reads 0 knows that no earlier frame
+/// of its link is still waiting, whether in the inbox or popped and not
+/// yet stepped, which is what lets it step ahead of nobody. Lowering at
+/// the pop would let the next frame pass one the node thread holds,
+/// which the loom model `reader_step_keeps_link_order` keeps as a test
+/// that must fail. The frames of one link are delivered one at a time:
+/// over TCP by the link's one reader, in memory under the sending node's
+/// lock (whichever thread holds it), behind the delay line by its one
+/// thread.
 pub(crate) struct Readers {
     /// By source.
     in_inbox: Vec<AtomicUsize>,
@@ -108,7 +137,7 @@ impl Readers {
         }
     }
 
-    /// Lets the readers step `node` from now on.
+    /// Lets the deliverers step `node` from now on.
     pub(crate) fn install(&self, node: Weak<dyn StepInline>) {
         let _ = self.node.set(node);
     }
@@ -120,31 +149,32 @@ impl Readers {
         debug_assert!(before > 0, "a frame from {from} was stepped uncounted");
     }
 
-    /// A reader's delivery of one whole frame: stepped on this thread if
-    /// the node is free, else counted and copied into the inbox. False if
-    /// the inbox is gone. `from` is one of the peers (the handshake check
-    /// saw to that).
+    /// The delivery of one whole frame: stepped on this thread if the
+    /// node is free, else counted and put in the inbox. False if the
+    /// inbox is gone. `from` is one of the peers (over TCP the handshake
+    /// check saw to that; in memory it is the sending node).
     pub(crate) fn deliver(
         &self,
         from: ProcessId,
-        frame: &[u8],
+        frame: impl HeldFrame,
         inbox: &Sender<(ProcessId, Bytes)>,
     ) -> bool {
         let in_inbox = &self.in_inbox[from.index()];
         if let Some(node) = self.node.get().and_then(Weak::upgrade) {
-            if node.try_step(from, frame, in_inbox) {
+            if node.try_step(from, frame.as_ref(), in_inbox) {
                 return true;
             }
         }
         in_inbox.fetch_add(1, Ordering::SeqCst);
-        inbox.send((from, Bytes::from(frame.to_vec()))).is_ok()
+        inbox.send((from, frame.into_owned())).is_ok()
     }
 }
 
 /// Which transport a cluster deploys over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TransportKind {
-    /// [`InMemoryTransport`]: crossbeam channels, no sockets.
+    /// [`InMemoryTransport`]: crossbeam channels, no sockets; a sender
+    /// steps the destination node itself when the node is free.
     InMemory,
     /// [`TcpTransport`]: senders write inline when that cannot wait, a
     /// writer thread per destination does the waiting, and a read thread
@@ -174,13 +204,15 @@ impl TransportKind {
     ) -> Result<Vec<Endpoint>, RuntimeError> {
         let endpoints: Vec<Endpoint> = match self {
             TransportKind::InMemory => {
-                let (transport, inboxes) = InMemoryTransport::new(n);
+                let readers: Vec<_> = (0..n).map(|_| Arc::new(Readers::new(n))).collect();
+                let (transport, inboxes) = InMemoryTransport::stepping(readers.clone());
                 inboxes
                     .into_iter()
-                    .map(|inbox| Endpoint {
+                    .zip(readers)
+                    .map(|(inbox, readers)| Endpoint {
                         inbox,
                         transport: Box::new(transport.clone()),
-                        readers: None,
+                        readers: Some(readers),
                     })
                     .collect()
             }
@@ -265,6 +297,10 @@ impl Transport for DelayedTransport {
 /// deployments live in, and the one where pipelining and sharding
 /// visibly buy throughput. The thread owns the real transports and
 /// exits, dropping them, once every node has dropped its endpoint.
+///
+/// In memory, releasing a burst *is* the in-memory send: the line steps
+/// the destination node itself when the node is free, so a burst can go
+/// out late by the length of the steps released before it.
 fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
     let (line, held) = crossbeam::channel::unbounded::<Delayed>();
     let (transports, receiving): (Vec<_>, Vec<_>) = endpoints
@@ -296,9 +332,22 @@ fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
 /// In-memory transport: each node's inbox is a crossbeam channel.
 ///
 /// A multi-payload [`Transport::send_many`] is coalesced into one
-/// channel send carrying a packed frame; receivers iterate it in place
-/// with [`codec::frame_messages`] (the runtime node does this for every
+/// packed frame; receivers iterate it in place with
+/// [`codec::frame_messages`] (the runtime node does this for every
 /// inbox payload).
+///
+/// **Who steps a frame.** A transport made with
+/// [`InMemoryTransport::new`] only moves frames: each send is one
+/// channel send into the destination's inbox, and the node thread
+/// steps it. The transport a cluster built by
+/// [`crate::ClusterBuilder`] runs on also steps them: a send `try_lock`s
+/// the destination node and, if it gets it, the node has not stopped
+/// and no earlier frame from the same sender is still in the inbox,
+/// runs the node's step on the sending thread — so a message delay
+/// costs no thread hand-off while the peer is free. Otherwise the
+/// payload the sender already owns goes into the inbox, uncopied. The
+/// rule is the one a [`TcpTransport`] reader follows, through the same
+/// routine; a sender never waits for a node.
 ///
 /// # Example
 ///
@@ -316,11 +365,14 @@ fn delay_links(endpoints: Vec<Endpoint>, delay: Duration) -> Vec<Endpoint> {
 #[derive(Clone)]
 pub struct InMemoryTransport {
     inboxes: Arc<Vec<Sender<(ProcessId, Bytes)>>>,
+    /// By destination; empty for a transport that only moves frames.
+    readers: Arc<[Arc<Readers>]>,
 }
 
 impl InMemoryTransport {
     /// Creates a transport for `n` processes, returning the receiving
-    /// ends of the inboxes in process order.
+    /// ends of the inboxes in process order. Every frame it carries goes
+    /// to the inbox.
     pub fn new(n: usize) -> (Self, Vec<crossbeam::channel::Receiver<(ProcessId, Bytes)>>) {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -332,17 +384,43 @@ impl InMemoryTransport {
         (
             InMemoryTransport {
                 inboxes: Arc::new(senders),
+                readers: Arc::new([]),
             },
             receivers,
+        )
+    }
+
+    /// The same for `readers.len()` processes, delivering to process
+    /// `p` through `readers[p]`: once node `p` has installed itself
+    /// there, a send steps it on the sending thread whenever it is free.
+    pub(crate) fn stepping(
+        readers: Vec<Arc<Readers>>,
+    ) -> (Self, Vec<crossbeam::channel::Receiver<(ProcessId, Bytes)>>) {
+        let (transport, inboxes) = Self::new(readers.len());
+        let readers = readers.into();
+        (
+            InMemoryTransport {
+                readers,
+                ..transport
+            },
+            inboxes,
         )
     }
 }
 
 impl Transport for InMemoryTransport {
     fn send(&self, from: ProcessId, to: ProcessId, payload: Bytes) {
-        if let Some(tx) = self.inboxes.get(to.index()) {
-            // A closed inbox means the destination crashed: drop.
-            let _ = tx.send((from, payload));
+        let Some(tx) = self.inboxes.get(to.index()) else {
+            return;
+        };
+        // A closed inbox means the destination crashed: drop.
+        match self.readers.get(to.index()) {
+            Some(readers) => {
+                readers.deliver(from, payload, tx);
+            }
+            None => {
+                let _ = tx.send((from, payload));
+            }
         }
     }
 
@@ -392,7 +470,8 @@ impl Transport for InMemoryTransport {
 /// gets it, the node has not stopped and no earlier frame from the same
 /// peer is still in the inbox, it runs the step the node thread would
 /// have run, on its own thread — so a message delay costs one hand-off
-/// (node → kernel → reader, which steps), as in memory. Otherwise, and
+/// (node → kernel → reader, which steps); an in-memory send follows the
+/// same rule from the sending thread and costs none. Otherwise, and
 /// always for a transport made with [`TcpTransport::spawn`] alone, it
 /// copies the frame into the inbox and the node thread steps it.
 ///
