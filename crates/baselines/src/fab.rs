@@ -34,12 +34,14 @@
 use serde::{Deserialize, Serialize};
 
 use twostep_telemetry::{ObserverHandle, Path};
-use twostep_types::protocol::{Effects, Protocol, TimerId};
+use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_BALLOT_DELAY};
 use twostep_types::quorum::{Collector, VoteTally};
 use twostep_types::relabel::{RelabelHash, Relabeling};
 use twostep_types::{
-    Ballot, ByzConfig, ByzVariant, Corruptible, Duration, ProcessId, ProcessSet, Value, DELTA,
+    Ballot, ByzConfig, ByzVariant, Corruptible, Omega, OmegaMode, ProcessId, Value,
 };
+
+use crate::record_decision;
 
 /// FaB wire messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -279,23 +281,14 @@ pub struct FastBft<V> {
     my_ballot: Option<Ballot>,
     promises: Collector<(Ballot, Option<V>, Option<V>)>,
     phase_one_done: bool,
-    // Ω.
-    heard: ProcessSet,
-    suspected: ProcessSet,
-    /// `Some(l)`: Ω is pinned to `l` and the heartbeat substrate is
-    /// disabled — the model-checking analogue of the two-step
-    /// protocols' `OmegaMode::Static`. Without it every delivery
-    /// mutates `heard`, which makes otherwise-identical states
-    /// distinct and defeats both the inert-mail scrub and the
+    /// Heartbeats by default; [`OmegaMode::Static`] once
+    /// [`FastBft::pinned_leader`] pins it. With heartbeats every
+    /// delivery feeds Ω's evidence, which makes otherwise-identical
+    /// states distinct and defeats both the inert-mail scrub and the
     /// symmetry reduction.
-    pinned: Option<ProcessId>,
+    omega: Omega,
     obs: ObserverHandle,
 }
-
-const HEARTBEAT_PERIOD: Duration = DELTA;
-const SUSPECT_PERIOD: Duration = Duration::from_units(3 * DELTA.units());
-const INITIAL_TIMEOUT: Duration = Duration::from_units(2 * DELTA.units());
-const RETRY_PERIOD: Duration = Duration::from_units(5 * DELTA.units());
 
 /// The ballot-0 coordinator.
 const COORDINATOR: ProcessId = ProcessId::new(0);
@@ -342,21 +335,19 @@ impl<V: Value> FastBft<V> {
             my_ballot: None,
             promises: Collector::new(),
             phase_one_done: false,
-            heard: ProcessSet::new(),
-            suspected: ProcessSet::new(),
-            pinned: None,
+            omega: Omega::new(me, cfg.n(), OmegaMode::Heartbeats),
             obs: ObserverHandle::none(),
         }
     }
 
     /// Pins Ω to `leader` and disables the heartbeat substrate
     /// (builder style): no heartbeat broadcasts, no `HEARTBEAT` /
-    /// `SUSPECT` timers, and deliveries no longer feed the `heard`
-    /// set. Used by the model checker, where the failure-detector
+    /// `SUSPECT` timers, and deliveries no longer feed Ω's evidence.
+    /// Used by the model checker, where the failure-detector
     /// machinery is replaced by explicit timer-budget exploration.
     #[must_use]
     pub fn pinned_leader(mut self, leader: ProcessId) -> Self {
-        self.pinned = Some(leader);
+        self.omega = Omega::new(self.me, self.cfg.n(), OmegaMode::Static(leader));
         self
     }
 
@@ -379,26 +370,6 @@ impl<V: Value> FastBft<V> {
         self.decided.as_ref()
     }
 
-    fn leader(&self) -> ProcessId {
-        if let Some(l) = self.pinned {
-            return l;
-        }
-        self.suspected
-            .complement(self.cfg.n())
-            .min()
-            .unwrap_or(self.me)
-    }
-
-    fn record_decision(&mut self, v: V, path: Path, eff: &mut Effects<V, FabMsg<V>>) {
-        if self.decided.is_none() {
-            self.decided = Some(v.clone());
-            self.obs.decided(self.me, path);
-            eff.decide(v);
-        } else if self.decided.as_ref() != Some(&v) {
-            eff.decide(v); // surfaced for the checkers
-        }
-    }
-
     fn check_learned(&mut self, eff: &mut Effects<V, FabMsg<V>>) {
         if self.decided.is_some() {
             return;
@@ -408,7 +379,7 @@ impl<V: Value> FastBft<V> {
             .max_value_with_count_at_least(self.cfg.fast_quorum())
             .cloned()
         {
-            self.record_decision(v, Path::Fast, eff);
+            record_decision(&mut self.decided, self.me, &self.obs, v, Path::Fast, eff);
             return;
         }
         if let Some(v) = self
@@ -416,7 +387,7 @@ impl<V: Value> FastBft<V> {
             .max_value_with_count_at_least(self.cfg.slow_quorum())
             .cloned()
         {
-            self.record_decision(v, Path::Slow, eff);
+            record_decision(&mut self.decided, self.me, &self.obs, v, Path::Slow, eff);
         }
     }
 
@@ -516,12 +487,8 @@ impl<V: Value> Protocol<V> for FastBft<V> {
     }
 
     fn on_start(&mut self, eff: &mut Effects<V, FabMsg<V>>) {
-        if self.pinned.is_none() {
-            eff.broadcast_others(FabMsg::Heartbeat, self.cfg.n(), self.me);
-            eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
-        }
-        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_TIMEOUT);
+        self.omega.start(FabMsg::Heartbeat, eff);
+        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
         if let Some(v) = self.initial.clone() {
             if self.me == COORDINATOR {
                 self.fast_sent = true;
@@ -545,9 +512,7 @@ impl<V: Value> Protocol<V> for FastBft<V> {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: FabMsg<V>, eff: &mut Effects<V, FabMsg<V>>) {
-        if self.pinned.is_none() {
-            self.heard.insert(from);
-        }
+        self.omega.observe(from);
         match msg {
             FabMsg::Heartbeat => {}
 
@@ -660,7 +625,14 @@ impl<V: Value> Protocol<V> for FastBft<V> {
                         .max_value_with_count_at_least(self.cfg.cert_threshold())
                         .cloned()
                     {
-                        self.record_decision(v, Path::Learned, eff);
+                        record_decision(
+                            &mut self.decided,
+                            self.me,
+                            &self.obs,
+                            v,
+                            Path::Learned,
+                            eff,
+                        );
                     }
                 }
             }
@@ -669,27 +641,16 @@ impl<V: Value> Protocol<V> for FastBft<V> {
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, FabMsg<V>>) {
         match timer {
-            TimerId::HEARTBEAT => {
-                eff.broadcast_others(FabMsg::Heartbeat, self.cfg.n(), self.me);
-                eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            }
-            TimerId::SUSPECT => {
-                let before = self.leader();
-                let mut trusted = self.heard;
-                trusted.insert(self.me);
-                self.suspected = trusted.complement(self.cfg.n());
-                self.heard = ProcessSet::new();
-                let after = self.leader();
-                if before != after {
-                    self.obs.leader_changed(self.me, after);
+            TimerId::HEARTBEAT | TimerId::SUSPECT => {
+                if let Some(leader) = self.omega.on_timer(timer, FabMsg::Heartbeat, eff) {
+                    self.obs.leader_changed(self.me, leader);
                 }
-                eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
             }
             TimerId::NEW_BALLOT => {
-                eff.set_timer(TimerId::NEW_BALLOT, RETRY_PERIOD);
+                eff.set_timer(TimerId::NEW_BALLOT, BALLOT_RETRY);
                 if let Some(v) = self.decided.clone() {
                     eff.broadcast_others(FabMsg::Decide(v), self.cfg.n(), self.me);
-                } else if self.leader() == self.me {
+                } else if self.omega.is_leader() {
                     self.start_ballot(eff);
                 }
             }
@@ -718,9 +679,7 @@ impl<V: Value> Protocol<V> for FastBft<V> {
         self.decided.hash(&mut h);
         self.my_ballot.hash(&mut h);
         self.phase_one_done.hash(&mut h);
-        self.heard.hash(&mut h);
-        self.suspected.hash(&mut h);
-        self.pinned.hash(&mut h);
+        self.omega.hash(&mut h);
         for tally in [&self.fast_tally, &self.slow_tally, &self.decide_tally] {
             for (v, set) in tally.iter() {
                 v.hash(&mut h);
@@ -741,11 +700,14 @@ impl<V: Value> Protocol<V> for FastBft<V> {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         // Only the pinned-Ω mode is symmetric: with heartbeats live,
-        // `heard` is steered by delivery order in ways the fingerprint
-        // cannot relabel soundly mid-sweep. The pinned leader and the
-        // ballot-0 coordinator are structurally distinguished, so any
-        // permutation moving them is declined.
-        let leader = self.pinned?;
+        // Ω's evidence is steered by delivery order in ways the
+        // fingerprint cannot relabel soundly mid-sweep. The pinned
+        // leader and the ballot-0 coordinator are structurally
+        // distinguished, so any permutation moving them is declined. A
+        // pinned Ω holds nothing else: it neither observes nor sweeps.
+        let OmegaMode::Static(leader) = self.omega.mode() else {
+            return None;
+        };
         if !rl.fixes(leader) || !rl.fixes(COORDINATOR) {
             return None;
         }
@@ -763,8 +725,6 @@ impl<V: Value> Protocol<V> for FastBft<V> {
             Some(b) => Some(rl.ballot(b)?).hash(&mut h),
         }
         self.phase_one_done.hash(&mut h);
-        rl.pset(self.heard).hash(&mut h);
-        rl.pset(self.suspected).hash(&mut h);
         leader.hash(&mut h);
         for tally in [&self.fast_tally, &self.slow_tally, &self.decide_tally] {
             // Keys iterate in value order, which `rl` does not disturb;
@@ -792,7 +752,7 @@ impl<V: Value> Protocol<V> for FastBft<V> {
 
     /// Permanent no-op classification for the model checker's
     /// inert-mail scrub. Only meaningful in the pinned-Ω mode: with
-    /// heartbeats live every delivery feeds `heard`, which steers
+    /// heartbeats live every delivery feeds Ω's evidence, which steers
     /// future `SUSPECT` sweeps, so nothing is inert. Each `true` below
     /// rests on monotonicity: `bal` / `slow_ballot_seen` never
     /// decrease, `fast_sent` / `phase_one_done` (per ballot) /
@@ -801,7 +761,7 @@ impl<V: Value> Protocol<V> for FastBft<V> {
     /// [`Ballot::next_owned_by`], which is strictly greater than the
     /// then-current `bal`.
     fn message_is_noop(&self, from: ProcessId, msg: &FabMsg<V>) -> bool {
-        if self.pinned.is_none() {
+        if self.omega.uses_heartbeats() {
             return false;
         }
         let n = self.cfg.n();
@@ -848,7 +808,7 @@ mod tests {
     use super::*;
     use twostep_byz::{ByzBehavior, ByzPlan};
     use twostep_sim::{SimulationBuilder, SyncRunner};
-    use twostep_types::{SystemConfig, Time};
+    use twostep_types::{Duration, ProcessSet, SystemConfig, Time};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

@@ -3,10 +3,12 @@
 use serde::{Deserialize, Serialize};
 
 use twostep_telemetry::{ObserverHandle, Path};
-use twostep_types::protocol::{Effects, Protocol, TimerId};
+use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_BALLOT_DELAY};
 use twostep_types::quorum::{Collector, VoteTally};
 use twostep_types::relabel::RelabelHash;
-use twostep_types::{Ballot, Duration, ProcessId, ProcessSet, SystemConfig, Value, DELTA};
+use twostep_types::{Ballot, Omega, OmegaMode, ProcessId, SystemConfig, Value};
+
+use crate::record_decision;
 
 /// Fast Paxos wire messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,17 +98,10 @@ pub struct FastPaxos<V> {
     my_ballot: Option<Ballot>,
     onebs: Collector<(Ballot, Option<V>)>,
     phase_one_done: bool,
-    // Ω.
-    heard: ProcessSet,
-    suspected: ProcessSet,
+    omega: Omega,
     /// Telemetry hooks; detached by default (see [`FastPaxos::observed`]).
     obs: ObserverHandle,
 }
-
-const HEARTBEAT_PERIOD: Duration = DELTA;
-const SUSPECT_PERIOD: Duration = Duration::from_units(3 * DELTA.units());
-const INITIAL_TIMEOUT: Duration = Duration::from_units(2 * DELTA.units());
-const RETRY_PERIOD: Duration = Duration::from_units(5 * DELTA.units());
 
 impl<V: Value> FastPaxos<V> {
     /// Creates a Fast Paxos instance for `me` proposing `initial`.
@@ -146,8 +141,7 @@ impl<V: Value> FastPaxos<V> {
             my_ballot: None,
             onebs: Collector::new(),
             phase_one_done: false,
-            heard: ProcessSet::new(),
-            suspected: ProcessSet::new(),
+            omega: Omega::new(me, cfg.n(), OmegaMode::Heartbeats),
             obs: ObserverHandle::none(),
         }
     }
@@ -172,23 +166,6 @@ impl<V: Value> FastPaxos<V> {
         self.bal
     }
 
-    fn leader(&self) -> ProcessId {
-        self.suspected
-            .complement(self.cfg.n())
-            .min()
-            .unwrap_or(self.me)
-    }
-
-    fn record_decision(&mut self, v: V, path: Path, eff: &mut Effects<V, FastPaxosMsg<V>>) {
-        if self.decided.is_none() {
-            self.decided = Some(v.clone());
-            self.obs.decided(self.me, path);
-            eff.decide(v);
-        } else if self.decided.as_ref() != Some(&v) {
-            eff.decide(v); // surfaced for the checkers
-        }
-    }
-
     /// Learner rule: a fast quorum at ballot 0 or a slow quorum at the
     /// current slow ballot decides.
     fn check_learned(&mut self, eff: &mut Effects<V, FastPaxosMsg<V>>) {
@@ -200,7 +177,7 @@ impl<V: Value> FastPaxos<V> {
             .max_value_with_count_at_least(self.cfg.fast_quorum())
             .cloned()
         {
-            self.record_decision(v, Path::Fast, eff);
+            record_decision(&mut self.decided, self.me, &self.obs, v, Path::Fast, eff);
             return;
         }
         if let Some(v) = self
@@ -208,7 +185,7 @@ impl<V: Value> FastPaxos<V> {
             .max_value_with_count_at_least(self.cfg.slow_quorum())
             .cloned()
         {
-            self.record_decision(v, Path::Slow, eff);
+            record_decision(&mut self.decided, self.me, &self.obs, v, Path::Slow, eff);
         }
     }
 
@@ -267,10 +244,8 @@ impl<V: Value> Protocol<V> for FastPaxos<V> {
     }
 
     fn on_start(&mut self, eff: &mut Effects<V, FastPaxosMsg<V>>) {
-        eff.broadcast_others(FastPaxosMsg::Heartbeat, self.cfg.n(), self.me);
-        eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-        eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
-        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_TIMEOUT);
+        self.omega.start(FastPaxosMsg::Heartbeat, eff);
+        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
         // The proposal enters the network addressed to *every* acceptor,
         // self included: whether we vote for our own value depends on
         // arrival order, as in Lamport's model.
@@ -294,7 +269,7 @@ impl<V: Value> Protocol<V> for FastPaxos<V> {
         msg: FastPaxosMsg<V>,
         eff: &mut Effects<V, FastPaxosMsg<V>>,
     ) {
-        self.heard.insert(from);
+        self.omega.observe(from);
         match msg {
             FastPaxosMsg::Heartbeat => {}
 
@@ -364,34 +339,23 @@ impl<V: Value> Protocol<V> for FastPaxos<V> {
             }
 
             FastPaxosMsg::Decide(v) => {
-                self.record_decision(v, Path::Learned, eff);
+                record_decision(&mut self.decided, self.me, &self.obs, v, Path::Learned, eff);
             }
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, FastPaxosMsg<V>>) {
         match timer {
-            TimerId::HEARTBEAT => {
-                eff.broadcast_others(FastPaxosMsg::Heartbeat, self.cfg.n(), self.me);
-                eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            }
-            TimerId::SUSPECT => {
-                let before = self.leader();
-                let mut trusted = self.heard;
-                trusted.insert(self.me);
-                self.suspected = trusted.complement(self.cfg.n());
-                self.heard = ProcessSet::new();
-                let after = self.leader();
-                if before != after {
-                    self.obs.leader_changed(self.me, after);
+            TimerId::HEARTBEAT | TimerId::SUSPECT => {
+                if let Some(leader) = self.omega.on_timer(timer, FastPaxosMsg::Heartbeat, eff) {
+                    self.obs.leader_changed(self.me, leader);
                 }
-                eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
             }
             TimerId::NEW_BALLOT => {
-                eff.set_timer(TimerId::NEW_BALLOT, RETRY_PERIOD);
+                eff.set_timer(TimerId::NEW_BALLOT, BALLOT_RETRY);
                 if let Some(v) = self.decided.clone() {
                     eff.broadcast_others(FastPaxosMsg::Decide(v), self.cfg.n(), self.me);
-                } else if self.leader() == self.me {
+                } else if self.omega.is_leader() {
                     self.start_ballot(eff);
                 }
             }
@@ -408,7 +372,7 @@ impl<V: Value> Protocol<V> for FastPaxos<V> {
 mod tests {
     use super::*;
     use twostep_sim::{SimulationBuilder, SyncRunner};
-    use twostep_types::Time;
+    use twostep_types::{Duration, ProcessSet, Time};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

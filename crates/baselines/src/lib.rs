@@ -22,10 +22,11 @@
 //!   arXiv:2102.12825 honest-proposer rule): the comparison point for
 //!   the crash-vs-Byzantine bound gap of experiment E14.
 //!
-//! All three implement the same event-driven
+//! All four implement the same event-driven
 //! [`Protocol`](twostep_types::protocol::Protocol) abstraction as the
 //! core protocol, so every experiment drives them through identical
-//! engines.
+//! engines. Paxos, Fast Paxos and FastBft elect their recovery leader
+//! with the one [`Omega`](twostep_types::Omega) the core protocol runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,3 +53,27 @@ pub use epaxos::EPaxosLite;
 pub use fab::{FabMsg, FastBft};
 pub use fastpaxos::FastPaxos;
 pub use paxos::Paxos;
+
+use twostep_telemetry::{ObserverHandle, Path};
+use twostep_types::protocol::Effects;
+use twostep_types::{ProcessId, Value};
+
+/// Records `v`, decided at `me` via `path`, in `decided`: the first
+/// decision is kept, reported and emitted; a later one for another value
+/// is emitted too, so the checkers see the disagreement.
+fn record_decision<V: Value, M>(
+    decided: &mut Option<V>,
+    me: ProcessId,
+    obs: &ObserverHandle,
+    v: V,
+    path: Path,
+    eff: &mut Effects<V, M>,
+) {
+    if decided.is_none() {
+        *decided = Some(v.clone());
+        obs.decided(me, path);
+        eff.decide(v);
+    } else if decided.as_ref() != Some(&v) {
+        eff.decide(v); // surfaced for the checkers
+    }
+}

@@ -3,10 +3,12 @@
 use serde::{Deserialize, Serialize};
 
 use twostep_telemetry::{ObserverHandle, Path};
-use twostep_types::protocol::{Effects, Protocol, TimerId};
+use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_BALLOT_DELAY};
 use twostep_types::quorum::Collector;
 use twostep_types::relabel::RelabelHash;
-use twostep_types::{Ballot, Duration, ProcessId, ProcessSet, SystemConfig, Value, DELTA};
+use twostep_types::{Ballot, Omega, OmegaMode, ProcessId, ProcessSet, SystemConfig, Value};
+
+use crate::record_decision;
 
 /// Paxos wire messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,16 +88,10 @@ pub struct Paxos<V> {
     phase_one_done: bool,
     proposal: Option<V>,
     twobs: ProcessSet,
-    // Ω (same heartbeat scheme as the core protocol).
-    heard: ProcessSet,
-    suspected: ProcessSet,
+    omega: Omega,
     // Telemetry hooks (detached by default).
     obs: ObserverHandle,
 }
-
-const HEARTBEAT_PERIOD: Duration = DELTA;
-const SUSPECT_PERIOD: Duration = Duration::from_units(3 * DELTA.units());
-const RETRY_PERIOD: Duration = Duration::from_units(5 * DELTA.units());
 
 impl<V: Value> Paxos<V> {
     /// Creates a Paxos instance for `me` with proposal `initial`.
@@ -118,8 +114,7 @@ impl<V: Value> Paxos<V> {
             phase_one_done: false,
             proposal: None,
             twobs: ProcessSet::new(),
-            heard: ProcessSet::new(),
-            suspected: ProcessSet::new(),
+            omega: Omega::new(me, cfg.n(), OmegaMode::Heartbeats),
             obs: ObserverHandle::none(),
         }
     }
@@ -140,23 +135,6 @@ impl<V: Value> Paxos<V> {
     /// The decision, if reached.
     pub fn decided_value(&self) -> Option<&V> {
         self.decided.as_ref()
-    }
-
-    fn leader(&self) -> ProcessId {
-        self.suspected
-            .complement(self.cfg.n())
-            .min()
-            .unwrap_or(self.me)
-    }
-
-    fn record_decision(&mut self, v: V, path: Path, eff: &mut Effects<V, PaxosMsg<V>>) {
-        if self.decided.is_none() {
-            self.decided = Some(v.clone());
-            self.obs.decided(self.me, path);
-            eff.decide(v);
-        } else if self.decided.as_ref() != Some(&v) {
-            eff.decide(v); // surfaced for the checkers
-        }
     }
 
     /// Starts phase 2 for ballot `b` with value `v`.
@@ -186,10 +164,8 @@ impl<V: Value> Protocol<V> for Paxos<V> {
     }
 
     fn on_start(&mut self, eff: &mut Effects<V, PaxosMsg<V>>) {
-        eff.broadcast_others(PaxosMsg::Heartbeat, self.cfg.n(), self.me);
-        eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-        eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
-        eff.set_timer(TimerId::NEW_BALLOT, Duration::from_units(2 * DELTA.units()));
+        self.omega.start(PaxosMsg::Heartbeat, eff);
+        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
         if self.me == ProcessId::new(0) {
             // Pre-established leadership: p0 owns the smallest positive
             // ballot ≡ 0 (mod n), i.e. ballot n; no lower ballot exists,
@@ -206,7 +182,7 @@ impl<V: Value> Protocol<V> for Paxos<V> {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: PaxosMsg<V>, eff: &mut Effects<V, PaxosMsg<V>>) {
-        self.heard.insert(from);
+        self.omega.observe(from);
         match msg {
             PaxosMsg::Heartbeat => {}
 
@@ -262,41 +238,37 @@ impl<V: Value> Protocol<V> for Paxos<V> {
                 {
                     self.twobs.insert(from);
                     if self.twobs.len() >= self.cfg.slow_quorum() {
-                        self.record_decision(v.clone(), Path::Slow, eff);
+                        record_decision(
+                            &mut self.decided,
+                            self.me,
+                            &self.obs,
+                            v.clone(),
+                            Path::Slow,
+                            eff,
+                        );
                         eff.broadcast_others(PaxosMsg::Decide(v), self.cfg.n(), self.me);
                     }
                 }
             }
 
             PaxosMsg::Decide(v) => {
-                self.record_decision(v, Path::Learned, eff);
+                record_decision(&mut self.decided, self.me, &self.obs, v, Path::Learned, eff);
             }
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, PaxosMsg<V>>) {
         match timer {
-            TimerId::HEARTBEAT => {
-                eff.broadcast_others(PaxosMsg::Heartbeat, self.cfg.n(), self.me);
-                eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            }
-            TimerId::SUSPECT => {
-                let before = self.leader();
-                let mut trusted = self.heard;
-                trusted.insert(self.me);
-                self.suspected = trusted.complement(self.cfg.n());
-                self.heard = ProcessSet::new();
-                let after = self.leader();
-                if before != after {
-                    self.obs.leader_changed(self.me, after);
+            TimerId::HEARTBEAT | TimerId::SUSPECT => {
+                if let Some(leader) = self.omega.on_timer(timer, PaxosMsg::Heartbeat, eff) {
+                    self.obs.leader_changed(self.me, leader);
                 }
-                eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
             }
             TimerId::NEW_BALLOT => {
-                eff.set_timer(TimerId::NEW_BALLOT, RETRY_PERIOD);
+                eff.set_timer(TimerId::NEW_BALLOT, BALLOT_RETRY);
                 if let Some(v) = self.decided.clone() {
                     eff.broadcast_others(PaxosMsg::Decide(v), self.cfg.n(), self.me);
-                } else if self.leader() == self.me {
+                } else if self.omega.is_leader() {
                     self.start_ballot(eff);
                 }
             }
@@ -313,7 +285,7 @@ impl<V: Value> Protocol<V> for Paxos<V> {
 mod tests {
     use super::*;
     use twostep_sim::{SimulationBuilder, SyncRunner};
-    use twostep_types::{ProcessSet, Time};
+    use twostep_types::{Duration, ProcessSet, Time};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

@@ -10,10 +10,9 @@
 //! panic.
 
 use twostep_telemetry::ObserverHandle;
-use twostep_types::{ProcessId, SystemConfig, Value};
+use twostep_types::{OmegaMode, ProcessId, SystemConfig, Value};
 
 use crate::consensus::{TwoStep, Variant};
-use crate::omega::OmegaMode;
 use crate::{Ablations, ObjectConsensus, TaskConsensus};
 
 /// Builder for [`TaskConsensus`] / [`ObjectConsensus`] instances.

@@ -16,25 +16,13 @@
 use serde::{Deserialize, Serialize};
 
 use twostep_telemetry::{ObserverHandle, Path, RecoveryCase};
-use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Ballot, Duration, ProcessId, ProcessSet, SystemConfig, Value, DELTA};
+use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_BALLOT_DELAY};
+use twostep_types::{Ballot, Omega, OmegaMode, ProcessId, ProcessSet, SystemConfig, Value};
 
 use crate::msg::Msg;
-use crate::omega::{Omega, OmegaMode};
 use crate::phase::{Collecting, Leader, LeaderPhase, Phase, PhaseKind};
 use crate::recovery::Report;
 use crate::Ablations;
-
-/// Heartbeat broadcast period.
-pub(crate) const HEARTBEAT_PERIOD: Duration = DELTA;
-/// Ω suspicion-sweep period (must exceed the heartbeat period plus `Δ`).
-pub(crate) const SUSPECT_PERIOD: Duration = Duration::from_units(3 * DELTA.units());
-/// Initial new-ballot timeout: "2Δ, giving just enough time for the
-/// processes to reach agreement on the fast path" (§C.1).
-pub(crate) const INITIAL_BALLOT_DELAY: Duration = Duration::from_units(2 * DELTA.units());
-/// Subsequent new-ballot period: "the timer is reset with a delay of 5Δ"
-/// (§C.1).
-pub(crate) const BALLOT_RETRY: Duration = Duration::from_units(5 * DELTA.units());
 
 /// Which consensus formulation a [`TwoStep`] instance implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -363,11 +351,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
 
     fn on_start(&mut self, eff: &mut Effects<V, Msg<V>>) {
         eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
-        if self.common.omega.uses_heartbeats() {
-            eff.broadcast_others(Msg::Heartbeat, self.common.cfg.n(), self.common.me);
-            eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
-        }
+        self.common.omega.start(Msg::Heartbeat, eff);
         if let Some(v) = self.common.startup_value.take() {
             self.do_propose(v, eff);
         }
@@ -387,18 +371,10 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, Msg<V>>) {
         match timer {
-            TimerId::HEARTBEAT => {
-                eff.broadcast_others(Msg::Heartbeat, self.common.cfg.n(), self.common.me);
-                eff.set_timer(TimerId::HEARTBEAT, HEARTBEAT_PERIOD);
-            }
-            TimerId::SUSPECT => {
-                let before = self.common.omega.leader();
-                self.common.omega.sweep();
-                let after = self.common.omega.leader();
-                if before != after {
-                    self.common.obs.leader_changed(self.common.me, after);
+            TimerId::HEARTBEAT | TimerId::SUSPECT => {
+                if let Some(leader) = self.common.omega.on_timer(timer, Msg::Heartbeat, eff) {
+                    self.common.obs.leader_changed(self.common.me, leader);
                 }
-                eff.set_timer(TimerId::SUSPECT, SUSPECT_PERIOD);
             }
             TimerId::NEW_BALLOT => {
                 eff.set_timer(TimerId::NEW_BALLOT, BALLOT_RETRY);

@@ -92,7 +92,6 @@ mod builder;
 mod consensus;
 mod msg;
 mod object;
-mod omega;
 pub mod phase;
 pub mod recovery;
 mod task;
@@ -102,6 +101,8 @@ pub use builder::TwoStepBuilder;
 pub use consensus::{DecisionPath, TwoStep, Variant};
 pub use msg::Msg;
 pub use object::ObjectConsensus;
-pub use omega::{Omega, OmegaMode};
 pub use phase::{LeaderPhase, PhaseKind};
 pub use task::TaskConsensus;
+// Defined in `twostep-types`, where the baselines and the SMR replica
+// reach it too; `TwoStepBuilder::omega` takes it, so it is named here.
+pub use twostep_types::{Omega, OmegaMode};

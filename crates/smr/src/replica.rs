@@ -4,10 +4,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use twostep_core::{Msg, ObjectConsensus, Omega, OmegaMode, TwoStepBuilder};
+use twostep_core::{Msg, ObjectConsensus, TwoStepBuilder};
 use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Duration, ProcessId, SystemConfig, Value, DELTA};
+use twostep_types::{Duration, Omega, OmegaMode, ProcessId, SystemConfig, Value, DELTA};
 
 use crate::batch::Batch;
 use crate::command::StateMachine;
@@ -23,9 +23,9 @@ pub enum SmrMsg<C> {
     Beacon,
 }
 
-/// Replica-level timers (instance timers are namespaced above these).
-const SMR_HEARTBEAT: TimerId = TimerId(1);
-const SMR_SUSPECT: TimerId = TimerId(2);
+/// Replica-level timers: Ω's `TimerId::HEARTBEAT` (1) and
+/// `TimerId::SUSPECT` (2), and the pump. Instance timers are namespaced
+/// above these.
 const SMR_PUMP: TimerId = TimerId(3);
 /// First timer id available to instance namespacing.
 const INNER_BASE: u64 = 4;
@@ -391,9 +391,7 @@ where
     }
 
     fn on_start(&mut self, eff: &mut Effects<C, SmrMsg<C>>) {
-        eff.broadcast_others(SmrMsg::Beacon, self.cfg.n(), self.me);
-        eff.set_timer(SMR_HEARTBEAT, DELTA);
-        eff.set_timer(SMR_SUSPECT, Duration::from_units(3 * DELTA.units()));
+        self.omega.start(SmrMsg::Beacon, eff);
         eff.set_timer(SMR_PUMP, Duration::from_units(2 * DELTA.units()));
     }
 
@@ -433,21 +431,16 @@ where
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<C, SmrMsg<C>>) {
         match timer {
-            SMR_HEARTBEAT => {
-                eff.broadcast_others(SmrMsg::Beacon, self.cfg.n(), self.me);
-                eff.set_timer(SMR_HEARTBEAT, DELTA);
-            }
-            SMR_SUSPECT => {
-                let before = self.omega.leader();
-                self.omega.sweep();
-                let leader = self.omega.leader();
-                if leader != before {
+            TimerId::HEARTBEAT | TimerId::SUSPECT => {
+                if let Some(leader) = self.omega.on_timer(timer, SmrMsg::Beacon, eff) {
                     self.obs.leader_changed(self.me, leader);
                 }
-                for inst in self.instances.values_mut() {
-                    inst.set_leader_hint(leader);
+                if timer == TimerId::SUSPECT {
+                    let leader = self.omega.leader();
+                    for inst in self.instances.values_mut() {
+                        inst.set_leader_hint(leader);
+                    }
                 }
-                eff.set_timer(SMR_SUSPECT, Duration::from_units(3 * DELTA.units()));
             }
             SMR_PUMP => {
                 self.flush(1, eff);
@@ -498,8 +491,8 @@ mod tests {
                 assert_eq!(split_timer(mapped), Some((slot, t)));
             }
         }
-        assert_eq!(split_timer(SMR_HEARTBEAT), None);
-        assert_eq!(split_timer(SMR_SUSPECT), None);
+        assert_eq!(split_timer(TimerId::HEARTBEAT), None);
+        assert_eq!(split_timer(TimerId::SUSPECT), None);
         assert_eq!(split_timer(SMR_PUMP), None);
     }
 
@@ -850,7 +843,7 @@ mod tests {
         let first = g.propose();
         g.propose();
         g.commit_at_proxy(&first, 0);
-        let eff = g.fire(SMR_HEARTBEAT);
+        let eff = g.fire(TimerId::HEARTBEAT);
         assert_eq!(
             sent(&eff),
             vec![
@@ -952,7 +945,7 @@ mod tests {
                         (to, g.deliver(from, to, m))
                     }
                     0..=4 => (0, g.fire(SMR_PUMP)),
-                    5 => (0, g.fire(SMR_HEARTBEAT)),
+                    5 => (0, g.fire(TimerId::HEARTBEAT)),
                     _ => (0, g.propose()),
                 };
                 transit.extend(eff.sends.into_iter().map(|(to, m)| (at, to.as_u32(), m)));
@@ -986,7 +979,7 @@ mod tests {
         assert_eq!(sent(&g.commit_at_proxy(&second, 5)), vec![]);
         assert_eq!(g.proxy().held.len(), 2 * g.proxy().max_inflight);
         // The next heartbeat is the latest they leave.
-        let eff = g.fire(SMR_HEARTBEAT);
+        let eff = g.fire(TimerId::HEARTBEAT);
         assert_eq!(sent(&eff).len(), 2 + 4);
         assert!(g.proxy().held.is_empty());
     }

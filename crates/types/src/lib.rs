@@ -18,6 +18,8 @@
 //! * [`Time`] / [`Duration`] — virtual time for the discrete-event
 //!   simulator, with the message-delay bound `Δ` ([`DELTA`]) used to
 //!   define rounds and "two-step" decisions (decided by time `2Δ`).
+//! * [`Omega`] — the Ω leader-election service (heartbeats and
+//!   suspicion sweeps, or a static leader) that every protocol runs.
 //! * [`SplitMix64`] — the one seeded PRNG behind every replayable
 //!   schedule (fuzz campaigns, Byzantine injection plans).
 //! * [`protocol`] — the event-driven state-machine abstraction
@@ -49,6 +51,7 @@ mod ballot;
 mod byz;
 mod config;
 mod error;
+mod omega;
 mod process;
 pub mod protocol;
 pub mod quorum;
@@ -61,6 +64,7 @@ pub use ballot::Ballot;
 pub use byz::{ByzConfig, ByzVariant, Corruptible};
 pub use config::{ProtocolKind, SystemConfig};
 pub use error::ConfigError;
+pub use omega::{Omega, OmegaMode};
 pub use process::{combinations, ProcessId, ProcessSet};
 pub use rng::SplitMix64;
 pub use time::{Duration, Time, DELTA};

@@ -36,15 +36,23 @@ use crate::{Duration, ProcessId, Value};
 pub struct TimerId(pub u64);
 
 impl TimerId {
-    /// The `new_ballot_timer` of Figure 1 / §C.1: fires 2Δ after startup,
-    /// then every 5Δ, prompting the Ω-elected leader to open a new slow
-    /// ballot.
+    /// The `new_ballot_timer` of Figure 1 / §C.1: fires
+    /// [`INITIAL_BALLOT_DELAY`] (2Δ) after startup, then every
+    /// [`BALLOT_RETRY`] (5Δ), prompting the Ω-elected leader to open a
+    /// new slow ballot.
     pub const NEW_BALLOT: TimerId = TimerId(0);
-    /// Heartbeat broadcast timer used by the Ω leader-election service.
+    /// Heartbeat broadcast timer of the Ω service ([`crate::Omega`]).
     pub const HEARTBEAT: TimerId = TimerId(1);
-    /// Failure-suspicion sweep timer used by the Ω service.
+    /// Failure-suspicion sweep timer of the Ω service.
     pub const SUSPECT: TimerId = TimerId(2);
 }
+
+/// The first [`TimerId::NEW_BALLOT`] delay: "2Δ, giving just enough time
+/// for the processes to reach agreement on the fast path" (§C.1).
+pub const INITIAL_BALLOT_DELAY: Duration = Duration::deltas(2);
+/// Every later [`TimerId::NEW_BALLOT`] delay: "the timer is reset with a
+/// delay of 5Δ" (§C.1).
+pub const BALLOT_RETRY: Duration = Duration::deltas(5);
 
 /// The effects emitted by one protocol step.
 ///
