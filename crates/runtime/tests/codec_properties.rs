@@ -107,6 +107,9 @@ proptest! {
                 ])),
             ),
             SmrMsg::Slot(slot, Msg::Decide(Batch::single(KvCommand::delete(key)))),
+            SmrMsg::Vote(slot),
+            SmrMsg::Decided(slot),
+            SmrMsg::Want(slot),
         ];
         for m in msgs {
             let bytes = to_bytes(&m).unwrap();
@@ -413,6 +416,28 @@ fn smr_slot_messages_have_golden_wire_bytes() {
     }
 }
 
+/// The messages that name a batch by slot: the variant index (`Beacon`
+/// is 1 and keeps it), then the slot, twelve bytes in all.
+#[test]
+fn smr_slot_references_have_golden_wire_bytes() {
+    use twostep_smr::{KvCommand, SmrMsg};
+
+    let golden: [(SmrMsg<KvCommand>, &[u8]); 4] = [
+        (SmrMsg::Beacon, &[1, 0, 0, 0]),
+        (SmrMsg::Vote(3), &[2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]),
+        (SmrMsg::Decided(3), &[3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]),
+        (
+            SmrMsg::Want(0x0102_0304_0506_0708),
+            &[4, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1],
+        ),
+    ];
+    for (msg, want) in golden {
+        assert_eq!(to_bytes(&msg).unwrap(), want, "{msg:?}");
+        let back: SmrMsg<KvCommand> = from_bytes(want).unwrap();
+        assert_eq!(back, msg);
+    }
+}
+
 proptest! {
     /// Any batch crosses the wire inside any of the messages that carry
     /// one, and a batch encodes exactly as the `Vec` of its commands.
@@ -447,6 +472,9 @@ proptest! {
                 proposer: None,
                 decided: Some(batch.clone()),
             }),
+            SmrMsg::Vote(slot),
+            SmrMsg::Decided(slot),
+            SmrMsg::Want(slot),
         ];
         for m in msgs {
             let bytes = to_bytes(&m).unwrap();

@@ -1,26 +1,55 @@
 //! The SMR replica: a log of consensus instances plus a state machine.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
 use twostep_core::{Msg, ObjectConsensus, TwoStepBuilder};
 use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Duration, Omega, OmegaMode, ProcessId, SystemConfig, Value, DELTA};
+use twostep_types::{
+    Ballot, Duration, Omega, OmegaMode, ProcessId, ProcessSet, SystemConfig, Value, DELTA,
+};
 
 use crate::batch::Batch;
 use crate::command::StateMachine;
 
-/// Wire messages of the SMR layer: per-slot consensus traffic plus the
-/// replica-level Ω beacon. Each slot decides a whole [`Batch`] of client
-/// commands.
+/// Wire messages of the SMR layer: per-slot consensus traffic, the
+/// replica-level Ω beacon, and three forms that name a batch by its slot
+/// where the receiver already holds it. Each slot decides a whole
+/// [`Batch`] of client commands.
+///
+/// On the fast path a batch crosses the wire only in its `Propose`. A
+/// fast vote goes back to the proposer as [`SmrMsg::Vote`], and a
+/// proxy's held `Decide` of its own batch goes as [`SmrMsg::Decided`].
+/// Each is turned back into the exact [`Msg`] its instance would have
+/// received. The reference is exact because a proxy proposes at most one
+/// batch per slot, and it resolves only against a batch received from
+/// that proxy: in its own `Propose`, or, at the proxy, in its own
+/// in-flight table. Everything else carries its batch in full.
+///
+/// The three forms come after `Beacon`, so the encodings of `Slot` and
+/// `Beacon` are those of the two-variant enum this once was.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SmrMsg<C> {
     /// Consensus message of the instance deciding slot `.0`.
     Slot(u64, Msg<Batch<C>>),
     /// Replica-level liveness beacon (one Ω for all instances).
     Beacon,
+    /// A fast vote (`TwoB` at ballot 0) for the batch the *receiver*
+    /// proposed in this slot. Sent only when the vote is for the batch
+    /// the sender received in the receiver's `Propose`; the receiver
+    /// resolves it against its in-flight batch for the slot.
+    Vote(u64),
+    /// The *sender's* own proposal for this slot committed: a `Decide`
+    /// of the batch it proposed there. The receiver resolves it against
+    /// the batch it received in that sender's `Propose`, and asks with
+    /// [`SmrMsg::Want`] when it has none.
+    Decided(u64),
+    /// Asks for the full `Decide` of this slot, because a `Decided` for
+    /// it could not be resolved. Answered by any replica that has the
+    /// slot committed.
+    Want(u64),
 }
 
 /// Replica-level timers: Ω's `TimerId::HEARTBEAT` (1) and
@@ -98,6 +127,14 @@ fn split_timer(t: TimerId) -> Option<(u64, TimerId)> {
 /// and a peer still working on a settled slot is answered with the
 /// outcome (a vote is not such a request and is not answered).
 ///
+/// Where the receiver provably holds the batch, it is named by slot (see
+/// [`SmrMsg`]): a follower's fast vote goes back as `Vote`, and a held
+/// `Decide` of the proxy's own batch goes as `Decided`. A proxy that lost
+/// its slot to a rival sends the rival's batch in full. A follower that
+/// missed the `Propose` behind a `Decided` asks the proxy with `Want`,
+/// and asks every peer again on each heartbeat until the slot commits,
+/// since the proxy may have crashed right after deciding.
+///
 /// Construct via [`SmrReplicaBuilder`](crate::SmrReplicaBuilder).
 #[derive(Debug)]
 pub struct SmrReplica<C: Ord, S> {
@@ -121,8 +158,15 @@ pub struct SmrReplica<C: Ord, S> {
     interval_max: usize,
     next_slot: u64,
     /// `Decide`s owed to peers for own proposals that committed, as
-    /// `(peer, slot)` in commit order; see [`SmrReplica::release`].
-    held: Vec<(ProcessId, u64)>,
+    /// `(peer, message)` in commit order; see [`SmrReplica::release`].
+    held: Vec<(ProcessId, SmrMsg<C>)>,
+    /// Batches received in peers' `Propose`s, by `(slot, proposer)`,
+    /// until the slot commits: what a fast vote is checked against
+    /// before it goes as `Vote`, and what a `Decided` resolves to.
+    received: BTreeMap<(u64, ProcessId), Batch<C>>,
+    /// Slots named by a `Decided` this replica could not resolve; asked
+    /// for with `Want` until they commit.
+    wanted: BTreeSet<u64>,
     omega: Omega,
     /// Telemetry hooks; detached by default.
     obs: ObserverHandle,
@@ -171,6 +215,8 @@ where
             interval_max: 0,
             next_slot: 0,
             held: Vec::new(),
+            received: BTreeMap::new(),
+            wanted: BTreeSet::new(),
             omega: Omega::with_rotation(me, cfg.n(), OmegaMode::Heartbeats, rotation),
             obs,
         }
@@ -247,7 +293,13 @@ where
     /// `Decide`s the instance broadcasts are not sent but noted in
     /// `held`: the clients are answered from the decision itself, and
     /// the peers' copy can wait for [`SmrReplica::release`] to put it
-    /// behind a message that is going to them anyway.
+    /// behind a message that is going to them anyway. It is held as
+    /// `Decided` when the batch that committed is this replica's own,
+    /// and in full when a rival's batch took the slot.
+    ///
+    /// A fast vote for the batch received in `to`'s `Propose` goes back
+    /// to `to` as `Vote`; a fast `2B` only ever answers the sender of
+    /// the `Propose` (or fast `2A`) it votes for.
     fn route_inner(
         &mut self,
         slot: u64,
@@ -256,10 +308,24 @@ where
     ) {
         let own = !inner.decisions.is_empty() && self.inflight.contains_key(&slot);
         for (to, m) in inner.sends {
-            if own && matches!(m, Msg::Decide(_)) {
-                self.held.push((to, slot));
+            let hold = own && matches!(m, Msg::Decide(_));
+            let m = match m {
+                Msg::Decide(b) if self.inflight.get(&slot) == Some(&b) => SmrMsg::Decided(slot),
+                Msg::TwoB(Ballot::FAST, b) if self.received.get(&(slot, to)) == Some(&b) => {
+                    SmrMsg::Vote(slot)
+                }
+                m @ (Msg::Propose(_)
+                | Msg::OneA(_)
+                | Msg::OneB { .. }
+                | Msg::TwoA(..)
+                | Msg::TwoB(..)
+                | Msg::Decide(_)
+                | Msg::Heartbeat) => SmrMsg::Slot(slot, m),
+            };
+            if hold {
+                self.held.push((to, m));
             } else {
-                eff.send(to, SmrMsg::Slot(slot, m));
+                eff.send(to, m);
             }
         }
         for (t, d) in inner.timer_sets {
@@ -292,6 +358,11 @@ where
         for t in 0..INNER_STRIDE {
             eff.cancel_timer(inner_timer(slot, TimerId(t)));
         }
+        // Nothing resolves against this slot's proposals any more.
+        for p in self.cfg.process_ids() {
+            self.received.remove(&(slot, p));
+        }
+        self.wanted.remove(&slot);
 
         // Did one of our in-flight proposals just resolve?
         if let Some(mine) = self.inflight.remove(&slot) {
@@ -348,8 +419,7 @@ where
         self.obs.queue_depth(self.me, self.pending());
     }
 
-    /// Ends every handler: sends the held `Decide`s whose time has come,
-    /// each re-read from `committed`.
+    /// Ends every handler: sends the held `Decide`s whose time has come.
     ///
     /// A held `Decide` leaves in the same step as, and after, the next
     /// message to its peer — the next `Propose`, a `Beacon`, any reply —
@@ -366,14 +436,53 @@ where
             return;
         }
         let idle = self.inflight.is_empty() && self.pending.is_empty();
-        // A `Decide` appended here counts as a message to its peer, so
-        // once one held entry of a peer goes the later ones follow.
-        for (to, slot) in std::mem::take(&mut self.held) {
-            let due = idle || eff.sends.iter().any(|(dest, _)| *dest == to);
-            if let (true, Some(b)) = (due, self.committed.get(&slot)) {
-                eff.send(to, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
-            } else {
-                self.held.push((to, slot));
+        // Whether an entry is due depends only on its peer, so every
+        // held entry of a peer that is sent something goes.
+        let sent_to: ProcessSet = eff.sends.iter().map(|(to, _)| *to).collect();
+        for (to, m) in self
+            .held
+            .extract_if(.., |(to, _)| idle || sent_to.contains(*to))
+        {
+            eff.send(to, m);
+        }
+    }
+
+    /// Turns a message that names a batch by slot back into the consensus
+    /// message its instance would have received in full, or `None` when
+    /// there is nothing for an instance to do.
+    fn resolve(
+        &mut self,
+        from: ProcessId,
+        msg: SmrMsg<C>,
+        eff: &mut Effects<C, SmrMsg<C>>,
+    ) -> Option<(u64, Msg<Batch<C>>)> {
+        match msg {
+            SmrMsg::Slot(slot, m) => Some((slot, m)),
+            SmrMsg::Beacon => None,
+            // Not in flight: the slot committed here, and a vote for a
+            // settled slot is not answered.
+            SmrMsg::Vote(slot) => {
+                let b = self.inflight.get(&slot)?;
+                Some((slot, Msg::TwoB(Ballot::FAST, b.clone())))
+            }
+            SmrMsg::Decided(slot) => {
+                if self.committed.contains_key(&slot) {
+                    return None; // gossip
+                }
+                if let Some(b) = self.received.get(&(slot, from)) {
+                    return Some((slot, Msg::Decide(b.clone())));
+                }
+                // Its `Propose` was lost: ask the proxy now, and every
+                // peer on each heartbeat until the slot commits.
+                self.wanted.insert(slot);
+                eff.send(from, SmrMsg::Want(slot));
+                None
+            }
+            SmrMsg::Want(slot) => {
+                if let Some(b) = self.committed.get(&slot) {
+                    eff.send(from, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
+                }
+                None
             }
         }
     }
@@ -403,7 +512,7 @@ where
 
     fn on_message(&mut self, from: ProcessId, msg: SmrMsg<C>, eff: &mut Effects<C, SmrMsg<C>>) {
         self.omega.observe(from);
-        if let SmrMsg::Slot(slot, m) = msg {
+        if let Some((slot, m)) = self.resolve(from, msg, eff) {
             self.next_slot = self.next_slot.max(slot + 1);
             if let Some(b) = self.committed.get(&slot) {
                 // The slot is settled here and its instance retired;
@@ -416,6 +525,9 @@ where
                     eff.send(from, SmrMsg::Slot(slot, Msg::Decide(b.clone())));
                 }
             } else {
+                if let Msg::Propose(b) = &m {
+                    self.received.insert((slot, from), b.clone());
+                }
                 let inst = self.instance(slot, eff);
                 let mut inner = Effects::new();
                 inst.on_message(from, m, &mut inner);
@@ -434,6 +546,11 @@ where
             TimerId::HEARTBEAT | TimerId::SUSPECT => {
                 if let Some(leader) = self.omega.on_timer(timer, SmrMsg::Beacon, eff) {
                     self.obs.leader_changed(self.me, leader);
+                }
+                if timer == TimerId::HEARTBEAT {
+                    for &slot in &self.wanted {
+                        eff.broadcast_others(SmrMsg::Want(slot), self.cfg.n(), self.me);
+                    }
                 }
                 if timer == TimerId::SUSPECT {
                     let leader = self.omega.leader();
@@ -701,15 +818,23 @@ mod tests {
 
     type Eff = Effects<KvCommand, SmrMsg<KvCommand>>;
 
-    /// What a step sent, as `(destination, kind, slot)` in order.
-    fn sent(eff: &Eff) -> Vec<(u32, &'static str, u64)> {
-        let kind = |m: &SmrMsg<KvCommand>| match m {
+    /// A message's kind and slot. The kinds of `SmrMsg::Slot` are those
+    /// of the consensus message inside, which carries the batch in full.
+    fn kind(m: &SmrMsg<KvCommand>) -> (&'static str, u64) {
+        match m {
             SmrMsg::Beacon => ("Beacon", 0),
+            SmrMsg::Vote(s) => ("Vote", *s),
+            SmrMsg::Decided(s) => ("Decided", *s),
+            SmrMsg::Want(s) => ("Want", *s),
             SmrMsg::Slot(s, Msg::Propose(_)) => ("Propose", *s),
             SmrMsg::Slot(s, Msg::TwoB(..)) => ("TwoB", *s),
             SmrMsg::Slot(s, Msg::Decide(_)) => ("Decide", *s),
             SmrMsg::Slot(s, _) => ("other", *s),
-        };
+        }
+    }
+
+    /// What a step sent, as `(destination, kind, slot)` in order.
+    fn sent(eff: &Eff) -> Vec<(u32, &'static str, u64)> {
         let row = |(to, m): &(ProcessId, SmrMsg<KvCommand>)| {
             let (kind, slot) = kind(m);
             (to.as_u32(), kind, slot)
@@ -730,8 +855,13 @@ mod tests {
 
         /// Fires `timer` at the proxy; its effects, undelivered.
         fn fire(&mut self, timer: TimerId) -> Eff {
+            self.fire_at(0, timer)
+        }
+
+        /// Fires `timer` at replica `at`; its effects, undelivered.
+        fn fire_at(&mut self, at: u32, timer: TimerId) -> Eff {
             let mut eff = Effects::new();
-            self.replicas[0].on_timer(timer, &mut eff);
+            self.replicas[at as usize].on_timer(timer, &mut eff);
             eff
         }
 
@@ -752,7 +882,7 @@ mod tests {
             };
             let (_, propose) = proposal.sends.iter().find(is_it).expect("a Propose to p1");
             let vote = self.deliver(0, 1, propose.clone());
-            assert_eq!(sent(&vote), vec![(0, "TwoB", slot)]);
+            assert_eq!(sent(&vote), vec![(0, "Vote", slot)]);
             let before = self.proxy().applied_slots();
             let (_, vote) = vote.sends.into_iter().next().unwrap();
             let eff = self.deliver(1, 0, vote);
@@ -775,19 +905,22 @@ mod tests {
         assert_eq!(sent(&eff), vec![]);
         assert_eq!(
             g.proxy().held,
-            vec![(ProcessId::new(1), 0), (ProcessId::new(2), 0)]
+            vec![
+                (ProcessId::new(1), SmrMsg::Decided(0)),
+                (ProcessId::new(2), SmrMsg::Decided(0))
+            ]
         );
 
         // The step that proposes the next batch sends each peer its
-        // `Propose` and, behind it, the `Decide` it was owed.
+        // `Propose` and, behind it, the `Decide` it was owed, by slot.
         let eff = g.propose();
         assert_eq!(
             sent(&eff),
             vec![
                 (1, "Propose", 2),
                 (2, "Propose", 2),
-                (1, "Decide", 0),
-                (2, "Decide", 0)
+                (1, "Decided", 0),
+                (2, "Decided", 0)
             ]
         );
         assert!(g.proxy().held.is_empty());
@@ -805,8 +938,8 @@ mod tests {
             vec![
                 (1, "Propose", 2),
                 (2, "Propose", 2),
-                (1, "Decide", 0),
-                (2, "Decide", 0)
+                (1, "Decided", 0),
+                (2, "Decided", 0)
             ]
         );
     }
@@ -823,10 +956,10 @@ mod tests {
         assert_eq!(
             sent(&eff),
             vec![
-                (1, "Decide", 0),
-                (2, "Decide", 0),
-                (1, "Decide", 1),
-                (2, "Decide", 1)
+                (1, "Decided", 0),
+                (2, "Decided", 0),
+                (1, "Decided", 1),
+                (2, "Decided", 1)
             ]
         );
         assert!(g.proxy().held.is_empty());
@@ -849,8 +982,8 @@ mod tests {
             vec![
                 (1, "Beacon", 0),
                 (2, "Beacon", 0),
-                (1, "Decide", 0),
-                (2, "Decide", 0)
+                (1, "Decided", 0),
+                (2, "Decided", 0)
             ]
         );
         assert!(g.proxy().held.is_empty());
@@ -862,18 +995,35 @@ mod tests {
         let first = g.propose();
         g.propose();
         g.commit_at_proxy(&first, 0);
-        // p2 retransmits something for the settled slot: its answer and
-        // the `Decide` held for it leave together, p1's stays.
-        let stale = SmrMsg::Slot(0, Msg::OneA(twostep_types::Ballot::new(5)));
+        // p2 retransmits something for the settled slot: its answer, in
+        // full, and the `Decide` held for it leave together, p1's stays.
+        let stale = SmrMsg::Slot(0, Msg::OneA(Ballot::new(5)));
         let eff = g.deliver(2, 0, stale);
-        assert_eq!(sent(&eff), vec![(2, "Decide", 0), (2, "Decide", 0)]);
-        assert_eq!(g.proxy().held, vec![(ProcessId::new(1), 0)]);
+        assert_eq!(sent(&eff), vec![(2, "Decide", 0), (2, "Decided", 0)]);
+        assert_eq!(
+            g.proxy().held,
+            vec![(ProcessId::new(1), SmrMsg::Decided(0))]
+        );
     }
 
     /// Runs replica 0 as the slow-path leader of slot 0, proposed by
-    /// replica 1, with every fast vote lost; returns each of replica 0's
-    /// steps' sends.
-    fn slow_path_at_the_leader(g: &mut Group) -> Vec<Vec<(u32, &'static str, u64)>> {
+    /// replica 1, with every fast vote for slot 0 lost; returns each of
+    /// replica 0's steps' sends. With `rival`, replica 0 has first
+    /// proposed a batch of its own in slot 0, its `Propose`s are lost,
+    /// and so is replica 1's `1B`: recovery then reads replica 2's vote
+    /// for replica 1's batch and picks it.
+    fn slow_path_at_the_leader(g: &mut Group, rival: bool) -> Vec<Vec<(u32, &'static str, u64)>> {
+        if rival {
+            g.propose();
+        }
+        let lost = |from: u32, to: ProcessId, m: &SmrMsg<KvCommand>| {
+            let fast_vote = matches!(
+                m,
+                SmrMsg::Vote(0) | SmrMsg::Slot(0, Msg::TwoB(Ballot::FAST, _))
+            );
+            let one_b = matches!(m, SmrMsg::Slot(0, Msg::OneB { .. }));
+            fast_vote || (rival && one_b && from == 1 && to.as_u32() == 0)
+        };
         let mut eff = Effects::new();
         g.replicas[1].on_propose(KvCommand::put("k", "v"), &mut eff);
         let mut steps = Vec::new();
@@ -881,10 +1031,7 @@ mod tests {
         let mut fired = false;
         loop {
             while let Some((from, to, m)) = queue.pop_front() {
-                if matches!(
-                    m,
-                    SmrMsg::Slot(_, Msg::TwoB(twostep_types::Ballot::FAST, _))
-                ) {
+                if lost(from, to, &m) {
                     continue;
                 }
                 let out = g.deliver(from, to.as_u32(), m);
@@ -911,7 +1058,7 @@ mod tests {
     #[test]
     fn a_slow_path_decide_of_someone_elses_slot_is_not_held() {
         let mut g = Group::new(4);
-        let steps = slow_path_at_the_leader(&mut g);
+        let steps = slow_path_at_the_leader(&mut g, false);
         // The step in which the leader decides broadcasts the `Decide`.
         let deciding: Vec<_> = steps
             .iter()
@@ -926,11 +1073,43 @@ mod tests {
     }
 
     #[test]
+    fn a_proxy_that_lost_its_slot_sends_the_rivals_batch_in_full() {
+        let mut g = Group::new(4);
+        let steps = slow_path_at_the_leader(&mut g, true);
+        // The leader decides p1's batch in the slot it had proposed in
+        // itself. Its `Decide`s are held as before, and leave behind the
+        // re-proposal of its own batch in slot 1, in full: no peer holds
+        // a batch of the leader's for slot 0 to resolve `Decided` against.
+        let deciding: Vec<_> = steps
+            .iter()
+            .filter(|step| step.iter().any(|(_, _, slot)| *slot == 0))
+            .filter(|step| step.iter().any(|(_, kind, _)| kind.starts_with("Decide")))
+            .collect();
+        assert_eq!(
+            deciding,
+            vec![&vec![
+                (1, "Propose", 1),
+                (2, "Propose", 1),
+                (1, "Decide", 0),
+                (2, "Decide", 0)
+            ]]
+        );
+        // The re-proposal commits on the fast path and goes by slot.
+        assert!(steps.contains(&vec![(1, "Decided", 1), (2, "Decided", 1)]));
+        for r in &g.replicas {
+            assert_eq!(r.applied(), 2);
+            assert_eq!(r.log(), g.proxy().log());
+        }
+    }
+
+    #[test]
     fn held_never_exceeds_peers_times_depth() {
         // Messages in transit are delivered in seeded order, mixed with
         // submissions, pump ticks and heartbeats at the proxy, and the
         // bound is checked after every step. The last thousand rounds
-        // only deliver and tick, so that every run ends level.
+        // only deliver and tick, so that every run ends level. A
+        // `Decided` may overtake its `Propose`, so `Want` is exercised too.
+        let mut asked = false;
         for seed in 0..8u64 {
             let mut g = Group::new(3);
             let bound = (g.replicas.len() - 1) * g.proxy().max_inflight;
@@ -952,6 +1131,7 @@ mod tests {
                 let held = g.proxy().held.len();
                 assert!(held <= bound, "seed {seed}: {held} held, bound {bound}");
                 peak = peak.max(held);
+                asked |= g.replicas.iter().any(|r| !r.wanted.is_empty());
             }
             assert!(peak > 0, "seed {seed}: nothing was ever held");
             assert!(
@@ -960,8 +1140,11 @@ mod tests {
             );
             for r in &g.replicas {
                 assert_eq!(r.applied(), u64::from(g.seq), "seed {seed}");
+                assert!(r.wanted.is_empty(), "seed {seed}: {:?}", r.wanted);
+                assert!(r.received.is_empty(), "seed {seed}: not pruned");
             }
         }
+        assert!(asked, "no `Decided` ever overtook its `Propose`");
     }
 
     #[test]
@@ -992,16 +1175,16 @@ mod tests {
         let mut g = Group::new(4);
         let proposal = g.propose();
         let eff = g.commit_at_proxy(&proposal, 0);
-        assert_eq!(sent(&eff), vec![(1, "Decide", 0), (2, "Decide", 0)]);
-        // p2's vote for the same batch arrives late.
+        assert_eq!(sent(&eff), vec![(1, "Decided", 0), (2, "Decided", 0)]);
+        // p2's vote for the same batch arrives late, in any form.
         let SmrMsg::Slot(0, Msg::Propose(b)) = proposal.sends[1].1.clone() else {
             panic!("a Propose for slot 0");
         };
-        let fast = twostep_types::Ballot::FAST;
-        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(fast, b.clone())));
+        let late = g.deliver(2, 0, SmrMsg::Vote(0));
         assert_eq!(sent(&late), vec![]);
-        let slow = twostep_types::Ballot::new(4);
-        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(slow, b)));
+        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(Ballot::FAST, b.clone())));
+        assert_eq!(sent(&late), vec![]);
+        let late = g.deliver(2, 0, SmrMsg::Slot(0, Msg::TwoB(Ballot::new(4), b)));
         assert_eq!(sent(&late), vec![]);
     }
 
@@ -1010,7 +1193,6 @@ mod tests {
     /// gossip, is answered with the outcome.
     #[test]
     fn requests_for_a_settled_slot_are_answered_with_decide() {
-        use twostep_types::Ballot;
         let mut g = Group::new(4);
         let proposal = g.propose();
         g.commit_at_proxy(&proposal, 0);
@@ -1038,6 +1220,128 @@ mod tests {
         }
         let eff = g.deliver(2, 0, SmrMsg::Slot(0, Msg::Decide(b)));
         assert_eq!(sent(&eff), vec![], "gossip is not answered");
+        let eff = g.deliver(2, 0, SmrMsg::Decided(0));
+        assert_eq!(sent(&eff), vec![], "nor is a settled slot's `Decided`");
+    }
+
+    /// On the fast path a batch crosses the wire in its two `Propose`s
+    /// and nowhere else: the votes and the held `Decide`s name it by slot.
+    #[test]
+    fn on_the_fast_path_only_the_proposes_carry_the_batch() {
+        let mut g = Group::new(4);
+        let first = g.propose();
+        let second = g.propose();
+        let sends = first.sends.into_iter().chain(second.sends);
+        let mut queue: VecDeque<_> = sends.map(|(to, m)| (0, to.as_u32(), m)).collect();
+        let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+        while let Some((from, to, m)) = queue.pop_front() {
+            *kinds.entry(kind(&m).0).or_default() += 1;
+            let out = g.deliver(from, to, m);
+            queue.extend(
+                out.sends
+                    .into_iter()
+                    .map(|(next, m)| (to, next.as_u32(), m)),
+            );
+        }
+        // Six messages a slot, two slots.
+        let want: BTreeMap<&str, usize> = [("Propose", 4), ("Vote", 4), ("Decided", 4)].into();
+        assert_eq!(kinds, want);
+        for r in &g.replicas {
+            assert_eq!(r.applied(), 2);
+            assert!(r.received.is_empty() && r.wanted.is_empty());
+        }
+    }
+
+    /// Replica 0 proposes one command and commits it with replica 1's
+    /// vote while its `Propose` to replica 2 is lost; returns the
+    /// `Decided` it sent replica 2 (at once: nothing else is in flight).
+    fn commit_without_p2(g: &mut Group) -> SmrMsg<KvCommand> {
+        let proposal = g.propose();
+        let eff = g.commit_at_proxy(&proposal, 0);
+        assert_eq!(sent(&eff), vec![(1, "Decided", 0), (2, "Decided", 0)]);
+        g.deliver(0, 1, eff.sends[0].1.clone());
+        assert_eq!(g.replicas[1].applied(), 1, "p1 resolves it");
+        eff.sends[1].1.clone()
+    }
+
+    #[test]
+    fn a_follower_that_lost_the_propose_asks_for_the_decide() {
+        let mut g = Group::new(4);
+        let decided = commit_without_p2(&mut g);
+        let ask = g.deliver(0, 2, decided);
+        assert_eq!(sent(&ask), vec![(0, "Want", 0)]);
+        assert_eq!(g.replicas[2].wanted, BTreeSet::from([0]));
+        // The proxy answers from its log, in full.
+        let answer = g.deliver(2, 0, ask.sends[0].1.clone());
+        let b = g.proxy().log()[&0].clone();
+        assert_eq!(
+            answer.sends,
+            vec![(ProcessId::new(2), SmrMsg::Slot(0, Msg::Decide(b)))]
+        );
+        g.deliver(0, 2, answer.sends[0].1.clone());
+        assert_eq!(g.replicas[2].applied(), 1);
+        assert_eq!(g.replicas[2].log(), g.proxy().log());
+        assert!(g.replicas[2].wanted.is_empty());
+    }
+
+    #[test]
+    fn a_lost_want_is_asked_again_of_every_peer_on_the_next_heartbeat() {
+        let mut g = Group::new(4);
+        let decided = commit_without_p2(&mut g);
+        // p2's `Want` is lost, and the proxy crashes: it is never stepped
+        // again.
+        assert_eq!(sent(&g.deliver(0, 2, decided)), vec![(0, "Want", 0)]);
+        let beat = g.fire_at(2, TimerId::HEARTBEAT);
+        assert_eq!(
+            sent(&beat),
+            vec![
+                (0, "Beacon", 0),
+                (1, "Beacon", 0),
+                (0, "Want", 0),
+                (1, "Want", 0)
+            ]
+        );
+        // The other follower has the slot and answers.
+        let answer = g.deliver(2, 1, beat.sends[3].1.clone());
+        assert_eq!(sent(&answer), vec![(2, "Decide", 0)]);
+        g.deliver(1, 2, answer.sends[0].1.clone());
+        assert_eq!(g.replicas[2].applied(), 1);
+        assert_eq!(g.replicas[2].log(), g.replicas[1].log());
+        // Committed, the slot is asked for no more.
+        let beat = g.fire_at(2, TimerId::HEARTBEAT);
+        assert_eq!(sent(&beat), vec![(0, "Beacon", 0), (1, "Beacon", 0)]);
+    }
+
+    /// A fast vote goes by slot only when it is for the batch received
+    /// in its receiver's `Propose`; a revote after a fast `2A` is not.
+    #[test]
+    fn a_revote_after_a_fast_two_a_goes_in_full() {
+        let mut g = Group::new(4);
+        let proposal = g.propose();
+        let (_, propose) = proposal.sends[1].clone();
+        let SmrMsg::Slot(0, Msg::Propose(b)) = propose.clone() else {
+            panic!("a Propose for slot 0 to p2");
+        };
+        assert_eq!(sent(&g.deliver(0, 2, propose)), vec![(0, "Vote", 0)]);
+        let other = Batch::single(KvCommand::put("other", "v"));
+        let two_a = SmrMsg::Slot(0, Msg::TwoA(Ballot::FAST, other.clone()));
+        assert_eq!(
+            g.deliver(0, 2, two_a).sends,
+            vec![(
+                ProcessId::new(0),
+                SmrMsg::Slot(0, Msg::TwoB(Ballot::FAST, other))
+            )]
+        );
+        // Nor to a replica whose `Propose` p2 never received, even for
+        // the batch p2 holds.
+        let two_a = SmrMsg::Slot(0, Msg::TwoA(Ballot::FAST, b.clone()));
+        assert_eq!(
+            g.deliver(1, 2, two_a).sends,
+            vec![(
+                ProcessId::new(1),
+                SmrMsg::Slot(0, Msg::TwoB(Ballot::FAST, b))
+            )]
+        );
     }
 
     #[test]

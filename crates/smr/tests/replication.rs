@@ -3,8 +3,10 @@
 
 use std::time::Duration as WallDuration;
 
-use twostep_sim::{DeliveryOrder, SimulationBuilder};
-use twostep_smr::{KvCommand, KvStore, SmrReplica, SmrReplicaBuilder};
+use twostep_core::Msg;
+use twostep_sim::{DeliveryOrder, SimulationBuilder, TraceEvent};
+use twostep_smr::{KvCommand, KvStore, SmrMsg, SmrReplica, SmrReplicaBuilder};
+use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{Duration, ProcessId, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
@@ -445,4 +447,117 @@ fn followers_trail_a_steady_proxy_by_at_most_the_pipeline_and_catch_up_within_de
         // Quiet at last, the proxy sends what it holds at once.
         assert_eq!(applied_at[follower][last], applied_at[0][last] + d);
     }
+}
+
+/// A replica that loses every `Propose` from `proxy` for the slots in
+/// `lost`, and is otherwise the replica inside.
+#[derive(Debug)]
+struct LosesProposes {
+    inner: Replica,
+    proxy: ProcessId,
+    lost: std::ops::Range<u64>,
+}
+
+impl Protocol<KvCommand> for LosesProposes {
+    type Message = SmrMsg<KvCommand>;
+
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+
+    fn on_start(&mut self, eff: &mut Effects<KvCommand, Self::Message>) {
+        self.inner.on_start(eff);
+    }
+
+    fn on_propose(&mut self, cmd: KvCommand, eff: &mut Effects<KvCommand, Self::Message>) {
+        self.inner.on_propose(cmd, eff);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Self::Message,
+        eff: &mut Effects<KvCommand, Self::Message>,
+    ) {
+        if let SmrMsg::Slot(slot, Msg::Propose(_)) = &msg {
+            if from == self.proxy && self.lost.contains(slot) {
+                return;
+            }
+        }
+        self.inner.on_message(from, msg, eff);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<KvCommand, Self::Message>) {
+        self.inner.on_timer(timer, eff);
+    }
+
+    fn decision(&self) -> Option<KvCommand> {
+        self.inner.decision()
+    }
+}
+
+/// A follower that missed a stretch of the proxy's `Propose`s learns
+/// each of those slots from a `Decided` it cannot resolve, asks with
+/// `Want`, and is sent the full `Decide`. In virtual time: it ends with
+/// the proxy's log, and trails the proxy by at most the held-`Decide`
+/// bound (the next beacon and its way there) plus that round trip.
+#[test]
+fn a_follower_that_lost_a_stretch_of_proposes_catches_up_by_asking() {
+    use twostep_sim::UniformDelay;
+    use twostep_types::DELTA;
+
+    let cfg = SystemConfig::minimal_object(1, 1).unwrap();
+    let (proxy, deaf) = (p(1), p(2));
+    let lost = 4..16;
+    let d = Duration::from_units(200);
+    let mut sim = SimulationBuilder::new(cfg)
+        .delay_model(UniformDelay(d))
+        .build(|q| LosesProposes {
+            inner: SmrReplicaBuilder::new(cfg, q).pipeline(2).batch(4).build(),
+            proxy,
+            lost: if q == deaf { lost.clone() } else { 0..0 },
+        });
+    let mut total = 0u64;
+    for t in (100..6_000).step_by(60) {
+        let cmd = KvCommand::put(format!("k{total}"), "v");
+        sim.schedule_propose(proxy, cmd, Time::from_units(t));
+        total += 1;
+    }
+
+    // When the proxy and the deaf follower applied each slot.
+    let mut applied_at: [Vec<Time>; 2] = [Vec::new(), Vec::new()];
+    while sim.now() < Time::from_units(12_000) && sim.step() {
+        for (at, q) in applied_at.iter_mut().zip([proxy, deaf]) {
+            let slots = sim.process(q).inner.applied_slots() as usize;
+            at.resize(slots, sim.now());
+        }
+    }
+
+    let slots = applied_at[0].len() as u64;
+    assert!(slots > lost.end, "the stretch lies inside the run");
+    for q in cfg.process_ids() {
+        let r = &sim.process(q).inner;
+        assert_eq!(r.applied(), total, "p{} applied", q.index());
+        assert_eq!(r.log(), sim.process(proxy).inner.log());
+    }
+    let bound = DELTA + d + d + d; // the held bound, then `Want` and its answer
+    for (slot, (&here, &there)) in applied_at[1].iter().zip(&applied_at[0]).enumerate() {
+        assert!(
+            here <= there + bound,
+            "slot {slot} reached p2 at {here:?}, the proxy at {there:?}"
+        );
+    }
+    // Each lost slot was asked for, and only by the follower that lost it.
+    let wants: Vec<(ProcessId, ProcessId)> = sim
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::MessageSent { from, to, kind, .. } if kind == "Want" => Some((*from, *to)),
+            _ => None,
+        })
+        .collect();
+    assert!(wants.len() >= lost.clone().count(), "{} wants", wants.len());
+    assert!(wants.iter().all(|&(from, _)| from == deaf));
+    assert_eq!(wants[0], (deaf, proxy), "the proxy is asked first, at once");
 }

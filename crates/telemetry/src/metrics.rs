@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use twostep_types::ProcessId;
 
@@ -18,6 +18,27 @@ pub struct ByteStats {
     pub messages: u64,
     /// Total encoded payload bytes.
     pub bytes: u64,
+}
+
+/// The counters behind one kind's [`ByteStats`].
+#[derive(Debug, Default)]
+struct KindBytes {
+    messages: Counter,
+    bytes: Counter,
+}
+
+impl KindBytes {
+    fn record(&self, bytes: usize) {
+        self.messages.inc();
+        self.bytes.add(bytes as u64);
+    }
+
+    fn stats(&self) -> ByteStats {
+        ByteStats {
+            messages: self.messages.get(),
+            bytes: self.bytes.get(),
+        }
+    }
 }
 
 /// The standard [`ProtocolObserver`]: counts decisions per path, files
@@ -47,7 +68,9 @@ pub struct Metrics {
     amortized_latency: Histogram,
     dropped: Counter,
     reconnects: Counter,
-    bytes: Mutex<BTreeMap<String, ByteStats>>,
+    /// Read-mostly: a message bumps its kind's counters under the shared
+    /// lock, and only a kind's first message takes the exclusive one.
+    bytes: RwLock<BTreeMap<String, KindBytes>>,
     injections: Mutex<BTreeMap<String, u64>>,
     events: EventRing,
 }
@@ -87,7 +110,13 @@ impl Metrics {
             amortized_latency: self.amortized_latency.snapshot(),
             dropped: self.dropped.get(),
             reconnects: self.reconnects.get(),
-            bytes_by_kind: self.bytes.lock().expect("byte map poisoned").clone(),
+            bytes_by_kind: self
+                .bytes
+                .read()
+                .expect("byte map poisoned")
+                .iter()
+                .map(|(kind, c)| (kind.clone(), c.stats()))
+                .collect(),
             injections_by_behavior: self
                 .injections
                 .lock()
@@ -178,15 +207,14 @@ impl ProtocolObserver for Metrics {
     }
 
     fn bytes_sent(&self, _process: ProcessId, kind: &str, bytes: usize) {
-        let mut map = self.bytes.lock().expect("byte map poisoned");
         // Looked up by `&str`: this runs once per message sent, and only
-        // a kind's first appearance needs an owned key.
-        if !map.contains_key(kind) {
-            map.insert(kind.to_string(), ByteStats::default());
+        // a kind's first appearance needs an owned key and the write lock.
+        if let Some(c) = self.bytes.read().expect("byte map poisoned").get(kind) {
+            c.record(bytes);
+            return;
         }
-        let entry = map.get_mut(kind).expect("present or just inserted");
-        entry.messages += 1;
-        entry.bytes += bytes as u64;
+        let mut map = self.bytes.write().expect("byte map poisoned");
+        map.entry(kind.to_string()).or_default().record(bytes);
     }
 
     fn message_dropped(&self, from: ProcessId, to: ProcessId) {
@@ -501,6 +529,29 @@ mod tests {
                 bytes: 6
             })
         );
+    }
+
+    #[test]
+    fn byte_stats_from_many_threads_add_up() {
+        let m = Metrics::new();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let m = &m;
+                s.spawn(move || {
+                    for i in 0..1_000 {
+                        m.bytes_sent(p(t), if i % 2 == 0 { "Propose" } else { "Vote" }, 3);
+                    }
+                });
+            }
+        });
+        let s = m.snapshot();
+        for kind in ["Propose", "Vote"] {
+            let want = ByteStats {
+                messages: 2_000,
+                bytes: 6_000,
+            };
+            assert_eq!(s.bytes_by_kind.get(kind), Some(&want), "{kind}");
+        }
     }
 
     #[test]
