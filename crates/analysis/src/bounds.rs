@@ -46,8 +46,9 @@ use crate::model::{Fixture, QuorumModel, RealModel};
 /// Ceiling for the exhaustive sweep used by CI.
 pub const DEFAULT_MAX_N: usize = 25;
 
-/// Ceiling for the O7 brute-force subset enumeration.
-const SET_CHECK_MAX_N: usize = 10;
+/// Ceiling for the brute-force subset enumeration (O7 here, B7 in
+/// [`crate::byz_bounds`]).
+pub(crate) const SET_CHECK_MAX_N: usize = 10;
 
 /// A quorum obligation that fails for a model claiming it should hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +158,7 @@ impl SweepOutcome {
     }
 }
 
-fn ids(range: impl Iterator<Item = usize>) -> Vec<u32> {
+pub(crate) fn ids(range: impl Iterator<Item = usize>) -> Vec<u32> {
     range.map(|i| i as u32).collect()
 }
 
@@ -663,11 +664,11 @@ pub fn sweep(max_n: usize, fixture: Option<Fixture>) -> SweepOutcome {
 // Reporting
 // ---------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn json_sets(sets: &[(&'static str, Vec<u32>)]) -> String {
+pub(crate) fn json_sets(sets: &[(&'static str, Vec<u32>)]) -> String {
     let fields: Vec<String> = sets
         .iter()
         .map(|(name, members)| {

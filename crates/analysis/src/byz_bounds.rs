@@ -68,10 +68,9 @@ use twostep_baselines::FastBft;
 use twostep_sim::SyncRunner;
 use twostep_types::{ByzConfig, ByzVariant, Duration, ProcessId, ProcessSet, SystemConfig};
 
-use crate::bounds::min_intersection_by_enumeration;
-
-/// Ceiling for the B7 brute-force subset enumeration.
-const SET_CHECK_MAX_N: usize = 10;
+use crate::bounds::{
+    ids, json_escape, json_sets, min_intersection_by_enumeration, SET_CHECK_MAX_N,
+};
 
 /// Simulation horizon for executed witnesses: enough for suspicion,
 /// a new ballot, and the slow round at every constructible size.
@@ -269,10 +268,6 @@ impl ByzSweepOutcome {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-}
-
-fn ids(range: impl Iterator<Item = usize>) -> Vec<u32> {
-    range.map(|i| i as u32).collect()
 }
 
 /// Checks obligations B1–B7 for one model instance.
@@ -627,21 +622,6 @@ pub fn sweep(max_n: usize, fixture: Option<ByzFixture>) -> ByzSweepOutcome {
 // ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_sets(sets: &[(&'static str, Vec<u32>)]) -> String {
-    let fields: Vec<String> = sets
-        .iter()
-        .map(|(name, members)| {
-            let members: Vec<String> = members.iter().map(u32::to_string).collect();
-            format!("\"{name}\":[{}]", members.join(","))
-        })
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
 
 impl ByzViolation {
     /// Machine-readable rendering (one JSON object).

@@ -277,23 +277,38 @@ fn has_bare_plus_minus(line: &str) -> bool {
     false
 }
 
-/// Byte ranges of `#[cfg(test)]`-gated items (attribute through the
-/// matching close brace of the following item).
+/// Byte ranges of `#[cfg(test)]`-gated items (attribute through the end
+/// of the following item).
 pub(crate) fn cfg_test_ranges(blanked: &str) -> Vec<(usize, usize)> {
+    const ATTR: &str = "#[cfg(test)]";
     let mut ranges = Vec::new();
     let mut start = 0;
-    while let Some(off) = blanked[start..].find("#[cfg(test)]") {
+    while let Some(off) = blanked[start..].find(ATTR) {
         let attr = start + off;
-        // The gated item runs to the matching brace of the first block
-        // after the attribute.
-        let Some(open) = blanked[attr..].find('{').map(|o| attr + o) else {
+        let Some(end) = gated_item_end(blanked, attr + ATTR.len()) else {
             break;
         };
-        let end = matching_brace(blanked, open).unwrap_or(blanked.len());
         ranges.push((attr, end));
         start = end;
     }
     ranges
+}
+
+/// Offset one past the end of the item starting at `from`: its `;` when
+/// one comes at bracket depth 0 before any `{` (`use …;`, `const …;`,
+/// `mod tests;`), else the `}` matching its first `{`.
+fn gated_item_end(text: &str, from: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, b) in text.bytes().enumerate().skip(from) {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b';' if depth == 0 => return Some(i + 1),
+            b'{' => return Some(matching_brace(text, i).unwrap_or(text.len())),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Offset one past the `}` matching the `{` at `open`.
@@ -369,6 +384,19 @@ mod tests {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "relaxed-atomic");
         assert_eq!(hits[0].line, 2);
+    }
+
+    #[test]
+    fn a_gated_item_ending_in_a_semicolon_hides_only_itself() {
+        // The `;` inside `[u8; 2]` is not the end of the `const`.
+        let src = "#[cfg(test)]\nconst N: [u8; 2] = [0, 1];\n\
+                   #[cfg(test)]\nmod helpers;\n\
+                   fn f(c: &A) -> u64 {\n\
+                   c.fetch_add(1, Ordering::Relaxed)\n\
+                   }";
+        let hits = lint(src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 6);
     }
 
     #[test]

@@ -56,10 +56,10 @@ pub enum EPaxosMsg<V: Ord> {
 }
 
 // The model checker's symmetry reduction asks message payloads for a
-// relabeled content hash; declining every permutation (the
-// [`RelabelHash`] default) soundly degrades symmetry to the identity
-// for this baseline.
-impl<V: Ord> RelabelHash for EPaxosMsg<V> {}
+// relabeled content hash; declining every permutation but the identity
+// (the [`RelabelHash`] default) soundly degrades symmetry to the
+// identity for this baseline.
+impl<V: Ord + std::fmt::Debug> RelabelHash for EPaxosMsg<V> {}
 
 /// How a command committed (latency class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

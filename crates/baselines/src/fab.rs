@@ -80,7 +80,7 @@ pub enum FabMsg<V> {
     Heartbeat,
 }
 
-impl<V: std::hash::Hash> RelabelHash for FabMsg<V> {
+impl<V: std::hash::Hash + std::fmt::Debug> RelabelHash for FabMsg<V> {
     /// Content hash with every embedded ballot mapped through `rl`.
     /// FaB payloads carry no bare `ProcessId`s; ballots encode their
     /// owner, so a ballot whose owner `rl` moves declines the
@@ -662,53 +662,24 @@ impl<V: Value> Protocol<V> for FastBft<V> {
         self.decided.clone()
     }
 
-    fn state_fingerprint(&self) -> u64 {
+    fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
         // Structured hashing of the protocol-relevant state (the
         // Debug-string default is orders of magnitude more expensive,
         // and the model checker fingerprints millions of states).
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.me.hash(&mut h);
-        self.initial.hash(&mut h);
-        self.fast_sent.hash(&mut h);
-        self.bal.hash(&mut h);
-        self.vbal.hash(&mut h);
-        self.val.hash(&mut h);
-        self.slow_ballot_seen.hash(&mut h);
-        self.decided.hash(&mut h);
-        self.my_ballot.hash(&mut h);
-        self.phase_one_done.hash(&mut h);
-        self.omega.hash(&mut h);
-        for tally in [&self.fast_tally, &self.slow_tally, &self.decide_tally] {
-            for (v, set) in tally.iter() {
-                v.hash(&mut h);
-                set.hash(&mut h);
-            }
-            u8::MAX.hash(&mut h); // tally separator
-        }
-        for (q, (vbal, vval, proposed)) in self.promises.iter() {
-            q.hash(&mut h);
-            vbal.hash(&mut h);
-            vval.hash(&mut h);
-            proposed.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
         // Only the pinned-Ω mode is symmetric: with heartbeats live,
         // Ω's evidence is steered by delivery order in ways the
-        // fingerprint cannot relabel soundly mid-sweep. The pinned
-        // leader and the ballot-0 coordinator are structurally
-        // distinguished, so any permutation moving them is declined. A
-        // pinned Ω holds nothing else: it neither observes nor sweeps.
-        let OmegaMode::Static(leader) = self.omega.mode() else {
-            return None;
+        // fingerprint cannot relabel soundly mid-sweep, so it is hashed
+        // whole under the identity alone. The pinned leader and the
+        // ballot-0 coordinator are structurally distinguished, so any
+        // permutation moving them is declined. A pinned Ω holds nothing
+        // else: it neither observes nor sweeps.
+        let symmetric = match self.omega.mode() {
+            OmegaMode::Heartbeats => rl.is_identity(),
+            OmegaMode::Static(leader) => rl.fixes(leader) && rl.fixes(COORDINATOR),
         };
-        if !rl.fixes(leader) || !rl.fixes(COORDINATOR) {
+        if !symmetric {
             return None;
         }
         let mut h = DefaultHasher::new();
@@ -725,7 +696,10 @@ impl<V: Value> Protocol<V> for FastBft<V> {
             Some(b) => Some(rl.ballot(b)?).hash(&mut h),
         }
         self.phase_one_done.hash(&mut h);
-        leader.hash(&mut h);
+        match self.omega.mode() {
+            OmegaMode::Heartbeats => self.omega.hash(&mut h),
+            OmegaMode::Static(leader) => leader.hash(&mut h),
+        }
         for tally in [&self.fast_tally, &self.slow_tally, &self.decide_tally] {
             // Keys iterate in value order, which `rl` does not disturb;
             // only the voter sets need mapping.

@@ -35,10 +35,10 @@ pub enum PaxosMsg<V> {
 }
 
 // The model checker's symmetry reduction asks message payloads for a
-// relabeled content hash; declining every permutation (the
-// [`RelabelHash`] default) soundly degrades symmetry to the identity
-// for this baseline.
-impl<V> RelabelHash for PaxosMsg<V> {}
+// relabeled content hash; declining every permutation but the identity
+// (the [`RelabelHash`] default) soundly degrades symmetry to the
+// identity for this baseline.
+impl<V: std::fmt::Debug> RelabelHash for PaxosMsg<V> {}
 
 /// Leader-driven single-decree Paxos over `n ≥ 2f+1` processes.
 ///

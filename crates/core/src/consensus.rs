@@ -405,59 +405,21 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         self.phase.decided().cloned()
     }
 
-    fn state_fingerprint(&self) -> u64 {
+    fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
         // Structured hashing of the protocol-relevant state: orders of
         // magnitude cheaper than the Debug-string default, which matters
         // because the model checker fingerprints millions of states.
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.common.me.hash(&mut h);
-        self.phase.bal().hash(&mut h);
-        self.phase.vbal().hash(&mut h);
-        self.phase.val().hash(&mut h);
-        self.phase.proposer().hash(&mut h);
-        self.common.initial_val.hash(&mut h);
-        self.phase.decided().hash(&mut h);
-        self.common.fast_votes.hash(&mut h);
-        self.leader.ballot().hash(&mut h);
-        matches!(self.leader, Leader::Proposing(_)).hash(&mut h);
-        self.leader.slow_value().hash(&mut h);
-        self.leader.slow_votes().hash(&mut h);
-        self.common.observed.hash(&mut h);
-        self.common.startup_value.hash(&mut h);
-        self.common.omega.leader().hash(&mut h);
-        self.common.omega.suspected().hash(&mut h);
-        if let Some(onebs) = self.leader.reports() {
-            for (q, r) in onebs.iter() {
-                q.hash(&mut h);
-                r.vbal.hash(&mut h);
-                r.val.hash(&mut h);
-                r.proposer.hash(&mut h);
-                r.decided.hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        // Decline permutations the behavior distinguishes. Heartbeat-mode
-        // Ω tracks who it `heard` from (not part of the fingerprint), so
-        // only the identity is safe; a pinned static leader must be a
-        // fixed point of `π`.
-        match self.common.omega.mode() {
-            OmegaMode::Heartbeats => {
-                if !rl.is_identity() {
-                    return None;
-                }
-            }
-            OmegaMode::Static(leader) => {
-                if !rl.fixes(leader) {
-                    return None;
-                }
-            }
+        // Decline permutations the behavior distinguishes: heartbeat-mode
+        // Ω's evidence is hashed whole, unrelabeled, so only the identity
+        // is safe; a pinned static leader must be a fixed point of `π`.
+        let symmetric = match self.common.omega.mode() {
+            OmegaMode::Heartbeats => rl.is_identity(),
+            OmegaMode::Static(leader) => rl.fixes(leader),
+        };
+        if !symmetric {
+            return None;
         }
         let mut h = DefaultHasher::new();
         rl.pid(self.common.me).hash(&mut h);
@@ -477,8 +439,14 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         rl.pset(self.leader.slow_votes()).hash(&mut h);
         self.common.observed.hash(&mut h);
         self.common.startup_value.hash(&mut h);
-        rl.pid(self.common.omega.leader()).hash(&mut h);
-        rl.pset(self.common.omega.suspected()).hash(&mut h);
+        match self.common.omega.mode() {
+            // What the next sweep reads (`heard`) decides the next leader.
+            OmegaMode::Heartbeats => self.common.omega.hash(&mut h),
+            OmegaMode::Static(_) => {
+                rl.pid(self.common.omega.leader()).hash(&mut h);
+                rl.pset(self.common.omega.suspected()).hash(&mut h);
+            }
+        }
         // The 1B quorum, re-sorted by relabeled reporter so the hash is
         // independent of collection order under `π`.
         if let Some(onebs) = self.leader.reports() {

@@ -61,7 +61,7 @@ impl<V> Msg<V> {
     }
 }
 
-impl<V: Hash> RelabelHash for Msg<V> {
+impl<V: Hash + std::fmt::Debug> RelabelHash for Msg<V> {
     /// Content hash with the embedded process ids (the `OneB` proposer
     /// and every ballot owner) mapped through `rl`. Ballots whose
     /// owner `rl` moves decline the permutation (see

@@ -95,10 +95,6 @@ impl<V: Value> Protocol<V> for TaskConsensus<V> {
         self.0.decision()
     }
 
-    fn state_fingerprint(&self) -> u64 {
-        self.0.state_fingerprint()
-    }
-
     fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
         self.0.state_fingerprint_relabeled(rl)
     }

@@ -302,53 +302,24 @@ impl<V: Value, P: Protocol<V>> ManualExecutor<V, P> {
             self.armed[p.index()].remove(&timer);
         }
     }
-
-    /// A fingerprint of the *global* state: process states, liveness,
-    /// pending messages, armed timers and decisions. Used by the model
-    /// checker to prune revisited states.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.alive.bits().hash(&mut h);
-        self.started.hash(&mut h);
-        for p in &self.procs {
-            p.state_fingerprint().hash(&mut h);
-        }
-        // Pending messages as a multiset, order-independent: combine
-        // per-message (endpoints + content) hashes commutatively.
-        let mut msg_acc: u64 = 0;
-        for m in &self.inflight {
-            let mut mh = DefaultHasher::new();
-            m.from.hash(&mut mh);
-            m.to.hash(&mut mh);
-            m.content_hash.hash(&mut mh);
-            msg_acc = msg_acc.wrapping_add(mh.finish());
-        }
-        msg_acc.hash(&mut h);
-        for t in &self.armed {
-            t.hash(&mut h);
-        }
-        for d in &self.decisions {
-            format!("{d:?}").hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 impl<V: Value, P: Protocol<V>> ManualExecutor<V, P>
 where
     P::Message: RelabelHash,
 {
-    /// A fingerprint of the global state *as seen through the relabeling*
-    /// `rl`: every process id (slot order, liveness, timers, decisions,
-    /// message endpoints, ids embedded in protocol state and payloads) is
-    /// mapped through `π`. Two states whose relabeled fingerprints match
-    /// under some `π` are behaviorally isomorphic, which is what the
-    /// model checker's symmetry reduction canonicalizes over.
+    /// A fingerprint of the *global* state (process states, liveness,
+    /// pending messages, armed timers and decisions) *as seen through the
+    /// relabeling* `rl`: every process id (slot order, liveness, timers,
+    /// decisions, message endpoints, ids embedded in protocol state and
+    /// payloads) is mapped through `π`. Two states whose fingerprints
+    /// match under some `π` are behaviorally isomorphic, which is what
+    /// the model checker's visited set and symmetry reduction key on.
     ///
     /// Returns `None` if any process state or pending payload declines
     /// the permutation (see [`Protocol::state_fingerprint_relabeled`] and
-    /// [`RelabelHash`]); the checker then falls back to the plain
-    /// [`ManualExecutor::fingerprint`].
+    /// [`RelabelHash`]). Neither ever declines the identity, so neither
+    /// does this.
     pub fn fingerprint_relabeled(&self, rl: &Relabeling) -> Option<u64> {
         let n = self.cfg.n();
         debug_assert_eq!(rl.n(), n);
@@ -366,6 +337,8 @@ where
                 .state_fingerprint_relabeled(rl)?
                 .hash(&mut h);
         }
+        // Pending messages as a multiset, order-independent: combine
+        // per-message (endpoints + content) hashes commutatively.
         let mut msg_acc: u64 = 0;
         for m in &self.inflight {
             let mut mh = DefaultHasher::new();
@@ -404,6 +377,8 @@ mod tests {
 
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct P;
+
+    impl RelabelHash for P {}
 
     impl Protocol<u64> for Ping {
         type Message = P;
@@ -562,19 +537,24 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_states_and_matches_self() {
+        let id = Relabeling::identity(3);
+        let fp = |ex: &ManualExecutor<u64, Ping>| {
+            ex.fingerprint_relabeled(&id)
+                .expect("the identity never declines")
+        };
         let mut a = exec();
         let mut b = exec();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fp(&a), fp(&b));
         a.start_all();
         b.start_all();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fp(&a), fp(&b));
         let ids = a.pending_to(p(1));
         a.deliver(ids[0]);
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fp(&a), fp(&b));
         // Deliver the same message in b: states converge again.
         let ids_b = b.pending_to(p(1));
         b.deliver(ids_b[0]);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fp(&a), fp(&b));
     }
 
     #[test]

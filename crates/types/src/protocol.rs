@@ -12,14 +12,12 @@
 //! protocol code is driven through the paper's E-faulty synchronous runs,
 //! through exhaustive schedule exploration, and over real TCP sockets.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt::Debug;
-use std::hash::{Hash, Hasher};
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
-use crate::relabel::Relabeling;
+use crate::relabel::{identity_debug_hash, Relabeling};
 use crate::{Duration, ProcessId, Value};
 
 /// Identifies a logical timer within a protocol instance.
@@ -226,27 +224,21 @@ pub trait Protocol<V: Value>: Debug + Send {
     /// The value this process has decided, if any.
     fn decision(&self) -> Option<V>;
 
-    /// A fingerprint of the local state, used by the model checker to
-    /// prune revisited global states. The default hashes the `Debug`
-    /// rendering, which is adequate because all protocol state here is
-    /// plain data with derived `Debug`.
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
-    }
-
     /// A fingerprint of the local state with every embedded process id
-    /// mapped through the relabeling `rl`, used by the model checker's
-    /// process-symmetry reduction. Returning `None` (the default)
-    /// declines the permutation: the checker then falls back to the
-    /// plain fingerprint for the enclosing global state, degrading the
-    /// reduction instead of risking unsoundness. Implementations must
-    /// decline any `rl` that moves a process their behavior
-    /// distinguishes (a pinned leader, a ballot owner, …).
+    /// mapped through the relabeling `rl`. The model checker keys a
+    /// process by it, and prunes a global state whose key it has seen:
+    /// under the identity, equal fingerprints must mean equal behavior.
+    ///
+    /// **A fingerprint never declines the identity**: under
+    /// [`Relabeling::identity`] it is `Some`. Under any other `rl` it may
+    /// be `None`, declining that permutation of the checker's
+    /// process-symmetry reduction, and it must decline any `rl` that moves
+    /// a process its behavior distinguishes (a pinned leader, a ballot
+    /// owner, …). The default hashes the `Debug` rendering under the
+    /// identity and declines every other `rl`, which is adequate because
+    /// all protocol state here is plain data with derived `Debug`.
     fn state_fingerprint_relabeled(&self, rl: &Relabeling) -> Option<u64> {
-        let _ = rl;
-        None
+        identity_debug_hash(self, rl)
     }
 
     /// Whether delivering `msg` from `from` would be a *permanent*

@@ -31,6 +31,10 @@
 //!   leader, this costs no reduction in the configurations the checker
 //!   sweeps, and degrades conservatively everywhere else.
 
+use std::collections::hash_map::DefaultHasher;
+use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
+
 use crate::{Ballot, ProcessId, ProcessSet};
 
 /// A permutation `π` of the process ids `0..n`, with its inverse.
@@ -165,19 +169,32 @@ impl Relabeling {
 /// `ProcessId` (e.g. the `proposer` field of `OneB`) must be hashed with
 /// that id mapped through `π`.
 ///
-/// The default implementation declines every permutation (returns
-/// `None`), which makes the enclosing state fall back to its identity
-/// fingerprint — symmetry silently degrades to no reduction instead of
+/// **A hash never declines the identity**: under
+/// [`Relabeling::identity`] it is `Some`. The default hashes the `Debug`
+/// rendering under the identity and declines every other permutation
+/// (returns `None`), so a global state holding such a message is keyed
+/// by the identity alone: symmetry degrades to no reduction instead of
 /// becoming unsound. Message types whose payloads are relabel-aware
 /// (like the two-step `Msg`) override this.
-pub trait RelabelHash {
+pub trait RelabelHash: Debug {
     /// Content hash of `self` with every embedded process id mapped
     /// through `rl`, or `None` if this message cannot be relabeled
     /// under `rl` (e.g. it carries a ballot whose owner `rl` moves).
     fn relabel_hash(&self, rl: &Relabeling) -> Option<u64> {
-        let _ = rl;
-        None
+        identity_debug_hash(self, rl)
     }
+}
+
+/// The hash of `x`'s `Debug` rendering under the identity, `None` under
+/// any other relabeling: the default of both
+/// [`Protocol::state_fingerprint_relabeled`](crate::protocol::Protocol::state_fingerprint_relabeled)
+/// and [`RelabelHash::relabel_hash`].
+pub(crate) fn identity_debug_hash<T: Debug + ?Sized>(x: &T, rl: &Relabeling) -> Option<u64> {
+    rl.is_identity().then(|| {
+        let mut h = DefaultHasher::new();
+        format!("{x:?}").hash(&mut h);
+        h.finish()
+    })
 }
 
 #[cfg(test)]
@@ -253,9 +270,15 @@ mod tests {
     }
 
     #[test]
-    fn default_relabel_hash_declines() {
-        struct Opaque;
+    fn default_relabel_hash_keeps_the_identity_and_declines_the_rest() {
+        #[derive(Debug)]
+        struct Opaque(#[allow(dead_code)] u8); // read through `Debug`
         impl RelabelHash for Opaque {}
-        assert_eq!(Opaque.relabel_hash(&Relabeling::identity(2)), None);
+        let id = Relabeling::identity(2);
+        assert!(Opaque(1).relabel_hash(&id).is_some());
+        assert_eq!(Opaque(1).relabel_hash(&id), Opaque(1).relabel_hash(&id));
+        assert_ne!(Opaque(1).relabel_hash(&id), Opaque(2).relabel_hash(&id));
+        let swap = Relabeling::new(vec![1, 0]).unwrap();
+        assert_eq!(Opaque(1).relabel_hash(&swap), None);
     }
 }

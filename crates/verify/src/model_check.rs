@@ -29,8 +29,10 @@
 //!   restricted to the stabilizer of the *root* state, so asymmetric
 //!   initial proposals shrink the group instead of breaking soundness.
 //!   States (or in-flight payloads) that cannot be relabeled under a
-//!   permutation decline it (`None`); a state declined by every group
-//!   element falls back to its plain fingerprint. Since Agreement and
+//!   permutation decline it (`None`), and the minimum runs over the
+//!   permutations that accept the state. The identity always does, so
+//!   with symmetry off a state is keyed by its identity fingerprint
+//!   alone: there is one key scheme. Since Agreement and
 //!   Validity are invariant under replica-id permutations, a pruned
 //!   state violates iff its explored representative's orbit does.
 //! * **Partial-order reduction by inert-mail scrubbing** (`por(true)`,
@@ -111,11 +113,6 @@ pub struct ExploreStats {
     pub deduped: usize,
     /// Inert messages scrubbed by the partial-order reduction.
     pub scrubbed: usize,
-    /// States keyed through the symmetry canonicalization.
-    pub sym_canonical: usize,
-    /// States where every permutation declined (plain-fingerprint
-    /// fallback).
-    pub sym_fallback: usize,
     /// Wall-clock exploration time.
     pub elapsed: Duration,
     /// Worker threads used.
@@ -339,15 +336,15 @@ impl<V: Value> ModelChecker<V> {
         }
         let identity = Relabeling::identity(n);
         let group: Vec<Relabeling> = if self.symmetry {
-            match root.fingerprint_relabeled(&identity) {
-                None => vec![identity.clone()],
-                Some(root_fp) => Relabeling::permutations_fixing(n, distinguished)
-                    .into_iter()
-                    .filter(|rl| root.fingerprint_relabeled(rl) == Some(root_fp))
-                    .collect(),
-            }
+            let root_fp = root
+                .fingerprint_relabeled(&identity)
+                .expect("a fingerprint never declines the identity");
+            Relabeling::permutations_fixing(n, distinguished)
+                .into_iter()
+                .filter(|rl| root.fingerprint_relabeled(rl) == Some(root_fp))
+                .collect()
         } else {
-            vec![identity.clone()]
+            vec![identity]
         };
 
         let shared = Shared {
@@ -365,8 +362,6 @@ impl<V: Value> ModelChecker<V> {
             transitions: AtomicUsize::new(0),
             deduped: AtomicUsize::new(0),
             scrubbed: AtomicUsize::new(scrubbed_at_root),
-            sym_canonical: AtomicUsize::new(0),
-            sym_fallback: AtomicUsize::new(0),
         };
         let engine = Engine {
             checker: self,
@@ -377,9 +372,7 @@ impl<V: Value> ModelChecker<V> {
 
         // Seed with the root.
         let root_fires = vec![0usize; n];
-        let (root_key, root_canonical) = engine.canonical_key(&root, &root_fires);
-        engine.record_key_scheme(root_canonical);
-        engine.insert_visited(root_key);
+        engine.insert_visited(engine.canonical_key(&root, &root_fires));
         shared.states.store(1, Ordering::SeqCst);
         if let Some(c) = collect {
             c.lock().unwrap().insert(root.decisions().to_vec());
@@ -501,8 +494,6 @@ struct Shared<V: Value, P: Protocol<V>> {
     transitions: AtomicUsize,
     deduped: AtomicUsize,
     scrubbed: AtomicUsize,
-    sym_canonical: AtomicUsize,
-    sym_fallback: AtomicUsize,
 }
 
 struct Engine<'a, V: Value, P: Protocol<V>> {
@@ -517,44 +508,24 @@ where
     P::Message: RelabelHash,
 {
     /// Canonical visited-set key of a state: the minimum relabeled
-    /// fingerprint over the symmetry group (with the per-process timer
-    /// budget residuals permuted alongside), or the plain fingerprint
-    /// when every permutation declines. The two schemes are tagged so
-    /// they occupy disjoint key spaces; within one run the scheme is
-    /// uniform because the identity permutation never declines for a
-    /// protocol that implements relabeled fingerprints at all.
-    fn canonical_key(&self, ex: &ManualExecutor<V, P>, fires: &[usize]) -> (u64, bool) {
-        let mut best: Option<u64> = None;
-        for rl in self.group {
-            if let Some(fp) = ex.fingerprint_relabeled(rl) {
+    /// fingerprint over the symmetry group, with the per-process timer
+    /// budget residuals permuted alongside. A permutation that declines
+    /// the state is skipped; the group holds the identity, which never
+    /// declines.
+    fn canonical_key(&self, ex: &ManualExecutor<V, P>, fires: &[usize]) -> u64 {
+        self.group
+            .iter()
+            .filter_map(|rl| {
+                let fp = ex.fingerprint_relabeled(rl)?;
                 let mut h = DefaultHasher::new();
-                1u8.hash(&mut h);
                 fp.hash(&mut h);
                 for j in 0..fires.len() {
                     fires[rl.preimage(ProcessId::new(j as u32)).index()].hash(&mut h);
                 }
-                let key = h.finish();
-                best = Some(best.map_or(key, |b| b.min(key)));
-            }
-        }
-        match best {
-            Some(key) => (key, true),
-            None => {
-                let mut h = DefaultHasher::new();
-                0u8.hash(&mut h);
-                ex.fingerprint().hash(&mut h);
-                fires.hash(&mut h);
-                (h.finish(), false)
-            }
-        }
-    }
-
-    fn record_key_scheme(&self, canonical: bool) {
-        if canonical {
-            self.shared.sym_canonical.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.shared.sym_fallback.fetch_add(1, Ordering::SeqCst);
-        }
+                Some(h.finish())
+            })
+            .min()
+            .expect("a fingerprint never declines the identity")
     }
 
     fn insert_visited(&self, key: u64) -> bool {
@@ -569,8 +540,6 @@ where
             transitions: s.transitions.load(Ordering::SeqCst),
             deduped: s.deduped.load(Ordering::SeqCst),
             scrubbed: s.scrubbed.load(Ordering::SeqCst),
-            sym_canonical: s.sym_canonical.load(Ordering::SeqCst),
-            sym_fallback: s.sym_fallback.load(Ordering::SeqCst),
             elapsed: start.elapsed(),
             workers: self.checker.workers,
         }
@@ -730,12 +699,10 @@ where
             return;
         }
 
-        let (key, canonical) = self.canonical_key(&next, &fires);
-        if !self.insert_visited(key) {
+        if !self.insert_visited(self.canonical_key(&next, &fires)) {
             self.shared.deduped.fetch_add(1, Ordering::SeqCst);
             return;
         }
-        self.record_key_scheme(canonical);
         let states = self.shared.states.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(c) = self.collect {
             c.lock().unwrap().insert(next.decisions().to_vec());

@@ -170,10 +170,6 @@ where
         self.inner.decision()
     }
 
-    fn state_fingerprint(&self) -> u64 {
-        self.inner.state_fingerprint()
-    }
-
     fn state_fingerprint_relabeled(&self, rl: &Relabeling) -> Option<u64> {
         self.inner.state_fingerprint_relabeled(rl)
     }
