@@ -1,7 +1,7 @@
 //! Red fixture: one violation of each handler convention the protocol
 //! crates deny through clippy. The attribute below and `../clippy.toml`
 //! are the lint set of `twostep-core`, `-baselines`, `-smr` and `-byz`,
-//! verbatim (`tests/lint_fixtures.rs` compares them); CI's `lint` job
+//! verbatim (`tests/source_audit.rs` compares them); CI's `lint` job
 //! runs clippy on this package and fails unless all five lints fire.
 
 #![cfg_attr(

@@ -109,15 +109,15 @@ impl ByzQuorumModel for RealByzModel {
     }
 
     fn fast_quorum(&self) -> usize {
-        self.0.fast_quorum()
+        self.0.fast_quorum().size()
     }
 
     fn slow_quorum(&self) -> usize {
-        self.0.slow_quorum()
+        self.0.slow_quorum().size()
     }
 
     fn cert_threshold(&self) -> usize {
-        self.0.cert_threshold()
+        self.0.cert_threshold().size()
     }
 }
 
@@ -186,11 +186,11 @@ impl ByzQuorumModel for ByzFixtureModel {
     }
 
     fn slow_quorum(&self) -> usize {
-        self.cfg.slow_quorum()
+        self.cfg.slow_quorum().size()
     }
 
     fn cert_threshold(&self) -> usize {
-        self.cfg.cert_threshold()
+        self.cfg.cert_threshold().size()
     }
 }
 

@@ -1,10 +1,11 @@
-//! A minimal Rust source scanner for the protocol lint.
+//! A minimal Rust source scanner for the API extractor and the source
+//! audits in `tests/`.
 //!
-//! The lint does not need a full parse — it needs source text with
-//! comments and literals *blanked out* (so `// _ => unreachable` or
-//! `.expect("…")` message bodies cannot trip a rule) while preserving
-//! byte-for-byte line structure (so findings carry exact line numbers
-//! and brace matching still works on the result).
+//! Neither needs a full parse — they need source text with comments
+//! and literals *blanked out* (so a `pub fn` or an ordering named in a
+//! doc comment or a string cannot count) while preserving
+//! byte-for-byte line structure (so brace matching still works on the
+//! result).
 //!
 //! Handles: line comments, nested block comments, string literals,
 //! raw strings with arbitrary `#` fences, byte strings, char literals
@@ -180,7 +181,7 @@ fn is_lifetime(bytes: &[u8], i: usize) -> bool {
 
 /// Whether `text[idx..]` starts a standalone word `word` (not a
 /// fragment of a longer identifier).
-pub fn is_word_at(text: &str, idx: usize, word: &str) -> bool {
+fn is_word_at(text: &str, idx: usize, word: &str) -> bool {
     let bytes = text.as_bytes();
     if !text[idx..].starts_with(word) {
         return false;
@@ -207,11 +208,6 @@ pub fn word_positions(text: &str, word: &str) -> Vec<usize> {
         start = idx + word.len();
     }
     out
-}
-
-/// 1-based line number of byte offset `idx` in `text`.
-pub fn line_of(text: &str, idx: usize) -> usize {
-    text[..idx].bytes().filter(|b| *b == b'\n').count() + 1
 }
 
 #[cfg(test)]
@@ -286,13 +282,5 @@ mod tests {
         assert!(is_word_at(text, 0, "match"));
         // "match" embedded in "rematch" is not a word hit.
         assert!(!is_word_at(text, 8, "match"));
-    }
-
-    #[test]
-    fn line_numbers_are_one_based() {
-        let text = "a\nb\nc";
-        assert_eq!(line_of(text, 0), 1);
-        assert_eq!(line_of(text, 2), 2);
-        assert_eq!(line_of(text, 4), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Static-analysis gates for the two-step consensus workspace.
 //!
-//! Three analyses, all runnable from the `twostep-analysis` binary and
+//! The analyses below run from the `twostep-analysis` binary and are
 //! wired into CI:
 //!
 //! * [`bounds`] — an exhaustive small-model checker for the quorum
@@ -16,11 +16,8 @@
 //!   `5f−1` variant), with tightness witnesses *executed* against the
 //!   real `FastBft` baseline — every `n` below a variant's
 //!   fast-liveness bound carries a run with zero fast deciders.
-//! * [`lint`] — a source lint over the protocol crates rejecting
-//!   unchecked quorum arithmetic and relaxed atomic orderings, with an
-//!   audited allowlist. (Wildcard arms on enums, `unwrap`/`expect` and
-//!   `debug_assert!`-only invariants are clippy lints denied at those
-//!   crates' roots; `fixtures/clippy_red` proves that gate red.)
+//! * [`api`] — the public-API snapshot of `twostep-core` and
+//!   `twostep-types`, diffed against `docs/public-api.txt`.
 //! * [`model_check_gate`] — the exhaustive model checker
 //!   (`twostep_verify::ModelChecker`) swept over the paper's boundary
 //!   `(n, e, f)` configurations, with a seeded-broken fixture CI runs
@@ -28,11 +25,19 @@
 //! * loom models (`tests/loom_models.rs`, behind `--features loom`) —
 //!   exhaustive interleaving checks for the telemetry observer handle
 //!   and the transport reconnect bookkeeping.
+//!
+//! The conventions the safety argument rests on are held by the
+//! compiler, not by text matching: a quorum size is a
+//! `twostep_types::Quorum`, which has no arithmetic operators; wildcard
+//! arms on enums, `unwrap`/`expect` and `debug_assert!` are clippy
+//! lints denied at the protocol crates' roots (`fixtures/clippy_red`
+//! proves that gate red). The one text audit left,
+//! `tests/source_audit.rs`, confines `Relaxed` atomics to the
+//! telemetry statistics.
 
 pub mod api;
 pub mod bounds;
 pub mod byz_bounds;
 pub mod lexer;
-pub mod lint;
 pub mod model;
 pub mod model_check_gate;

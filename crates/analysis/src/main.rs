@@ -1,8 +1,7 @@
 //! CI gate binary for the static-analysis suite.
 //!
 //! ```text
-//! twostep-analysis <bounds|lint|api|model-check|all> [options]
-//!   --all               shorthand for the `all` subcommand
+//! twostep-analysis <bounds|api|model-check|all> [options]
 //!   --bless             `api` only: regenerate docs/public-api.txt
 //!                       instead of diffing against it
 //!   --max-n N           bound-sweep cap (default 25)
@@ -14,15 +13,14 @@
 //!   --witnesses PATH    write both sweep outcomes (violations + tightness
 //!                       witnesses) as JSON to PATH
 //!   --json              print the sweep outcome JSON to stdout
-//!   --root PATH         workspace root for the lint (default: cwd)
-//!   --allowlist PATH    lint allowlist (default: ROOT/crates/analysis/lint-allow.txt)
+//!   --root PATH         workspace root for `api` (default: cwd)
 //!   --workers N         model-check worker threads (default 4)
 //!   --report PATH       write the model-check sweep report to PATH
 //!   --seeded-broken     model-check only the seeded-broken fixture; CI
 //!                       asserts this exits nonzero
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations or lint findings, 2 usage error.
+//! Exit codes: 0 clean, 1 violations, 2 usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,13 +28,11 @@ use std::process::ExitCode;
 use twostep_analysis::api;
 use twostep_analysis::bounds::{self, SweepOutcome};
 use twostep_analysis::byz_bounds::{self, ByzFixture, ByzSweepOutcome};
-use twostep_analysis::lint::{self, Allowlist};
 use twostep_analysis::model::Fixture;
 use twostep_analysis::model_check_gate;
 
 const USAGE: &str = "\
-usage: twostep-analysis <bounds|lint|api|model-check|all> [options]
-  --all               run every analysis (same as the `all` subcommand)
+usage: twostep-analysis <bounds|api|model-check|all> [options]
   --bless             api: regenerate docs/public-api.txt instead of
                       diffing against it
   --max-n N           bound-sweep cap (default 25)
@@ -45,9 +41,7 @@ usage: twostep-analysis <bounds|lint|api|model-check|all> [options]
                       broken-recovery-threshold | byz-crash-sized-fast-quorum
   --witnesses PATH    write sweep outcome JSON (crash + byzantine) to PATH
   --json              print sweep outcome JSON to stdout
-  --root PATH         workspace root for the lint (default: current dir)
-  --allowlist PATH    lint allowlist file
-                      (default: ROOT/crates/analysis/lint-allow.txt)
+  --root PATH         workspace root for api (default: current dir)
   --workers N         model-check worker threads (default 4)
   --report PATH       write the model-check sweep report to PATH
   --seeded-broken     model-check only the seeded-broken fixture
@@ -55,7 +49,6 @@ usage: twostep-analysis <bounds|lint|api|model-check|all> [options]
 
 struct Options {
     run_bounds: bool,
-    run_lint: bool,
     run_api: bool,
     bless: bool,
     run_model_check: bool,
@@ -65,7 +58,6 @@ struct Options {
     witnesses: Option<PathBuf>,
     json: bool,
     root: PathBuf,
-    allowlist: Option<PathBuf>,
     workers: usize,
     report: Option<PathBuf>,
     seeded_broken: bool,
@@ -74,7 +66,6 @@ struct Options {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         run_bounds: false,
-        run_lint: false,
         run_api: false,
         bless: false,
         run_model_check: false,
@@ -84,7 +75,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         witnesses: None,
         json: false,
         root: PathBuf::from("."),
-        allowlist: None,
         workers: 4,
         report: None,
         seeded_broken: false,
@@ -102,10 +92,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.run_bounds = true;
                 saw_mode = true;
             }
-            "lint" => {
-                opts.run_lint = true;
-                saw_mode = true;
-            }
             "api" => {
                 opts.run_api = true;
                 saw_mode = true;
@@ -114,9 +100,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.run_model_check = true;
                 saw_mode = true;
             }
-            "all" | "--all" => {
+            "all" => {
                 opts.run_bounds = true;
-                opts.run_lint = true;
                 opts.run_api = true;
                 opts.run_model_check = true;
                 saw_mode = true;
@@ -147,7 +132,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--witnesses" => opts.witnesses = Some(PathBuf::from(value_for("--witnesses")?)),
             "--json" => opts.json = true,
             "--root" => opts.root = PathBuf::from(value_for("--root")?),
-            "--allowlist" => opts.allowlist = Some(PathBuf::from(value_for("--allowlist")?)),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -157,6 +141,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     Ok(opts)
 }
+
+/// One analysis: `Ok(clean)`, or a usage error.
+type Analysis = fn(&Options) -> Result<bool, String>;
 
 fn run_bounds(opts: &Options) -> Result<bool, String> {
     let outcome: SweepOutcome = bounds::sweep(opts.max_n, opts.fixture);
@@ -229,71 +216,6 @@ fn run_bounds(opts: &Options) -> Result<bool, String> {
         );
     }
     Ok(outcome.is_clean() && byz.is_clean())
-}
-
-fn run_lint(opts: &Options) -> Result<bool, String> {
-    let root = &opts.root;
-    let lint_dirs: Vec<PathBuf> = [
-        "crates/core/src",
-        "crates/baselines/src",
-        "crates/smr/src",
-        "crates/byz/src",
-    ]
-    .iter()
-    .map(|d| root.join(d))
-    .collect();
-    // The runtime and telemetry crates are not protocol handlers, so
-    // the quorum-arithmetic rule doesn't apply — but their atomics
-    // still get the relaxed-ordering audit.
-    let relaxed_only_dirs: Vec<PathBuf> = ["crates/runtime/src", "crates/telemetry/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
-    for d in lint_dirs.iter().chain(&relaxed_only_dirs) {
-        if !d.is_dir() {
-            return Err(format!(
-                "lint: {} is not a directory (set --root to the workspace root)",
-                d.display()
-            ));
-        }
-    }
-    let files = lint::collect_sources(&lint_dirs).map_err(|e| format!("lint: {e}"))?;
-    let relaxed_files =
-        lint::collect_sources(&relaxed_only_dirs).map_err(|e| format!("lint: {e}"))?;
-
-    let allow_path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| root.join("crates/analysis/lint-allow.txt"));
-    let allow = if allow_path.is_file() {
-        Allowlist::load(&allow_path)?
-    } else {
-        Allowlist::default()
-    };
-
-    let mut raw = Vec::new();
-    for file in &files {
-        raw.extend(lint::lint_file(file));
-    }
-    for file in &relaxed_files {
-        raw.extend(lint::lint_file_rules(file, &["relaxed-atomic"]));
-    }
-    let findings: Vec<_> = raw.iter().filter(|f| !allow.allows(f)).collect();
-    let stale = allow.stale_entries(&raw);
-    println!(
-        "lint: {} files, {} allowlist entries ({} stale), {} findings",
-        files.len() + relaxed_files.len(),
-        allow.len(),
-        stale.len(),
-        findings.len()
-    );
-    for f in &findings {
-        println!("  {f}");
-    }
-    for entry in &stale {
-        println!("  STALE allowlist entry waives nothing: {entry}");
-    }
-    Ok(findings.is_empty() && stale.is_empty())
 }
 
 fn run_api(opts: &Options) -> Result<bool, String> {
@@ -378,36 +300,14 @@ fn main() -> ExitCode {
         }
     };
 
+    let analyses: [(bool, Analysis); 3] = [
+        (opts.run_bounds, run_bounds),
+        (opts.run_api, run_api),
+        (opts.run_model_check, run_model_check),
+    ];
     let mut clean = true;
-    if opts.run_bounds {
-        match run_bounds(&opts) {
-            Ok(ok) => clean &= ok,
-            Err(msg) => {
-                eprintln!("twostep-analysis: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if opts.run_lint {
-        match run_lint(&opts) {
-            Ok(ok) => clean &= ok,
-            Err(msg) => {
-                eprintln!("twostep-analysis: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if opts.run_api {
-        match run_api(&opts) {
-            Ok(ok) => clean &= ok,
-            Err(msg) => {
-                eprintln!("twostep-analysis: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if opts.run_model_check {
-        match run_model_check(&opts) {
+    for (_, run) in analyses.into_iter().filter(|(selected, _)| *selected) {
+        match run(&opts) {
             Ok(ok) => clean &= ok,
             Err(msg) => {
                 eprintln!("twostep-analysis: {msg}");

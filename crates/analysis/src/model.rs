@@ -40,15 +40,15 @@ impl QuorumModel for RealModel {
     }
 
     fn fast_quorum(&self) -> usize {
-        self.0.fast_quorum()
+        self.0.fast_quorum().size()
     }
 
     fn slow_quorum(&self) -> usize {
-        self.0.slow_quorum()
+        self.0.slow_quorum().size()
     }
 
     fn recovery_threshold(&self) -> usize {
-        self.0.recovery_threshold()
+        self.0.recovery_threshold().size()
     }
 }
 
@@ -112,19 +112,19 @@ impl QuorumModel for FixtureModel {
 
     fn fast_quorum(&self) -> usize {
         match self.fixture {
-            Fixture::BrokenFastQuorum => self.cfg.fast_quorum().saturating_sub(1),
-            Fixture::BrokenRecoveryThreshold => self.cfg.fast_quorum(),
+            Fixture::BrokenFastQuorum => self.cfg.fast_quorum().size().saturating_sub(1),
+            Fixture::BrokenRecoveryThreshold => self.cfg.fast_quorum().size(),
         }
     }
 
     fn slow_quorum(&self) -> usize {
-        self.cfg.slow_quorum()
+        self.cfg.slow_quorum().size()
     }
 
     fn recovery_threshold(&self) -> usize {
         match self.fixture {
-            Fixture::BrokenFastQuorum => self.cfg.recovery_threshold(),
-            Fixture::BrokenRecoveryThreshold => self.cfg.recovery_threshold() + 1,
+            Fixture::BrokenFastQuorum => self.cfg.recovery_threshold().size(),
+            Fixture::BrokenRecoveryThreshold => self.cfg.recovery_threshold().size() + 1,
         }
     }
 }
@@ -148,13 +148,16 @@ mod tests {
     fn fixtures_break_exactly_one_quantity() {
         let cfg = SystemConfig::new(7, 2, 3).unwrap();
         let bfq = Fixture::BrokenFastQuorum.model(cfg);
-        assert_eq!(bfq.fast_quorum(), cfg.fast_quorum() - 1);
+        assert_eq!(bfq.fast_quorum(), cfg.fast_quorum().size() - 1);
         assert_eq!(bfq.slow_quorum(), cfg.slow_quorum());
         assert_eq!(bfq.recovery_threshold(), cfg.recovery_threshold());
 
         let brt = Fixture::BrokenRecoveryThreshold.model(cfg);
         assert_eq!(brt.fast_quorum(), cfg.fast_quorum());
-        assert_eq!(brt.recovery_threshold(), cfg.recovery_threshold() + 1);
+        assert_eq!(
+            brt.recovery_threshold(),
+            cfg.recovery_threshold().size() + 1
+        );
     }
 
     #[test]

@@ -135,6 +135,8 @@ impl<V: Value> EPaxosLite<V> {
     /// configuration (`n = 2f+1`, the regime EPaxos runs in).
     pub fn new(cfg: SystemConfig, me: ProcessId) -> Self {
         assert!(me.index() < cfg.n(), "process {me} out of range for {cfg}");
+        // Bare majority by construction; `2f+1` cannot overflow for any
+        // n that fits in a ProcessSet (n <= 64).
         assert_eq!(cfg.n(), 2 * cfg.f() + 1, "EPaxos runs with n = 2f+1");
         EPaxosLite {
             cfg,
@@ -165,12 +167,15 @@ impl<V: Value> EPaxosLite<V> {
     /// EPaxos's fast-quorum size: `f + ⌊(f+1)/2⌋` (including the
     /// command leader).
     pub fn fast_quorum(cfg: &SystemConfig) -> usize {
+        // Both terms are <= f <= 31 and the sum is <= n: no overflow or
+        // underflow.
         cfg.f() + cfg.f().div_ceil(2)
     }
 
     /// The number of crashes under which the fast path still works:
     /// `n - fast_quorum = ⌈(f+1)/2⌉`.
     pub fn fast_tolerance(cfg: &SystemConfig) -> usize {
+        // fast_quorum <= 2f < 2f+1 = n (asserted in `new`): no underflow.
         cfg.n() - Self::fast_quorum(cfg)
     }
 

@@ -14,7 +14,7 @@ use twostep_types::{Ballot, ProcessId, SystemConfig};
 fn reports(cfg: &SystemConfig, v_votes: usize) -> Collector<Report<u64>> {
     let mut c = Collector::new();
     let proposer = ProcessId::new((cfg.n() - 1) as u32);
-    for i in 0..cfg.slow_quorum() as u32 {
+    for i in 0..cfg.slow_quorum().size() as u32 {
         let r = if (i as usize) < v_votes {
             Report::fast_vote(100u64, proposer)
         } else if i % 2 == 0 {
@@ -30,7 +30,7 @@ fn reports(cfg: &SystemConfig, v_votes: usize) -> Collector<Report<u64>> {
 fn bench_recovery(c: &mut Criterion) {
     for (e, f) in [(1usize, 1usize), (2, 2), (3, 3), (5, 5)] {
         let cfg = SystemConfig::minimal_task(e, f).unwrap();
-        let quorum = reports(&cfg, cfg.recovery_threshold() + 1);
+        let quorum = reports(&cfg, cfg.recovery_threshold().size() + 1);
         c.bench_function(&format!("recovery/select_e{e}_f{f}_n{}", cfg.n()), |b| {
             b.iter(|| {
                 std::hint::black_box(select_value(
@@ -79,7 +79,7 @@ fn bench_recovery(c: &mut Criterion) {
 
     let slow_vote_case = {
         let mut fresh = Collector::new();
-        for i in 0..cfg.slow_quorum() as u32 {
+        for i in 0..cfg.slow_quorum().size() as u32 {
             fresh.insert(
                 ProcessId::new(i),
                 Report {

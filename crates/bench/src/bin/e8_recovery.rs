@@ -57,7 +57,7 @@ fn randomized_recovery(seed: u64) -> bool {
     // A random set of n-e-1 supporters votes for the winner.
     let mut others: Vec<u32> = (0..n as u32).filter(|i| p(*i) != winner).collect();
     others.shuffle(&mut rng);
-    let supporters: Vec<ProcessId> = others[..cfg.fast_quorum() - 1]
+    let supporters: Vec<ProcessId> = others[..cfg.fast_quorum().size() - 1]
         .iter()
         .map(|i| p(*i))
         .collect();
@@ -93,7 +93,11 @@ fn randomized_recovery(seed: u64) -> bool {
         .collect();
     survivors.shuffle(&mut rng);
     let mut quorum: Vec<ProcessId> = vec![leader];
-    quorum.extend(survivors[..cfg.slow_quorum() - 1].iter().map(|i| p(*i)));
+    quorum.extend(
+        survivors[..cfg.slow_quorum().size() - 1]
+            .iter()
+            .map(|i| p(*i)),
+    );
 
     ex.fire_timer(leader, TimerId::NEW_BALLOT);
     for phase in ["OneA", "OneB", "TwoA", "TwoB"] {

@@ -1,8 +1,9 @@
 //! Byzantine fault injection for the `twostep` workspace.
 //!
-//! The source paper's lower bounds assume *crash* faults; ROADMAP item 4
-//! asks how the picture changes when up to `b` processes are actively
-//! malicious. This crate supplies the adversary: [`ByzProtocol`] wraps
+//! The source paper's lower bounds assume *crash* faults. This crate
+//! lets the workspace ask what changes when up to `b` processes are
+//! actively malicious, the question of the fast-BFT lineage (FaB Paxos,
+//! the `5f−1` bound of Kuznetsov et al.). This crate supplies the adversary: [`ByzProtocol`] wraps
 //! any [`Protocol`](twostep_types::protocol::Protocol) implementation
 //! and perturbs its *outgoing* effects according to a [`ByzBehavior`] —
 //!

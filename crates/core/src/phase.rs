@@ -5,8 +5,8 @@
 //! and takes the [`Effects`] sink — so a transition cannot occur without
 //! the sends the paper attaches to it (the 1B reply of lines 29–31, the
 //! 2B vote of line 69, the 2A broadcast of line 62, the `Decide`
-//! broadcast of line 17). Illegal transitions are not runtime bugs the
-//! lint or model checker must catch; they simply do not exist as
+//! broadcast of line 17). Illegal transitions are not runtime bugs a
+//! lint or the model checker must catch; they simply do not exist as
 //! methods.
 //!
 //! The voter-side phases (per-process state of Figure 1):
@@ -65,7 +65,7 @@
 
 use twostep_types::protocol::Effects;
 use twostep_types::quorum::Collector;
-use twostep_types::{Ballot, ProcessId, ProcessSet, Value};
+use twostep_types::{Ballot, ProcessId, ProcessSet, Quorum, Value};
 
 use crate::consensus::{Common, DecisionPath};
 use crate::msg::Msg;
@@ -830,7 +830,7 @@ impl<V: Value> Proposing<V> {
     /// Counts one `2B` vote; returns whether a slow quorum is now in
     /// (the caller then records the decision, which forces the `Decide`
     /// broadcast).
-    pub(crate) fn record_vote(&mut self, from: ProcessId, slow_quorum: usize) -> bool {
+    pub(crate) fn record_vote(&mut self, from: ProcessId, slow_quorum: Quorum) -> bool {
         self.votes.insert(from);
         self.votes.len() >= slow_quorum
     }

@@ -223,10 +223,9 @@ pub fn classify<V: Value>(
     // lower-bound adversary (experiment E3) deliberately runs below the
     // bound, where two values can exceed the threshold and this
     // arbitrary pick is exactly what breaks agreement.
-    if let Some(v) = tally.values_with_count_at_least(threshold + 1).next() {
+    if let Some(v) = tally.values_with_count_above(threshold).next() {
         assert!(
-            !cfg.satisfies_object_bound()
-                || tally.values_with_count_at_least(threshold + 1).count() == 1,
+            !cfg.satisfies_object_bound() || tally.values_with_count_above(threshold).count() == 1,
             "Lemma 7: the > n-f-e value must be unique at n >= 2e+f-1"
         );
         return Recovery::Gt(RecoveryGt { value: v.clone() });

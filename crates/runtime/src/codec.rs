@@ -155,20 +155,6 @@ pub fn pack_frame(payloads: &[bytes::Bytes]) -> bytes::Bytes {
     bytes::Bytes::from(out)
 }
 
-/// Splits a transport payload into its constituent message payloads,
-/// each copied out — the owning form of [`frame_messages`], which does
-/// the parsing and which the receive paths use directly.
-///
-/// # Errors
-///
-/// Those of [`frame_messages`].
-pub fn unpack_frame(payload: &bytes::Bytes) -> Result<Vec<bytes::Bytes>, CodecError> {
-    // The vendored `Bytes` has no zero-copy `slice`; copying each
-    // sub-payload out is the supported extraction path.
-    let msgs = frame_messages(payload)?;
-    Ok(msgs.map(|m| bytes::Bytes::from(m.to_vec())).collect())
-}
-
 /// Validates a transport payload and returns a borrowing iterator over
 /// its constituent message payloads — the inverse of [`pack_frame`],
 /// used on every receive path (the runtime node dispatches messages
@@ -459,18 +445,6 @@ pub fn tag_shard(shard: u32, payload: &bytes::Bytes) -> bytes::Bytes {
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(payload);
     bytes::Bytes::from(out)
-}
-
-/// Splits a message payload into its shard id and inner payload,
-/// copied out — the owning form of [`split_shard_ref`], which does the
-/// parsing and which the node uses directly.
-///
-/// # Errors
-///
-/// Those of [`split_shard_ref`].
-pub fn split_shard(payload: &bytes::Bytes) -> Result<(u32, bytes::Bytes), CodecError> {
-    let (shard, inner) = split_shard_ref(payload)?;
-    Ok((shard, bytes::Bytes::from(inner.to_vec())))
 }
 
 /// Splits a message payload into its shard id and a slice of the inner
@@ -1111,101 +1085,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrips_many_messages() {
-        let payloads: Vec<bytes::Bytes> = (0..5u64)
-            .map(|i| bytes::Bytes::from(to_bytes(&(i, format!("msg{i}"))).unwrap()))
-            .collect();
-        let frame = pack_frame(&payloads);
-        let back = unpack_frame(&frame).unwrap();
-        assert_eq!(back, payloads);
-    }
-
-    #[test]
-    fn frame_roundtrips_empty_and_single() {
-        assert_eq!(
-            unpack_frame(&pack_frame(&[])).unwrap(),
-            Vec::<bytes::Bytes>::new()
-        );
-        let one = bytes::Bytes::from(to_bytes(&7u64).unwrap());
-        assert_eq!(
-            unpack_frame(&pack_frame(std::slice::from_ref(&one))).unwrap(),
-            vec![one]
-        );
-    }
-
-    #[test]
-    fn legacy_single_message_passes_through() {
-        // An enum-first payload starts with a small variant index, never
-        // the magic, so it is returned untouched.
-        let legacy = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        assert_eq!(unpack_frame(&legacy).unwrap(), vec![legacy.clone()]);
-        // Even degenerate short payloads are treated as legacy.
-        let short = bytes::Bytes::from(vec![1u8, 2]);
-        assert_eq!(unpack_frame(&short).unwrap(), vec![short.clone()]);
-    }
-
-    #[test]
-    fn truncated_frame_rejected() {
-        let payloads = vec![bytes::Bytes::from(vec![9u8; 32])];
-        let frame = pack_frame(&payloads);
-        for cut in [5, 8, 10, frame.len() - 1] {
-            let truncated = bytes::Bytes::from(frame[..cut].to_vec());
-            assert_eq!(
-                unpack_frame(&truncated).unwrap_err(),
-                CodecError::UnexpectedEof,
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_trailing_bytes_rejected() {
-        let mut raw = pack_frame(&[bytes::Bytes::from(vec![1u8, 2, 3])]).to_vec();
-        raw.push(0xAA);
-        let err = unpack_frame(&bytes::Bytes::from(raw)).unwrap_err();
-        assert_eq!(err, CodecError::TrailingBytes { remaining: 1 });
-    }
-
-    #[test]
-    fn shard_tag_roundtrips() {
-        let inner = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        for shard in [0u32, 1, 7, u32::MAX] {
-            let tagged = tag_shard(shard, &inner);
-            assert_eq!(split_shard(&tagged).unwrap(), (shard, inner.clone()));
-        }
-    }
-
-    #[test]
-    fn untagged_payload_maps_to_shard_zero() {
-        let legacy = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
-        assert_eq!(split_shard(&legacy).unwrap(), (0, legacy.clone()));
-        let short = bytes::Bytes::from(vec![3u8]);
-        assert_eq!(split_shard(&short).unwrap(), (0, short.clone()));
-        let empty = bytes::Bytes::from(Vec::new());
-        assert_eq!(split_shard(&empty).unwrap(), (0, empty.clone()));
-    }
-
-    #[test]
-    fn truncated_shard_tag_rejected() {
-        let tagged = tag_shard(3, &bytes::Bytes::from(vec![9u8; 8]));
-        for cut in [4, 5, 7] {
-            let truncated = bytes::Bytes::from(tagged[..cut].to_vec());
-            assert_eq!(
-                split_shard(&truncated).unwrap_err(),
-                CodecError::UnexpectedEof,
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
     fn shard_tags_nest_inside_coalesced_frames() {
         let a = tag_shard(0, &bytes::Bytes::from(to_bytes(&1u64).unwrap()));
         let b = tag_shard(5, &bytes::Bytes::from(to_bytes(&2u64).unwrap()));
         let frame = pack_frame(&[a.clone(), b.clone()]);
-        let back = unpack_frame(&frame).unwrap();
-        assert_eq!(back, vec![a, b]);
-        let shards: Vec<u32> = back.iter().map(|p| split_shard(p).unwrap().0).collect();
+        let back: Vec<&[u8]> = frame_messages(&frame).unwrap().collect();
+        assert_eq!(back, vec![&a[..], &b[..]]);
+        let shards: Vec<u32> = back.iter().map(|p| split_shard_ref(p).unwrap().0).collect();
         assert_eq!(shards, vec![0, 5]);
     }
 
@@ -1219,7 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_messages_matches_unpack_frame() {
+    fn frame_roundtrips_many_messages() {
         let payloads: Vec<bytes::Bytes> = (0..5u64)
             .map(|i| bytes::Bytes::from(to_bytes(&(i, format!("msg{i}"))).unwrap()))
             .collect();
@@ -1229,12 +1115,18 @@ mod tests {
         let borrowed: Vec<&[u8]> = iter.collect();
         let owned: Vec<&[u8]> = payloads.iter().map(|p| &p[..]).collect();
         assert_eq!(borrowed, owned);
-        // Empty frame.
+        // Empty and single-message frames.
         assert_eq!(frame_messages(&pack_frame(&[])).unwrap().count(), 0);
+        let one = bytes::Bytes::from(to_bytes(&7u64).unwrap());
+        let frame = pack_frame(std::slice::from_ref(&one));
+        let back: Vec<&[u8]> = frame_messages(&frame).unwrap().collect();
+        assert_eq!(back, vec![&one[..]]);
     }
 
     #[test]
     fn frame_messages_legacy_passthrough() {
+        // An enum-first payload starts with a small variant index, never
+        // the magic, so it is returned untouched.
         let legacy = to_bytes(&Sample::Newtype(7)).unwrap();
         let msgs: Vec<&[u8]> = frame_messages(&legacy).unwrap().collect();
         assert_eq!(msgs, vec![&legacy[..]]);
@@ -1262,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn split_shard_ref_matches_split_shard() {
+    fn shard_tag_roundtrips_and_untagged_payloads_are_shard_zero() {
         let inner = bytes::Bytes::from(to_bytes(&Sample::Newtype(7)).unwrap());
         for shard in [0u32, 1, 7, u32::MAX] {
             let tagged = tag_shard(shard, &inner);

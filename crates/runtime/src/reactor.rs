@@ -422,8 +422,8 @@ mod tests {
         t0.send_many(p(0), p(1), burst.clone());
         let (from, frame) = rx1.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, p(0));
-        let msgs: Vec<Bytes> = codec::unpack_frame(&frame).unwrap();
-        assert_eq!(msgs, burst);
+        let msgs: Vec<&[u8]> = codec::frame_messages(&frame).unwrap().collect();
+        assert_eq!(msgs, burst.iter().map(|m| &m[..]).collect::<Vec<_>>());
     }
 
     #[test]

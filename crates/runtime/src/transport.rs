@@ -822,7 +822,8 @@ mod tests {
         let (from, packed) = inboxes[1].recv().unwrap();
         assert_eq!(from, p(0));
         assert!(inboxes[1].is_empty());
-        assert_eq!(codec::unpack_frame(&packed).unwrap(), burst);
+        let msgs: Vec<&[u8]> = codec::frame_messages(&packed).unwrap().collect();
+        assert_eq!(msgs, burst.iter().map(|m| &m[..]).collect::<Vec<_>>());
         // A one-element burst stays a legacy payload.
         t.send_many(p(0), p(1), vec![Bytes::from_static(b"solo")]);
         assert_eq!(&inboxes[1].recv().unwrap().1[..], b"solo");

@@ -122,17 +122,17 @@ proptest! {
     /// messages and unpacking yields the same payloads in order.
     #[test]
     fn multi_message_frames_roundtrip(nodes in proptest::collection::vec(node_strategy(), 1..8)) {
-        use twostep_runtime::codec::{pack_frame, unpack_frame};
+        use twostep_runtime::codec::{frame_messages, pack_frame};
 
         let payloads: Vec<bytes::Bytes> = nodes
             .iter()
             .map(|n| bytes::Bytes::from(to_bytes(n).unwrap()))
             .collect();
         let frame = pack_frame(&payloads);
-        let back = unpack_frame(&frame).expect("packed frame must unpack");
+        let back: Vec<&[u8]> = frame_messages(&frame).expect("packed frame must unpack").collect();
         prop_assert_eq!(back.len(), nodes.len());
         for (bytes, node) in back.iter().zip(&nodes) {
-            let decoded: Node = from_bytes(bytes.as_slice()).expect("decode");
+            let decoded: Node = from_bytes(bytes).expect("decode");
             prop_assert_eq!(&decoded, node);
         }
     }
@@ -141,7 +141,7 @@ proptest! {
     /// rejected cleanly (no panic, no partial delivery).
     #[test]
     fn truncated_frames_rejected(nodes in proptest::collection::vec(node_strategy(), 1..5), cut in 4usize..2048) {
-        use twostep_runtime::codec::unpack_frame;
+        use twostep_runtime::codec::frame_messages;
 
         let payloads: Vec<bytes::Bytes> = nodes
             .iter()
@@ -149,8 +149,7 @@ proptest! {
             .collect();
         let frame = twostep_runtime::codec::pack_frame(&payloads);
         let cut = cut.min(frame.len().saturating_sub(1));
-        let truncated = bytes::Bytes::from(frame.as_slice()[..cut].to_vec());
-        prop_assert!(unpack_frame(&truncated).is_err(), "cut at {} must error", cut);
+        prop_assert!(frame_messages(&frame[..cut]).is_err(), "cut at {} must error", cut);
     }
 
     /// Truncating any strict prefix of an encoding never panics — it
@@ -200,31 +199,6 @@ fn legacy_safe_message() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    /// The borrowing iterator agrees with the allocating
-    /// `unpack_frame` on every packed frame, and on legacy payloads it
-    /// yields the input verbatim as a single message.
-    #[test]
-    fn frame_messages_agrees_with_unpack_frame(
-        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..8),
-    ) {
-        use twostep_runtime::codec::{frame_messages, pack_frame, unpack_frame};
-
-        let owned: Vec<bytes::Bytes> =
-            msgs.iter().map(|m| bytes::Bytes::from(m.clone())).collect();
-        let frame = pack_frame(&owned);
-        let alloc: Vec<Vec<u8>> = unpack_frame(&frame)
-            .unwrap()
-            .iter()
-            .map(|b| b.to_vec())
-            .collect();
-        let borrowed: Vec<Vec<u8>> = frame_messages(&frame)
-            .unwrap()
-            .map(<[u8]>::to_vec)
-            .collect();
-        prop_assert_eq!(&borrowed, &alloc);
-        prop_assert_eq!(&borrowed, &msgs);
-    }
-
     /// Legacy (untagged, unframed) payloads pass through both
     /// zero-copy entry points untouched: one message, shard 0, and the
     /// returned slice is the input itself.

@@ -18,8 +18,9 @@ pub enum LinkBehavior {
 /// Decides the fate of each message sent through the simulated network.
 ///
 /// Models receive the sender, receiver and send time and return a
-/// [`LinkBehavior`]. Self-addressed messages bypass the model: the engine
-/// delivers them locally with zero delay.
+/// [`LinkBehavior`]. Self-addressed messages go through the model like
+/// any other: in the paper's round model a process's message to itself
+/// arrives next round.
 pub trait DelayModel: Send {
     /// The behavior of the link `from → to` for a message sent at
     /// `send_time`.
@@ -72,10 +73,10 @@ impl DelayModel for UniformDelay {
 /// A network partition layered over an inner delay model.
 ///
 /// During `[from, until)` (with `until = None` meaning forever),
-/// messages whose endpoints share no group are dropped; everything else
-/// is delegated to the inner model. This is the delay-model counterpart
-/// of [`crate::Simulation::partition_at`]/[`crate::Simulation::heal_at`]
-/// for callers who compose delay models instead of scripting the engine.
+/// messages *sent* between different groups are dropped; everything
+/// else, self-addressed messages included, is delegated to the inner
+/// model. Messages already in flight when the partition starts still
+/// arrive. A process appearing in no group is isolated.
 ///
 /// # Example
 ///

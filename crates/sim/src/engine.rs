@@ -88,8 +88,6 @@ pub struct SimulationBuilder {
     order: DeliveryOrder,
     crashes: Vec<(ProcessId, Time)>,
     restarts: Vec<(ProcessId, Time)>,
-    topology_changes: Vec<(Time, Option<Vec<ProcessSet>>)>,
-    proposals_by_time: Vec<(ProcessId, u64)>, // (process, time units); values added at build
     obs: ObserverHandle,
 }
 
@@ -103,8 +101,6 @@ impl SimulationBuilder {
             order: DeliveryOrder::SendOrder,
             crashes: Vec::new(),
             restarts: Vec::new(),
-            topology_changes: Vec::new(),
-            proposals_by_time: Vec::new(),
             obs: ObserverHandle::none(),
         }
     }
@@ -146,23 +142,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Partitions the network into `groups` from `time` onwards:
-    /// messages *sent* between different groups are dropped. Messages
-    /// already in flight when the partition starts still arrive, and
-    /// self-addressed messages always get through. A process appearing
-    /// in no group is isolated.
-    pub fn partition_at(mut self, time: Time, groups: Vec<ProcessSet>) -> Self {
-        self.topology_changes.push((time, Some(groups)));
-        self
-    }
-
-    /// Heals any partition from `time` onwards: the network is fully
-    /// connected again for messages sent at or after `time`.
-    pub fn heal_at(mut self, time: Time) -> Self {
-        self.topology_changes.push((time, None));
-        self
-    }
-
     /// Finishes the builder, constructing each process with `make`.
     pub fn build<V, P, F>(self, make: F) -> Simulation<V, P>
     where
@@ -170,7 +149,6 @@ impl SimulationBuilder {
         P: Protocol<V>,
         F: FnMut(ProcessId) -> P,
     {
-        let _ = self.proposals_by_time;
         let mut sim = Simulation::new(self.cfg, make, self.delay_model, self.order);
         sim.observe(self.obs);
         for (p, t) in self.crashes {
@@ -178,12 +156,6 @@ impl SimulationBuilder {
         }
         for (p, t) in self.restarts {
             sim.schedule_restart(p, t);
-        }
-        for (t, groups) in self.topology_changes {
-            match groups {
-                Some(g) => sim.partition_at(t, g),
-                None => sim.heal_at(t),
-            }
         }
         sim
     }
@@ -202,10 +174,6 @@ pub struct Simulation<V: Value, P: Protocol<V>> {
     // (needed to re-arm after a crash-restart).
     timers: Vec<HashMap<TimerId, (u64, Duration)>>,
     timer_generation: u64,
-    // Network topology changes, sorted by time: `Some(groups)` installs
-    // a partition, `None` heals it. The last entry at or before `now`
-    // governs which sends get through.
-    topology_changes: Vec<(Time, Option<Vec<ProcessSet>>)>,
     delay_model: Box<dyn DelayModel>,
     order: DeliveryOrder,
     trace: Trace<V>,
@@ -237,7 +205,6 @@ impl<V: Value, P: Protocol<V>> Simulation<V, P> {
             seq: 0,
             timers: vec![HashMap::new(); n],
             timer_generation: 0,
-            topology_changes: Vec::new(),
             delay_model,
             order,
             trace: Trace::new(),
@@ -320,53 +287,6 @@ impl<V: Value, P: Protocol<V>> Simulation<V, P> {
     pub fn schedule_propose(&mut self, p: ProcessId, value: V, time: Time) {
         assert!(time >= self.now, "cannot schedule a proposal in the past");
         self.enqueue(time, 0, EventKind::Propose(p, value));
-    }
-
-    /// Partitions the network into `groups` for messages sent at or
-    /// after `time`: a message whose sender and receiver share no group
-    /// is dropped at send time (traced as [`TraceEvent::MessageDropped`]).
-    /// Messages already in flight are unaffected, and self-addressed
-    /// messages always get through. A process in no group is isolated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is in the past.
-    pub fn partition_at(&mut self, time: Time, groups: Vec<ProcessSet>) {
-        assert!(time >= self.now, "cannot schedule a partition in the past");
-        self.push_topology_change(time, Some(groups));
-    }
-
-    /// Removes any partition for messages sent at or after `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is in the past.
-    pub fn heal_at(&mut self, time: Time) {
-        assert!(time >= self.now, "cannot schedule a heal in the past");
-        self.push_topology_change(time, None);
-    }
-
-    fn push_topology_change(&mut self, time: Time, groups: Option<Vec<ProcessSet>>) {
-        // Keep the schedule sorted; later insertions at the same time
-        // win (partition_point lands after equal-time entries).
-        let idx = self.topology_changes.partition_point(|(t, _)| *t <= time);
-        self.topology_changes.insert(idx, (time, groups));
-    }
-
-    /// Whether a message sent now from `from` to `to` crosses a
-    /// partition cut.
-    fn connected(&self, from: ProcessId, to: ProcessId) -> bool {
-        match self
-            .topology_changes
-            .iter()
-            .rev()
-            .find(|(t, _)| *t <= self.now)
-        {
-            None | Some((_, None)) => true,
-            Some((_, Some(groups))) => {
-                from == to || groups.iter().any(|g| g.contains(from) && g.contains(to))
-            }
-        }
     }
 
     fn enqueue(&mut self, time: Time, order_key: u64, kind: EventKind<V, P::Message>) {
@@ -501,18 +421,6 @@ impl<V: Value, P: Protocol<V>> Simulation<V, P> {
                 to,
                 kind: msg_kind(&msg),
             });
-            // A partition cut drops the message before the delay model
-            // even sees it: the link is down, not slow.
-            if !self.connected(p, to) {
-                self.obs.message_dropped(p, to);
-                self.trace.push(TraceEvent::MessageDropped {
-                    time: self.now,
-                    from: p,
-                    to,
-                    kind: msg_kind(&msg),
-                });
-                continue;
-            }
             // Self-addressed messages go through the delay model like any
             // other message: in the paper's round model a process's
             // message to itself arrives next round, and the existential
@@ -683,6 +591,8 @@ mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
 
+    use crate::{Partition, SynchronousRounds};
+
     /// A trivial flooding protocol used to exercise the engine: every
     /// process broadcasts its value at start and decides the max of all
     /// values seen once it has heard from everyone alive... simplified:
@@ -813,7 +723,7 @@ mod tests {
         let majority: ProcessSet = [ProcessId::new(0), ProcessId::new(1)].into_iter().collect();
         let minority: ProcessSet = [ProcessId::new(2)].into_iter().collect();
         let outcome = SimulationBuilder::new(cfg)
-            .partition_at(Time::ZERO, vec![majority, minority])
+            .delay_model(Partition::new(SynchronousRounds, vec![majority, minority]))
             .build(flood(cfg))
             .run(Time::ZERO + Duration::deltas(5));
         // The four cross-cut shares (p0↔p2, p1↔p2) are dropped; everyone
@@ -865,8 +775,10 @@ mod tests {
         let majority: ProcessSet = [ProcessId::new(0), ProcessId::new(1)].into_iter().collect();
         let minority: ProcessSet = [ProcessId::new(2)].into_iter().collect();
         let outcome = SimulationBuilder::new(cfg)
-            .partition_at(Time::ZERO, vec![majority, minority])
-            .heal_at(Time::ZERO + Duration::deltas(2))
+            .delay_model(
+                Partition::new(SynchronousRounds, vec![majority, minority])
+                    .heal_after(Time::ZERO + Duration::deltas(2)),
+            )
             .build(|p| Retry {
                 me: p,
                 decided: None,

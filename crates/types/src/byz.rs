@@ -14,14 +14,15 @@
 //!   `⌈(n+3f−1)/2⌉` and the optimal `n ≥ 5f−1`.
 //!
 //! [`ByzConfig`] is the Byzantine sibling of [`crate::SystemConfig`]:
-//! all quorum arithmetic for the fast-BFT baseline and the analysis
-//! obligations (B1–B5 in `twostep-analysis`) lives here, in one place.
+//! every quorum size for the fast-BFT baseline and the analysis
+//! obligations (B1–B7 in `twostep-analysis`) comes from here, as a
+//! [`Quorum`].
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ConfigError, ProcessId, ProcessSet};
+use crate::{ConfigError, ProcessId, ProcessSet, Quorum};
 
 /// Which fast-quorum rule a Byzantine configuration uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -158,17 +159,17 @@ impl ByzConfig {
     /// fast-vote reports visible in every recovery quorum, even after
     /// `f` forged reports (obligations B2 and B6 in
     /// `twostep-analysis`).
-    pub const fn fast_quorum(&self) -> usize {
+    pub const fn fast_quorum(&self) -> Quorum {
         let numerator = match self.variant {
             ByzVariant::Fab => self.n + 3 * self.f + 1,
             ByzVariant::Tight => self.n + 3 * self.f - 1,
         };
-        numerator.div_ceil(2)
+        Quorum::new(numerator.div_ceil(2))
     }
 
     /// Slow-path (recovery) quorum size `n - f`.
-    pub const fn slow_quorum(&self) -> usize {
-        self.n - self.f
+    pub const fn slow_quorum(&self) -> Quorum {
+        Quorum::new(self.n - self.f)
     }
 
     /// Certification threshold for recovery: a value may be adopted by
@@ -178,8 +179,8 @@ impl ByzConfig {
     /// to slow-ballot reports only; its *fast-round* certification
     /// instead reads the honest proposer's own report — the
     /// honest-proposer conditioning of arXiv:2102.12825.)
-    pub const fn cert_threshold(&self) -> usize {
-        self.f + 1
+    pub const fn cert_threshold(&self) -> Quorum {
+        Quorum::new(self.f + 1)
     }
 
     /// The number of *honest* members any two fast quorums share:
@@ -188,7 +189,7 @@ impl ByzConfig {
     /// fast decisions are impossible even when Byzantine members vote
     /// in both (B1).
     pub const fn honest_fast_overlap(&self) -> usize {
-        let fq = self.fast_quorum();
+        let fq = self.fast_quorum().size();
         (2 * fq).saturating_sub(self.n + self.f)
     }
 
@@ -198,7 +199,7 @@ impl ByzConfig {
     /// in `twostep-analysis`; the Tight variant certifies from the
     /// coordinator's report instead of counting witnesses).
     pub const fn honest_fast_witnesses(&self) -> usize {
-        self.fast_quorum().saturating_sub(2 * self.f)
+        self.fast_quorum().size().saturating_sub(2 * self.f)
     }
 
     /// Whether the fast path is *available* under `f` Byzantine
@@ -206,7 +207,7 @@ impl ByzConfig {
     /// `n ≥ 5f+1` (Fab) / `n ≥ 5f−1` (Tight) — the bound whose
     /// tightness the analysis witnesses execute at `n = 5f`.
     pub const fn fast_path_live(&self) -> bool {
-        self.fast_quorum() <= self.n - self.f
+        self.fast_quorum().size() <= self.n - self.f
     }
 
     /// The full process set `Π`.
@@ -341,11 +342,11 @@ mod tests {
                     // so equivocating double-voters cannot bridge two
                     // conflicting fast decisions.
                     assert!(
-                        2 * cfg.fast_quorum() > cfg.n() + cfg.f(),
+                        2 * cfg.fast_quorum().size() > cfg.n() + cfg.f(),
                         "{cfg}: fast quorums intersect only through byzantines"
                     );
                     // B3: slow quorums intersect in >= f+1 honest.
-                    assert!(2 * cfg.slow_quorum() > cfg.n() + cfg.f());
+                    assert!(2 * cfg.slow_quorum().size() > cfg.n() + cfg.f());
                     // Fast-path liveness iff the variant's bound holds.
                     assert_eq!(cfg.fast_path_live(), n >= variant.min_fast_live(f));
                 }

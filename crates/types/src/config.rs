@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ConfigError, ProcessId, ProcessSet};
+use crate::{ConfigError, ProcessId, ProcessSet, Quorum};
 
 /// Which consensus protocol family a bound refers to.
 ///
@@ -67,9 +67,9 @@ impl fmt::Display for ProtocolKind {
 /// may crash while preserving liveness, and up to `e ≤ f` may crash while
 /// preserving two-step decisions in synchronous runs.
 ///
-/// All quorum arithmetic used by the protocols lives here so that the
-/// relationships proven in the paper (Lemma 7 and the §C.3 variant) are
-/// checked in one place:
+/// Every quorum size the protocols use comes from here, as a
+/// [`Quorum`], so that the relationships proven in the paper (Lemma 7
+/// and the §C.3 variant) are checked in one place:
 ///
 /// * *fast quorum*: `n - e` votes decide on the fast path (Figure 1,
 ///   line 16, first disjunct);
@@ -226,18 +226,18 @@ impl SystemConfig {
 
     /// Fast-path quorum size `n - e` (Figure 1 line 16, first disjunct:
     /// `|P ∪ {p_i}| ≥ n - e`).
-    pub const fn fast_quorum(&self) -> usize {
-        self.n - self.e
+    pub const fn fast_quorum(&self) -> Quorum {
+        Quorum::new(self.n - self.e)
     }
 
     /// Slow-path quorum size `n - f` (lines 16 second disjunct and 43).
-    pub const fn slow_quorum(&self) -> usize {
-        self.n - self.f
+    pub const fn slow_quorum(&self) -> Quorum {
+        Quorum::new(self.n - self.f)
     }
 
     /// Recovery vote threshold `n - f - e` (lines 54 and 57).
-    pub const fn recovery_threshold(&self) -> usize {
-        self.n - self.f - self.e
+    pub const fn recovery_threshold(&self) -> Quorum {
+        Quorum::new(self.n - self.f - self.e)
     }
 
     /// Whether `n ≥ 2e+f`, the premise of Lemma 7 (task recovery).

@@ -10,8 +10,10 @@
 //! * [`Ballot`] — Paxos-style ballot numbers; ballot `0` is the paper's
 //!   *fast* ballot, all others are *slow*.
 //! * [`SystemConfig`] — a validated `(n, e, f)` triple together with all
-//!   the quorum arithmetic the paper's protocols need, and the
+//!   the quorum sizes the paper's protocols need, and the
 //!   lower-bound formulas of Theorems 5 and 6.
+//! * [`Quorum`] — a quorum size: compared with counts, never added to
+//!   or subtracted from.
 //! * [`ByzConfig`] — the Byzantine sibling of [`SystemConfig`]: a
 //!   validated `(n, f)` pair with FaB-style fast-quorum arithmetic and
 //!   the `5f+1` / `5f−1` fast-path bounds.
@@ -66,6 +68,7 @@ pub use config::{ProtocolKind, SystemConfig};
 pub use error::ConfigError;
 pub use omega::{Omega, OmegaMode};
 pub use process::{combinations, ProcessId, ProcessSet};
+pub use quorum::Quorum;
 pub use rng::SplitMix64;
 pub use time::{Duration, Time, DELTA};
 pub use value::Value;

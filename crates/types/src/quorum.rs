@@ -1,4 +1,4 @@
-//! Vote-tallying helpers shared by the protocol implementations.
+//! Quorum sizes and the vote-tallying helpers that compare against them.
 //!
 //! Both the paper's protocol and the baselines repeatedly perform the
 //! same two aggregation steps:
@@ -8,10 +8,93 @@
 //!   rule's `|S| > n-f-e` / `|S| = n-f-e` cases;
 //! * collect one reply per process ([`Collector`]) — used to assemble a
 //!   `1B` quorum of size `n-f`.
+//!
+//! Both compare a count against a [`Quorum`].
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::{ProcessId, ProcessSet, Value};
+
+/// A quorum size: how many distinct processes a protocol step must
+/// hear from.
+///
+/// Only [`crate::SystemConfig`] and [`crate::ByzConfig`] make one, so
+/// every size in the protocols is one of the paper's formulas (`n-e`,
+/// `n-f`, `n-f-e`, FaB's `⌈(n+3f±1)/2⌉`, `f+1`). A `Quorum` compares
+/// with a count from either side, and that is all it does: it
+/// implements no arithmetic operator, so an off-by-one on a bound —
+/// how a below-bound deployment loses agreement — does not compile,
+/// whether or not the size went through a `let` first:
+///
+/// ```compile_fail,E0369
+/// let cfg = twostep_types::SystemConfig::new(5, 2, 2).unwrap();
+/// let _ = cfg.fast_quorum() - 1;
+/// ```
+///
+/// ```compile_fail,E0369
+/// let cfg = twostep_types::SystemConfig::new(5, 2, 2).unwrap();
+/// let threshold = cfg.recovery_threshold();
+/// let _ = threshold + 1;
+/// ```
+///
+/// Comparisons read as they would on a plain count:
+///
+/// ```rust
+/// let cfg = twostep_types::SystemConfig::new(5, 2, 2)?;
+/// let votes = 3usize;
+/// assert!(votes >= cfg.fast_quorum());
+/// assert!(votes > cfg.recovery_threshold());
+/// assert_eq!(cfg.slow_quorum(), 3);
+/// # Ok::<(), twostep_types::ConfigError>(())
+/// ```
+///
+/// Code whose job *is* quorum arithmetic (the bound checkers, the
+/// experiment tables) reads the count through [`Quorum::size`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Quorum(usize);
+
+impl Quorum {
+    pub(crate) const fn new(size: usize) -> Self {
+        Quorum(size)
+    }
+
+    /// The size as a plain count.
+    pub const fn size(self) -> usize {
+        self.0
+    }
+}
+
+impl PartialEq<usize> for Quorum {
+    fn eq(&self, count: &usize) -> bool {
+        self.0 == *count
+    }
+}
+
+impl PartialEq<Quorum> for usize {
+    fn eq(&self, quorum: &Quorum) -> bool {
+        *self == quorum.0
+    }
+}
+
+impl PartialOrd<usize> for Quorum {
+    fn partial_cmp(&self, count: &usize) -> Option<Ordering> {
+        self.0.partial_cmp(count)
+    }
+}
+
+impl PartialOrd<Quorum> for usize {
+    fn partial_cmp(&self, quorum: &Quorum) -> Option<Ordering> {
+        self.partial_cmp(&quorum.0)
+    }
+}
+
+impl fmt::Display for Quorum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// Tallies votes of the form "process `p` voted for value `v`".
 ///
@@ -22,14 +105,16 @@ use crate::{ProcessId, ProcessSet, Value};
 ///
 /// ```rust
 /// use twostep_types::quorum::VoteTally;
-/// use twostep_types::ProcessId;
+/// use twostep_types::{ProcessId, SystemConfig};
 ///
+/// let cfg = SystemConfig::new(3, 1, 1)?; // slow quorum n-f = 2
 /// let mut tally: VoteTally<u64> = VoteTally::new();
 /// tally.record(ProcessId::new(0), 7);
 /// tally.record(ProcessId::new(1), 7);
 /// tally.record(ProcessId::new(2), 3);
 /// assert_eq!(tally.count(&7), 2);
-/// assert_eq!(tally.max_value_with_count_at_least(2), Some(&7));
+/// assert_eq!(tally.max_value_with_count_at_least(cfg.slow_quorum()), Some(&7));
+/// # Ok::<(), twostep_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VoteTally<V> {
@@ -74,16 +159,17 @@ impl<V: Value> VoteTally<V> {
         self.votes.iter().map(|(v, s)| (v, *s))
     }
 
-    /// The values whose vote count is at least `k`, in increasing order.
-    pub fn values_with_count_at_least(&self, k: usize) -> impl Iterator<Item = &V> {
+    /// The values with more than `k` votes, in increasing order (the
+    /// recovery rule's `|S| > n-f-e` case, Figure 1 line 54).
+    pub fn values_with_count_above(&self, k: Quorum) -> impl Iterator<Item = &V> {
         self.votes
             .iter()
-            .filter(move |(_, s)| s.len() >= k)
+            .filter(move |(_, s)| s.len() > k)
             .map(|(v, _)| v)
     }
 
     /// The values whose vote count is exactly `k`, in increasing order.
-    pub fn values_with_count_exactly(&self, k: usize) -> impl Iterator<Item = &V> {
+    pub fn values_with_count_exactly(&self, k: Quorum) -> impl Iterator<Item = &V> {
         self.votes
             .iter()
             .filter(move |(_, s)| s.len() == k)
@@ -92,7 +178,7 @@ impl<V: Value> VoteTally<V> {
 
     /// The greatest value with at least `k` votes (the recovery rule's
     /// tie-break at Figure 1 line 58 uses the *maximal* such value).
-    pub fn max_value_with_count_at_least(&self, k: usize) -> Option<&V> {
+    pub fn max_value_with_count_at_least(&self, k: Quorum) -> Option<&V> {
         self.votes
             .iter()
             .rev()
@@ -101,27 +187,12 @@ impl<V: Value> VoteTally<V> {
     }
 
     /// The greatest value with exactly `k` votes.
-    pub fn max_value_with_count_exactly(&self, k: usize) -> Option<&V> {
+    pub fn max_value_with_count_exactly(&self, k: Quorum) -> Option<&V> {
         self.votes
             .iter()
             .rev()
             .find(|(_, s)| s.len() == k)
             .map(|(v, _)| v)
-    }
-
-    /// The unique value with more than `k` votes, if exactly one exists.
-    pub fn unique_value_above(&self, k: usize) -> Option<&V> {
-        let mut it = self
-            .votes
-            .iter()
-            .filter(|(_, s)| s.len() > k)
-            .map(|(v, _)| v);
-        let first = it.next()?;
-        if it.next().is_some() {
-            None
-        } else {
-            Some(first)
-        }
     }
 
     /// Removes all votes.
@@ -244,25 +315,28 @@ mod tests {
         }
         t.record(p(5), 30);
 
-        let at_least_2: Vec<&u64> = t.values_with_count_at_least(2).collect();
-        assert_eq!(at_least_2, vec![&10, &20]);
-        let exactly_2: Vec<&u64> = t.values_with_count_exactly(2).collect();
+        let q = Quorum::new;
+        let above_1: Vec<&u64> = t.values_with_count_above(q(1)).collect();
+        assert_eq!(above_1, vec![&10, &20]);
+        let above_2: Vec<&u64> = t.values_with_count_above(q(2)).collect();
+        assert_eq!(above_2, vec![&10]);
+        assert_eq!(t.values_with_count_above(q(3)).next(), None);
+        let exactly_2: Vec<&u64> = t.values_with_count_exactly(q(2)).collect();
         assert_eq!(exactly_2, vec![&20]);
-        assert_eq!(t.max_value_with_count_at_least(2), Some(&20));
-        assert_eq!(t.max_value_with_count_exactly(1), Some(&30));
-        assert_eq!(t.max_value_with_count_exactly(4), None);
+        assert_eq!(t.max_value_with_count_at_least(q(2)), Some(&20));
+        assert_eq!(t.max_value_with_count_exactly(q(1)), Some(&30));
+        assert_eq!(t.max_value_with_count_exactly(q(4)), None);
     }
 
     #[test]
-    fn tally_unique_value_above() {
-        let mut t: VoteTally<u64> = VoteTally::new();
-        for i in 0..3 {
-            t.record(p(i), 10);
-        }
-        t.record(p(3), 20);
-        assert_eq!(t.unique_value_above(1), Some(&10));
-        assert_eq!(t.unique_value_above(0), None); // two values above 0
-        assert_eq!(t.unique_value_above(5), None); // none above 5
+    fn quorum_compares_with_counts_from_either_side() {
+        let q = Quorum::new(3);
+        assert!(2 < q);
+        assert!(q > 2);
+        assert!(4 >= q);
+        assert_eq!(3, q);
+        assert_eq!(q, 3);
+        assert_eq!((q.size(), q.to_string()), (3, "3".to_string()));
     }
 
     #[test]

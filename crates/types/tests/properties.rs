@@ -72,14 +72,14 @@ proptest! {
         let (e, f) = GRID[grid];
         let n = SystemConfig::minimal_task(e, f).unwrap().n() + extra;
         let cfg = SystemConfig::new(n, e, f).unwrap();
-        prop_assert_eq!(cfg.fast_quorum() + cfg.e(), cfg.n());
-        prop_assert_eq!(cfg.slow_quorum() + cfg.f(), cfg.n());
+        prop_assert_eq!(cfg.fast_quorum().size() + cfg.e(), cfg.n());
+        prop_assert_eq!(cfg.slow_quorum().size() + cfg.f(), cfg.n());
         prop_assert_eq!(cfg.recovery_threshold(), cfg.n() - cfg.f() - cfg.e());
         // Two slow quorums overlap in ≥ n - 2f ≥ 1 processes (Paxos'
         // classic intersection), a fast and a slow quorum in ≥ n - f - e.
-        prop_assert!(2 * cfg.slow_quorum() > cfg.n());
+        prop_assert!(2 * cfg.slow_quorum().size() > cfg.n());
         prop_assert_eq!(
-            cfg.fast_quorum() + cfg.slow_quorum() - cfg.n(),
+            cfg.fast_quorum().size() + cfg.slow_quorum().size() - cfg.n(),
             cfg.recovery_threshold()
         );
         prop_assert!(cfg.satisfies_task_bound());
@@ -94,8 +94,8 @@ proptest! {
         let cfg = SystemConfig::minimal_task(e, f).unwrap();
         let n = cfg.n();
         let mut min_overlap = usize::MAX;
-        for fast in combinations(n, cfg.fast_quorum()) {
-            for slow in combinations(n, cfg.slow_quorum()) {
+        for fast in combinations(n, cfg.fast_quorum().size()) {
+            for slow in combinations(n, cfg.slow_quorum().size()) {
                 min_overlap = min_overlap.min(fast.intersection(slow).len());
             }
         }
