@@ -1,72 +1,182 @@
-//! Exhaustive small-model checking of the paper's quorum bounds.
+//! Exhaustive small-model checking of the quorum bounds.
 //!
-//! For every configuration `(n, e, f)` with `n` up to a caller-chosen
-//! ceiling (CI uses 25), the checker verifies that the quorum arithmetic
-//! exposed by a [`QuorumModel`] satisfies the obligations the safety
-//! proofs rest on:
+//! Two families of bounds are checked, each over every configuration
+//! with `n` up to a caller-chosen ceiling (CI uses 25):
 //!
-//! * **O1 sanity** — no quantity underflows or exceeds `n`, and the
-//!   recovery threshold fits inside both quorums.
-//! * **O2 slow intersection** — two slow quorums always share a process
-//!   (`2·sq ≥ n+1`), the classic Paxos requirement.
-//! * **O3 fast/slow visibility** — a fast quorum and a slow quorum share
-//!   at least `recovery_threshold` processes (`fq + sq ≥ n + thr`): the
-//!   survivors Lemma 7 counts when a fast decision must stay visible to
-//!   recovery. With the real arithmetic this holds with equality.
-//! * **O4 `>`-case uniqueness** — when the object bound `n ≥ 2e+f-1`
-//!   holds, two values cannot both exceed the threshold inside one slow
-//!   quorum (`2·(thr+1) > sq`); this is the §C.3 variant of Lemma 7.
-//! * **O5 rival cap** — when the task bound `n ≥ 2e+f` holds, the
-//!   processes outside a fast quorum cannot out-vote the threshold
-//!   (`n - fq ≤ thr`), which is what lets the recovery rule's `=`-case
-//!   tie-break never overturn a fast decision (Lemma 7 proper).
-//! * **O6 case partition** — for every achievable per-value vote count
-//!   `k ≤ sq`, exactly one recovery branch (`> thr`, `= thr`, `< thr`)
-//!   applies: the rule's two counting cases are mutually exclusive and
-//!   exhaustive.
-//! * **O7 set-level cross-check** — for `n ≤ 10`, brute-force bitmask
-//!   enumeration of actual quorum subsets re-derives O3 and O4 and must
-//!   agree with the closed-form arithmetic.
+//! * [`crash`] — the paper's Theorems 5–6: obligations O1–O7 on the
+//!   `SystemConfig` arithmetic (`n-e`, `n-f`, `n-f-e`) at every
+//!   `(n, e, f)`, with tightness witnesses executed against the real
+//!   recovery rule `select_value`.
+//! * [`byzantine`] — the Byzantine fast-path bounds `5f+1` / `5f−1`:
+//!   obligations B1–B7 on the `ByzConfig` arithmetic at every
+//!   `(n, f, variant)`, with tightness witnesses executed against the
+//!   real `FastBft` baseline.
 //!
-//! Below each protocol's bound the checker emits a **tightness
-//! witness**: a concrete quorum pair (and, where the configuration is
-//! still constructible, a full `1B` report set that is *executed
-//! against the real recovery rule*, [`select_value`]) demonstrating the
-//! failure the bound rules out. Theorems 5 and 6 become executable:
-//! every `n` below `max{2e+f, 2f+1}` (task) or `max{2e+f-1, 2f+1}`
-//! (object) carries a machine-checkable counterexample.
+//! Both run through one harness, [`sweep`]. A model is the family's
+//! three quorum sizes at one configuration, taken from the real config
+//! or from a seeded-broken [`Fixture`] that breaks one of them — a gate
+//! that cannot go red is not a gate. The sweep checks every
+//! configuration's model against the family's obligations and, for the
+//! real arithmetic, builds a tightness witness for every `n` below each
+//! bound. Both families report through the same [`Violation`],
+//! [`TightnessWitness`] and [`SweepOutcome`]; where they differ — the
+//! header fields and what a witness run records — is data ([`Point`],
+//! [`ExecutionRecord`]).
 
-use twostep_core::recovery::{select_value, Report};
-use twostep_core::Ablations;
-use twostep_types::quorum::Collector;
-use twostep_types::{ProcessId, ProtocolKind, SystemConfig};
+pub mod byzantine;
+pub mod crash;
 
-use crate::model::{Fixture, QuorumModel, RealModel};
+use std::fmt;
+
+use twostep_types::{ByzVariant, ProtocolKind};
 
 /// Ceiling for the exhaustive sweep used by CI.
 pub const DEFAULT_MAX_N: usize = 25;
 
-/// Ceiling for the brute-force subset enumeration (O7 here, B7 in
-/// [`crate::byz_bounds`]).
-pub(crate) const SET_CHECK_MAX_N: usize = 10;
+/// Ceiling for the brute-force subset enumeration (O7 and B7).
+const SET_CHECK_MAX_N: usize = 10;
+
+/// Named process sets making up a counterexample.
+pub type Sets = Vec<(&'static str, Vec<u32>)>;
+
+/// The tightness witnesses a family seeks, each with where it was
+/// sought; a construction that failed says why.
+type Sought = Vec<(Point, Result<TightnessWitness, String>)>;
+
+/// A family of bounds: its own arithmetic, obligations and witnesses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Theorems 5–6, obligations O1–O7 ([`crash`]).
+    Crash,
+    /// The Byzantine fast-path bounds, obligations B1–B7 ([`byzantine`]).
+    Byzantine,
+}
+
+impl Family {
+    /// Both families, in report order.
+    pub const ALL: [Family; 2] = [Family::Crash, Family::Byzantine];
+}
+
+/// Seeded-violation fixtures: known-broken arithmetic the checker must
+/// reject. CI runs the checker against each and asserts exit 1,
+/// guarding the gate itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fixture {
+    /// Crash fast quorums of `n - e - 1`: one process too small, so a
+    /// fast quorum and a slow quorum may share fewer than `n - f - e`
+    /// members and a fast decision can vanish from recovery's view.
+    BrokenFastQuorum,
+    /// Crash recovery threshold of `n - f - e + 1`: one vote too
+    /// demanding, so a fast-decided value guaranteed only `n - f - e`
+    /// surviving votes falls through to the arbitrary fallback branch.
+    BrokenRecoveryThreshold,
+    /// Byzantine fast quorums of `⌈(n+f+1)/2⌉` — the *crash-tolerant*
+    /// size, blind to equivocation. Too small for max-count recovery
+    /// (B6 fails for every FaB configuration), short of certification
+    /// below `n = 5f` (B2), and live below the variant bounds (the
+    /// tightness half of B4).
+    ByzCrashSizedFastQuorum,
+}
+
+impl Fixture {
+    /// All fixtures, for CLI listing and tests.
+    pub const ALL: [Fixture; 3] = [
+        Fixture::BrokenFastQuorum,
+        Fixture::BrokenRecoveryThreshold,
+        Fixture::ByzCrashSizedFastQuorum,
+    ];
+
+    /// Parses the CLI spelling.
+    pub fn parse(s: &str) -> Option<Fixture> {
+        Fixture::ALL.into_iter().find(|fx| fx.name() == s)
+    }
+
+    /// The CLI spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fixture::BrokenFastQuorum => "broken-fast-quorum",
+            Fixture::BrokenRecoveryThreshold => "broken-recovery-threshold",
+            Fixture::ByzCrashSizedFastQuorum => "byz-crash-sized-fast-quorum",
+        }
+    }
+
+    /// The family whose arithmetic this fixture breaks; the other
+    /// family's sweep checks the real arithmetic.
+    pub fn family(self) -> Family {
+        match self {
+            Fixture::BrokenFastQuorum | Fixture::BrokenRecoveryThreshold => Family::Crash,
+            Fixture::ByzCrashSizedFastQuorum => Family::Byzantine,
+        }
+    }
+}
+
+/// Where a result sits in its family's swept space: the header fields
+/// of its JSON object and text line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Point {
+    /// A crash configuration: `n` processes, up to `f` crashes, fast
+    /// decisions despite up to `e` of them.
+    Crash { n: usize, e: usize, f: usize },
+    /// A Byzantine configuration: `n` processes, up to `f` Byzantine,
+    /// under a quorum-rule variant.
+    Byzantine {
+        variant: ByzVariant,
+        n: usize,
+        f: usize,
+    },
+}
+
+impl Point {
+    /// Processes.
+    pub fn n(self) -> usize {
+        match self {
+            Point::Crash { n, .. } | Point::Byzantine { n, .. } => n,
+        }
+    }
+
+    /// Resilience threshold.
+    pub fn f(self) -> usize {
+        match self {
+            Point::Crash { f, .. } | Point::Byzantine { f, .. } => f,
+        }
+    }
+
+    /// The header fields of a JSON object, without braces.
+    fn json_fields(self) -> String {
+        match self {
+            Point::Crash { n, e, f } => format!("\"n\":{n},\"e\":{e},\"f\":{f}"),
+            Point::Byzantine { variant, n, f } => format!(
+                "\"variant\":\"{}\",\"n\":{n},\"f\":{f}",
+                json_escape(variant.name())
+            ),
+        }
+    }
+}
+
+/// The header of a text-report line.
+impl fmt::Display for Point {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Point::Crash { n, e, f } => write!(out, "n={n} e={e} f={f}"),
+            Point::Byzantine { variant, n, f } => write!(out, "n={n} f={f} {}", variant.name()),
+        }
+    }
+}
 
 /// A quorum obligation that fails for a model claiming it should hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Model the violation was found in (`"real"` or a fixture name).
     pub model: &'static str,
-    /// Processes.
-    pub n: usize,
-    /// Fast-decision failure threshold.
-    pub e: usize,
-    /// Resilience threshold.
-    pub f: usize,
-    /// Obligation identifier (`"O3-fast-slow-visibility"`, …).
+    /// The configuration it was found at.
+    pub point: Point,
+    /// Obligation identifier (`"O3-fast-slow-visibility"`,
+    /// `"B1-fast-honest-intersection"`, …).
     pub obligation: &'static str,
     /// Human-readable account of the failing inequality.
     pub detail: String,
     /// Concrete sets exhibiting the failure, when constructible.
-    pub witness_sets: Vec<(&'static str, Vec<u32>)>,
+    pub witness_sets: Sets,
 }
 
 /// How a tightness witness demonstrates the bound's necessity.
@@ -80,15 +190,19 @@ pub enum WitnessKind {
     /// tell which of two values was fast-chosen.
     FastQuorumAmbiguity,
     /// `2f+1 ≤ n ≤ 2e+f-1` (task): a run where value 100 is
-    /// fast-decided yet [`select_value`] picks the rival 200 — a rival
+    /// fast-decided yet `select_value` picks the rival 200 — a rival
     /// proposed by a process that had already voted for 100 gathers
     /// `e > n-f-e` surviving votes.
     TaskRivalOvertake,
     /// `2f+1 ≤ n ≤ 2e+f-2` (object): a run where value 100 is
     /// fast-decided yet both 100 and the rival 50 exceed the `n-f-e`
-    /// threshold in the same report quorum, and [`select_value`]
+    /// threshold in the same report quorum, and `select_value`
     /// resolves the ambiguity the wrong way.
     ObjectGtAmbiguity,
+    /// `3f+1 ≤ n` below a Byzantine variant's fast-liveness bound: the
+    /// `n − f` processes left live when `f` fall silent are fewer than
+    /// a fast quorum, and a `FastBft` run shows no fast decider.
+    FastPathVacant,
 }
 
 impl WitnessKind {
@@ -99,51 +213,66 @@ impl WitnessKind {
             WitnessKind::FastQuorumAmbiguity => "fast-quorum-ambiguity",
             WitnessKind::TaskRivalOvertake => "task-rival-overtake",
             WitnessKind::ObjectGtAmbiguity => "object-gt-ambiguity",
+            WitnessKind::FastPathVacant => "fast-path-vacant",
         }
     }
 }
 
-/// Result of running a witness's report set through the real recovery
-/// rule.
+/// What running a witness on the real code produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutionRecord {
-    /// The value fast-decided in the witness run.
-    pub fast_decided: u64,
-    /// What [`select_value`] picked from the `1B` reports — differing
-    /// from `fast_decided`, i.e. an agreement violation.
-    pub recovery_selected: u64,
+pub enum ExecutionRecord {
+    /// A crash witness's `1B` reports run through the real recovery
+    /// rule, `select_value`.
+    Recovery {
+        /// The value fast-decided in the witness run.
+        fast_decided: u64,
+        /// What `select_value` picked from the `1B` reports — differing
+        /// from `fast_decided`, i.e. an agreement violation.
+        recovery_selected: u64,
+    },
+    /// A Byzantine witness run on the real `FastBft` baseline under the
+    /// synchronous runner.
+    FastBft {
+        /// Processes crashed in the run (always `f`, the top ids).
+        crashed: usize,
+        /// Correct processes that decided on the fast path — zero, by
+        /// construction, since `fq > n − f`.
+        fast_deciders: usize,
+        /// Correct processes that decided at all (via recovery).
+        correct_deciders: usize,
+        /// The agreed value the slow path certified.
+        decided_value: u64,
+    },
 }
 
-/// A concrete counterexample showing a bound is tight at this `n`.
+/// A concrete counterexample showing a bound is tight at its `n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TightnessWitness {
-    /// Protocol family whose bound `n` violates.
-    pub protocol: ProtocolKind,
-    /// Processes (below the bound).
-    pub n: usize,
-    /// Fast-decision failure threshold.
-    pub e: usize,
-    /// Resilience threshold.
-    pub f: usize,
+    /// The crash protocol whose bound `n` falls short of; a Byzantine
+    /// witness's bound is its point's variant's.
+    pub protocol: Option<ProtocolKind>,
+    /// The configuration below the bound.
+    pub point: Point,
     /// The bound `n` falls short of.
     pub bound: usize,
     /// The shape of the counterexample.
     pub kind: WitnessKind,
     /// Named process sets making up the counterexample.
-    pub sets: Vec<(&'static str, Vec<u32>)>,
-    /// Present when the witness was executed against [`select_value`].
+    pub sets: Sets,
+    /// Present when the witness was executed against the real code.
     pub executed: Option<ExecutionRecord>,
 }
 
-/// Outcome of a full sweep.
+/// Outcome of a full sweep of one family.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
+    /// The family swept.
+    pub family: Family,
     /// The sweep ceiling.
     pub max_n: usize,
     /// Arithmetic under test (`"real"` or a fixture name).
     pub model: &'static str,
-    /// Number of `(n, e, f)` configurations whose obligations were
-    /// checked.
+    /// Number of configurations whose obligations were checked.
     pub configs_checked: usize,
     /// Obligation violations (empty for the real arithmetic).
     pub violations: Vec<Violation>,
@@ -158,170 +287,63 @@ impl SweepOutcome {
     }
 }
 
-pub(crate) fn ids(range: impl Iterator<Item = usize>) -> Vec<u32> {
+/// Runs `family`'s full sweep: obligations for every constructible
+/// configuration with `n ≤ max_n`, plus (for the real arithmetic)
+/// tightness witnesses for every `n` below each bound. A fixture of
+/// the other family leaves this one's arithmetic real.
+///
+/// Witness-construction failures are reported as
+/// `"witness-construction"` violations: a bound the checker cannot
+/// exhibit a counterexample for is treated as unverified.
+pub fn sweep(family: Family, max_n: usize, fixture: Option<Fixture>) -> SweepOutcome {
+    let fixture = fixture.filter(|fx| fx.family() == family);
+    let model = fixture.map_or("real", Fixture::name);
+    // One entry per configuration: what its model's check found.
+    let checked: Vec<Vec<Violation>> = match family {
+        Family::Crash => crash::models(max_n, fixture).map(crash::check).collect(),
+        Family::Byzantine => byzantine::models(max_n, fixture)
+            .map(byzantine::check)
+            .collect(),
+    };
+    let mut outcome = SweepOutcome {
+        family,
+        max_n,
+        model,
+        configs_checked: checked.len(),
+        violations: checked.concat(),
+        witnesses: Vec::new(),
+    };
+    // Tightness witnesses demonstrate the real bounds; fixtures skip
+    // them (their purpose is to trip the obligations above).
+    if fixture.is_none() {
+        let sought = match family {
+            Family::Crash => crash::witnesses(max_n),
+            Family::Byzantine => byzantine::witnesses(max_n),
+        };
+        for (point, witness) in sought {
+            match witness {
+                Ok(w) => outcome.witnesses.push(w),
+                Err(detail) => outcome.violations.push(Violation {
+                    model,
+                    point,
+                    obligation: "witness-construction",
+                    detail,
+                    witness_sets: vec![],
+                }),
+            }
+        }
+    }
+    outcome
+}
+
+fn ids(range: impl Iterator<Item = usize>) -> Vec<u32> {
     range.map(|i| i as u32).collect()
 }
 
-/// Checks obligations O1–O7 for one model instance.
-pub fn check_model(model: &dyn QuorumModel) -> Vec<Violation> {
-    let (n, e, f) = model.params();
-    let fq = model.fast_quorum();
-    let sq = model.slow_quorum();
-    let thr = model.recovery_threshold();
-    let mut out = Vec::new();
-    let mut violate =
-        |obligation: &'static str, detail: String, witness_sets: Vec<(&'static str, Vec<u32>)>| {
-            out.push(Violation {
-                model: model.name(),
-                n,
-                e,
-                f,
-                obligation,
-                detail,
-                witness_sets,
-            });
-        };
-
-    // O1: basic sanity of the three quantities.
-    let mut sanity = Vec::new();
-    if fq == 0 || fq > n {
-        sanity.push(format!("fast quorum {fq} outside 1..={n}"));
-    }
-    if sq == 0 || sq > n {
-        sanity.push(format!("slow quorum {sq} outside 1..={n}"));
-    }
-    if thr == 0 {
-        sanity.push("recovery threshold is 0: any single vote clears the > case".into());
-    }
-    if thr > sq {
-        sanity.push(format!(
-            "recovery threshold {thr} exceeds slow quorum {sq}: the = case is unreachable"
-        ));
-    }
-    if thr > fq {
-        sanity.push(format!("recovery threshold {thr} exceeds fast quorum {fq}"));
-    }
-    if f + e > n {
-        sanity.push(format!("f+e = {} exceeds n = {n}", f + e));
-    }
-    if !sanity.is_empty() {
-        violate("O1-sanity", sanity.join("; "), vec![]);
-    }
-
-    // O2: two slow quorums must intersect.
-    if 2 * sq < n + 1 {
-        violate(
-            "O2-slow-intersection",
-            format!("2·{sq} < {n}+1: disjoint slow quorums exist"),
-            vec![
-                ("slow_quorum_1", ids(0..sq)),
-                ("slow_quorum_2", ids(n - sq..n)),
-            ],
-        );
-    }
-
-    // O3: a fast quorum and a slow quorum share >= thr processes.
-    if fq + sq < n + thr {
-        let overlap = (fq + sq).saturating_sub(n);
-        violate(
-            "O3-fast-slow-visibility",
-            format!(
-                "fq+sq = {} < n+thr = {}: a fast decision can retain only \
-                 {overlap} < {thr} votes in some 1B quorum",
-                fq + sq,
-                n + thr
-            ),
-            vec![
-                ("fast_quorum", ids(0..fq)),
-                ("slow_quorum", ids(n - sq..n)),
-                ("intersection", ids(n - sq..fq.max(n - sq))),
-            ],
-        );
-    }
-
-    // O4: at the object bound, at most one value can exceed thr votes
-    // inside a slow quorum.
-    let object_bound = n + 1 >= 2 * e + f;
-    if object_bound && 2 * (thr + 1) <= sq {
-        violate(
-            "O4-gt-uniqueness",
-            format!(
-                "2·(thr+1) = {} ≤ sq = {sq}: two values can both exceed the \
-                 threshold although n ≥ 2e+f-1",
-                2 * (thr + 1)
-            ),
-            vec![
-                ("slow_quorum", ids(0..sq)),
-                ("value_a_voters", ids(0..thr + 1)),
-                ("value_b_voters", ids(thr + 1..2 * (thr + 1))),
-            ],
-        );
-    }
-
-    // O5: at the task bound, the processes outside a fast quorum cannot
-    // out-vote the threshold.
-    let task_bound = n >= 2 * e + f;
-    if task_bound && n - fq > thr {
-        violate(
-            "O5-task-rival-cap",
-            format!(
-                "n-fq = {} > thr = {thr}: a rival value can overtake the \
-                 recovery threshold although n ≥ 2e+f",
-                n - fq
-            ),
-            vec![("rival_voters", ids(fq..n))],
-        );
-    }
-
-    // O6: the recovery branches partition every achievable vote count.
-    for k in 0..=sq {
-        let cases = [k > thr, k == thr, k < thr];
-        let applicable = cases.iter().filter(|c| **c).count();
-        if applicable != 1 {
-            violate(
-                "O6-case-partition",
-                format!("vote count {k}: {applicable} recovery cases apply (thr = {thr})"),
-                vec![],
-            );
-            break;
-        }
-    }
-
-    // O7: brute-force subset enumeration must agree with the closed
-    // forms behind O3 and O4.
-    if n <= SET_CHECK_MAX_N && fq <= n && sq <= n && fq > 0 && sq > 0 {
-        let min_overlap = min_intersection_by_enumeration(n, fq, sq);
-        let arithmetic = (fq + sq).saturating_sub(n);
-        if min_overlap != arithmetic {
-            violate(
-                "O7-set-cross-check",
-                format!(
-                    "min |FQ ∩ Q| over all subsets is {min_overlap}, closed form says {arithmetic}"
-                ),
-                vec![],
-            );
-        }
-        let two_blocks_fit = 2 * (thr + 1) <= sq;
-        let two_blocks_by_sets = sq >= 2 && exists_two_disjoint_blocks(sq, thr + 1);
-        if two_blocks_fit != two_blocks_by_sets {
-            violate(
-                "O7-set-cross-check",
-                format!(
-                    "disjoint (thr+1)-blocks: arithmetic says {two_blocks_fit}, \
-                     enumeration says {two_blocks_by_sets}"
-                ),
-                vec![],
-            );
-        }
-    }
-
-    out
-}
-
 /// Minimum `|FQ ∩ Q|` over all size-`fq` and size-`sq` subsets of `n`,
-/// by bitmask enumeration (`n ≤ 10`). Shared with the Byzantine
-/// checker's set-level cross-check.
-pub(crate) fn min_intersection_by_enumeration(n: usize, fq: usize, sq: usize) -> usize {
+/// by bitmask enumeration (`n ≤ 10`): the set-level re-derivation
+/// behind O7 and B7.
+fn min_intersection_by_enumeration(n: usize, fq: usize, sq: usize) -> usize {
     let mut min = n;
     for a in 0u32..1 << n {
         if a.count_ones() as usize != fq {
@@ -337,338 +359,15 @@ pub(crate) fn min_intersection_by_enumeration(n: usize, fq: usize, sq: usize) ->
     min
 }
 
-/// Whether a set of `sq` elements contains two disjoint subsets of
-/// `block` elements each, by bitmask enumeration — the set-wise
-/// re-derivation of `2·block ≤ sq` used by the O7 cross-check.
-fn exists_two_disjoint_blocks(sq: usize, block: usize) -> bool {
-    for a in 0u32..1 << sq {
-        if a.count_ones() as usize != block {
-            continue;
-        }
-        for b in 0u32..1 << sq {
-            if b.count_ones() as usize == block && a & b == 0 {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// Tightness witnesses
-// ---------------------------------------------------------------------
-
-/// `n ≤ 2f`: two slow quorums of `n-f` members that do not intersect.
-fn disjoint_slow_quorums(
-    protocol: ProtocolKind,
-    n: usize,
-    e: usize,
-    f: usize,
-    bound: usize,
-) -> Result<TightnessWitness, String> {
-    if n <= f {
-        return Err(format!("n={n} ≤ f={f}: no slow quorum exists at all"));
-    }
-    let sq = n - f;
-    if 2 * sq > n {
-        return Err(format!("n={n} > 2f={}: slow quorums intersect", 2 * f));
-    }
-    let q1 = ids(0..sq);
-    let q2 = ids(n - sq..n);
-    if q1.iter().any(|p| q2.contains(p)) {
-        return Err("constructed quorums are not disjoint".into());
-    }
-    Ok(TightnessWitness {
-        protocol,
-        n,
-        e,
-        f,
-        bound,
-        kind: WitnessKind::DisjointSlowQuorums,
-        sets: vec![("slow_quorum_1", q1), ("slow_quorum_2", q2)],
-        executed: None,
-    })
-}
-
-/// `2f+1 ≤ n ≤ 2e+f`: two fast quorums whose common part misses an
-/// entire slow quorum — Fast Paxos's recovery rule cannot arbitrate.
-fn fast_quorum_ambiguity(
-    n: usize,
-    e: usize,
-    f: usize,
-    bound: usize,
-) -> Result<TightnessWitness, String> {
-    if n < 2 * f + 1 || n > 2 * e + f {
-        return Err(format!("n={n} outside [2f+1, 2e+f] for (e={e}, f={f})"));
-    }
-    let sq = n - f;
-    // Miss the slow quorum Q = {0..sq} from both sides: FQ1 omits Q's
-    // first e members, FQ2 omits Q's last e members.
-    let e1: Vec<u32> = ids(0..e);
-    let e2: Vec<u32> = ids(sq - e..sq);
-    let fq1: Vec<u32> = ids(0..n).into_iter().filter(|p| !e1.contains(p)).collect();
-    let fq2: Vec<u32> = ids(0..n).into_iter().filter(|p| !e2.contains(p)).collect();
-    let q = ids(0..sq);
-    let common: Vec<u32> = q
-        .iter()
-        .copied()
-        .filter(|p| fq1.contains(p) && fq2.contains(p))
-        .collect();
-    if !common.is_empty() {
-        return Err(format!(
-            "FQ1 ∩ FQ2 ∩ Q = {common:?} is nonempty: witness construction is wrong"
-        ));
-    }
-    Ok(TightnessWitness {
-        protocol: ProtocolKind::FastPaxos,
-        n,
-        e,
-        f,
-        bound,
-        kind: WitnessKind::FastQuorumAmbiguity,
-        sets: vec![
-            ("slow_quorum", q),
-            ("fast_quorum_1", fq1),
-            ("fast_quorum_2", fq2),
-        ],
-        executed: None,
-    })
-}
-
-/// `2f+1 ≤ n ≤ 2e+f-1` (task): executes the real [`select_value`] on a
-/// run where 100 is fast-decided and the rule picks 200.
-///
-/// Construction: processes `0..n-e` vote for 100 (proposed by process
-/// 0, which gathers a full fast quorum and decides). Process 1 — which
-/// already voted for 100 — then proposes 200, and the `e` processes
-/// outside the fast-voter set vote for it. The `f` processes `0..f`
-/// (all fast voters, including both proposers) miss the `1B` quorum
-/// `Q = {f..n}`. Inside `Q`, 100 keeps exactly `n-f-e` votes while 200
-/// keeps `e ≥ n-f-e+1`, so the `>` case selects 200.
-fn task_rival_overtake(
-    n: usize,
-    e: usize,
-    f: usize,
-    bound: usize,
-) -> Result<TightnessWitness, String> {
-    if n < 2 * f + 1 || n + 1 > 2 * e + f {
-        return Err(format!("n={n} outside [2f+1, 2e+f-1] for (e={e}, f={f})"));
-    }
-    let cfg = SystemConfig::new(n, e, f).map_err(|err| err.to_string())?;
-    let decided = 100u64;
-    let rival = 200u64;
-    let pv = ProcessId::new(0);
-    let pw = ProcessId::new(1);
-    // The region forces 2e ≥ f+2, hence f ≥ 2 (since e ≤ f) and the
-    // excluded set {0..f} stays inside the fast-voter set {0..n-e}.
-    let mut reports = Collector::new();
-    for q in f..n {
-        let r = if q < n - e {
-            Report::fast_vote(decided, pv)
-        } else {
-            Report::fast_vote(rival, pw)
-        };
-        reports.insert(ProcessId::new(q as u32), r);
-    }
-    let selected = select_value(&cfg, &reports, None, None, Ablations::NONE)
-        .ok_or("recovery selected nothing")?;
-    if selected == decided {
-        return Err("recovery agreed with the fast decision: not a witness".into());
-    }
-    Ok(TightnessWitness {
-        protocol: ProtocolKind::TaskTwoStep,
-        n,
-        e,
-        f,
-        bound,
-        kind: WitnessKind::TaskRivalOvertake,
-        sets: vec![
-            ("fast_voters_100", ids(0..n - e)),
-            ("rival_voters_200", ids(n - e..n)),
-            ("missing_from_1b", ids(0..f)),
-            ("report_quorum", ids(f..n)),
-        ],
-        executed: Some(ExecutionRecord {
-            fast_decided: decided,
-            recovery_selected: selected,
-        }),
-    })
-}
-
-/// `2f+1 ≤ n ≤ 2e+f-2` (object): executes the real [`select_value`] on
-/// a run where 100 is fast-decided but both 100 and the rival 50 exceed
-/// the `n-f-e` threshold, and the rule resolves the tie to 50.
-///
-/// Construction: processes `0..n-e` vote for 100 (proposed by process
-/// 0); processes `n-e..n` vote for 50, proposed by process `n-e`. The
-/// `f` non-reporters are `{0, 1, …, f-2}` (fast voters, including the
-/// proposer of 100) plus `n-e` (the rival's proposer). Inside the `1B`
-/// quorum, 100 keeps `n-f-e+1` votes and 50 keeps `e-1 ≥ n-f-e+1`:
-/// Lemma 7's uniqueness premise fails exactly because `n ≤ 2e+f-2`.
-fn object_gt_ambiguity(
-    n: usize,
-    e: usize,
-    f: usize,
-    bound: usize,
-) -> Result<TightnessWitness, String> {
-    if n < 2 * f + 1 || n + 2 > 2 * e + f {
-        return Err(format!("n={n} outside [2f+1, 2e+f-2] for (e={e}, f={f})"));
-    }
-    let cfg = SystemConfig::new(n, e, f).map_err(|err| err.to_string())?;
-    let decided = 100u64;
-    let rival = 50u64;
-    let pv = ProcessId::new(0);
-    let pw = ProcessId::new((n - e) as u32);
-    let missing: Vec<usize> = (0..f - 1).chain([n - e]).collect();
-    let mut reports = Collector::new();
-    for q in 0..n {
-        if missing.contains(&q) {
-            continue;
-        }
-        let r = if q < n - e {
-            Report::fast_vote(decided, pv)
-        } else {
-            Report::fast_vote(rival, pw)
-        };
-        reports.insert(ProcessId::new(q as u32), r);
-    }
-    let selected = select_value(&cfg, &reports, None, None, Ablations::NONE)
-        .ok_or("recovery selected nothing")?;
-    if selected == decided {
-        return Err("recovery agreed with the fast decision: not a witness".into());
-    }
-    Ok(TightnessWitness {
-        protocol: ProtocolKind::ObjectTwoStep,
-        n,
-        e,
-        f,
-        bound,
-        kind: WitnessKind::ObjectGtAmbiguity,
-        sets: vec![
-            ("fast_voters_100", ids(0..n - e)),
-            ("rival_voters_50", ids(n - e..n)),
-            (
-                "missing_from_1b",
-                missing.iter().map(|i| *i as u32).collect(),
-            ),
-            (
-                "report_quorum",
-                ids(0..n)
-                    .into_iter()
-                    .filter(|p| !missing.contains(&(*p as usize)))
-                    .collect(),
-            ),
-        ],
-        executed: Some(ExecutionRecord {
-            fast_decided: decided,
-            recovery_selected: selected,
-        }),
-    })
-}
-
-/// Builds the tightness witness for `(protocol, n, e, f)` with `n`
-/// below the protocol's bound, choosing the strongest constructible
-/// shape for the region `n` falls in.
-pub fn tightness_witness(
-    protocol: ProtocolKind,
-    n: usize,
-    e: usize,
-    f: usize,
-) -> Result<TightnessWitness, String> {
-    let bound = protocol.min_processes(e, f);
-    if n >= bound {
-        return Err(format!("n={n} is not below the {protocol} bound {bound}"));
-    }
-    if n < 2 * f + 1 {
-        return disjoint_slow_quorums(protocol, n, e, f, bound);
-    }
-    match protocol {
-        ProtocolKind::Paxos => Err(format!(
-            "Paxos at n={n} ≥ 2f+1: not below its bound (internal error)"
-        )),
-        ProtocolKind::FastPaxos => fast_quorum_ambiguity(n, e, f, bound),
-        ProtocolKind::TaskTwoStep => task_rival_overtake(n, e, f, bound),
-        ProtocolKind::ObjectTwoStep => object_gt_ambiguity(n, e, f, bound),
-    }
-}
-
-/// Runs the full sweep: obligations for every constructible
-/// `(n, e, f)` with `n ≤ max_n`, plus (for the real arithmetic)
-/// tightness witnesses for every `n` below each protocol bound.
-///
-/// Witness-construction failures are reported as
-/// `"witness-construction"` violations: a bound the checker cannot
-/// exhibit a counterexample for is treated as unverified.
-pub fn sweep(max_n: usize, fixture: Option<Fixture>) -> SweepOutcome {
-    let model_name = fixture.map_or("real", Fixture::name);
-    let mut outcome = SweepOutcome {
-        max_n,
-        model: model_name,
-        configs_checked: 0,
-        violations: Vec::new(),
-        witnesses: Vec::new(),
-    };
-
-    // Obligations for every constructible configuration.
-    for n in 3..=max_n {
-        for f in 1..=n.saturating_sub(1) / 2 {
-            for e in 1..=f {
-                let Ok(cfg) = SystemConfig::new(n, e, f) else {
-                    continue;
-                };
-                outcome.configs_checked += 1;
-                let violations = match fixture {
-                    Some(fx) => check_model(&fx.model(cfg)),
-                    None => check_model(&RealModel(cfg)),
-                };
-                outcome.violations.extend(violations);
-            }
-        }
-    }
-
-    // Tightness witnesses demonstrate the real bounds; fixtures skip
-    // them (their purpose is to trip the obligations above).
-    if fixture.is_none() {
-        for f in 1..max_n {
-            for e in 1..=f {
-                for protocol in [
-                    ProtocolKind::Paxos,
-                    ProtocolKind::FastPaxos,
-                    ProtocolKind::TaskTwoStep,
-                    ProtocolKind::ObjectTwoStep,
-                ] {
-                    let bound = protocol.min_processes(e, f);
-                    for n in f + 1..bound.min(max_n + 1) {
-                        match tightness_witness(protocol, n, e, f) {
-                            Ok(w) => outcome.witnesses.push(w),
-                            Err(err) => outcome.violations.push(Violation {
-                                model: model_name,
-                                n,
-                                e,
-                                f,
-                                obligation: "witness-construction",
-                                detail: format!("{protocol}: {err}"),
-                                witness_sets: vec![],
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    outcome
-}
-
 // ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-pub(crate) fn json_sets(sets: &[(&'static str, Vec<u32>)]) -> String {
+fn json_sets(sets: &[(&'static str, Vec<u32>)]) -> String {
     let fields: Vec<String> = sets
         .iter()
         .map(|(name, members)| {
@@ -683,12 +382,9 @@ impl Violation {
     /// Machine-readable rendering (one JSON object).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"model\":\"{}\",\"n\":{},\"e\":{},\"f\":{},\"obligation\":\"{}\",\
-             \"detail\":\"{}\",\"sets\":{}}}",
+            "{{\"model\":\"{}\",{},\"obligation\":\"{}\",\"detail\":\"{}\",\"sets\":{}}}",
             self.model,
-            self.n,
-            self.e,
-            self.f,
+            self.point.json_fields(),
             self.obligation,
             json_escape(&self.detail),
             json_sets(&self.witness_sets),
@@ -696,27 +392,44 @@ impl Violation {
     }
 }
 
+impl ExecutionRecord {
+    /// Machine-readable rendering (one JSON object).
+    pub fn to_json(&self) -> String {
+        match *self {
+            ExecutionRecord::Recovery {
+                fast_decided,
+                recovery_selected,
+            } => format!(
+                "{{\"fast_decided\":{fast_decided},\"recovery_selected\":{recovery_selected}}}"
+            ),
+            ExecutionRecord::FastBft {
+                crashed,
+                fast_deciders,
+                correct_deciders,
+                decided_value,
+            } => format!(
+                "{{\"crashed\":{crashed},\"fast_deciders\":{fast_deciders},\
+                 \"correct_deciders\":{correct_deciders},\"decided_value\":{decided_value}}}"
+            ),
+        }
+    }
+}
+
 impl TightnessWitness {
     /// Machine-readable rendering (one JSON object).
     pub fn to_json(&self) -> String {
-        let executed = match &self.executed {
-            Some(x) => format!(
-                "{{\"fast_decided\":{},\"recovery_selected\":{}}}",
-                x.fast_decided, x.recovery_selected
-            ),
-            None => "null".into(),
-        };
+        let protocol = self.protocol.map_or(String::new(), |p| {
+            format!("\"protocol\":\"{}\",", json_escape(p.name()))
+        });
         format!(
-            "{{\"protocol\":\"{}\",\"n\":{},\"e\":{},\"f\":{},\"bound\":{},\
-             \"kind\":\"{}\",\"sets\":{},\"executed\":{}}}",
-            json_escape(self.protocol.name()),
-            self.n,
-            self.e,
-            self.f,
+            "{{{protocol}{},\"bound\":{},\"kind\":\"{}\",\"sets\":{},\"executed\":{}}}",
+            self.point.json_fields(),
             self.bound,
             self.kind.id(),
             json_sets(&self.sets),
-            executed,
+            self.executed
+                .as_ref()
+                .map_or("null".into(), ExecutionRecord::to_json),
         )
     }
 }
@@ -747,77 +460,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn real_arithmetic_is_clean_for_small_sweep() {
-        let outcome = sweep(12, None);
-        assert!(outcome.configs_checked > 0);
-        assert_eq!(outcome.violations, vec![], "real arithmetic must verify");
-    }
-
-    #[test]
-    fn fixtures_trip_the_checker_everywhere() {
+    fn fixture_cli_names_round_trip() {
         for fx in Fixture::ALL {
-            let outcome = sweep(8, Some(fx));
-            assert!(!outcome.is_clean(), "{} must produce violations", fx.name());
-            // The off-by-one breaks visibility for every configuration.
-            assert!(outcome
-                .violations
-                .iter()
-                .any(|v| v.obligation == "O3-fast-slow-visibility"));
+            assert_eq!(Fixture::parse(fx.name()), Some(fx));
         }
-    }
-
-    #[test]
-    fn task_witness_overturns_a_fast_decision() {
-        // (e=2, f=2): task bound 6, so n=5 is one below.
-        let w = tightness_witness(ProtocolKind::TaskTwoStep, 5, 2, 2).unwrap();
-        assert_eq!(w.kind, WitnessKind::TaskRivalOvertake);
-        let x = w.executed.unwrap();
-        assert_eq!(x.fast_decided, 100);
-        assert_eq!(x.recovery_selected, 200);
-    }
-
-    #[test]
-    fn object_witness_splits_the_gt_case() {
-        // (e=3, f=3): object bound 8, so n=7 is one below and sits in
-        // the Gt-ambiguity region n ≤ 2e+f-2.
-        let w = tightness_witness(ProtocolKind::ObjectTwoStep, 7, 3, 3).unwrap();
-        assert_eq!(w.kind, WitnessKind::ObjectGtAmbiguity);
-        let x = w.executed.unwrap();
-        assert_eq!(x.fast_decided, 100);
-        assert_eq!(x.recovery_selected, 50);
-    }
-
-    #[test]
-    fn resilience_witness_is_a_disjoint_quorum_pair() {
-        // n=4 < 2f+1 = 5 for f=2.
-        let w = tightness_witness(ProtocolKind::Paxos, 4, 1, 2).unwrap();
-        assert_eq!(w.kind, WitnessKind::DisjointSlowQuorums);
-        let q1 = &w.sets[0].1;
-        let q2 = &w.sets[1].1;
-        assert!(q1.iter().all(|p| !q2.contains(p)));
-    }
-
-    #[test]
-    fn fastpaxos_witness_blinds_a_slow_quorum() {
-        // (e=2, f=2): Fast Paxos bound 7, n=6 one below.
-        let w = tightness_witness(ProtocolKind::FastPaxos, 6, 2, 2).unwrap();
-        assert_eq!(w.kind, WitnessKind::FastQuorumAmbiguity);
-    }
-
-    #[test]
-    fn at_bound_witness_construction_is_refused() {
-        assert!(tightness_witness(ProtocolKind::TaskTwoStep, 6, 2, 2).is_err());
+        assert_eq!(Fixture::parse("no-such-fixture"), None);
     }
 
     #[test]
     fn json_is_well_formed_enough_to_round_trip_counts() {
-        let outcome = sweep(6, None);
-        let json = outcome.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(
-            json.matches("\"kind\"").count(),
-            outcome.witnesses.len(),
-            "one kind field per witness"
-        );
+        for family in Family::ALL {
+            let outcome = sweep(family, 10, None);
+            let json = outcome.to_json();
+            assert!(json.starts_with('{') && json.ends_with('}'));
+            assert_eq!(
+                json.matches("\"kind\"").count(),
+                outcome.witnesses.len(),
+                "one kind field per witness"
+            );
+        }
     }
 }

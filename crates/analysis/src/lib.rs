@@ -3,19 +3,22 @@
 //! The analyses below run from the `twostep-analysis` binary and are
 //! wired into CI:
 //!
-//! * [`bounds`] — an exhaustive small-model checker for the quorum
-//!   arithmetic in `twostep_types::SystemConfig`. For every `(n, e, f)`
-//!   with `n` up to a cap it discharges the intersection obligations
-//!   behind Lemma 7 and the recovery rule, and for every `n` *below*
-//!   the paper's bounds it constructs a concrete violating quorum pair
-//!   (a tightness witness, executed against the real
-//!   `twostep_core::recovery::select_value` where possible). Theorems
-//!   5–6 of the paper, as an executable artifact.
-//! * [`byz_bounds`] — the Byzantine counterpart: obligations B1–B7 for
-//!   the FaB-style fast quorums (`5f+1`, and the arXiv:2102.12825
-//!   `5f−1` variant), with tightness witnesses *executed* against the
-//!   real `FastBft` baseline — every `n` below a variant's
-//!   fast-liveness bound carries a run with zero fast deciders.
+//! * [`bounds`] — one exhaustive small-model checker for both families
+//!   of quorum bounds, sharing one sweep harness, one set of result
+//!   types, one JSON report and one set of seeded-broken fixtures:
+//!   * [`bounds::crash`] — obligations O1–O7 on the arithmetic in
+//!     `twostep_types::SystemConfig`. For every `(n, e, f)` with `n` up
+//!     to a cap it discharges the intersection obligations behind
+//!     Lemma 7 and the recovery rule, and for every `n` *below* the
+//!     paper's bounds it constructs a concrete violating quorum pair (a
+//!     tightness witness, executed against the real
+//!     `twostep_core::recovery::select_value` where possible).
+//!     Theorems 5–6 of the paper, as an executable artifact.
+//!   * [`bounds::byzantine`] — obligations B1–B7 for the FaB-style
+//!     fast quorums (`5f+1`, and the arXiv:2102.12825 `5f−1` variant),
+//!     with tightness witnesses *executed* against the real `FastBft`
+//!     baseline — every `n` below a variant's fast-liveness bound
+//!     carries a run with zero fast deciders.
 //! * [`api`] — the public-API snapshot of `twostep-core` and
 //!   `twostep-types`, diffed against `docs/public-api.txt`.
 //! * [`model_check_gate`] — the exhaustive model checker
@@ -37,7 +40,5 @@
 
 pub mod api;
 pub mod bounds;
-pub mod byz_bounds;
 pub mod lexer;
-pub mod model;
 pub mod model_check_gate;

@@ -1,24 +1,6 @@
-//! CI gate binary for the static-analysis suite.
-//!
-//! ```text
-//! twostep-analysis <bounds|api|model-check|all> [options]
-//!   --bless             `api` only: regenerate docs/public-api.txt
-//!                       instead of diffing against it
-//!   --max-n N           bound-sweep cap (default 25)
-//!   --fixture NAME      run bounds against a seeded-broken model
-//!                       (broken-fast-quorum | broken-recovery-threshold
-//!                       for the crash sweep, byz-crash-sized-fast-quorum
-//!                       for the Byzantine sweep); CI asserts these exit
-//!                       nonzero
-//!   --witnesses PATH    write both sweep outcomes (violations + tightness
-//!                       witnesses) as JSON to PATH
-//!   --json              print the sweep outcome JSON to stdout
-//!   --root PATH         workspace root for `api` (default: cwd)
-//!   --workers N         model-check worker threads (default 4)
-//!   --report PATH       write the model-check sweep report to PATH
-//!   --seeded-broken     model-check only the seeded-broken fixture; CI
-//!                       asserts this exits nonzero
-//! ```
+//! CI gate binary for the static-analysis suite: the `bounds`, `api`
+//! and `model-check` gates, or `all` three. `USAGE` below is the one
+//! list of its options (`--help` prints it).
 //!
 //! Exit codes: 0 clean, 1 violations, 2 usage error.
 
@@ -26,11 +8,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use twostep_analysis::api;
-use twostep_analysis::bounds::{self, SweepOutcome};
-use twostep_analysis::byz_bounds::{self, ByzFixture, ByzSweepOutcome};
-use twostep_analysis::model::Fixture;
+use twostep_analysis::bounds::{self, Family, Fixture, SweepOutcome};
 use twostep_analysis::model_check_gate;
 
+/// The `--help` text. Its `--fixture` names are `Fixture::ALL`'s; CI
+/// asserts that each seeded-broken run exits 1.
 const USAGE: &str = "\
 usage: twostep-analysis <bounds|api|model-check|all> [options]
   --bless             api: regenerate docs/public-api.txt instead of
@@ -54,7 +36,6 @@ struct Options {
     run_model_check: bool,
     max_n: usize,
     fixture: Option<Fixture>,
-    byz_fixture: Option<ByzFixture>,
     witnesses: Option<PathBuf>,
     json: bool,
     root: PathBuf,
@@ -71,7 +52,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         run_model_check: false,
         max_n: bounds::DEFAULT_MAX_N,
         fixture: None,
-        byz_fixture: None,
         witnesses: None,
         json: false,
         root: PathBuf::from("."),
@@ -115,11 +95,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--fixture" => {
                 let v = value_for("--fixture")?;
-                match (Fixture::parse(&v), ByzFixture::parse(&v)) {
-                    (Some(fx), _) => opts.fixture = Some(fx),
-                    (None, Some(fx)) => opts.byz_fixture = Some(fx),
-                    (None, None) => return Err(format!("unknown fixture {v:?}")),
-                }
+                let fixture = Fixture::parse(&v).ok_or_else(|| format!("unknown fixture {v:?}"))?;
+                opts.fixture = Some(fixture);
             }
             "--workers" => {
                 let v = value_for("--workers")?;
@@ -146,13 +123,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 type Analysis = fn(&Options) -> Result<bool, String>;
 
 fn run_bounds(opts: &Options) -> Result<bool, String> {
-    let outcome: SweepOutcome = bounds::sweep(opts.max_n, opts.fixture);
-    let byz: ByzSweepOutcome = byz_bounds::sweep(opts.max_n, opts.byz_fixture);
-    let combined = format!(
-        "{{\"crash\":{},\"byzantine\":{}}}",
-        outcome.to_json(),
-        byz.to_json()
-    );
+    let outcomes = Family::ALL.map(|family| bounds::sweep(family, opts.max_n, opts.fixture));
+    let fields: Vec<String> = outcomes
+        .iter()
+        .map(|o| format!("\"{}\":{}", names(o.family).0, o.to_json()))
+        .collect();
+    let combined = format!("{{{}}}", fields.join(","));
     if let Some(path) = &opts.witnesses {
         std::fs::write(path, &combined)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -160,62 +136,49 @@ fn run_bounds(opts: &Options) -> Result<bool, String> {
     if opts.json {
         println!("{combined}");
     } else {
-        println!(
-            "bounds: model `{}`, {} configs checked up to n = {}, {} violations, {} tightness witnesses",
-            outcome.model,
-            outcome.configs_checked,
-            outcome.max_n,
-            outcome.violations.len(),
-            outcome.witnesses.len()
-        );
-        for v in outcome.violations.iter().take(20) {
-            println!(
-                "  VIOLATION n={} e={} f={} [{}] {}",
-                v.n, v.e, v.f, v.obligation, v.detail
-            );
-        }
-        if outcome.violations.len() > 20 {
-            println!("  … and {} more", outcome.violations.len() - 20);
-        }
-        let executed = outcome
-            .witnesses
-            .iter()
-            .filter(|w| w.executed.is_some())
-            .count();
-        println!(
-            "  witnesses: {} structural, {} executed against select_value",
-            outcome.witnesses.len() - executed,
-            executed
-        );
-        println!(
-            "byz-bounds: model `{}`, {} configs checked up to n = {}, {} violations, {} tightness witnesses",
-            byz.model,
-            byz.configs_checked,
-            byz.max_n,
-            byz.violations.len(),
-            byz.witnesses.len()
-        );
-        for v in byz.violations.iter().take(20) {
-            println!(
-                "  VIOLATION n={} f={} {} [{}] {}",
-                v.n, v.f, v.variant, v.obligation, v.detail
-            );
-        }
-        if byz.violations.len() > 20 {
-            println!("  … and {} more", byz.violations.len() - 20);
-        }
-        let byz_executed = byz
-            .witnesses
-            .iter()
-            .filter(|w| w.executed.is_some())
-            .count();
-        println!(
-            "  witnesses: {} structural, {} executed against FastBft",
-            byz.witnesses.len() - byz_executed,
-            byz_executed
-        );
+        outcomes.iter().for_each(print_summary);
     }
-    Ok(outcome.is_clean() && byz.is_clean())
+    Ok(outcomes.iter().all(SweepOutcome::is_clean))
+}
+
+/// A family's names in the report: its key in the JSON, its summary
+/// line's label, and what its witnesses are executed against.
+fn names(family: Family) -> (&'static str, &'static str, &'static str) {
+    match family {
+        Family::Crash => ("crash", "bounds", "select_value"),
+        Family::Byzantine => ("byzantine", "byz-bounds", "FastBft"),
+    }
+}
+
+/// One family's lines of the text report.
+fn print_summary(outcome: &SweepOutcome) {
+    let (_, label, executor) = names(outcome.family);
+    println!(
+        "{}: model `{}`, {} configs checked up to n = {}, {} violations, {} tightness witnesses",
+        label,
+        outcome.model,
+        outcome.configs_checked,
+        outcome.max_n,
+        outcome.violations.len(),
+        outcome.witnesses.len()
+    );
+    for v in outcome.violations.iter().take(20) {
+        println!("  VIOLATION {} [{}] {}", v.point, v.obligation, v.detail);
+    }
+    if outcome.violations.len() > 20 {
+        println!("  … and {} more", outcome.violations.len() - 20);
+    }
+    let executed = outcome
+        .witnesses
+        .iter()
+        .filter(|w| w.executed.is_some())
+        .count();
+    println!(
+        "  witnesses: {} structural, {} executed against {}",
+        outcome.witnesses.len() - executed,
+        executed,
+        executor
+    );
 }
 
 fn run_api(opts: &Options) -> Result<bool, String> {
@@ -319,5 +282,21 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_fixture_and_every_name_parses() {
+        for fx in Fixture::ALL {
+            assert!(USAGE.contains(fx.name()), "USAGE omits {}", fx.name());
+            let args = ["bounds", "--fixture", fx.name()].map(String::from);
+            assert_eq!(parse_args(&args).map(|o| o.fixture), Ok(Some(fx)));
+        }
+        let args = ["bounds", "--fixture", "no-such-fixture"].map(String::from);
+        assert!(parse_args(&args).is_err());
     }
 }
