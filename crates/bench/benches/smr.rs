@@ -6,7 +6,7 @@ use std::time::Duration as WallDuration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use twostep_runtime::{Cluster, ClusterBuilder};
+use twostep_runtime::ClusterBuilder;
 use twostep_sim::SimulationBuilder;
 use twostep_smr::{KvCommand, KvStore, SmrReplica, SmrReplicaBuilder};
 use twostep_types::{Duration, ProcessId, SystemConfig, Time};
@@ -36,12 +36,13 @@ fn bench_smr(c: &mut Criterion) {
     // coarse end-to-end number (thread spawn + commit + teardown).
     c.bench_function("smr/threaded_commit_n3", |b| {
         b.iter(|| {
-            let cluster: Cluster<KvCommand> = ClusterBuilder::new(cfg)
+            let cluster = ClusterBuilder::new(cfg)
                 .wall_delta(WallDuration::from_millis(5))
-                .build_smr::<KvCommand, KvStore>()
+                .build_sharded_smr::<KvCommand, KvStore>()
                 .expect("in-memory build cannot fail");
-            cluster.propose(ProcessId::new(0), KvCommand::put("k", "v"));
-            let d = cluster.await_decision(ProcessId::new(0), WallDuration::from_secs(10));
+            let client = cluster.proxy_client(ProcessId::new(0));
+            client.propose(KvCommand::put("k", "v"));
+            let d = cluster.await_decision(0, ProcessId::new(0), WallDuration::from_secs(10));
             std::hint::black_box(d)
         })
     });

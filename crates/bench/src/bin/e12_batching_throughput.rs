@@ -27,7 +27,7 @@
 use std::time::{Duration as WallDuration, Instant};
 
 use twostep_bench::{fmt_pump_share, percentile, Backend, Table};
-use twostep_runtime::{Cluster, ClusterBuilder};
+use twostep_runtime::{ClusterBuilder, ShardedCluster};
 use twostep_smr::{KvCommand, KvStore};
 use twostep_telemetry::{Metrics, ObserverHandle};
 use twostep_types::{ProcessId, SystemConfig};
@@ -104,14 +104,14 @@ impl Setup {
         let cluster = self
             .backend
             .apply(builder)
-            .build_smr::<KvCommand, KvStore>()
+            .build_sharded_smr::<KvCommand, KvStore>()
             .expect("cluster build failed");
         run_clients(&cluster, clients, WallDuration::from_secs_f64(self.secs))
     }
 }
 
 /// Drives `clients` closed-loop clients through proxy 0 for `window`.
-fn run_clients(cluster: &Cluster<KvCommand>, clients: usize, window: WallDuration) -> Run {
+fn run_clients(cluster: &ShardedCluster<KvCommand>, clients: usize, window: WallDuration) -> Run {
     let proxy = ProcessId::new(0);
 
     let start = Instant::now();

@@ -8,26 +8,26 @@ use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
-use crate::cluster::{Cluster, ClusterShared};
+use crate::cluster::ClusterShared;
 use crate::node::{spawn_stepped, NodeOptions};
 use crate::proxy::RouteFn;
 use crate::shard::{ShardRouter, ShardedCluster};
 use crate::transport::TransportKind;
 use crate::RuntimeError;
 
-/// Builder for [`Cluster`] and [`ShardedCluster`] — the one
-/// construction path for every deployment shape.
+/// Builder for [`ShardedCluster`] — the one construction path for
+/// every deployment shape.
 ///
 /// One fluent chain: config up front, then transport choice, observer
 /// and batching/pipeline knobs, then [`ClusterBuilder::build`] with a
-/// protocol factory, [`ClusterBuilder::build_smr`] for the
-/// batteries-included SMR deployment, or
-/// [`ClusterBuilder::build_sharded_smr`] for `k` SMR groups. All three
-/// run the same assembly routine — endpoints from the transport choice,
-/// one link-delay line when [`ClusterBuilder::link_delay`] is set, one
-/// node thread per process hosting every group — and the unsharded two
-/// return its one-shard view. Client handles come from
-/// [`Cluster::proxy_client`] / [`ShardedCluster::client`].
+/// protocol factory for one consensus group, or
+/// [`ClusterBuilder::build_sharded_smr`] for the batteries-included SMR
+/// deployment of [`ClusterBuilder::shards`] groups (one by default).
+/// Both run the same assembly routine — endpoints from the transport
+/// choice, one link-delay line when [`ClusterBuilder::link_delay`] is
+/// set, one node thread per process hosting every group. Client handles
+/// come from [`ShardedCluster::proxy_client`] /
+/// [`ShardedCluster::client`].
 ///
 /// ```rust
 /// use std::time::Duration;
@@ -40,7 +40,7 @@ use crate::RuntimeError;
 ///     .wall_delta(Duration::from_millis(5))
 ///     .batch(16)
 ///     .pipeline(8)
-///     .build_smr::<KvCommand, KvStore>()
+///     .build_sharded_smr::<KvCommand, KvStore>()
 ///     .expect("in-memory build cannot fail");
 /// let client = cluster.proxy_client(ProcessId::new(0));
 /// client.propose(KvCommand::put("k", "v"));
@@ -140,8 +140,8 @@ impl ClusterBuilder {
 
     /// Attaches telemetry hooks: nodes report per-kind wire bytes and
     /// decision latency, TCP transports report drops/reconnects, and
-    /// [`ClusterBuilder::build_smr`] passes the handle through to every
-    /// replica (batch sizes, queue depths, protocol paths).
+    /// [`ClusterBuilder::build_sharded_smr`] passes the handle through to
+    /// every replica (batch sizes, queue depths, protocol paths).
     #[must_use]
     pub fn observed(mut self, obs: ObserverHandle) -> Self {
         self.obs = obs;
@@ -187,10 +187,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Builds a cluster running `make(p)` at each process.
+    /// Builds a cluster running `make(p)` at each process, as shard 0 of
+    /// a one-shard [`ShardedCluster`].
     ///
     /// The batching/pipeline knobs do not apply here — they configure
-    /// replicas built by [`ClusterBuilder::build_smr`]; a custom
+    /// replicas built by [`ClusterBuilder::build_sharded_smr`]; a custom
     /// protocol factory wires its own knobs — and neither does
     /// [`ClusterBuilder::shards`]: this is one consensus group. The
     /// observer *is* applied at the node and transport layers; pass the
@@ -200,49 +201,29 @@ impl ClusterBuilder {
     ///
     /// Propagates socket setup failures on the TCP transport; the
     /// in-memory build is infallible.
-    pub fn build<V, P, F>(self, mut make: F) -> Result<Cluster<V>, RuntimeError>
+    pub fn build<V, P, F>(self, mut make: F) -> Result<ShardedCluster<V>, RuntimeError>
     where
         V: Value,
         P: Protocol<V> + 'static,
         F: FnMut(ProcessId) -> P,
     {
-        ClusterBuilder { shards: 1, ..self }
-            .assemble(Arc::new(|_| 0), |p, _, _| make(p))
-            .map(Cluster)
+        ClusterBuilder { shards: 1, ..self }.assemble(Arc::new(|_| 0), |p, _, _| make(p))
     }
 
     /// Builds a cluster of SMR replicas replicating state machine `S`
-    /// over command type `C`, with this builder's batching/pipeline
-    /// knobs and observer applied to every replica.
+    /// over command type `C`: [`ClusterBuilder::shards`] independent
+    /// groups (one by default), each replicating its own instance of `S`
+    /// over the partition of the command space that hashes to it, with
+    /// this builder's batching/pipeline knobs and observer applied to
+    /// every replica. The knobs apply per group, so total in-flight
+    /// capacity scales with the shard count.
     ///
     /// The cluster's value type is the *command*: proposals are single
     /// commands, decide events are single applied commands, and the
-    /// replicas batch internally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup failures on the TCP transport; the
-    /// in-memory build is infallible.
-    pub fn build_smr<C, S>(self) -> Result<Cluster<C>, RuntimeError>
-    where
-        C: Value + Ord,
-        S: StateMachine<C> + 'static,
-    {
-        ClusterBuilder { shards: 1, ..self }
-            .assemble_smr::<C, S>(Arc::new(|_| 0))
-            .map(Cluster)
-    }
-
-    /// Builds a sharded cluster: [`ClusterBuilder::shards`] independent
-    /// SMR groups, each replicating its own instance of `S` over the
-    /// partition of the command space that hashes to it. The
-    /// batching/pipeline knobs apply per group, so total in-flight
-    /// capacity scales with the shard count.
-    ///
-    /// Commands pick their group via [`Routable::route_key`] hashed by
-    /// the cluster's [`ShardRouter`]. A one-shard build is
-    /// [`ClusterBuilder::build_smr`]'s deployment under its sharded
-    /// interface.
+    /// replicas batch internally. Commands pick their group via
+    /// [`Routable::route_key`] hashed by the cluster's [`ShardRouter`];
+    /// group `s` rotates its leader preference to node `s mod n` and
+    /// reports to shard `s`'s observer.
     ///
     /// # Errors
     ///
@@ -254,17 +235,7 @@ impl ClusterBuilder {
         S: StateMachine<C> + 'static,
     {
         let router = ShardRouter::new(self.shards);
-        self.assemble_smr::<C, S>(Arc::new(move |c: &C| router.route(c.route_key().as_ref())))
-    }
-
-    /// [`ClusterBuilder::assemble`] with SMR replicas at every
-    /// `(process, shard)`: group `s` rotates its leader preference to
-    /// node `s mod n` and reports to shard `s`'s observer.
-    fn assemble_smr<C, S>(self, route: RouteFn<C>) -> Result<ShardedCluster<C>, RuntimeError>
-    where
-        C: Value + Ord,
-        S: StateMachine<C> + 'static,
-    {
+        let route: RouteFn<C> = Arc::new(move |c: &C| router.route(c.route_key().as_ref()));
         let (cfg, batch, pipeline) = (self.cfg, self.batch, self.pipeline);
         self.assemble(route, move |p, s, obs| {
             SmrReplicaBuilder::new(cfg, p)
@@ -345,7 +316,7 @@ mod tests {
             .wall_delta(Duration::from_millis(5))
             .batch(4)
             .pipeline(2)
-            .build_smr::<KvCommand, KvStore>()
+            .build_sharded_smr::<KvCommand, KvStore>()
             .unwrap();
         let client = cluster.proxy_client(p(0));
         let latency =
@@ -407,7 +378,7 @@ mod tests {
         let cluster = ClusterBuilder::new(cfg)
             .reactor()
             .wall_delta(Duration::from_millis(10))
-            .build_smr::<KvCommand, KvStore>()
+            .build_sharded_smr::<KvCommand, KvStore>()
             .unwrap();
         let client = cluster.proxy_client(p(0));
         assert!(client
@@ -574,7 +545,7 @@ mod tests {
                 .observed(obs)
                 .batch(4)
                 .pipeline(2)
-                .build_smr::<KvCommand, KvStore>()
+                .build_sharded_smr::<KvCommand, KvStore>()
                 .unwrap();
             let client = cluster.proxy_client(p(1));
             for burst in 0..50 {
@@ -633,7 +604,7 @@ mod tests {
         backend: Backend,
         delay: Duration,
         panics: Option<(u32, u64)>,
-    ) -> (Cluster<u64>, impl Fn(u32) -> u64) {
+    ) -> (ShardedCluster<u64>, impl Fn(u32) -> u64) {
         let cfg = SystemConfig::minimal_object(1, 1).unwrap();
         let counters: Vec<Arc<AtomicU64>> = (0..cfg.n()).map(|_| Arc::default()).collect();
         let cluster = backend(ClusterBuilder::new(cfg))
@@ -721,7 +692,7 @@ mod tests {
         let cluster = ClusterBuilder::new(cfg)
             .tcp()
             .wall_delta(Duration::from_millis(10))
-            .build_smr::<KvCommand, KvStore>()
+            .build_sharded_smr::<KvCommand, KvStore>()
             .unwrap();
         let client = cluster.proxy_client(p(0));
         assert!(client

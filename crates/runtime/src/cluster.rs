@@ -1,17 +1,14 @@
-//! The decision state every deployment shares with its clients, and the
-//! unsharded view of a deployment.
+//! The decision state a deployment shares with its nodes and clients:
+//! what each process has decided in each shard, and who waits on it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration as WallDuration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use twostep_types::{ProcessId, SystemConfig, Value};
-
-use crate::proxy::ProxyClient;
-use crate::shard::ShardedCluster;
+use twostep_types::{ProcessId, Value};
 
 /// One blocked client; `token` names the registration for
 /// [`ClusterShared::deregister_waiter`].
@@ -46,10 +43,10 @@ struct Row<V> {
 }
 
 /// Decision state shared between the cluster handle, its nodes and any
-/// [`ProxyClient`]s: one lock per process, so node `p`'s thread
-/// publishing a decide event meets only the clients of proxy `p` on it.
-/// An unsharded cluster is the one-shard special case, with all traffic
-/// on shard 0.
+/// [`ProxyClient`](crate::ProxyClient)s: one lock per process, so node
+/// `p`'s thread publishing a decide event meets only the clients of
+/// proxy `p` on it. A one-group deployment is the one-shard case, with
+/// all traffic on shard 0.
 pub(crate) struct ClusterShared<V> {
     rows: Vec<Mutex<Row<V>>>,
 }
@@ -172,115 +169,14 @@ impl<V: Value> ClusterShared<V> {
     }
 }
 
-/// A running cluster of protocol instances: the client's view of one
-/// consensus group — `propose` at a proxy, await decisions, observe
-/// latency, crash nodes.
-///
-/// This is the shard-0 view of a one-shard [`ShardedCluster`] and holds
-/// nothing else: every unsharded method delegates to its sharded
-/// counterpart. Construct with
-/// [`ClusterBuilder::build`](crate::ClusterBuilder::build) or
-/// [`ClusterBuilder::build_smr`](crate::ClusterBuilder::build_smr).
-///
-/// # Example
-///
-/// ```rust,no_run
-/// use std::time::Duration;
-/// use twostep_core::ObjectConsensus;
-/// use twostep_runtime::ClusterBuilder;
-/// use twostep_types::{ProcessId, SystemConfig};
-///
-/// let cfg = SystemConfig::minimal_object(1, 1)?;
-/// let cluster = ClusterBuilder::new(cfg)
-///     .wall_delta(Duration::from_millis(20))
-///     .build(|p| ObjectConsensus::<u64>::new(cfg, p))
-///     .expect("in-memory build cannot fail");
-/// cluster.propose(ProcessId::new(0), 7);
-/// let decided = cluster.await_decision(ProcessId::new(0), Duration::from_secs(5));
-/// assert_eq!(decided, Some(7));
-/// # Ok::<(), twostep_types::ConfigError>(())
-/// ```
-pub struct Cluster<V: Value>(pub(crate) ShardedCluster<V>);
-
-impl<V: Value> Cluster<V> {
-    /// The deployed configuration.
-    pub fn config(&self) -> SystemConfig {
-        self.0.config()
-    }
-
-    /// When the cluster was spawned.
-    pub fn started_at(&self) -> Instant {
-        self.0.started_at()
-    }
-
-    /// Submits a client proposal at node `p` (the proxy).
-    pub fn propose(&self, p: ProcessId, value: V) {
-        self.0.propose_via(p, value);
-    }
-
-    /// A client handle bound to the proxy at `p`: it can submit
-    /// commands and wait for their commit, measuring per-command
-    /// latency (see [`ProxyClient::submit_and_wait`]). Any number of
-    /// clients may share one proxy.
-    pub fn proxy_client(&self, p: ProcessId) -> ProxyClient<V> {
-        self.0.proxy_client(p)
-    }
-
-    /// Crashes node `p`: it stops participating immediately.
-    pub fn crash(&mut self, p: ProcessId) {
-        self.0.crash(p);
-    }
-
-    /// The first decision of `p` observed so far, without blocking.
-    pub fn decision_of(&self, p: ProcessId) -> Option<V> {
-        self.0.decision_of(0, p)
-    }
-
-    /// Waits until `p` decides or `timeout` elapses; returns the value.
-    pub fn await_decision(&self, p: ProcessId, timeout: WallDuration) -> Option<V> {
-        self.0.await_decision(0, p, timeout)
-    }
-
-    /// Waits until every process in `who` has decided; returns whether
-    /// that happened before the timeout.
-    pub fn await_decisions(
-        &self,
-        who: impl IntoIterator<Item = ProcessId>,
-        timeout: WallDuration,
-    ) -> bool {
-        let deadline = Instant::now() + timeout;
-        who.into_iter().all(|p| {
-            let now = Instant::now();
-            if now >= deadline {
-                return self.decision_of(p).is_some();
-            }
-            self.await_decision(p, deadline - now).is_some()
-        })
-    }
-
-    /// The decision latency of `p` relative to cluster start, if decided.
-    pub fn decision_latency(&self, p: ProcessId) -> Option<WallDuration> {
-        self.0.decision_latency(0, p)
-    }
-
-    /// All first decisions observed so far, by process.
-    pub fn decisions(&self) -> Vec<Option<V>> {
-        self.0.shard_decisions(0)
-    }
-
-    /// Whether all observed decisions agree on a single value.
-    pub fn agreement(&self) -> bool {
-        self.0.agreement()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterBuilder;
+    use crate::{ClusterBuilder, ShardedCluster};
     use serde::{Deserialize, Serialize};
+    use std::time::Duration as WallDuration;
     use twostep_types::protocol::{Effects, Protocol, TimerId};
-    use twostep_types::ProtocolKind;
+    use twostep_types::{ProtocolKind, SystemConfig};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -324,7 +220,7 @@ mod tests {
 
     /// A three-`Relay` cluster over `builder`'s transport (Δ stays at
     /// the builder's 10ms default).
-    fn relays(builder: ClusterBuilder) -> Cluster<u64> {
+    fn relays(builder: ClusterBuilder) -> ShardedCluster<u64> {
         builder
             .build(|q| Relay {
                 me: q,
@@ -338,11 +234,15 @@ mod tests {
     fn in_memory_cluster_propagates_decision() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
         let cluster = relays(ClusterBuilder::new(cfg));
-        cluster.propose(p(1), 55);
-        assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(5)));
-        assert_eq!(cluster.decisions(), vec![Some(55), Some(55), Some(55)]);
+        assert_eq!(cluster.shards(), 1);
+        cluster.proxy_client(p(1)).propose(55);
+        assert!(cluster.await_decisions(0, cfg.process_ids(), WallDuration::from_secs(5)));
+        assert_eq!(
+            cluster.shard_decisions(0),
+            vec![Some(55), Some(55), Some(55)]
+        );
         assert!(cluster.agreement());
-        assert!(cluster.decision_latency(p(1)).is_some());
+        assert!(cluster.decision_latency(0, p(1)).is_some());
     }
 
     #[test]
@@ -350,17 +250,46 @@ mod tests {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
         let mut cluster = relays(ClusterBuilder::new(cfg));
         cluster.crash(p(0));
-        cluster.propose(p(0), 1); // swallowed
+        cluster.proxy_client(p(0)).propose(1); // swallowed
         assert_eq!(
-            cluster.await_decision(p(1), WallDuration::from_millis(300)),
+            cluster.await_decision(0, p(1), WallDuration::from_millis(300)),
             None
         );
-        cluster.propose(p(1), 2);
+        cluster.proxy_client(p(1)).propose(2);
         assert_eq!(
-            cluster.await_decision(p(2), WallDuration::from_secs(5)),
+            cluster.await_decision(0, p(2), WallDuration::from_secs(5)),
             Some(2)
         );
-        assert_eq!(cluster.decision_of(p(0)), None);
+        assert_eq!(cluster.decision_of(0, p(0)), None);
+    }
+
+    /// `await_decisions` gives all of `who` one deadline: members that
+    /// decide late leave a crashed one only what is left of it, so the
+    /// call returns `false` after about `timeout`, not after the late
+    /// members' wait plus a whole `timeout` of its own.
+    #[test]
+    fn await_decisions_shares_one_deadline() {
+        let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
+        let mut cluster = relays(ClusterBuilder::new(cfg));
+        cluster.crash(p(0));
+        let timeout = WallDuration::from_millis(400);
+        let client = cluster.proxy_client(p(1));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(timeout * 3 / 4);
+                client.propose(3);
+            });
+            let start = Instant::now();
+            assert!(!cluster.await_decisions(0, [p(1), p(2), p(0)], timeout));
+            let waited = start.elapsed();
+            assert!(waited >= timeout, "gave up after {waited:?}");
+            assert!(
+                waited < timeout * 7 / 5,
+                "waited {waited:?}: the crashed member got a deadline of its own"
+            );
+        });
+        assert!(cluster.await_decisions(0, [p(1), p(2)], WallDuration::from_secs(5)));
+        assert_eq!(cluster.decision_of(0, p(0)), None);
     }
 
     #[test]
@@ -370,7 +299,7 @@ mod tests {
         let client = cluster.proxy_client(p(1));
         let latency = client.submit_and_wait(61, WallDuration::from_secs(5));
         assert!(latency.is_some(), "client never saw its command commit");
-        assert_eq!(cluster.decision_of(p(1)), Some(61));
+        assert_eq!(cluster.decision_of(0, p(1)), Some(61));
     }
 
     // A slot per shard is what keeps groups isolated at the client
@@ -445,9 +374,9 @@ mod tests {
     fn tcp_cluster_end_to_end() {
         let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
         let cluster = relays(ClusterBuilder::new(cfg).tcp());
-        cluster.propose(p(2), 77);
-        assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(10)));
+        cluster.proxy_client(p(2)).propose(77);
+        assert!(cluster.await_decisions(0, cfg.process_ids(), WallDuration::from_secs(10)));
         assert!(cluster.agreement());
-        assert_eq!(cluster.decision_of(p(0)), Some(77));
+        assert_eq!(cluster.decision_of(0, p(0)), Some(77));
     }
 }

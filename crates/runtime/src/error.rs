@@ -2,28 +2,17 @@
 
 use std::fmt;
 
-use crate::codec::CodecError;
-
 /// Errors surfaced by the deployment runtime.
 #[derive(Debug)]
 pub enum RuntimeError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// Wire encoding/decoding failure.
-    Codec(CodecError),
-    /// A node thread is no longer running.
-    NodeGone {
-        /// Which node.
-        process: twostep_types::ProcessId,
-    },
 }
 
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::Io(e) => write!(f, "io error: {e}"),
-            RuntimeError::Codec(e) => write!(f, "codec error: {e}"),
-            RuntimeError::NodeGone { process } => write!(f, "node {process} is gone"),
         }
     }
 }
@@ -32,15 +21,7 @@ impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RuntimeError::Io(e) => Some(e),
-            RuntimeError::Codec(e) => Some(e),
-            RuntimeError::NodeGone { .. } => None,
         }
-    }
-}
-
-impl From<CodecError> for RuntimeError {
-    fn from(e: CodecError) -> Self {
-        RuntimeError::Codec(e)
     }
 }
 
@@ -56,12 +37,8 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = RuntimeError::from(CodecError::UnexpectedEof);
-        assert!(e.to_string().contains("codec error"));
+        let e = RuntimeError::from(std::io::Error::other("refused"));
+        assert!(e.to_string().contains("io error: refused"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = RuntimeError::NodeGone {
-            process: twostep_types::ProcessId::new(2),
-        };
-        assert!(e.to_string().contains("p2"));
     }
 }

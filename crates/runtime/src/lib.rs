@@ -19,19 +19,19 @@
 //! * [`ClusterBuilder`] — the one construction path: transport choice,
 //!   emulated link delay (one delay-line thread, whatever the backend),
 //!   observer and batching/pipeline knobs feed a single assembly
-//!   routine behind [`ClusterBuilder::build`],
-//!   [`ClusterBuilder::build_smr`] and
-//!   [`ClusterBuilder::build_sharded_smr`].
-//! * [`ShardedCluster`] — the deployment it builds: `n` nodes × `k`
-//!   hash-partitioned consensus groups over one transport (shard-tagged
-//!   wire envelopes, round-robin group leaders, a waiter registry the
-//!   deciding node's own thread publishes into), with the client's
-//!   view: propose, await decisions, observe latency, crash nodes.
-//! * [`Cluster`] — the same deployment with `k = 1`, under unsharded
-//!   signatures (`propose(p, v)`, `decision_of(p)`, …).
-//! * [`ProxyClient`] — a closed-loop client bound to one proxy per
-//!   group: submit a command, wait for its commit, measure per-command
-//!   (amortized) latency.
+//!   routine behind [`ClusterBuilder::build`] (one group of any
+//!   protocol) and [`ClusterBuilder::build_sharded_smr`] (`k` SMR
+//!   groups, one by default).
+//! * [`ShardedCluster`] — the one deployment type every build returns:
+//!   `n` nodes × `k` hash-partitioned consensus groups over one
+//!   transport (shard-tagged wire envelopes, round-robin group leaders,
+//!   a waiter registry the deciding node's own thread publishes into),
+//!   with the operator's view: hand out clients, await decisions,
+//!   observe latency, crash nodes. A one-group deployment is `k = 1`,
+//!   addressed as shard 0.
+//! * [`ProxyClient`] — the way in for commands: a closed-loop client
+//!   bound to one proxy per group that submits a command, waits for its
+//!   commit and measures per-command (amortized) latency.
 //!
 //! Design note: the runtime deliberately contains *no protocol logic* —
 //! crash injection is thread shutdown, timeouts are the protocol's own
@@ -53,7 +53,6 @@ mod transport;
 mod wire;
 
 pub use builder::ClusterBuilder;
-pub use cluster::Cluster;
 pub use error::RuntimeError;
 pub use node::{Control, NodeHandle, NodeOptions};
 pub use proxy::ProxyClient;

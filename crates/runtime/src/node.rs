@@ -105,11 +105,6 @@ impl<V> NodeHandle<V> {
             let _ = j.join();
         }
     }
-
-    /// Whether the node thread has been shut down via this handle.
-    pub fn is_crashed(&self) -> bool {
-        self.join.is_none()
-    }
 }
 
 impl<V> Drop for NodeHandle<V> {
@@ -118,7 +113,7 @@ impl<V> Drop for NodeHandle<V> {
     }
 }
 
-/// Engine-level options for [`spawn_node`] / [`spawn_sharded_node`].
+/// Engine-level options for [`spawn_node`] and the cluster builder.
 ///
 /// * `wall_delta` — the wall-clock duration of one `Δ`; protocol timer
 ///   delays (expressed in virtual units where `Δ` = [`DELTA`]) are
@@ -244,46 +239,32 @@ where
     P: Protocol<V> + 'static,
     T: Transport,
 {
-    spawn_sharded_node(vec![protocol], inbox, transport, opts)
+    spawn_stepped(vec![protocol], inbox, transport, opts, None)
 }
 
 /// Spawns one OS thread hosting `shards.len()` independent protocol
-/// instances multiplexed over one transport endpoint — the sharded
-/// deployment shape: every physical node runs one replica of *every*
-/// consensus group.
+/// instances multiplexed over one transport endpoint — every physical
+/// node runs one replica of *every* consensus group.
 ///
 /// All instances must report the same [`Protocol::id`] (they are the
 /// same physical node). Shard `s`'s outgoing messages are wrapped in a
 /// [`codec::tag_shard`] envelope when the node hosts more than one
-/// shard; a single-shard node stays on the untagged legacy wire format,
-/// which [`codec::split_shard_ref`] reads back as shard 0. Incoming
-/// payloads are first split out of coalesced frames, then routed to
-/// their shard's instance; traffic for shards this node does not host
-/// is dropped and reported to the observer.
+/// shard; a single-shard node stays on the untagged wire format, which
+/// [`codec::split_shard_ref`] reads back as shard 0. Incoming payloads
+/// are first split out of coalesced frames, then routed to their
+/// shard's instance; input that is malformed or for a shard this node
+/// does not host is dropped and reported to the observer.
+///
+/// With `readers`, the threads that deliver to a cluster endpoint (TCP
+/// readers, in-memory senders, the delay line) may step the node: the
+/// node installs itself there once its instances have started, and
+/// lowers a source's inbox count after each frame from it that it
+/// steps.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is empty or the instances disagree on their
 /// process id.
-pub fn spawn_sharded_node<V, P, T>(
-    shards: Vec<P>,
-    inbox: Receiver<(ProcessId, Bytes)>,
-    transport: T,
-    opts: NodeOptions<V>,
-) -> NodeHandle<V>
-where
-    V: Value,
-    P: Protocol<V> + 'static,
-    T: Transport,
-{
-    spawn_stepped(shards, inbox, transport, opts, None)
-}
-
-/// [`spawn_sharded_node`], with the threads that deliver to a cluster
-/// endpoint (TCP readers, in-memory senders, the delay line) allowed to
-/// step the node: the node installs itself in `readers` once its
-/// instances have started, and lowers a source's inbox count after each
-/// frame from it that it steps.
 pub(crate) fn spawn_stepped<V, P, T>(
     shards: Vec<P>,
     inbox: Receiver<(ProcessId, Bytes)>,
@@ -509,13 +490,13 @@ impl<V: Value, P: Protocol<V>, T: Transport> NodeCtx<V, P, T> {
     /// Steps one transport frame — the one routine for the node thread
     /// and a deliverer alike. A payload may be a coalesced frame carrying
     /// many messages; a malformed envelope drops the whole frame, a
-    /// malformed sub-payload only itself. The messages are iterated in
-    /// place — no per-message allocation on the hot path.
+    /// malformed sub-payload only itself, each reported as one dropped
+    /// message from `from`. The messages are iterated in place — no
+    /// per-message allocation on the hot path.
     fn step_frame(&mut self, from: ProcessId, frame: &[u8]) {
-        if let Ok(msgs) = codec::frame_messages(frame) {
-            for m in msgs {
-                self.dispatch(from, m);
-            }
+        match codec::frame_messages(frame) {
+            Ok(msgs) => msgs.for_each(|m| self.dispatch(from, m)),
+            Err(_) => self.obs[0].message_dropped(from, self.id),
         }
     }
 
@@ -525,21 +506,27 @@ impl<V: Value, P: Protocol<V>, T: Transport> NodeCtx<V, P, T> {
     /// untagging ([`codec::split_shard_ref`]) and message decoding both
     /// read it in place, so dispatch allocates nothing beyond what the
     /// decoded message itself owns.
+    ///
+    /// A truncated shard envelope, a shard this node does not host (a
+    /// peer with a different shard map) and an undecodable message are
+    /// each dropped and reported, on shard 0's observer when the shard is
+    /// unknown: observable, not fatal.
     fn dispatch(&mut self, from: ProcessId, payload: &[u8]) {
         let Ok((shard, inner)) = codec::split_shard_ref(payload) else {
-            return; // truncated shard envelope: drop the message
-        };
-        let Some(instance) = self.shards.get_mut(shard as usize) else {
-            // Traffic for a group this node does not host — a peer with
-            // a different shard map. Observable, not fatal.
-            self.obs[0].message_dropped(self.id, from);
+            self.obs[0].message_dropped(from, self.id);
             return;
         };
-        if let Ok(decoded) = codec::from_bytes::<P::Message>(inner) {
-            let mut eff = Effects::new();
-            instance.on_message(from, decoded, &mut eff);
-            self.apply(shard, eff);
-        }
+        let Some(instance) = self.shards.get_mut(shard as usize) else {
+            self.obs[0].message_dropped(from, self.id);
+            return;
+        };
+        let Ok(decoded) = codec::from_bytes::<P::Message>(inner) else {
+            self.obs[shard as usize].message_dropped(from, self.id);
+            return;
+        };
+        let mut eff = Effects::new();
+        instance.on_message(from, decoded, &mut eff);
+        self.apply(shard, eff);
     }
 
     fn apply<M: std::fmt::Debug + serde::Serialize>(&mut self, shard: u32, eff: Effects<V, M>) {
@@ -678,12 +665,8 @@ mod tests {
         dtx: Sender<(ProcessId, u32, u64, Instant)>,
     ) -> NodeHandle<u64> {
         let instances = (0..shards).map(|_| Toy { me, decided: None }).collect();
-        spawn_sharded_node(
-            instances,
-            inbox,
-            transport,
-            NodeOptions::new(dtx).wall_delta(WallDuration::from_millis(10)),
-        )
+        let opts = NodeOptions::new(dtx).wall_delta(WallDuration::from_millis(10));
+        spawn_stepped(instances, inbox, transport, opts, None)
     }
 
     #[test]
@@ -842,29 +825,57 @@ mod tests {
             dtx,
         );
         node.crash();
-        assert!(node.is_crashed());
         node.propose(42);
         assert!(drx.recv_timeout(WallDuration::from_millis(300)).is_err());
     }
 
+    /// Hostile input of every kind is dropped and reported once, as a
+    /// message from its sender to this node; the node survives it.
     #[test]
     fn malformed_frames_are_dropped() {
-        let (transport, mut inboxes) = InMemoryTransport::new(1);
+        let (transport, mut inboxes) = InMemoryTransport::new(2);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let _node = spawn_toy(
-            p(0),
+        let (metrics, obs) = twostep_telemetry::Metrics::shared();
+        let node = spawn_node(
+            Toy {
+                me: p(0),
+                decided: None,
+            },
             inboxes.remove(0),
             transport.clone(),
-            WallDuration::from_millis(10),
-            dtx,
+            NodeOptions::new(dtx).observed(obs),
         );
-        transport.send(p(0), p(0), Bytes::from_static(b"\xFF\xFF"));
-        // A truncated coalesced frame (valid magic, missing body) must
-        // also be survivable.
+        let echo = Bytes::from(frame(12));
+        // A truncated coalesced frame (valid magic, missing body).
         let packed = codec::pack_frame(&[Bytes::from_static(b"\x00\x00\x00\x00")]);
-        transport.send(p(0), p(0), Bytes::from(packed[..6].to_vec()));
-        // Node survives garbage and still handles proposals.
-        _node.propose(7);
+        transport.send(p(1), p(0), Bytes::from(packed[..6].to_vec()));
+        // A shard envelope cut off inside its shard id.
+        transport.send(
+            p(1),
+            p(0),
+            Bytes::from(codec::tag_shard(0, &echo)[..6].to_vec()),
+        );
+        // A message for a shard this node does not host.
+        transport.send(p(1), p(0), codec::tag_shard(7, &echo));
+        // A payload that does not decode as a message.
+        transport.send(p(1), p(0), Bytes::from_static(b"\xFF\xFF"));
+        // The inbox is in order: once 11 is decided, all four are stepped.
+        transport.send(p(1), p(0), Bytes::from(frame(11)));
+        let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
+        assert_eq!(v, 11);
+        assert_eq!(metrics.snapshot().dropped, 4);
+        let events = metrics.events();
+        assert_eq!(events.len(), 4, "{events:?}");
+        for event in events {
+            assert_eq!(event.process, p(1), "{event:?}");
+            assert_eq!(
+                event.kind,
+                twostep_telemetry::EventKind::MessageDropped(p(0)),
+                "{event:?}"
+            );
+        }
+        // The node still handles proposals.
+        node.propose(7);
         let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 7);
     }

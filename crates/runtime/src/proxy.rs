@@ -15,11 +15,14 @@ use crate::node::Control;
 /// Picks the shard a value is routed to.
 pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 
-/// A closed-loop client of one proxy node — or, in a sharded cluster,
-/// of one proxy node *per shard*.
+/// A closed-loop client of one proxy node *per shard* — the one way a
+/// command enters a cluster.
 ///
-/// Obtained from [`Cluster::proxy_client`](crate::Cluster::proxy_client)
-/// or [`ShardedCluster::client`](crate::ShardedCluster::client). Each
+/// Obtained from
+/// [`ShardedCluster::proxy_client`](crate::ShardedCluster::proxy_client)
+/// (one proxy for every shard) or
+/// [`ShardedCluster::client`](crate::ShardedCluster::client) (each
+/// shard's leader). Each
 /// in-flight [`ProxyClient::submit_and_wait`] registers a waiter keyed
 /// by `(proxy, shard, value)` in the cluster's decision state, so
 /// concurrent clients (even on the same proxy) wait for their own
@@ -37,7 +40,7 @@ pub(crate) type RouteFn<V> = Arc<dyn Fn(&V) -> u32 + Send + Sync>;
 /// committed — but sequencing guarantees only hold for unique values.
 pub struct ProxyClient<V> {
     /// Per-shard submission target: `(proxy node, its control channel)`,
-    /// indexed by shard. Unsharded clients have exactly one entry.
+    /// indexed by shard. A one-shard cluster's clients have one entry.
     targets: Arc<Vec<(ProcessId, Sender<Control<V>>)>>,
     route: RouteFn<V>,
     shared: Arc<ClusterShared<V>>,
@@ -46,8 +49,9 @@ pub struct ProxyClient<V> {
 
 impl<V: Value> ProxyClient<V> {
     /// A client whose command `v` goes to shard `route(v)`, proposed at
-    /// (and awaited on) node `targets[route(v)].0`. An unsharded
-    /// cluster's clients are the one-target case with route `|_| 0`.
+    /// (and awaited on) node `targets[route(v)].0`. The clients of a
+    /// [`ClusterBuilder::build`](crate::ClusterBuilder::build) cluster
+    /// are the one-target case with route `|_| 0`.
     pub(crate) fn new(
         targets: Arc<Vec<(ProcessId, Sender<Control<V>>)>>,
         route: RouteFn<V>,
@@ -64,7 +68,7 @@ impl<V: Value> ProxyClient<V> {
     }
 
     /// The proxy this client submits shard-0 traffic to (its only proxy
-    /// when the cluster is unsharded).
+    /// in a one-shard cluster).
     pub fn proxy(&self) -> ProcessId {
         self.targets[0].0
     }
@@ -118,7 +122,7 @@ impl<V: Value> ProxyClient<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, ClusterBuilder};
+    use crate::{ClusterBuilder, ShardedCluster};
     use serde::{Deserialize, Serialize};
     use std::thread;
     use twostep_types::protocol::{Effects, Protocol, TimerId};
@@ -154,7 +158,7 @@ mod tests {
         }
     }
 
-    fn cluster() -> Cluster<u64> {
+    fn cluster() -> ShardedCluster<u64> {
         let cfg = SystemConfig::minimal_object(1, 1).unwrap();
         ClusterBuilder::new(cfg).build(DecideOnPropose).unwrap()
     }
@@ -198,16 +202,16 @@ mod tests {
         // Before: the commit has been published when the client returns,
         // and a zero timeout leaves only the cache to answer from.
         client.submit_and_wait(5, PROMPT).expect("p0 commits");
-        assert_eq!(cluster.await_decision(p(0), WallDuration::ZERO), Some(5));
+        assert_eq!(cluster.await_decision(0, p(0), WallDuration::ZERO), Some(5));
         // During: propose only once the call has registered its waiter.
         thread::scope(|s| {
-            let waiting = s.spawn(|| cluster.await_decision(p(1), PROMPT));
+            let waiting = s.spawn(|| cluster.await_decision(0, p(1), PROMPT));
             let start = Instant::now();
             while client.shared.waiting() == 0 {
                 assert!(start.elapsed() < PROMPT, "await_decision never registered");
                 thread::yield_now();
             }
-            cluster.propose(p(1), 6);
+            cluster.proxy_client(p(1)).propose(6);
             assert_eq!(waiting.join().unwrap(), Some(6));
         });
         assert_eq!(client.shared.waiting(), 0);

@@ -1,10 +1,10 @@
 //! Sharded deployments: many independent consensus groups, one cluster.
 //!
 //! A [`ShardedCluster`] hash-partitions the key space across `k`
-//! independent replica groups. Every physical node hosts one replica of
+//! independent replica groups — `k = 1` is a one-group deployment,
+//! addressed as shard 0. Every physical node hosts one replica of
 //! *every* group, multiplexed on one OS thread and one transport
-//! endpoint (see [`spawn_sharded_node`](crate::node::spawn_sharded_node));
-//! wire traffic is demultiplexed by the
+//! endpoint; wire traffic is demultiplexed by the
 //! [`codec::tag_shard`](crate::codec::tag_shard) envelope.
 //! Each group's Ω scans a rotated preference order so the group leaders
 //! — and with them the fast-path proposal load — spread round-robin
@@ -75,10 +75,13 @@ impl ShardRouter {
 }
 
 /// A running deployment: `n` nodes × `k` consensus groups. The one type
-/// that owns a cluster's nodes, decision state and route function — an
-/// unsharded [`Cluster`](crate::Cluster) is its `k = 1` view.
+/// that owns a cluster's nodes, decision state and route function, and
+/// what every [`ClusterBuilder`](crate::ClusterBuilder) build returns;
+/// a one-group deployment is the `k = 1` case, addressed as shard 0.
+/// Clients submit through the [`ProxyClient`]s it hands out.
 ///
-/// Construct with
+/// Construct with [`ClusterBuilder::build`](crate::ClusterBuilder::build)
+/// (one group of any protocol), or
 /// [`ClusterBuilder::shards`](crate::ClusterBuilder::shards) followed by
 /// [`build_sharded_smr`](crate::ClusterBuilder::build_sharded_smr).
 ///
@@ -189,19 +192,6 @@ impl<V: Value> ShardedCluster<V> {
         )
     }
 
-    /// Submits `value` to its shard at that shard's leader node.
-    pub fn propose(&self, value: V) {
-        let shard = (self.route)(&value);
-        self.nodes[self.leader_of(shard).index()].propose_at(shard, value);
-    }
-
-    /// Submits `value` to its shard's replica on node `p`, whoever
-    /// leads the group.
-    pub(crate) fn propose_via(&self, p: ProcessId, value: V) {
-        let shard = (self.route)(&value);
-        self.nodes[p.index()].propose_at(shard, value);
-    }
-
     /// Crashes node `p`: every group loses its replica at `p` at once —
     /// the physical-node failure model.
     pub fn crash(&mut self, p: ProcessId) {
@@ -252,6 +242,22 @@ impl<V: Value> ShardedCluster<V> {
         }
         self.shared.deregister_waiter(shard, p, token);
         self.decision_of(shard, p)
+    }
+
+    /// Waits until every process in `who` has decided in `shard`;
+    /// returns whether that happened before `timeout`, which is one
+    /// deadline for all of `who`.
+    pub fn await_decisions(
+        &self,
+        shard: u32,
+        who: impl IntoIterator<Item = ProcessId>,
+        timeout: WallDuration,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        who.into_iter().all(|p| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.await_decision(shard, p, left).is_some()
+        })
     }
 }
 

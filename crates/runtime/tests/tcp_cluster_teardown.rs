@@ -60,7 +60,7 @@ fn a_dropped_tcp_cluster_frees_its_threads_and_its_ports() {
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
     let cluster = ClusterBuilder::new(cfg)
         .tcp()
-        .build_smr::<KvCommand, KvStore>()
+        .build_sharded_smr::<KvCommand, KvStore>()
         .unwrap();
     let client = cluster.proxy_client(ProcessId::new(0));
     let committed = client.submit_and_wait(KvCommand::put("k", "v"), Duration::from_secs(10));

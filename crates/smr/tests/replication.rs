@@ -158,17 +158,19 @@ fn lost_slot_is_retried_in_fresh_slot() {
 
 #[test]
 fn kv_over_threaded_runtime() {
-    use twostep_runtime::{Cluster, ClusterBuilder};
+    use twostep_runtime::ClusterBuilder;
 
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
-    let cluster: Cluster<KvCommand> = ClusterBuilder::new(cfg)
+    let cluster = ClusterBuilder::new(cfg)
         .build(|q| replica(cfg, q))
         .expect("in-memory cluster");
-    cluster.propose(p(0), KvCommand::put("city", "huatulco"));
+    cluster
+        .proxy_client(p(0))
+        .propose(KvCommand::put("city", "huatulco"));
     // The decide stream reports applied commands.
-    let decided = cluster.await_decision(p(0), WallDuration::from_secs(10));
+    let decided = cluster.await_decision(0, p(0), WallDuration::from_secs(10));
     assert_eq!(decided, Some(KvCommand::put("city", "huatulco")));
-    assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(10)));
+    assert!(cluster.await_decisions(0, cfg.process_ids(), WallDuration::from_secs(10)));
     assert!(cluster.agreement());
 }
 

@@ -12,7 +12,6 @@
 use std::time::Duration as WallDuration;
 
 use twostep::core::{ObjectConsensus, TaskConsensus};
-use twostep::runtime::Cluster;
 use twostep::sim::SyncRunner;
 use twostep::types::{ProcessId, ProcessSet, SystemConfig};
 use twostep::ClusterBuilder;
@@ -50,18 +49,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    Theorem 6 bound (n = 2e+f-1 = 5 for e = f = 2).
     // ---------------------------------------------------------------
     let cfg = SystemConfig::minimal_object(2, 2)?;
-    let cluster: Cluster<u64> = ClusterBuilder::new(cfg)
+    //    One consensus group is shard 0 of the cluster; commands enter
+    //    through a client of the proxy they are submitted at.
+    let cluster = ClusterBuilder::new(cfg)
         .wall_delta(WallDuration::from_millis(10))
         .build(|p| ObjectConsensus::new(cfg, p))
         .expect("in-memory build cannot fail");
     let proxy = ProcessId::new(4);
-    cluster.propose(proxy, 42);
+    cluster.proxy_client(proxy).propose(42);
     let decided = cluster
-        .await_decision(proxy, WallDuration::from_secs(5))
+        .await_decision(0, proxy, WallDuration::from_secs(5))
         .expect("proxy decides");
     println!(
         "threads:   proxy {proxy} decided {decided} in {:?}",
-        cluster.decision_latency(proxy).expect("latency recorded")
+        cluster
+            .decision_latency(0, proxy)
+            .expect("latency recorded")
     );
     assert_eq!(decided, 42);
 
@@ -69,13 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Localhost TCP: identical protocol code, real sockets and the
     //    binary wire codec.
     // ---------------------------------------------------------------
-    let cluster: Cluster<u64> = ClusterBuilder::new(cfg)
+    let cluster = ClusterBuilder::new(cfg)
         .tcp()
         .wall_delta(WallDuration::from_millis(10))
         .build(|p| ObjectConsensus::new(cfg, p))?;
-    cluster.propose(ProcessId::new(0), 7);
+    cluster.proxy_client(ProcessId::new(0)).propose(7);
     let decided = cluster
-        .await_decision(ProcessId::new(0), WallDuration::from_secs(10))
+        .await_decision(0, ProcessId::new(0), WallDuration::from_secs(10))
         .expect("proxy decides over tcp");
     println!("tcp:       p0 decided {decided}");
     assert_eq!(decided, 7);

@@ -6,7 +6,7 @@
 use std::time::Duration as WallDuration;
 
 use twostep::core::{Msg, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep::runtime::{Cluster, ClusterBuilder};
+use twostep::runtime::ClusterBuilder;
 use twostep::sim::{ManualExecutor, SyncRunner};
 use twostep::types::protocol::Protocol;
 use twostep::types::{ProcessId, SystemConfig, Time};
@@ -71,15 +71,15 @@ fn simulator_and_threads_agree_on_object_consensus() {
     );
     assert_eq!(sim_outcome.decision_of(proposer), Some(&42));
 
-    let cluster: Cluster<u64> = ClusterBuilder::new(cfg)
-        .build(|q| ObjectConsensus::new(cfg, q))
+    let cluster = ClusterBuilder::new(cfg)
+        .build(|q| ObjectConsensus::<u64>::new(cfg, q))
         .expect("in-memory cluster");
-    cluster.propose(proposer, 42);
+    cluster.proxy_client(proposer).propose(42);
     assert_eq!(
-        cluster.await_decision(proposer, WallDuration::from_secs(5)),
+        cluster.await_decision(0, proposer, WallDuration::from_secs(5)),
         Some(42)
     );
-    assert!(cluster.await_decisions(cfg.process_ids(), WallDuration::from_secs(5)));
+    assert!(cluster.await_decisions(0, cfg.process_ids(), WallDuration::from_secs(5)));
     assert!(cluster.agreement());
 }
 
@@ -91,12 +91,12 @@ fn transports_agree() {
     for tcp in [false, true] {
         let builder = ClusterBuilder::new(cfg);
         let builder = if tcp { builder.tcp() } else { builder };
-        let cluster: Cluster<u64> = builder
-            .build(|q| ObjectConsensus::new(cfg, q))
+        let cluster = builder
+            .build(|q| ObjectConsensus::<u64>::new(cfg, q))
             .expect("cluster");
-        cluster.propose(p(1), 77);
+        cluster.proxy_client(p(1)).propose(77);
         assert_eq!(
-            cluster.await_decision(p(1), WallDuration::from_secs(10)),
+            cluster.await_decision(0, p(1), WallDuration::from_secs(10)),
             Some(77),
             "tcp={tcp}"
         );
@@ -109,15 +109,15 @@ fn transports_agree() {
 #[test]
 fn threaded_cluster_with_crashes_decides() {
     let cfg = SystemConfig::minimal_object(2, 2).unwrap();
-    let mut cluster: Cluster<u64> = ClusterBuilder::new(cfg)
-        .build(|q| ObjectConsensus::new(cfg, q))
+    let mut cluster = ClusterBuilder::new(cfg)
+        .build(|q| ObjectConsensus::<u64>::new(cfg, q))
         .expect("in-memory cluster");
     cluster.crash(p(0));
     cluster.crash(p(1));
-    cluster.propose(p(4), 9);
+    cluster.proxy_client(p(4)).propose(9);
     for i in 2..5u32 {
         assert_eq!(
-            cluster.await_decision(p(i), WallDuration::from_secs(10)),
+            cluster.await_decision(0, p(i), WallDuration::from_secs(10)),
             Some(9),
             "p{i}"
         );
