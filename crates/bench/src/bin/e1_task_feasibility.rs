@@ -3,21 +3,15 @@
 //!
 //! For every `(e, f)` in the grid and *every* failure set `E` of size
 //! `e`, the binary verifies both clauses of Definition 4 in E-faulty
-//! synchronous runs, plus Agreement/Validity/Termination over the full
-//! runs.
+//! synchronous runs, plus Agreement and Termination over the full runs
+//! (`twostep_sim::definition_4`). Validity follows: with Agreement,
+//! every decision of a clause-1 run equals the witness's own proposal,
+//! and every decision of a clause-2 run the unanimous 7.
 
 use twostep_bench::Table;
 use twostep_core::TaskConsensus;
-use twostep_sim::SyncRunner;
-use twostep_types::{Duration, ProcessId, ProcessSet, SystemConfig};
-
-fn max_correct(props: &[u64], crashed: ProcessSet) -> ProcessId {
-    (0..props.len() as u32)
-        .map(ProcessId::new)
-        .filter(|q| !crashed.contains(*q))
-        .max_by_key(|q| props[q.index()])
-        .expect("some process is correct")
-}
+use twostep_sim::definition_4;
+use twostep_types::SystemConfig;
 
 fn main() {
     let grid = [
@@ -42,50 +36,16 @@ fn main() {
 
     for (e, f) in grid {
         let cfg = SystemConfig::minimal_task(e, f).expect("valid grid point");
-        let props: Vec<u64> = (0..cfg.n() as u64).map(|i| 100 + i).collect();
-        let mut sets = 0usize;
-        let mut d41 = true;
-        let mut d42 = true;
-        let mut agreement = true;
-        let mut termination = true;
-
-        for crashed in cfg.failure_sets() {
-            sets += 1;
-            // Definition 4(1): distinct proposals, some process two-step.
-            let witness = max_correct(&props, crashed);
-            let outcome = SyncRunner::new(cfg)
-                .crashed(crashed)
-                .favoring(witness)
-                .horizon(Duration::deltas(60))
-                .run(|q| TaskConsensus::new(cfg, q, props[q.index()]));
-            let (fast, _) = outcome.fast_deciders();
-            d41 &= fast.contains(witness);
-            agreement &= outcome.agreement();
-            termination &= outcome.all_correct_decided();
-
-            // Definition 4(2): unanimous proposals, every correct process
-            // two-step in its own witness run.
-            for w in cfg.all_processes().difference(crashed).iter() {
-                let outcome = SyncRunner::new(cfg)
-                    .crashed(crashed)
-                    .favoring(w)
-                    .horizon(Duration::deltas(60))
-                    .run(|q| TaskConsensus::new(cfg, q, 7u64));
-                let (fast, v) = outcome.fast_deciders();
-                d42 &= fast.contains(w) && v == Some(7);
-                agreement &= outcome.agreement();
-            }
-        }
-
+        let report = definition_4(cfg, |q, v| TaskConsensus::new(cfg, q, v));
         table.row(&[
             e.to_string(),
             f.to_string(),
             cfg.n().to_string(),
-            sets.to_string(),
-            pass(d41),
-            pass(d42),
-            pass(agreement),
-            pass(termination),
+            report.failure_sets.to_string(),
+            pass(report.clause_one),
+            pass(report.clause_two),
+            pass(report.agreement),
+            pass(report.termination),
         ]);
     }
 

@@ -1,11 +1,12 @@
 //! E2 (Table 2): Theorem 6 "if" — the object protocol is f-resilient
 //! and e-two-step at exactly `n = max{2e+f-1, 2f+1}` (one process fewer
-//! than the task bound), per Definition A.1.
+//! than the task bound), per Definition A.1, over every failure set
+//! (`twostep_sim::definition_a1`).
 
 use twostep_bench::Table;
 use twostep_core::ObjectConsensus;
-use twostep_sim::SyncRunner;
-use twostep_types::{Duration, SystemConfig, Time};
+use twostep_sim::definition_a1;
+use twostep_types::SystemConfig;
 
 fn main() {
     let grid = [(1usize, 1usize), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)];
@@ -23,44 +24,7 @@ fn main() {
 
     for (e, f) in grid {
         let cfg = SystemConfig::minimal_object(e, f).expect("valid grid point");
-        let mut sets = 0usize;
-        let mut a11 = true;
-        let mut a12 = true;
-        let mut agreement = true;
-
-        for crashed in cfg.failure_sets() {
-            sets += 1;
-            let correct = cfg.all_processes().difference(crashed);
-
-            // A.1(1): only p proposes; p decides by 2Δ.
-            for proposer in correct.iter() {
-                let outcome = SyncRunner::new(cfg)
-                    .crashed(crashed)
-                    .horizon(Duration::deltas(60))
-                    .run_object(
-                        |q| ObjectConsensus::<u64>::new(cfg, q),
-                        vec![(proposer, 42, Time::ZERO)],
-                    );
-                let (fast, v) = outcome.fast_deciders();
-                a11 &= fast.contains(proposer) && v == Some(42);
-                agreement &= outcome.agreement();
-            }
-
-            // A.1(2): all correct propose the same value at round start;
-            // each correct process has a run two-step for it.
-            for witness in correct.iter() {
-                let proposals: Vec<_> = correct.iter().map(|q| (q, 7u64, Time::ZERO)).collect();
-                let outcome = SyncRunner::new(cfg)
-                    .crashed(crashed)
-                    .favoring(witness)
-                    .horizon(Duration::deltas(60))
-                    .run_object(|q| ObjectConsensus::<u64>::new(cfg, q), proposals);
-                let (fast, v) = outcome.fast_deciders();
-                a12 &= fast.contains(witness) && v == Some(7);
-                agreement &= outcome.agreement();
-            }
-        }
-
+        let report = definition_a1(cfg, |q| ObjectConsensus::<u64>::new(cfg, q));
         table.row(&[
             e.to_string(),
             f.to_string(),
@@ -70,10 +34,10 @@ fn main() {
                 .unwrap()
                 .n()
                 .to_string(),
-            sets.to_string(),
-            pass(a11),
-            pass(a12),
-            pass(agreement),
+            report.failure_sets.to_string(),
+            pass(report.clause_one),
+            pass(report.clause_two),
+            pass(report.agreement),
         ]);
     }
 

@@ -3,7 +3,7 @@
 //! task bound — plus safety under contention.
 
 use twostep_core::ObjectConsensus;
-use twostep_sim::{DeliveryOrder, SimulationBuilder, SyncRunner};
+use twostep_sim::{definition_a1, DeliveryOrder, SimulationBuilder, SyncRunner};
 use twostep_types::{Duration, ProcessId, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
@@ -22,52 +22,13 @@ fn object_bound_is_strictly_below_task_bound_where_claimed() {
 }
 
 #[test]
-fn definition_a1_item_1_lone_proposer_decides_two_step() {
-    // For every failure set E and every correct proposer p: if only p
-    // proposes, p decides by 2Δ.
+fn definition_a1_holds_on_every_failure_set() {
+    // A.1(1), a lone proposer decides by 2Δ, and A.1(2), unanimous
+    // proposals are two-step for every correct witness, on every E.
     for (e, f) in GRID {
         let cfg = SystemConfig::minimal_object(e, f).unwrap();
-        for crashed in cfg.failure_sets() {
-            for proposer in cfg.all_processes().difference(crashed).iter() {
-                let outcome = SyncRunner::new(cfg).crashed(crashed).run_object(
-                    |q| ObjectConsensus::<u64>::new(cfg, q),
-                    vec![(proposer, 42, Time::ZERO)],
-                );
-                let (fast, value) = outcome.fast_deciders();
-                assert!(
-                    fast.contains(proposer),
-                    "cfg={cfg} E={crashed:?}: lone proposer {proposer} not two-step"
-                );
-                assert_eq!(value, Some(42));
-                assert!(outcome.agreement());
-            }
-        }
-    }
-}
-
-#[test]
-fn definition_a1_item_2_same_value_everyone_two_step() {
-    // All correct processes propose the same v at the beginning of round
-    // 1; every correct process has a run two-step for it.
-    for (e, f) in GRID {
-        let cfg = SystemConfig::minimal_object(e, f).unwrap();
-        for crashed in cfg.failure_sets().take(5) {
-            let correct = cfg.all_processes().difference(crashed);
-            for witness in correct.iter() {
-                let proposals: Vec<_> = correct.iter().map(|q| (q, 7u64, Time::ZERO)).collect();
-                let outcome = SyncRunner::new(cfg)
-                    .crashed(crashed)
-                    .favoring(witness)
-                    .run_object(|q| ObjectConsensus::<u64>::new(cfg, q), proposals);
-                let (fast, value) = outcome.fast_deciders();
-                assert!(
-                    fast.contains(witness),
-                    "cfg={cfg} E={crashed:?}: {witness} not two-step on unanimous config"
-                );
-                assert_eq!(value, Some(7));
-                assert!(outcome.agreement());
-            }
-        }
+        let report = definition_a1(cfg, |q| ObjectConsensus::<u64>::new(cfg, q));
+        assert!(report.passed(), "cfg={cfg}: {:?}", report.first_failure);
     }
 }
 

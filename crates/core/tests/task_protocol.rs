@@ -4,7 +4,8 @@
 
 use twostep_core::TaskConsensus;
 use twostep_sim::{
-    DeliveryOrder, Lossy, PartialSynchrony, SimulationBuilder, SyncRunner, SynchronousRounds,
+    definition_4, DeliveryOrder, Lossy, PartialSynchrony, SimulationBuilder, SyncRunner,
+    SynchronousRounds,
 };
 use twostep_types::{Duration, ProcessId, ProcessSet, SystemConfig, Time};
 
@@ -20,62 +21,17 @@ fn proposals(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| 100 + i).collect()
 }
 
-/// The correct process with the greatest proposal — the witness process
-/// of the paper's Definition 4(1) argument (§3).
-fn max_correct(props: &[u64], crashed: ProcessSet) -> ProcessId {
-    let n = props.len();
-    (0..n as u32)
-        .map(ProcessId::new)
-        .filter(|q| !crashed.contains(*q))
-        .max_by_key(|q| props[q.index()])
-        .expect("at least one correct process")
-}
-
 #[test]
-fn definition_4_item_1_every_failure_set_has_a_two_step_run() {
-    // For every E with |E| = e and distinct proposals, the run favoring
-    // the max correct proposer is two-step for that proposer.
-    for (e, f) in GRID {
-        let cfg = SystemConfig::minimal_task(e, f).unwrap();
-        let props = proposals(cfg.n());
-        for crashed in cfg.failure_sets() {
-            let witness = max_correct(&props, crashed);
-            let outcome = SyncRunner::new(cfg)
-                .crashed(crashed)
-                .favoring(witness)
-                .run(|q| TaskConsensus::new(cfg, q, props[q.index()]));
-            let (fast, value) = outcome.fast_deciders();
-            assert!(
-                fast.contains(witness),
-                "cfg={cfg} E={crashed:?}: witness {witness} not two-step"
-            );
-            assert_eq!(value, Some(props[witness.index()]));
-            assert!(outcome.agreement(), "cfg={cfg} E={crashed:?}");
-        }
-    }
-}
-
-#[test]
-fn definition_4_item_2_same_proposals_everyone_two_step() {
-    // When all correct processes propose the same value, *every* correct
-    // process has a run that is two-step for it.
-    for (e, f) in GRID {
-        let cfg = SystemConfig::minimal_task(e, f).unwrap();
-        for crashed in cfg.failure_sets().take(6) {
-            for witness in cfg.all_processes().difference(crashed).iter() {
-                let outcome = SyncRunner::new(cfg)
-                    .crashed(crashed)
-                    .favoring(witness)
-                    .run(|q| TaskConsensus::new(cfg, q, 7u64));
-                let (fast, value) = outcome.fast_deciders();
-                assert!(
-                    fast.contains(witness),
-                    "cfg={cfg} E={crashed:?}: {witness} not two-step on same-value config"
-                );
-                assert_eq!(value, Some(7));
-                assert!(outcome.agreement());
-            }
-        }
+fn definition_4_holds_on_every_failure_set() {
+    // Both clauses, on every E with |E| = e, at the Theorem 5 bound and
+    // over-provisioned (n = 9 > 6 for e = f = 2).
+    let at_bound = GRID.map(|(e, f)| SystemConfig::minimal_task(e, f).unwrap());
+    for cfg in at_bound
+        .into_iter()
+        .chain([SystemConfig::new(9, 2, 2).unwrap()])
+    {
+        let report = definition_4(cfg, |q, v| TaskConsensus::new(cfg, q, v));
+        assert!(report.passed(), "cfg={cfg}: {:?}", report.first_failure);
     }
 }
 
@@ -217,22 +173,6 @@ fn randomized_schedules_preserve_agreement_and_validity() {
             "seed {seed}: correct processes stalled"
         );
     }
-}
-
-#[test]
-fn larger_than_minimal_n_also_works() {
-    // Over-provisioning must not break anything.
-    let cfg = SystemConfig::new(9, 2, 2).unwrap();
-    let props = proposals(9);
-    let crashed: ProcessSet = [p(0), p(1)].into_iter().collect();
-    let witness = max_correct(&props, crashed);
-    let outcome = SyncRunner::new(cfg)
-        .crashed(crashed)
-        .favoring(witness)
-        .run(|q| TaskConsensus::new(cfg, q, props[q.index()]));
-    let (fast, _) = outcome.fast_deciders();
-    assert!(fast.contains(witness));
-    assert!(outcome.agreement());
 }
 
 #[test]

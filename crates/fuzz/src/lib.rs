@@ -58,4 +58,4 @@ pub use oracle::{check_liveness, check_safety, Verdict};
 pub use runner::{fuzz, fuzz_cases, Failure, FuzzConfig, FuzzOutcome};
 pub use schedule::{Action, ParseError, Schedule};
 pub use shrink::{shrink, ShrinkOutcome};
-pub use witness::{paxos_is_not_two_step, two_step_witness};
+pub use witness::two_step_witness;

@@ -6,17 +6,18 @@
 //! quantifies over E-faulty synchronous runs), so the fuzzer checks it
 //! the way the paper defines it: a timed, `e`-crash synchronous-round
 //! simulation in which the favored proposer must appear in
-//! `twostep_verify::props::two_step_deciders` — i.e. decide by `2Δ`.
-//! The `twostep-fuzz` binary runs this witness before every campaign,
-//! so a refactor that silently destroys the fast path fails loudly even
-//! though it cannot violate safety.
+//! [`twostep_sim::RunOutcome::fast_deciders`] (Definition 3) — i.e.
+//! decide by `2Δ`. It is one witness run, not the sweep over every
+//! failure set (`twostep_sim::definition_4` / `definition_a1`), so it
+//! is cheap enough to run before every campaign: a refactor that
+//! silently destroys the fast path fails loudly even though it cannot
+//! violate safety.
 
-use twostep_baselines::{EPaxosLite, FastPaxos, Paxos};
+use twostep_baselines::{EPaxosLite, FastPaxos};
 use twostep_core::{OmegaMode, TwoStepBuilder};
 use twostep_sim::{SyncOutcome, SyncRunner};
 use twostep_types::protocol::Protocol;
 use twostep_types::{ProcessId, ProcessSet, SystemConfig, Time};
-use twostep_verify::props::two_step_deciders;
 
 use crate::case::FuzzProtocol;
 
@@ -40,7 +41,10 @@ fn witness_run<P: Protocol<u64>>(
 /// Checks that `protocol` is two-step at `cfg`: in an `e`-crash
 /// synchronous run favoring one proposer, that proposer decides by
 /// `2Δ`. Paxos is exempt — it is not an e-two-step protocol for any
-/// `e > 0` (no fast path), which [`paxos_is_not_two_step`] demonstrates.
+/// `e > 0`. Fault-free, its fixed ballot-0 coordinator `p0` *does*
+/// decide in two message delays (it skips phase 1), but with `E = {p0}`
+/// no other process can decide by `2Δ`, because taking over requires
+/// phase 1; `twostep_sim::definition_4` reports that as clause 1 failing.
 pub fn two_step_witness(protocol: FuzzProtocol, cfg: SystemConfig) -> Result<(), String> {
     let favored = ProcessId::new(cfg.n() as u32 - 1);
     // A statically configured Ω keeps heartbeat traffic out of the
@@ -62,7 +66,7 @@ pub fn two_step_witness(protocol: FuzzProtocol, cfg: SystemConfig) -> Result<(),
                 },
                 None,
             );
-            two_step_deciders(&outcome.trace)
+            outcome.fast_deciders().0
         }
         FuzzProtocol::Object => {
             let outcome = witness_run(
@@ -70,18 +74,18 @@ pub fn two_step_witness(protocol: FuzzProtocol, cfg: SystemConfig) -> Result<(),
                 |p| TwoStepBuilder::new(cfg).omega(omega).object(p),
                 Some(7),
             );
-            two_step_deciders(&outcome.trace)
+            outcome.fast_deciders().0
         }
         FuzzProtocol::FastPaxos => {
             // A conflict-free fast round: everyone proposes the same
             // value, so the favored learner assembles a fast quorum of
             // the n-e surviving votes by 2Δ.
             let outcome = witness_run(cfg, |p| FastPaxos::new(cfg, p, 7u64), None);
-            two_step_deciders(&outcome.trace)
+            outcome.fast_deciders().0
         }
         FuzzProtocol::EPaxos => {
             let outcome = witness_run(cfg, |p| EPaxosLite::<u64>::new(cfg, p), Some(7));
-            two_step_deciders(&outcome.trace)
+            outcome.fast_deciders().0
         }
     };
     if deciders.contains(favored) {
@@ -93,22 +97,6 @@ pub fn two_step_witness(protocol: FuzzProtocol, cfg: SystemConfig) -> Result<(),
             protocol.name(),
         ))
     }
-}
-
-/// Demonstrates why [`two_step_witness`] exempts Paxos. Fault-free,
-/// Paxos's fixed ballot-0 coordinator `p0` *does* decide in two message
-/// delays (it skips phase 1), but Definition 4 quantifies over every
-/// failure set of size ≤ `e`: with `E = {p0}` no other process can
-/// decide by `2Δ`, because taking over requires phase 1. Returns true
-/// when that `E`-faulty run indeed has no two-step decider.
-pub fn paxos_is_not_two_step(cfg: SystemConfig) -> bool {
-    let favored = ProcessId::new(cfg.n() as u32 - 1);
-    let coordinator: ProcessSet = std::iter::once(ProcessId::new(0)).collect();
-    let outcome = SyncRunner::new(cfg)
-        .crashed(coordinator)
-        .favoring(favored)
-        .run(|p| Paxos::new(cfg, p, 7u64));
-    two_step_deciders(&outcome.trace).is_empty()
 }
 
 #[cfg(test)]
@@ -129,11 +117,5 @@ mod tests {
                 });
             }
         }
-    }
-
-    #[test]
-    fn paxos_really_is_not_two_step() {
-        let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        assert!(paxos_is_not_two_step(cfg));
     }
 }

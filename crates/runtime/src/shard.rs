@@ -150,11 +150,6 @@ impl<V: Value> ShardedCluster<V> {
         self.router
     }
 
-    /// When the cluster was spawned.
-    pub fn started_at(&self) -> Instant {
-        self.started
-    }
-
     /// The node that leads shard `s` when nothing is suspected: the
     /// round-robin assignment `s mod n`.
     pub fn leader_of(&self, shard: u32) -> ProcessId {

@@ -545,11 +545,16 @@ impl<V: Value, P> RunOutcome<V, P> {
         vals
     }
 
-    /// Whether Agreement holds over first decisions: at most one distinct
-    /// decided value. (The verification crate additionally checks *every*
-    /// decide event in the trace.)
+    /// Whether Agreement holds over *every* decide event in the trace,
+    /// re-decisions included: the paper's Agreement is uniform, and a
+    /// conflicting re-decision is recorded only there.
     pub fn agreement(&self) -> bool {
-        self.decided_values().len() <= 1
+        let mut decided = self.trace.events().iter().filter_map(|e| match e {
+            TraceEvent::Decided { value, .. } => Some(value),
+            _ => None,
+        });
+        let first = decided.next();
+        decided.all(|v| Some(v) == first)
     }
 
     /// Whether every process outside `crashed` decided.
@@ -962,35 +967,49 @@ mod tests {
         assert_eq!(run(42), run(42));
     }
 
+    /// Decides every value proposed to it, re-decisions included.
+    #[derive(Debug)]
+    struct Echo {
+        me: ProcessId,
+        got: Option<u64>,
+    }
+    impl Protocol<u64> for Echo {
+        type Message = Share;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Share>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Share>) {
+            self.got = Some(v);
+            eff.decide(v);
+        }
+        fn on_message(&mut self, _: ProcessId, _: Share, _: &mut Effects<u64, Share>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Share>) {}
+        fn decision(&self) -> Option<u64> {
+            self.got
+        }
+    }
+
     #[test]
     fn scheduled_proposal_reaches_protocol() {
-        #[derive(Debug)]
-        struct Echo {
-            me: ProcessId,
-            got: Option<u64>,
-        }
-        impl Protocol<u64> for Echo {
-            type Message = Share;
-            fn id(&self) -> ProcessId {
-                self.me
-            }
-            fn on_start(&mut self, _: &mut Effects<u64, Share>) {}
-            fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Share>) {
-                self.got = Some(v);
-                eff.decide(v);
-            }
-            fn on_message(&mut self, _: ProcessId, _: Share, _: &mut Effects<u64, Share>) {}
-            fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Share>) {}
-            fn decision(&self) -> Option<u64> {
-                self.got
-            }
-        }
         let cfg = cfg3();
         let mut sim = SimulationBuilder::new(cfg).build(|p| Echo { me: p, got: None });
         sim.schedule_propose(ProcessId::new(1), 77, Time::ZERO + Duration::deltas(1));
         let outcome = sim.run(Time::ZERO + Duration::deltas(2));
         assert_eq!(outcome.decision_of(ProcessId::new(1)), Some(&77));
         assert_eq!(outcome.trace.proposals(), vec![(ProcessId::new(1), 77)]);
+    }
+
+    #[test]
+    fn agreement_sees_a_conflicting_re_decision() {
+        // p1 decides 1, then 2: its first decision agrees with everyone's,
+        // its second does not, and Agreement is uniform.
+        let mut sim = SimulationBuilder::new(cfg3()).build(|p| Echo { me: p, got: None });
+        sim.schedule_propose(ProcessId::new(1), 1, Time::ZERO);
+        sim.schedule_propose(ProcessId::new(1), 2, Time::ZERO + Duration::deltas(1));
+        let outcome = sim.run(Time::ZERO + Duration::deltas(2));
+        assert_eq!(outcome.decided_values(), vec![&1]);
+        assert!(!outcome.agreement());
     }
 
     #[test]

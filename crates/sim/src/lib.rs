@@ -16,7 +16,10 @@
 //!   runs* (Definition 2): processes in `E` crash at the beginning of
 //!   the first round, every message sent in round `k` is delivered
 //!   precisely at the beginning of round `k+1`, and local computation is
-//!   instantaneous.
+//!   instantaneous. [`RunOutcome::fast_deciders`] is Definition 3 on such
+//!   a run, and [`definition_4`] / [`definition_a1`] sweep it over every
+//!   failure set: the one executable form of Definitions 4 and A.1, which
+//!   E1, E2, the core tests and the paper-claims tests all call.
 //! * [`ManualExecutor`] — a message-soup executor with explicit,
 //!   step-level control over which message is delivered when; this is
 //!   what the model checker and the mechanized lower-bound adversary in
@@ -46,6 +49,6 @@ pub use engine::{DeliveryOrder, RunOutcome, Simulation, SimulationBuilder};
 pub use event::EventClass;
 pub use manual::{InFlight, ManualExecutor, MsgId};
 pub use seeds::test_seeds;
-pub use sync::{SyncOutcome, SyncRunner};
+pub use sync::{definition_4, definition_a1, SyncOutcome, SyncRunner, TwoStepReport};
 pub use trace::{Trace, TraceEvent};
 pub use twostep_telemetry::msg_kind;

@@ -1,4 +1,5 @@
-//! E-faulty synchronous runs (Definition 2).
+//! E-faulty synchronous runs (Definition 2), and the sweeps of
+//! Definitions 4 and A.1 that quantify Definition 3 over them.
 
 use twostep_telemetry::ObserverHandle;
 use twostep_types::protocol::Protocol;
@@ -25,6 +26,8 @@ pub type SyncOutcome<V, P> = RunOutcome<V, P>;
 /// quantify *existentially* over such runs; the residual freedom is the
 /// order in which same-round messages are processed, controlled here via
 /// [`SyncRunner::favoring`] (deliver one process's messages first).
+/// [`definition_4`] and [`definition_a1`] build those witness runs for
+/// every failure set.
 ///
 /// # Example
 ///
@@ -159,6 +162,141 @@ impl SyncRunner {
     }
 }
 
+/// The horizon of every sweep run: ample for slow-path recovery, so
+/// Termination is judged on finished runs.
+const SWEEP_HORIZON: Duration = Duration::deltas(60);
+
+/// What a sweep of Definition 4 or A.1 found over every failure set `E`
+/// of size `e`; each flag is the conjunction over all constructed runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TwoStepReport {
+    /// Number of failure sets swept (`C(n, e)`).
+    pub failure_sets: usize,
+    /// Clause 1 held for every failure set.
+    pub clause_one: bool,
+    /// Clause 2 held for every failure set and every correct witness.
+    pub clause_two: bool,
+    /// Agreement held in every run.
+    pub agreement: bool,
+    /// Every correct process decided in every run.
+    pub termination: bool,
+    /// The first clause that failed, if any.
+    pub first_failure: Option<String>,
+}
+
+impl TwoStepReport {
+    /// Whether both clauses, Agreement and Termination held.
+    pub fn passed(&self) -> bool {
+        self.clause_one && self.clause_two && self.agreement && self.termination
+    }
+
+    /// Folds one witness run in and returns whether it was two-step for
+    /// `witness` (Definition 3) with `witness` deciding `value`.
+    fn judge<P>(
+        &mut self,
+        run: &SyncOutcome<u64, P>,
+        witness: ProcessId,
+        value: u64,
+        clause: &str,
+    ) -> bool {
+        self.agreement &= run.agreement();
+        self.termination &= run.all_correct_decided();
+        let two_step =
+            run.fast_deciders().0.contains(witness) && run.decision_of(witness) == Some(&value);
+        if !two_step {
+            self.first_failure.get_or_insert_with(|| {
+                format!("{clause} failed for E={:?}, witness={witness}", run.crashed)
+            });
+        }
+        two_step
+    }
+}
+
+/// Calls `per_set(report, E, Π \ E)` for every failure set `E` of `cfg`.
+fn sweep(
+    cfg: SystemConfig,
+    mut per_set: impl FnMut(&mut TwoStepReport, ProcessSet, ProcessSet),
+) -> TwoStepReport {
+    let mut report = TwoStepReport {
+        failure_sets: 0,
+        clause_one: true,
+        clause_two: true,
+        agreement: true,
+        termination: true,
+        first_failure: None,
+    };
+    for crashed in cfg.failure_sets() {
+        report.failure_sets += 1;
+        per_set(
+            &mut report,
+            crashed,
+            cfg.all_processes().difference(crashed),
+        );
+    }
+    report
+}
+
+/// Sweeps Definition 4 (the consensus task) over every failure set of
+/// `cfg`; `make(p, v)` builds `p` with initial value `v`.
+///
+/// 1. From distinct initial values (`p_i` holds `100 + i`), the run
+///    favoring the correct process with the greatest value — the witness
+///    of the paper's §3 argument — is two-step for it, and it decides its
+///    own value.
+/// 2. From the unanimous configuration (all hold 7), every correct
+///    process has a run, favoring it, that is two-step for it.
+pub fn definition_4<P, F>(cfg: SystemConfig, make: F) -> TwoStepReport
+where
+    P: Protocol<u64>,
+    F: Fn(ProcessId, u64) -> P,
+{
+    let initial = |q: ProcessId| 100 + u64::from(q.as_u32());
+    sweep(cfg, |report, crashed, correct| {
+        let runner = |w| {
+            SyncRunner::new(cfg)
+                .crashed(crashed)
+                .favoring(w)
+                .horizon(SWEEP_HORIZON)
+        };
+        let w = correct
+            .iter()
+            .max()
+            .expect("e < n leaves a correct process");
+        let run = runner(w).run(|q| make(q, initial(q)));
+        report.clause_one &= report.judge(&run, w, initial(w), "Def4(1)");
+        for w in correct.iter() {
+            let run = runner(w).run(|q| make(q, 7));
+            report.clause_two &= report.judge(&run, w, 7, "Def4(2)");
+        }
+    })
+}
+
+/// Sweeps Definition A.1 (the consensus object) over every failure set of
+/// `cfg`; `make(p)` builds `p`, whose value arrives by `propose`.
+///
+/// 1. If only `p` proposes (42, at time 0), `p` decides it by `2Δ`; for
+///    every correct `p`, in the run with send-order delivery.
+/// 2. If every correct process proposes 7 at time 0, each has a run,
+///    favoring it, that is two-step for it.
+pub fn definition_a1<P, F>(cfg: SystemConfig, make: F) -> TwoStepReport
+where
+    P: Protocol<u64>,
+    F: Fn(ProcessId) -> P,
+{
+    sweep(cfg, |report, crashed, correct| {
+        let runner = || SyncRunner::new(cfg).crashed(crashed).horizon(SWEEP_HORIZON);
+        for p in correct.iter() {
+            let run = runner().run_object(&make, vec![(p, 42, Time::ZERO)]);
+            report.clause_one &= report.judge(&run, p, 42, "A.1(1)");
+        }
+        let unanimous: Vec<_> = correct.iter().map(|q| (q, 7, Time::ZERO)).collect();
+        for w in correct.iter() {
+            let run = runner().favoring(w).run_object(&make, unanimous.clone());
+            report.clause_two &= report.judge(&run, w, 7, "A.1(2)");
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +340,79 @@ mod tests {
         fn decision(&self) -> Option<u64> {
             self.decided
         }
+    }
+
+    /// Sends nothing; decides its value on a timer `at` after start.
+    #[derive(Debug, Clone)]
+    struct Timed {
+        me: ProcessId,
+        value: u64,
+        at: Duration,
+    }
+
+    impl Protocol<u64> for Timed {
+        type Message = M;
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+        fn on_start(&mut self, eff: &mut Effects<u64, M>) {
+            eff.set_timer(TimerId(0), self.at);
+        }
+        fn on_propose(&mut self, v: u64, _: &mut Effects<u64, M>) {
+            self.value = v;
+        }
+        fn on_message(&mut self, _: ProcessId, _: M, _: &mut Effects<u64, M>) {}
+        fn on_timer(&mut self, _: TimerId, eff: &mut Effects<u64, M>) {
+            eff.decide(self.value);
+        }
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn definition_3_counts_a_decision_at_exactly_two_deltas() {
+        // p_i decides at 2Δ + i units.
+        let cfg = SystemConfig::new(3, 1, 1).unwrap();
+        let outcome = SyncRunner::new(cfg).run(|me| Timed {
+            me,
+            value: 5,
+            at: Duration::deltas(2) + Duration::from_units(u64::from(me.as_u32())),
+        });
+        let (fast, value) = outcome.fast_deciders();
+        assert!(fast.contains(ProcessId::new(0)), "decided at exactly 2Δ");
+        assert!(!fast.contains(ProcessId::new(1)), "decided at 2Δ + 1 unit");
+        assert_eq!((fast.len(), value), (1, Some(5)));
+    }
+
+    #[test]
+    fn a_protocol_deciding_after_two_deltas_fails_clause_one() {
+        let cfg = SystemConfig::new(3, 1, 1).unwrap();
+        let at = Duration::deltas(3);
+        let report = definition_4(cfg, |me, value| Timed { me, value, at });
+        assert_eq!(report.failure_sets, 3);
+        assert!(!report.clause_one && !report.clause_two && !report.passed());
+        assert!(report.termination, "every run did decide, at 3Δ");
+        let failure = report.first_failure.unwrap();
+        assert!(failure.starts_with("Def4(1) failed"), "{failure}");
+
+        let report = definition_a1(cfg, |me| Timed { me, value: 0, at });
+        assert!(!report.clause_one && !report.clause_two && report.termination);
+    }
+
+    #[test]
+    fn a_witness_deciding_another_value_fails_clause_one() {
+        // Toy decides the first value it hears, at Δ: the favored witness
+        // hears only the others, so it decides by 2Δ, but not its own.
+        let cfg = SystemConfig::new(3, 1, 1).unwrap();
+        let report = definition_4(cfg, |me, value| Toy {
+            me,
+            n: 3,
+            value,
+            decided: None,
+        });
+        assert!(!report.clause_one);
+        assert!(report.clause_two && report.termination);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl<V: Value> VoteTally<V> {
         self.votes.get(v).copied().unwrap_or_default()
     }
 
-    /// Number of distinct values voted for.
-    pub fn distinct_values(&self) -> usize {
-        self.votes.len()
-    }
-
     /// Whether no votes have been recorded.
     pub fn is_empty(&self) -> bool {
         self.votes.is_empty()
@@ -300,7 +295,7 @@ mod tests {
         assert_eq!(t.count(&5), 2);
         assert_eq!(t.count(&9), 1);
         assert_eq!(t.count(&1), 0);
-        assert_eq!(t.distinct_values(), 2);
+        assert_eq!(t.iter().count(), 2);
         assert_eq!(t.voters(&5).len(), 2);
     }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use twostep_sim::Trace;
-use twostep_types::{Duration, ProcessId, ProcessSet, Time, Value};
+use twostep_types::{ProcessId, ProcessSet, Value};
 
 /// A violated consensus property, with the evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,45 +123,11 @@ pub fn check_termination<V: Value>(
     }
 }
 
-/// The processes whose runs were two-step (Definition 3: decided by
-/// `2Δ`), per the trace.
-pub fn two_step_deciders<V: Value>(trace: &Trace<V>) -> ProcessSet {
-    let deadline = Time::ZERO + Duration::deltas(2);
-    trace
-        .decisions()
-        .iter()
-        .filter(|(_, _, t)| *t <= deadline)
-        .map(|(p, _, _)| *p)
-        .collect()
-}
-
-/// Runs all safety checks plus termination; returns every violation
-/// found (empty = clean run).
-pub fn check_all<V: Value>(
-    trace: &Trace<V>,
-    proposed: &[V],
-    correct: ProcessSet,
-) -> Vec<Violation<V>> {
-    let mut violations = Vec::new();
-    if let Err(v) = check_agreement(trace) {
-        violations.push(v);
-    }
-    if let Err(v) = check_validity(trace, proposed) {
-        violations.push(v);
-    }
-    if let Err(v) = check_integrity(trace) {
-        violations.push(v);
-    }
-    if let Err(v) = check_termination(trace, correct) {
-        violations.push(v);
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use twostep_sim::TraceEvent;
+    use twostep_types::Time;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -181,7 +147,10 @@ mod tests {
         decided(&mut tr, 0, 5, 1000);
         decided(&mut tr, 1, 5, 2000);
         let correct: ProcessSet = [p(0), p(1)].into_iter().collect();
-        assert!(check_all(&tr, &[5, 9], correct).is_empty());
+        assert!(check_agreement(&tr).is_ok());
+        assert!(check_validity(&tr, &[5, 9]).is_ok());
+        assert!(check_integrity(&tr).is_ok());
+        assert!(check_termination(&tr, correct).is_ok());
     }
 
     #[test]
@@ -241,16 +210,6 @@ mod tests {
         };
         assert_eq!(undecided.len(), 2);
         assert!(undecided.contains(p(1)) && undecided.contains(p(2)));
-    }
-
-    #[test]
-    fn two_step_boundary_inclusive() {
-        let mut tr: Trace<u64> = Trace::new();
-        decided(&mut tr, 0, 5, 2000); // exactly 2Δ: two-step
-        decided(&mut tr, 1, 5, 2001); // just over: not
-        let fast = two_step_deciders(&tr);
-        assert!(fast.contains(p(0)));
-        assert!(!fast.contains(p(1)));
     }
 
     #[test]
