@@ -494,7 +494,7 @@ impl<V: Value> Decided<V> {
 
     /// Lines 22–25 after deciding: a redundant `Decide` rewrites `val`;
     /// a *conflicting* one is surfaced as a second decision effect so
-    /// the trace checkers can flag the agreement violation (reachable
+    /// `twostep_types::judge` can flag the agreement violation (reachable
     /// only under ablations or below-bound configurations).
     pub(crate) fn on_decide(&mut self, v: V, eff: &mut Effects<V, Msg<V>>) {
         self.voter.set_val(v.clone());
@@ -602,7 +602,7 @@ impl<V: Value> Phase<V> {
     /// Lines 17/21/24: moves the phase to [`Decided`], recording the
     /// decision through [`Decided::record`]. Re-deciding rewrites `val`
     /// (line 23); a *conflicting* re-decision surfaces a second
-    /// decision effect for the trace checkers.
+    /// decision effect for `twostep_types::judge`.
     pub(crate) fn into_decided(
         self,
         v: V,

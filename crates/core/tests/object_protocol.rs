@@ -4,7 +4,7 @@
 
 use twostep_core::ObjectConsensus;
 use twostep_sim::{definition_a1, DeliveryOrder, SimulationBuilder, SyncRunner};
-use twostep_types::{Duration, ProcessId, SystemConfig, Time};
+use twostep_types::{judge, Duration, ProcessId, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -51,8 +51,8 @@ fn conflicting_proposals_stay_safe_and_terminate() {
             outcome.all_correct_decided(),
             "cfg={cfg}: stalled under conflict"
         );
-        let v = *outcome.decided_values()[0];
-        assert!(v == 10 || v == 20, "cfg={cfg}: invalid decision {v}");
+        let verdict = judge::validity(&outcome.trace.decide_log(), &[10, 20]);
+        assert_eq!(verdict, Ok(()), "cfg={cfg}");
     }
 }
 
@@ -104,10 +104,8 @@ fn proposer_crashing_mid_broadcast_is_safe() {
             .build(|q| ObjectConsensus::<u64>::new(cfg, q));
         sim.schedule_propose(proposer, 11, Time::ZERO);
         let outcome = sim.run_until_all_decided(Time::ZERO + Duration::deltas(100));
-        let decisions = outcome.trace.decisions();
-        for (_, v, _) in &decisions {
-            assert_eq!(*v, 11, "seed {seed}: only 11 was ever proposed");
-        }
+        let verdict = judge::validity(&outcome.trace.decide_log(), &[11]);
+        assert_eq!(verdict, Ok(()), "seed {seed}: only 11 was ever proposed");
         // Liveness: survivors decide (the proposal reached them before
         // the crash since effects are applied atomically at t=0).
         assert!(outcome.all_correct_decided(), "seed {seed}");
@@ -128,12 +126,11 @@ fn contending_proposals_under_random_schedules_agree() {
             sim.schedule_propose(p(i), 50 + u64::from(i), Time::from_units(k as u64 * 300));
         }
         let outcome = sim.run_until_all_decided(Time::ZERO + Duration::deltas(150));
-        let decisions = outcome.trace.decisions();
-        if let Some((_, first, _)) = decisions.first() {
-            for (q, v, _) in &decisions {
-                assert_eq!(v, first, "seed {seed}: {q} diverged");
-            }
-        }
+        assert_eq!(
+            judge::agreement(&outcome.trace.decide_log()),
+            Ok(()),
+            "seed {seed}"
+        );
         assert!(outcome.all_correct_decided(), "seed {seed}");
     }
 }

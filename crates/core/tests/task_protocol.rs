@@ -7,7 +7,7 @@ use twostep_sim::{
     definition_4, DeliveryOrder, Lossy, PartialSynchrony, SimulationBuilder, SyncRunner,
     SynchronousRounds,
 };
-use twostep_types::{Duration, ProcessId, ProcessSet, SystemConfig, Time};
+use twostep_types::{judge, Duration, ProcessId, ProcessSet, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -52,12 +52,10 @@ fn all_correct_eventually_decide_in_synchronous_runs() {
             assert!(outcome.agreement());
             // Validity: the decision is a correct process's proposal
             // (crashed ones never sent theirs).
-            let decided = outcome.decided_values()[0];
-            let proposer = (0..cfg.n()).find(|i| props[*i] == *decided).unwrap();
-            assert!(
-                !crashed.contains(p(proposer as u32)),
-                "decided a crashed proposal"
-            );
+            let correct = crashed.complement(cfg.n()).iter().map(|q| props[q.index()]);
+            let verdict =
+                judge::validity(&outcome.trace.decide_log(), &correct.collect::<Vec<_>>());
+            assert_eq!(verdict, Ok(()), "cfg={cfg} E={crashed:?}");
         }
     }
 }
@@ -102,8 +100,10 @@ fn initial_leader_crash_recovers_via_omega() {
     let (fast, _) = outcome.fast_deciders();
     assert!(fast.is_empty(), "ascending order must starve the fast path");
     // Validity among correct proposals.
-    let decided = *outcome.decided_values()[0];
-    assert!((1..=4).contains(&decided), "decided {decided}");
+    assert_eq!(
+        judge::validity(&outcome.trace.decide_log(), &props[1..]),
+        Ok(())
+    );
 }
 
 #[test]
@@ -153,21 +153,10 @@ fn randomized_schedules_preserve_agreement_and_validity() {
             .build(|q| TaskConsensus::new(cfg, q, props[q.index()]))
             .run_until_all_decided(Time::ZERO + Duration::deltas(150));
 
-        // Agreement over every decide event in the trace.
-        let decisions = outcome.trace.decisions();
-        if let Some((_, first, _)) = decisions.first() {
-            for (proc_, v, _) in &decisions {
-                assert_eq!(
-                    v, first,
-                    "seed {seed}: {proc_} decided {v}, expected {first}"
-                );
-            }
-            // Validity: the decision is one of the proposals.
-            assert!(
-                props.contains(first),
-                "seed {seed}: invalid decision {first}"
-            );
-        }
+        // Agreement over every decide event in the trace, Validity and
+        // Integrity.
+        let verdict = judge::decision(&outcome.trace.decide_log(), &props);
+        assert_eq!(verdict, Ok(()), "seed {seed}");
         assert!(
             outcome.all_correct_decided(),
             "seed {seed}: correct processes stalled"

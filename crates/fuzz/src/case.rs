@@ -473,8 +473,7 @@ mod tests {
         let report = run_case(&case(FuzzProtocol::Task, actions));
         let decided: ProcessSet = report.decide_log.iter().map(|&(p, _)| p).collect();
         assert_eq!(decided.len(), 3);
-        let first = report.decide_log[0].1;
-        assert!(report.decide_log.iter().all(|(_, v)| *v == first));
+        assert_eq!(twostep_types::judge::agreement(&report.decide_log), Ok(()));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! of small systems; this crate explores *random* interleavings of
 //! larger ones — with fault injection (message drops, crashes,
 //! crash-restarts, timer fires) — and shrinks any safety violation to a
-//! minimal, replayable schedule. The two share their oracles: a run is
-//! judged by `twostep-verify`'s Agreement/Validity/Integrity checkers,
-//! so the fuzzer cannot drift from the project's definition of
-//! correctness.
+//! minimal, replayable schedule. The two share their oracle: a run is
+//! judged by [`twostep_types::judge`]'s Agreement, Validity and
+//! Integrity, so the fuzzer cannot drift from the project's definition
+//! of correctness.
 //!
 //! Everything is deterministic. An iteration is fully described by
 //! `(root seed, iteration index)`; a counterexample is fully described

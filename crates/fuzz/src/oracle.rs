@@ -1,89 +1,53 @@
 //! Safety oracles: the fuzzer's pass/fail judgement.
 //!
-//! Each group's honest decide log in a [`RunReport`] is converted to a
-//! synthetic [`Trace`] of `Decided` events (the untimed
-//! [`twostep_sim::ManualExecutor`] has no clock, so all events are
-//! stamped `Time::ZERO`) and handed to the verification crate's
-//! property checkers. Reusing `twostep-verify` as the oracle
-//! means the fuzzer and the exhaustive model checker disagree about
-//! correctness only if one of them mis-translates a run — never about
-//! what "correct" means.
+//! Each group's honest decide log in a [`RunReport`] is handed to
+//! [`twostep_types::judge`], the specification the model checker, the
+//! simulator and the runtime judge by too: the fuzzer and the exhaustive
+//! model checker disagree about correctness only if one of them
+//! mis-translates a run — never about what "correct" means.
 
-use std::collections::BTreeMap;
-
-use twostep_sim::{Trace, TraceEvent};
-use twostep_types::{ProcessId, ProcessSet, Time};
-use twostep_verify::{check_agreement, check_integrity, check_termination, check_validity};
+use twostep_types::judge::{self, Violation};
+use twostep_types::ProcessSet;
 
 use crate::case::{shard_of_value, FuzzProtocol, RunReport};
 
 /// A safety (or, when requested, liveness) violation found by the
 /// oracles.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Two processes decided different values.
-    Agreement(String),
-    /// A decided value was never proposed.
-    Validity(String),
-    /// A process decided more than once.
-    Integrity(String),
-    /// A live process failed to decide (only checked with `--liveness`).
-    Termination(String),
+pub struct Verdict {
+    property: &'static str,
+    detail: String,
 }
 
 impl Verdict {
-    /// The violated property's name.
-    pub fn property(&self) -> &'static str {
-        match self {
-            Verdict::Agreement(_) => "agreement",
-            Verdict::Validity(_) => "validity",
-            Verdict::Integrity(_) => "integrity",
-            Verdict::Termination(_) => "termination",
+    /// The verdict on `v`, found in group `shard` of `report`: its
+    /// detail names the shard when `report` has several.
+    fn of(v: Violation<u64>, shard: usize, report: &RunReport) -> Verdict {
+        let mut detail = v.to_string();
+        if report.group_decides.len() > 1 {
+            detail = format!("shard {shard}: {detail}");
         }
+        Verdict {
+            property: v.property(),
+            detail,
+        }
+    }
+
+    /// The violated property's name: `agreement`, `validity`,
+    /// `integrity` or `termination`.
+    pub fn property(&self) -> &'static str {
+        self.property
     }
 
     /// The oracle's explanation of the violation.
     pub fn detail(&self) -> &str {
-        match self {
-            Verdict::Agreement(d)
-            | Verdict::Validity(d)
-            | Verdict::Integrity(d)
-            | Verdict::Termination(d) => d,
-        }
+        &self.detail
     }
 
     /// Whether this is a safety violation (vs. a liveness one).
     pub fn is_safety(&self) -> bool {
-        !matches!(self, Verdict::Termination(_))
+        self.property != "termination"
     }
-
-    /// The same verdict, its detail naming the shard it was found in
-    /// when `report` has several.
-    fn in_shard(mut self, shard: usize, report: &RunReport) -> Verdict {
-        match &mut self {
-            Verdict::Agreement(d)
-            | Verdict::Validity(d)
-            | Verdict::Integrity(d)
-            | Verdict::Termination(d) => {
-                if report.group_decides.len() > 1 {
-                    *d = format!("shard {shard}: {d}");
-                }
-            }
-        }
-        self
-    }
-}
-
-fn synthetic_trace(log: &[(ProcessId, u64)]) -> Trace<u64> {
-    let mut trace = Trace::new();
-    for &(process, value) in log {
-        trace.push(TraceEvent::Decided {
-            time: Time::ZERO,
-            process,
-            value,
-        });
-    }
-    trace
 }
 
 /// Checks the protocol's safety properties on a run, most severe first
@@ -95,84 +59,38 @@ fn synthetic_trace(log: &[(ProcessId, u64)]) -> Trace<u64> {
 /// Agreement is only meaningful for single-decree protocols; EPaxosLite
 /// commits one command *per proposer* (its `decide` event means "own
 /// command committed"), so for it only Validity and Integrity apply,
-/// and `Smr`'s decide events are the commands a replica applied: its
-/// three properties are those of a log — one sequence that every
-/// replica's is a prefix of, nothing unsubmitted, nothing twice.
+/// and `Smr`'s decide events are the commands a replica applied, judged
+/// as a log by [`judge::log`].
 pub fn check_safety(protocol: FuzzProtocol, report: &RunReport) -> Option<Verdict> {
     let sharded = report.group_decides.len() > 1;
     for (s, log) in report.judged().enumerate() {
         if sharded {
             if let Some(&(p, v)) = log.iter().find(|(_, v)| shard_of_value(*v) != s) {
-                return Some(Verdict::Agreement(format!(
-                    "{p} in shard {s} decided {v}, which belongs to shard {} — \
-                     cross-shard leakage",
-                    shard_of_value(v)
-                )));
+                return Some(Verdict {
+                    property: "agreement",
+                    detail: format!(
+                        "{p} in shard {s} decided {v}, which belongs to shard {} — \
+                         cross-shard leakage",
+                        shard_of_value(v)
+                    ),
+                });
             }
         }
         // Leakage is ruled out, so a value in the pool with shard `s`'s
         // encoding was proposed to shard `s`: one pool serves all.
+        let proposed = &report.proposed;
         let verdict = if protocol == FuzzProtocol::Smr {
-            check_log(&log, &report.proposed)
+            judge::log(&log, proposed)
+        } else if protocol == FuzzProtocol::EPaxos {
+            judge::validity(&log, proposed).and_then(|()| judge::integrity(&log))
         } else {
-            check_decision(protocol, &log, &report.proposed)
+            judge::decision(&log, proposed)
         };
-        if let Some(v) = verdict {
-            return Some(v.in_shard(s, report));
+        if let Err(v) = verdict {
+            return Some(Verdict::of(v, s, report));
         }
     }
     None
-}
-
-/// Agreement, Validity and Integrity of one group's single decision,
-/// by `twostep-verify`'s checkers.
-fn check_decision(
-    protocol: FuzzProtocol,
-    log: &[(ProcessId, u64)],
-    proposed: &[u64],
-) -> Option<Verdict> {
-    let trace = synthetic_trace(log);
-    if protocol != FuzzProtocol::EPaxos {
-        if let Err(v) = check_agreement(&trace) {
-            return Some(Verdict::Agreement(v.to_string()));
-        }
-    }
-    if let Err(v) = check_validity(&trace, proposed) {
-        return Some(Verdict::Validity(v.to_string()));
-    }
-    if let Err(v) = check_integrity(&trace) {
-        return Some(Verdict::Integrity(v.to_string()));
-    }
-    None
-}
-
-/// The same three properties restated for a replicated log, whose
-/// decide events are the commands each replica applied, in order:
-/// every replica's sequence is a prefix of one sequence (Agreement),
-/// every applied command was submitted (Validity), and no replica
-/// applies a command twice (Integrity).
-fn check_log(log: &[(ProcessId, u64)], proposed: &[u64]) -> Option<Verdict> {
-    let mut applied: BTreeMap<ProcessId, Vec<u64>> = BTreeMap::new();
-    for &(p, cmd) in log {
-        applied.entry(p).or_default().push(cmd);
-    }
-    let (leader, longest) = applied.iter().max_by_key(|(_, seq)| seq.len())?;
-    for (p, seq) in &applied {
-        if !longest.starts_with(seq) {
-            return Some(Verdict::Agreement(format!(
-                "{p} applied {seq:?}, not a prefix of {leader}'s {longest:?}"
-            )));
-        }
-    }
-    if let Err(v) = check_validity(&synthetic_trace(log), proposed) {
-        return Some(Verdict::Validity(v.to_string()));
-    }
-    // Prefixes of one sequence: a repeat anywhere is a repeat in it.
-    let repeat = (1..longest.len()).find(|&i| longest[..i].contains(&longest[i]))?;
-    Some(Verdict::Integrity(format!(
-        "{leader} applied {:#x} twice",
-        longest[repeat]
-    )))
 }
 
 /// Checks that every honest process in `correct` decided, in every
@@ -182,8 +100,8 @@ fn check_log(log: &[(ProcessId, u64)], proposed: &[u64]) -> Option<Verdict> {
 pub fn check_liveness(report: &RunReport, correct: ProcessSet) -> Option<Verdict> {
     let correct = correct.intersection(report.honest);
     report.judged().enumerate().find_map(|(s, log)| {
-        let v = check_termination(&synthetic_trace(&log), correct).err()?;
-        Some(Verdict::Termination(v.to_string()).in_shard(s, report))
+        let v = judge::termination(&log, correct).err()?;
+        Some(Verdict::of(v, s, report))
     })
 }
 
@@ -191,7 +109,7 @@ pub fn check_liveness(report: &RunReport, correct: ProcessSet) -> Option<Verdict
 mod tests {
     use super::*;
     use twostep_core::Ablations;
-    use twostep_types::{ByzVariant, SystemConfig};
+    use twostep_types::{ByzVariant, ProcessId, SystemConfig};
 
     use crate::case::{run_case, shard_value};
     use crate::gen::gen_case;

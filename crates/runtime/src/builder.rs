@@ -207,7 +207,8 @@ impl ClusterBuilder {
         P: Protocol<V> + 'static,
         F: FnMut(ProcessId) -> P,
     {
-        ClusterBuilder { shards: 1, ..self }.assemble(Arc::new(|_| 0), |p, _, _| make(p))
+        let one_group = ClusterBuilder { shards: 1, ..self };
+        one_group.assemble(Arc::new(|_| 0), true, |p, _, _| make(p))
     }
 
     /// Builds a cluster of SMR replicas replicating state machine `S`
@@ -237,7 +238,7 @@ impl ClusterBuilder {
         let router = ShardRouter::new(self.shards);
         let route: RouteFn<C> = Arc::new(move |c: &C| router.route(c.route_key().as_ref()));
         let (cfg, batch, pipeline) = (self.cfg, self.batch, self.pipeline);
-        self.assemble(route, move |p, s, obs| {
+        self.assemble(route, false, move |p, s, obs| {
             SmrReplicaBuilder::new(cfg, p)
                 .pipeline(pipeline)
                 .batch(batch)
@@ -252,10 +253,12 @@ impl ClusterBuilder {
     /// line, if any), then spawns one node per endpoint hosting
     /// `make(p, s, shard s's observer)` for every shard `s`, each
     /// publishing its decisions straight into the cluster's shared
-    /// state.
+    /// state — groups that decide once, or apply a log, as `decide_once`
+    /// says.
     fn assemble<V, P, F>(
         self,
         route: RouteFn<V>,
+        decide_once: bool,
         mut make: F,
     ) -> Result<ShardedCluster<V>, RuntimeError>
     where
@@ -267,7 +270,7 @@ impl ClusterBuilder {
         let endpoints = self
             .transport
             .endpoints(self.cfg.n(), self.link_delay, &self.obs)?;
-        let shared = ClusterShared::new(router.shards(), self.cfg.n());
+        let shared = ClusterShared::new(router.shards(), self.cfg.n(), decide_once);
         let sink = Arc::clone(&shared);
         let opts =
             NodeOptions::reporting_to(Arc::new(move |p, s, v, at| sink.publish(p, s, v, at)))

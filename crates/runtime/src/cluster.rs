@@ -8,6 +8,7 @@ use std::time::Instant;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
+use twostep_types::judge::{self, Violation};
 use twostep_types::{ProcessId, Value};
 
 /// One blocked client; `token` names the registration for
@@ -26,8 +27,11 @@ fn wake(list: Option<Vec<Waiter>>) {
 
 /// What one process has decided in one shard, and who is waiting on it.
 struct Slot<V> {
-    /// The first decision (the agreement-checking cache).
+    /// The first decision: what waiters on it and latencies read.
     first: Option<(V, Instant)>,
+    /// In a group that decides once, the first later decision unlike
+    /// `first`: with the first decisions, all uniform Agreement needs.
+    conflict: Option<V>,
     /// Clients blocked on one value committing here; `None` keys those
     /// waiting for whatever is decided first. One hash lookup per decide
     /// event, however many clients wait. A slot per shard keeps groups
@@ -49,13 +53,17 @@ struct Row<V> {
 /// all traffic on shard 0.
 pub(crate) struct ClusterShared<V> {
     rows: Vec<Mutex<Row<V>>>,
+    /// Whether the groups decide once, rather than apply a log whose
+    /// Agreement is over each replica's first applied command.
+    decide_once: bool,
 }
 
 impl<V: Value> ClusterShared<V> {
     /// Fresh shared state for `shards` consensus groups over `n` nodes.
-    pub(crate) fn new(shards: usize, n: usize) -> Arc<Self> {
+    pub(crate) fn new(shards: usize, n: usize, decide_once: bool) -> Arc<Self> {
         let slot = |_| Slot {
             first: None,
+            conflict: None,
             waiters: HashMap::new(),
         };
         let row = |_| {
@@ -66,12 +74,14 @@ impl<V: Value> ClusterShared<V> {
         };
         Arc::new(ClusterShared {
             rows: (0..n).map(row).collect(),
+            decide_once,
         })
     }
 
     /// Records that `p` decided `v` in `shard` at `at`, on the thread
     /// that stepped the deciding node: caches the first decision of
-    /// `(shard, p)` and wakes the clients waiting on it and on `v`.
+    /// `(shard, p)` and any first conflict with it, and wakes the clients
+    /// waiting on it and on `v`.
     ///
     /// The waiters are taken out of the row under its lock and woken
     /// after it is released: a woken client's next move is
@@ -87,6 +97,13 @@ impl<V: Value> ClusterShared<V> {
             let Some(slot) = row.slots.get_mut(shard as usize) else {
                 return; // a group this cluster does not deploy
             };
+            let conflicts = |(first, _): &(V, Instant)| *first != v;
+            if self.decide_once
+                && slot.conflict.is_none()
+                && slot.first.as_ref().is_some_and(conflicts)
+            {
+                slot.conflict = Some(v.clone());
+            }
             let on_first = if slot.first.is_none() {
                 slot.first = Some((v.clone(), at));
                 slot.waiters.remove(&None)
@@ -150,11 +167,22 @@ impl<V: Value> ClusterShared<V> {
         row.slots.get(shard as usize)?.first.clone()
     }
 
-    /// All first decisions of one shard, by process.
-    pub(crate) fn shard_decisions(&self, shard: u32) -> Vec<Option<V>> {
-        (0..self.rows.len() as u32)
-            .map(|p| Some(self.first_decision(shard, ProcessId::new(p))?.0))
-            .collect()
+    /// Uniform Agreement in `shard`, judged over the first decisions and
+    /// then the conflicts kept: exactly Agreement over every decide event
+    /// in a group that decides once.
+    pub(crate) fn shard_agreement(&self, shard: u32) -> Result<(), Violation<V>> {
+        let (mut log, mut conflicts) = (Vec::new(), Vec::new());
+        for (i, row) in self.rows.iter().enumerate() {
+            let p = ProcessId::new(i as u32);
+            let row = row.lock();
+            let Some(slot) = row.slots.get(shard as usize) else {
+                return Ok(()); // a group this cluster does not deploy
+            };
+            log.extend(slot.first.as_ref().map(|(v, _)| (p, v.clone())));
+            conflicts.extend(slot.conflict.clone().map(|v| (p, v)));
+        }
+        log.append(&mut conflicts);
+        judge::agreement(&log)
     }
 
     /// Registrations neither woken nor dropped, over all processes.
@@ -218,6 +246,47 @@ mod tests {
         }
     }
 
+    /// Decides every proposal it is sent, however many: the re-decision
+    /// a broken protocol would make.
+    #[derive(Debug)]
+    struct Echo(ProcessId);
+
+    impl Protocol<u64> for Echo {
+        type Message = Gossip;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_start(&mut self, _: &mut Effects<u64, Gossip>) {}
+        fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, Gossip>) {
+            eff.decide(v);
+        }
+        fn on_message(&mut self, _: ProcessId, _: Gossip, _: &mut Effects<u64, Gossip>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut Effects<u64, Gossip>) {}
+        fn decision(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn agreement_sees_a_conflicting_re_decision() {
+        let cfg = SystemConfig::for_protocol(ProtocolKind::TaskTwoStep, 3, 1, 1).unwrap();
+        let cluster = ClusterBuilder::new(cfg).build(Echo).expect("cluster build");
+        let client = cluster.proxy_client(p(0));
+        let timeout = WallDuration::from_secs(5);
+        for v in [1, 2] {
+            assert!(client.submit_and_wait(v, timeout).is_some());
+        }
+        assert_eq!(cluster.decision_of(0, p(0)), Some(1));
+        assert!(!cluster.agreement());
+        assert_eq!(
+            cluster.shard_agreement(0),
+            Err(Violation::Agreement {
+                first: (p(0), 1),
+                conflicting: (p(0), 2)
+            })
+        );
+    }
+
     /// A three-`Relay` cluster over `builder`'s transport (Δ stays at
     /// the builder's 10ms default).
     fn relays(builder: ClusterBuilder) -> ShardedCluster<u64> {
@@ -237,10 +306,9 @@ mod tests {
         assert_eq!(cluster.shards(), 1);
         cluster.proxy_client(p(1)).propose(55);
         assert!(cluster.await_decisions(0, cfg.process_ids(), WallDuration::from_secs(5)));
-        assert_eq!(
-            cluster.shard_decisions(0),
-            vec![Some(55), Some(55), Some(55)]
-        );
+        for i in 0..3 {
+            assert_eq!(cluster.decision_of(0, p(i)), Some(55));
+        }
         assert!(cluster.agreement());
         assert!(cluster.decision_latency(0, p(1)).is_some());
     }
@@ -323,7 +391,7 @@ mod tests {
                 proxy in 0u32..3,
             ) {
                 prop_assume!(deciding != bystander);
-                let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
+                let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3, true);
                 let at = p(proxy);
                 let (_, rx_bystander) = shared.register_waiter(bystander, Some(value), at);
                 let (_, rx_deciding) = shared.register_waiter(deciding, Some(value), at);
@@ -355,7 +423,7 @@ mod tests {
                 other_proxy in 0u32..3,
             ) {
                 prop_assume!(deciding_proxy != other_proxy);
-                let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3);
+                let shared: Arc<ClusterShared<u64>> = ClusterShared::new(4, 3, true);
                 let (_, rx_other) = shared.register_waiter(shard, Some(value), p(other_proxy));
                 let (_, rx_deciding) =
                     shared.register_waiter(shard, Some(value), p(deciding_proxy));
@@ -366,6 +434,49 @@ mod tests {
                     "a decide at proxy {deciding_proxy} woke a waiter bound to proxy {other_proxy}"
                 );
                 prop_assert_eq!(shared.waiting(), 1);
+            }
+        }
+    }
+
+    // A slot keeps each process's first decision and, in a group that
+    // decides once, its first conflicting one — not every decide event.
+    // Driven as a property over small streams (three processes, three
+    // values, so conflicts and re-decisions are common) because the
+    // summary must judge exactly as the whole stream would.
+    mod agreement_summary {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The verdict on shard 0 after `stream` is published into it.
+        fn judged(stream: &[(u32, u64)], decide_once: bool) -> Result<(), Violation<u64>> {
+            let shared: Arc<ClusterShared<u64>> = ClusterShared::new(1, 3, decide_once);
+            for &(q, v) in stream {
+                shared.publish(p(q), 0, v, Instant::now());
+            }
+            shared.shard_agreement(0)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn a_decide_once_group_is_judged_on_every_decide_event(
+                stream in vec((0u32..3, 0u64..3), 0..10),
+            ) {
+                let log: Vec<_> = stream.iter().map(|&(q, v)| (p(q), v)).collect();
+                prop_assert_eq!(judged(&stream, true).is_ok(), judge::agreement(&log).is_ok());
+            }
+
+            #[test]
+            fn a_log_is_judged_on_first_applied_commands(
+                stream in vec((0u32..3, 0u64..3), 0..10),
+            ) {
+                let firsts: Vec<_> = (0..3)
+                    .filter_map(|q| stream.iter().find(|(r, _)| *r == q))
+                    .map(|&(q, v)| (p(q), v))
+                    .collect();
+                prop_assert_eq!(judged(&stream, false), judge::agreement(&firsts));
             }
         }
     }

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use twostep_telemetry::ObserverHandle;
+use twostep_types::judge::Violation;
 use twostep_types::{ProcessId, SystemConfig, Value};
 
 use crate::cluster::ClusterShared;
@@ -206,25 +207,18 @@ impl<V: Value> ShardedCluster<V> {
             .map(|(_, at)| at.duration_since(self.started))
     }
 
-    /// All first decisions of `shard`, by process.
-    pub fn shard_decisions(&self, shard: u32) -> Vec<Option<V>> {
-        self.shared.shard_decisions(shard)
+    /// Uniform Agreement in `shard`, with its evidence: over every decide
+    /// event in a group that decides once, and over each replica's first
+    /// applied command in a replicated log.
+    pub fn shard_agreement(&self, shard: u32) -> Result<(), Violation<V>> {
+        self.shared.shard_agreement(shard)
     }
 
-    /// Whether the observed first decisions of `shard` agree.
-    pub fn shard_agreement(&self, shard: u32) -> bool {
-        let decisions = self.shard_decisions(shard);
-        let mut iter = decisions.iter().flatten();
-        match iter.next() {
-            None => true,
-            Some(first) => iter.all(|v| v == first),
-        }
-    }
-
-    /// Whether every shard's observed first decisions agree — Agreement
-    /// holds per group; values across groups legitimately differ.
+    /// Whether [`ShardedCluster::shard_agreement`] holds in every shard —
+    /// Agreement holds per group; values across groups legitimately
+    /// differ.
     pub fn agreement(&self) -> bool {
-        (0..self.shards() as u32).all(|s| self.shard_agreement(s))
+        (0..self.shards() as u32).all(|s| self.shard_agreement(s).is_ok())
     }
 
     /// Waits until `(shard, p)` decides or `timeout` elapses.

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use twostep_telemetry::{msg_kind, ObserverHandle};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Duration, ProcessId, ProcessSet, SystemConfig, Time, Value};
+use twostep_types::{judge, Duration, ProcessId, ProcessSet, SystemConfig, Time, Value};
 
 use crate::delay::{DelayModel, LinkBehavior};
 use crate::event::{EventKind, QueuedEvent};
@@ -537,7 +537,7 @@ impl<V: Value, P> RunOutcome<V, P> {
         self.decisions[p.index()].as_ref().map(|(_, t)| *t)
     }
 
-    /// All distinct decided values.
+    /// The distinct values among the processes' first decisions.
     pub fn decided_values(&self) -> Vec<&V> {
         let mut vals: Vec<&V> = self.decisions.iter().flatten().map(|(v, _)| v).collect();
         vals.sort();
@@ -549,12 +549,7 @@ impl<V: Value, P> RunOutcome<V, P> {
     /// re-decisions included: the paper's Agreement is uniform, and a
     /// conflicting re-decision is recorded only there.
     pub fn agreement(&self) -> bool {
-        let mut decided = self.trace.events().iter().filter_map(|e| match e {
-            TraceEvent::Decided { value, .. } => Some(value),
-            _ => None,
-        });
-        let first = decided.next();
-        decided.all(|v| Some(v) == first)
+        judge::agreement(&self.trace.decide_log()).is_ok()
     }
 
     /// Whether every process outside `crashed` decided.

@@ -16,7 +16,7 @@ use std::hash::{Hash, Hasher};
 
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::relabel::{RelabelHash, Relabeling};
-use twostep_types::{ProcessId, ProcessSet, SystemConfig, Value};
+use twostep_types::{judge, ProcessId, ProcessSet, SystemConfig, Value};
 
 /// Identifier of an in-flight message within a [`ManualExecutor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -122,11 +122,7 @@ impl<V: Value, P: Protocol<V>> ManualExecutor<V, P> {
 
     /// Whether all decide events so far agree on one value.
     pub fn agreement(&self) -> bool {
-        let mut values = self.decide_log.iter().map(|(_, v)| v);
-        match values.next() {
-            None => true,
-            Some(first) => values.all(|v| v == first),
-        }
+        judge::agreement(&self.decide_log).is_ok()
     }
 
     /// Starts `p` (runs its `on_start`), if alive and not started.

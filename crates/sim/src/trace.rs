@@ -100,9 +100,9 @@ impl<V> TraceEvent<V> {
 
 /// A chronological record of everything that happened in a run.
 ///
-/// The verification crate consumes traces to check Agreement, Validity,
-/// Integrity and two-step-ness; the benchmark crate consumes them for
-/// message counts and latency distributions.
+/// Its [`Trace::decide_log`] is what [`twostep_types::judge`] checks
+/// Agreement, Validity and Integrity over; the benchmark crate consumes
+/// traces for message counts and latency distributions.
 #[derive(Debug, Clone, Default)]
 pub struct Trace<V> {
     events: Vec<TraceEvent<V>>,
@@ -154,6 +154,13 @@ impl<V: Value> Trace<V> {
                 _ => None,
             })
             .collect()
+    }
+
+    /// All `(process, value)` decision events, in order: the decide log
+    /// that [`twostep_types::judge`] judges.
+    pub fn decide_log(&self) -> Vec<(ProcessId, V)> {
+        let log = self.decisions().into_iter();
+        log.map(|(process, value, _)| (process, value)).collect()
     }
 
     /// All `(process, value)` proposal events, in order.

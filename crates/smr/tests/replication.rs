@@ -7,7 +7,7 @@ use twostep_core::Msg;
 use twostep_sim::{DeliveryOrder, SimulationBuilder, TraceEvent};
 use twostep_smr::{KvCommand, KvStore, SmrMsg, SmrReplica, SmrReplicaBuilder};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
-use twostep_types::{Duration, ProcessId, SystemConfig, Time};
+use twostep_types::{judge, Duration, ProcessId, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -40,25 +40,9 @@ fn single_proxy_commands_commit_in_order() {
         assert_eq!(r.state().get("a"), Some("3"), "p{i}");
         assert_eq!(r.state().get("b"), Some("2"), "p{i}");
     }
-    // Logs identical across replicas.
-    let log0 = outcome.procs[0].log().clone();
-    for i in 1..3 {
-        assert_eq!(outcome.procs[i].log(), &log0);
-    }
-    // Decide events carry the applied stream, identical per replica.
-    let per_proc: Vec<Vec<KvCommand>> = (0..3)
-        .map(|i| {
-            outcome
-                .trace
-                .decisions()
-                .into_iter()
-                .filter(|(q, _, _)| q.index() == i)
-                .map(|(_, c, _)| c)
-                .collect()
-        })
-        .collect();
-    assert_eq!(per_proc[0], per_proc[1]);
-    assert_eq!(per_proc[1], per_proc[2]);
+    // Decide events carry the applied stream: with three commands each,
+    // prefixes of one sequence are that sequence.
+    assert_eq!(judge::log(&outcome.trace.decide_log(), &cmds), Ok(()));
 }
 
 #[test]
@@ -71,12 +55,11 @@ fn contending_proxies_converge_to_one_log() {
             .delivery_order(DeliveryOrder::randomized(seed))
             .build(|q| replica(cfg, q));
         // Every replica proposes one command at roughly the same time.
-        for i in 0..n as u32 {
-            sim.schedule_propose(
-                p(i),
-                KvCommand::put(format!("k{i}"), format!("v{i}")),
-                Time::from_units(u64::from(i) * 7),
-            );
+        let cmds: Vec<KvCommand> = (0..n)
+            .map(|i| KvCommand::put(format!("k{i}"), format!("v{i}")))
+            .collect();
+        for (i, c) in cmds.iter().enumerate() {
+            sim.schedule_propose(p(i as u32), c.clone(), Time::from_units(i as u64 * 7));
         }
         let outcome = sim.run_until(Time::ZERO + Duration::deltas(300), |s| {
             (0..n).all(|i| s.process(p(i as u32)).applied() >= n as u64)
@@ -88,15 +71,8 @@ fn contending_proxies_converge_to_one_log() {
             "seed {seed}: only {} commands applied",
             longest.applied()
         );
-        for r in &outcome.procs {
-            for (slot, cmd) in r.log() {
-                assert_eq!(
-                    longest.log().get(slot),
-                    Some(cmd),
-                    "seed {seed}: divergent slot {slot}"
-                );
-            }
-        }
+        let verdict = judge::log(&outcome.trace.decide_log(), &cmds);
+        assert_eq!(verdict, Ok(()), "seed {seed}");
         // Every key present in the final state of the longest replica.
         for i in 0..n {
             assert_eq!(
@@ -137,23 +113,17 @@ fn lost_slot_is_retried_in_fresh_slot() {
     // the end both commands are in the log exactly once.
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
     let mut sim = SimulationBuilder::new(cfg).build(|q| replica(cfg, q));
-    sim.schedule_propose(p(0), KvCommand::put("a", "0"), Time::ZERO);
-    sim.schedule_propose(p(2), KvCommand::put("b", "2"), Time::ZERO);
+    let cmds = [KvCommand::put("a", "0"), KvCommand::put("b", "2")];
+    sim.schedule_propose(p(0), cmds[0].clone(), Time::ZERO);
+    sim.schedule_propose(p(2), cmds[1].clone(), Time::ZERO);
     let outcome = sim.run_until(Time::ZERO + Duration::deltas(200), |s| {
         (0..3).all(|i| s.process(p(i)).applied() >= 2)
     });
     let log = outcome.procs[0].log();
     assert!(log.len() >= 2, "both commands committed, log = {log:?}");
-    let cmds: Vec<&KvCommand> = log.values().flat_map(|b| b.iter()).collect();
-    let a = cmds
-        .iter()
-        .filter(|c| matches!(c, KvCommand::Put { key, .. } if key == "a"))
-        .count();
-    let b = cmds
-        .iter()
-        .filter(|c| matches!(c, KvCommand::Put { key, .. } if key == "b"))
-        .count();
-    assert_eq!((a, b), (1, 1), "each command exactly once: {log:?}");
+    // Two applied, each submitted and none twice: each exactly once.
+    assert_eq!(outcome.procs[0].applied(), 2, "{log:?}");
+    assert_eq!(judge::log(&outcome.trace.decide_log(), &cmds), Ok(()));
 }
 
 #[test]
@@ -221,17 +191,15 @@ fn pipelined_logs_remain_consistent_under_contention() {
                     .pipeline(3)
                     .build::<KvCommand, KvStore>()
             });
-        let mut total = 0u64;
+        let mut cmds = Vec::new();
         for i in 0..n as u32 {
             for k in 0..2u64 {
-                sim.schedule_propose(
-                    p(i),
-                    KvCommand::put(format!("k{i}-{k}"), "v"),
-                    Time::from_units(k * 50),
-                );
-                total += 1;
+                let c = KvCommand::put(format!("k{i}-{k}"), "v");
+                sim.schedule_propose(p(i), c.clone(), Time::from_units(k * 50));
+                cmds.push(c);
             }
         }
+        let total = cmds.len() as u64;
         let outcome = sim.run_until(Time::ZERO + Duration::deltas(400), |s| {
             (0..n).all(|i| s.process(p(i as u32)).applied() >= total)
         });
@@ -242,20 +210,9 @@ fn pipelined_logs_remain_consistent_under_contention() {
             longest.applied(),
             total
         );
-        for r in &outcome.procs {
-            for (slot, cmd) in r.log() {
-                assert_eq!(
-                    longest.log().get(slot),
-                    Some(cmd),
-                    "seed {seed} slot {slot}"
-                );
-            }
-        }
-        // Exactly-once, across batch boundaries.
-        let mut seen = std::collections::BTreeSet::new();
-        for cmd in longest.log().values().flat_map(|b| b.iter()) {
-            assert!(seen.insert(cmd.clone()), "seed {seed}: duplicate {cmd:?}");
-        }
+        // One order, and exactly once across batch boundaries.
+        let verdict = judge::log(&outcome.trace.decide_log(), &cmds);
+        assert_eq!(verdict, Ok(()), "seed {seed}");
     }
 }
 

@@ -24,6 +24,10 @@
 //!   suspicion sweeps, or a static leader) that every protocol runs.
 //! * [`SplitMix64`] — the one seeded PRNG behind every replayable
 //!   schedule (fuzz campaigns, Byzantine injection plans).
+//! * [`judge`] — the consensus specification (§2), written once:
+//!   Agreement, Validity, Integrity and Termination over a decide log,
+//!   and the same safety properties for a replicated log. Every
+//!   executor judges its runs there.
 //! * [`protocol`] — the event-driven state-machine abstraction
 //!   ([`protocol::Protocol`]) that both the simulator and the threaded
 //!   runtime drive, so a single protocol implementation runs unmodified
@@ -53,6 +57,7 @@ mod ballot;
 mod byz;
 mod config;
 mod error;
+pub mod judge;
 mod omega;
 mod process;
 pub mod protocol;

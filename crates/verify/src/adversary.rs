@@ -65,13 +65,10 @@ pub struct AdversaryReport {
 
 impl AdversaryReport {
     fn from_log(cfg: SystemConfig, log: &[(ProcessId, u64)], narrative: String) -> Self {
-        let violated = log
-            .first()
-            .is_some_and(|(_, v0)| log.iter().any(|(_, v)| v != v0));
         AdversaryReport {
             cfg,
             decisions: log.to_vec(),
-            agreement_violated: violated,
+            agreement_violated: twostep_types::judge::agreement(log).is_err(),
             narrative,
         }
     }

@@ -1,12 +1,11 @@
 //! Verification toolkit for the two-step consensus reproduction.
 //!
-//! Four instruments, each mechanizing a different part of the paper:
+//! Three instruments, each mechanizing a different part of the paper.
+//! The consensus specification (§2) they judge runs by is
+//! [`twostep_types::judge`]; two-step-ness (Definition 3) and its sweeps
+//! (Definitions 4 and A.1) live beside the runs they judge, in
+//! `twostep_sim` ([`twostep_sim::definition_4`]).
 //!
-//! * [`props`] — trace checkers for the consensus task specification
-//!   (§2): Agreement, Validity, Integrity and Termination. Run over
-//!   [`twostep_sim::Trace`]s from any engine. Two-step-ness (Definition
-//!   3) and its sweeps (Definitions 4 and A.1) live beside the runs they
-//!   judge, in `twostep_sim` ([`twostep_sim::definition_4`]).
 //! * [`linearizability`] — a history checker for the consensus *object*
 //!   specification (linearizable wait-free `propose`), with a
 //!   brute-force reference implementation used to validate the fast
@@ -31,7 +30,6 @@
 pub mod adversary;
 pub mod linearizability;
 pub mod model_check;
-pub mod props;
 
 pub use adversary::{
     fast_paxos_at_bound, fast_paxos_below_bound, object_adversary_grid, object_at_bound,
@@ -42,4 +40,3 @@ pub use linearizability::{History, LinearizabilityError, Op};
 pub use model_check::{
     fuzz_replay_tokens, replay_script, Action, CheckOutcome, ExploreStats, ModelChecker,
 };
-pub use props::{check_agreement, check_integrity, check_termination, check_validity, Violation};

@@ -11,7 +11,8 @@
 //!   never terminate),
 //!
 //! pruning states already visited. At every state it checks Agreement
-//! over the full decide log and Validity against the proposed values. A
+//! over the full decide log, Validity against the proposed values and
+//! Integrity, by [`twostep_types::judge::decision`]. A
 //! violation yields a replayable [`Action`] script, convertible into the
 //! `twostep-fuzz --replay` token format by [`fuzz_replay_tokens`].
 //!
@@ -19,7 +20,7 @@
 //!
 //! Three reductions keep the boundary configurations (`n = 2e+f−2 …
 //! 2e+f`, crash budgets up to `f`) tractable; all are sound in the sense
-//! that they can hide no Agreement/Validity violation:
+//! that they can hide no Agreement, Validity or Integrity violation:
 //!
 //! * **Process-symmetry canonicalization** (`symmetry(true)`, the
 //!   default). A state is keyed by the *minimum* relabeled fingerprint
@@ -32,8 +33,8 @@
 //!   permutation decline it (`None`), and the minimum runs over the
 //!   permutations that accept the state. The identity always does, so
 //!   with symmetry off a state is keyed by its identity fingerprint
-//!   alone: there is one key scheme. Since Agreement and
-//!   Validity are invariant under replica-id permutations, a pruned
+//!   alone: there is one key scheme. Since Agreement, Validity and
+//!   Integrity are invariant under replica-id permutations, a pruned
 //!   state violates iff its explored representative's orbit does.
 //! * **Partial-order reduction by inert-mail scrubbing** (`por(true)`,
 //!   the default). After every transition the engine drops from the
@@ -67,7 +68,7 @@
 use twostep_sim::ManualExecutor;
 use twostep_types::protocol::{Protocol, TimerId};
 use twostep_types::relabel::{RelabelHash, Relabeling};
-use twostep_types::{ProcessId, ProcessSet, SystemConfig, Value};
+use twostep_types::{judge, ProcessId, ProcessSet, SystemConfig, Value};
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
@@ -431,25 +432,16 @@ impl<V: Value> ModelChecker<V> {
         }
     }
 
+    /// The decide log's violation, if any; an undeclared proposed set
+    /// leaves Validity unchecked.
     fn violated<P: Protocol<V>>(&self, ex: &ManualExecutor<V, P>) -> Option<String> {
         let log = ex.decide_log();
-        if let Some((p0, v0)) = log.first() {
-            for (p, v) in &log[1..] {
-                if v != v0 {
-                    return Some(format!(
-                        "agreement violated: {p0} decided {v0:?}, {p} decided {v:?}"
-                    ));
-                }
-            }
-            if !self.proposed.is_empty() {
-                for (p, v) in log {
-                    if !self.proposed.contains(v) {
-                        return Some(format!("validity violated: {p} decided unproposed {v:?}"));
-                    }
-                }
-            }
-        }
-        None
+        let verdict = if self.proposed.is_empty() {
+            judge::agreement(log).and_then(|()| judge::integrity(log))
+        } else {
+            judge::decision(log, &self.proposed)
+        };
+        verdict.err().map(|v| v.to_string())
     }
 }
 

@@ -5,7 +5,9 @@
 //! This crate re-exports the workspace members so that examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`types`] — process ids, ballots, system configurations, bounds.
+//! * [`types`] — process ids, ballots, system configurations, bounds,
+//!   and the consensus specification every run is judged by
+//!   ([`types::judge`]).
 //! * [`sim`] — deterministic discrete-event simulator (Δ-rounds, GST,
 //!   crash injection, E-faulty synchronous runs).
 //! * [`core`] — the paper's protocol: task and object variants.
@@ -15,8 +17,8 @@
 //!   equivocation, forgery, ballot lying and selective silence.
 //! * [`runtime`] — thread-per-process deployment over in-memory or TCP
 //!   transports.
-//! * [`verify`] — trace checkers, bounded model checker, linearizability
-//!   checker, mechanized lower-bound adversary.
+//! * [`verify`] — bounded model checker, linearizability checker,
+//!   mechanized lower-bound adversary.
 //! * [`smr`] — state-machine replication built on the consensus core.
 //! * [`telemetry`] — protocol-aware metrics and event tracing: decision
 //!   paths, recovery cases, latency histograms, text/Prometheus export.

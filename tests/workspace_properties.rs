@@ -1,13 +1,12 @@
 //! Workspace-level property tests spanning several crates: randomized
-//! whole-system scenarios checked with the verification toolkit.
+//! whole-system scenarios checked against `twostep::types::judge`.
 
 use proptest::prelude::*;
 
 use twostep::core::{ObjectConsensus, TaskConsensus};
 use twostep::sim::{DeliveryOrder, RandomDelay, SimulationBuilder};
 use twostep::smr::{KvCommand, KvStore, SmrReplicaBuilder};
-use twostep::types::{Duration, ProcessId, SystemConfig, Time};
-use twostep::verify::{check_agreement, check_integrity, check_validity};
+use twostep::types::{judge, Duration, ProcessId, SystemConfig, Time};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -44,9 +43,7 @@ proptest! {
             .build(|q| TaskConsensus::new(cfg, q, props[q.index()]))
             .run_until_all_decided(Time::ZERO + Duration::deltas(150));
 
-        prop_assert!(check_agreement(&outcome.trace).is_ok());
-        prop_assert!(check_validity(&outcome.trace, &props).is_ok());
-        prop_assert!(check_integrity(&outcome.trace).is_ok());
+        prop_assert_eq!(judge::decision(&outcome.trace.decide_log(), &props), Ok(()));
         prop_assert!(outcome.all_correct_decided(), "stalled: {:?}", outcome.decisions);
     }
 
@@ -72,8 +69,7 @@ proptest! {
             }
         }
         let outcome = sim.run_until_all_decided(Time::ZERO + Duration::deltas(150));
-        prop_assert!(check_agreement(&outcome.trace).is_ok());
-        prop_assert!(check_validity(&outcome.trace, &proposed).is_ok());
+        prop_assert_eq!(judge::decision(&outcome.trace.decide_log(), &proposed), Ok(()));
         prop_assert!(outcome.all_correct_decided());
     }
 
@@ -90,12 +86,11 @@ proptest! {
             .delivery_order(DeliveryOrder::randomized(seed))
             .build(|q| SmrReplicaBuilder::new(cfg, q).build::<KvCommand, KvStore>());
         let total = cmds.len() as u64;
+        let mut submitted = Vec::new();
         for (k, (proxy, key)) in cmds.iter().enumerate() {
-            sim.schedule_propose(
-                p(proxy % 3),
-                KvCommand::put(format!("k{key}-{k}"), format!("v{k}")),
-                Time::from_units(k as u64 * 211),
-            );
+            let c = KvCommand::put(format!("k{key}-{k}"), format!("v{k}"));
+            sim.schedule_propose(p(proxy % 3), c.clone(), Time::from_units(k as u64 * 211));
+            submitted.push(c);
         }
         let outcome = sim.run_until(Time::ZERO + Duration::deltas(250), |s| {
             (0..3).all(|i| s.process(p(i)).applied() >= total)
@@ -109,14 +104,6 @@ proptest! {
             total
         );
         // Prefix compatibility + exactly-once.
-        for r in &outcome.procs {
-            for (slot, cmd) in r.log() {
-                prop_assert_eq!(longest.log().get(slot), Some(cmd));
-            }
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for cmd in longest.log().values().flat_map(|b| b.iter()) {
-            prop_assert!(seen.insert(cmd.clone()), "duplicated commit: {cmd:?}");
-        }
+        prop_assert_eq!(judge::log(&outcome.trace.decide_log(), &submitted), Ok(()));
     }
 }
