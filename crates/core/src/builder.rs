@@ -2,17 +2,17 @@
 //!
 //! The typestate redesign removed the fully-parameterised constructors
 //! (`with_options`-style entry points): options accumulate on a
-//! [`TwoStepBuilder`], and the *variant* is fixed by the terminal method
-//! — [`task`](TwoStepBuilder::task) hands the initial value straight to
-//! the birth phase, [`object`](TwoStepBuilder::object) arms the red-line
-//! precondition on it. A task without an initial value or an object
-//! with a startup value is therefore unrepresentable, not a runtime
-//! panic.
+//! [`TwoStepBuilder`], and the *formulation* is fixed by the terminal
+//! method — [`task`](TwoStepBuilder::task) hands the initial value
+//! straight to the birth phase, [`object`](TwoStepBuilder::object) arms
+//! the red-line precondition on it. A task without an initial value or
+//! an object with a startup value is therefore unrepresentable, not a
+//! runtime panic.
 
 use twostep_telemetry::ObserverHandle;
 use twostep_types::{OmegaMode, ProcessId, SystemConfig, Value};
 
-use crate::consensus::{TwoStep, Variant};
+use crate::consensus::TwoStep;
 use crate::{Ablations, ObjectConsensus, TaskConsensus};
 
 /// Builder for [`TaskConsensus`] / [`ObjectConsensus`] instances.
@@ -77,15 +77,14 @@ impl TwoStepBuilder {
     ///
     /// Panics if `me` is out of range for the configuration.
     pub fn task<V: Value>(&self, me: ProcessId, initial: V) -> TaskConsensus<V> {
-        TaskConsensus::from_machine(TwoStep::new_machine(
+        TwoStep::new_machine(
             self.cfg,
             me,
-            Variant::Task,
             Some(initial),
             self.omega,
             self.ablations,
             self.obs.clone(),
-        ))
+        )
     }
 
     /// Births a consensus-**object** instance for `me`: no value until
@@ -95,15 +94,14 @@ impl TwoStepBuilder {
     ///
     /// Panics if `me` is out of range for the configuration.
     pub fn object<V: Value>(&self, me: ProcessId) -> ObjectConsensus<V> {
-        ObjectConsensus::from_machine(TwoStep::new_machine(
+        TwoStep::new_machine(
             self.cfg,
             me,
-            Variant::Object,
             None,
             self.omega,
             self.ablations,
             self.obs.clone(),
-        ))
+        )
     }
 }
 
@@ -117,11 +115,11 @@ mod tests {
         let cfg = SystemConfig::minimal_task(1, 1).unwrap();
         let b = TwoStepBuilder::new(cfg).omega(OmegaMode::Static(ProcessId::new(1)));
         let t = b.task(ProcessId::new(0), 7u64);
-        assert_eq!(t.inner().config(), cfg);
-        assert_eq!(t.inner().omega().leader(), ProcessId::new(1));
+        assert_eq!(t.config(), cfg);
+        assert_eq!(t.omega().leader(), ProcessId::new(1));
         // The same builder mints a second, independent instance.
         let o: ObjectConsensus<u64> = b.object(ProcessId::new(2));
-        assert_eq!(o.inner().initial_value(), None);
+        assert_eq!(o.initial_value(), None);
     }
 
     #[test]
@@ -132,6 +130,6 @@ mod tests {
             .task(ProcessId::new(0), 42u64);
         let mut eff = Effects::new();
         t.on_start(&mut eff);
-        assert_eq!(t.inner().initial_value(), Some(&42));
+        assert_eq!(t.initial_value(), Some(&42));
     }
 }

@@ -1,39 +1,44 @@
-//! The thin [`Protocol`] wrapper over the typestate phases (Figure 1).
+//! The [`Protocol`] implementation over the typestate phases (Figure 1).
 //!
 //! The protocol itself lives in [`crate::phase`] as one type per phase
-//! — [`FastVoting`](crate::phase::FastVoting),
-//! [`SlowBallot`](crate::phase::SlowBallot),
-//! [`Decided`](crate::phase::Decided) on the voter side;
+//! — [`FastVoting`](crate::phase::FastVoting) and
+//! [`SlowBallot`](crate::phase::SlowBallot) on the voter side, with a
+//! [`Decided`](crate::phase::Decided) certificate held beside them;
 //! [`Collecting`](crate::phase::Collecting) /
 //! [`Proposing`](crate::phase::Proposing) on the leader side — with
 //! transitions that consume the source phase and force their sends.
-//! [`TwoStep`] is the enum-dispatch shell that keeps the engines (sim,
-//! fuzz, SMR, model checker) working unchanged at the [`Protocol`]
-//! seam: it owns the phase-independent [`Common`] state, routes each
-//! handler call to the current phase, and stores whichever phase the
-//! transition returned.
+//! [`TwoStep`] keeps the engines (sim, fuzz, SMR, model checker) working
+//! at the [`Protocol`] seam: it owns the phase-independent [`Common`]
+//! state, routes each handler call to the current phase, and stores
+//! whichever phase the transition returned.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
 use twostep_telemetry::{ObserverHandle, Path, RecoveryCase};
 use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_BALLOT_DELAY};
 use twostep_types::{Ballot, Omega, OmegaMode, ProcessId, ProcessSet, SystemConfig, Value};
 
 use crate::msg::Msg;
-use crate::phase::{Collecting, Leader, LeaderPhase, Phase, PhaseKind};
+use crate::phase::{Collecting, FastVoting, Leader, LeaderPhase, Phase, PhaseKind, Voter};
 use crate::recovery::Report;
 use crate::Ablations;
 
-/// Which consensus formulation a [`TwoStep`] instance implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Variant {
-    /// Consensus *task*: the initial value is fixed at construction and
-    /// proposed at startup. Requires `n ≥ max{2e+f, 2f+1}` (Theorem 5).
-    Task,
-    /// Consensus *object*: values arrive via explicit `propose(v)`
-    /// invocations; the paper's red-line preconditions apply. Requires
-    /// `n ≥ max{2e+f-1, 2f+1}` (Theorem 6).
-    Object,
+pub(crate) mod sealed {
+    /// Keeps [`Formulation`](super::Formulation) closed: the paper has
+    /// two formulations, and [`crate::Task`] / [`crate::Object`] are them.
+    pub trait Sealed {}
+}
+
+/// Which consensus formulation a [`TwoStep`] instance implements: the
+/// type parameter that separates Theorem 5's machine from Theorem 6's.
+/// Sealed; its two (uninhabited) implementors are [`crate::Task`] and
+/// [`crate::Object`].
+pub trait Formulation: sealed::Sealed + Debug + Clone + Send + Sync + 'static {
+    /// Whether values arrive through `propose(v)` invocations under the
+    /// paper's red-line preconditions (the object), rather than being
+    /// fixed at construction (the task).
+    const OBJECT: bool;
 }
 
 /// How a process reached its decision (for experiment metrics).
@@ -55,7 +60,6 @@ pub enum DecisionPath {
 pub(crate) struct Common<V> {
     pub(crate) cfg: SystemConfig,
     pub(crate) me: ProcessId,
-    pub(crate) variant: Variant,
     pub(crate) ablations: Ablations,
     pub(crate) omega: Omega,
     /// Own proposal (`initial_val`), `⊥` until proposed.
@@ -89,46 +93,45 @@ impl<V: Value> Common<V> {
     }
 }
 
-/// The two-step consensus state machine of Figure 1, as a shell over
-/// the typestate phases.
+/// The two-step consensus state machine of Figure 1, in formulation `F`:
+/// [`crate::TaskConsensus`] is `TwoStep<V, Task>`, and
+/// [`crate::ObjectConsensus`] is `TwoStep<V, Object>`.
 ///
-/// There is no public constructor: build instances through
-/// [`crate::TwoStepBuilder`] (or the [`crate::TaskConsensus`] /
-/// [`crate::ObjectConsensus`] wrappers), which is what fixes the
-/// variant and arms the object red line on the birth phase.
+/// Instances are built through [`crate::TwoStepBuilder`] (or the two
+/// aliases' `new`), which is what fixes the formulation and arms the
+/// object red line on the birth phase.
 #[derive(Debug, Clone)]
-pub struct TwoStep<V> {
+pub struct TwoStep<V, F> {
     common: Common<V>,
     phase: Phase<V>,
     leader: Leader<V>,
+    formulation: PhantomData<F>,
 }
 
-impl<V: Value> TwoStep<V> {
+impl<V: Value, F: Formulation> TwoStep<V, F> {
     /// Crate-internal constructor behind [`crate::TwoStepBuilder`].
     ///
-    /// Panics if `me` is out of range for `cfg`. The old "task without
-    /// an initial value" panic no longer exists: the builder's `task`
-    /// terminal takes the value by parameter, so the state is
-    /// unrepresentable.
+    /// Panics if `me` is out of range for `cfg`. A task without an
+    /// initial value is unrepresentable: the builder's `task` terminal
+    /// takes the value by parameter.
     pub(crate) fn new_machine(
         cfg: SystemConfig,
         me: ProcessId,
-        variant: Variant,
         startup_value: Option<V>,
         omega_mode: OmegaMode,
         ablations: Ablations,
         obs: ObserverHandle,
     ) -> Self {
         assert!(me.index() < cfg.n(), "process {me} out of range for {cfg}");
-        let phase = match variant {
-            Variant::Task => crate::phase::FastVoting::task(),
-            Variant::Object => crate::phase::FastVoting::object(),
+        let birth = if F::OBJECT {
+            FastVoting::object()
+        } else {
+            FastVoting::task()
         };
         TwoStep {
             common: Common {
                 cfg,
                 me,
-                variant,
                 ablations,
                 omega: Omega::new(me, cfg.n(), omega_mode),
                 initial_val: None,
@@ -138,14 +141,14 @@ impl<V: Value> TwoStep<V> {
                 recovery_case: None,
                 obs,
             },
-            phase: Phase::Fast(phase),
+            phase: Phase::new(birth),
             leader: Leader::Idle,
+            formulation: PhantomData,
         }
     }
 
-    /// Attaches telemetry hooks (crate-internal; the builder and the
-    /// wrappers' `observed` methods are the public path).
-    pub(crate) fn observed(mut self, obs: ObserverHandle) -> Self {
+    /// Attaches telemetry hooks (builder style).
+    pub fn observed(mut self, obs: ObserverHandle) -> Self {
         self.common.obs = obs;
         self
     }
@@ -153,11 +156,6 @@ impl<V: Value> TwoStep<V> {
     /// The system configuration.
     pub fn config(&self) -> SystemConfig {
         self.common.cfg
-    }
-
-    /// The variant this instance implements.
-    pub fn variant(&self) -> Variant {
-        self.common.variant
     }
 
     /// Which voter-side phase this process is in.
@@ -172,17 +170,17 @@ impl<V: Value> TwoStep<V> {
 
     /// Current ballot.
     pub fn ballot(&self) -> Ballot {
-        self.phase.bal()
+        self.phase.voter.bal()
     }
 
     /// Last ballot voted in.
     pub fn voted_ballot(&self) -> Ballot {
-        self.phase.vbal()
+        self.phase.voter.vbal()
     }
 
     /// Current vote.
     pub fn vote(&self) -> Option<&V> {
-        self.phase.val()
+        self.phase.voter.val()
     }
 
     /// Own proposal, if any.
@@ -197,11 +195,7 @@ impl<V: Value> TwoStep<V> {
 
     /// How the decision was reached, if decided.
     pub fn decision_path(&self) -> Option<DecisionPath> {
-        if let Phase::Decided(d) = &self.phase {
-            Some(d.path())
-        } else {
-            None
-        }
+        self.phase.decision_path()
     }
 
     /// Which recovery-rule case selected the value of the slow ballot
@@ -232,24 +226,48 @@ impl<V: Value> TwoStep<V> {
 
     /// Lines 2–5: `if val = ⊥ then initial_val ← v; send Propose(v)`.
     fn do_propose(&mut self, v: V, eff: &mut Effects<V, Msg<V>>) {
-        if self.phase.val().is_none() && self.common.initial_val.is_none() {
+        if self.phase.voter.val().is_none() && self.common.initial_val.is_none() {
             self.common.initial_val = Some(v.clone());
             eff.broadcast_others(Msg::Propose(v), self.common.cfg.n(), self.common.me);
         }
     }
+}
 
-    fn on_msg(&mut self, from: ProcessId, msg: Msg<V>, eff: &mut Effects<V, Msg<V>>) {
+impl<V: Value, F: Formulation> Protocol<V> for TwoStep<V, F> {
+    type Message = Msg<V>;
+
+    fn id(&self) -> ProcessId {
+        self.common.me
+    }
+
+    fn on_start(&mut self, eff: &mut Effects<V, Msg<V>>) {
+        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
+        self.common.omega.start(Msg::Heartbeat, eff);
+        if let Some(v) = self.common.startup_value.take() {
+            self.do_propose(v, eff);
+        }
+    }
+
+    fn on_propose(&mut self, value: V, eff: &mut Effects<V, Msg<V>>) {
+        // The task's proposal is fixed at construction.
+        if F::OBJECT {
+            self.do_propose(value, eff);
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Msg<V>, eff: &mut Effects<V, Msg<V>>) {
         self.common.omega.observe(from);
         match msg {
             Msg::Heartbeat => {}
 
-            // Lines 9–13: only the fast-voting phase can vote; the
-            // observed fallback is phase-independent.
+            // Lines 9–13: only a ballot-0 position can vote (a decided
+            // one never does: deciding set its `val`); the observed
+            // fallback is phase-independent.
             Msg::Propose(v) => {
                 if self.common.observed.is_none() {
                     self.common.observed = Some(v.clone());
                 }
-                if let Phase::Fast(f) = &mut self.phase {
+                if let Voter::Fast(f) = &mut self.phase.voter {
                     f.consider(&self.common, from, &v, eff);
                 }
             }
@@ -258,18 +276,14 @@ impl<V: Value> TwoStep<V> {
             Msg::TwoB(b, v) => {
                 if b == Ballot::FAST {
                     // Votes for our own fast-path proposal. The tally
-                    // accrues in every phase; only the fast-voting phase
-                    // can still turn it into a decision.
+                    // accrues in every phase; only an undecided fast
+                    // voter can still turn it into a decision.
                     if self.common.initial_val.as_ref() == Some(&v) {
                         self.common.fast_votes.insert(from);
-                        self.phase = match Phase::take(&mut self.phase) {
-                            Phase::Fast(f) => f.try_fast_decide(&mut self.common, eff),
-                            Phase::Slow(s) => Phase::Slow(s),
-                            Phase::Decided(d) => Phase::Decided(d),
-                        };
+                        self.phase.try_fast_decide(&mut self.common, eff);
                     }
                 } else if self.phase.decided().is_none()
-                    && self.phase.bal() == b
+                    && self.phase.voter.bal() == b
                     && self.leader.ballot() == Some(b)
                     && self.leader.slow_value() == Some(&v)
                 {
@@ -279,12 +293,8 @@ impl<V: Value> TwoStep<V> {
                         false
                     };
                     if quorum_in {
-                        self.phase = Phase::take(&mut self.phase).into_decided(
-                            v.clone(),
-                            DecisionPath::Slow,
-                            &mut self.common,
-                            eff,
-                        );
+                        self.phase
+                            .decide(v.clone(), DecisionPath::Slow, &mut self.common, eff);
                         eff.broadcast_others(Msg::Decide(v), self.common.cfg.n(), self.common.me);
                     }
                 }
@@ -292,17 +302,17 @@ impl<V: Value> TwoStep<V> {
 
             // Lines 22–25.
             Msg::Decide(v) => {
-                self.phase = Phase::take(&mut self.phase).into_decided(
-                    v,
-                    DecisionPath::Learned,
-                    &mut self.common,
-                    eff,
-                );
+                self.phase
+                    .decide(v, DecisionPath::Learned, &mut self.common, eff);
             }
 
-            // Lines 27–31.
+            // Lines 27–31: a decided process's report carries its
+            // certificate.
             Msg::OneA(b) => {
-                self.phase = Phase::take(&mut self.phase).on_one_a(&mut self.common, from, b, eff);
+                let decided = self.phase.decided().cloned();
+                self.phase
+                    .voter
+                    .on_one_a(&mut self.common, from, b, decided, eff);
             }
 
             // Lines 42–63 (collection side).
@@ -333,40 +343,12 @@ impl<V: Value> TwoStep<V> {
                 }
             }
 
-            // Lines 65–69.
+            // Lines 65–69: a decided process still votes (the ballot may
+            // outrun the certificate's propagation).
             Msg::TwoA(b, v) => {
-                self.phase =
-                    Phase::take(&mut self.phase).on_two_a(&mut self.common, from, b, v, eff);
+                self.phase.voter.on_two_a(&mut self.common, from, b, v, eff);
             }
         }
-    }
-}
-
-impl<V: Value> Protocol<V> for TwoStep<V> {
-    type Message = Msg<V>;
-
-    fn id(&self) -> ProcessId {
-        self.common.me
-    }
-
-    fn on_start(&mut self, eff: &mut Effects<V, Msg<V>>) {
-        eff.set_timer(TimerId::NEW_BALLOT, INITIAL_BALLOT_DELAY);
-        self.common.omega.start(Msg::Heartbeat, eff);
-        if let Some(v) = self.common.startup_value.take() {
-            self.do_propose(v, eff);
-        }
-    }
-
-    fn on_propose(&mut self, value: V, eff: &mut Effects<V, Msg<V>>) {
-        match self.common.variant {
-            // The task variant's proposal is fixed at construction.
-            Variant::Task => {}
-            Variant::Object => self.do_propose(value, eff),
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg<V>, eff: &mut Effects<V, Msg<V>>) {
-        self.on_msg(from, msg, eff);
     }
 
     fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, Msg<V>>) {
@@ -391,7 +373,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
                     // §C.1: Collecting::open is the only way to start a
                     // ballot, and it broadcasts the 1A as it constructs.
                     self.leader = Leader::Collecting(Collecting::open(
-                        self.phase.bal(),
+                        self.phase.voter.bal(),
                         &mut self.common,
                         eff,
                     ));
@@ -423,10 +405,10 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         }
         let mut h = DefaultHasher::new();
         rl.pid(self.common.me).hash(&mut h);
-        rl.ballot(self.phase.bal())?.hash(&mut h);
-        rl.ballot(self.phase.vbal())?.hash(&mut h);
-        self.phase.val().hash(&mut h);
-        self.phase.proposer().map(|p| rl.pid(p)).hash(&mut h);
+        rl.ballot(self.phase.voter.bal())?.hash(&mut h);
+        rl.ballot(self.phase.voter.vbal())?.hash(&mut h);
+        self.phase.voter.val().hash(&mut h);
+        self.phase.voter.proposer().map(|p| rl.pid(p)).hash(&mut h);
         self.common.initial_val.hash(&mut h);
         self.phase.decided().hash(&mut h);
         rl.pset(self.common.fast_votes).hash(&mut h);
@@ -481,7 +463,7 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
         if self.common.omega.uses_heartbeats() {
             return false;
         }
-        let bal = self.phase.bal();
+        let bal = self.phase.voter.bal();
         match msg {
             Msg::Heartbeat => true,
             Msg::Propose(v) => {
@@ -491,10 +473,10 @@ impl<V: Value> Protocol<V> for TwoStep<V> {
                 // (immutable once set) proposal rejects `v`.
                 self.common.observed.is_some()
                     && (bal != Ballot::FAST
-                        || self.phase.val().is_some()
+                        || self.phase.voter.val().is_some()
                         || self.common.initial_val.as_ref().is_some_and(|iv| {
                             *v < *iv
-                                || (self.common.variant == Variant::Object
+                                || (F::OBJECT
                                     && !self.common.ablations.no_object_guard
                                     && *v != *iv)
                         }))
@@ -561,9 +543,9 @@ mod tests {
         ex.start(p(0));
         let proposes = ex.pending_matching(|m| matches!(m.msg, Msg::Propose(_)));
         assert_eq!(proposes.len(), 2, "Propose goes to Π \\ {{p0}}");
-        assert_eq!(ex.process(p(0)).inner().initial_value(), Some(&10));
-        assert_eq!(ex.process(p(0)).inner().phase(), PhaseKind::FastVoting);
-        assert_eq!(ex.process(p(0)).inner().leader_phase(), LeaderPhase::Idle);
+        assert_eq!(ex.process(p(0)).initial_value(), Some(&10));
+        assert_eq!(ex.process(p(0)).phase(), PhaseKind::FastVoting);
+        assert_eq!(ex.process(p(0)).leader_phase(), LeaderPhase::Idle);
     }
 
     #[test]
@@ -573,11 +555,11 @@ mod tests {
         // Deliver p2's Propose(30) to p1 first: p1 votes for it.
         let ids = ex.pending_matching(|m| m.from == p(2) && m.to == p(1));
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(1)).inner().vote(), Some(&30));
+        assert_eq!(ex.process(p(1)).vote(), Some(&30));
         // p0's Propose(10) now fails the `val = ⊥` precondition.
         let ids = ex.pending_matching(|m| m.from == p(0) && m.to == p(1));
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(1)).inner().vote(), Some(&30));
+        assert_eq!(ex.process(p(1)).vote(), Some(&30));
         // Exactly one fast 2B left p1, addressed to p2.
         let twobs =
             ex.pending_matching(|m| m.from == p(1) && matches!(m.msg, Msg::TwoB(Ballot::FAST, _)));
@@ -592,7 +574,7 @@ mod tests {
         // `v ≥ initial_val` precondition.
         let ids = ex.pending_matching(|m| m.from == p(0) && m.to == p(2));
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(2)).inner().vote(), None);
+        assert_eq!(ex.process(p(2)).vote(), None);
         assert!(ex
             .pending_matching(|m| m.from == p(2) && matches!(m.msg, Msg::TwoB(..)))
             .is_empty());
@@ -613,7 +595,7 @@ mod tests {
         ex.deliver(ids[0]);
         assert_eq!(ex.decision_of(p(2)), Some(&30));
         assert_eq!(ex.process(p(2)).decision_path(), Some(DecisionPath::Fast));
-        assert_eq!(ex.process(p(2)).inner().phase(), PhaseKind::Decided);
+        assert_eq!(ex.process(p(2)).phase(), PhaseKind::Decided);
         // Decide broadcast went out.
         let decides = ex.pending_matching(|m| matches!(m.msg, Msg::Decide(_)));
         assert_eq!(decides.len(), 2);
@@ -664,17 +646,14 @@ mod tests {
         ex.start_all();
         // p1 (leader) times out and starts ballot 1 (1 ≡ 1 mod 3).
         ex.fire_timer(p(1), TimerId::NEW_BALLOT);
-        assert_eq!(
-            ex.process(p(1)).inner().leader_phase(),
-            LeaderPhase::Collecting
-        );
+        assert_eq!(ex.process(p(1)).leader_phase(), LeaderPhase::Collecting);
         let oneas = ex.pending_matching(|m| matches!(m.msg, Msg::OneA(_)));
         assert_eq!(oneas.len(), 3, "1A goes to all of Π including self");
         // Deliver 1A to p0.
         let ids = ex.pending_matching(|m| m.to == p(0) && matches!(m.msg, Msg::OneA(_)));
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(0)).inner().ballot(), Ballot::new(1));
-        assert_eq!(ex.process(p(0)).inner().phase(), PhaseKind::SlowBallot);
+        assert_eq!(ex.process(p(0)).ballot(), Ballot::new(1));
+        assert_eq!(ex.process(p(0)).phase(), PhaseKind::SlowBallot);
         let onebs = ex.pending_matching(|m| m.from == p(0) && matches!(m.msg, Msg::OneB { .. }));
         assert_eq!(onebs.len(), 1);
     }
@@ -689,7 +668,7 @@ mod tests {
         // A later 1A with the same ballot (replayed) is rejected.
         // Simulate by making p1 lead again without progress: next ballot
         // is 4 (> 1, ≡ 1 mod 3); deliver it, then replay nothing lower.
-        assert_eq!(ex.process(p(0)).inner().ballot(), Ballot::new(1));
+        assert_eq!(ex.process(p(0)).ballot(), Ballot::new(1));
     }
 
     #[test]
@@ -717,10 +696,7 @@ mod tests {
             ex.deliver(id);
         }
         // Phase one froze the quorum: the leader is now proposing.
-        assert_eq!(
-            ex.process(p(1)).inner().leader_phase(),
-            LeaderPhase::Proposing
-        );
+        assert_eq!(ex.process(p(1)).leader_phase(), LeaderPhase::Proposing);
         // Leader selected its own initial value (20) and sent 2A to all.
         let twoas = ex.pending_matching(|m| matches!(m.msg, Msg::TwoA(..)));
         assert_eq!(twoas.len(), 3);
@@ -800,7 +776,7 @@ mod tests {
         });
         ex.deliver(ids[0]);
         assert_eq!(
-            ex.process(p(0)).inner().vote(),
+            ex.process(p(0)).vote(),
             None,
             "red line must block the vote"
         );
@@ -811,7 +787,7 @@ mod tests {
             m.from == p(1) && m.to == p(2) && matches!(m.msg, Msg::Propose(_))
         });
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(2)).inner().vote(), Some(&99));
+        assert_eq!(ex.process(p(2)).vote(), Some(&99));
     }
 
     #[test]
@@ -828,7 +804,7 @@ mod tests {
         });
         ex.deliver(ids[0]);
         assert_eq!(
-            ex.process(p(0)).inner().vote(),
+            ex.process(p(0)).vote(),
             Some(&99),
             "ablation drops the red line"
         );
@@ -841,7 +817,7 @@ mod tests {
         let before = ex.pending().len();
         ex.propose(p(0), 12345);
         assert_eq!(ex.pending().len(), before);
-        assert_eq!(ex.process(p(0)).inner().initial_value(), Some(&10));
+        assert_eq!(ex.process(p(0)).initial_value(), Some(&10));
     }
 
     #[test]
@@ -852,7 +828,7 @@ mod tests {
         let first = ex.pending().len();
         ex.propose(p(0), 77);
         assert_eq!(ex.pending().len(), first, "second propose ignored");
-        assert_eq!(ex.process(p(0)).inner().initial_value(), Some(&10));
+        assert_eq!(ex.process(p(0)).initial_value(), Some(&10));
     }
 
     #[test]
@@ -878,7 +854,7 @@ mod tests {
         }
         let ids = ex.pending_matching(|m| m.to == p(0) && matches!(m.msg, Msg::TwoA(..)));
         ex.deliver(ids[0]);
-        let st = ex.process(p(0)).inner();
+        let st = ex.process(p(0));
         assert_eq!(st.ballot(), Ballot::new(1));
         assert_eq!(st.voted_ballot(), Ballot::new(1));
         assert_eq!(st.vote(), Some(&20));
@@ -906,7 +882,7 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.decided(twostep_telemetry::Path::Fast), 1);
         assert_eq!(snap.slow_entries, 0);
-        assert_eq!(ex.process(p(2)).inner().telemetry_path(), Some(Path::Fast));
+        assert_eq!(ex.process(p(2)).telemetry_path(), Some(Path::Fast));
     }
 
     #[test]
@@ -950,8 +926,41 @@ mod tests {
         // Every process adopted ballot 1 exactly once.
         assert_eq!(snap.ballot_advances, 3);
         assert_eq!(
-            ex.process(p(1)).inner().recovery_case(),
+            ex.process(p(1)).recovery_case(),
             Some(RecoveryCase::Fallback)
+        );
+    }
+
+    #[test]
+    fn a_conflicting_re_decision_is_surfaced_and_a_repeated_one_is_not() {
+        use twostep_types::judge::{self, Violation};
+        // Lines 22–25 after deciding: the conflicting `Decide` is the
+        // evidence uniform Agreement is judged on, so it must reach the
+        // engine as a second decide event.
+        let mut t = TwoStepBuilder::new(cfg())
+            .omega(OmegaMode::Static(p(0)))
+            .task(p(0), 10u64);
+        let mut log = Vec::new();
+        let mut deliver = |v: u64| {
+            let mut eff = Effects::new();
+            t.on_message(p(1), Msg::Decide(v), &mut eff);
+            log.extend(eff.decisions.iter().map(|&d| (p(0), d)));
+            (eff.decisions, t.decided_value().copied(), t.vote().copied())
+        };
+        assert_eq!(deliver(20), (vec![20], Some(20), Some(20)));
+        assert_eq!(
+            deliver(20),
+            (vec![], Some(20), Some(20)),
+            "a repeat is silent"
+        );
+        // The certificate keeps the first value; line 23 rewrites `val`.
+        assert_eq!(deliver(30), (vec![30], Some(20), Some(30)));
+        assert_eq!(
+            judge::agreement(&log),
+            Err(Violation::Agreement {
+                first: (p(0), 20),
+                conflicting: (p(0), 30),
+            })
         );
     }
 
@@ -970,8 +979,8 @@ mod tests {
         ex.fire_timer(p(1), TimerId::NEW_BALLOT);
         let ids = ex.pending_matching(|m| m.to == p(2) && matches!(m.msg, Msg::OneA(_)));
         ex.deliver(ids[0]);
-        assert_eq!(ex.process(p(2)).inner().ballot(), Ballot::new(1));
-        assert_eq!(ex.process(p(2)).inner().phase(), PhaseKind::SlowBallot);
+        assert_eq!(ex.process(p(2)).ballot(), Ballot::new(1));
+        assert_eq!(ex.process(p(2)).phase(), PhaseKind::SlowBallot);
         // Now the fast 2Bs arrive: the slow phase has no fast-decide
         // transition — the tally still accrues, but nothing can fire.
         for id in

@@ -12,9 +12,10 @@
 //!   `n ≥ max{2e+f-1, 2f+1}` (Theorem 6). This variant adds the paper's
 //!   red-line preconditions.
 //!
-//! Both variants are built through [`TwoStepBuilder`] and share one
-//! state-machine shell ([`TwoStep`]) over the typestate phases of
-//! [`phase`]: each protocol phase is a distinct type whose transitions
+//! Both are one state machine, [`TwoStep`], whose formulation is a type
+//! parameter ([`Task`] or [`Object`]); they are built through
+//! [`TwoStepBuilder`] and run over the typestate phases of [`phase`]:
+//! each protocol phase is a distinct type whose transitions
 //! consume `self` and issue their sends through the `Effects` sink, so
 //! an illegal transition (fast-deciding from a slow ballot, proposing
 //! without a frozen `1B` quorum, …) does not typecheck. The key novelty
@@ -98,11 +99,11 @@ mod task;
 
 pub use ablation::Ablations;
 pub use builder::TwoStepBuilder;
-pub use consensus::{DecisionPath, TwoStep, Variant};
+pub use consensus::{DecisionPath, Formulation, TwoStep};
 pub use msg::Msg;
-pub use object::ObjectConsensus;
+pub use object::{Object, ObjectConsensus};
 pub use phase::{LeaderPhase, PhaseKind};
-pub use task::TaskConsensus;
+pub use task::{Task, TaskConsensus};
 // Defined in `twostep-types`, where the baselines and the SMR replica
 // reach it too; `TwoStepBuilder::omega` takes it, so it is named here.
 pub use twostep_types::{Omega, OmegaMode};

@@ -1,11 +1,9 @@
-//! The consensus-object wrapper.
+//! The consensus object: [`TwoStep`] in the [`Object`] formulation.
 
-use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::{ProcessId, SystemConfig, Value};
 
 use crate::builder::TwoStepBuilder;
-use crate::consensus::{DecisionPath, TwoStep};
-use crate::msg::Msg;
+use crate::consensus::{sealed, Formulation, TwoStep};
 
 /// The paper's protocol as a consensus **object** (Figure 1 *with* the
 /// red lines): processes propose values by explicitly invoking
@@ -42,8 +40,18 @@ use crate::msg::Msg;
 /// assert_eq!(v, Some(7));
 /// # Ok::<(), twostep_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ObjectConsensus<V>(TwoStep<V>);
+pub type ObjectConsensus<V> = TwoStep<V, Object>;
+
+/// The object formulation (no values: it only names the type parameter
+/// of [`ObjectConsensus`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Object {}
+
+impl sealed::Sealed for Object {}
+
+impl Formulation for Object {
+    const OBJECT: bool = true;
+}
 
 impl<V: Value> ObjectConsensus<V> {
     /// Creates an object instance for `me` (no proposal yet) with
@@ -57,72 +65,13 @@ impl<V: Value> ObjectConsensus<V> {
     pub fn new(cfg: SystemConfig, me: ProcessId) -> Self {
         TwoStepBuilder::new(cfg).object(me)
     }
-
-    /// Wraps a machine built by [`TwoStepBuilder`].
-    pub(crate) fn from_machine(inner: TwoStep<V>) -> Self {
-        ObjectConsensus(inner)
-    }
-
-    /// Attaches telemetry hooks (builder style).
-    pub fn observed(self, obs: twostep_telemetry::ObserverHandle) -> Self {
-        ObjectConsensus(self.0.observed(obs))
-    }
-
-    /// The underlying state machine, for white-box inspection.
-    pub fn inner(&self) -> &TwoStep<V> {
-        &self.0
-    }
-
-    /// How the decision was reached, if decided.
-    pub fn decision_path(&self) -> Option<DecisionPath> {
-        self.0.decision_path()
-    }
-
-    /// Updates the leader hint of a statically-configured Ω.
-    pub fn set_leader_hint(&mut self, leader: ProcessId) {
-        self.0.set_leader_hint(leader);
-    }
-}
-
-impl<V: Value> Protocol<V> for ObjectConsensus<V> {
-    type Message = Msg<V>;
-
-    fn id(&self) -> ProcessId {
-        self.0.id()
-    }
-
-    fn on_start(&mut self, eff: &mut Effects<V, Msg<V>>) {
-        self.0.on_start(eff);
-    }
-
-    fn on_propose(&mut self, value: V, eff: &mut Effects<V, Msg<V>>) {
-        self.0.on_propose(value, eff);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg<V>, eff: &mut Effects<V, Msg<V>>) {
-        self.0.on_message(from, msg, eff);
-    }
-
-    fn on_timer(&mut self, timer: TimerId, eff: &mut Effects<V, Msg<V>>) {
-        self.0.on_timer(timer, eff);
-    }
-
-    fn decision(&self) -> Option<V> {
-        self.0.decision()
-    }
-
-    fn state_fingerprint_relabeled(&self, rl: &twostep_types::relabel::Relabeling) -> Option<u64> {
-        self.0.state_fingerprint_relabeled(rl)
-    }
-
-    fn message_is_noop(&self, from: ProcessId, msg: &Msg<V>) -> bool {
-        self.0.message_is_noop(from, msg)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Msg;
+    use twostep_types::protocol::{Effects, Protocol};
 
     #[test]
     fn object_starts_without_proposal() {
@@ -134,11 +83,11 @@ mod tests {
             !eff.sends.iter().any(|(_, m)| matches!(m, Msg::Propose(_))),
             "no Propose before propose() is invoked"
         );
-        assert_eq!(o.inner().initial_value(), None);
+        assert_eq!(o.initial_value(), None);
 
         let mut eff = Effects::new();
         o.on_propose(9, &mut eff);
         assert!(eff.sends.iter().any(|(_, m)| matches!(m, Msg::Propose(9))));
-        assert_eq!(o.inner().initial_value(), Some(&9));
+        assert_eq!(o.initial_value(), Some(&9));
     }
 }

@@ -18,12 +18,12 @@
 //! * [`SlowBallot`] — lines 27–31 and 65–69: the process has joined a
 //!   slow ballot; it answers `1A` with its report and votes on `2A`.
 //!   Entered from the crate-internal `FastVoting::join` /
-//!   `FastVoting::adopt` transitions and never left except by
-//!   deciding.
-//! * [`Decided`] — lines 16–25: a decision certificate plus the still
-//!   live ballot position, because a decided process keeps serving
-//!   `1B` reports (carrying `decided`, which recovery's
-//!   reported-decision branch resurrects) and `2B` votes.
+//!   `FastVoting::adopt` transitions and never left.
+//! * [`Decided`] — lines 16–25: a decision certificate, held beside the
+//!   ballot position rather than replacing it, because a decided
+//!   process keeps serving `1B` reports from that position (carrying
+//!   `decided`, which recovery's reported-decision branch resurrects)
+//!   and `2B` votes.
 //!
 //! The leader-side phases (lines 42–63, one ballot at a time):
 //!
@@ -181,40 +181,18 @@ impl<V: Value> FastVoting<V> {
         }
     }
 
-    /// Line 16, first disjunct: fast-path decision check. Consumes the
-    /// phase; on success the `Decide` broadcast is forced by the
-    /// transition itself.
-    pub(crate) fn try_fast_decide(
-        self,
-        common: &mut Common<V>,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Phase<V> {
-        let Some(v) = common.initial_val.clone() else {
-            return Phase::Fast(self);
-        };
+    /// Line 16, first disjunct: the fast-path decision check. Returns
+    /// our own proposal once a fast quorum supports it and our vote does
+    /// not block it; [`Phase::try_fast_decide`] records it.
+    fn fast_decision(&self, common: &Common<V>) -> Option<V> {
+        let v = common.initial_val.as_ref()?;
         // `val ∈ {⊥, v}`: a vote for someone else's value blocks us.
-        if let Some(cur) = &self.val {
-            if *cur != v {
-                return Phase::Fast(self);
-            }
+        if self.val.as_ref().is_some_and(|cur| cur != v) {
+            return None;
         }
         let mut supporters = common.fast_votes;
         supporters.insert(common.me); // `|P ∪ {p_i}| ≥ n - e`
-        if supporters.len() >= common.cfg.fast_quorum() {
-            let n = common.cfg.n();
-            let me = common.me;
-            let decided = Decided::record(
-                Voter::Fast(self),
-                v.clone(),
-                DecisionPath::Fast,
-                common,
-                eff,
-            );
-            eff.broadcast_others(Msg::Decide(v), n, me);
-            Phase::Decided(decided)
-        } else {
-            Phase::Fast(self)
-        }
+        (supporters.len() >= common.cfg.fast_quorum()).then(|| v.clone())
     }
 
     /// Lines 27–31: join slow ballot `b > 0`, leaving the fast phase
@@ -360,8 +338,8 @@ impl<V: Value> SlowBallot<V> {
     }
 }
 
-/// The undecided ballot position: fast or slow. Also lives on inside
-/// [`Decided`], because a decided process keeps serving reports and
+/// The ballot position: fast or slow. A decided process keeps it beside
+/// its [`Decided`] certificate, because it keeps serving reports and
 /// votes.
 #[derive(Debug, Clone)]
 pub(crate) enum Voter<V> {
@@ -401,58 +379,62 @@ impl<V: Value> Voter<V> {
     }
 
     /// Overwrites the vote (line 23: a decision rewrites `val`).
-    pub(crate) fn set_val(&mut self, v: V) {
+    fn set_val(&mut self, v: V) {
         match self {
             Voter::Fast(f) => f.val = Some(v),
             Voter::Slow(s) => s.val = Some(v),
         }
     }
 
-    /// `1A` dispatch shared by the decided and undecided positions.
+    /// Moves the position out for a consuming transition, leaving a
+    /// vacant placeholder that the caller immediately overwrites.
+    fn take(&mut self) -> Voter<V> {
+        std::mem::replace(self, Voter::Fast(FastVoting::vacant()))
+    }
+
+    /// Lines 27–31; `decided` is the certificate the `1B` report
+    /// carries, `⊥` while undecided.
     pub(crate) fn on_one_a(
-        self,
+        &mut self,
         common: &mut Common<V>,
         from: ProcessId,
         b: Ballot,
         decided: Option<V>,
         eff: &mut Effects<V, Msg<V>>,
-    ) -> Voter<V> {
-        match self {
+    ) {
+        *self = match self.take() {
             Voter::Fast(f) if b > Ballot::FAST => {
                 Voter::Slow(f.join(common, from, b, decided, eff))
             }
             Voter::Fast(f) => Voter::Fast(f),
             Voter::Slow(s) => Voter::Slow(s.on_one_a(common, from, b, decided, eff)),
-        }
+        };
     }
 
-    /// `2A` dispatch shared by the decided and undecided positions.
+    /// Lines 65–69.
     pub(crate) fn on_two_a(
-        self,
+        &mut self,
         common: &mut Common<V>,
         from: ProcessId,
         b: Ballot,
         v: V,
         eff: &mut Effects<V, Msg<V>>,
-    ) -> Voter<V> {
-        match self {
+    ) {
+        *self = match self.take() {
             Voter::Fast(mut f) if b == Ballot::FAST => {
                 f.revote(from, v, eff);
                 Voter::Fast(f)
             }
             Voter::Fast(f) => Voter::Slow(f.adopt(common, from, b, v, eff)),
             Voter::Slow(s) => Voter::Slow(s.on_two_a(common, from, b, v, eff)),
-        }
+        };
     }
 }
 
-/// The decided phase: a decision certificate (lines 16–25) plus the
-/// still-live ballot position.
+/// A decision certificate (lines 16–25): the decided value and how it
+/// was reached.
 #[derive(Debug, Clone)]
 pub struct Decided<V> {
-    /// The ballot position keeps answering `1A`/`2A` so recovery can
-    /// learn the decision from this process's reports.
-    voter: Voter<V>,
     /// The decision (`decided`).
     value: V,
     /// How it was reached.
@@ -460,11 +442,12 @@ pub struct Decided<V> {
 }
 
 impl<V: Value> Decided<V> {
-    /// Lines 17/21/24: records a decision, emitting the decision effect
-    /// — the only constructor, so a `Decided` state cannot exist
-    /// without its decision having been surfaced to the engine.
-    pub(crate) fn record(
-        mut voter: Voter<V>,
+    /// Lines 17/21/24: records a decision, rewriting the position's `val`
+    /// and emitting the decision effect — the only constructor, so a
+    /// certificate cannot exist without its decision having been
+    /// surfaced to the engine.
+    fn record(
+        voter: &mut Voter<V>,
         v: V,
         path: DecisionPath,
         common: &mut Common<V>,
@@ -475,11 +458,7 @@ impl<V: Value> Decided<V> {
         // so the engine's latency report joins onto it.
         common.obs.decided(common.me, common.refined_path(path));
         eff.decide(v.clone());
-        Decided {
-            voter,
-            value: v,
-            path,
-        }
+        Decided { value: v, path }
     }
 
     /// The decided value.
@@ -491,168 +470,76 @@ impl<V: Value> Decided<V> {
     pub fn path(&self) -> DecisionPath {
         self.path
     }
-
-    /// Lines 22–25 after deciding: a redundant `Decide` rewrites `val`;
-    /// a *conflicting* one is surfaced as a second decision effect so
-    /// `twostep_types::judge` can flag the agreement violation (reachable
-    /// only under ablations or below-bound configurations).
-    pub(crate) fn on_decide(&mut self, v: V, eff: &mut Effects<V, Msg<V>>) {
-        self.voter.set_val(v.clone());
-        if self.value != v {
-            eff.decide(v);
-        }
-    }
-
-    /// `1A` while decided: the report carries the certificate.
-    pub(crate) fn on_one_a(
-        mut self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Self {
-        let decided = Some(self.value.clone());
-        self.voter = self.voter.on_one_a(common, from, b, decided, eff);
-        self
-    }
-
-    /// `2A` while decided: still votes (the ballot may outrun the
-    /// certificate's propagation).
-    pub(crate) fn on_two_a(
-        mut self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        v: V,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Self {
-        self.voter = self.voter.on_two_a(common, from, b, v, eff);
-        self
-    }
 }
 
-/// The voter-side phase of one process: the enum the thin
-/// [`Protocol`](twostep_types::protocol::Protocol) wrapper dispatches
-/// over.
+/// The voter side of one process: its ballot position and, once it has
+/// decided, the certificate held beside it.
 #[derive(Debug, Clone)]
-pub(crate) enum Phase<V> {
-    /// Ballot 0 (lines 9–16).
-    Fast(FastVoting<V>),
-    /// A slow ballot (lines 27–31, 65–69).
-    Slow(SlowBallot<V>),
-    /// Decided (lines 16–25).
-    Decided(Decided<V>),
+pub(crate) struct Phase<V> {
+    /// The ballot position; deciding does not leave it.
+    pub(crate) voter: Voter<V>,
+    /// Set only by [`Decided::record`].
+    decided: Option<Decided<V>>,
 }
 
 impl<V: Value> Phase<V> {
-    /// Takes the phase out of `slot` for a consuming transition,
-    /// leaving a vacant placeholder that is immediately overwritten.
-    pub(crate) fn take(slot: &mut Phase<V>) -> Phase<V> {
-        std::mem::replace(slot, Phase::Fast(FastVoting::vacant()))
+    /// The birth position: undecided, at ballot 0.
+    pub(crate) fn new(birth: FastVoting<V>) -> Self {
+        Phase {
+            voter: Voter::Fast(birth),
+            decided: None,
+        }
     }
 
     /// The observable phase kind.
     pub(crate) fn kind(&self) -> PhaseKind {
-        match self {
-            Phase::Fast(_) => PhaseKind::FastVoting,
-            Phase::Slow(_) => PhaseKind::SlowBallot,
-            Phase::Decided(_) => PhaseKind::Decided,
-        }
-    }
-
-    pub(crate) fn bal(&self) -> Ballot {
-        match self {
-            Phase::Fast(_) => Ballot::FAST,
-            Phase::Slow(s) => s.bal,
-            Phase::Decided(d) => d.voter.bal(),
-        }
-    }
-
-    pub(crate) fn vbal(&self) -> Ballot {
-        match self {
-            Phase::Fast(_) => Ballot::FAST,
-            Phase::Slow(s) => s.vbal,
-            Phase::Decided(d) => d.voter.vbal(),
-        }
-    }
-
-    pub(crate) fn val(&self) -> Option<&V> {
-        match self {
-            Phase::Fast(f) => f.val.as_ref(),
-            Phase::Slow(s) => s.val.as_ref(),
-            Phase::Decided(d) => d.voter.val(),
-        }
-    }
-
-    pub(crate) fn proposer(&self) -> Option<ProcessId> {
-        match self {
-            Phase::Fast(f) => f.proposer,
-            Phase::Slow(s) => s.proposer,
-            Phase::Decided(d) => d.voter.proposer(),
+        match (&self.decided, &self.voter) {
+            (Some(_), _) => PhaseKind::Decided,
+            (None, Voter::Fast(_)) => PhaseKind::FastVoting,
+            (None, Voter::Slow(_)) => PhaseKind::SlowBallot,
         }
     }
 
     pub(crate) fn decided(&self) -> Option<&V> {
-        match self {
-            Phase::Decided(d) => Some(&d.value),
-            Phase::Fast(_) | Phase::Slow(_) => None,
-        }
+        self.decided.as_ref().map(Decided::value)
     }
 
-    /// Lines 17/21/24: moves the phase to [`Decided`], recording the
-    /// decision through [`Decided::record`]. Re-deciding rewrites `val`
-    /// (line 23); a *conflicting* re-decision surfaces a second
-    /// decision effect for `twostep_types::judge`.
-    pub(crate) fn into_decided(
-        self,
+    pub(crate) fn decision_path(&self) -> Option<DecisionPath> {
+        self.decided.as_ref().map(Decided::path)
+    }
+
+    /// Lines 17/21/24: records the decision through [`Decided::record`].
+    /// Re-deciding rewrites `val` (line 23); a *conflicting* re-decision
+    /// surfaces a second decision effect so `twostep_types::judge` can
+    /// flag the agreement violation (reachable only under ablations or
+    /// below-bound configurations).
+    pub(crate) fn decide(
+        &mut self,
         v: V,
         path: DecisionPath,
         common: &mut Common<V>,
         eff: &mut Effects<V, Msg<V>>,
-    ) -> Phase<V> {
-        match self {
-            Phase::Fast(f) => Phase::Decided(Decided::record(Voter::Fast(f), v, path, common, eff)),
-            Phase::Slow(s) => Phase::Decided(Decided::record(Voter::Slow(s), v, path, common, eff)),
-            Phase::Decided(mut d) => {
-                d.on_decide(v, eff);
-                Phase::Decided(d)
+    ) {
+        match &self.decided {
+            None => self.decided = Some(Decided::record(&mut self.voter, v, path, common, eff)),
+            Some(d) => {
+                if d.value != v {
+                    eff.decide(v.clone());
+                }
+                self.voter.set_val(v);
             }
         }
     }
 
-    /// Lines 27–31 dispatch.
-    pub(crate) fn on_one_a(
-        self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Phase<V> {
-        match self {
-            Phase::Fast(f) if b > Ballot::FAST => Phase::Slow(f.join(common, from, b, None, eff)),
-            Phase::Fast(f) => Phase::Fast(f),
-            Phase::Slow(s) => Phase::Slow(s.on_one_a(common, from, b, None, eff)),
-            Phase::Decided(d) => Phase::Decided(d.on_one_a(common, from, b, eff)),
-        }
-    }
-
-    /// Lines 65–69 dispatch.
-    pub(crate) fn on_two_a(
-        self,
-        common: &mut Common<V>,
-        from: ProcessId,
-        b: Ballot,
-        v: V,
-        eff: &mut Effects<V, Msg<V>>,
-    ) -> Phase<V> {
-        match self {
-            Phase::Fast(mut f) if b == Ballot::FAST => {
-                f.revote(from, v, eff);
-                Phase::Fast(f)
-            }
-            Phase::Fast(f) => Phase::Slow(f.adopt(common, from, b, v, eff)),
-            Phase::Slow(s) => Phase::Slow(s.on_two_a(common, from, b, v, eff)),
-            Phase::Decided(d) => Phase::Decided(d.on_two_a(common, from, b, v, eff)),
+    /// Line 16, first disjunct: only an undecided ballot-0 position can
+    /// fast-decide; on success the `Decide` broadcast is forced here.
+    pub(crate) fn try_fast_decide(&mut self, common: &mut Common<V>, eff: &mut Effects<V, Msg<V>>) {
+        let (Voter::Fast(f), None) = (&self.voter, &self.decided) else {
+            return;
+        };
+        if let Some(v) = f.fast_decision(common) {
+            self.decide(v.clone(), DecisionPath::Fast, common, eff);
+            eff.broadcast_others(Msg::Decide(v), common.cfg.n(), common.me);
         }
     }
 }

@@ -82,7 +82,7 @@ fn dueling_leaders_stay_safe() {
             }
         }
     }
-    assert_eq!(ex.process(p(1)).inner().ballot(), Ballot::new(3));
+    assert_eq!(ex.process(p(1)).ballot(), Ballot::new(3));
     // p0's 2A(b3, 10) is now in flight. Before it lands, p1 runs a full
     // higher ballot (4 ≡ 1 mod 3) with {p1, p2}.
     drive_ballot(&mut ex, p(1), &[p(1), p(2)]);
@@ -145,7 +145,7 @@ fn second_ballot_adopts_first_ballot_vote() {
     {
         ex.deliver(id);
     }
-    assert_eq!(ex.process(p(1)).inner().voted_ballot(), Ballot::new(3));
+    assert_eq!(ex.process(p(1)).voted_ballot(), Ballot::new(3));
     for id in ex.pending_matching(|m| matches!(m.msg, Msg::TwoB(..))) {
         ex.drop_message(id);
     }
@@ -234,7 +234,7 @@ fn foreign_fast_votes_are_not_counted() {
     {
         ex.deliver(id);
     }
-    assert_eq!(ex.process(p(1)).inner().vote(), Some(&30));
+    assert_eq!(ex.process(p(1)).vote(), Some(&30));
     // p0's 2B(0, 20) arrives at p1: |P ∪ {p1}| = 2 = n-e, but val = 30
     // violates val ∈ {⊥, v}: no decision.
     for id in
@@ -301,7 +301,7 @@ fn ballot_numbers_stay_owned_by_their_leaders() {
     // but the survivors' current ballots must be owned by *some* process
     // consistently.
     for q in outcome.procs.iter() {
-        let b = q.inner().ballot();
+        let b = q.ballot();
         if b.is_slow() {
             let owner = b.owner(cfg.n());
             assert!(owner.index() < cfg.n());

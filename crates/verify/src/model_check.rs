@@ -25,8 +25,8 @@
 //! * **Process-symmetry canonicalization** (`symmetry(true)`, the
 //!   default). A state is keyed by the *minimum* relabeled fingerprint
 //!   over a group of replica-id permutations (see
-//!   [`twostep_types::relabel`]). The group fixes every distinguished
-//!   process (builder-declared, plus any `timer_processes`) and is
+//!   [`twostep_types::relabel`]). The group fixes every process whose
+//!   timers may fire (`timer_processes`, when declared) and is
 //!   restricted to the stabilizer of the *root* state, so asymmetric
 //!   initial proposals shrink the group instead of breaking soundness.
 //!   States (or in-flight payloads) that cannot be relabeled under a
@@ -174,20 +174,18 @@ impl CheckOutcome {
 }
 
 /// A bounded-exhaustive model checker over one protocol family.
-pub struct ModelChecker<V: Value> {
+pub struct ModelChecker {
     max_states: usize,
     max_crashes: usize,
     timer_budget: usize,
     timers: Vec<TimerId>,
     timer_processes: Option<ProcessSet>,
-    proposed: Vec<V>,
     symmetry: bool,
     por: bool,
     workers: usize,
-    distinguished: ProcessSet,
 }
 
-impl<V: Value> ModelChecker<V> {
+impl ModelChecker {
     /// Creates a checker with defaults: 200 000 states, no crashes, no
     /// timer firings, symmetry + partial-order reduction on, one
     /// worker.
@@ -198,11 +196,9 @@ impl<V: Value> ModelChecker<V> {
             timer_budget: 0,
             timers: vec![TimerId::NEW_BALLOT],
             timer_processes: None,
-            proposed: Vec::new(),
             symmetry: true,
             por: true,
             workers: 1,
-            distinguished: ProcessSet::new(),
         }
     }
 
@@ -236,12 +232,6 @@ impl<V: Value> ModelChecker<V> {
         self
     }
 
-    /// Declares the set of proposed values for the Validity check.
-    pub fn proposed(mut self, values: Vec<V>) -> Self {
-        self.proposed = values;
-        self
-    }
-
     /// Enables or disables the process-symmetry canonicalization.
     pub fn symmetry(mut self, on: bool) -> Self {
         self.symmetry = on;
@@ -260,26 +250,20 @@ impl<V: Value> ModelChecker<V> {
         self
     }
 
-    /// Marks processes whose identity the *environment* distinguishes
-    /// (beyond what the protocols themselves decline): the symmetry
-    /// group will fix them pointwise.
-    pub fn distinguished(mut self, procs: ProcessSet) -> Self {
-        self.distinguished = procs;
-        self
-    }
-
-    /// Explores all schedules of the system built by `setup`.
+    /// Explores all schedules of the system built by `setup`, judging
+    /// every state's decide log against `proposed`, the values that can
+    /// enter the system (for Validity).
     ///
     /// `setup` receives the config and must return a started executor
     /// (typically: build, `start_all()`, issue proposals).
-    pub fn run<P, F>(&self, cfg: SystemConfig, setup: F) -> CheckOutcome
+    pub fn run<V, P, F>(&self, cfg: SystemConfig, proposed: &[V], setup: F) -> CheckOutcome
     where
-        V: Sync,
+        V: Value,
         P: Protocol<V> + Clone,
         P::Message: RelabelHash,
         F: Fn(SystemConfig) -> ManualExecutor<V, P>,
     {
-        self.explore(cfg, setup, None)
+        self.explore(cfg, proposed, setup, None)
     }
 
     /// Like [`ModelChecker::run`], additionally collecting the set of
@@ -288,30 +272,32 @@ impl<V: Value> ModelChecker<V> {
     /// against unreduced exploration. The set is only complete when the
     /// outcome is `Clean` and untruncated (a violation stops the
     /// search).
-    pub fn run_collecting<P, F>(
+    pub fn run_collecting<V, P, F>(
         &self,
         cfg: SystemConfig,
+        proposed: &[V],
         setup: F,
     ) -> (CheckOutcome, BTreeSet<Vec<Option<V>>>)
     where
-        V: Sync,
+        V: Value,
         P: Protocol<V> + Clone,
         P::Message: RelabelHash,
         F: Fn(SystemConfig) -> ManualExecutor<V, P>,
     {
         let collector = Mutex::new(BTreeSet::new());
-        let outcome = self.explore(cfg, setup, Some(&collector));
+        let outcome = self.explore(cfg, proposed, setup, Some(&collector));
         (outcome, collector.into_inner().unwrap())
     }
 
-    fn explore<P, F>(
+    fn explore<V, P, F>(
         &self,
         cfg: SystemConfig,
+        proposed: &[V],
         setup: F,
         collect: Option<&Mutex<BTreeSet<Vec<Option<V>>>>>,
     ) -> CheckOutcome
     where
-        V: Sync,
+        V: Value,
         P: Protocol<V> + Clone,
         P::Message: RelabelHash,
         F: Fn(SystemConfig) -> ManualExecutor<V, P>,
@@ -324,17 +310,12 @@ impl<V: Value> ModelChecker<V> {
             scrubbed_at_root = root.scrub_inert_mail();
         }
 
-        // The symmetry group: permutations fixing every distinguished
-        // process, restricted to the stabilizer of the root state (a
-        // permutation that changes the root would equate runs of
-        // *different* systems, e.g. swapping processes with different
-        // initial proposals).
-        let mut distinguished = self.distinguished;
-        if let Some(tp) = self.timer_processes {
-            for p in tp.iter() {
-                distinguished.insert(p);
-            }
-        }
+        // The symmetry group: permutations fixing every timer process,
+        // restricted to the stabilizer of the root state (a permutation
+        // that changes the root would equate runs of *different*
+        // systems, e.g. swapping processes with different initial
+        // proposals).
+        let distinguished = self.timer_processes.unwrap_or_default();
         let identity = Relabeling::identity(n);
         let group: Vec<Relabeling> = if self.symmetry {
             let root_fp = root
@@ -366,6 +347,7 @@ impl<V: Value> ModelChecker<V> {
         };
         let engine = Engine {
             checker: self,
+            proposed,
             group: &group,
             shared: &shared,
             collect,
@@ -378,7 +360,7 @@ impl<V: Value> ModelChecker<V> {
         if let Some(c) = collect {
             c.lock().unwrap().insert(root.decisions().to_vec());
         }
-        if let Some(report) = self.violated(&root) {
+        if let Some(report) = engine.violated(&root) {
             return CheckOutcome::Violation {
                 report,
                 script: Vec::new(),
@@ -431,21 +413,9 @@ impl<V: Value> ModelChecker<V> {
             },
         }
     }
-
-    /// The decide log's violation, if any; an undeclared proposed set
-    /// leaves Validity unchecked.
-    fn violated<P: Protocol<V>>(&self, ex: &ManualExecutor<V, P>) -> Option<String> {
-        let log = ex.decide_log();
-        let verdict = if self.proposed.is_empty() {
-            judge::agreement(log).and_then(|()| judge::integrity(log))
-        } else {
-            judge::decision(log, &self.proposed)
-        };
-        verdict.err().map(|v| v.to_string())
-    }
 }
 
-impl<V: Value> Default for ModelChecker<V> {
+impl Default for ModelChecker {
     fn default() -> Self {
         Self::new()
     }
@@ -489,7 +459,8 @@ struct Shared<V: Value, P: Protocol<V>> {
 }
 
 struct Engine<'a, V: Value, P: Protocol<V>> {
-    checker: &'a ModelChecker<V>,
+    checker: &'a ModelChecker,
+    proposed: &'a [V],
     group: &'a [Relabeling],
     shared: &'a Shared<V, P>,
     collect: Option<&'a Mutex<BTreeSet<Vec<Option<V>>>>>,
@@ -518,6 +489,13 @@ where
             })
             .min()
             .expect("a fingerprint never declines the identity")
+    }
+
+    /// The decide log's violation, if any.
+    fn violated(&self, ex: &ManualExecutor<V, P>) -> Option<String> {
+        judge::decision(ex.decide_log(), self.proposed)
+            .err()
+            .map(|v| v.to_string())
     }
 
     fn insert_visited(&self, key: u64) -> bool {
@@ -673,7 +651,7 @@ where
         // Violation check *before* dedup: the decide log is not part of
         // the fingerprint, so a violating state may collide with a
         // clean visited one and must not be merged away.
-        if let Some(report) = ck.violated(&next) {
+        if let Some(report) = self.violated(&next) {
             let node = {
                 let mut arena = self.shared.arena.lock().unwrap();
                 arena.push(ArenaNode {
@@ -893,9 +871,7 @@ mod tests {
     #[test]
     fn finds_agreement_violation_in_broken_protocol() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::new()
-            .proposed(vec![0, 1, 2])
-            .run(cfg, first_wins);
+        let outcome = ModelChecker::new().run(cfg, &[0, 1, 2], first_wins);
         let CheckOutcome::Violation { report, script, .. } = outcome else {
             panic!("first-wins must violate agreement under some schedule");
         };
@@ -906,7 +882,8 @@ mod tests {
     #[test]
     fn counterexample_script_replays_to_the_violation() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let CheckOutcome::Violation { script, .. } = ModelChecker::new().run(cfg, first_wins)
+        let CheckOutcome::Violation { script, .. } =
+            ModelChecker::new().run(cfg, &[0, 1, 2], first_wins)
         else {
             panic!("expected a violation");
         };
@@ -924,10 +901,11 @@ mod tests {
         // finding run reduced its state space.
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
         for (symmetry, por) in [(false, false), (true, false), (false, true), (true, true)] {
-            let outcome = ModelChecker::new()
-                .symmetry(symmetry)
-                .por(por)
-                .run(cfg, first_wins);
+            let outcome =
+                ModelChecker::new()
+                    .symmetry(symmetry)
+                    .por(por)
+                    .run(cfg, &[0, 1, 2], first_wins);
             let CheckOutcome::Violation { script, .. } = outcome else {
                 panic!("expected a violation at symmetry={symmetry} por={por}");
             };
@@ -940,7 +918,8 @@ mod tests {
     #[test]
     fn fuzz_tokens_positionally_encode_the_script() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let CheckOutcome::Violation { script, .. } = ModelChecker::new().run(cfg, first_wins)
+        let CheckOutcome::Violation { script, .. } =
+            ModelChecker::new().run(cfg, &[0, 1, 2], first_wins)
         else {
             panic!("expected a violation");
         };
@@ -961,7 +940,7 @@ mod tests {
     #[test]
     fn clean_protocol_reports_clean() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::<u64>::new().por(false).run(cfg, |cfg| {
+        let outcome = ModelChecker::new().por(false).run(cfg, &[], |cfg| {
             let mut ex = ManualExecutor::new(cfg, Mute);
             ex.start_all();
             ex
@@ -983,7 +962,7 @@ mod tests {
         // the whole soup is scrubbed at the root and exploration
         // collapses to the single root state.
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::<u64>::new().run(cfg, |cfg| {
+        let outcome = ModelChecker::new().run(cfg, &[], |cfg| {
             let mut ex = ManualExecutor::new(cfg, Mute);
             ex.start_all();
             ex
@@ -1004,7 +983,7 @@ mod tests {
     #[test]
     fn state_bound_truncates() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::<u64>::new().max_states(2).run(cfg, |cfg| {
+        let outcome = ModelChecker::new().max_states(2).run(cfg, &[7], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| FirstWins {
                 me: q,
                 n: cfg.n(),
@@ -1023,7 +1002,7 @@ mod tests {
     #[test]
     fn validity_checked_against_proposed_set() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::new().proposed(vec![100]).run(cfg, |cfg| {
+        let outcome = ModelChecker::new().run(cfg, &[100], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| FirstWins {
                 me: q,
                 n: cfg.n(),
@@ -1044,10 +1023,10 @@ mod tests {
         // With crashes enabled, Mute stays clean and exploration
         // terminates (crashes only shrink behavior).
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::<u64>::new()
+        let outcome = ModelChecker::new()
             .max_crashes(1)
             .por(false)
-            .run(cfg, |cfg| {
+            .run(cfg, &[], |cfg| {
                 let mut ex = ManualExecutor::new(cfg, Mute);
                 ex.start_all();
                 ex
@@ -1068,8 +1047,8 @@ mod tests {
             ex.start_all();
             ex
         };
-        let single = ModelChecker::<u64>::new().run(cfg, build);
-        let multi = ModelChecker::<u64>::new().workers(4).run(cfg, build);
+        let single = ModelChecker::new().run(cfg, &[7], build);
+        let multi = ModelChecker::new().workers(4).run(cfg, &[7], build);
         let (CheckOutcome::Clean { states: s1, .. }, CheckOutcome::Clean { states: s2, .. }) =
             (&single, &multi)
         else {
@@ -1082,7 +1061,7 @@ mod tests {
     #[test]
     fn stats_report_rates_and_counters() {
         let cfg = SystemConfig::new(3, 1, 1).unwrap();
-        let outcome = ModelChecker::new().run(cfg, first_wins);
+        let outcome = ModelChecker::new().run(cfg, &[0, 1, 2], first_wins);
         let stats = outcome.stats();
         assert!(stats.transitions >= stats.states - 1);
         assert!(stats.states_per_sec() > 0.0);

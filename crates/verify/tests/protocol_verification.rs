@@ -17,17 +17,15 @@ fn p(i: u32) -> ProcessId {
 #[test]
 fn model_check_task_fast_path_all_schedules() {
     let cfg = SystemConfig::minimal_task(1, 1).unwrap();
-    let outcome = ModelChecker::new()
-        .proposed(vec![10u64, 20, 30])
-        .run(cfg, |cfg| {
-            let mut ex = ManualExecutor::new(cfg, |q| {
-                TwoStepBuilder::new(cfg)
-                    .omega(OmegaMode::Static(p(0)))
-                    .task(q, 10 * (u64::from(q.as_u32()) + 1))
-            });
-            ex.start_all();
-            ex
+    let outcome = ModelChecker::new().run(cfg, &[10u64, 20, 30], |cfg| {
+        let mut ex = ManualExecutor::new(cfg, |q| {
+            TwoStepBuilder::new(cfg)
+                .omega(OmegaMode::Static(p(0)))
+                .task(q, 10 * (u64::from(q.as_u32()) + 1))
         });
+        ex.start_all();
+        ex
+    });
     match outcome {
         CheckOutcome::Clean {
             states, truncated, ..
@@ -51,11 +49,10 @@ fn model_check_task_fast_path_all_schedules() {
 fn model_check_task_with_recovery_and_crash() {
     let cfg = SystemConfig::minimal_task(1, 1).unwrap();
     let outcome = ModelChecker::new()
-        .proposed(vec![10u64, 20, 30])
         .max_crashes(1)
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .max_states(400_000)
-        .run(cfg, |cfg| {
+        .run(cfg, &[10u64, 20, 30], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| {
                 TwoStepBuilder::new(cfg)
                     .omega(OmegaMode::Static(p(0)))
@@ -75,10 +72,9 @@ fn model_check_task_with_recovery_and_crash() {
 fn model_check_object_contention() {
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
     let outcome = ModelChecker::new()
-        .proposed(vec![5u64, 9])
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .max_states(400_000)
-        .run(cfg, |cfg| {
+        .run(cfg, &[5u64, 9], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| {
                 TwoStepBuilder::new(cfg)
                     .omega(OmegaMode::Static(p(0)))
@@ -211,7 +207,7 @@ fn model_check_finds_object_guard_ablation_bug() {
     let outcome = ModelChecker::new()
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .max_states(500_000)
-        .run(cfg, |cfg| {
+        .run(cfg, &[0, 1], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| {
                 TwoStepBuilder::new(cfg)
                     .omega(OmegaMode::Static(p(0)))

@@ -34,7 +34,7 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn checker(crashes: usize, symmetry: bool, por: bool) -> ModelChecker<u64> {
+fn checker(crashes: usize, symmetry: bool, por: bool) -> ModelChecker {
     ModelChecker::new()
         .max_states(2_000_000)
         .max_crashes(crashes)
@@ -42,7 +42,6 @@ fn checker(crashes: usize, symmetry: bool, por: bool) -> ModelChecker<u64> {
         .workers(1)
         .symmetry(symmetry)
         .por(por)
-        .proposed(vec![10, 20])
 }
 
 /// Sorts each decision vector: the process-anonymous orbit invariant.
@@ -62,9 +61,10 @@ where
     P::Message: RelabelHash,
     F: Fn(SystemConfig) -> ManualExecutor<u64, P>,
 {
-    let (base_out, base_set) = checker(crashes, false, false).run_collecting(cfg, &setup);
-    let (por_out, por_set) = checker(crashes, false, true).run_collecting(cfg, &setup);
-    let (sym_out, sym_set) = checker(crashes, true, true).run_collecting(cfg, &setup);
+    let (base_out, base_set) =
+        checker(crashes, false, false).run_collecting(cfg, &[10, 20], &setup);
+    let (por_out, por_set) = checker(crashes, false, true).run_collecting(cfg, &[10, 20], &setup);
+    let (sym_out, sym_set) = checker(crashes, true, true).run_collecting(cfg, &[10, 20], &setup);
 
     match (&base_out, &por_out, &sym_out) {
         (

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use twostep_core::{
-    LeaderPhase, ObjectConsensus, OmegaMode, PhaseKind, TaskConsensus, TwoStepBuilder,
+    Formulation, LeaderPhase, Msg, Object, OmegaMode, PhaseKind, Task, TwoStep, TwoStepBuilder,
 };
 use twostep_sim::ManualExecutor;
 use twostep_types::protocol::{Effects, Protocol, TimerId};
@@ -55,23 +55,6 @@ fn legal_leader_edges() -> BTreeSet<(LeaderPhase, LeaderPhase)> {
     .collect()
 }
 
-/// Read access to the wrapped machine's phase pair.
-trait PhaseView {
-    fn phases(&self) -> (PhaseKind, LeaderPhase);
-}
-
-impl PhaseView for TaskConsensus<u64> {
-    fn phases(&self) -> (PhaseKind, LeaderPhase) {
-        (self.inner().phase(), self.inner().leader_phase())
-    }
-}
-
-impl PhaseView for ObjectConsensus<u64> {
-    fn phases(&self) -> (PhaseKind, LeaderPhase) {
-        (self.inner().phase(), self.inner().leader_phase())
-    }
-}
-
 /// Accumulated phase-transition edges, shared across every process and
 /// every cloned branch of the exploration.
 #[derive(Debug, Clone, Default)]
@@ -95,20 +78,24 @@ impl EdgeLog {
 /// no-op classification delegate unchanged, so the model checker
 /// explores exactly the same state space as without the probe.
 #[derive(Debug, Clone)]
-struct PhaseProbe<P> {
-    inner: P,
+struct PhaseProbe<F> {
+    inner: TwoStep<u64, F>,
     log: EdgeLog,
 }
 
-impl<P: Protocol<u64> + PhaseView> PhaseProbe<P> {
-    fn new(inner: P, log: EdgeLog) -> Self {
+impl<F: Formulation> PhaseProbe<F> {
+    fn new(inner: TwoStep<u64, F>, log: EdgeLog) -> Self {
         PhaseProbe { inner, log }
     }
 
-    fn record<R>(&mut self, f: impl FnOnce(&mut P) -> R) -> R {
-        let before = self.inner.phases();
+    fn phases(&self) -> (PhaseKind, LeaderPhase) {
+        (self.inner.phase(), self.inner.leader_phase())
+    }
+
+    fn record<R>(&mut self, f: impl FnOnce(&mut TwoStep<u64, F>) -> R) -> R {
+        let before = self.phases();
         let r = f(&mut self.inner);
-        let after = self.inner.phases();
+        let after = self.phases();
         if before.0 != after.0 {
             self.log
                 .voter
@@ -135,11 +122,8 @@ impl<P: Protocol<u64> + PhaseView> PhaseProbe<P> {
     }
 }
 
-impl<P> Protocol<u64> for PhaseProbe<P>
-where
-    P: Protocol<u64> + PhaseView,
-{
-    type Message = P::Message;
+impl<F: Formulation> Protocol<u64> for PhaseProbe<F> {
+    type Message = Msg<u64>;
 
     fn id(&self) -> ProcessId {
         self.inner.id()
@@ -179,7 +163,7 @@ where
     }
 }
 
-fn checker(timer_budget: usize) -> ModelChecker<u64> {
+fn checker(timer_budget: usize) -> ModelChecker {
     // Only the pinned leader p0 may fire its new-ballot timer — the
     // same restriction the PR 9 gate uses to keep the budget-1 recovery
     // space exhaustively explorable.
@@ -187,12 +171,9 @@ fn checker(timer_budget: usize) -> ModelChecker<u64> {
         .max_states(500_000)
         .timer_budget(timer_budget, vec![TimerId::NEW_BALLOT])
         .timer_processes([p(0)].into_iter().collect())
-        .proposed(vec![10, 20, 30])
 }
 
-fn task_setup(
-    log: EdgeLog,
-) -> impl Fn(SystemConfig) -> ManualExecutor<u64, PhaseProbe<TaskConsensus<u64>>> {
+fn task_setup(log: EdgeLog) -> impl Fn(SystemConfig) -> ManualExecutor<u64, PhaseProbe<Task>> {
     move |cfg| {
         let log = log.clone();
         let mut ex = ManualExecutor::new(cfg, |q| {
@@ -208,9 +189,7 @@ fn task_setup(
     }
 }
 
-fn object_setup(
-    log: EdgeLog,
-) -> impl Fn(SystemConfig) -> ManualExecutor<u64, PhaseProbe<ObjectConsensus<u64>>> {
+fn object_setup(log: EdgeLog) -> impl Fn(SystemConfig) -> ManualExecutor<u64, PhaseProbe<Object>> {
     move |cfg| {
         let log = log.clone();
         let mut ex = ManualExecutor::new(cfg, |q| {
@@ -236,7 +215,8 @@ fn object_setup(
 fn task_graph_matches_model_checker_enumeration() {
     let cfg = SystemConfig::minimal_task(1, 1).unwrap();
     let log = EdgeLog::default();
-    let (outcome, probed_vectors) = checker(1).run_collecting(cfg, task_setup(log.clone()));
+    let (outcome, probed_vectors) =
+        checker(1).run_collecting(cfg, &[10, 20, 30], task_setup(log.clone()));
     match outcome {
         CheckOutcome::Clean { truncated, .. } => assert!(!truncated, "exploration must finish"),
         CheckOutcome::Violation { report, .. } => panic!("unexpected violation: {report}"),
@@ -257,7 +237,7 @@ fn task_graph_matches_model_checker_enumeration() {
 
     // The probe is transparent: the same exploration without it reaches
     // exactly the same decision vectors.
-    let (plain_outcome, plain_vectors) = checker(1).run_collecting(cfg, |cfg| {
+    let (plain_outcome, plain_vectors) = checker(1).run_collecting(cfg, &[10, 20, 30], |cfg| {
         let mut ex = ManualExecutor::new(cfg, |q| {
             TwoStepBuilder::new(cfg)
                 .omega(OmegaMode::Static(p(0)))
@@ -275,9 +255,7 @@ fn task_graph_matches_model_checker_enumeration() {
 fn object_graph_matches_model_checker_enumeration() {
     let cfg = SystemConfig::minimal_object(1, 1).unwrap();
     let log = EdgeLog::default();
-    let (outcome, _) = checker(1)
-        .proposed(vec![5, 9])
-        .run_collecting(cfg, object_setup(log.clone()));
+    let (outcome, _) = checker(1).run_collecting(cfg, &[5, 9], object_setup(log.clone()));
     match outcome {
         CheckOutcome::Clean { truncated, .. } => assert!(!truncated, "exploration must finish"),
         CheckOutcome::Violation { report, .. } => panic!("unexpected violation: {report}"),
@@ -304,12 +282,15 @@ fn proposing_leader_returns_to_collecting_on_new_ballot() {
     }
     ex.deliver_all_to(p(0));
     assert_eq!(
-        ex.process(p(0)).inner.phases().1,
+        ex.process(p(0)).inner.leader_phase(),
         LeaderPhase::Proposing,
         "setup must reach Proposing"
     );
     ex.fire_timer(p(0), TimerId::NEW_BALLOT);
-    assert_eq!(ex.process(p(0)).inner.phases().1, LeaderPhase::Collecting);
+    assert_eq!(
+        ex.process(p(0)).inner.leader_phase(),
+        LeaderPhase::Collecting
+    );
     assert!(log
         .leader_edges()
         .contains(&(LeaderPhase::Proposing, LeaderPhase::Collecting)));
@@ -342,8 +323,7 @@ proptest! {
             ModelChecker::new()
                 .max_states(500_000)
                 .max_crashes(crashes)
-                .proposed(vec![v0, v2])
-                .run(cfg, move |cfg| {
+                .run(cfg, &[v0, v2], move |cfg| {
                     let log = log.clone();
                     let mut ex = ManualExecutor::new(cfg, |q| {
                         PhaseProbe::new(
@@ -364,8 +344,7 @@ proptest! {
             ModelChecker::new()
                 .max_states(500_000)
                 .max_crashes(crashes)
-                .proposed(vec![v0, v1, v2])
-                .run(cfg, move |cfg| {
+                .run(cfg, &values, move |cfg| {
                     let log = log.clone();
                     let mut ex = ManualExecutor::new(cfg, |q| {
                         PhaseProbe::new(

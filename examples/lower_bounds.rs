@@ -79,7 +79,7 @@ fn main() {
     let outcome = ModelChecker::new()
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .max_states(500_000)
-        .run(cfg, |cfg| {
+        .run(cfg, &[0, 1], |cfg| {
             let mut ex = ManualExecutor::new(cfg, |q| {
                 TwoStepBuilder::new(cfg)
                     .omega(OmegaMode::Static(p(0)))

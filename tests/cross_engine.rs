@@ -54,8 +54,8 @@ fn simulator_and_manual_agree_on_the_fast_path() {
     assert_eq!(ex.decision_of(witness), Some(&30));
     // White-box: same final vote state for the witness in both engines.
     let sim_proc = &sim_outcome.procs[witness.index()];
-    assert_eq!(sim_proc.inner().decided_value(), Some(&30));
-    assert_eq!(ex.process(witness).inner().decided_value(), Some(&30));
+    assert_eq!(sim_proc.decided_value(), Some(&30));
+    assert_eq!(ex.process(witness).decided_value(), Some(&30));
 }
 
 /// The threaded runtime reaches the same decision as the simulator on
