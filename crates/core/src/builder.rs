@@ -4,10 +4,10 @@
 //! (`with_options`-style entry points): options accumulate on a
 //! [`TwoStepBuilder`], and the *formulation* is fixed by the terminal
 //! method — [`task`](TwoStepBuilder::task) hands the initial value
-//! straight to the birth phase, [`object`](TwoStepBuilder::object) arms
-//! the red-line precondition on it. A task without an initial value or
-//! an object with a startup value is therefore unrepresentable, not a
-//! runtime panic.
+//! straight to the birth phase, [`object`](TwoStepBuilder::object)
+//! builds the formulation whose votes check the red-line precondition.
+//! A task without an initial value or an object with a startup value is
+//! therefore unrepresentable, not a runtime panic.
 
 use twostep_telemetry::ObserverHandle;
 use twostep_types::{OmegaMode, ProcessId, SystemConfig, Value};

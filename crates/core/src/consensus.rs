@@ -20,7 +20,7 @@ use twostep_types::protocol::{Effects, Protocol, TimerId, BALLOT_RETRY, INITIAL_
 use twostep_types::{Ballot, Omega, OmegaMode, ProcessId, ProcessSet, SystemConfig, Value};
 
 use crate::msg::Msg;
-use crate::phase::{Collecting, FastVoting, Leader, LeaderPhase, Phase, PhaseKind, Voter};
+use crate::phase::{Collecting, Leader, LeaderPhase, Phase, PhaseKind, Voter};
 use crate::recovery::Report;
 use crate::Ablations;
 
@@ -98,8 +98,8 @@ impl<V: Value> Common<V> {
 /// [`crate::ObjectConsensus`] is `TwoStep<V, Object>`.
 ///
 /// Instances are built through [`crate::TwoStepBuilder`] (or the two
-/// aliases' `new`), which is what fixes the formulation and arms the
-/// object red line on the birth phase.
+/// aliases' `new`), which is what fixes the formulation; the object's
+/// red line is checked on every `Propose` exactly when `F::OBJECT`.
 #[derive(Debug, Clone)]
 pub struct TwoStep<V, F> {
     common: Common<V>,
@@ -123,11 +123,6 @@ impl<V: Value, F: Formulation> TwoStep<V, F> {
         obs: ObserverHandle,
     ) -> Self {
         assert!(me.index() < cfg.n(), "process {me} out of range for {cfg}");
-        let birth = if F::OBJECT {
-            FastVoting::object()
-        } else {
-            FastVoting::task()
-        };
         TwoStep {
             common: Common {
                 cfg,
@@ -141,7 +136,7 @@ impl<V: Value, F: Formulation> TwoStep<V, F> {
                 recovery_case: None,
                 obs,
             },
-            phase: Phase::new(birth),
+            phase: Phase::new(),
             leader: Leader::Idle,
             formulation: PhantomData,
         }
@@ -268,7 +263,7 @@ impl<V: Value, F: Formulation> Protocol<V> for TwoStep<V, F> {
                     self.common.observed = Some(v.clone());
                 }
                 if let Voter::Fast(f) = &mut self.phase.voter {
-                    f.consider(&self.common, from, &v, eff);
+                    f.consider(F::OBJECT, &self.common, from, &v, eff);
                 }
             }
 

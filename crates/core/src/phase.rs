@@ -13,8 +13,9 @@
 //!
 //! * [`FastVoting`] — ballot 0, lines 9–16: the process may vote for a
 //!   `Propose` and may fast-decide its own proposal. The object
-//!   variant's red-line precondition exists only on states born from
-//!   the crate-internal `FastVoting::object` constructor.
+//!   variant's red-line precondition is an argument of the vote
+//!   transition, which [`TwoStep`] fixes to its formulation's
+//!   [`OBJECT`](crate::Formulation::OBJECT) constant.
 //! * [`SlowBallot`] — lines 27–31 and 65–69: the process has joined a
 //!   slow ballot; it answers `1A` with its report and votes on `2A`.
 //!   Entered from the crate-internal `FastVoting::join` /
@@ -50,14 +51,14 @@
 //!
 //! ```compile_fail
 //! use twostep_core::phase::FastVoting;
-//! let _ = FastVoting::<u64> { val: None, proposer: None, red_line: false };
+//! let _ = FastVoting::<u64> { val: None, proposer: None };
 //! ```
 //!
 //! and so is a constructor call:
 //!
 //! ```compile_fail
 //! use twostep_core::phase::FastVoting;
-//! let _ = FastVoting::<u64>::object();
+//! let _ = FastVoting::<u64>::new();
 //! ```
 //!
 //! [`TwoStep`]: crate::TwoStep
@@ -106,41 +107,15 @@ pub struct FastVoting<V> {
     val: Option<V>,
     /// Proposer of `val`.
     proposer: Option<ProcessId>,
-    /// The object variant's red-line precondition, armed only by
-    /// [`FastVoting::object`]: a `Propose(v)` is accepted only if this
-    /// process has not proposed, or proposed the same `v`.
-    red_line: bool,
 }
 
 impl<V: Value> FastVoting<V> {
-    /// Birth state of the consensus *task* (Figure 1 without the red
-    /// lines).
-    pub(crate) fn task() -> Self {
+    /// The birth state, with no vote; also the placeholder left while a
+    /// transition is in flight.
+    pub(crate) fn new() -> Self {
         FastVoting {
             val: None,
             proposer: None,
-            red_line: false,
-        }
-    }
-
-    /// Birth state of the consensus *object*, with the red-line vote
-    /// precondition armed. This constructor is the only source of the
-    /// red line: task-born states cannot acquire it.
-    pub(crate) fn object() -> Self {
-        FastVoting {
-            val: None,
-            proposer: None,
-            red_line: true,
-        }
-    }
-
-    /// Placeholder used while a transition is in flight; never
-    /// observable.
-    pub(crate) fn vacant() -> Self {
-        FastVoting {
-            val: None,
-            proposer: None,
-            red_line: false,
         }
     }
 
@@ -154,24 +129,21 @@ impl<V: Value> FastVoting<V> {
         self.proposer
     }
 
-    /// Whether the red-line precondition is armed (object variant).
-    pub fn red_line(&self) -> bool {
-        self.red_line
-    }
-
     /// Lines 9–13: vote for a `Propose(v)` from `from` if the
-    /// preconditions hold (`val = ⊥`, `v ≥ initial_val`, and — only on
-    /// object-born states — the red line `initial_val ≠ ⊥ ⟹ v =
-    /// initial_val`). Voting sends the fast `2B` to the proposer.
+    /// preconditions hold (`val = ⊥`, `v ≥ initial_val`, and — only
+    /// when `red_line` is set, as it is for the object — the red line
+    /// `initial_val ≠ ⊥ ⟹ v = initial_val`). Voting sends the fast `2B`
+    /// to the proposer.
     pub(crate) fn consider(
         &mut self,
+        red_line: bool,
         common: &Common<V>,
         from: ProcessId,
         v: &V,
         eff: &mut Effects<V, Msg<V>>,
     ) {
         let geq_initial = common.initial_val.as_ref().is_none_or(|iv| *v >= *iv);
-        let red_line_ok = !self.red_line
+        let red_line_ok = !red_line
             || common.ablations.no_object_guard
             || common.initial_val.as_ref().is_none_or(|iv| *v == *iv);
         if self.val.is_none() && geq_initial && red_line_ok {
@@ -389,7 +361,7 @@ impl<V: Value> Voter<V> {
     /// Moves the position out for a consuming transition, leaving a
     /// vacant placeholder that the caller immediately overwrites.
     fn take(&mut self) -> Voter<V> {
-        std::mem::replace(self, Voter::Fast(FastVoting::vacant()))
+        std::mem::replace(self, Voter::Fast(FastVoting::new()))
     }
 
     /// Lines 27–31; `decided` is the certificate the `1B` report
@@ -484,9 +456,9 @@ pub(crate) struct Phase<V> {
 
 impl<V: Value> Phase<V> {
     /// The birth position: undecided, at ballot 0.
-    pub(crate) fn new(birth: FastVoting<V>) -> Self {
+    pub(crate) fn new() -> Self {
         Phase {
-            voter: Voter::Fast(birth),
+            voter: Voter::Fast(FastVoting::new()),
             decided: None,
         }
     }

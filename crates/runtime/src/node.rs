@@ -829,13 +829,24 @@ mod tests {
         assert!(drx.recv_timeout(WallDuration::from_millis(300)).is_err());
     }
 
+    /// Records every `message_dropped(from, to)` report, in order.
+    #[derive(Debug, Default)]
+    struct Drops(Mutex<Vec<(ProcessId, ProcessId)>>);
+
+    impl twostep_telemetry::ProtocolObserver for Drops {
+        fn message_dropped(&self, from: ProcessId, to: ProcessId) {
+            self.0.lock().push((from, to));
+        }
+    }
+
     /// Hostile input of every kind is dropped and reported once, as a
     /// message from its sender to this node; the node survives it.
     #[test]
     fn malformed_frames_are_dropped() {
         let (transport, mut inboxes) = InMemoryTransport::new(2);
         let (dtx, drx) = crossbeam::channel::unbounded();
-        let (metrics, obs) = twostep_telemetry::Metrics::shared();
+        let drops = Arc::new(Drops::default());
+        let obs = ObserverHandle::from(drops.clone());
         let node = spawn_node(
             Toy {
                 me: p(0),
@@ -863,17 +874,7 @@ mod tests {
         transport.send(p(1), p(0), Bytes::from(frame(11)));
         let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();
         assert_eq!(v, 11);
-        assert_eq!(metrics.snapshot().dropped, 4);
-        let events = metrics.events();
-        assert_eq!(events.len(), 4, "{events:?}");
-        for event in events {
-            assert_eq!(event.process, p(1), "{event:?}");
-            assert_eq!(
-                event.kind,
-                twostep_telemetry::EventKind::MessageDropped(p(0)),
-                "{event:?}"
-            );
-        }
+        assert_eq!(*drops.0.lock(), vec![(p(1), p(0)); 4]);
         // The node still handles proposals.
         node.propose(7);
         let (_, _, v, _) = drx.recv_timeout(WallDuration::from_secs(5)).unwrap();

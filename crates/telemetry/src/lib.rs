@@ -1,11 +1,11 @@
-//! Protocol-aware metrics and event tracing for the twostep workspace.
+//! Protocol-aware metrics for the twostep workspace.
 //!
 //! The paper's value proposition is *which path a decision takes* — the
 //! proxy's two-step fast path, the ballot-based slow path, or one of the
 //! two vote-count cases of the recovery rule (`> n-f-e` vs `= n-f-e`).
-//! This crate provides the vocabulary and the plumbing to count, time
-//! and trace those paths without the protocols knowing anything about
-//! metric backends:
+//! This crate provides the vocabulary and the plumbing to count and
+//! time those paths without the protocols knowing anything about metric
+//! backends:
 //!
 //! * [`ProtocolObserver`] — the hook trait protocols and engines call
 //!   at interesting transitions (decisions, slow-path entries, recovery
@@ -14,9 +14,8 @@
 //! * [`ObserverHandle`] — a cheap clonable handle that forwards to an
 //!   attached observer or compiles down to a branch-on-`None` no-op, so
 //!   the fuzzer and the proofs-adjacent tests pay nothing;
-//! * [`Metrics`] — the standard observer: atomic [`Counter`]s,
-//!   log2-bucketed [`Histogram`]s with p50/p99/max, and a fixed-capacity
-//!   [`EventRing`] of protocol transitions;
+//! * [`Metrics`] — the standard observer: atomic [`Counter`]s and
+//!   log2-bucketed [`Histogram`]s with p50/p99/max;
 //! * [`MetricsSnapshot`] — a point-in-time copy with a
 //!   text/Prometheus-style exporter ([`MetricsSnapshot::render_text`]).
 //!
@@ -47,14 +46,12 @@ mod counter;
 mod histogram;
 mod metrics;
 mod observer;
-mod ring;
 mod shard;
 
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{ByteStats, Metrics, MetricsSnapshot};
 pub use observer::{msg_kind, ObserverHandle, ProtocolObserver};
-pub use ring::{Event, EventKind, EventRing};
 pub use shard::ShardedMetrics;
 
 /// The path by which a process reached its decision.

@@ -7,8 +7,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use twostep_types::ProcessId;
 
 use crate::{
-    Counter, Event, EventKind, EventRing, Histogram, HistogramSnapshot, ObserverHandle, Path,
-    ProtocolObserver, RecoveryCase,
+    Counter, Histogram, HistogramSnapshot, ObserverHandle, Path, ProtocolObserver, RecoveryCase,
 };
 
 /// Message and byte totals for one wire message kind.
@@ -44,8 +43,7 @@ impl KindBytes {
 /// The standard [`ProtocolObserver`]: counts decisions per path, files
 /// engine-reported latencies into per-path histograms, tallies
 /// slow-path entries, recovery cases, leader changes, ballot advances,
-/// transport drops/reconnects, queue depths and per-kind wire bytes,
-/// and keeps a ring-buffer flight record of transitions.
+/// transport drops/reconnects, queue depths and per-kind wire bytes.
 ///
 /// Latency attribution: a protocol reports `decided(p, path)`
 /// synchronously when it records its decision; the engine then reports
@@ -72,7 +70,6 @@ pub struct Metrics {
     /// lock, and only a kind's first message takes the exclusive one.
     bytes: RwLock<BTreeMap<String, KindBytes>>,
     injections: Mutex<BTreeMap<String, u64>>,
-    events: EventRing,
 }
 
 impl Metrics {
@@ -87,11 +84,6 @@ impl Metrics {
         let metrics = Arc::new(Metrics::new());
         let handle = ObserverHandle::from(metrics.clone());
         (metrics, handle)
-    }
-
-    /// The retained transition events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.events()
     }
 
     /// A point-in-time copy of every aggregate.
@@ -138,10 +130,6 @@ impl ProtocolObserver for Metrics {
             .lock()
             .expect("path map poisoned")
             .insert(process, path);
-        self.events.push(Event {
-            process,
-            kind: EventKind::Decided(path),
-        });
     }
 
     fn decision_latency(&self, process: ProcessId, latency: u64) {
@@ -158,36 +146,20 @@ impl ProtocolObserver for Metrics {
         self.latency[path.index()].record(latency);
     }
 
-    fn slow_path_entered(&self, process: ProcessId) {
+    fn slow_path_entered(&self, _process: ProcessId) {
         self.slow_entries.inc();
-        self.events.push(Event {
-            process,
-            kind: EventKind::SlowPathEntered,
-        });
     }
 
-    fn recovery_case(&self, process: ProcessId, case: RecoveryCase) {
+    fn recovery_case(&self, _process: ProcessId, case: RecoveryCase) {
         self.recovery[case.index()].inc();
-        self.events.push(Event {
-            process,
-            kind: EventKind::Recovery(case),
-        });
     }
 
-    fn leader_changed(&self, process: ProcessId, leader: ProcessId) {
+    fn leader_changed(&self, _process: ProcessId, _leader: ProcessId) {
         self.leader_changes.inc();
-        self.events.push(Event {
-            process,
-            kind: EventKind::LeaderChanged(leader),
-        });
     }
 
-    fn ballot_advanced(&self, process: ProcessId) {
+    fn ballot_advanced(&self, _process: ProcessId) {
         self.ballot_advances.inc();
-        self.events.push(Event {
-            process,
-            kind: EventKind::BallotAdvanced,
-        });
     }
 
     fn queue_depth(&self, _process: ProcessId, depth: usize) {
@@ -217,12 +189,8 @@ impl ProtocolObserver for Metrics {
         map.entry(kind.to_string()).or_default().record(bytes);
     }
 
-    fn message_dropped(&self, from: ProcessId, to: ProcessId) {
+    fn message_dropped(&self, _from: ProcessId, _to: ProcessId) {
         self.dropped.inc();
-        self.events.push(Event {
-            process: from,
-            kind: EventKind::MessageDropped(to),
-        });
     }
 
     fn reconnected(&self, _process: ProcessId) {
@@ -480,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn transitions_are_counted_and_ring_recorded() {
+    fn transitions_are_counted() {
         let m = Metrics::new();
         m.slow_path_entered(p(2));
         m.recovery_case(p(2), RecoveryCase::Gt);
@@ -495,17 +463,6 @@ mod tests {
         assert_eq!(s.ballot_advances, 1);
         assert_eq!(s.dropped, 1);
         assert_eq!(s.reconnects, 1);
-        let kinds: Vec<EventKind> = m.events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::SlowPathEntered,
-                EventKind::Recovery(RecoveryCase::Gt),
-                EventKind::LeaderChanged(p(2)),
-                EventKind::BallotAdvanced,
-                EventKind::MessageDropped(p(3)),
-            ]
-        );
     }
 
     #[test]
