@@ -27,8 +27,10 @@
 //! deterministic recorded adversary prefix — a contended fast round
 //! driven to a fast decision, then `f = 2` crashes — and exhaustively
 //! search every continuation (crash budget spent, one recovery ballot).
-//! The prefix is recorded as `Action`s, so a violation found in the
-//! suffix still replays end-to-end through `twostep-fuzz`. The caps are
+//! The prefix is recorded as content-keyed [`Step`]s, like the searched
+//! suffix, so a violation found in the suffix still replays end-to-end
+//! through `twostep-fuzz`: [`ManualExecutor::step`] takes both on a
+//! fresh executor and prints each as its replay token. The caps are
 //! printed in the report; a truncated suffix still fails the row.
 //!
 //! The sweep ends with the `FastBft` baseline at its `n = 3f+1`
@@ -56,10 +58,12 @@ use std::time::Duration;
 
 use twostep_baselines::FastBft;
 use twostep_core::{Ablations, Msg, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep_sim::ManualExecutor;
+use twostep_sim::schedule::{Action, Schedule};
+use twostep_sim::{ManualExecutor, Step};
 use twostep_types::protocol::{Protocol, TimerId};
 use twostep_types::{ByzConfig, ByzVariant, ProcessId, ProcessSet, SystemConfig};
-use twostep_verify::{fuzz_replay_tokens, Action, CheckOutcome, ModelChecker};
+use twostep_verify::adversary::fast_round;
+use twostep_verify::{CheckOutcome, ModelChecker};
 
 /// The combined symmetry + POR reduction must shrink the visited-state
 /// count by at least this factor on the reference configuration.
@@ -296,34 +300,15 @@ fn run_object(cfg: SystemConfig, max_states: usize, workers: usize) -> CheckOutc
     task_checker(cfg.f(), max_states, workers).run(cfg, &[10, 20], object_executor)
 }
 
-/// Delivers (and records) every pending message matching `pred`, in
-/// send order, until none remain. The recorded [`Action`]s make a
-/// staged prefix replayable through `twostep-fuzz`.
-fn deliver_all_matching<P>(
-    ex: &mut ManualExecutor<u64, P>,
-    rec: &mut Vec<Action>,
-    pred: &dyn Fn(ProcessId, ProcessId, &Msg<u64>) -> bool,
-) where
-    P: Protocol<u64, Message = Msg<u64>>,
-{
-    while let Some((id, action)) = ex
-        .pending()
-        .iter()
-        .find(|m| pred(m.from, m.to, &m.msg))
-        .map(|m| {
-            (
-                m.id,
-                Action::Deliver {
-                    from: m.from,
-                    to: m.to,
-                    key: m.content_key(),
-                },
-            )
-        })
-    {
-        ex.deliver(id);
-        rec.push(action);
-    }
+/// `steps` as `twostep-fuzz --replay` tokens, taken on `ex`: a fresh
+/// executor, never scrubbed, because the fuzzer addresses messages and
+/// timers by their position in the whole soup. `None` if a step does not
+/// apply.
+fn replay_tokens<P: Protocol<u64>>(
+    mut ex: ManualExecutor<u64, P>,
+    steps: &[Step],
+) -> Option<Vec<Action>> {
+    steps.iter().map(|&step| ex.step(step)).collect()
 }
 
 /// Values for the staged `(2, 2)` task rows: `p1` contends with 20
@@ -332,7 +317,7 @@ fn staged_task_values(n: usize) -> Vec<u64> {
     (0..n).map(|i| if i == 1 { 20 } else { 10 }).collect()
 }
 
-/// Stages the `(2, 2)` task adversary (recording each action): `p0`'s
+/// Stages the `(2, 2)` task adversary (recording each step): `p0`'s
 /// `Propose(10)` reaches `{p2, p3}` (they vote 10), `p1`'s
 /// `Propose(20)` reaches `p0` and `p4..` (they vote 20 — the task
 /// variant has no object guard, so 20 ≥ their initial suffices), the
@@ -342,25 +327,14 @@ fn staged_task_values(n: usize) -> Vec<u64> {
 /// outside `Q`, includes all votes, and the `count > threshold` branch
 /// resurrects 10 — the Theorem 5 violation. At `n = 6` the same prefix
 /// is safe (the tally ties and the max-value tiebreak re-selects 20).
-fn stage_task(cfg: SystemConfig) -> (ManualExecutor<u64, TaskConsensus<u64>>, Vec<Action>) {
+fn stage_task(cfg: SystemConfig) -> (ManualExecutor<u64, TaskConsensus<u64>>, Vec<Step>) {
     let n = cfg.n() as u32;
     let mut ex = task_executor(cfg, staged_task_values(cfg.n()), p(2));
-    let mut rec = Vec::new();
-    for voter in [p(2), p(3)] {
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == p(0) && to == voter && matches!(msg, Msg::Propose(_))
-        });
-    }
+    let mut rec = ex.deliver_where(|m| {
+        m.from == p(0) && [p(2), p(3)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
+    });
     let twenty_voters: Vec<ProcessId> = std::iter::once(p(0)).chain((4..n).map(p)).collect();
-    for voter in &twenty_voters {
-        let voter = *voter;
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == p(1) && to == voter && matches!(msg, Msg::Propose(_))
-        });
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == voter && to == p(1) && matches!(msg, Msg::TwoB(..))
-        });
-    }
+    rec.extend(fast_round(&mut ex, p(1), &twenty_voters));
     assert_eq!(
         ex.decision_of(p(1)),
         Some(&20),
@@ -368,7 +342,7 @@ fn stage_task(cfg: SystemConfig) -> (ManualExecutor<u64, TaskConsensus<u64>>, Ve
     );
     for victim in [p(0), p(1)] {
         ex.crash(victim);
-        rec.push(Action::Crash(victim));
+        rec.push(Step::Crash(victim));
     }
     (ex, rec)
 }
@@ -380,7 +354,7 @@ fn stage_task(cfg: SystemConfig) -> (ManualExecutor<u64, TaskConsensus<u64>>, Ve
 /// every continuation must re-select 20: the surviving voters' reports
 /// name the crashed proposer `p1`, which recovery cannot place inside
 /// its quorum, so the decided value stays visible.
-fn stage_object(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Action>) {
+fn stage_object(cfg: SystemConfig) -> ManualExecutor<u64, ObjectConsensus<u64>> {
     let n = cfg.n() as u32;
     let mut ex = ManualExecutor::new(cfg, |q| {
         TwoStepBuilder::new(cfg)
@@ -390,28 +364,17 @@ fn stage_object(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>
     ex.start_all();
     ex.propose(p(0), 10);
     ex.propose(p(1), 20);
-    let mut rec = Vec::new();
-    for voter in (3..n).map(p) {
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == p(1) && to == voter && matches!(msg, Msg::Propose(_))
-        });
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == voter && to == p(1) && matches!(msg, Msg::TwoB(..))
-        });
-    }
+    fast_round(&mut ex, p(1), &(3..n).map(p).collect::<Vec<_>>());
     assert_eq!(
         ex.decision_of(p(1)),
         Some(&20),
         "staging must complete the fast path"
     );
-    deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-        from == p(0) && to == p(2) && matches!(msg, Msg::Propose(_))
-    });
+    ex.deliver_where(|m| m.from == p(0) && m.to == p(2) && matches!(m.msg, Msg::Propose(_)));
     for victim in [p(1), p(n - 1)] {
         ex.crash(victim);
-        rec.push(Action::Crash(victim));
     }
-    (ex, rec)
+    ex
 }
 
 /// Suffix checker for the staged rows: the crash budget is spent by the
@@ -436,26 +399,21 @@ fn run_staged_task(
         staged_checker(p(2), max_states, workers).run(cfg, &[10, 20], |cfg| stage_task(cfg).0);
     let replay = if let CheckOutcome::Violation { script, .. } = &outcome {
         let (_, prefix) = stage_task(cfg);
-        let full: Vec<Action> = prefix.iter().chain(script.iter()).copied().collect();
+        let full: Vec<Step> = prefix.iter().chain(script.iter()).copied().collect();
         let values = staged_task_values(cfg.n());
         let csv = values
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        fuzz_replay_tokens(
-            cfg,
-            move |cfg| task_executor(cfg, values.clone(), p(2)),
-            &full,
-        )
-        .map(|tokens| {
+        replay_tokens(task_executor(cfg, values, p(2)), &full).map(|tokens| {
             format!(
                 "twostep-fuzz --protocol task --e {} --f {} --n {} --allow-below-bound \
                  --leader 2 --values {csv} --replay '{}'",
                 cfg.e(),
                 cfg.f(),
                 cfg.n(),
-                tokens.join(" ")
+                Schedule::from(tokens)
             )
         })
     } else {
@@ -465,7 +423,7 @@ fn run_staged_task(
 }
 
 fn run_staged_object(cfg: SystemConfig, max_states: usize, workers: usize) -> CheckOutcome {
-    staged_checker(p(0), max_states, workers).run(cfg, &[10, 20], |cfg| stage_object(cfg).0)
+    staged_checker(p(0), max_states, workers).run(cfg, &[10, 20], stage_object)
 }
 
 /// The `FastBft` baseline at the `n = 3f+1` Byzantine floor, in
@@ -714,11 +672,10 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
             // (start_all + the five proposals — exactly what the fuzzer
             // reconstructs from `p:` tokens).
             let (_, prefix) = stage_broken(cfg);
-            let full: Vec<Action> = prefix.iter().chain(script.iter()).copied().collect();
-            match fuzz_replay_tokens(cfg, |cfg| base_broken(cfg).0, &full) {
+            let full: Vec<Step> = prefix.iter().chain(script.iter()).copied().collect();
+            let (base, proposes) = base_broken(cfg);
+            match replay_tokens(base, &full) {
                 Some(tokens) => {
-                    let proposes: Vec<String> = base_broken(cfg).1;
-                    let schedule: Vec<String> = proposes.into_iter().chain(tokens).collect();
                     let _ = writeln!(
                         out,
                         "replay: twostep-fuzz --protocol object --e {} --f {} --n {} \
@@ -726,7 +683,7 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
                         cfg.e(),
                         cfg.f(),
                         cfg.n(),
-                        schedule.join(" ")
+                        Schedule::from([proposes, tokens].concat())
                     );
                 }
                 None => {
@@ -749,8 +706,8 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
 
 /// The fixture's unstaged base system: object consensus with the guard
 /// ablated, started, with the five proposals issued. Returns the
-/// executor and the matching `p:A=V` fuzz tokens.
-fn base_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<String>) {
+/// executor and the matching `p:A=V` fuzz actions.
+fn base_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Action>) {
     let mut ex = ManualExecutor::new(cfg, |q| {
         TwoStepBuilder::new(cfg)
             .omega(OmegaMode::Static(p(0)))
@@ -761,45 +718,35 @@ fn base_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>,
             .object::<u64>(q)
     });
     ex.start_all();
-    let mut tokens = Vec::new();
+    let mut proposes = Vec::new();
     // E0 = {p0, p1} and F0 = {p2} propose 0; E1 = {p3, p4} propose 1.
-    for i in 0..cfg.n() as u32 {
-        let v = u64::from(i >= (cfg.n() - cfg.e()) as u32);
-        ex.propose(p(i), v);
-        tokens.push(format!("p:{i}={v}"));
+    for i in 0..cfg.n() as u8 {
+        let v = u8::from(usize::from(i) >= cfg.n() - cfg.e());
+        ex.propose(p(u32::from(i)), u64::from(v));
+        proposes.push(Action::Propose(i, v));
     }
-    (ex, tokens)
+    (ex, proposes)
 }
 
-/// Stages the contended fast round (recording each action): `p4` wins
+/// Stages the contended fast round (recording each step): `p4` wins
 /// the fast quorum through the ablated guard, `p0`/`p1` vote for `p2`'s
 /// value, then `{p2, p4}` crash. The checker explores every
 /// continuation.
-fn stage_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Action>) {
+fn stage_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Step>) {
     let (mut ex, _) = base_broken(cfg);
-    let mut rec = Vec::new();
-    for voter in [p(2), p(3)] {
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == p(4) && to == voter && matches!(msg, Msg::Propose(_))
-        });
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == voter && to == p(4) && matches!(msg, Msg::TwoB(..))
-        });
-    }
+    let mut rec = fast_round(&mut ex, p(4), &[p(2), p(3)]);
     assert_eq!(
         ex.decision_of(p(4)),
         Some(&1),
         "staging must complete the fast path"
     );
-    for target in [p(0), p(1)] {
-        deliver_all_matching(&mut ex, &mut rec, &|from, to, msg| {
-            from == p(2) && to == target && matches!(msg, Msg::Propose(_))
-        });
+    rec.extend(ex.deliver_where(|m| {
+        m.from == p(2) && [p(0), p(1)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
+    }));
+    for victim in [p(2), p(4)] {
+        ex.crash(victim);
+        rec.push(Step::Crash(victim));
     }
-    ex.crash(p(2));
-    rec.push(Action::Crash(p(2)));
-    ex.crash(p(4));
-    rec.push(Action::Crash(p(4)));
     (ex, rec)
 }
 

@@ -18,8 +18,8 @@ use rand::{Rng, SeedableRng};
 use twostep_bench::{mean, percentile, Table};
 use twostep_core::{Msg, OmegaMode, TaskConsensus, TwoStepBuilder};
 use twostep_sim::{ManualExecutor, SimulationBuilder};
-use twostep_types::protocol::TimerId;
 use twostep_types::{Duration, ProcessId, SystemConfig, Time};
+use twostep_verify::adversary::{fast_round, recovery_ballot};
 
 const SCENARIOS: u64 = 200;
 
@@ -61,18 +61,7 @@ fn randomized_recovery(seed: u64) -> bool {
         .iter()
         .map(|i| p(*i))
         .collect();
-    for &s in &supporters {
-        for id in ex
-            .pending_matching(|m| m.from == winner && m.to == s && matches!(m.msg, Msg::Propose(_)))
-        {
-            ex.deliver(id);
-        }
-        for id in
-            ex.pending_matching(|m| m.from == s && m.to == winner && matches!(m.msg, Msg::TwoB(..)))
-        {
-            ex.deliver(id);
-        }
-    }
+    fast_round(&mut ex, winner, &supporters);
     let fast_value = ex.decision_of(winner).copied();
     assert_eq!(
         fast_value,
@@ -99,20 +88,7 @@ fn randomized_recovery(seed: u64) -> bool {
             .map(|i| p(*i)),
     );
 
-    ex.fire_timer(leader, TimerId::NEW_BALLOT);
-    for phase in ["OneA", "OneB", "TwoA", "TwoB"] {
-        for &q in &quorum {
-            let ids = ex.pending_matching(|m| {
-                let kind = twostep_sim::msg_kind(&m.msg);
-                kind == phase
-                    && ((phase == "OneA" || phase == "TwoA") && m.from == leader && m.to == q
-                        || (phase == "OneB" || phase == "TwoB") && m.from == q && m.to == leader)
-            });
-            for id in ids {
-                ex.deliver(id);
-            }
-        }
-    }
+    recovery_ballot(&mut ex, leader, &quorum);
 
     ex.decision_of(leader) == fast_value.as_ref() && ex.agreement()
 }

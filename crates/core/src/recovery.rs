@@ -32,8 +32,8 @@
 //!   above-threshold case, unique by Lemma 7, offers no choice at all.
 //! * [`select_value`] / [`select_value_explained`] — pure-function
 //!   wrappers over [`classify`] kept for property tests (see the
-//!   Lemma 7 generators in this module's tests), the lower-bound
-//!   witness replays in `crates/analysis`, and micro-benchmarks.
+//!   Lemma 7 generators in this module's tests) and the lower-bound
+//!   witness replays in `crates/analysis`.
 
 use twostep_telemetry::RecoveryCase;
 use twostep_types::quorum::{Collector, VoteTally};

@@ -337,8 +337,9 @@ where
                 }
             }
             Action::DeliverAllTo(a) => {
+                let p = pid(a);
                 for g in &mut groups {
-                    g.deliver_all_to(pid(a));
+                    g.deliver_where(|m| m.to == p);
                 }
             }
             Action::Crash(a) => {

@@ -28,11 +28,14 @@
 //!    crashing and restarting mid-load; a seeded coalition of
 //!    equivocating / forging / ballot-lying / silent victims
 //!    (`twostep-byz`) against the FaB-style fast-BFT baseline.
-//! 3. [`case`] — the total-action interpreter over
+//! 3. [`case`] — the interpreter of [`schedule`]'s total actions over
 //!    [`twostep_sim::ManualExecutor`]s, one per group, dispatching
 //!    across the two-step protocol (task and object variants), the
 //!    Paxos / Fast Paxos / EPaxos-lite / FastBft baselines and the
-//!    replicated log (`twostep-smr`).
+//!    replicated log (`twostep-smr`). The grammar lives in
+//!    `twostep-sim`, beside the executor whose
+//!    [`twostep_sim::ManualExecutor::step`] prints the model checker's
+//!    counterexamples in it; this crate re-exports it.
 //! 4. [`oracle`] — safety (and optional termination) verdicts over
 //!    honest processes, per group, plus cross-shard leakage; a log
 //!    oracle for the replicated log.
@@ -45,9 +48,10 @@ pub mod case;
 pub mod gen;
 pub mod oracle;
 pub mod runner;
-pub mod schedule;
 pub mod shrink;
 pub mod witness;
+
+pub use twostep_sim::schedule;
 
 pub use case::{
     run_case, run_case_observed, shard_of_value, shard_value, FuzzCase, FuzzProtocol, RunReport,

@@ -23,7 +23,10 @@
 //! * [`ManualExecutor`] — a message-soup executor with explicit,
 //!   step-level control over which message is delivered when; this is
 //!   what the model checker and the mechanized lower-bound adversary in
-//!   `twostep-verify` are built on.
+//!   `twostep-verify` are built on. A scripted run is a list of
+//!   content-keyed [`Step`]s, and [`ManualExecutor::step`] prints each
+//!   as a token of [`schedule`], the grammar `twostep-fuzz --replay`
+//!   reads.
 //!
 //! Determinism: given the same protocol code, configuration, seed and
 //! schedule hooks, a simulation replays identically. All randomness is
@@ -36,6 +39,7 @@ mod delay;
 mod engine;
 mod event;
 mod manual;
+pub mod schedule;
 mod seeds;
 mod sync;
 mod trace;
@@ -47,7 +51,7 @@ pub use delay::{
 };
 pub use engine::{DeliveryOrder, RunOutcome, Simulation, SimulationBuilder};
 pub use event::EventClass;
-pub use manual::{InFlight, ManualExecutor, MsgId};
+pub use manual::{InFlight, ManualExecutor, MsgId, Step};
 pub use seeds::test_seeds;
 pub use sync::{definition_4, definition_a1, SyncOutcome, SyncRunner, TwoStepReport};
 pub use trace::{Trace, TraceEvent};

@@ -2,10 +2,14 @@
 //!
 //! [`ManualExecutor`] gives the caller explicit control over every source
 //! of nondeterminism: which pending message is delivered next, who
-//! crashes when, which timers fire. The bounded model checker and the
-//! mechanized lower-bound adversary in `twostep-verify` are built on it —
-//! the adversarial interleavings `σ0`/`σ1` of the paper's §B.1 and §B.2
-//! are literally sequences of [`ManualExecutor`] calls.
+//! crashes when, which timers fire. A scripted run is a list of
+//! content-keyed [`Step`]s: the bounded model checker in
+//! `twostep-verify` explores and returns them, the gate's staged
+//! prefixes and the mechanized lower-bound adversary (the adversarial
+//! interleavings `σ0`/`σ1` of the paper's §B.1 and §B.2) record them
+//! with [`ManualExecutor::deliver_where`], and [`ManualExecutor::step`]
+//! takes one and prints it as the [`crate::schedule`] token that
+//! `twostep-fuzz --replay` reads.
 //!
 //! Unlike [`crate::Simulation`], there is no clock: steps are untimed,
 //! which matches the proofs' round-step granularity.
@@ -17,6 +21,8 @@ use std::hash::{Hash, Hasher};
 use twostep_types::protocol::{Effects, Protocol, TimerId};
 use twostep_types::relabel::{RelabelHash, Relabeling};
 use twostep_types::{judge, ProcessId, ProcessSet, SystemConfig, Value};
+
+use crate::schedule::Action;
 
 /// Identifier of an in-flight message within a [`ManualExecutor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,6 +54,31 @@ impl<M> InFlight<M> {
     pub fn content_key(&self) -> u64 {
         self.content_hash
     }
+}
+
+/// One scripted step of a [`ManualExecutor`] run.
+///
+/// Deliveries are identified by *stable message content*
+/// (`(from, to, content_key)`, see [`InFlight::content_key`]), not by
+/// pending-list position: positions shift under reduction and across
+/// replay environments, content does not. Two pending messages with the
+/// same triple are interchangeable by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Deliver the pending message with this sender, receiver and
+    /// payload content key.
+    Deliver {
+        /// Sender.
+        from: ProcessId,
+        /// Receiver.
+        to: ProcessId,
+        /// Stable payload hash ([`InFlight::content_key`]).
+        key: u64,
+    },
+    /// Crash a process.
+    Crash(ProcessId),
+    /// Fire an armed timer.
+    Fire(ProcessId, TimerId),
 }
 
 /// An executor in which every delivery, crash and timer firing is an
@@ -174,15 +205,6 @@ impl<V: Value, P: Protocol<V>> ManualExecutor<V, P> {
         self.inflight.iter().collect()
     }
 
-    /// The ids of pending messages addressed to `p`.
-    pub fn pending_to(&self, p: ProcessId) -> Vec<MsgId> {
-        self.inflight
-            .iter()
-            .filter(|m| m.to == p)
-            .map(|m| m.id)
-            .collect()
-    }
-
     /// The ids of pending messages matching `pred`.
     pub fn pending_matching<F>(&self, mut pred: F) -> Vec<MsgId>
     where
@@ -195,21 +217,24 @@ impl<V: Value, P: Protocol<V>> ManualExecutor<V, P> {
             .collect()
     }
 
-    /// Removes the pending message with id `id`, if present. Ids are
-    /// assigned in increasing order and the soup stays sorted, so this
-    /// is a binary search plus a removal.
-    fn take_inflight(&mut self, id: MsgId) -> Option<InFlight<P::Message>> {
-        let i = self.inflight.binary_search_by_key(&id, |m| m.id).ok()?;
-        Some(self.inflight.remove(i))
+    /// The position of the pending message with id `id`, if present.
+    /// Ids are assigned in increasing order and the soup stays sorted,
+    /// so this is a binary search.
+    fn position(&self, id: MsgId) -> Option<usize> {
+        self.inflight.binary_search_by_key(&id, |m| m.id).ok()
     }
 
     /// Delivers the message with id `id`. Returns `false` if the message
     /// no longer exists or its receiver is crashed (the message is
     /// consumed either way, matching a crash swallowing a delivery).
     pub fn deliver(&mut self, id: MsgId) -> bool {
-        let Some(m) = self.take_inflight(id) else {
-            return false;
-        };
+        self.position(id).is_some_and(|i| self.deliver_at(i))
+    }
+
+    /// Delivers the pending message at position `i` of the soup; see
+    /// [`ManualExecutor::deliver`].
+    fn deliver_at(&mut self, i: usize) -> bool {
+        let m = self.inflight.remove(i);
         if !self.alive.contains(m.to) {
             return false;
         }
@@ -219,16 +244,69 @@ impl<V: Value, P: Protocol<V>> ManualExecutor<V, P> {
         true
     }
 
-    /// Delivers every pending message addressed to `p`, in send order.
-    /// Returns how many handlers ran.
-    pub fn deliver_all_to(&mut self, p: ProcessId) -> usize {
-        let ids = self.pending_to(p);
-        ids.into_iter().filter(|&id| self.deliver(id)).count()
+    /// Delivers, in send order, every message pending at the call that
+    /// `pred` matches, and returns the steps it took. Mail those
+    /// deliveries send is left pending, even where `pred` matches it.
+    pub fn deliver_where<F>(&mut self, mut pred: F) -> Vec<Step>
+    where
+        F: FnMut(&InFlight<P::Message>) -> bool,
+    {
+        let matched: Vec<(MsgId, Step)> = self
+            .inflight
+            .iter()
+            .filter(|m| pred(m))
+            .map(|m| {
+                let (from, to, key) = (m.from, m.to, m.content_hash);
+                (m.id, Step::Deliver { from, to, key })
+            })
+            .collect();
+        for &(id, _) in &matched {
+            self.deliver(id);
+        }
+        matched.into_iter().map(|(_, step)| step).collect()
+    }
+
+    /// Takes one scripted step and returns the `twostep-fuzz --replay`
+    /// token that names it in the state it was taken in: `i:K` for the
+    /// first pending message (in send order) with the step's triple,
+    /// which sits at `pending()[K]`; `c:A` for a crash; `t:A.K` for the
+    /// timer at `armed_timers(A)[K]`.
+    ///
+    /// Returns `None`, and changes nothing, when no pending message
+    /// matches, when the timer is not armed or its process is crashed,
+    /// or when a position or process does not fit the token's integer.
+    pub fn step(&mut self, step: Step) -> Option<Action> {
+        match step {
+            Step::Deliver { from, to, key } => {
+                let i = self
+                    .inflight
+                    .iter()
+                    .position(|m| m.from == from && m.to == to && m.content_hash == key)?;
+                let token = Action::DeliverIdx(u16::try_from(i).ok()?);
+                self.deliver_at(i);
+                Some(token)
+            }
+            Step::Crash(p) => {
+                let token = Action::Crash(u8::try_from(p.as_u32()).ok()?);
+                self.crash(p);
+                Some(token)
+            }
+            Step::Fire(p, timer) => {
+                let k = self.armed[p.index()].iter().position(|&t| t == timer)?;
+                let token =
+                    Action::FireTimer(u8::try_from(p.as_u32()).ok()?, u16::try_from(k).ok()?);
+                self.fire_timer(p, timer).then_some(token)
+            }
+        }
     }
 
     /// Removes a pending message without delivering it.
     pub fn drop_message(&mut self, id: MsgId) -> bool {
-        self.take_inflight(id).is_some()
+        let Some(i) = self.position(id) else {
+            return false;
+        };
+        self.inflight.remove(i);
+        true
     }
 
     /// Removes every pending message that can never again have an
@@ -361,9 +439,9 @@ mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
 
-    /// Ping protocol: p0 sends Ping to everyone at start; receivers
-    /// decide 1 on Ping; p0 arms a timer at start and decides 2 when it
-    /// fires.
+    /// Ping protocol: p0 sends Ping to everyone at start; every other
+    /// process decides 1 on its first Ping and echoes it back; p0 arms
+    /// two timers at start and decides 2 when one fires.
     #[derive(Debug, Clone)]
     struct Ping {
         me: ProcessId,
@@ -385,16 +463,18 @@ mod tests {
             if self.me == ProcessId::new(0) {
                 eff.broadcast_others(P, self.n, self.me);
                 eff.set_timer(TimerId(5), twostep_types::Duration::deltas(1));
+                eff.set_timer(TimerId(9), twostep_types::Duration::deltas(1));
             }
         }
         fn on_propose(&mut self, v: u64, eff: &mut Effects<u64, P>) {
             self.decided = Some(v);
             eff.decide(v);
         }
-        fn on_message(&mut self, _: ProcessId, _: P, eff: &mut Effects<u64, P>) {
-            if self.decided.is_none() {
+        fn on_message(&mut self, from: ProcessId, _: P, eff: &mut Effects<u64, P>) {
+            if self.decided.is_none() && self.me != ProcessId::new(0) {
                 self.decided = Some(1);
                 eff.decide(1);
+                eff.send(from, P);
             }
         }
         fn on_timer(&mut self, _: TimerId, eff: &mut Effects<u64, P>) {
@@ -427,15 +507,15 @@ mod tests {
         assert!(ex.start(p(0)));
         assert!(!ex.start(p(0)), "second start is a no-op");
         assert_eq!(ex.pending().len(), 2);
-        assert_eq!(ex.armed_timers(p(0)), vec![TimerId(5)]);
-        assert_eq!(ex.pending_to(p(1)).len(), 1);
+        assert_eq!(ex.armed_timers(p(0)), vec![TimerId(5), TimerId(9)]);
+        assert_eq!(ex.pending_matching(|m| m.to == p(1)).len(), 1);
     }
 
     #[test]
     fn deliver_runs_handler_once() {
         let mut ex = exec();
         ex.start_all();
-        let ids = ex.pending_to(p(1));
+        let ids = ex.pending_matching(|m| m.to == p(1));
         assert!(ex.deliver(ids[0]));
         assert!(
             !ex.deliver(ids[0]),
@@ -450,12 +530,12 @@ mod tests {
     fn crash_blocks_delivery_and_consumes() {
         let mut ex = exec();
         ex.start_all();
-        let ids = ex.pending_to(p(2));
+        let ids = ex.pending_matching(|m| m.to == p(2));
         ex.crash(p(2));
         assert!(!ex.deliver(ids[0]));
         assert_eq!(ex.decision_of(p(2)), None);
         assert!(
-            ex.pending_to(p(2)).is_empty(),
+            ex.pending_matching(|m| m.to == p(2)).is_empty(),
             "delivery attempt consumed it"
         );
     }
@@ -481,7 +561,7 @@ mod tests {
     fn drop_message_removes_silently() {
         let mut ex = exec();
         ex.start_all();
-        let ids = ex.pending_to(p(1));
+        let ids = ex.pending_matching(|m| m.to == p(1));
         assert!(ex.drop_message(ids[0]));
         assert!(!ex.drop_message(ids[0]));
         assert_eq!(ex.decision_of(p(1)), None);
@@ -515,7 +595,7 @@ mod tests {
         let mut ex = exec();
         ex.start_all();
         ex.propose(p(1), 7); // decides 7
-        let ids = ex.pending_to(p(2));
+        let ids = ex.pending_matching(|m| m.to == p(2));
         ex.deliver(ids[0]); // decides 1
         assert!(!ex.agreement());
     }
@@ -525,7 +605,7 @@ mod tests {
         let mut ex = exec();
         ex.start_all();
         let fork = ex.clone();
-        let ids = ex.pending_to(p(1));
+        let ids = ex.pending_matching(|m| m.to == p(1));
         ex.deliver(ids[0]);
         assert_eq!(ex.decision_of(p(1)), Some(&1));
         assert_eq!(fork.decision_of(p(1)), None, "fork unaffected");
@@ -544,11 +624,11 @@ mod tests {
         a.start_all();
         b.start_all();
         assert_eq!(fp(&a), fp(&b));
-        let ids = a.pending_to(p(1));
+        let ids = a.pending_matching(|m| m.to == p(1));
         a.deliver(ids[0]);
         assert_ne!(fp(&a), fp(&b));
         // Deliver the same message in b: states converge again.
-        let ids_b = b.pending_to(p(1));
+        let ids_b = b.pending_matching(|m| m.to == p(1));
         b.deliver(ids_b[0]);
         assert_eq!(fp(&a), fp(&b));
     }
@@ -561,5 +641,106 @@ mod tests {
         assert_eq!(to_p1.len(), 1);
         let from_p0 = ex.pending_matching(|m| m.from == p(0));
         assert_eq!(from_p0.len(), 2);
+    }
+
+    /// The pending soup as `(from, to, key)` triples, in send order.
+    fn soup(ex: &ManualExecutor<u64, Ping>) -> Vec<(ProcessId, ProcessId, u64)> {
+        ex.pending()
+            .iter()
+            .map(|m| (m.from, m.to, m.content_key()))
+            .collect()
+    }
+
+    #[test]
+    fn step_returns_the_token_that_names_it() {
+        let mut ex = exec();
+        ex.start_all();
+        ex.deliver_where(|m| m.to == p(1)); // p1 echoes: the soup is 0→2, 1→0
+        let before = soup(&ex);
+        let (from, to, key) = before[1];
+        assert_eq!(
+            ex.step(Step::Deliver { from, to, key }),
+            Some(Action::DeliverIdx(1))
+        );
+        assert_eq!(soup(&ex), [before[0]], "exactly pending()[1] went");
+        assert_eq!(ex.decision_of(p(0)), None, "p0 got its echo, not a Ping");
+
+        assert_eq!(ex.armed_timers(p(0)), [TimerId(5), TimerId(9)]);
+        assert_eq!(
+            ex.step(Step::Fire(p(0), TimerId(9))),
+            Some(Action::FireTimer(0, 1))
+        );
+        assert_eq!(ex.armed_timers(p(0)), [TimerId(5)]);
+        assert_eq!(ex.decision_of(p(0)), Some(&2));
+
+        assert_eq!(ex.step(Step::Crash(p(2))), Some(Action::Crash(2)));
+        assert!(!ex.alive().contains(p(2)));
+        assert_eq!(
+            format!("{} {}", Action::DeliverIdx(1), Action::FireTimer(0, 1)),
+            "i:1 t:0.1"
+        );
+    }
+
+    #[test]
+    fn a_step_that_matches_nothing_changes_nothing() {
+        let mut ex = exec();
+        ex.start_all();
+        let (from, to, key) = soup(&ex)[0];
+        ex.crash(p(0));
+        let (before, log) = (soup(&ex), ex.decide_log().to_vec());
+        for step in [
+            Step::Deliver {
+                from,
+                to,
+                key: key ^ 1,
+            },
+            Step::Deliver {
+                from: to,
+                to: from,
+                key,
+            },
+            Step::Fire(p(1), TimerId(5)),
+            Step::Fire(p(0), TimerId(5)), // armed, but p0 is crashed
+        ] {
+            assert_eq!(ex.step(step), None, "{step:?}");
+            assert_eq!(soup(&ex), before, "{step:?}");
+            assert_eq!(ex.decide_log(), &log[..], "{step:?}");
+        }
+        assert_eq!(ex.armed_timers(p(0)), [TimerId(5), TimerId(9)]);
+    }
+
+    #[test]
+    fn deliver_where_leaves_what_its_own_deliveries_send() {
+        let mut ex = exec();
+        ex.start_all();
+        let sent = soup(&ex);
+        let steps = ex.deliver_where(|_| true);
+        let taken: Vec<_> = steps
+            .iter()
+            .map(|s| match *s {
+                Step::Deliver { from, to, key } => (from, to, key),
+                Step::Crash(_) | Step::Fire(..) => panic!("only deliveries: {s:?}"),
+            })
+            .collect();
+        assert_eq!(
+            taken, sent,
+            "every message pending at the call, in send order"
+        );
+        let echoes: Vec<_> = soup(&ex).iter().map(|&(from, to, _)| (from, to)).collect();
+        assert_eq!(
+            echoes,
+            [(p(1), p(0)), (p(2), p(0))],
+            "the echoes stay pending"
+        );
+
+        // The recorded steps replay, by content, on a fresh executor.
+        let mut fresh = exec();
+        fresh.start_all();
+        let tokens: Vec<_> = steps.iter().map(|&s| fresh.step(s)).collect();
+        assert_eq!(
+            tokens,
+            [Some(Action::DeliverIdx(0)), Some(Action::DeliverIdx(0))]
+        );
+        assert_eq!(soup(&fresh), soup(&ex));
     }
 }

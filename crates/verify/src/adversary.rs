@@ -42,13 +42,18 @@
 //! votes — *both above* the threshold `n-f-e = e-2` — and the rule's
 //! forced pick decides 0. At `n = 2e+f-1` the uniqueness count
 //! `2(n-f-e)+2 > n-f` holds again and the strategy fails.
+//!
+//! ## Building blocks
+//!
+//! Every splice is made of two moves, shared with the model-check
+//! gate's staged prefixes and E8: [`fast_round`] (a proposal out, the
+//! fast votes back) and [`recovery_ballot`] (one slow ballot over a
+//! chosen quorum).
 
 use twostep_core::{Ablations, OmegaMode, TwoStepBuilder};
-use twostep_sim::ManualExecutor;
-use twostep_types::protocol::TimerId;
-use twostep_types::{ProcessId, ProcessSet, SystemConfig};
-
-use twostep_core::Msg;
+use twostep_sim::{msg_kind, ManualExecutor, Step};
+use twostep_types::protocol::{Protocol, TimerId};
+use twostep_types::{ProcessId, SystemConfig, Value};
 
 /// The outcome of one adversarial construction.
 #[derive(Debug)]
@@ -76,6 +81,55 @@ impl AdversaryReport {
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i as u32)
+}
+
+/// Delivers every pending `from → to` message whose variant is `kind`
+/// (by [`msg_kind`], so any protocol's messages match by name).
+fn deliver_kind<V: Value, P: Protocol<V>>(
+    ex: &mut ManualExecutor<V, P>,
+    kind: &str,
+    from: ProcessId,
+    to: ProcessId,
+) -> Vec<Step> {
+    ex.deliver_where(|m| m.from == from && m.to == to && msg_kind(&m.msg) == kind)
+}
+
+/// A fast round: voter by voter, delivers `proposer`'s `Propose` to the
+/// voter and the voter's `TwoB` back to `proposer`. Returns the steps
+/// taken.
+pub fn fast_round<V: Value, P: Protocol<V>>(
+    ex: &mut ManualExecutor<V, P>,
+    proposer: ProcessId,
+    voters: &[ProcessId],
+) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for &voter in voters {
+        steps.extend(deliver_kind(ex, "Propose", proposer, voter));
+        steps.extend(deliver_kind(ex, "TwoB", voter, proposer));
+    }
+    steps
+}
+
+/// One slow ballot at `leader` with exactly `quorum` as its `1B`/`2B`
+/// quorum: fires the leader's new-ballot timer, then delivers `1A` out,
+/// `1B` back, `2A` out and `2B` back, each phase voter by voter.
+pub fn recovery_ballot<V: Value, P: Protocol<V>>(
+    ex: &mut ManualExecutor<V, P>,
+    leader: ProcessId,
+    quorum: &[ProcessId],
+) {
+    ex.fire_timer(leader, TimerId::NEW_BALLOT);
+    for (kind, outbound) in [
+        ("OneA", true),
+        ("OneB", false),
+        ("TwoA", true),
+        ("TwoB", false),
+    ] {
+        for &r in quorum {
+            let (from, to) = if outbound { (leader, r) } else { (r, leader) };
+            deliver_kind(ex, kind, from, to);
+        }
+    }
 }
 
 /// Runs the §B.1 splice against the task protocol at `n = 2e+f-1` (one
@@ -137,32 +191,15 @@ fn run_task_splice_with(e: usize, f: usize, n: usize, ablations: Ablations) -> A
     ex.start_all();
 
     // Step 1: w's Propose(1) reaches E1\{w}, F0 and the extras; all vote 1.
-    let voters_for_w: Vec<ProcessId> = e1_rest.iter().chain(&f0).chain(&extras).copied().collect();
-    for &q in &voters_for_w {
-        for id in
-            ex.pending_matching(|m| m.from == w && m.to == q && matches!(m.msg, Msg::Propose(_)))
-        {
-            ex.deliver(id);
-        }
-    }
     // Their fast votes flow back to w: with w itself that is n-e — w
     // decides 1 on the fast path.
-    for &q in &voters_for_w {
-        for id in
-            ex.pending_matching(|m| m.from == q && m.to == w && matches!(m.msg, Msg::TwoB(..)))
-        {
-            ex.deliver(id);
-        }
-    }
+    let voters_for_w: Vec<ProcessId> = e1_rest.iter().chain(&f0).chain(&extras).copied().collect();
+    fast_round(&mut ex, w, &voters_for_w);
     narrative += &format!("w={w} fast-decided {:?}\n", ex.decision_of(w));
 
     // Step 2: c's Propose(0) reaches E0; they vote 0.
     for &q in &e0 {
-        for id in
-            ex.pending_matching(|m| m.from == c && m.to == q && matches!(m.msg, Msg::Propose(_)))
-        {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", c, q);
     }
 
     // Step 3: crash F0 ∪ {w} — exactly f processes.
@@ -240,30 +277,17 @@ fn run_object_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
 
     // Propose(0) → E0*: they vote 0.
     for &r in &e0_star {
-        for id in ex.pending_matching(|m| m.from == proposer_p && m.to == r) {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", proposer_p, r);
     }
-    // Propose(1) → F, E1* and the extras: they vote 1.
+    // Propose(1) → F, E1* and the extras: they vote 1. Their votes reach
+    // q: F ∪ E1* ∪ X ∪ {q} = n-e — q decides 1 fast.
     let q_voters: Vec<ProcessId> = f_set
         .iter()
         .chain(&e1_star)
         .chain(&extras)
         .copied()
         .collect();
-    for &r in &q_voters {
-        for id in ex.pending_matching(|m| m.from == proposer_q && m.to == r) {
-            ex.deliver(id);
-        }
-    }
-    // Their votes reach q: F ∪ E1* ∪ X ∪ {q} = n-e — q decides 1 fast.
-    for &r in &q_voters {
-        for id in ex.pending_matching(|m| {
-            m.from == r && m.to == proposer_q && matches!(m.msg, Msg::TwoB(..))
-        }) {
-            ex.deliver(id);
-        }
-    }
+    fast_round(&mut ex, proposer_q, &q_voters);
     narrative += &format!(
         "q={proposer_q} fast-decided {:?}\n",
         ex.decision_of(proposer_q)
@@ -288,49 +312,15 @@ fn run_object_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
     AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
 }
 
-/// Drives one slow ballot at `leader` with exactly the `participants` as
-/// the `1B`/`2B` quorum.
-fn run_recovery<P>(
+/// Runs [`recovery_ballot`] at `leader` over exactly `participants` and
+/// narrates what the leader decided.
+fn run_recovery<P: Protocol<u64>>(
     ex: &mut ManualExecutor<u64, P>,
     leader: ProcessId,
     participants: &[ProcessId],
     narrative: &mut String,
-) where
-    P: twostep_types::protocol::Protocol<u64, Message = Msg<u64>> + Clone,
-{
-    ex.fire_timer(leader, TimerId::NEW_BALLOT);
-    // 1A → participants only.
-    for &r in participants {
-        for id in
-            ex.pending_matching(|m| m.from == leader && m.to == r && matches!(m.msg, Msg::OneA(_)))
-        {
-            ex.deliver(id);
-        }
-    }
-    // 1B ← participants.
-    for &r in participants {
-        for id in ex.pending_matching(|m| {
-            m.from == r && m.to == leader && matches!(m.msg, Msg::OneB { .. })
-        }) {
-            ex.deliver(id);
-        }
-    }
-    // 2A → participants.
-    for &r in participants {
-        for id in
-            ex.pending_matching(|m| m.from == leader && m.to == r && matches!(m.msg, Msg::TwoA(..)))
-        {
-            ex.deliver(id);
-        }
-    }
-    // 2B ← participants.
-    for &r in participants {
-        for id in
-            ex.pending_matching(|m| m.from == r && m.to == leader && matches!(m.msg, Msg::TwoB(..)))
-        {
-            ex.deliver(id);
-        }
-    }
+) {
+    recovery_ballot(ex, leader, participants);
     narrative.push_str(&format!(
         "recovery at {leader} over {participants:?} decided {:?}\n",
         ex.decision_of(leader)
@@ -410,25 +400,12 @@ pub fn object_exclusion_demo(e: usize, f: usize, ablations: Ablations) -> Advers
         .chain(std::iter::once(&x))
         .copied()
         .collect();
-    for &r in &q_voters {
-        for id in ex.pending_matching(|m| m.from == q && m.to == r) {
-            ex.deliver(id);
-        }
-    }
-    for &r in &q_voters {
-        for id in
-            ex.pending_matching(|m| m.from == r && m.to == q && matches!(m.msg, Msg::TwoB(..)))
-        {
-            ex.deliver(id);
-        }
-    }
+    fast_round(&mut ex, q, &q_voters);
     narrative += &format!("q={q} fast-decided {:?}\n", ex.decision_of(q));
 
     // z's rival support: C votes 2.
     for &r in &c_set {
-        for id in ex.pending_matching(|m| m.from == z && m.to == r) {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", z, r);
     }
 
     // Crash F ∪ {q} (f-1 processes); x stays alive but silent.
@@ -489,31 +466,14 @@ pub fn object_guard_demo(e: usize, f: usize, ablations: Ablations) -> AdversaryR
         ex.propose(p(i), value);
     }
 
-    // w's Propose(1) reaches E1\{w} and F0.
+    // w's Propose(1) reaches E1\{w} and F0; whoever votes, votes back.
     let targets: Vec<ProcessId> = e1_rest.iter().chain(&f0).copied().collect();
-    for &r in &targets {
-        for id in
-            ex.pending_matching(|m| m.from == w && m.to == r && matches!(m.msg, Msg::Propose(_)))
-        {
-            ex.deliver(id);
-        }
-    }
-    for &r in &targets {
-        for id in
-            ex.pending_matching(|m| m.from == r && m.to == w && matches!(m.msg, Msg::TwoB(..)))
-        {
-            ex.deliver(id);
-        }
-    }
+    fast_round(&mut ex, w, &targets);
     narrative += &format!("w={w} fast decision: {:?}\n", ex.decision_of(w));
 
     // E0 vote for c's 0 (same value as their own proposal: red line ok).
     for &r in &e0 {
-        for id in
-            ex.pending_matching(|m| m.from == c && m.to == r && matches!(m.msg, Msg::Propose(_)))
-        {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", c, r);
     }
 
     // Crash F0 ∪ {w}; recover among the rest.
@@ -564,7 +524,6 @@ pub fn fast_paxos_at_bound(e: usize, f: usize) -> AdversaryReport {
 /// `C2 = p1..p_{e-1}` (further 2-voters), 1-voters next, learner
 /// `L = p_{n-2}`, `w = p_{n-1}` (proposes 1).
 fn run_fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
-    use twostep_baselines::fastpaxos::FastPaxosMsg;
     use twostep_baselines::FastPaxos;
 
     let cfg = SystemConfig::new(n, e, f).expect("valid adversary configuration");
@@ -592,28 +551,16 @@ fn run_fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
 
     // The e 2-voters receive Propose(2) first and vote 2.
     for &r in &two_voters {
-        for id in ex.pending_matching(|m| {
-            m.from == z && m.to == r && matches!(m.msg, FastPaxosMsg::Propose(_))
-        }) {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", z, r);
     }
     // The n-e 1-voters receive Propose(1) first and vote 1.
     for &r in &one_voters {
-        for id in ex.pending_matching(|m| {
-            m.from == w && m.to == r && matches!(m.msg, FastPaxosMsg::Propose(_))
-        }) {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "Propose", w, r);
     }
     // All n-e fast votes for 1 reach the learner: it decides 1 (value 1
     // IS chosen under Fast Paxos semantics — a full fast quorum voted it).
     for &r in &one_voters {
-        for id in ex.pending_matching(|m| {
-            m.from == r && m.to == learner && matches!(m.msg, FastPaxosMsg::TwoB(..))
-        }) {
-            ex.deliver(id);
-        }
+        deliver_kind(&mut ex, "TwoB", r, learner);
     }
     narrative += &format!("learner {learner} decided {:?}\n", ex.decision_of(learner));
 
@@ -626,37 +573,10 @@ fn run_fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
         .copied()
         .collect();
     debug_assert_eq!(quorum.len(), cfg.slow_quorum());
-    ex.fire_timer(z, twostep_types::protocol::TimerId::NEW_BALLOT);
-    for &r in &quorum {
-        for id in ex.pending_matching(|m| {
-            m.from == z && m.to == r && matches!(m.msg, FastPaxosMsg::OneA(_))
-        }) {
-            ex.deliver(id);
-        }
-    }
-    for &r in &quorum {
-        for id in ex.pending_matching(|m| {
-            m.from == r && m.to == z && matches!(m.msg, FastPaxosMsg::OneB { .. })
-        }) {
-            ex.deliver(id);
-        }
-    }
-    for &r in &quorum {
-        for id in ex.pending_matching(|m| {
-            m.from == z && m.to == r && matches!(m.msg, FastPaxosMsg::TwoA(..))
-        }) {
-            ex.deliver(id);
-        }
-    }
-    // Slow votes are broadcast to all learners; deliver the quorum's
-    // votes back to z, which decides.
-    for &r in &quorum {
-        for id in ex.pending_matching(|m| {
-            m.from == r && m.to == z && matches!(m.msg, FastPaxosMsg::TwoB(b, _) if b.is_slow())
-        }) {
-            ex.deliver(id);
-        }
-    }
+    // The quorum's fast votes reach z too, in the 2B phase: e for 2 and
+    // n-f-e for 1, short of the n-e a fast decision needs, so z decides
+    // on the quorum's slow votes.
+    recovery_ballot(&mut ex, z, &quorum);
     narrative += &format!("coordinator {z} recovery decided {:?}\n", ex.decision_of(z));
 
     AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
@@ -688,14 +608,6 @@ pub fn object_adversary_grid(max_f: usize) -> Vec<(usize, usize)> {
         }
     }
     grid
-}
-
-/// Helper: the processes still alive in a report... (kept for symmetry
-/// with future extensions).
-#[allow(dead_code)]
-fn alive_set(cfg: SystemConfig, crashed: &[ProcessId]) -> ProcessSet {
-    let crashed: ProcessSet = crashed.iter().copied().collect();
-    crashed.complement(cfg.n())
 }
 
 #[cfg(test)]

@@ -37,6 +37,4 @@ pub use adversary::{
     task_at_bound, task_at_bound_with, task_below_bound, AdversaryReport,
 };
 pub use linearizability::{History, LinearizabilityError, Op};
-pub use model_check::{
-    fuzz_replay_tokens, replay_script, Action, CheckOutcome, ExploreStats, ModelChecker,
-};
+pub use model_check::{CheckOutcome, ExploreStats, ModelChecker};

@@ -13,8 +13,9 @@
 //! pruning states already visited. At every state it checks Agreement
 //! over the full decide log, Validity against the proposed values and
 //! Integrity, by [`twostep_types::judge::decision`]. A
-//! violation yields a replayable [`Action`] script, convertible into the
-//! `twostep-fuzz --replay` token format by [`fuzz_replay_tokens`].
+//! violation yields a script of content-keyed [`Step`]s; taking them
+//! with [`ManualExecutor::step`] on a fresh, unscrubbed executor replays
+//! the run and prints it in the `twostep-fuzz --replay` token format.
 //!
 //! # Reductions
 //!
@@ -65,7 +66,7 @@
 //! and offloads half of it to a shared injector when the injector runs
 //! dry. `workers(1)` (the default) is fully deterministic.
 
-use twostep_sim::ManualExecutor;
+use twostep_sim::{ManualExecutor, Step};
 use twostep_types::protocol::{Protocol, TimerId};
 use twostep_types::relabel::{RelabelHash, Relabeling};
 use twostep_types::{judge, ProcessId, ProcessSet, SystemConfig, Value};
@@ -76,32 +77,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// One schedule step in a counterexample script.
-///
-/// Deliveries are identified by *stable message content*
-/// (`(from, to, content_key)`, see
-/// [`twostep_sim::InFlight::content_key`]), not by pending-list
-/// position: positions shift under reduction and across replay
-/// environments, content does not. Two pending messages with the same
-/// triple are interchangeable by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Deliver the pending message with this sender, receiver and
-    /// payload content key.
-    Deliver {
-        /// Sender.
-        from: ProcessId,
-        /// Receiver.
-        to: ProcessId,
-        /// Stable payload hash ([`twostep_sim::InFlight::content_key`]).
-        key: u64,
-    },
-    /// Crash a process.
-    Crash(ProcessId),
-    /// Fire an armed timer.
-    Fire(ProcessId, TimerId),
-}
 
 /// Counters describing one exploration run.
 #[derive(Debug, Clone, Default)]
@@ -150,7 +125,7 @@ pub enum CheckOutcome {
         /// What went wrong, human-readable.
         report: String,
         /// The schedule (from the initial state) that triggers it.
-        script: Vec<Action>,
+        script: Vec<Step>,
         /// Distinct states visited before finding it.
         states: usize,
         /// Exploration counters.
@@ -395,7 +370,7 @@ impl ModelChecker {
                 let mut script = Vec::new();
                 let mut cur = node;
                 while cur != ROOT_NODE {
-                    script.push(arena[cur].action);
+                    script.push(arena[cur].step);
                     cur = arena[cur].parent;
                 }
                 script.reverse();
@@ -428,10 +403,10 @@ const ROOT_NODE: usize = usize::MAX;
 
 /// Parent-pointer trace node: scripts are reconstructed by walking the
 /// arena backwards from the violating state, so frames carry one
-/// `usize` instead of a cloned `Vec<Action>` each.
+/// `usize` instead of a cloned `Vec<Step>` each.
 struct ArenaNode {
     parent: usize,
-    action: Action,
+    step: Step,
 }
 
 struct Frame<V: Value, P: Protocol<V>> {
@@ -576,23 +551,23 @@ where
         // 1. Deliveries, one per distinct (from, to, content) triple —
         //    duplicate messages yield identical successors.
         let mut seen: HashSet<(ProcessId, ProcessId, u64)> = HashSet::new();
-        let deliveries: Vec<Action> = ex
+        let deliveries: Vec<Step> = ex
             .pending()
             .iter()
             .filter(|m| seen.insert((m.from, m.to, m.content_key())))
-            .map(|m| Action::Deliver {
+            .map(|m| Step::Deliver {
                 from: m.from,
                 to: m.to,
                 key: m.content_key(),
             })
             .collect();
-        for action in deliveries {
-            self.push_successor(&frame, action, local);
+        for step in deliveries {
+            self.push_successor(&frame, step, local);
         }
         // 2. Crashes.
         if frame.crashes < ck.max_crashes {
             for p in ex.alive().iter() {
-                self.push_successor(&frame, Action::Crash(p), local);
+                self.push_successor(&frame, Step::Crash(p), local);
             }
         }
         // 3. Timer firings.
@@ -609,12 +584,12 @@ where
                 if !ck.timers.contains(&timer) {
                     continue;
                 }
-                self.push_successor(&frame, Action::Fire(p, timer), local);
+                self.push_successor(&frame, Step::Fire(p, timer), local);
             }
         }
     }
 
-    fn push_successor(&self, frame: &Frame<V, P>, action: Action, local: &mut Vec<Frame<V, P>>) {
+    fn push_successor(&self, frame: &Frame<V, P>, step: Step, local: &mut Vec<Frame<V, P>>) {
         if self.shared.stop.load(Ordering::SeqCst) {
             return;
         }
@@ -622,23 +597,11 @@ where
         let mut next = frame.ex.clone();
         let mut crashes = frame.crashes;
         let mut fires = frame.fires.clone();
-        match action {
-            Action::Deliver { from, to, key } => {
-                let id = next
-                    .pending_matching(|m| m.from == from && m.to == to && m.content_key() == key)
-                    .into_iter()
-                    .next()
-                    .expect("enumerated delivery exists");
-                next.deliver(id);
-            }
-            Action::Crash(p) => {
-                next.crash(p);
-                crashes += 1;
-            }
-            Action::Fire(p, t) => {
-                next.fire_timer(p, t);
-                fires[p.index()] += 1;
-            }
+        next.step(step).expect("an enumerated step applies");
+        match step {
+            Step::Deliver { .. } => {}
+            Step::Crash(_) => crashes += 1,
+            Step::Fire(p, _) => fires[p.index()] += 1,
         }
         self.shared.transitions.fetch_add(1, Ordering::SeqCst);
         if ck.por {
@@ -656,7 +619,7 @@ where
                 let mut arena = self.shared.arena.lock().unwrap();
                 arena.push(ArenaNode {
                     parent: frame.node,
-                    action,
+                    step,
                 });
                 arena.len() - 1
             };
@@ -686,7 +649,7 @@ where
             let mut arena = self.shared.arena.lock().unwrap();
             arena.push(ArenaNode {
                 parent: frame.node,
-                action,
+                step,
             });
             arena.len() - 1
         };
@@ -700,98 +663,11 @@ where
     }
 }
 
-/// Replays a counterexample `script` against `ex` (typically a fresh
-/// executor from the same `setup` closure the checker ran). Returns
-/// `false` if any step did not apply — a sign the executor was built
-/// differently from the checked one.
-///
-/// Deliveries match the first pending message (in send order) with the
-/// scripted `(from, to, content_key)` triple; equal-triple duplicates
-/// are interchangeable, so the choice cannot change any decision.
-pub fn replay_script<V, P>(ex: &mut ManualExecutor<V, P>, script: &[Action]) -> bool
-where
-    V: Value,
-    P: Protocol<V>,
-{
-    for action in script {
-        match *action {
-            Action::Deliver { from, to, key } => {
-                let Some(id) = ex
-                    .pending_matching(|m| m.from == from && m.to == to && m.content_key() == key)
-                    .into_iter()
-                    .next()
-                else {
-                    return false;
-                };
-                ex.deliver(id);
-            }
-            Action::Crash(p) => ex.crash(p),
-            Action::Fire(p, t) => {
-                if !ex.fire_timer(p, t) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Renders `script` in the `twostep-fuzz --replay` token format
-/// (`i:K` deliver-by-index, `c:A` crash, `t:A.K` fire timer `K` of
-/// process `A`), replaying it against a fresh executor built by
-/// `setup` — which must match the closure handed to
-/// [`ModelChecker::run`].
-///
-/// The fuzzer addresses pending messages and armed timers
-/// *positionally*, and it never scrubs inert mail, so the positions are
-/// computed against the unreduced soup the fuzzer will actually see
-/// (scrubbed-in-the-checker messages linger there harmlessly: by
-/// construction they are permanent no-ops or addressed to the dead).
-/// Returns `None` if the script references a message or timer the
-/// replay executor does not have.
-pub fn fuzz_replay_tokens<V, P, F>(
-    cfg: SystemConfig,
-    setup: F,
-    script: &[Action],
-) -> Option<Vec<String>>
-where
-    V: Value,
-    P: Protocol<V>,
-    F: FnOnce(SystemConfig) -> ManualExecutor<V, P>,
-{
-    let mut ex = setup(cfg);
-    let mut out = Vec::with_capacity(script.len());
-    for action in script {
-        match *action {
-            Action::Deliver { from, to, key } => {
-                let (pos, id) = {
-                    let pending = ex.pending();
-                    let pos = pending
-                        .iter()
-                        .position(|m| m.from == from && m.to == to && m.content_key() == key)?;
-                    (pos, pending[pos].id)
-                };
-                out.push(format!("i:{pos}"));
-                ex.deliver(id);
-            }
-            Action::Crash(p) => {
-                out.push(format!("c:{}", p.as_u32()));
-                ex.crash(p);
-            }
-            Action::Fire(p, t) => {
-                let pos = ex.armed_timers(p).iter().position(|&x| x == t)?;
-                out.push(format!("t:{}.{pos}", p.as_u32()));
-                ex.fire_timer(p, t);
-            }
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
+    use twostep_sim::schedule::Action;
     use twostep_types::protocol::Effects;
 
     #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -888,7 +764,10 @@ mod tests {
             panic!("expected a violation");
         };
         let mut ex = first_wins(cfg);
-        assert!(replay_script(&mut ex, &script), "script must apply");
+        assert!(
+            script.iter().all(|&step| ex.step(step).is_some()),
+            "script must apply"
+        );
         assert!(
             !ex.agreement(),
             "replayed script must reproduce the violation"
@@ -910,7 +789,7 @@ mod tests {
                 panic!("expected a violation at symmetry={symmetry} por={por}");
             };
             let mut ex = first_wins(cfg);
-            assert!(replay_script(&mut ex, &script));
+            assert!(script.iter().all(|&step| ex.step(step).is_some()));
             assert!(!ex.agreement(), "symmetry={symmetry} por={por}");
         }
     }
@@ -923,16 +802,36 @@ mod tests {
         else {
             panic!("expected a violation");
         };
-        let tokens = fuzz_replay_tokens(cfg, first_wins, &script).expect("script must tokenize");
-        assert_eq!(tokens.len(), script.len());
-        assert!(tokens.iter().all(|t| t.starts_with("i:")));
+        // Each token names the scripted message by its position in the
+        // soup the step is taken in: `pending()[k]` carries the triple.
+        let mut ex = first_wins(cfg);
+        let mut tokens = Vec::new();
+        for &step in &script {
+            let Step::Deliver { from, to, key } = step else {
+                panic!("first-wins needs no crash or timer: {step:?}");
+            };
+            let before: Vec<_> = ex
+                .pending()
+                .iter()
+                .map(|m| (m.from, m.to, m.content_key()))
+                .collect();
+            let token = ex.step(step).expect("script must tokenize");
+            let Action::DeliverIdx(k) = token else {
+                panic!("a delivery prints as `i:K`, not {token}");
+            };
+            assert_eq!(
+                before.get(usize::from(k)),
+                Some(&(from, to, key)),
+                "{token}"
+            );
+            tokens.push(k);
+        }
         // Decode the positional tokens the way the fuzzer does and
         // check the violation still reproduces.
         let mut ex = first_wins(cfg);
-        for t in &tokens {
-            let k: usize = t.strip_prefix("i:").unwrap().parse().unwrap();
+        for k in tokens {
             let ids: Vec<_> = ex.pending().iter().map(|m| m.id).collect();
-            ex.deliver(ids[k % ids.len()]);
+            ex.deliver(ids[usize::from(k) % ids.len()]);
         }
         assert!(!ex.agreement());
     }

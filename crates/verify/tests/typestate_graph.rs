@@ -277,10 +277,9 @@ fn proposing_leader_returns_to_collecting_on_new_ballot() {
     // p0 owns ballot 0: fire its new-ballot timer and deliver the 1As
     // and 1Bs to freeze a quorum, putting the leader in Proposing.
     ex.fire_timer(p(0), TimerId::NEW_BALLOT);
-    for q in 0..3 {
-        ex.deliver_all_to(p(q));
+    for q in [0, 1, 2, 0].map(p) {
+        ex.deliver_where(|m| m.to == q);
     }
-    ex.deliver_all_to(p(0));
     assert_eq!(
         ex.process(p(0)).inner.leader_phase(),
         LeaderPhase::Proposing,

@@ -10,6 +10,7 @@ use twostep::core::{Ablations, Msg, OmegaMode, TwoStepBuilder};
 use twostep::sim::ManualExecutor;
 use twostep::types::protocol::TimerId;
 use twostep::types::{ProcessId, SystemConfig};
+use twostep::verify::adversary::fast_round;
 use twostep::verify::{
     object_at_bound, object_below_bound, task_at_bound, task_below_bound, CheckOutcome,
     ModelChecker,
@@ -99,25 +100,10 @@ fn main() {
                 ex.propose(p(i), v);
             }
             // Stage the contended fast round; the checker owns the rest.
-            for voter in [p(2), p(3)] {
-                for id in ex.pending_matching(|m| {
-                    m.from == p(4) && m.to == voter && matches!(m.msg, Msg::Propose(_))
-                }) {
-                    ex.deliver(id);
-                }
-                for id in ex.pending_matching(|m| {
-                    m.from == voter && m.to == p(4) && matches!(m.msg, Msg::TwoB(..))
-                }) {
-                    ex.deliver(id);
-                }
-            }
-            for target in [p(0), p(1)] {
-                for id in ex.pending_matching(|m| {
-                    m.from == p(2) && m.to == target && matches!(m.msg, Msg::Propose(_))
-                }) {
-                    ex.deliver(id);
-                }
-            }
+            fast_round(&mut ex, p(4), &[p(2), p(3)]);
+            ex.deliver_where(|m| {
+                m.from == p(2) && [p(0), p(1)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
+            });
             ex.crash(p(2));
             ex.crash(p(4));
             ex
