@@ -24,7 +24,9 @@ usage: twostep-analysis <bounds|api|model-check|all> [options]
   --witnesses PATH    write sweep outcome JSON (crash + byzantine) to PATH
   --json              print sweep outcome JSON to stdout
   --root PATH         workspace root for api (default: current dir)
-  --workers N         model-check worker threads (default 4)
+  --workers N         model-check worker threads (default 4); a search
+                      that expects a violation, and --seeded-broken,
+                      runs on 1
   --report PATH       write the model-check sweep report to PATH
   --seeded-broken     model-check only the seeded-broken fixture
                       (CI asserts this exits nonzero)";
@@ -230,7 +232,7 @@ fn run_api(opts: &Options) -> Result<bool, String> {
 
 fn run_model_check(opts: &Options) -> Result<bool, String> {
     if opts.seeded_broken {
-        let (found, report) = model_check_gate::run_seeded_broken(opts.workers);
+        let (found, report) = model_check_gate::run_seeded_broken();
         print!("{report}");
         if let Some(path) = &opts.report {
             std::fs::write(path, &report)

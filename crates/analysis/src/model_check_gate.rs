@@ -23,15 +23,17 @@
 //! state. The `(2, 2)` family is **staged**: sizing runs showed the
 //! unconstrained `n = 5` space exceeds 10⁶ canonical states *without*
 //! surfacing the deep below-bound violation (it needs two coordinated
-//! crashes after a completed fast round), so those rows replay a
-//! deterministic recorded adversary prefix — a contended fast round
-//! driven to a fast decision, then `f = 2` crashes — and exhaustively
-//! search every continuation (crash budget spent, one recovery ballot).
-//! The prefix is recorded as content-keyed [`Step`]s, like the searched
-//! suffix, so a violation found in the suffix still replays end-to-end
-//! through `twostep-fuzz`: [`ManualExecutor::step`] takes both on a
-//! fresh executor and prints each as its replay token. The caps are
-//! printed in the report; a truncated suffix still fails the row.
+//! crashes after a completed fast round), so those rows start from a
+//! staged prefix — a contended fast round driven to a fast decision,
+//! then `f = 2` crashes, the [`Splice`]s [`staged_task_prefix`] and
+//! [`staged_object_prefix`] — and exhaustively search every
+//! continuation (crash budget spent, one recovery ballot). A violation
+//! found in the suffix still replays end-to-end through
+//! `twostep-fuzz`: [`Splice::tokens`] takes the prefix's steps and the
+//! searched ones on a fresh executor and prints each as its replay
+//! token. A row that expects a violation searches on one worker, so
+//! its counts and replay line repeat run to run. The caps are printed
+//! in the report; a truncated suffix still fails the row.
 //!
 //! The sweep ends with the `FastBft` baseline at its `n = 3f+1`
 //! Byzantine floor — pinned-leader mode, crash-only schedules (the
@@ -48,22 +50,24 @@
 //!
 //! [`run_seeded_broken`] is the inverted fixture: the object protocol
 //! with the red-line guard ablated (`no_object_guard`), staged into a
-//! contended fast round exactly as in the repo's directed tests. The
-//! gate must go red on it, and prints the counterexample as a
-//! `twostep-fuzz --replay` command so the violation is replayable
+//! contended fast round ([`guard_ablation_prefix`]). The gate must go
+//! red on it, searching on one worker, and prints the counterexample as
+//! a `twostep-fuzz --replay` command so the violation is replayable
 //! outside the checker.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use twostep_baselines::FastBft;
-use twostep_core::{Ablations, Msg, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep_sim::schedule::{Action, Schedule};
-use twostep_sim::{ManualExecutor, Step};
+use twostep_core::{Ablations, ObjectConsensus};
+use twostep_sim::schedule::Schedule;
+use twostep_sim::ManualExecutor;
 use twostep_types::protocol::{Protocol, TimerId};
 use twostep_types::{ByzConfig, ByzVariant, ProcessId, ProcessSet, SystemConfig};
-use twostep_verify::adversary::fast_round;
-use twostep_verify::{CheckOutcome, ModelChecker};
+use twostep_verify::{
+    guard_ablation_prefix, staged_object_prefix, staged_task_prefix, CheckOutcome, ModelChecker,
+    Splice, TwoStepSetup,
+};
 
 /// The combined symmetry + POR reduction must shrink the visited-state
 /// count by at least this factor on the reference configuration.
@@ -92,6 +96,17 @@ impl Expectation {
             Expectation::Clean => "clean",
             Expectation::Violation => "violation",
             Expectation::Unconstructible => "skip",
+        }
+    }
+
+    /// The workers a row with this expectation searches on: a violation
+    /// search stops where a worker first finds it, so it runs on one,
+    /// and its counts and replay line repeat run to run.
+    fn workers(self, workers: usize) -> usize {
+        if self == Expectation::Violation {
+            1
+        } else {
+            workers
         }
     }
 }
@@ -176,6 +191,7 @@ impl GateOutcome {
             out,
             "# coverage: (1,1) rows unconstrained (crash<=f, one recovery ballot); \
              (2,2) rows staged (recorded fast-round + f crashes prefix, exhaustive suffix); \
+             violation rows search on 1 worker; \
              fastbft pinned leader, timer budget 0 (recovery excluded)"
         );
         let _ = writeln!(
@@ -245,24 +261,13 @@ fn leader_only() -> ProcessSet {
     [p(0)].into_iter().collect()
 }
 
-/// Task-variant values for the unconstrained `(1, 1)` rows: the leader
-/// proposes 10, everyone else 20 — two contending values with a maximal
-/// symmetry orbit among the followers.
-fn task_values(n: usize) -> Vec<u64> {
-    (0..n).map(|i| if i == 0 { 10 } else { 20 }).collect()
-}
-
-fn task_executor(
-    cfg: SystemConfig,
-    values: Vec<u64>,
-    leader: ProcessId,
-) -> ManualExecutor<u64, TaskConsensus<u64>> {
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .task(q, values[q.index()])
-    });
-    ex.start_all();
+/// `ex`, a fresh executor, with `splice` run on it: where a search
+/// starts.
+fn staged<P: Protocol<u64>>(
+    mut ex: ManualExecutor<u64, P>,
+    splice: &Splice,
+) -> ManualExecutor<u64, P> {
+    splice.run(&mut ex);
     ex
 }
 
@@ -275,106 +280,26 @@ fn task_checker(f: usize, max_states: usize, workers: usize) -> ModelChecker {
         .workers(workers)
 }
 
+/// Runs an unconstrained `(1, 1)` task row: the leader `p0` proposes
+/// 10, everyone else 20 — two contending values with a maximal symmetry
+/// orbit among the followers.
 fn run_task(cfg: SystemConfig, max_states: usize, workers: usize) -> CheckOutcome {
-    task_checker(cfg.f(), max_states, workers).run(cfg, &[10, 20], |cfg| {
-        task_executor(cfg, task_values(cfg.n()), p(0))
-    })
+    let values = (0..cfg.n()).map(|i| if i == 0 { 10 } else { 20 }).collect();
+    let setup = TwoStepSetup::new(cfg, p(0), Ablations::NONE, values);
+    task_checker(cfg.f(), max_states, workers)
+        .run(cfg, &[10, 20], |_| staged(setup.task(), &Splice::default()))
 }
 
 /// Object-variant executor: the leader proposes 10 and the last process
 /// proposes 20 (two contenders, the rest stay passive).
 fn object_executor(cfg: SystemConfig) -> ManualExecutor<u64, ObjectConsensus<u64>> {
+    let setup = TwoStepSetup::new(cfg, p(0), Ablations::NONE, Vec::new());
     let last = p(cfg.n() as u32 - 1);
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(p(0)))
-            .object::<u64>(q)
-    });
-    ex.start_all();
-    ex.propose(p(0), 10);
-    ex.propose(last, 20);
-    ex
+    staged(setup.object(), &Splice::new(vec![(p(0), 10), (last, 20)]))
 }
 
 fn run_object(cfg: SystemConfig, max_states: usize, workers: usize) -> CheckOutcome {
     task_checker(cfg.f(), max_states, workers).run(cfg, &[10, 20], object_executor)
-}
-
-/// `steps` as `twostep-fuzz --replay` tokens, taken on `ex`: a fresh
-/// executor, never scrubbed, because the fuzzer addresses messages and
-/// timers by their position in the whole soup. `None` if a step does not
-/// apply.
-fn replay_tokens<P: Protocol<u64>>(
-    mut ex: ManualExecutor<u64, P>,
-    steps: &[Step],
-) -> Option<Vec<Action>> {
-    steps.iter().map(|&step| ex.step(step)).collect()
-}
-
-/// Values for the staged `(2, 2)` task rows: `p1` contends with 20
-/// against everyone else's 10.
-fn staged_task_values(n: usize) -> Vec<u64> {
-    (0..n).map(|i| if i == 1 { 20 } else { 10 }).collect()
-}
-
-/// Stages the `(2, 2)` task adversary (recording each step): `p0`'s
-/// `Propose(10)` reaches `{p2, p3}` (they vote 10), `p1`'s
-/// `Propose(20)` reaches `p0` and `p4..` (they vote 20 — the task
-/// variant has no object guard, so 20 ≥ their initial suffices), the
-/// returning votes give `p1` a fast quorum `n−e` and it fast-decides
-/// 20, then both proposers `{p0, p1}` crash. The recovery leader is
-/// `p2`, so at `n = 5` the slow quorum sees both crashed proposers
-/// outside `Q`, includes all votes, and the `count > threshold` branch
-/// resurrects 10 — the Theorem 5 violation. At `n = 6` the same prefix
-/// is safe (the tally ties and the max-value tiebreak re-selects 20).
-fn stage_task(cfg: SystemConfig) -> (ManualExecutor<u64, TaskConsensus<u64>>, Vec<Step>) {
-    let n = cfg.n() as u32;
-    let mut ex = task_executor(cfg, staged_task_values(cfg.n()), p(2));
-    let mut rec = ex.deliver_where(|m| {
-        m.from == p(0) && [p(2), p(3)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
-    });
-    let twenty_voters: Vec<ProcessId> = std::iter::once(p(0)).chain((4..n).map(p)).collect();
-    rec.extend(fast_round(&mut ex, p(1), &twenty_voters));
-    assert_eq!(
-        ex.decision_of(p(1)),
-        Some(&20),
-        "staging must complete the fast path"
-    );
-    for victim in [p(0), p(1)] {
-        ex.crash(victim);
-        rec.push(Step::Crash(victim));
-    }
-    (ex, rec)
-}
-
-/// Stages the `(2, 2)` object adversary: `p1`'s `Propose(20)` reaches
-/// the `n−e−1` passive processes `p3..`, their votes complete `p1`'s
-/// fast quorum (20 decided), `p0`'s `Propose(10)` reaches `p2`, then
-/// `p1` and the last voter crash. At the object bound (`n ≥ 2e+f−1`)
-/// every continuation must re-select 20: the surviving voters' reports
-/// name the crashed proposer `p1`, which recovery cannot place inside
-/// its quorum, so the decided value stays visible.
-fn stage_object(cfg: SystemConfig) -> ManualExecutor<u64, ObjectConsensus<u64>> {
-    let n = cfg.n() as u32;
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(p(0)))
-            .object::<u64>(q)
-    });
-    ex.start_all();
-    ex.propose(p(0), 10);
-    ex.propose(p(1), 20);
-    fast_round(&mut ex, p(1), &(3..n).map(p).collect::<Vec<_>>());
-    assert_eq!(
-        ex.decision_of(p(1)),
-        Some(&20),
-        "staging must complete the fast path"
-    );
-    ex.deliver_where(|m| m.from == p(0) && m.to == p(2) && matches!(m.msg, Msg::Propose(_)));
-    for victim in [p(1), p(n - 1)] {
-        ex.crash(victim);
-    }
-    ex
 }
 
 /// Suffix checker for the staged rows: the crash budget is spent by the
@@ -389,41 +314,44 @@ fn staged_checker(recovery_leader: ProcessId, max_states: usize, workers: usize)
 }
 
 /// Runs a staged task row. On violation, returns the full end-to-end
-/// `twostep-fuzz` replay command (recorded prefix + searched suffix).
+/// `twostep-fuzz` replay command (staged prefix + searched suffix).
 fn run_staged_task(
     cfg: SystemConfig,
     max_states: usize,
     workers: usize,
 ) -> (CheckOutcome, Option<String>) {
-    let outcome =
-        staged_checker(p(2), max_states, workers).run(cfg, &[10, 20], |cfg| stage_task(cfg).0);
-    let replay = if let CheckOutcome::Violation { script, .. } = &outcome {
-        let (_, prefix) = stage_task(cfg);
-        let full: Vec<Step> = prefix.iter().chain(script.iter()).copied().collect();
-        let values = staged_task_values(cfg.n());
-        let csv = values
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        replay_tokens(task_executor(cfg, values, p(2)), &full).map(|tokens| {
-            format!(
-                "twostep-fuzz --protocol task --e {} --f {} --n {} --allow-below-bound \
-                 --leader 2 --values {csv} --replay '{}'",
-                cfg.e(),
-                cfg.f(),
-                cfg.n(),
-                Schedule::from(tokens)
-            )
-        })
-    } else {
-        None
+    let (setup, prefix) = staged_task_prefix(cfg);
+    let outcome = staged_checker(setup.leader, max_states, workers)
+        .run(cfg, &[10, 20], |_| staged(setup.task(), &prefix));
+    let replay = match &outcome {
+        CheckOutcome::Violation { script, .. } => {
+            let csv = setup
+                .values
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(",");
+            prefix.tokens(|| setup.task(), script).map(|tokens| {
+                format!(
+                    "twostep-fuzz --protocol task --e {} --f {} --n {} --allow-below-bound \
+                     --leader {} --values {csv} --replay '{}'",
+                    cfg.e(),
+                    cfg.f(),
+                    cfg.n(),
+                    setup.leader.as_u32(),
+                    Schedule::from(tokens)
+                )
+            })
+        }
+        CheckOutcome::Clean { .. } => None,
     };
     (outcome, replay)
 }
 
 fn run_staged_object(cfg: SystemConfig, max_states: usize, workers: usize) -> CheckOutcome {
-    staged_checker(p(0), max_states, workers).run(cfg, &[10, 20], stage_object)
+    let (setup, prefix) = staged_object_prefix(cfg);
+    staged_checker(setup.leader, max_states, workers)
+        .run(cfg, &[10, 20], |_| staged(setup.object(), &prefix))
 }
 
 /// The `FastBft` baseline at the `n = 3f+1` Byzantine floor, in
@@ -531,46 +459,26 @@ pub fn run_gate(workers: usize) -> GateOutcome {
         let staged = f == 2;
         for n in (2 * e + f - 2)..=(2 * e + f) {
             let mode = if staged { "staged+search" } else { "crash<=1" };
-            // Task variant.
-            let task_label = format!("task   n={n} e={e} f={f} {mode}");
-            match SystemConfig::new(n, e, f) {
-                Err(_) => rows.push(skipped_row(task_label)),
-                Ok(cfg) => {
-                    let expect = if n >= (2 * e + f).max(2 * f + 1) {
-                        Expectation::Clean
-                    } else {
-                        Expectation::Violation
-                    };
-                    let (outcome, replay) = if staged {
-                        run_staged_task(cfg, STAGED_ROW_CAP, workers)
-                    } else {
-                        (run_task(cfg, FULL_ROW_CAP, workers), None)
-                    };
-                    rows.push(row_from_outcome(
-                        task_label,
-                        expect,
-                        &outcome,
-                        replay.as_deref(),
-                    ));
-                }
-            }
-            // Object variant.
-            let obj_label = format!("object n={n} e={e} f={f} {mode}");
-            match SystemConfig::new(n, e, f) {
-                Err(_) => rows.push(skipped_row(obj_label)),
-                Ok(cfg) => {
-                    let expect = if n >= (2 * e + f - 1).max(2 * f + 1) {
-                        Expectation::Clean
-                    } else {
-                        Expectation::Violation
-                    };
-                    let outcome = if staged {
-                        run_staged_object(cfg, STAGED_ROW_CAP, workers)
-                    } else {
-                        run_object(cfg, FULL_ROW_CAP, workers)
-                    };
-                    rows.push(row_from_outcome(obj_label, expect, &outcome, None));
-                }
+            // The task variant, then the object variant (bound one lower).
+            for (variant, bound) in [("task", 2 * e + f), ("object", 2 * e + f - 1)] {
+                let label = format!("{variant:<6} n={n} e={e} f={f} {mode}");
+                let Ok(cfg) = SystemConfig::new(n, e, f) else {
+                    rows.push(skipped_row(label));
+                    continue;
+                };
+                let expect = if n >= bound.max(2 * f + 1) {
+                    Expectation::Clean
+                } else {
+                    Expectation::Violation
+                };
+                let workers = expect.workers(workers);
+                let (outcome, replay) = match (variant, staged) {
+                    ("task", true) => run_staged_task(cfg, STAGED_ROW_CAP, workers),
+                    ("task", false) => (run_task(cfg, FULL_ROW_CAP, workers), None),
+                    (_, true) => (run_staged_object(cfg, STAGED_ROW_CAP, workers), None),
+                    (_, false) => (run_object(cfg, FULL_ROW_CAP, workers), None),
+                };
+                rows.push(row_from_outcome(label, expect, &outcome, replay.as_deref()));
             }
         }
     }
@@ -629,22 +537,25 @@ pub fn run_gate(workers: usize) -> GateOutcome {
 
 /// The seeded-broken fixture: `no_object_guard` at the object bound
 /// (n = 5, e = f = 2), staged into a contended fast round with the
-/// ablated guard letting `{p2, p3}` vote for `p4`'s value. The checker
-/// must find the agreement violation in the continuations; CI runs this
-/// with an inverted assertion.
+/// ablated guard letting `{p2, p3}` vote for `p4`'s value
+/// ([`guard_ablation_prefix`]). The checker must find the agreement
+/// violation in the continuations; CI runs this with an inverted
+/// assertion. It searches on one worker, so the report repeats run to
+/// run.
 ///
 /// Returns `(violation_found, report_text)`; the report includes the
 /// full `twostep-fuzz --replay` command reproducing the violation
 /// (staging prefix + searched suffix).
-pub fn run_seeded_broken(workers: usize) -> (bool, String) {
-    let cfg = SystemConfig::minimal_object(2, 2).expect("e=f=2 object config");
+pub fn run_seeded_broken() -> (bool, String) {
+    let (setup, prefix) = guard_ablation_prefix();
+    let cfg = setup.cfg;
 
     let outcome = ModelChecker::new()
         .max_states(2_000_000)
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .timer_processes(leader_only())
-        .workers(workers)
-        .run(cfg, &[0, 1], |cfg| stage_broken(cfg).0);
+        .workers(1)
+        .run(cfg, &[0, 1], |_| staged(setup.object(), &prefix));
 
     let mut out = String::new();
     let _ = writeln!(
@@ -667,14 +578,9 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
                 stats.states_per_sec()
             );
             let _ = writeln!(out, "searched suffix: {} steps", script.len());
-            // Full schedule = the deterministic staging prefix + the
-            // searched suffix, tokenized against an *unstaged* executor
-            // (start_all + the five proposals — exactly what the fuzzer
-            // reconstructs from `p:` tokens).
-            let (_, prefix) = stage_broken(cfg);
-            let full: Vec<Step> = prefix.iter().chain(script.iter()).copied().collect();
-            let (base, proposes) = base_broken(cfg);
-            match replay_tokens(base, &full) {
+            // The full schedule: the five proposals, the staging prefix
+            // and the searched suffix.
+            match prefix.tokens(|| setup.object(), script) {
                 Some(tokens) => {
                     let _ = writeln!(
                         out,
@@ -683,7 +589,7 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
                         cfg.e(),
                         cfg.f(),
                         cfg.n(),
-                        Schedule::from([proposes, tokens].concat())
+                        Schedule::from(tokens)
                     );
                 }
                 None => {
@@ -704,60 +610,19 @@ pub fn run_seeded_broken(workers: usize) -> (bool, String) {
     (matches!(outcome, CheckOutcome::Violation { .. }), out)
 }
 
-/// The fixture's unstaged base system: object consensus with the guard
-/// ablated, started, with the five proposals issued. Returns the
-/// executor and the matching `p:A=V` fuzz actions.
-fn base_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Action>) {
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(p(0)))
-            .ablations(Ablations {
-                no_object_guard: true,
-                ..Ablations::NONE
-            })
-            .object::<u64>(q)
-    });
-    ex.start_all();
-    let mut proposes = Vec::new();
-    // E0 = {p0, p1} and F0 = {p2} propose 0; E1 = {p3, p4} propose 1.
-    for i in 0..cfg.n() as u8 {
-        let v = u8::from(usize::from(i) >= cfg.n() - cfg.e());
-        ex.propose(p(u32::from(i)), u64::from(v));
-        proposes.push(Action::Propose(i, v));
-    }
-    (ex, proposes)
-}
-
-/// Stages the contended fast round (recording each step): `p4` wins
-/// the fast quorum through the ablated guard, `p0`/`p1` vote for `p2`'s
-/// value, then `{p2, p4}` crash. The checker explores every
-/// continuation.
-fn stage_broken(cfg: SystemConfig) -> (ManualExecutor<u64, ObjectConsensus<u64>>, Vec<Step>) {
-    let (mut ex, _) = base_broken(cfg);
-    let mut rec = fast_round(&mut ex, p(4), &[p(2), p(3)]);
-    assert_eq!(
-        ex.decision_of(p(4)),
-        Some(&1),
-        "staging must complete the fast path"
-    );
-    rec.extend(ex.deliver_where(|m| {
-        m.from == p(2) && [p(0), p(1)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
-    }));
-    for victim in [p(2), p(4)] {
-        ex.crash(victim);
-        rec.push(Step::Crash(victim));
-    }
-    (ex, rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn seeded_broken_fixture_goes_red_with_replayable_counterexample() {
-        let (found, report) = run_seeded_broken(1);
+        let (found, report) = run_seeded_broken();
         assert!(found, "the gate must detect the seeded bug:\n{report}");
+        assert!(
+            report.contains("violation found after 64 states")
+                && report.contains("searched suffix: 13 steps"),
+            "the one-worker search must repeat run to run:\n{report}"
+        );
         assert!(
             report.contains("replay: twostep-fuzz --protocol object"),
             "counterexample must be emitted as a fuzz replay command:\n{report}"

@@ -1,10 +1,11 @@
 //! E8 (Figure 5): recovery correctness and latency.
 //!
 //! Part A (correctness, Lemma 7 at protocol level): randomized
-//! adversarial recoveries — a fast decision lands, its `Decide`
-//! broadcasts are suppressed, the winner crashes, and a randomly chosen
-//! leader recovers with a randomly chosen `1B` quorum. The recovered
-//! value must equal the fast-decided value in *every* scenario.
+//! adversarial recoveries — a fast decision lands, the winner crashes
+//! before any of its `Decide` broadcasts is delivered, and a randomly
+//! chosen leader recovers with a randomly chosen `1B` quorum. The
+//! recovered value must equal the fast-decided value in *every*
+//! scenario.
 //!
 //! Part B (latency): in timed synchronous runs where the would-be fast
 //! winner crashes at the start of round 3 (its supporters' votes are
@@ -16,10 +17,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use twostep_bench::{mean, percentile, Table};
-use twostep_core::{Msg, OmegaMode, TaskConsensus, TwoStepBuilder};
-use twostep_sim::{ManualExecutor, SimulationBuilder};
+use twostep_core::{Ablations, TaskConsensus};
+use twostep_sim::SimulationBuilder;
 use twostep_types::{Duration, ProcessId, SystemConfig, Time};
-use twostep_verify::adversary::{fast_round, recovery_ballot};
+use twostep_verify::{Splice, TwoStepSetup};
 
 const SCENARIOS: u64 = 200;
 
@@ -41,19 +42,6 @@ fn randomized_recovery(seed: u64) -> bool {
     let leader_pool: Vec<u32> = (0..n as u32).filter(|i| p(*i) != winner).collect();
     let leader = p(*leader_pool.choose(&mut rng).expect("n >= 2"));
 
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        // The winner proposes the maximum value so everyone can vote it.
-        let value = if q == winner {
-            1000
-        } else {
-            u64::from(q.as_u32())
-        };
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .task(q, value)
-    });
-    ex.start_all();
-
     // A random set of n-e-1 supporters votes for the winner.
     let mut others: Vec<u32> = (0..n as u32).filter(|i| p(*i) != winner).collect();
     others.shuffle(&mut rng);
@@ -61,19 +49,6 @@ fn randomized_recovery(seed: u64) -> bool {
         .iter()
         .map(|i| p(*i))
         .collect();
-    fast_round(&mut ex, winner, &supporters);
-    let fast_value = ex.decision_of(winner).copied();
-    assert_eq!(
-        fast_value,
-        Some(1000),
-        "seed {seed}: fast path did not complete"
-    );
-
-    // Suppress the Decide broadcast entirely; crash the winner.
-    for id in ex.pending_matching(|m| matches!(m.msg, Msg::Decide(_))) {
-        ex.drop_message(id);
-    }
-    ex.crash(winner);
 
     // Recovery over a random quorum of n-f survivors (the leader always
     // participates).
@@ -88,7 +63,25 @@ fn randomized_recovery(seed: u64) -> bool {
             .map(|i| p(*i)),
     );
 
-    recovery_ballot(&mut ex, leader, &quorum);
+    // The winner proposes the maximum value so everyone can vote it.
+    let values = (0..n as u32)
+        .map(|i| if p(i) == winner { 1000 } else { u64::from(i) })
+        .collect();
+    let setup = TwoStepSetup::new(cfg, leader, Ablations::NONE, values);
+    // The winner fast-decides and crashes; the recovery ballot delivers
+    // none of its `Decide`s.
+    let splice = Splice::default()
+        .fast(winner, supporters)
+        .crash(vec![winner])
+        .recover(leader, quorum);
+    let mut ex = setup.task();
+    splice.run(&mut ex);
+    let fast_value = ex.decision_of(winner).copied();
+    assert_eq!(
+        fast_value,
+        Some(1000),
+        "seed {seed}: fast path did not complete"
+    );
 
     ex.decision_of(leader) == fast_value.as_ref() && ex.agreement()
 }

@@ -11,9 +11,20 @@
 //! correct protocol (expected: agreement intact) and the ablated one
 //! (expected: agreement VIOLATED).
 
-use twostep_bench::Table;
+use twostep_bench::{verdict, Table};
 use twostep_core::Ablations;
-use twostep_verify::{object_exclusion_demo, object_guard_demo, task_at_bound_with};
+use twostep_verify::{
+    object_exclusion_demo, object_guard_demo, task_at_bound_with, AdversaryReport,
+};
+
+/// An ablation's rows: its label, the bound under test, the splice and
+/// the ablated protocol.
+type Rows = (
+    &'static str,
+    &'static str,
+    fn(usize, usize, Ablations) -> AdversaryReport,
+    Ablations,
+);
 
 fn main() {
     let mut table = Table::new(&[
@@ -26,67 +37,48 @@ fn main() {
         "ablated protocol",
     ]);
 
-    for (e, f) in [(2usize, 2usize), (3, 3), (3, 4)] {
-        let correct = task_at_bound_with(e, f, Ablations::NONE);
-        let ablated = task_at_bound_with(
-            e,
-            f,
+    let rows: [Rows; 3] = [
+        (
+            "no max tie-break (line 58)",
+            "task n=2e+f",
+            task_at_bound_with,
             Ablations {
                 no_max_tiebreak: true,
                 ..Ablations::NONE
             },
-        );
-        table.row(&[
-            "no max tie-break (line 58)".to_string(),
-            "task n=2e+f".to_string(),
-            e.to_string(),
-            f.to_string(),
-            correct.cfg.n().to_string(),
-            verdict(correct.agreement_violated),
-            verdict(ablated.agreement_violated),
-        ]);
-    }
-
-    for (e, f) in [(2usize, 2usize), (3, 3), (3, 4)] {
-        let correct = object_exclusion_demo(e, f, Ablations::NONE);
-        let ablated = object_exclusion_demo(
-            e,
-            f,
+        ),
+        (
+            "no proposer exclusion (line 47)",
+            "object n=2e+f-1",
+            object_exclusion_demo,
             Ablations {
                 no_proposer_exclusion: true,
                 ..Ablations::NONE
             },
-        );
-        table.row(&[
-            "no proposer exclusion (line 47)".to_string(),
-            "object n=2e+f-1".to_string(),
-            e.to_string(),
-            f.to_string(),
-            correct.cfg.n().to_string(),
-            verdict(correct.agreement_violated),
-            verdict(ablated.agreement_violated),
-        ]);
-    }
-
-    for (e, f) in [(2usize, 2usize), (3, 3), (3, 4)] {
-        let correct = object_guard_demo(e, f, Ablations::NONE);
-        let ablated = object_guard_demo(
-            e,
-            f,
+        ),
+        (
+            "no red-line guard (line 10)",
+            "object n=2e+f-1",
+            object_guard_demo,
             Ablations {
                 no_object_guard: true,
                 ..Ablations::NONE
             },
-        );
-        table.row(&[
-            "no red-line guard (line 10)".to_string(),
-            "object n=2e+f-1".to_string(),
-            e.to_string(),
-            f.to_string(),
-            correct.cfg.n().to_string(),
-            verdict(correct.agreement_violated),
-            verdict(ablated.agreement_violated),
-        ]);
+        ),
+    ];
+    for (ablation, bound, splice, ablated) in rows {
+        for (e, f) in [(2usize, 2usize), (3, 3), (3, 4)] {
+            let correct = splice(e, f, Ablations::NONE);
+            table.row(&[
+                ablation.to_string(),
+                bound.to_string(),
+                e.to_string(),
+                f.to_string(),
+                correct.cfg.n().to_string(),
+                verdict(correct.agreement_violated),
+                verdict(splice(e, f, ablated).agreement_violated),
+            ]);
+        }
     }
 
     table.print("E9: each recovery-rule ingredient is necessary at the bound");
@@ -95,12 +87,4 @@ fn main() {
          cell VIOLATED — removing any single ingredient re-opens the safety hole that the\n\
          respective lower bound says must exist with fewer processes."
     );
-}
-
-fn verdict(violated: bool) -> String {
-    if violated {
-        "VIOLATED".into()
-    } else {
-        "intact".into()
-    }
 }

@@ -91,6 +91,11 @@ impl Table {
     }
 }
 
+/// An agreement cell: `VIOLATED` or `intact`.
+pub fn verdict(violated: bool) -> String {
+    if violated { "VIOLATED" } else { "intact" }.to_string()
+}
+
 /// Mean of a sample (0 for empty input).
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {

@@ -43,17 +43,24 @@
 //! forced pick decides 0. At `n = 2e+f-1` the uniqueness count
 //! `2(n-f-e)+2 > n-f` holds again and the strategy fails.
 //!
-//! ## Building blocks
+//! ## Splices are data
 //!
-//! Every splice is made of two moves, shared with the model-check
-//! gate's staged prefixes and E8: [`fast_round`] (a proposal out, the
-//! fast votes back) and [`recovery_ballot`] (one slow ballot over a
-//! chosen quorum).
+//! Every construction here is a [`Splice`]: the proposals an object run
+//! starts with, then an ordered list of [`Move`]s — a fast round, a
+//! rival proposal, crashes and one recovery ballot. [`Splice::run`] is
+//! the one interpreter, so a construction only computes its partition.
+//! The model-check gate's staged prefixes ([`staged_task_prefix`],
+//! [`staged_object_prefix`], [`guard_ablation_prefix`]) and E8's
+//! randomized recoveries are splices too, and [`Splice::tokens`] prints
+//! any of them as a `twostep-fuzz --replay` schedule.
 
-use twostep_core::{Ablations, OmegaMode, TwoStepBuilder};
+use std::ops::Range;
+
+use twostep_core::{Ablations, ObjectConsensus, OmegaMode, TaskConsensus, TwoStepBuilder};
+use twostep_sim::schedule::Action;
 use twostep_sim::{msg_kind, ManualExecutor, Step};
 use twostep_types::protocol::{Protocol, TimerId};
-use twostep_types::{ProcessId, SystemConfig, Value};
+use twostep_types::{ProcessId, SystemConfig};
 
 /// The outcome of one adversarial construction.
 #[derive(Debug)]
@@ -66,27 +73,151 @@ pub struct AdversaryReport {
     pub agreement_violated: bool,
     /// Human-readable account of the schedule.
     pub narrative: String,
+    /// The two-step protocol the splice ran against; `None` for the
+    /// Fast Paxos splice.
+    pub setup: Option<TwoStepSetup>,
+    /// The splice that ran.
+    pub splice: Splice,
 }
 
-impl AdversaryReport {
-    fn from_log(cfg: SystemConfig, log: &[(ProcessId, u64)], narrative: String) -> Self {
-        AdversaryReport {
+/// A two-step protocol for a splice to run against: its configuration,
+/// the Ω leader every process trusts, the ablated recovery-rule
+/// ingredients and, for the task protocol, each process's value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TwoStepSetup {
+    /// The configuration.
+    pub cfg: SystemConfig,
+    /// The static Ω leader.
+    pub leader: ProcessId,
+    /// The ablated ingredients.
+    pub ablations: Ablations,
+    /// Initial values by process id, for the task protocol; empty for
+    /// an object run, whose values are its splice's proposals.
+    pub values: Vec<u64>,
+}
+
+impl TwoStepSetup {
+    /// A setup of `cfg` trusting `leader`, with `ablations` and the task
+    /// protocol's `values` (empty for an object run).
+    pub fn new(
+        cfg: SystemConfig,
+        leader: ProcessId,
+        ablations: Ablations,
+        values: Vec<u64>,
+    ) -> Self {
+        TwoStepSetup {
             cfg,
-            decisions: log.to_vec(),
-            agreement_violated: twostep_types::judge::agreement(log).is_err(),
-            narrative,
+            leader,
+            ablations,
+            values,
         }
+    }
+
+    fn builder(&self) -> TwoStepBuilder {
+        TwoStepBuilder::new(self.cfg)
+            .omega(OmegaMode::Static(self.leader))
+            .ablations(self.ablations)
+    }
+
+    /// A fresh executor of the task protocol, each process holding its
+    /// value.
+    pub fn task(&self) -> ManualExecutor<u64, TaskConsensus<u64>> {
+        let builder = self.builder();
+        ManualExecutor::new(self.cfg, |q| builder.task(q, self.values[q.index()]))
+    }
+
+    /// A fresh executor of the object protocol.
+    pub fn object(&self) -> ManualExecutor<u64, ObjectConsensus<u64>> {
+        let builder = self.builder();
+        ManualExecutor::new(self.cfg, |q| builder.object(q))
     }
 }
 
-fn p(i: usize) -> ProcessId {
-    ProcessId::new(i as u32)
+/// One move of a [`Splice`]. A move delivers only the messages it
+/// names, voter by voter; everything else stays in flight.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Move {
+    /// A fast round: voter by voter, `proposer`'s `Propose` to the voter
+    /// and the voter's `TwoB` to `learner` — the proposer itself
+    /// ([`Splice::fast`]) but in the Fast Paxos splice.
+    Fast {
+        /// Whose proposal the voters receive.
+        proposer: ProcessId,
+        /// The voters, in delivery order.
+        voters: Vec<ProcessId>,
+        /// Who receives the votes.
+        learner: ProcessId,
+    },
+    /// A rival proposal: `proposer`'s `Propose` to each voter; their
+    /// votes stay in flight.
+    Reach {
+        /// Whose proposal the voters receive.
+        proposer: ProcessId,
+        /// The voters, in delivery order.
+        voters: Vec<ProcessId>,
+    },
+    /// Crashes each process, in order.
+    Crash(Vec<ProcessId>),
+    /// One slow ballot at `leader` with exactly `quorum` as its `1B`/`2B`
+    /// quorum: the leader's new-ballot timer fires, then `1A` goes out,
+    /// `1B` comes back, `2A` goes out and `2B` comes back, each phase
+    /// voter by voter.
+    Recover {
+        /// The ballot's leader.
+        leader: ProcessId,
+        /// The quorum, in delivery order.
+        quorum: Vec<ProcessId>,
+    },
+}
+
+impl Move {
+    /// Plays the move on `ex`; returns the steps it took.
+    fn play<P: Protocol<u64>>(&self, ex: &mut ManualExecutor<u64, P>) -> Vec<Step> {
+        let mut steps = Vec::new();
+        match self {
+            Move::Fast {
+                proposer,
+                voters,
+                learner,
+            } => {
+                for &r in voters {
+                    steps.extend(deliver(ex, "Propose", *proposer, r));
+                    steps.extend(deliver(ex, "TwoB", r, *learner));
+                }
+            }
+            Move::Reach { proposer, voters } => {
+                for &r in voters {
+                    steps.extend(deliver(ex, "Propose", *proposer, r));
+                }
+            }
+            Move::Crash(set) => {
+                for &r in set {
+                    steps.extend(take(ex, Step::Crash(r)));
+                }
+            }
+            Move::Recover { leader, quorum } => {
+                steps.extend(take(ex, Step::Fire(*leader, TimerId::NEW_BALLOT)));
+                for (kind, outbound) in [
+                    ("OneA", true),
+                    ("OneB", false),
+                    ("TwoA", true),
+                    ("TwoB", false),
+                ] {
+                    for &r in quorum {
+                        let (from, to) = if outbound { (*leader, r) } else { (r, *leader) };
+                        steps.extend(deliver(ex, kind, from, to));
+                    }
+                }
+            }
+        }
+        steps
+    }
 }
 
 /// Delivers every pending `from → to` message whose variant is `kind`
 /// (by [`msg_kind`], so any protocol's messages match by name).
-fn deliver_kind<V: Value, P: Protocol<V>>(
-    ex: &mut ManualExecutor<V, P>,
+fn deliver<P: Protocol<u64>>(
+    ex: &mut ManualExecutor<u64, P>,
     kind: &str,
     from: ProcessId,
     to: ProcessId,
@@ -94,42 +225,133 @@ fn deliver_kind<V: Value, P: Protocol<V>>(
     ex.deliver_where(|m| m.from == from && m.to == to && msg_kind(&m.msg) == kind)
 }
 
-/// A fast round: voter by voter, delivers `proposer`'s `Propose` to the
-/// voter and the voter's `TwoB` back to `proposer`. Returns the steps
-/// taken.
-pub fn fast_round<V: Value, P: Protocol<V>>(
-    ex: &mut ManualExecutor<V, P>,
-    proposer: ProcessId,
-    voters: &[ProcessId],
-) -> Vec<Step> {
-    let mut steps = Vec::new();
-    for &voter in voters {
-        steps.extend(deliver_kind(ex, "Propose", proposer, voter));
-        steps.extend(deliver_kind(ex, "TwoB", voter, proposer));
-    }
-    steps
+/// Takes `step` on `ex`; returns it if it applied.
+fn take<P: Protocol<u64>>(ex: &mut ManualExecutor<u64, P>, step: Step) -> Option<Step> {
+    ex.step(step).map(|_| step)
 }
 
-/// One slow ballot at `leader` with exactly `quorum` as its `1B`/`2B`
-/// quorum: fires the leader's new-ballot timer, then delivers `1A` out,
-/// `1B` back, `2A` out and `2B` back, each phase voter by voter.
-pub fn recovery_ballot<V: Value, P: Protocol<V>>(
-    ex: &mut ManualExecutor<V, P>,
-    leader: ProcessId,
-    quorum: &[ProcessId],
-) {
-    ex.fire_timer(leader, TimerId::NEW_BALLOT);
-    for (kind, outbound) in [
-        ("OneA", true),
-        ("OneB", false),
-        ("TwoA", true),
-        ("TwoB", false),
-    ] {
-        for &r in quorum {
-            let (from, to) = if outbound { (leader, r) } else { (r, leader) };
-            deliver_kind(ex, kind, from, to);
+/// A splice: the proposals an object run starts with, then its moves.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Splice {
+    /// Client proposals `(process, value)`, issued in order once every
+    /// process has started. Empty for a task run, whose values are
+    /// fixed when it is built.
+    pub proposals: Vec<(ProcessId, u64)>,
+    /// The moves, in order.
+    pub moves: Vec<Move>,
+}
+
+impl Splice {
+    /// An object run's splice that starts with `proposals` and no moves.
+    pub fn new(proposals: Vec<(ProcessId, u64)>) -> Self {
+        Splice {
+            proposals,
+            moves: Vec::new(),
         }
     }
+
+    /// Appends a fast round whose votes go back to `proposer`.
+    pub fn fast(self, proposer: ProcessId, voters: Vec<ProcessId>) -> Self {
+        self.fast_to(proposer, voters, proposer)
+    }
+
+    /// Appends a fast round whose votes go to `learner`.
+    pub fn fast_to(self, proposer: ProcessId, voters: Vec<ProcessId>, learner: ProcessId) -> Self {
+        self.then(Move::Fast {
+            proposer,
+            voters,
+            learner,
+        })
+    }
+
+    /// Appends a rival proposal.
+    pub fn reach(self, proposer: ProcessId, voters: Vec<ProcessId>) -> Self {
+        self.then(Move::Reach { proposer, voters })
+    }
+
+    /// Appends crashes.
+    pub fn crash(self, set: Vec<ProcessId>) -> Self {
+        self.then(Move::Crash(set))
+    }
+
+    /// Appends a recovery ballot.
+    pub fn recover(self, leader: ProcessId, quorum: Vec<ProcessId>) -> Self {
+        self.then(Move::Recover { leader, quorum })
+    }
+
+    fn then(mut self, m: Move) -> Self {
+        self.moves.push(m);
+        self
+    }
+
+    /// Runs the splice on `ex`, a fresh executor: starts every process,
+    /// issues the proposals and plays the moves. Returns the steps the
+    /// moves took.
+    pub fn run<P: Protocol<u64>>(&self, ex: &mut ManualExecutor<u64, P>) -> Vec<Step> {
+        self.start(ex);
+        self.moves.iter().flat_map(|m| m.play(ex)).collect()
+    }
+
+    fn start<P: Protocol<u64>>(&self, ex: &mut ManualExecutor<u64, P>) {
+        ex.start_all();
+        for &(q, v) in &self.proposals {
+            ex.propose(q, v);
+        }
+    }
+
+    /// This splice followed by `script`, as `twostep-fuzz --replay`
+    /// tokens: the proposals as `p:A=V`, then every step the moves take
+    /// and every step of `script` as [`ManualExecutor::step`] names it.
+    /// `fresh` builds the executor the splice runs on; the steps are
+    /// taken on a fresh one, never scrubbed, because the fuzzer
+    /// addresses messages and timers by their position in the whole
+    /// soup. `None` if a step does not apply or an operand does not fit
+    /// its token.
+    pub fn tokens<P: Protocol<u64>>(
+        &self,
+        fresh: impl Fn() -> ManualExecutor<u64, P>,
+        script: &[Step],
+    ) -> Option<Vec<Action>> {
+        let steps = self.run(&mut fresh());
+        let mut ex = fresh();
+        self.start(&mut ex);
+        let proposals = self.proposals.iter().map(|&(q, v)| {
+            Some(Action::Propose(
+                q.as_u32().try_into().ok()?,
+                v.try_into().ok()?,
+            ))
+        });
+        let steps = steps.iter().chain(script).map(|&step| ex.step(step));
+        proposals.chain(steps).collect()
+    }
+}
+
+/// Runs `splice` on `ex`, a fresh executor, and reports the run.
+/// `narrate` reads each process's first decision after the run.
+fn report<P: Protocol<u64>>(
+    mut ex: ManualExecutor<u64, P>,
+    setup: Option<TwoStepSetup>,
+    splice: Splice,
+    narrate: impl FnOnce(&[Option<u64>]) -> String,
+) -> AdversaryReport {
+    splice.run(&mut ex);
+    let log = ex.decide_log();
+    AdversaryReport {
+        cfg: ex.config(),
+        decisions: log.to_vec(),
+        agreement_violated: twostep_types::judge::agreement(log).is_err(),
+        narrative: narrate(ex.decisions()),
+        setup,
+        splice,
+    }
+}
+
+fn p(i: usize) -> ProcessId {
+    ProcessId::new(i as u32)
+}
+
+fn ids(range: Range<usize>) -> Vec<ProcessId> {
+    range.map(p).collect()
 }
 
 /// Runs the §B.1 splice against the task protocol at `n = 2e+f-1` (one
@@ -145,8 +367,7 @@ pub fn task_below_bound(e: usize, f: usize) -> AdversaryReport {
         2 * e >= f + 2,
         "need 2e+f-1 >= 2f+1 so the two-step bound binds"
     );
-    let n = 2 * e + f - 1;
-    run_task_splice(e, f, n)
+    task_splice(e, f, 2 * e + f - 1, Ablations::NONE, false)
 }
 
 /// Runs the *same* adversarial strategy at the Theorem 5 bound
@@ -158,61 +379,96 @@ pub fn task_below_bound(e: usize, f: usize) -> AdversaryReport {
 /// Panics if `(e, f)` does not satisfy the same preconditions as
 /// [`task_below_bound`].
 pub fn task_at_bound(e: usize, f: usize) -> AdversaryReport {
-    assert!(f >= 2 && 2 * e >= f + 2);
-    let n = 2 * e + f;
-    run_task_splice(e, f, n)
+    task_at_bound_with(e, f, Ablations::NONE)
 }
 
-/// The parameterized §B.1 splice. Partition (by id):
-/// `E0 = {0..e}`, `F0 = {e..e+f-1}`, `X = {e+f-1..n-e}` (extras, empty
-/// below the bound), `E1 = {n-e..n}`, `w = n-1`, `c = e` (first of F0).
-fn run_task_splice_with(e: usize, f: usize, n: usize, ablations: Ablations) -> AdversaryReport {
+/// Ablation demo: replays the at-bound task splice with custom
+/// [`Ablations`]. With `no_max_tiebreak`, the exact-threshold tie
+/// `{0: e, 1: e}` resolves to the *minimum*, overturning the
+/// fast-decided 1 — demonstrating the tie-break (Figure 1 line 58) is
+/// necessary at `n = 2e+f`.
+///
+/// # Panics
+///
+/// Same preconditions as [`task_at_bound`].
+pub fn task_at_bound_with(e: usize, f: usize, ablations: Ablations) -> AdversaryReport {
+    assert!(f >= 2 && 2 * e >= f + 2);
+    task_splice(e, f, 2 * e + f, ablations, false)
+}
+
+/// Ablation demo for the object red-line precondition (Figure 1
+/// line 10), at the object bound `n = 2e+f-1`: the §B.1 task splice,
+/// run against the object protocol with every process proposing its
+/// task value at startup (`E0 ∪ F0` propose 0, `E1` propose 1). With
+/// the red line, `F0` (who proposed 0) refuse to vote for `w`'s 1, the
+/// fast path never completes, and the run stays safe. With
+/// `no_object_guard`, `F0` vote 1, `w` fast-decides, and recovery —
+/// facing `e` votes for 0 above the threshold — decides 0: agreement
+/// breaks, exactly the task lower bound reasserting itself once the red
+/// line is gone.
+///
+/// # Panics
+///
+/// Same preconditions as [`task_below_bound`].
+pub fn object_guard_demo(e: usize, f: usize, ablations: Ablations) -> AdversaryReport {
+    assert!(f >= 2 && 2 * e >= f + 2);
+    task_splice(e, f, 2 * e + f - 1, ablations, true)
+}
+
+/// The parameterized §B.1 splice, against the task protocol or, with
+/// `object`, against the object protocol with every process proposing
+/// its task value. Partition (by id): `E0 = {0..e}`,
+/// `F0 = {e..e+f-1}`, `X = {e+f-1..n-e}` (extras, empty below the
+/// bound), `E1 = {n-e..n}`, `w = n-1`, `c = e` (first of F0). `E1`
+/// holds 1, everyone else 0.
+fn task_splice(
+    e: usize,
+    f: usize,
+    n: usize,
+    ablations: Ablations,
+    object: bool,
+) -> AdversaryReport {
     let cfg = SystemConfig::new(n, e, f).expect("valid adversary configuration");
-    let leader = p(0);
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        // Values: E1 members propose 1, everyone else proposes 0.
-        let value = if q.index() >= n - e { 1u64 } else { 0u64 };
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .ablations(ablations)
-            .task(q, value)
-    });
-    let w = p(n - 1);
-    let c = p(e);
-    let e0: Vec<ProcessId> = (0..e).map(p).collect();
-    let f0: Vec<ProcessId> = (e..e + f - 1).map(p).collect();
-    let extras: Vec<ProcessId> = (e + f - 1..n - e).map(p).collect();
-    let e1_rest: Vec<ProcessId> = (n - e..n - 1).map(p).collect();
-
-    let mut narrative = format!(
-        "task splice at {cfg}: E0={e0:?} F0={f0:?} X={extras:?} E1\\{{w}}={e1_rest:?} w={w} c={c}\n"
-    );
-
-    ex.start_all();
-
-    // Step 1: w's Propose(1) reaches E1\{w}, F0 and the extras; all vote 1.
-    // Their fast votes flow back to w: with w itself that is n-e — w
-    // decides 1 on the fast path.
-    let voters_for_w: Vec<ProcessId> = e1_rest.iter().chain(&f0).chain(&extras).copied().collect();
-    fast_round(&mut ex, w, &voters_for_w);
-    narrative += &format!("w={w} fast-decided {:?}\n", ex.decision_of(w));
-
-    // Step 2: c's Propose(0) reaches E0; they vote 0.
-    for &q in &e0 {
-        deliver_kind(&mut ex, "Propose", c, q);
+    let (leader, w, c) = (p(0), p(n - 1), p(e));
+    let e0 = ids(0..e);
+    let f0 = ids(e..e + f - 1);
+    let extras = ids(e + f - 1..n - e);
+    let e1_rest = ids(n - e..n - 1);
+    let survivors = [&e0[..], &extras, &e1_rest].concat();
+    let values: Vec<u64> = (0..n).map(|i| u64::from(i >= n - e)).collect();
+    let mut setup = TwoStepSetup::new(cfg, leader, ablations, Vec::new());
+    let proposals = if object {
+        (0..n).map(p).zip(values).collect()
+    } else {
+        setup.values = values;
+        Vec::new()
+    };
+    let splice = Splice::new(proposals)
+        // w's Propose(1) reaches E1\{w}, F0 and the extras; all vote 1.
+        // Their fast votes flow back to w: with w itself that is n-e — w
+        // decides 1 on the fast path.
+        .fast(w, [&e1_rest[..], &f0, &extras].concat())
+        // c's Propose(0) reaches E0; they vote 0.
+        .reach(c, e0.clone())
+        // Crash F0 ∪ {w} — exactly f processes.
+        .crash([&f0[..], &[w]].concat())
+        // A recovery ballot led by p0 among the n-f survivors.
+        .recover(leader, survivors.clone());
+    let narrate = |d: &[Option<u64>]| {
+        format!(
+            "task splice at {cfg}: E0={e0:?} F0={f0:?} X={extras:?} E1\\{{w}}={e1_rest:?} w={w} c={c}\n\
+             w={w} fast-decided {:?}\n\
+             crashed F0 ∪ {{w}} = {f0:?} ∪ {{{w}}}\n\
+             recovery at {leader} over {survivors:?} decided {:?}\n",
+            d[w.index()],
+            d[leader.index()]
+        )
+    };
+    if object {
+        report(setup.object(), Some(setup), splice, narrate)
+    } else {
+        report(setup.task(), Some(setup), splice, narrate)
     }
-
-    // Step 3: crash F0 ∪ {w} — exactly f processes.
-    for &q in f0.iter().chain(std::iter::once(&w)) {
-        ex.crash(q);
-    }
-    narrative += &format!("crashed F0 ∪ {{w}} = {:?} ∪ {{{w}}}\n", f0);
-
-    // Step 4: recovery ballot led by p0 among the n-f survivors.
-    let survivors: Vec<ProcessId> = e0.iter().chain(&extras).chain(&e1_rest).copied().collect();
-    run_recovery(&mut ex, leader, &survivors, &mut narrative);
-
-    AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
 }
 
 /// Runs the §B.2 splice against the object protocol at `n = 2e+f-2`
@@ -230,8 +486,7 @@ pub fn object_below_bound(e: usize, f: usize) -> AdversaryReport {
         "need 2e+f-2 >= 2f+1 so the two-step bound binds"
     );
     assert!(e <= f, "the paper assumes e <= f");
-    let n = 2 * e + f - 2;
-    run_object_splice(e, f, n)
+    object_splice(e, f, 2 * e + f - 2)
 }
 
 /// Runs the *same* strategy at the Theorem 6 bound `n = 2e+f-1`; the
@@ -243,107 +498,44 @@ pub fn object_below_bound(e: usize, f: usize) -> AdversaryReport {
 /// [`object_below_bound`].
 pub fn object_at_bound(e: usize, f: usize) -> AdversaryReport {
     assert!(f >= 3 && 2 * e >= f + 3 && e <= f);
-    let n = 2 * e + f - 1;
-    run_object_splice(e, f, n)
+    object_splice(e, f, 2 * e + f - 1)
 }
 
 /// The parameterized §B.2 splice. Partition (by id):
 /// `F = {0..f-2}`, `E0* = {f-2..f-2+(e-1)}`, `E1* = next e-1`,
 /// `X = extras` (empty below the bound), `p = n-2`, `q = n-1`.
-fn run_object_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
+fn object_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
     let cfg = SystemConfig::new(n, e, f).expect("valid adversary configuration");
-    let f_set: Vec<ProcessId> = (0..f - 2).map(p).collect();
-    let e0_star: Vec<ProcessId> = (f - 2..f - 2 + (e - 1)).map(p).collect();
-    let e1_star: Vec<ProcessId> = (f - 2 + (e - 1)..f - 2 + 2 * (e - 1)).map(p).collect();
-    let extras: Vec<ProcessId> = (f - 2 + 2 * (e - 1)..n - 2).map(p).collect();
-    let proposer_p = p(n - 2);
-    let proposer_q = p(n - 1);
+    let f_set = ids(0..f - 2);
+    let e0_star = ids(f - 2..f - 2 + (e - 1));
+    let e1_star = ids(f - 2 + (e - 1)..f - 2 + 2 * (e - 1));
+    let extras = ids(f - 2 + 2 * (e - 1)..n - 2);
+    let (proposer_p, proposer_q) = (p(n - 2), p(n - 1));
     let leader = e0_star[0];
-
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .object::<u64>(q)
-    });
-
-    let mut narrative = format!(
-        "object splice at {cfg}: F={f_set:?} E0*={e0_star:?} E1*={e1_star:?} X={extras:?} \
-         p={proposer_p} q={proposer_q}\n"
-    );
-
-    ex.start_all();
-    ex.propose(proposer_p, 0);
-    ex.propose(proposer_q, 1);
-
-    // Propose(0) → E0*: they vote 0.
-    for &r in &e0_star {
-        deliver_kind(&mut ex, "Propose", proposer_p, r);
-    }
-    // Propose(1) → F, E1* and the extras: they vote 1. Their votes reach
-    // q: F ∪ E1* ∪ X ∪ {q} = n-e — q decides 1 fast.
-    let q_voters: Vec<ProcessId> = f_set
-        .iter()
-        .chain(&e1_star)
-        .chain(&extras)
-        .copied()
-        .collect();
-    fast_round(&mut ex, proposer_q, &q_voters);
-    narrative += &format!(
-        "q={proposer_q} fast-decided {:?}\n",
-        ex.decision_of(proposer_q)
-    );
-
-    // Crash F ∪ {q}: f-1 processes.
-    for &r in f_set.iter().chain(std::iter::once(&proposer_q)) {
-        ex.crash(r);
-    }
-    narrative += &format!("crashed F ∪ {{q}} = {f_set:?} ∪ {{{proposer_q}}}\n");
-
     // Recovery among E0* ∪ E1* ∪ X — exactly n-f processes; proposer p
     // stays silent (alive, but its messages delayed past the ballot).
-    let survivors: Vec<ProcessId> = e0_star
-        .iter()
-        .chain(&e1_star)
-        .chain(&extras)
-        .copied()
-        .collect();
-    run_recovery(&mut ex, leader, &survivors, &mut narrative);
-
-    AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
-}
-
-/// Runs [`recovery_ballot`] at `leader` over exactly `participants` and
-/// narrates what the leader decided.
-fn run_recovery<P: Protocol<u64>>(
-    ex: &mut ManualExecutor<u64, P>,
-    leader: ProcessId,
-    participants: &[ProcessId],
-    narrative: &mut String,
-) {
-    recovery_ballot(ex, leader, participants);
-    narrative.push_str(&format!(
-        "recovery at {leader} over {participants:?} decided {:?}\n",
-        ex.decision_of(leader)
-    ));
-}
-
-/// Ablation demo: replays the at-bound task splice with custom
-/// [`Ablations`]. With `no_max_tiebreak`, the exact-threshold tie
-/// `{0: e, 1: e}` resolves to the *minimum*, overturning the
-/// fast-decided 1 — demonstrating the tie-break (Figure 1 line 58) is
-/// necessary at `n = 2e+f`.
-///
-/// # Panics
-///
-/// Same preconditions as [`task_at_bound`].
-pub fn task_at_bound_with(e: usize, f: usize, ablations: Ablations) -> AdversaryReport {
-    assert!(f >= 2 && 2 * e >= f + 2);
-    let n = 2 * e + f;
-    run_task_splice_with(e, f, n, ablations)
-}
-
-fn run_task_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
-    run_task_splice_with(e, f, n, Ablations::NONE)
+    let survivors = [&e0_star[..], &e1_star, &extras].concat();
+    let splice = Splice::new(vec![(proposer_p, 0), (proposer_q, 1)])
+        // Propose(0) → E0*: they vote 0.
+        .reach(proposer_p, e0_star.clone())
+        // Propose(1) → F, E1* and the extras: they vote 1. Their votes
+        // reach q: F ∪ E1* ∪ X ∪ {q} = n-e — q decides 1 fast.
+        .fast(proposer_q, [&f_set[..], &e1_star, &extras].concat())
+        // Crash F ∪ {q}: f-1 processes.
+        .crash([&f_set[..], &[proposer_q]].concat())
+        .recover(leader, survivors.clone());
+    let setup = TwoStepSetup::new(cfg, leader, Ablations::NONE, Vec::new());
+    report(setup.object(), Some(setup), splice, |d| {
+        format!(
+            "object splice at {cfg}: F={f_set:?} E0*={e0_star:?} E1*={e1_star:?} X={extras:?} \
+             p={proposer_p} q={proposer_q}\n\
+             q={proposer_q} fast-decided {:?}\n\
+             crashed F ∪ {{q}} = {f_set:?} ∪ {{{proposer_q}}}\n\
+             recovery at {leader} over {survivors:?} decided {:?}\n",
+            d[proposer_q.index()],
+            d[leader.index()]
+        )
+    })
 }
 
 /// Ablation demo for the proposer-exclusion set `R` (Figure 1 line 47),
@@ -371,119 +563,31 @@ pub fn object_exclusion_demo(e: usize, f: usize, ablations: Ablations) -> Advers
 
     // Layout by id: F = {0..f-2}, E1* = next e-1, C = next e-1,
     // z, x, q = last three.
-    let f_set: Vec<ProcessId> = (0..f.saturating_sub(2)).map(p).collect();
-    let e1_star: Vec<ProcessId> = (f - 2..f - 2 + (e - 1)).map(p).collect();
-    let c_set: Vec<ProcessId> = (f - 2 + (e - 1)..f - 2 + 2 * (e - 1)).map(p).collect();
-    let z = p(n - 3);
-    let x = p(n - 2);
-    let q = p(n - 1);
+    let f_set = ids(0..f - 2);
+    let e1_star = ids(f - 2..f - 2 + (e - 1));
+    let c_set = ids(f - 2 + (e - 1)..f - 2 + 2 * (e - 1));
+    let (z, x, q) = (p(n - 3), p(n - 2), p(n - 1));
     let leader = e1_star[0];
-
-    let mut ex = ManualExecutor::new(cfg, |r| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .ablations(ablations)
-            .object::<u64>(r)
-    });
-    let mut narrative = format!(
-        "exclusion demo at {cfg}: F={f_set:?} E1*={e1_star:?} C={c_set:?} z={z} x={x} q={q}\n"
-    );
-
-    ex.start_all();
-    ex.propose(q, 1);
-    ex.propose(z, 2);
-
-    // q's fast quorum: F, E1* and x vote 1.
-    let q_voters: Vec<ProcessId> = f_set
-        .iter()
-        .chain(&e1_star)
-        .chain(std::iter::once(&x))
-        .copied()
-        .collect();
-    fast_round(&mut ex, q, &q_voters);
-    narrative += &format!("q={q} fast-decided {:?}\n", ex.decision_of(q));
-
-    // z's rival support: C votes 2.
-    for &r in &c_set {
-        deliver_kind(&mut ex, "Propose", z, r);
-    }
-
-    // Crash F ∪ {q} (f-1 processes); x stays alive but silent.
-    for &r in f_set.iter().chain(std::iter::once(&q)) {
-        ex.crash(r);
-    }
-
-    // Recovery over Q = E1* ∪ {z} ∪ C (n-f processes).
-    let survivors: Vec<ProcessId> = e1_star
-        .iter()
-        .chain(std::iter::once(&z))
-        .chain(&c_set)
-        .copied()
-        .collect();
-    run_recovery(&mut ex, leader, &survivors, &mut narrative);
-
-    AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
-}
-
-/// Ablation demo for the object red-line precondition (Figure 1
-/// line 10), at the object bound `n = 2e+f-1`.
-///
-/// Every process proposes at startup (`E0 ∪ F0` propose 0, `E1`
-/// propose 1) and the §B.1 task splice is replayed. With the red line,
-/// `F0` (who proposed 0) refuse to vote for `w`'s 1, the fast path
-/// never completes, and the run stays safe. With `no_object_guard`,
-/// `F0` vote 1, `w` fast-decides, and recovery — facing `e` votes for 0
-/// above the threshold — decides 0: agreement breaks, exactly the task
-/// lower bound reasserting itself once the red line is gone.
-///
-/// # Panics
-///
-/// Same preconditions as [`task_below_bound`].
-pub fn object_guard_demo(e: usize, f: usize, ablations: Ablations) -> AdversaryReport {
-    assert!(f >= 2 && 2 * e >= f + 2);
-    let n = 2 * e + f - 1; // the object bound
-    let cfg = SystemConfig::new(n, e, f).expect("valid configuration");
-    let leader = p(0);
-    let mut ex = ManualExecutor::new(cfg, |r| {
-        TwoStepBuilder::new(cfg)
-            .omega(OmegaMode::Static(leader))
-            .ablations(ablations)
-            .object::<u64>(r)
-    });
-    let w = p(n - 1);
-    let c = p(e);
-    let e0: Vec<ProcessId> = (0..e).map(p).collect();
-    let f0: Vec<ProcessId> = (e..e + f - 1).map(p).collect();
-    let e1_rest: Vec<ProcessId> = (n - e..n - 1).map(p).collect();
-
-    let mut narrative =
-        format!("guard demo at {cfg}: E0={e0:?} F0={f0:?} E1\\{{w}}={e1_rest:?} w={w} c={c}\n");
-
-    ex.start_all();
-    // Everyone proposes: E1 members 1, everyone else 0.
-    for i in 0..n {
-        let value = if i >= n - e { 1u64 } else { 0u64 };
-        ex.propose(p(i), value);
-    }
-
-    // w's Propose(1) reaches E1\{w} and F0; whoever votes, votes back.
-    let targets: Vec<ProcessId> = e1_rest.iter().chain(&f0).copied().collect();
-    fast_round(&mut ex, w, &targets);
-    narrative += &format!("w={w} fast decision: {:?}\n", ex.decision_of(w));
-
-    // E0 vote for c's 0 (same value as their own proposal: red line ok).
-    for &r in &e0 {
-        deliver_kind(&mut ex, "Propose", c, r);
-    }
-
-    // Crash F0 ∪ {w}; recover among the rest.
-    for &r in f0.iter().chain(std::iter::once(&w)) {
-        ex.crash(r);
-    }
-    let survivors: Vec<ProcessId> = e0.iter().chain(&e1_rest).copied().collect();
-    run_recovery(&mut ex, leader, &survivors, &mut narrative);
-
-    AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
+    let quorum = [&e1_star[..], &[z], &c_set].concat();
+    let splice = Splice::new(vec![(q, 1), (z, 2)])
+        // q's fast quorum: F, E1* and x vote 1.
+        .fast(q, [&f_set[..], &e1_star, &[x]].concat())
+        // z's rival support: C votes 2.
+        .reach(z, c_set.clone())
+        // Crash F ∪ {q} (f-1 processes); x stays alive but silent.
+        .crash([&f_set[..], &[q]].concat())
+        // Recovery over Q = E1* ∪ {z} ∪ C (n-f processes).
+        .recover(leader, quorum.clone());
+    let setup = TwoStepSetup::new(cfg, leader, ablations, Vec::new());
+    report(setup.object(), Some(setup), splice, |d| {
+        format!(
+            "exclusion demo at {cfg}: F={f_set:?} E1*={e1_star:?} C={c_set:?} z={z} x={x} q={q}\n\
+             q={q} fast-decided {:?}\n\
+             recovery at {leader} over {quorum:?} decided {:?}\n",
+            d[q.index()],
+            d[leader.index()]
+        )
+    })
 }
 
 /// Runs an O4-ambiguity splice against **Fast Paxos** at `n = 2e+f`
@@ -506,7 +610,7 @@ pub fn object_guard_demo(e: usize, f: usize, ablations: Ablations) -> AdversaryR
 /// valid below Lamport's bound).
 pub fn fast_paxos_below_bound(e: usize, f: usize) -> AdversaryReport {
     assert!(2 * e > f, "need 2e+f >= 2f+1 so the configuration is valid");
-    run_fast_paxos_splice(e, f, 2 * e + f)
+    fast_paxos_splice(e, f, 2 * e + f)
 }
 
 /// The same strategy at Lamport's bound `n = 2e+f+1`; the report must
@@ -517,24 +621,38 @@ pub fn fast_paxos_below_bound(e: usize, f: usize) -> AdversaryReport {
 /// Same preconditions as [`fast_paxos_below_bound`].
 pub fn fast_paxos_at_bound(e: usize, f: usize) -> AdversaryReport {
     assert!(2 * e > f);
-    run_fast_paxos_splice(e, f, 2 * e + f + 1)
+    fast_paxos_splice(e, f, 2 * e + f + 1)
 }
 
 /// Layout by id: `z = p0` (proposes 2, also the Ω coordinator),
 /// `C2 = p1..p_{e-1}` (further 2-voters), 1-voters next, learner
 /// `L = p_{n-2}`, `w = p_{n-1}` (proposes 1).
-fn run_fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
+fn fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
     use twostep_baselines::FastPaxos;
 
     let cfg = SystemConfig::new(n, e, f).expect("valid adversary configuration");
-    let z = p(0);
-    let w = p(n - 1);
-    let learner = p(n - 2);
-    let two_voters: Vec<ProcessId> = (0..e).map(p).collect(); // z included
-    let one_voters: Vec<ProcessId> = (e..n).map(p).collect(); // w, L included
+    let (z, learner, w) = (p(0), p(n - 2), p(n - 1));
+    let two_voters = ids(0..e); // z included
+    let one_voters = ids(e..n); // w, L included
 
-    let mut ex = ManualExecutor::new(cfg, |q| {
-        // Only z and w carry real values; everyone else proposes nothing.
+    // Coordinator recovery at z: the 1B quorum is all e 2-voters plus
+    // the first n-f-e 1-voters (excluding the learner and w when
+    // possible, irrelevant to the counts).
+    let quorum = [&two_voters[..], &one_voters[..n - f - e]].concat();
+    debug_assert_eq!(quorum.len(), cfg.slow_quorum());
+    let splice = Splice::default()
+        // The e 2-voters receive Propose(2) first and vote 2.
+        .reach(z, two_voters.clone())
+        // The n-e 1-voters receive Propose(1) first and vote 1, and their
+        // fast votes reach the learner: it decides 1 (value 1 IS chosen
+        // under Fast Paxos semantics — a full fast quorum voted it).
+        .fast_to(w, one_voters.clone(), learner)
+        // The quorum's fast votes reach z too, in the 2B phase: e for 2
+        // and n-f-e for 1, short of the n-e a fast decision needs, so z
+        // decides on the quorum's slow votes.
+        .recover(z, quorum);
+    // Only z and w carry real values; everyone else proposes nothing.
+    let ex = ManualExecutor::new(cfg, |q| {
         if q == z {
             FastPaxos::new(cfg, q, 2u64)
         } else if q == w {
@@ -543,43 +661,80 @@ fn run_fast_paxos_splice(e: usize, f: usize, n: usize) -> AdversaryReport {
             FastPaxos::passive(cfg, q)
         }
     });
-    let mut narrative = format!(
-        "fast paxos splice at {cfg}: z={z} (value 2) voters {two_voters:?}, \
-         w={w} (value 1) voters {one_voters:?}, learner L={learner}\n"
-    );
-    ex.start_all();
+    report(ex, None, splice, |d| {
+        format!(
+            "fast paxos splice at {cfg}: z={z} (value 2) voters {two_voters:?}, \
+             w={w} (value 1) voters {one_voters:?}, learner L={learner}\n\
+             learner {learner} decided {:?}\n\
+             coordinator {z} recovery decided {:?}\n",
+            d[learner.index()],
+            d[z.index()]
+        )
+    })
+}
 
-    // The e 2-voters receive Propose(2) first and vote 2.
-    for &r in &two_voters {
-        deliver_kind(&mut ex, "Propose", z, r);
-    }
-    // The n-e 1-voters receive Propose(1) first and vote 1.
-    for &r in &one_voters {
-        deliver_kind(&mut ex, "Propose", w, r);
-    }
-    // All n-e fast votes for 1 reach the learner: it decides 1 (value 1
-    // IS chosen under Fast Paxos semantics — a full fast quorum voted it).
-    for &r in &one_voters {
-        deliver_kind(&mut ex, "TwoB", r, learner);
-    }
-    narrative += &format!("learner {learner} decided {:?}\n", ex.decision_of(learner));
+/// The model-check gate's staged task prefix at `cfg` (`e = f = 2`):
+/// `p1` contends with 20 against everyone else's 10, and `p2` is the Ω
+/// leader. `p0`'s `Propose(10)` reaches `{p2, p3}` (they vote 10),
+/// `p1`'s `Propose(20)` reaches `p0` and `p4..` (they vote 20 — the
+/// task variant has no object guard, so 20 ≥ their initial suffices),
+/// the returning votes give `p1` a fast quorum `n−e` and it
+/// fast-decides 20, then both proposers `{p0, p1}` crash. At `n = 5`
+/// the recovery quorum sees both crashed proposers outside it, includes
+/// all votes, and the `count > threshold` branch resurrects 10 — the
+/// Theorem 5 violation. At `n = 6` the same prefix is safe (the tally
+/// ties and the max-value tie-break re-selects 20).
+pub fn staged_task_prefix(cfg: SystemConfig) -> (TwoStepSetup, Splice) {
+    let n = cfg.n();
+    let values = (0..n).map(|i| if i == 1 { 20 } else { 10 }).collect();
+    let splice = Splice::default()
+        .reach(p(0), vec![p(2), p(3)])
+        .fast(p(1), [&[p(0)][..], &ids(4..n)].concat())
+        .crash(vec![p(0), p(1)]);
+    (
+        TwoStepSetup::new(cfg, p(2), Ablations::NONE, values),
+        splice,
+    )
+}
 
-    // Coordinator recovery at z: the 1B quorum is all e 2-voters plus
-    // the first n-f-e 1-voters (excluding the learner and w when
-    // possible, irrelevant to the counts).
-    let quorum: Vec<ProcessId> = two_voters
-        .iter()
-        .chain(one_voters.iter().take(n - f - e))
-        .copied()
-        .collect();
-    debug_assert_eq!(quorum.len(), cfg.slow_quorum());
-    // The quorum's fast votes reach z too, in the 2B phase: e for 2 and
-    // n-f-e for 1, short of the n-e a fast decision needs, so z decides
-    // on the quorum's slow votes.
-    recovery_ballot(&mut ex, z, &quorum);
-    narrative += &format!("coordinator {z} recovery decided {:?}\n", ex.decision_of(z));
+/// The model-check gate's staged object prefix at `cfg` (`e = f = 2`,
+/// Ω leader `p0`): `p0` proposes 10 and `p1` proposes 20, `p1`'s
+/// `Propose(20)` reaches the `n−e−1` passive processes `p3..`, their
+/// votes complete `p1`'s fast quorum (20 decided), `p0`'s `Propose(10)`
+/// reaches `p2`, then `p1` and the last voter crash. At the object
+/// bound (`n ≥ 2e+f−1`) every continuation must re-select 20: the
+/// surviving voters' reports name the crashed proposer `p1`, which
+/// recovery cannot place inside its quorum, so the decided value stays
+/// visible.
+pub fn staged_object_prefix(cfg: SystemConfig) -> (TwoStepSetup, Splice) {
+    let n = cfg.n();
+    let splice = Splice::new(vec![(p(0), 10), (p(1), 20)])
+        .fast(p(1), ids(3..n))
+        .reach(p(0), vec![p(2)])
+        .crash(vec![p(1), p(n - 1)]);
+    (
+        TwoStepSetup::new(cfg, p(0), Ablations::NONE, Vec::new()),
+        splice,
+    )
+}
 
-    AdversaryReport::from_log(cfg, ex.decide_log(), narrative)
+/// The model-check gate's seeded-broken fixture: the object protocol at
+/// its bound (`n = 5`, `e = f = 2`, Ω leader `p0`) with the red-line
+/// guard ablated (`no_object_guard`). `E0 = {p0, p1}` and `F0 = {p2}`
+/// propose 0, `E1 = {p3, p4}` propose 1; `p4` wins the fast quorum
+/// through the ablated guard, `p0`/`p1` vote for `p2`'s value, then
+/// `{p2, p4}` crash.
+pub fn guard_ablation_prefix() -> (TwoStepSetup, Splice) {
+    let cfg = SystemConfig::minimal_object(2, 2).expect("e=f=2 object config");
+    let ablations = Ablations {
+        no_object_guard: true,
+        ..Ablations::NONE
+    };
+    let splice = Splice::new((0..5).map(|i| (p(i), u64::from(i >= 3))).collect())
+        .fast(p(4), vec![p(2), p(3)])
+        .reach(p(2), vec![p(0), p(1)])
+        .crash(vec![p(2), p(4)]);
+    (TwoStepSetup::new(cfg, p(0), ablations, Vec::new()), splice)
 }
 
 /// All `(e, f)` pairs with `f ≤ max_f` on which [`task_below_bound`] is
@@ -689,6 +844,25 @@ mod tests {
         for (e, f) in &og {
             assert!(e <= f && 2 * e >= f + 3);
         }
+    }
+
+    #[test]
+    fn staged_prefixes_complete_their_fast_path() {
+        for n in [5, 6] {
+            let cfg = SystemConfig::new(n, 2, 2).unwrap();
+            let (setup, prefix) = staged_task_prefix(cfg);
+            let mut ex = setup.task();
+            prefix.run(&mut ex);
+            assert_eq!(ex.decision_of(p(1)), Some(&20), "task n={n}");
+            let (setup, prefix) = staged_object_prefix(cfg);
+            let mut ex = setup.object();
+            prefix.run(&mut ex);
+            assert_eq!(ex.decision_of(p(1)), Some(&20), "object n={n}");
+        }
+        let (setup, prefix) = guard_ablation_prefix();
+        let mut ex = setup.object();
+        prefix.run(&mut ex);
+        assert_eq!(ex.decision_of(p(4)), Some(&1));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   interleavings drive the real protocol into an agreement violation;
 //!   at the bounds the same strategies are exhibited failing (the
 //!   recovery rule's tie-break and proposer exclusion save the run).
-//!   This is the empirical content of Theorems 5 and 6 "only if".
+//!   This is the empirical content of Theorems 5 and 6 "only if". Each
+//!   strategy is a [`Splice`], a list of moves one interpreter runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +33,10 @@ pub mod linearizability;
 pub mod model_check;
 
 pub use adversary::{
-    fast_paxos_at_bound, fast_paxos_below_bound, object_adversary_grid, object_at_bound,
-    object_below_bound, object_exclusion_demo, object_guard_demo, task_adversary_grid,
-    task_at_bound, task_at_bound_with, task_below_bound, AdversaryReport,
+    fast_paxos_at_bound, fast_paxos_below_bound, guard_ablation_prefix, object_adversary_grid,
+    object_at_bound, object_below_bound, object_exclusion_demo, object_guard_demo,
+    staged_object_prefix, staged_task_prefix, task_adversary_grid, task_at_bound,
+    task_at_bound_with, task_below_bound, AdversaryReport, Move, Splice, TwoStepSetup,
 };
 pub use linearizability::{History, LinearizabilityError, Op};
 pub use model_check::{CheckOutcome, ExploreStats, ModelChecker};

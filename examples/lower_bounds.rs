@@ -6,19 +6,11 @@
 //! cargo run --example lower_bounds
 //! ```
 
-use twostep::core::{Ablations, Msg, OmegaMode, TwoStepBuilder};
-use twostep::sim::ManualExecutor;
 use twostep::types::protocol::TimerId;
-use twostep::types::{ProcessId, SystemConfig};
-use twostep::verify::adversary::fast_round;
 use twostep::verify::{
-    object_at_bound, object_below_bound, task_at_bound, task_below_bound, CheckOutcome,
-    ModelChecker,
+    guard_ablation_prefix, object_at_bound, object_below_bound, task_at_bound, task_below_bound,
+    CheckOutcome, ModelChecker,
 };
-
-fn p(i: u32) -> ProcessId {
-    ProcessId::new(i)
-}
 
 fn main() {
     // ---------------------------------------------------------------
@@ -76,36 +68,15 @@ fn main() {
     //    ablation and finds the agreement violation on its own.
     // ---------------------------------------------------------------
     println!("\n== Model checker vs the red-line ablation (n = 5, e = f = 2) ==\n");
-    let cfg = SystemConfig::minimal_object(2, 2).unwrap();
+    // The staged contended fast round (the gate's seeded-broken
+    // fixture); the checker owns the rest.
+    let (setup, prefix) = guard_ablation_prefix();
     let outcome = ModelChecker::new()
         .timer_budget(1, vec![TimerId::NEW_BALLOT])
         .max_states(500_000)
-        .run(cfg, &[0, 1], |cfg| {
-            let mut ex = ManualExecutor::new(cfg, |q| {
-                TwoStepBuilder::new(cfg)
-                    .omega(OmegaMode::Static(p(0)))
-                    .ablations(Ablations {
-                        no_object_guard: true,
-                        ..Ablations::NONE
-                    })
-                    .object::<u64>(q)
-            });
-            ex.start_all();
-            for i in 0..cfg.n() as u32 {
-                let v = if i >= (cfg.n() - cfg.e()) as u32 {
-                    1
-                } else {
-                    0
-                };
-                ex.propose(p(i), v);
-            }
-            // Stage the contended fast round; the checker owns the rest.
-            fast_round(&mut ex, p(4), &[p(2), p(3)]);
-            ex.deliver_where(|m| {
-                m.from == p(2) && [p(0), p(1)].contains(&m.to) && matches!(m.msg, Msg::Propose(_))
-            });
-            ex.crash(p(2));
-            ex.crash(p(4));
+        .run(setup.cfg, &[0, 1], |_| {
+            let mut ex = setup.object();
+            prefix.run(&mut ex);
             ex
         });
 

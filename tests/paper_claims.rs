@@ -61,6 +61,102 @@ fn claim_theorem6_only_if() {
     assert!(report.agreement_violated, "{}", report.narrative);
 }
 
+/// Every two-step splice behind E3's task and object rows and E9's
+/// three ablations replays through the fuzzer from its tokens alone
+/// (`p:A=V` proposals, then each step as `ManualExecutor::step` names
+/// it): the splice and the fuzzer both find `agreement` violated
+/// exactly where E3 and E9 print VIOLATED (every row below a bound,
+/// every ablated protocol), and nothing where they print intact. The
+/// Fast Paxos splice is left out: its passive processes propose
+/// nothing, and a `FuzzCase` gives every process of a task-style
+/// protocol a value.
+#[test]
+fn claim_every_splice_replays_through_the_fuzzer() {
+    use twostep::byz::ByzPlan;
+    use twostep::core::Ablations;
+    use twostep::verify::{
+        object_adversary_grid, object_at_bound, object_exclusion_demo, object_guard_demo,
+        task_adversary_grid, task_at_bound, task_at_bound_with, AdversaryReport,
+    };
+    use twostep_fuzz::{check_safety, run_case, FuzzCase, FuzzProtocol};
+
+    // Each run, with whether it must violate agreement.
+    let mut runs = Vec::new();
+    for (e, f) in task_adversary_grid(4) {
+        runs.extend([(task_below_bound(e, f), true), (task_at_bound(e, f), false)]);
+    }
+    for (e, f) in object_adversary_grid(5) {
+        runs.extend([
+            (object_below_bound(e, f), true),
+            (object_at_bound(e, f), false),
+        ]);
+    }
+    type Demo = fn(usize, usize, Ablations) -> AdversaryReport;
+    let ablations: [(Demo, Ablations); 3] = [
+        (
+            task_at_bound_with,
+            Ablations {
+                no_max_tiebreak: true,
+                ..Ablations::NONE
+            },
+        ),
+        (
+            object_exclusion_demo,
+            Ablations {
+                no_proposer_exclusion: true,
+                ..Ablations::NONE
+            },
+        ),
+        (
+            object_guard_demo,
+            Ablations {
+                no_object_guard: true,
+                ..Ablations::NONE
+            },
+        ),
+    ];
+    for (splice, ablated) in ablations {
+        for (e, f) in [(2, 2), (3, 3), (3, 4)] {
+            runs.extend([
+                (splice(e, f, Ablations::NONE), false),
+                (splice(e, f, ablated), true),
+            ]);
+        }
+    }
+
+    for (report, violated) in &runs {
+        let setup = report.setup.as_ref().expect("a two-step splice");
+        let (protocol, tokens) = if setup.values.is_empty() {
+            let tokens = report.splice.tokens(|| setup.object(), &[]);
+            (FuzzProtocol::Object, tokens)
+        } else {
+            (
+                FuzzProtocol::Task,
+                report.splice.tokens(|| setup.task(), &[]),
+            )
+        };
+        let case = FuzzCase {
+            protocol,
+            cfg: setup.cfg,
+            values: setup.values.clone(),
+            leader: setup.leader,
+            ablations: setup.ablations,
+            schedule: tokens.expect("every step names a token").into(),
+            groups: 1,
+            victims: ByzPlan::honest(0),
+        };
+        let verdict = check_safety(protocol, &run_case(&case));
+        assert_eq!(report.agreement_violated, *violated, "{}", report.narrative);
+        assert_eq!(
+            verdict.as_ref().map(|v| v.property()),
+            violated.then_some("agreement"),
+            "{}replay: {}",
+            report.narrative,
+            case.schedule
+        );
+    }
+}
+
 /// §2: "Paxos is not e-two-step for any e > 0" — with the leader in E,
 /// nobody decides by 2Δ, so Definition 4's sweep says no.
 #[test]
